@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-quick microbench trace-smoke snapshot-smoke obs-smoke drift-smoke xray-smoke
+.PHONY: all build vet test race check bench bench-quick bench-test microbench trace-smoke snapshot-smoke obs-smoke drift-smoke xray-smoke
 
 all: check
 
@@ -34,6 +34,13 @@ bench:
 
 bench-quick:
 	$(GO) run ./cmd/bench -quick -out bench_ci.json -baseline BENCH_1.json -tolerance 1.4
+
+# The layered simulator benchmark in bench/ is its own Go module, so
+# the root build, vet and test targets never reach it. This vets it and
+# runs its tests (determinism at 1/100 scale, golden counters, wrapper
+# transparency) under the race detector.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test -race .
 
 # Traced end-to-end smoke: run a small 2-trace suite twice with
 # -trace-out/-journal enabled, summarize the journal, and diff the two

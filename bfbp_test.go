@@ -177,7 +177,8 @@ func TestPublicAPISurface(t *testing.T) {
 		bfbp.NewBFNeural(bfbp.BFNeural64KB()),
 		bfbp.NewBFTAGE(bfbp.BFISLTAGE(10)),
 	}
-	results, err := bfbp.RunAll(preds, func() bfbp.TraceReader { return tr.Stream() }, bfbp.Options{})
+	src := bfbp.FuncSource{Label: "FP2", OpenFn: func() bfbp.TraceReader { return tr.Stream() }}
+	results, err := bfbp.RunAllSource(preds, src, bfbp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,30 +3,27 @@ package bfgehl
 import "testing"
 
 // TestSteadyStateAllocs drives the predictor past warmup and requires
-// the scalar and batch hot paths to run allocation-free.
+// Predict+Update to run allocation-free, both with immediate updates and
+// with 33 predictions in flight once the checkpoint ring has grown.
 func TestSteadyStateAllocs(t *testing.T) {
 	tr := diffTrace(t, 40000)
-	p := New(Default64KB())
-	for _, rec := range tr[:20000] {
-		p.Predict(rec.PC)
-		p.Update(rec.PC, rec.Taken, rec.Target)
-	}
-	i := 0
-	if a := testing.AllocsPerRun(2000, func() {
-		rec := tr[20000+i%10000]
-		i++
-		p.Predict(rec.PC)
-		p.Update(rec.PC, rec.Taken, rec.Target)
-	}); a > 0 {
-		t.Errorf("scalar Predict+Update allocates %.1f per branch in steady state", a)
-	}
-	preds := make([]bool, 512)
-	j := 0
-	if a := testing.AllocsPerRun(20, func() {
-		off := 20000 + (j*512)%10000
-		j++
-		p.SimulateBatch(tr[off:off+512], preds)
-	}); a > 0 {
-		t.Errorf("SimulateBatch allocates %.1f per span in steady state", a)
+	for _, delay := range []int{0, 33} {
+		p := New(Default64KB())
+		i := 0
+		step := func() {
+			rec := tr[i%len(tr)]
+			p.Predict(rec.PC)
+			if i >= delay {
+				old := tr[(i-delay)%len(tr)]
+				p.Update(old.PC, old.Taken, old.Target)
+			}
+			i++
+		}
+		for i < 20000 {
+			step()
+		}
+		if a := testing.AllocsPerRun(2000, step); a > 0 {
+			t.Errorf("delay %d: Predict+Update allocates %.1f per branch in steady state", delay, a)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func getBenchTrace(b *testing.B) trace.Slice {
 	return benchTrace
 }
 
-// BenchmarkPredictUpdate measures the scalar Predict+Update path.
+// BenchmarkPredictUpdate measures the Predict+Update path.
 func BenchmarkPredictUpdate(b *testing.B) {
 	tr := getBenchTrace(b)
 	p := New(Default64KB())
@@ -38,28 +38,8 @@ func BenchmarkPredictUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateBatch measures the fused batch path the harness uses
-// when the hot loop is uninstrumented.
-func BenchmarkSimulateBatch(b *testing.B) {
-	tr := getBenchTrace(b)
-	p := New(Default64KB())
-	const batch = 4096
-	preds := make([]bool, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := batch
-		if b.N-done < n {
-			n = b.N - done
-		}
-		off := done % (len(tr) - batch)
-		p.SimulateBatch(tr[off:off+n], preds[:n])
-		done += n
-	}
-}
-
-// BenchmarkComputeRef measures the retained buildGHR+FoldWords scalar
-// reference, for comparison against the pipeline compute inside
+// BenchmarkComputeRef measures the buildGHR+FoldWords reference model,
+// for comparison against the pipeline compute inside
 // BenchmarkPredictUpdate profiles.
 func BenchmarkComputeRef(b *testing.B) {
 	tr := getBenchTrace(b)
@@ -68,11 +48,12 @@ func BenchmarkComputeRef(b *testing.B) {
 		p.Predict(rec.PC)
 		p.Update(rec.PC, rec.Taken, rec.Target)
 	}
+	idxs := make([]uint32, p.cfg.Tables)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int32
 	for i := 0; i < b.N; i++ {
-		sink += p.computeRef(tr[i%20000].PC)
+		sink += p.computeRef(tr[i%20000].PC, idxs)
 	}
 	_ = sink
 }

@@ -14,11 +14,11 @@ import (
 	"strconv"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/core/inflight"
 	"bfbp/internal/history"
 	"bfbp/internal/rng"
 	"bfbp/internal/rs"
 	"bfbp/internal/sim"
-	"bfbp/internal/trace"
 )
 
 // Config parameterises BF-GEHL.
@@ -55,6 +55,8 @@ func Default64KB() Config {
 	}
 }
 
+// checkpoint is one in-flight prediction: the adder-tree sum and each
+// table's index, in an array sized once per ring slot.
 type checkpoint struct {
 	pc   uint64
 	sum  int32
@@ -73,22 +75,14 @@ type Predictor struct {
 	wMin   int8
 	theta  int32
 	tc     int32
-	// pending is an in-order FIFO: live entries are pending[pendStart:],
-	// compacted lazily; cpFree recycles retired checkpoints' idx slices.
-	pending   []checkpoint
-	pendStart int
-	cpFree    []checkpoint
-	idxBuf    []uint32
-	// ghrVec / pcsVec hold the packed BF-GHR, rebuilt per reference
-	// lookup (the retained scalar path; differential tests pin the
-	// pipeline path to it). pcsVec is built but unused by the hash.
-	ghrVec history.BitVec
-	pcsVec history.BitVec
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight inflight.Ring[checkpoint]
 	// pipe maintains one folded register per history-indexed table over
 	// the BF-GHR, updated by XOR deltas as the segments mutate instead of
-	// re-derived with buildGHR + FoldWords per lookup; regs maps table ->
-	// register id (table 0 is PC-indexed and has none), folds is FoldAll
-	// scratch.
+	// re-folding the whole vector per lookup; regs maps table -> register
+	// id (table 0 is PC-indexed and has none), folds is FoldAll scratch.
 	pipe  *history.FoldPipeline
 	regs  []int
 	folds []uint64
@@ -135,20 +129,18 @@ func New(cfg Config) *Predictor {
 			panic("bfgehl: history length exceeds BF-GHR width")
 		}
 	}
-	// Configs whose geometry the fold pipeline cannot pack (SegSize
-	// sweeps in ablations) keep the scalar reference fold path; compute
-	// falls back when pipe is nil.
-	if history.PipelineOK(cfg.SegSize, cfg.LogEntries) {
-		p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
-		p.regs = make([]int, cfg.Tables)
-		for i := 1; i < cfg.Tables; i++ {
-			p.regs[i] = p.pipe.AddRegister(p.hists[i], cfg.LogEntries)
-		}
-		p.folds = make([]uint64, p.pipe.NumRegisters())
-		p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
-			p.pipe.SegmentDelta2(seg, dT, dP)
-		})
+	p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
+	p.regs = make([]int, cfg.Tables)
+	for i := 1; i < cfg.Tables; i++ {
+		p.regs[i] = p.pipe.AddRegister(p.hists[i], cfg.LogEntries)
 	}
+	p.folds = make([]uint64, p.pipe.NumRegisters())
+	p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
+		p.pipe.SegmentDelta2(seg, dT, dP)
+	})
+	p.inflight = inflight.New(func() checkpoint {
+		return checkpoint{idxs: make([]uint32, cfg.Tables)}
+	})
 	return p
 }
 
@@ -163,52 +155,16 @@ func (p *Predictor) Name() string {
 // GHRBits returns the BF-GHR width.
 func (p *Predictor) GHRBits() int { return p.cfg.UnfilteredBits + p.seg.Bits() }
 
-// buildGHR assembles the packed BF-GHR: the unfiltered prefix is one
-// masked word off the ring, each segment contributes one packed word.
-func (p *Predictor) buildGHR() {
-	p.ghrVec.Reset()
-	p.pcsVec.Reset()
-	p.ghrVec.Append(p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits), p.cfg.UnfilteredBits)
-	p.seg.AppendPacked(&p.ghrVec, &p.pcsVec)
-}
-
-// newCheckpoint builds a checkpoint, reusing a retired one's idx slice.
-func (p *Predictor) newCheckpoint(pc uint64, sum int32) checkpoint {
-	cp := checkpoint{pc: pc, sum: sum}
-	if k := len(p.cpFree); k > 0 {
-		cp.idxs = p.cpFree[k-1].idxs[:0]
-		p.cpFree = p.cpFree[:k-1]
-	}
-	cp.idxs = append(cp.idxs, p.idxBuf...)
-	return cp
-}
-
-// putCheckpoint retires a checkpoint, recycling its idx slice.
-func (p *Predictor) putCheckpoint(cp *checkpoint) {
-	if cp.idxs == nil {
-		return
-	}
-	p.cpFree = append(p.cpFree, checkpoint{idxs: cp.idxs})
-	cp.idxs = nil
-}
-
-// compute evaluates the adder-tree sum for pc, filling idxBuf with each
+// compute evaluates the adder-tree sum for pc, filling idxs with each
 // table's index. Per-table folds come from the fold pipeline (register
 // tails XORed with the folded unfiltered prefix) — no BF-GHR rebuild,
-// no FoldWords walk. It produces exactly the indices of computeRef
-// (asserted by TestComputeDifferential).
-func (p *Predictor) compute(pc uint64) int32 {
-	if p.pipe == nil {
-		return p.computeRef(pc)
-	}
-	if cap(p.idxBuf) < len(p.tables) {
-		p.idxBuf = make([]uint32, len(p.tables))
-	}
-	p.idxBuf = p.idxBuf[:len(p.tables)]
+// no FoldWords walk. It produces exactly the indices of the reference
+// model (asserted by TestComputeDifferential).
+func (p *Predictor) compute(pc uint64, idxs []uint32) int32 {
 	uT := p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits)
 	p.pipe.FoldAll(uT, p.folds)
 	pch := rng.Hash64(pc >> 2)
-	idxBuf, folds, regs := p.idxBuf, p.folds, p.regs
+	folds, regs := p.folds, p.regs
 	var sum int32
 	for i := range p.tables {
 		var key uint64
@@ -218,33 +174,7 @@ func (p *Predictor) compute(pc uint64) int32 {
 			key = pch ^ folds[regs[i]]<<3 ^ uint64(i)<<57
 		}
 		idx := uint32(rng.Hash64(key) & p.mask)
-		idxBuf[i] = idx
-		sum += 2*int32(p.tables[i][idx]) + 1
-	}
-	return sum
-}
-
-// computeRef is the retained scalar reference model: rebuild the packed
-// BF-GHR and re-fold it per table with FoldWords. Differential tests pin
-// compute to this path bit for bit.
-func (p *Predictor) computeRef(pc uint64) int32 {
-	if cap(p.idxBuf) < len(p.tables) {
-		p.idxBuf = make([]uint32, len(p.tables))
-	}
-	p.idxBuf = p.idxBuf[:len(p.tables)]
-	p.buildGHR()
-	bits := p.ghrVec.Words()
-	pch := rng.Hash64(pc >> 2)
-	var sum int32
-	for i := range p.tables {
-		var key uint64
-		if i == 0 {
-			key = pch
-		} else {
-			key = pch ^ history.FoldWords(bits, p.hists[i], p.cfg.LogEntries)<<3 ^ uint64(i)<<57
-		}
-		idx := uint32(rng.Hash64(key) & p.mask)
-		p.idxBuf[i] = idx
+		idxs[i] = idx
 		sum += 2*int32(p.tables[i][idx]) + 1
 	}
 	return sum
@@ -252,45 +182,43 @@ func (p *Predictor) computeRef(pc uint64) int32 {
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	sum := p.compute(pc)
-	cp := p.newCheckpoint(pc, sum)
-	// Compact the FIFO's popped prefix before append would grow it.
-	if len(p.pending) == cap(p.pending) && p.pendStart > 0 {
-		n := copy(p.pending, p.pending[p.pendStart:])
-		p.pending = p.pending[:n]
-		p.pendStart = 0
-	}
-	p.pending = append(p.pending, cp)
-	return sum >= 0
+	cp := p.lookup(pc)
+	p.inflight.Push()
+	return cp.sum >= 0
 }
 
-// Update implements sim.Predictor.
+// lookup fills the ring's free slot with pc's sum and table indices. The
+// slot is not put in flight.
+func (p *Predictor) lookup(pc uint64) *checkpoint {
+	cp := p.inflight.Next()
+	cp.pc = pc
+	cp.sum = p.compute(pc, cp.idxs)
+	return cp
+}
+
+// Update implements sim.Predictor. An update whose PC does not match the
+// oldest checkpoint (a caller that skipped Predict) commits from a fresh
+// lookup instead.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if p.pendStart < len(p.pending) && p.pending[p.pendStart].pc == pc {
-		cp = p.pending[p.pendStart]
-		p.pendStart++
-		if p.pendStart == len(p.pending) {
-			p.pending = p.pending[:0]
-			p.pendStart = 0
-		}
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.commit(p.inflight.At(0), taken)
+		p.inflight.Pop()
 	} else {
-		cp = p.newCheckpoint(pc, p.compute(pc))
+		p.commit(p.lookup(pc), taken)
 	}
-	p.commit(pc, cp.sum, cp.idxs, taken)
-	p.putCheckpoint(&cp)
 }
 
-// commit applies the resolved outcome given the lookup's sum and table
-// indices (shared by Update and the fused batch step).
-func (p *Predictor) commit(pc uint64, sum int32, idxs []uint32, taken bool) {
+// commit applies the resolved outcome to the tables cp indexed and to
+// the BF-GHR.
+func (p *Predictor) commit(cp *checkpoint, taken bool) {
+	pc, sum := cp.pc, cp.sum
 	pred := sum >= 0
 	mag := sum
 	if mag < 0 {
 		mag = -mag
 	}
 	if pred != taken || mag <= p.theta {
-		for i, idx := range idxs {
+		for i, idx := range cp.idxs {
 			w := p.tables[i][idx]
 			if taken {
 				if w < p.wMax {
@@ -309,32 +237,6 @@ func (p *Predictor) commit(pc uint64, sum int32, idxs []uint32, taken bool) {
 		Taken:     taken,
 		NonBiased: p.class.Lookup(pc) == bst.NonBiased,
 	})
-}
-
-// step runs one fused predict+update straight off idxBuf, skipping the
-// in-flight FIFO and the checkpoint copy — valid exactly when no
-// prediction is outstanding, which SimulateBatch guarantees.
-func (p *Predictor) step(pc uint64, taken bool) bool {
-	sum := p.compute(pc)
-	p.commit(pc, sum, p.idxBuf, taken)
-	return sum >= 0
-}
-
-// SimulateBatch implements sim.BatchSimulator: a span of records runs
-// through the fused per-branch step, bit-exact with Predict+Update per
-// record. Falls back to the canonical pair while checkpoints are in
-// flight (a delayed-update queue drained mid-run).
-func (p *Predictor) SimulateBatch(recs []trace.Record, preds []bool) {
-	if p.pendStart < len(p.pending) {
-		for i := range recs {
-			preds[i] = p.Predict(recs[i].PC)
-			p.Update(recs[i].PC, recs[i].Taken, recs[i].Target)
-		}
-		return
-	}
-	for i := range recs {
-		preds[i] = p.step(recs[i].PC, recs[i].Taken)
-	}
 }
 
 func (p *Predictor) adaptTheta(mispred bool, mag int32) {
@@ -363,19 +265,9 @@ const explainTopWeights = 8
 // branch's BST classification. BF-GEHL's filter gates history insertion,
 // not prediction, so FilterDecision stays false.
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	var cp checkpoint
-	found := false
-	for j := len(p.pending) - 1; j >= p.pendStart; j-- {
-		if p.pending[j].pc == pc {
-			cp = p.pending[j]
-			found = true
-			break
-		}
-	}
-	if !found {
-		cp = p.newCheckpoint(pc, p.compute(pc))
-		// Not in flight: retire the scratch checkpoint on exit.
-		defer p.putCheckpoint(&cp)
+	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+	if cp == nil {
+		cp = p.lookup(pc)
 	}
 	ws := make([]sim.WeightContrib, 0, len(cp.idxs))
 	for i, idx := range cp.idxs {

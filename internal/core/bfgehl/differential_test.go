@@ -22,8 +22,8 @@ func diffTrace(t *testing.T, n int) trace.Slice {
 }
 
 // TestComputeDifferential drives 20k branches and, at every step, runs
-// the fold-pipeline compute and the retained buildGHR+FoldWords
-// computeRef side by side, requiring identical sums and table indices.
+// the fold-pipeline compute and the buildGHR+FoldWords reference model
+// side by side, requiring identical sums and table indices.
 // This pins the pipeline's XOR-delta register maintenance (including
 // segment evictions, boundary crossings, and the generic multi-word
 // fold path for the deepest tables) to the scalar re-fold.
@@ -31,16 +31,16 @@ func TestComputeDifferential(t *testing.T) {
 	tr := diffTrace(t, 20000)
 	p := New(Default64KB())
 	idxs := make([]uint32, p.cfg.Tables)
+	idxsRef := make([]uint32, p.cfg.Tables)
 	for i, rec := range tr {
-		sum := p.compute(rec.PC)
-		copy(idxs, p.idxBuf)
-		sumRef := p.computeRef(rec.PC)
+		sum := p.compute(rec.PC, idxs)
+		sumRef := p.computeRef(rec.PC, idxsRef)
 		if sum != sumRef {
 			t.Fatalf("step %d: sum fast %d, ref %d", i, sum, sumRef)
 		}
 		for j := range idxs {
-			if idxs[j] != p.idxBuf[j] {
-				t.Fatalf("step %d table %d: idx fast %d, ref %d", i, j, idxs[j], p.idxBuf[j])
+			if idxs[j] != idxsRef[j] {
+				t.Fatalf("step %d table %d: idx fast %d, ref %d", i, j, idxs[j], idxsRef[j])
 			}
 		}
 		p.Predict(rec.PC)
@@ -48,49 +48,9 @@ func TestComputeDifferential(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesScalar runs the same 20k-branch trace through the
-// canonical Predict/Update pair and through SimulateBatch in ragged
-// spans, requiring identical predictions at every branch and identical
-// snapshot bytes at the end — the sim.BatchSimulator contract.
-func TestBatchMatchesScalar(t *testing.T) {
-	tr := diffTrace(t, 20000)
-	scalar := New(Default64KB())
-	batched := New(Default64KB())
-	sizes := []int{1, 3, 17, 64, 256, 1000}
-	preds := make([]bool, 1000)
-	off, si := 0, 0
-	for off < len(tr) {
-		n := sizes[si%len(sizes)]
-		si++
-		if off+n > len(tr) {
-			n = len(tr) - off
-		}
-		batched.SimulateBatch(tr[off:off+n], preds[:n])
-		for i := 0; i < n; i++ {
-			rec := tr[off+i]
-			want := scalar.Predict(rec.PC)
-			scalar.Update(rec.PC, rec.Taken, rec.Target)
-			if preds[i] != want {
-				t.Fatalf("branch %d: batch predicted %v, scalar %v", off+i, preds[i], want)
-			}
-		}
-		off += n
-	}
-	var sb, bb bytes.Buffer
-	if err := scalar.SaveState(&sb); err != nil {
-		t.Fatalf("scalar snapshot: %v", err)
-	}
-	if err := batched.SaveState(&bb); err != nil {
-		t.Fatalf("batch snapshot: %v", err)
-	}
-	if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-		t.Fatal("batch and scalar predictor snapshots differ")
-	}
-}
-
 // TestResumePipelineRebuild snapshots mid-run, restores into a fresh
 // predictor, and requires the rebuilt fold pipeline to agree with the
-// scalar reference (and with the donor) over continued execution.
+// reference model (and with the donor) over continued execution.
 func TestResumePipelineRebuild(t *testing.T) {
 	tr := diffTrace(t, 12000)
 	p := New(Default64KB())
@@ -106,9 +66,10 @@ func TestResumePipelineRebuild(t *testing.T) {
 	if err := q.LoadState(&buf); err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	idxs := make([]uint32, q.cfg.Tables)
 	for i, rec := range tr[8000:] {
-		sum := q.compute(rec.PC)
-		if ref := q.computeRef(rec.PC); sum != ref {
+		sum := q.compute(rec.PC, idxs)
+		if ref := q.computeRef(rec.PC, idxs); sum != ref {
 			t.Fatalf("step %d after resume: sum fast %d, ref %d", i, sum, ref)
 		}
 		pw, qw := p.Predict(rec.PC), q.Predict(rec.PC)

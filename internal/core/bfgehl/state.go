@@ -1,7 +1,7 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the weight tables,
 // the BST, the segmented recency stacks (which carry the unfiltered
 // history ring), and the adaptive threshold. The in-flight checkpoint
-// FIFO, its free list, and the BF-GHR scratch vectors are transient.
+// ring is transient: snapshots are taken at quiescent points.
 
 package bfgehl
 
@@ -31,7 +31,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != p.pendStart {
+	if p.inflight.Len() != 0 {
 		return errors.New("bfgehl: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -95,12 +95,10 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	// The fold pipeline is derived state: rebuild its register tails
 	// from the restored segments' packed words (LoadState reset them, so
 	// feeding the absolute words through the delta path reconstructs).
-	if p.pipe != nil {
-		p.pipe.Reset()
-		for i := 0; i < p.seg.Segments(); i++ {
-			tw, pw := p.seg.PackedWords(i)
-			p.pipe.SegmentDelta2(i, tw, pw)
-		}
+	p.pipe.Reset()
+	for i := 0; i < p.seg.Segments(); i++ {
+		tw, pw := p.seg.PackedWords(i)
+		p.pipe.SegmentDelta2(i, tw, pw)
 	}
 	m, err := s.Dec("misc")
 	if err != nil {
@@ -114,8 +112,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	for i := range p.tables {
 		copy(p.tables[i], fresh[i])
 	}
-	p.pending = p.pending[:0]
-	p.pendStart = 0
+	p.inflight.Reset()
 	return nil
 }
 

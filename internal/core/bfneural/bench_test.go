@@ -25,7 +25,7 @@ func getBenchTrace(b *testing.B) trace.Slice {
 	return benchTrace
 }
 
-// BenchmarkPredictUpdate measures the scalar Predict+Update path.
+// BenchmarkPredictUpdate measures the Predict+Update path.
 func BenchmarkPredictUpdate(b *testing.B) {
 	tr := getBenchTrace(b)
 	p := New(Default64KB())
@@ -35,25 +35,5 @@ func BenchmarkPredictUpdate(b *testing.B) {
 		rec := tr[i%len(tr)]
 		p.Predict(rec.PC)
 		p.Update(rec.PC, rec.Taken, rec.Target)
-	}
-}
-
-// BenchmarkSimulateBatch measures the fused batch path the harness uses
-// when the hot loop is uninstrumented.
-func BenchmarkSimulateBatch(b *testing.B) {
-	tr := getBenchTrace(b)
-	p := New(Default64KB())
-	const batch = 4096
-	preds := make([]bool, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := batch
-		if b.N-done < n {
-			n = b.N - done
-		}
-		off := done % (len(tr) - batch)
-		p.SimulateBatch(tr[off:off+n], preds[:n])
-		done += n
 	}
 }

@@ -23,13 +23,13 @@ import (
 	"math/bits"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/core/inflight"
 	"bfbp/internal/dotp"
 	"bfbp/internal/history"
 	"bfbp/internal/looppred"
 	"bfbp/internal/rng"
 	"bfbp/internal/rs"
 	"bfbp/internal/sim"
-	"bfbp/internal/trace"
 )
 
 // Mode selects the history-filtering level (the Fig. 9 ablation).
@@ -147,6 +147,9 @@ type fentry struct {
 	seq   uint64
 }
 
+// checkpoint is one in-flight prediction. Its index and direction
+// arrays are sized once from the config (RecentUnfiltered Wm positions,
+// RSDepth stack entries) and reused by every lookup in its ring slot.
 type checkpoint struct {
 	pc          uint64
 	state       bst.State
@@ -189,13 +192,11 @@ type Predictor struct {
 
 	theta int32
 	tc    int32
-	// pending is an in-order FIFO: live entries are pending[pendStart:],
-	// compacted lazily so steady state never reallocates. cpFree recycles
-	// retired checkpoints' index slices.
-	pending   []checkpoint
-	pendStart int
-	cpFree    []checkpoint
-	distCap   uint64
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight inflight.Ring[checkpoint]
+	distCap  uint64
 	// qdist tabulates quantDist over [0, distCap] (distances arrive
 	// saturated), replacing the per-entry bit scan with one small-table
 	// load; nil when DistBits is too wide to tabulate.
@@ -204,10 +205,6 @@ type Predictor struct {
 	// compute scratch: recent hashed PCs gathered from the ring, so the
 	// Wm hot loop runs over a dense array instead of per-entry accessors.
 	gpcs []uint32
-	// scratch is the fused-step checkpoint: SimulateBatch consumes each
-	// prediction immediately, so it never goes through the FIFO or the
-	// slice pool.
-	scratch checkpoint
 }
 
 // New returns a BF-Neural predictor for cfg.
@@ -268,35 +265,34 @@ func New(cfg Config) *Predictor {
 	if cfg.LoopPredictor {
 		p.loop = looppred.NewDefault()
 	}
+	p.inflight = inflight.New(p.makeCheckpoint)
 	return p
 }
 
-// newCheckpoint builds a checkpoint, reusing a retired one's slices.
-func (p *Predictor) newCheckpoint(pc uint64, state bst.State) checkpoint {
-	cp := checkpoint{pc: pc, state: state}
-	if k := len(p.cpFree); k > 0 {
-		f := p.cpFree[k-1]
-		p.cpFree = p.cpFree[:k-1]
-		cp.wmRows = f.wmRows[:0]
-		cp.wmDirs = f.wmDirs[:0]
-		cp.wrsIdxs = f.wrsIdxs[:0]
-		cp.wrsDirs = f.wrsDirs[:0]
+// makeCheckpoint allocates a checkpoint's arrays at their largest size.
+func (p *Predictor) makeCheckpoint() checkpoint {
+	ht, depth := p.cfg.RecentUnfiltered, p.cfg.RSDepth
+	return checkpoint{
+		wmRows:  make([]int32, 0, ht),
+		wmDirs:  make([]bool, 0, ht),
+		wrsIdxs: make([]int32, 0, depth),
+		wrsDirs: make([]bool, 0, depth),
 	}
-	return cp
 }
 
-// putCheckpoint retires a checkpoint, recycling its slices.
-func (p *Predictor) putCheckpoint(cp *checkpoint) {
-	if cp.wmRows == nil && cp.wrsIdxs == nil {
-		return
+// slot returns the ring's free slot reset, keeping its arrays, to a
+// fresh checkpoint for pc. The slot is not put in flight.
+func (p *Predictor) slot(pc uint64) *checkpoint {
+	cp := p.inflight.Next()
+	*cp = checkpoint{
+		pc:      pc,
+		state:   p.class.Lookup(pc),
+		wmRows:  cp.wmRows[:0],
+		wmDirs:  cp.wmDirs[:0],
+		wrsIdxs: cp.wrsIdxs[:0],
+		wrsDirs: cp.wrsDirs[:0],
 	}
-	p.cpFree = append(p.cpFree, checkpoint{
-		wmRows:  cp.wmRows,
-		wmDirs:  cp.wmDirs,
-		wrsIdxs: cp.wrsIdxs,
-		wrsDirs: cp.wrsDirs,
-	})
-	cp.wmRows, cp.wmDirs, cp.wrsIdxs, cp.wrsDirs = nil, nil, nil, nil
+	return cp
 }
 
 // foldLengths is the fixed bank of folded-history registers: dense for
@@ -334,26 +330,13 @@ func quantDist(d uint64) uint64 {
 	return (d >> shift) << shift
 }
 
-// quantDistRef is the original loop formulation, retained as the
-// reference model for the differential test pinning quantDist.
-func quantDistRef(d uint64) uint64 {
-	if d < 64 {
-		return d
-	}
-	shift := uint(0)
-	for v := d; v >= 64; v >>= 1 {
-		shift++
-	}
-	return (d >> shift) << shift
-}
-
 // compute evaluates the perceptron sum for a non-biased pc, filling the
 // checkpoint's index lists. The Wm loop reads the recent outcome bits
 // as one packed word and the hashed PCs as a dense gather; the Wrs loop
 // runs over arrays gathered from the recency stack in one list walk.
-// Both produce exactly the rows/indices of computeRef (asserted by
-// TestComputeDifferential), which is the straight per-entry-accessor
-// formulation kept as the reference model.
+// Both produce exactly the rows/indices of the per-entry-accessor
+// reference model (asserted by TestComputeDifferential). cp's arrays
+// must have the capacity makeCheckpoint gives them.
 func (p *Predictor) compute(pc uint64, cp *checkpoint) {
 	var pch uint64
 	if !p.cfg.AheadPipelined {
@@ -367,13 +350,8 @@ func (p *Predictor) compute(pc uint64, cp *checkpoint) {
 	dirs := cp.wmDirs[:0]
 	ring := p.folds.Ring()
 	if n := ring.Len(); n >= ht && ht <= 64 {
-		if cap(rows) < ht {
-			rows = make([]int32, ht)
-			dirs = make([]bool, ht)
-		} else {
-			rows = rows[:ht]
-			dirs = dirs[:ht]
-		}
+		rows = rows[:ht]
+		dirs = dirs[:ht]
 		rt := ring.RecentTaken(ht)
 		gpcs := p.gpcs[:ht]
 		ring.FillRecentPCs(gpcs)
@@ -417,13 +395,8 @@ func (p *Predictor) compute(pc uint64, cp *checkpoint) {
 		// dense view; distances saturate exactly as Iter reports them.
 		v := p.rstack.View()
 		n := v.N
-		if cap(idxs) < n {
-			idxs = make([]int32, n)
-			sdirs = make([]bool, n)
-		} else {
-			idxs = idxs[:n]
-			sdirs = sdirs[:n]
-		}
+		idxs = idxs[:n]
+		sdirs = sdirs[:n]
 		fs, wrsMask := p.folds, p.wrsMask
 		order, spc, stk, sseq := v.Order, v.PC, v.Taken, v.Seq
 		cur, maxd := v.Cur, v.MaxDist
@@ -479,85 +452,8 @@ func (p *Predictor) compute(pc uint64, cp *checkpoint) {
 	cp.accum = accum
 }
 
-// computeRef is the retained reference model for compute: the same sum
-// through the per-entry accessors (Ring.At, Stack.Iter, the loop-based
-// quantizer) instead of the gathered fast paths. Differential tests run
-// both and require identical accumulators and index lists.
-func (p *Predictor) computeRef(pc uint64, cp *checkpoint) {
-	var pch uint64
-	if !p.cfg.AheadPipelined {
-		pch = rng.Hash64(pc >> 2)
-	}
-	accum := int32(p.wb[(pc>>2)&p.biasMask])
-
-	ht := p.cfg.RecentUnfiltered
-	cp.wmRows = cp.wmRows[:0]
-	cp.wmDirs = cp.wmDirs[:0]
-	ring := p.folds.Ring()
-	for i := 1; i <= ht; i++ {
-		e, ok := ring.At(i)
-		if !ok {
-			cp.wmRows = append(cp.wmRows, -1)
-			cp.wmDirs = append(cp.wmDirs, false)
-			continue
-		}
-		key := pch ^ uint64(e.HashedPC)*0x9e3779b97f4a7c15 ^ p.folds.Fold(i)<<17 ^ uint64(i)<<40
-		row := int32(rng.Hash64(key)&p.wmMask)*int32(ht) + int32(i-1)
-		cp.wmRows = append(cp.wmRows, row)
-		cp.wmDirs = append(cp.wmDirs, e.Taken)
-		w := int32(p.wm[row])
-		if e.Taken {
-			accum += w
-		} else {
-			accum -= w
-		}
-	}
-
-	cp.wrsIdxs = cp.wrsIdxs[:0]
-	cp.wrsDirs = cp.wrsDirs[:0]
-	if p.rstack != nil {
-		for it := p.rstack.Iter(); ; {
-			e, ok := it.Next()
-			if !ok {
-				break
-			}
-			q := quantDistRef(e.Dist)
-			key := pch ^ e.PC*0x9e3779b97f4a7c15 ^ q<<28 ^ p.folds.Fold(int(e.Dist))<<9
-			idx := int32(rng.Hash64(key) & p.wrsMask)
-			cp.wrsIdxs = append(cp.wrsIdxs, idx)
-			cp.wrsDirs = append(cp.wrsDirs, e.Taken)
-			w := int32(p.wrs[idx])
-			if e.Taken {
-				accum += w
-			} else {
-				accum -= w
-			}
-		}
-		cp.accum = accum
-		return
-	}
-	for j := range p.filt {
-		e := &p.filt[j]
-		dist := p.seq - e.seq
-		if dist > p.distCap {
-			dist = p.distCap
-		}
-		key := pch ^ uint64(e.hpc)*0x9e3779b97f4a7c15 ^ uint64(j)<<28 ^ p.folds.Fold(int(dist))<<9
-		idx := int32(rng.Hash64(key) & p.wrsMask)
-		cp.wrsIdxs = append(cp.wrsIdxs, idx)
-		cp.wrsDirs = append(cp.wrsDirs, e.taken)
-		w := int32(p.wrs[idx])
-		if e.taken {
-			accum += w
-		} else {
-			accum -= w
-		}
-	}
-	cp.accum = accum
-}
-
 // lookup fills a checkpoint's prediction fields for cp.pc (the body of
-// Algorithm 2, shared by Predict and the fused batch step).
+// Algorithm 2).
 func (p *Predictor) lookup(cp *checkpoint) {
 	switch cp.state {
 	case bst.NotFound:
@@ -583,21 +479,14 @@ func (p *Predictor) lookup(cp *checkpoint) {
 
 // Predict implements sim.Predictor (Algorithm 2).
 func (p *Predictor) Predict(pc uint64) bool {
-	cp := p.newCheckpoint(pc, p.class.Lookup(pc))
-	p.lookup(&cp)
-	// Compact the FIFO's popped prefix before append would grow it.
-	if len(p.pending) == cap(p.pending) && p.pendStart > 0 {
-		n := copy(p.pending, p.pending[p.pendStart:])
-		p.pending = p.pending[:n]
-		p.pendStart = 0
-	}
-	p.pending = append(p.pending, cp)
+	cp := p.slot(pc)
+	p.lookup(cp)
+	p.inflight.Push()
 	return cp.final
 }
 
 // commit applies the resolved outcome for cp.pc (the body of Algorithm
-// 3 after the checkpoint is in hand, shared by Update and the fused
-// batch step).
+// 3 after the checkpoint is in hand).
 func (p *Predictor) commit(cp *checkpoint, taken bool) {
 	pc := cp.pc
 	if p.loop != nil {
@@ -643,56 +532,21 @@ func (p *Predictor) commit(cp *checkpoint, taken bool) {
 }
 
 // Update implements sim.Predictor (Algorithm 3).
+// An update whose PC does not match the oldest checkpoint (a caller
+// that skipped Predict) commits from a fresh checkpoint instead, with
+// the perceptron sum computed only for a non-biased branch.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if p.pendStart < len(p.pending) && p.pending[p.pendStart].pc == pc {
-		cp = p.pending[p.pendStart]
-		p.pendStart++
-		if p.pendStart == len(p.pending) {
-			p.pending = p.pending[:0]
-			p.pendStart = 0
-		}
-	} else {
-		cp = p.newCheckpoint(pc, p.class.Lookup(pc))
-		if cp.state == bst.NonBiased {
-			p.compute(pc, &cp)
-			cp.pred = cp.accum >= 0
-		}
-		cp.final = cp.pred
-	}
-	p.commit(&cp, taken)
-	p.putCheckpoint(&cp)
-}
-
-// step runs one fused predict+update against a persistent scratch
-// checkpoint, skipping the in-flight FIFO and the slice pool — valid
-// exactly when no prediction is outstanding, which SimulateBatch
-// guarantees.
-func (p *Predictor) step(pc uint64, taken bool) bool {
-	cp := &p.scratch
-	cp.pc = pc
-	cp.state = p.class.Lookup(pc)
-	cp.loopPred, cp.loopOK, cp.loopApplied = false, false, false
-	p.lookup(cp)
-	p.commit(cp, taken)
-	return cp.final
-}
-
-// SimulateBatch implements sim.BatchSimulator: a span of records runs
-// through the fused per-branch step, bit-exact with Predict+Update per
-// record. Falls back to the canonical pair while checkpoints are in
-// flight (a delayed-update queue drained mid-run).
-func (p *Predictor) SimulateBatch(recs []trace.Record, preds []bool) {
-	if p.pendStart < len(p.pending) {
-		for i := range recs {
-			preds[i] = p.Predict(recs[i].PC)
-			p.Update(recs[i].PC, recs[i].Taken, recs[i].Target)
-		}
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.commit(p.inflight.At(0), taken)
+		p.inflight.Pop()
 		return
 	}
-	for i := range recs {
-		preds[i] = p.step(recs[i].PC, recs[i].Taken)
+	cp := p.slot(pc)
+	if cp.state == bst.NonBiased {
+		p.compute(pc, cp)
+		cp.pred = cp.accum >= 0
 	}
+	p.commit(cp, taken)
 }
 
 func (p *Predictor) pushFiltered(pc uint64, taken bool) {
@@ -819,20 +673,9 @@ const explainTopWeights = 8
 // contributions (position 0 = bias weight, 1..RecentUnfiltered = Wm
 // history positions, beyond that = recency-stack slots).
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	var cp checkpoint
-	found := false
-	for j := len(p.pending) - 1; j >= p.pendStart; j-- {
-		if p.pending[j].pc == pc {
-			cp = p.pending[j]
-			found = true
-			break
-		}
-	}
-	if !found {
-		cp = p.newCheckpoint(pc, p.class.Lookup(pc))
-		// Not in flight: retire the scratch checkpoint on exit (prov only
-		// copies values out of it).
-		defer p.putCheckpoint(&cp)
+	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+	if cp == nil {
+		cp = p.slot(pc)
 		switch cp.state {
 		case bst.NotFound:
 			cp.pred = p.cfg.NotFoundPrediction
@@ -841,7 +684,7 @@ func (p *Predictor) Explain(pc uint64) sim.Provenance {
 		case bst.NotTaken:
 			cp.pred = false
 		default:
-			p.compute(pc, &cp)
+			p.compute(pc, cp)
 			cp.pred = cp.accum >= 0
 		}
 		cp.final = cp.pred

@@ -1,7 +1,6 @@
 package bfneural
 
 import (
-	"bytes"
 	"testing"
 
 	"bfbp/internal/rng"
@@ -23,8 +22,8 @@ func diffTrace(t *testing.T, n int) trace.Slice {
 }
 
 // TestComputeDifferential drives 20k branches and, at every step, runs
-// the gathered fast-path compute and the retained per-entry-accessor
-// computeRef side by side, requiring identical accumulators and index
+// the gathered fast-path compute and the per-entry-accessor reference
+// model side by side, requiring identical accumulators and index
 // lists. This pins the packed recent-outcome read, the bulk PC and
 // recency-stack gathers, and the bits.Len64 distance quantizer to the
 // reference formulation across warmup, stack churn, and deep history.
@@ -32,7 +31,7 @@ func TestComputeDifferential(t *testing.T) {
 	tr := diffTrace(t, 20000)
 	for _, cfg := range []Config{Default64KB(), Ablation(ModeBiasFreeGHR)} {
 		p := New(cfg)
-		var a, b checkpoint
+		a, b := p.makeCheckpoint(), p.makeCheckpoint()
 		for i, rec := range tr {
 			p.compute(rec.PC, &a)
 			p.computeRef(rec.PC, &b)
@@ -65,46 +64,6 @@ func TestQuantDistDifferential(t *testing.T) {
 		if quantDist(d) != quantDistRef(d) {
 			t.Fatalf("quantDist(%#x) = %d, ref %d", d, quantDist(d), quantDistRef(d))
 		}
-	}
-}
-
-// TestBatchMatchesScalar runs the same 20k-branch trace through the
-// canonical Predict/Update pair and through SimulateBatch in ragged
-// spans, requiring identical predictions at every branch and identical
-// snapshot bytes at the end — the sim.BatchSimulator contract.
-func TestBatchMatchesScalar(t *testing.T) {
-	tr := diffTrace(t, 20000)
-	scalar := New(Default64KB())
-	batched := New(Default64KB())
-	sizes := []int{1, 3, 17, 64, 256, 1000}
-	preds := make([]bool, 1000)
-	off, si := 0, 0
-	for off < len(tr) {
-		n := sizes[si%len(sizes)]
-		si++
-		if off+n > len(tr) {
-			n = len(tr) - off
-		}
-		batched.SimulateBatch(tr[off:off+n], preds[:n])
-		for i := 0; i < n; i++ {
-			rec := tr[off+i]
-			want := scalar.Predict(rec.PC)
-			scalar.Update(rec.PC, rec.Taken, rec.Target)
-			if preds[i] != want {
-				t.Fatalf("branch %d: batch predicted %v, scalar %v", off+i, preds[i], want)
-			}
-		}
-		off += n
-	}
-	var sb, bb bytes.Buffer
-	if err := scalar.SaveState(&sb); err != nil {
-		t.Fatalf("scalar snapshot: %v", err)
-	}
-	if err := batched.SaveState(&bb); err != nil {
-		t.Fatalf("batch snapshot: %v", err)
-	}
-	if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-		t.Fatal("batch and scalar predictor snapshots differ")
 	}
 }
 

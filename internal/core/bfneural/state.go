@@ -2,8 +2,8 @@
 // weight tables (Wb, Wm, Wrs), the unfiltered history fold set and the
 // committed-branch counter, the filtered structure (recency stack or
 // shift register, per mode), the loop predictor, and the adaptive
-// threshold. The in-flight checkpoint FIFO and its free list are
-// transient: snapshots are taken at quiescent points.
+// threshold. The in-flight checkpoint ring is transient: snapshots are
+// taken at quiescent points.
 
 package bfneural
 
@@ -38,7 +38,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != p.pendStart {
+	if p.inflight.Len() != 0 {
 		return errors.New("bfneural: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -162,8 +162,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			return err
 		}
 	}
-	p.pending = p.pending[:0]
-	p.pendStart = 0
+	p.inflight.Reset()
 	return nil
 }
 

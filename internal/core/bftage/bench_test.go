@@ -27,9 +27,8 @@ func getBenchTrace(b *testing.B) trace.Slice {
 	return benchTrace
 }
 
-// BenchmarkPredictUpdate measures the scalar Predict+Update path — the
-// canonical per-branch cost when instrumentation (probes, delay queues,
-// tracing) forces the simulator onto the generic loop.
+// BenchmarkPredictUpdate measures the Predict+Update path — the
+// per-branch cost the simulator loop pays.
 func BenchmarkPredictUpdate(b *testing.B) {
 	tr := getBenchTrace(b)
 	p := New(Conventional(10))
@@ -39,26 +38,6 @@ func BenchmarkPredictUpdate(b *testing.B) {
 		rec := tr[i%len(tr)]
 		p.Predict(rec.PC)
 		p.Update(rec.PC, rec.Taken, rec.Target)
-	}
-}
-
-// BenchmarkSimulateBatch measures the speculative batch path the
-// simulator uses when no instrumentation is attached.
-func BenchmarkSimulateBatch(b *testing.B) {
-	tr := getBenchTrace(b)
-	p := New(Conventional(10))
-	const batch = 4096
-	preds := make([]bool, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := batch
-		if b.N-done < n {
-			n = b.N - done
-		}
-		off := done % (len(tr) - batch)
-		p.SimulateBatch(tr[off:off+n], preds[:n])
-		done += n
 	}
 }
 
@@ -74,8 +53,8 @@ func BenchmarkFillKeys(b *testing.B) {
 	}
 }
 
-// BenchmarkFillKeysRef measures the retained scalar reference (rebuild
-// the BF-GHR vectors, fold per table) for comparison.
+// BenchmarkFillKeysRef measures the reference model (rebuild the BF-GHR
+// vectors, fold per table) for comparison.
 func BenchmarkFillKeysRef(b *testing.B) {
 	p := New(Conventional(10))
 	idx := make([]uint32, len(p.tables))

@@ -18,13 +18,13 @@ import (
 	"math/bits"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/core/inflight"
 	"bfbp/internal/history"
 	"bfbp/internal/looppred"
 	"bfbp/internal/predictor/tage"
 	"bfbp/internal/rng"
 	"bfbp/internal/rs"
 	"bfbp/internal/sim"
-	"bfbp/internal/trace"
 )
 
 // Config parameterises BF-TAGE.
@@ -197,11 +197,10 @@ type Predictor struct {
 	sc     []int8
 	scMask uint64
 
-	// pending is an in-order FIFO of in-flight checkpoints: live entries
-	// are pending[pendStart:]; popped slots are compacted away lazily so
-	// steady-state operation never reallocates.
-	pending      []checkpoint
-	pendStart    int
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight     inflight.Ring[checkpoint]
 	providerHits []uint64
 
 	// pipe is the dual-channel fold pipeline over the BF-GHR's outcome
@@ -210,21 +209,6 @@ type Predictor struct {
 	// the recency-stack segments mutate instead of re-derived from the
 	// GHR per lookup.
 	pipe *history.FoldPipeline
-
-	// ghrVec / pcsVec hold the packed BF-GHR (outcome bits) and the
-	// parallel address-bit vector, rebuilt per reference lookup without
-	// allocating (the retained scalar path; differential tests pin the
-	// pipeline path to it).
-	ghrVec history.BitVec
-	pcsVec history.BitVec
-	// slicePool recycles checkpoint idx/tag slices once their branch
-	// commits, so Predict stops hitting growslice on every branch.
-	slicePool [][]uint32
-	// batchIdx / batchTag are the fused batch step's scratch index/tag
-	// arrays: SimulateBatch consumes each checkpoint immediately, so it
-	// never goes through the FIFO or the slice pool.
-	batchIdx []uint32
-	batchTag []uint32
 	// folds is FoldAll2 scratch, indexed by (global) register id.
 	folds []uint64
 }
@@ -269,17 +253,7 @@ func New(cfg Config) *Predictor {
 		p.class = bst.NewTable(cfg.BSTEntries)
 	}
 	ghrBits := cfg.UnfilteredBits + p.seg.Bits()
-	// Ablation variants sweep SegSize past what the fold pipeline can
-	// pack (a segment must span at most two words, register widths at
-	// most 64-SegSize bits). Those configs keep the scalar reference
-	// fold path; fillKeys falls back when pipe is nil.
-	maxW := 1
-	for _, tc := range cfg.Tables {
-		maxW = maxInt(maxW, maxInt(tc.LogEntries, tc.TagBits))
-	}
-	if history.PipelineOK(cfg.SegSize, maxW) {
-		p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
-	}
+	p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
 	prev := 0
 	for _, tc := range cfg.Tables {
 		if tc.HistLen <= prev {
@@ -288,6 +262,14 @@ func New(cfg Config) *Predictor {
 		prev = tc.HistLen
 		if tc.HistLen > ghrBits {
 			panic("bftage: history length exceeds BF-GHR width")
+		}
+		if tc.LogEntries < 4 || tc.LogEntries > 22 {
+			panic("bftage: LogEntries out of range")
+		}
+		// Tags are stored as uint16: a wider tag would be truncated on
+		// allocation and its entry could never hit again.
+		if tc.TagBits < 4 || tc.TagBits > 16 {
+			panic("bftage: TagBits out of range")
 		}
 		n := 1 << tc.LogEntries
 		t := &table{
@@ -299,22 +281,20 @@ func New(cfg Config) *Predictor {
 			tagMask: uint32(1<<tc.TagBits - 1),
 			alloc:   make([]uint64, (n+63)/64),
 		}
-		if p.pipe != nil {
-			t.rIdx = p.pipe.AddRegisterCh(0, tc.HistLen, tc.LogEntries)
-			t.rT0 = p.pipe.AddRegisterCh(0, tc.HistLen, tc.TagBits)
-			t.rT1 = p.pipe.AddRegisterCh(0, tc.HistLen, maxInt(tc.TagBits-1, 1))
-			t.rPC = p.pipe.AddRegisterCh(1, tc.HistLen, maxInt(tc.LogEntries-1, 1))
-		}
+		t.rIdx = p.pipe.AddRegisterCh(0, tc.HistLen, tc.LogEntries)
+		t.rT0 = p.pipe.AddRegisterCh(0, tc.HistLen, tc.TagBits)
+		t.rT1 = p.pipe.AddRegisterCh(0, tc.HistLen, tc.TagBits-1)
+		t.rPC = p.pipe.AddRegisterCh(1, tc.HistLen, tc.LogEntries-1)
 		p.tables = append(p.tables, t)
 	}
-	if p.pipe != nil {
-		p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
-			p.pipe.SegmentDelta2(seg, dT, dP)
-		})
-		p.folds = make([]uint64, p.pipe.NumRegisters())
-	}
-	p.batchIdx = make([]uint32, len(p.tables))
-	p.batchTag = make([]uint32, len(p.tables))
+	p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
+		p.pipe.SegmentDelta2(seg, dT, dP)
+	})
+	p.folds = make([]uint64, p.pipe.NumRegisters())
+	n := len(p.tables)
+	p.inflight = inflight.New(func() checkpoint {
+		return checkpoint{idx: make([]uint32, n), tag: make([]uint32, n)}
+	})
 	if cfg.LoopPredictor {
 		p.loop = looppred.NewDefault()
 	}
@@ -365,48 +345,10 @@ func (p *Predictor) reach(histLen int) int {
 	return p.cfg.SegBounds[seg]
 }
 
-// buildGHR composes the BF-GHR bit vector (outcomes) and the parallel
-// address-bit vector: recent unfiltered bits first, then each segment's
-// stack slots in increasing depth (Fig. 7). Both are packed BitVecs —
-// the unfiltered prefix is one masked word off the ring's shift
-// registers and each segment contributes one pre-packed word, so the
-// build is O(segments) instead of O(GHR bits).
-func (p *Predictor) buildGHR() {
-	p.ghrVec.Reset()
-	p.pcsVec.Reset()
-	ring := p.seg.Ring()
-	p.ghrVec.Append(ring.RecentTaken(p.cfg.UnfilteredBits), p.cfg.UnfilteredBits)
-	p.pcsVec.Append(ring.RecentPC(p.cfg.UnfilteredBits), p.cfg.UnfilteredBits)
-	p.seg.AppendPacked(&p.ghrVec, &p.pcsVec)
-}
-
-// getSlices pulls a recycled idx/tag slice pair for a checkpoint.
-func (p *Predictor) getSlices(n int) (idx, tag []uint32) {
-	if k := len(p.slicePool); k >= 2 {
-		idx = p.slicePool[k-1][:n]
-		tag = p.slicePool[k-2][:n]
-		p.slicePool = p.slicePool[:k-2]
-		return idx, tag
-	}
-	return make([]uint32, n), make([]uint32, n)
-}
-
-// putSlices returns a retired checkpoint's slices to the pool.
-func (p *Predictor) putSlices(cp *checkpoint) {
-	if cp.idx != nil {
-		p.slicePool = append(p.slicePool, cp.idx, cp.tag)
-		cp.idx, cp.tag = nil, nil
-	}
-}
-
 // fillKeys computes every table's index and tag from the fold pipelines:
 // each fold is a register tail XORed with the cheap fold of the ring's
 // packed unfiltered prefix — no BF-GHR rebuild, no FoldWords walk.
 func (p *Predictor) fillKeys(pc uint64, idx, tag []uint32) {
-	if p.pipe == nil {
-		p.fillKeysRef(pc, idx, tag)
-		return
-	}
 	ring := p.seg.Ring()
 	uT := ring.RecentTaken(p.cfg.UnfilteredBits)
 	uP := ring.RecentPC(p.cfg.UnfilteredBits)
@@ -417,26 +359,6 @@ func (p *Predictor) fillKeys(pc uint64, idx, tag []uint32) {
 		key := pch ^ p.folds[t.rIdx] ^ p.folds[t.rPC]<<1 ^ path<<20 ^ uint64(i)<<56
 		idx[i] = uint32(rng.Hash64(key) & t.mask)
 		tag[i] = (uint32(pch>>8) ^ uint32(p.folds[t.rT0]) ^ uint32(p.folds[t.rT1])<<1) & t.tagMask
-	}
-}
-
-// fillKeysRef is the retained scalar reference model: rebuild the packed
-// BF-GHR and re-fold it per table with FoldWords. Differential tests pin
-// fillKeys to this path bit for bit.
-func (p *Predictor) fillKeysRef(pc uint64, idx, tag []uint32) {
-	p.buildGHR()
-	bits, pcs := p.ghrVec.Words(), p.pcsVec.Words()
-	pch := rng.Hash64(pc >> 2)
-	path := p.path.Value()
-	for i, t := range p.tables {
-		l := t.cfg.HistLen
-		fIdx := history.FoldWords(bits, l, t.cfg.LogEntries)
-		fPC := history.FoldWords(pcs, l, maxInt(t.cfg.LogEntries-1, 1))
-		key := pch ^ fIdx ^ fPC<<1 ^ path<<20 ^ uint64(i)<<56
-		idx[i] = uint32(rng.Hash64(key) & t.mask)
-		fT0 := history.FoldWords(bits, l, t.cfg.TagBits)
-		fT1 := history.FoldWords(bits, l, maxInt(t.cfg.TagBits-1, 1))
-		tag[i] = (uint32(pch>>8) ^ uint32(fT0) ^ uint32(fT1)<<1) & t.tagMask
 	}
 }
 
@@ -477,17 +399,13 @@ func (p *Predictor) finishLookup(cp *checkpoint) {
 	}
 }
 
-func (p *Predictor) lookup(pc uint64) checkpoint {
-	idx, tag := p.getSlices(len(p.tables))
-	cp := checkpoint{
-		pc:       pc,
-		idx:      idx,
-		tag:      tag,
-		provider: -1,
-		alt:      -1,
-	}
+// lookup fills the ring's free slot, keeping its index/tag arrays, with
+// pc's table keys and TAGE prediction. The slot is not put in flight.
+func (p *Predictor) lookup(pc uint64) *checkpoint {
+	cp := p.inflight.Next()
+	*cp = checkpoint{pc: pc, idx: cp.idx, tag: cp.tag, provider: -1, alt: -1}
 	p.fillKeys(pc, cp.idx, cp.tag)
-	p.finishLookup(&cp)
+	p.finishLookup(cp)
 	return cp
 }
 
@@ -521,8 +439,8 @@ func (p *Predictor) decide(cp *checkpoint) {
 	}
 
 	if p.cfg.IUM && cp.provider >= 0 {
-		for j := len(p.pending) - 1; j >= p.pendStart; j-- {
-			q := &p.pending[j]
+		for j := p.inflight.Len() - 1; j >= 0; j-- {
+			q := p.inflight.At(j)
 			if q.provider == cp.provider && q.idx[q.provider] == cp.idx[cp.provider] {
 				cp.finalPred = q.finalPred
 				break
@@ -549,35 +467,23 @@ func (p *Predictor) decide(cp *checkpoint) {
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
 	cp := p.lookup(pc)
-	p.decide(&cp)
-	// Compact the FIFO's popped prefix before append would grow it.
-	if len(p.pending) == cap(p.pending) && p.pendStart > 0 {
-		n := copy(p.pending, p.pending[p.pendStart:])
-		p.pending = p.pending[:n]
-		p.pendStart = 0
-	}
-	p.pending = append(p.pending, cp)
+	p.decide(cp)
+	p.inflight.Push()
 	return cp.finalPred
 }
 
 func isWeak(ctr int8) bool { return ctr == 0 || ctr == -1 }
 
 // Update implements sim.Predictor (§V-B4).
+// An update whose PC does not match the oldest checkpoint (a caller
+// that skipped Predict) trains from a fresh lookup instead.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if p.pendStart < len(p.pending) && p.pending[p.pendStart].pc == pc {
-		cp = p.pending[p.pendStart]
-		p.pendStart++
-		if p.pendStart == len(p.pending) {
-			p.pending = p.pending[:0]
-			p.pendStart = 0
-		}
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.train(p.inflight.At(0), taken)
+		p.inflight.Pop()
 	} else {
-		cp = p.lookup(pc)
-		cp.finalPred = cp.tagePred
+		p.train(p.lookup(pc), taken)
 	}
-	p.train(&cp, taken)
-	p.putSlices(&cp)
 	p.retire(pc, taken)
 }
 
@@ -594,46 +500,6 @@ func (p *Predictor) retire(pc uint64, taken bool) {
 		NonBiased: nonBiased,
 	})
 	p.path.Push(pc)
-}
-
-// step runs one fused predict+update for the batch path: the checkpoint
-// lives on the stack with reusable scratch index/tag arrays, never
-// entering the pending FIFO or the slice pool. Bit-exact with
-// Predict+Update at update delay zero: the FIFO is empty at every
-// Predict then, so the IUM scan in decide never fires and the FIFO pop
-// in Update always matches.
-func (p *Predictor) step(pc uint64, taken bool) bool {
-	cp := checkpoint{
-		pc:       pc,
-		idx:      p.batchIdx,
-		tag:      p.batchTag,
-		provider: -1,
-		alt:      -1,
-	}
-	p.fillKeys(pc, cp.idx, cp.tag)
-	p.finishLookup(&cp)
-	p.decide(&cp)
-	p.train(&cp, taken)
-	p.retire(pc, taken)
-	return cp.finalPred
-}
-
-// SimulateBatch implements sim.BatchSimulator: the harness hands over a
-// span of trace records and the predictor runs the fused per-branch step,
-// writing each prediction into preds. Falls back to Predict+Update per
-// record while checkpoints are in flight (nonzero update delay drained
-// mid-run), preserving bit-exactness unconditionally.
-func (p *Predictor) SimulateBatch(recs []trace.Record, preds []bool) {
-	if p.pendStart < len(p.pending) {
-		for i := range recs {
-			preds[i] = p.Predict(recs[i].PC)
-			p.Update(recs[i].PC, recs[i].Taken, recs[i].Target)
-		}
-		return
-	}
-	for i := range recs {
-		preds[i] = p.step(recs[i].PC, recs[i].Taken)
-	}
 }
 
 func (p *Predictor) train(cp *checkpoint, taken bool) {
@@ -762,13 +628,6 @@ func clamp32(v, lo, hi int32) int32 {
 	return v
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TableHits implements sim.TableHitReporter.
 func (p *Predictor) TableHits() []uint64 {
 	return append([]uint64(nil), p.providerHits...)
@@ -784,29 +643,16 @@ func (p *Predictor) ResetTableHits() {
 // Classifier exposes the BST.
 func (p *Predictor) Classifier() bst.Classifier { return p.class }
 
-// lastPending returns the newest in-flight checkpoint for pc, if any.
-func (p *Predictor) lastPending(pc uint64) (checkpoint, bool) {
-	for j := len(p.pending) - 1; j >= p.pendStart; j-- {
-		if p.pending[j].pc == pc {
-			return p.pending[j], true
-		}
-	}
-	return checkpoint{}, false
-}
-
 // Explain implements sim.Explainer: TAGE provenance (provider/alt bank,
 // counter, useful bit) plus the branch's BST classification, so
 // attribution reports can relate bank utilisation to bias filtering.
 // BF-TAGE never predicts *from* the filter — the BST only gates history
 // insertion — so FilterDecision stays false.
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	cp, ok := p.lastPending(pc)
-	if !ok {
+	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+	if cp == nil {
 		cp = p.lookup(pc)
 		cp.finalPred = cp.tagePred
-		// This checkpoint is not in flight, so its slices retire here
-		// (prov only copies scalars out of it below).
-		defer p.putSlices(&cp)
 	}
 	prov := sim.Provenance{
 		Predictor:      p.Name(),

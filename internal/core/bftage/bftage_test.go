@@ -264,6 +264,33 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidationTableGeometry requires New to reject per-table sizes
+// outside tage.New's envelope. Tags are stored as uint16, so a wider tag
+// would be truncated on allocation and that entry could never hit again.
+func TestValidationTableGeometry(t *testing.T) {
+	for _, c := range []struct {
+		logEntries, tagBits int
+		want                string
+	}{
+		{3, 9, "bftage: LogEntries out of range"},
+		{23, 9, "bftage: LogEntries out of range"},
+		{10, 3, "bftage: TagBits out of range"},
+		{10, 17, "bftage: TagBits out of range"},
+	} {
+		cfg := smallCfg(4)
+		cfg.Tables[2].LogEntries = c.logEntries
+		cfg.Tables[2].TagBits = c.tagBits
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("LogEntries %d TagBits %d: panic %v, want %q", c.logEntries, c.tagBits, got, c.want)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
 // The reach mapping behind the paper-shape check: a bank consuming L
 // compressed bits sees the 16 unfiltered branches directly, then one
 // recency-stack segment per further 8 bits, reaching that segment's

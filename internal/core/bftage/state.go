@@ -2,8 +2,8 @@
 // base bimodal, the Branch Status Table, the segmented recency stacks
 // (which carry the unfiltered history ring), the path register, the
 // allocator RNG and u-reset clock, the loop predictor and statistical
-// corrector, and the provider histogram. The in-flight checkpoint FIFO
-// and the BF-GHR scratch vectors are transient: snapshots are taken at
+// corrector, and the provider histogram. The in-flight checkpoint ring
+// and the fold-pipeline scratch are transient: snapshots are taken at
 // quiescent points (no prediction awaiting its update).
 
 package bftage
@@ -45,7 +45,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != p.pendStart {
+	if p.inflight.Len() != 0 {
 		return errors.New("bftage: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -138,12 +138,10 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	// The fold pipeline is derived state: rebuild its register tails
 	// from the restored segments' packed words (LoadState reset them, so
 	// feeding the absolute words through the delta path reconstructs).
-	if p.pipe != nil {
-		p.pipe.Reset()
-		for i := 0; i < p.seg.Segments(); i++ {
-			tw, pw := p.seg.PackedWords(i)
-			p.pipe.SegmentDelta2(i, tw, pw)
-		}
+	p.pipe.Reset()
+	for i := 0; i < p.seg.Segments(); i++ {
+		tw, pw := p.seg.PackedWords(i)
+		p.pipe.SegmentDelta2(i, tw, pw)
 	}
 	if err := p.path.LoadState(hs); err != nil {
 		return err
@@ -187,8 +185,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		}
 		copy(p.sc, sc)
 	}
-	p.pending = p.pending[:0]
-	p.pendStart = 0
+	p.inflight.Reset()
 	return nil
 }
 

@@ -105,15 +105,6 @@ type slowEntry struct {
 	rot   uint8
 }
 
-// PipelineOK reports whether a pipeline with the given segment size can
-// exist and host registers up to maxWidth bits wide. Callers with
-// configurable geometry (ablation variants sweep SegSize) use this to
-// decide between the pipeline and their scalar reference path instead
-// of tripping the constructor panics below.
-func PipelineOK(segSize, maxWidth int) bool {
-	return segSize >= 1 && segSize <= 64 && maxWidth >= 1 && maxWidth <= 64
-}
-
 // NewFoldPipeline returns an empty pipeline over the given vector
 // geometry. segSize must be in [1, 64]: a segment mutation is one word.
 func NewFoldPipeline(prefixBits, segSize, numSegs int) *FoldPipeline {

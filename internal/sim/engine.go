@@ -29,8 +29,7 @@ type TraceSource interface {
 	Open() trace.Reader
 }
 
-// FuncSource adapts a label and an open function to TraceSource — the
-// compat bridge from the old RunAll(source func() trace.Reader) shape.
+// FuncSource adapts a label and an open function to TraceSource.
 type FuncSource struct {
 	Label  string
 	OpenFn func() trace.Reader

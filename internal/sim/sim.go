@@ -41,20 +41,6 @@ type StorageAccounter interface {
 	Storage() Breakdown
 }
 
-// BatchSimulator is implemented by predictors that can run a fused
-// predict+update step over a span of records, writing each branch's
-// prediction into preds (preds[i] corresponds to recs[i]). The contract
-// is strict bit-exactness: state and predictions after SimulateBatch
-// must be identical to calling Predict then Update per record. The
-// harness only uses it when updates are immediate and the hot loop is
-// uninstrumented (no probe, no decision trace, no tracing span), so
-// implementations may skip speculative-state bookkeeping that those
-// paths never exercise — e.g. an in-flight checkpoint FIFO that is
-// provably empty at every Predict when the update delay is zero.
-type BatchSimulator interface {
-	SimulateBatch(recs []trace.Record, preds []bool)
-}
-
 // TableHitReporter is implemented by TAGE-class predictors that track
 // which tagged table provided each prediction; Fig. 12 plots these
 // distributions.
@@ -338,11 +324,6 @@ type Options struct {
 	// Engine.Tracer is set; a nil span runs the uninstrumented
 	// (zero-alloc) hot path.
 	TraceSpan *obs.Span
-	// NoBatch disables the speculative batch-predict fast path even for
-	// predictors implementing BatchSimulator, forcing the per-record
-	// Predict/Update loop. Differential tests use it to pin the batch
-	// path to the scalar loop; results must be bit-identical either way.
-	NoBatch bool
 }
 
 type pending struct {
@@ -422,18 +403,6 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 	}
 	br := trace.Batched(r)
 	batch := make([]trace.Record, runBatchSize)
-	// Speculative batch-predict: when updates are immediate and the hot
-	// loop is uninstrumented, a BatchSimulator predictor consumes each
-	// record batch in one fused call and the per-record loop below only
-	// does accounting. Gated so every instrumented or delayed
-	// configuration still runs the canonical Predict/Update sequence.
-	var preds []bool
-	bs, _ := p.(BatchSimulator)
-	batched := bs != nil && !opt.NoBatch && opt.UpdateDelay == 0 &&
-		probe == nil && dt == nil && opt.TraceSpan == nil
-	if batched {
-		preds = make([]bool, runBatchSize)
-	}
 	var win WindowStat
 	// sp parents the run's timeline; every Span/Phase call below is a
 	// nil-safe no-op (and allocation-free) when tracing is off.
@@ -454,25 +423,19 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 			}
 			return stats, fmt.Errorf("sim: trace read: %w", err)
 		}
-		if batched {
-			bs.SimulateBatch(batch[:n], preds[:n])
-		}
-		for i, rec := range batch[:n] {
+		for _, rec := range batch[:n] {
 			// Sampled latency probe: time every probeMask+1'th branch so
 			// instrumentation costs two clock reads per period, not per
 			// branch. The nil-probe path is a single predictable test.
 			sample := probe != nil && stats.Branches&probeMask == 0
 			var pred bool
-			switch {
-			case batched:
-				pred = preds[i]
-			case sample:
+			if sample {
 				t0 := time.Now()
 				pred = p.Predict(rec.PC)
 				d := time.Since(t0)
 				probe.Predict.Observe(d.Seconds())
 				sp.Phase("predict", d)
-			default:
+			} else {
 				pred = p.Predict(rec.PC)
 			}
 			inWarmup := stats.Branches < opt.Warmup
@@ -519,10 +482,6 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 				// cold-site classification reflects what the predictor has
 				// actually trained on.
 				dt.warm(rec.PC)
-			}
-			if batched {
-				// The fused step already trained this branch.
-				continue
 			}
 			u := pending{rec.PC, rec.Taken, rec.Target}
 			if opt.UpdateDelay > 0 {
