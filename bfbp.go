@@ -52,8 +52,6 @@ type (
 	Predictor = sim.Predictor
 	// StorageAccounter reports a predictor's hardware budget.
 	StorageAccounter = sim.StorageAccounter
-	// TableHitReporter exposes per-table provider counts (TAGE family).
-	TableHitReporter = sim.TableHitReporter
 	// Stats holds accuracy results of a run.
 	Stats = sim.Stats
 	// WindowStat is one fixed-branch-window slice of a run's MPKI series.
@@ -168,8 +166,6 @@ type (
 type (
 	// Explainer describes a predictor's most recent prediction.
 	Explainer = sim.Explainer
-	// BankReacher reports per-tagged-bank raw-branch history reach.
-	BankReacher = sim.BankReacher
 	// Provenance describes how one prediction was made.
 	Provenance = sim.Provenance
 	// WeightContrib is one signed adder-tree contribution.
@@ -206,7 +202,8 @@ type (
 	// saturation, and recency-structure fill.
 	TableStats = sim.TableStats
 	// BankStats describes one table bank (occupancy, conflicts,
-	// useful-bit and counter saturation, history length and reach).
+	// useful-bit and counter saturation, history length and reach,
+	// provider hits).
 	BankStats = sim.BankStats
 	// WeightStats describes one weight array (live weights, L1 norm,
 	// clamp saturation).

@@ -141,8 +141,8 @@ func TestShapeFig12ProviderShift(t *testing.T) {
 		}
 		return num / den
 	}
-	cT := center(t15.TableHits())
-	cB := center(bf10.TableHits())
+	cT := center(t15.ProbeState().ProviderHits())
+	cB := center(bf10.ProbeState().ProviderHits())
 	t.Logf("hit-weighted provider table: tage-15 %.2f, bf-tage-10 %.2f", cT, cB)
 	if cB >= cT {
 		t.Errorf("bf-tage-10 provider center (%.2f) should sit at lower tables than tage-15 (%.2f)", cB, cT)

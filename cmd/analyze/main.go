@@ -215,11 +215,7 @@ func explainRun(spec workload.Spec, branches int, sample uint64, ps []sim.Predic
 			fmt.Printf("  (no provenance: %s does not implement Explain)\n", p.Name())
 		}
 		fmt.Println()
-		in := analysis.ShapeInput{Name: p.Name(), Stats: st}
-		if br := sim.Capabilities(p).BankReach; br != nil {
-			in.Reach = br.BankReach()
-		}
-		shapes = append(shapes, in)
+		shapes = append(shapes, analysis.ShapeInput{Name: p.Name(), Stats: st, Reach: analysis.TaggedReach(p)})
 	}
 	if bf, base, ok := shapePair(shapes); ok {
 		fmt.Print(analysis.PaperShape(bf, base, classes).Render())

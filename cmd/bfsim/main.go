@@ -392,18 +392,19 @@ func printText(results []bfbp.RunResult, showTrace bool, offenders int, tableHit
 				fmt.Print(indent(banks))
 			}
 		}
-		if tableHits {
-			if th := bfbp.Capabilities(r.Instance).TableHits; th != nil {
-				hits := th.TableHits()
-				var total uint64
-				for _, h := range hits {
-					total += h
-				}
-				fmt.Printf("    provider histogram (T0 = base):\n")
-				for i, h := range hits {
-					if total > 0 {
-						fmt.Printf("      T%-2d %8d (%.1f%%)\n", i, h, 100*float64(h)/float64(total))
-					}
+		var hits []uint64
+		if sp := bfbp.Capabilities(r.Instance).StateProbe; tableHits && sp != nil {
+			hits = sp.ProbeState().ProviderHits()
+		}
+		if hits != nil {
+			var total uint64
+			for _, h := range hits {
+				total += h
+			}
+			fmt.Printf("    provider histogram (T0 = base):\n")
+			for i, h := range hits {
+				if total > 0 {
+					fmt.Printf("      T%-2d %8d (%.1f%%)\n", i, h, 100*float64(h)/float64(total))
 				}
 			}
 		}

@@ -110,8 +110,9 @@ func DeepReachShare(pv *sim.ProvenanceStats, reach []int, minDepth int) float64 
 }
 
 // ShapeInput is one predictor's evidence for the paper-shape check.
-// Reach is the per-tagged-bank raw-branch reach (sim.BankReacher);
-// leave it nil for predictors without bank attribution.
+// Reach is the per-tagged-bank raw-branch reach (TaggedReach of the
+// run-end predictor); leave it nil for predictors without bank
+// attribution.
 type ShapeInput struct {
 	Name  string
 	Stats sim.Stats

@@ -115,11 +115,7 @@ func explainOn(t *testing.T, traceName string, n int, p sim.Predictor) ShapeInpu
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := ShapeInput{Name: p.Name(), Stats: st}
-	if br, ok := p.(sim.BankReacher); ok {
-		in.Reach = br.BankReach()
-	}
-	return in
+	return ShapeInput{Name: p.Name(), Stats: st, Reach: TaggedReach(p)}
 }
 
 // The paper's §V structural claim, asserted end-to-end: at equal table

@@ -162,12 +162,7 @@ func Capacity(bf, base UtilizationReport) CapacityShape {
 // the deepest reach and its history bits, plus mean occupancy and
 // conflict rate across the deep half.
 func deepTagged(banks []sim.BankStats) (reach, hist int, occ, conflict float64) {
-	var tagged []sim.BankStats
-	for _, b := range banks {
-		if b.Kind == "tagged" {
-			tagged = append(tagged, b)
-		}
-	}
+	tagged := taggedBanks(banks)
 	if len(tagged) == 0 {
 		return 0, 0, 0, 0
 	}
@@ -182,4 +177,31 @@ func deepTagged(banks []sim.BankStats) (reach, hist int, occ, conflict float64) 
 	occ /= float64(len(deep))
 	conflict /= float64(len(deep))
 	return reach, hist, occ, conflict
+}
+
+// taggedBanks filters a state sample's banks to the tagged tables, in
+// storage order.
+func taggedBanks(banks []sim.BankStats) []sim.BankStats {
+	var tagged []sim.BankStats
+	for _, b := range banks {
+		if b.Kind == "tagged" {
+			tagged = append(tagged, b)
+		}
+	}
+	return tagged
+}
+
+// TaggedReach returns the raw-branch reach of each of p's tagged banks,
+// from a ProbeState sample taken now — the ShapeInput.Reach of a
+// finished run. Nil for predictors without StateProbe or tagged banks.
+func TaggedReach(p sim.Predictor) []int {
+	probe := sim.Capabilities(p).StateProbe
+	if probe == nil {
+		return nil
+	}
+	var reach []int
+	for _, b := range taggedBanks(probe.ProbeState().Banks) {
+		reach = append(reach, b.Reach)
+	}
+	return reach
 }

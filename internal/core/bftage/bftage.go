@@ -319,21 +319,13 @@ func (p *Predictor) NumTables() int { return len(p.tables) }
 // GHRBits returns the BF-GHR width in bits.
 func (p *Predictor) GHRBits() int { return p.cfg.UnfilteredBits + p.seg.Bits() }
 
-// BankReach returns, per tagged table, the raw-branch depth the table's
-// compressed history can observe. A table consuming L BF-GHR bits sees
-// the UnfilteredBits most recent branches directly; every further bit
-// is a recency-stack slot, and a slot in segment i can hold a branch as
-// deep as SegBounds[i+1]. Conventional tables reach exactly HistLen raw
-// branches, so equal-length BF tables reach much deeper — the paper's
-// equal-storage structural advantage.
-func (p *Predictor) BankReach() []int {
-	out := make([]int, len(p.tables))
-	for i, t := range p.tables {
-		out[i] = p.reach(t.cfg.HistLen)
-	}
-	return out
-}
-
+// reach returns the raw-branch depth a tagged table consuming histLen
+// BF-GHR bits can observe (ProbeState's BankStats.Reach). The table
+// sees the UnfilteredBits most recent branches directly; every further
+// bit is a recency-stack slot, and a slot in segment i can hold a
+// branch as deep as SegBounds[i+1]. Conventional tables reach exactly
+// HistLen raw branches, so equal-length BF tables reach much deeper —
+// the paper's equal-storage structural advantage.
 func (p *Predictor) reach(histLen int) int {
 	if histLen <= p.cfg.UnfilteredBits {
 		return histLen
@@ -628,18 +620,6 @@ func clamp32(v, lo, hi int32) int32 {
 	return v
 }
 
-// TableHits implements sim.TableHitReporter.
-func (p *Predictor) TableHits() []uint64 {
-	return append([]uint64(nil), p.providerHits...)
-}
-
-// ResetTableHits clears the provider histogram.
-func (p *Predictor) ResetTableHits() {
-	for i := range p.providerHits {
-		p.providerHits[i] = 0
-	}
-}
-
 // Classifier exposes the BST.
 func (p *Predictor) Classifier() bst.Classifier { return p.class }
 
@@ -729,8 +709,8 @@ func (p *Predictor) Storage() sim.Breakdown {
 // ProbeState implements sim.StateProbe: base-table warmth, per-bank
 // occupancy/conflict profiles with both the BF-GHR history length and
 // the raw-branch reach (so capacity-vs-reach reports can compare BF
-// banks against conventional ones), useful-bit and counter saturation,
-// the BST's classification census, the segmented recency stacks' fill,
+// banks against conventional ones), provider hits, useful-bit and
+// counter saturation, the BST's classification census, the segmented recency stacks' fill,
 // and the statistical corrector's weight saturation. Live counts come
 // from the allocate-path bitmap; everything else is scanned here, off
 // the hot path.
@@ -744,6 +724,7 @@ func (p *Predictor) ProbeState() sim.TableStats {
 	}
 	ts.Banks = append(ts.Banks, sim.BankStats{
 		Bank: 0, Kind: "base", Entries: len(p.basePred), Live: baseLive,
+		Hits: p.providerHits[0],
 	})
 	for i, t := range p.tables {
 		useful := 0
@@ -767,6 +748,7 @@ func (p *Predictor) ProbeState() sim.TableStats {
 			Saturated: sat,
 			Allocs:    t.allocs,
 			Evictions: t.evictions,
+			Hits:      p.providerHits[i+1],
 		})
 	}
 	if tbl, ok := p.class.(*bst.Table); ok {
@@ -796,7 +778,6 @@ func (p *Predictor) ProbeState() sim.TableStats {
 var (
 	_ sim.Predictor        = (*Predictor)(nil)
 	_ sim.StorageAccounter = (*Predictor)(nil)
-	_ sim.TableHitReporter = (*Predictor)(nil)
 	_ sim.Explainer        = (*Predictor)(nil)
 	_ sim.StateProbe       = (*Predictor)(nil)
 )

@@ -143,7 +143,7 @@ func TestProviderHitsShiftToShorterTables(t *testing.T) {
 	if _, err := sim.Run(bf, tr.Stream(), sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	bfHits := bf.TableHits()
+	bfHits := bf.ProbeState().ProviderHits()
 	// The target branch needs the source at BF-GHR depth ~= number of
 	// distinct non-biased branches + unfiltered 16; that is << 144, so
 	// some mid-table (not the base) should provide and the tagged tables
@@ -299,13 +299,18 @@ func TestValidationTableGeometry(t *testing.T) {
 func TestBankReachMapping(t *testing.T) {
 	p := New(ConventionalBare(8))
 	want := []int{3, 5, 9, 16, 48, 80, 320, 2048}
-	got := p.BankReach()
+	var got []int
+	for _, b := range p.ProbeState().Banks {
+		if b.Kind == "tagged" {
+			got = append(got, b.Reach)
+		}
+	}
 	if len(got) != len(want) {
-		t.Fatalf("BankReach = %v, want %v", got, want)
+		t.Fatalf("tagged bank reach = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("BankReach = %v, want %v", got, want)
+			t.Fatalf("tagged bank reach = %v, want %v", got, want)
 		}
 	}
 }

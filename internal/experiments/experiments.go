@@ -313,7 +313,7 @@ func Fig12(cfg Config, traceName string) Table {
 	cfg.logf("fig12: %s\n", traceName)
 
 	// Two engine cells over the same streaming source; the provider
-	// histograms come from the retained predictor instances.
+	// histograms come from the retained instances' state samples.
 	results := runEngine(cfg, "fig12", sim.Matrix(
 		[]sim.TraceSource{s.Source(n)},
 		[]sim.PredictorSpec{
@@ -323,7 +323,7 @@ func Fig12(cfg Config, traceName string) Table {
 		sim.Options{},
 	))
 	shares := func(res sim.RunResult) []float64 {
-		h := res.Instance.(sim.TableHitReporter).TableHits()
+		h := res.Instance.(sim.StateProbe).ProbeState().ProviderHits()
 		var total uint64
 		for _, v := range h {
 			total += v

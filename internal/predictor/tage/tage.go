@@ -171,19 +171,6 @@ func (p *Predictor) Name() string {
 // NumTables returns the tagged table count.
 func (p *Predictor) NumTables() int { return len(p.tables) }
 
-// BankReach returns, per tagged table, the raw-branch depth the table
-// observes — for a conventional GHR this is simply the history length.
-func (p *Predictor) BankReach() []int { return p.Histories() }
-
-// Histories returns the per-table history lengths.
-func (p *Predictor) Histories() []int {
-	out := make([]int, len(p.tables))
-	for i, t := range p.tables {
-		out[i] = t.cfg.HistLen
-	}
-	return out
-}
-
 func (p *Predictor) baseIndex(pc uint64) uint32 { return uint32((pc >> 2) & p.baseMask) }
 
 func (p *Predictor) basePredict(idx uint32) bool { return p.basePred[idx] }
@@ -546,19 +533,6 @@ func abs32(v int32) int32 {
 	return v
 }
 
-// TableHits implements sim.TableHitReporter: index 0 counts base-provided
-// predictions, index i the i-th tagged table.
-func (p *Predictor) TableHits() []uint64 {
-	return append([]uint64(nil), p.providerHits...)
-}
-
-// ResetTableHits clears the provider histogram (useful after warmup).
-func (p *Predictor) ResetTableHits() {
-	for i := range p.providerHits {
-		p.providerHits[i] = 0
-	}
-}
-
 // Storage implements sim.StorageAccounter, following Table I's accounting.
 func (p *Predictor) Storage() sim.Breakdown {
 	b := sim.Breakdown{Name: p.Name()}
@@ -585,7 +559,8 @@ func (p *Predictor) Storage() sim.Breakdown {
 // ProbeState implements sim.StateProbe: base-table warmth, per-bank
 // occupancy/conflict/useful/saturation profiles (live counts come from
 // the allocate-path bitmap; useful and saturation are scanned here, off
-// the hot path), and the statistical corrector's weight saturation.
+// the hot path), each bank's raw-branch reach (its history length) and
+// provider hits, and the statistical corrector's weight saturation.
 func (p *Predictor) ProbeState() sim.TableStats {
 	ts := sim.TableStats{Predictor: p.Name()}
 	baseLive := 0
@@ -596,6 +571,7 @@ func (p *Predictor) ProbeState() sim.TableStats {
 	}
 	ts.Banks = append(ts.Banks, sim.BankStats{
 		Bank: 0, Kind: "base", Entries: len(p.basePred), Live: baseLive,
+		Hits: p.providerHits[0],
 	})
 	for i, t := range p.tables {
 		useful, sat := 0, 0
@@ -618,6 +594,7 @@ func (p *Predictor) ProbeState() sim.TableStats {
 			Saturated: sat,
 			Allocs:    t.allocs,
 			Evictions: t.evictions,
+			Hits:      p.providerHits[i+1],
 		})
 	}
 	if p.sc != nil {
@@ -651,7 +628,6 @@ func itoa(n int) string {
 var (
 	_ sim.Predictor        = (*Predictor)(nil)
 	_ sim.StorageAccounter = (*Predictor)(nil)
-	_ sim.TableHitReporter = (*Predictor)(nil)
 	_ sim.Explainer        = (*Predictor)(nil)
 	_ sim.StateProbe       = (*Predictor)(nil)
 )

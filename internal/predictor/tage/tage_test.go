@@ -164,9 +164,9 @@ func TestProviderHistogramShiftsWithDistance(t *testing.T) {
 	if _, err := sim.Run(p, tr.Stream(), sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	hits := p.TableHits()
+	hits := p.ProbeState().ProviderHits()
 	if len(hits) != 16 {
-		t.Fatalf("TableHits len = %d, want 16", len(hits))
+		t.Fatalf("provider hits len = %d, want 16", len(hits))
 	}
 	var total uint64
 	for _, h := range hits {
@@ -282,15 +282,19 @@ func TestValidation(t *testing.T) {
 // A conventional GHR bank reaches exactly as many raw branches as its
 // history length — the baseline side of the paper-shape reach check.
 func TestBankReachIsHistoryLength(t *testing.T) {
-	p := New(ConventionalBare(8))
-	reach := p.BankReach()
-	hists := p.Histories()
-	if len(reach) != len(hists) {
-		t.Fatalf("reach %v vs histories %v", reach, hists)
-	}
-	for i := range hists {
-		if reach[i] != hists[i] {
-			t.Fatalf("reach %v vs histories %v", reach, hists)
+	cfg := ConventionalBare(8)
+	p := New(cfg)
+	var tagged int
+	for _, b := range p.ProbeState().Banks {
+		if b.Kind != "tagged" {
+			continue
 		}
+		if want := cfg.Tables[tagged].HistLen; b.HistLen != want || b.Reach != want {
+			t.Fatalf("bank %d: hist %d reach %d, want both %d", b.Bank, b.HistLen, b.Reach, want)
+		}
+		tagged++
+	}
+	if tagged != len(cfg.Tables) {
+		t.Fatalf("%d tagged banks, want %d", tagged, len(cfg.Tables))
 	}
 }

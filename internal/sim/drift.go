@@ -41,23 +41,3 @@ func JournalDrift(j *obs.Journal, trace, predictor, metric string, window int, e
 		Direction: ev.Direction,
 	})
 }
-
-// JournalWindowEvent emits a live "window" journal event from a window
-// hook delivery — the same payload shape journalRun writes at run end,
-// but available while the run is still in flight. The telemetry
-// monitor points a flight-recorder-backed journal at this so alarm
-// dumps carry the windows leading up to the alarm. Nil-safe on j.
-func JournalWindowEvent(j *obs.Journal, ev WindowEvent) {
-	if j == nil {
-		return
-	}
-	j.Emit("window", journalWindow{
-		Trace:        ev.Trace,
-		Predictor:    ev.Predictor,
-		Index:        ev.Index,
-		Branches:     ev.Stat.Branches,
-		Mispredicts:  ev.Stat.Mispredicts,
-		Instructions: ev.Stat.Instructions,
-		MPKI:         ev.Stat.MPKI(),
-	})
-}

@@ -73,7 +73,7 @@ func Matrix(sources []TraceSource, preds []PredictorSpec, opt Options) []Job {
 
 // RunResult is one completed matrix cell. Instance is the predictor the
 // engine built for the cell, retained so callers can inspect post-run
-// state (storage budgets, provider-table histograms).
+// state (storage budgets, StateProbe samples).
 type RunResult struct {
 	Trace     string
 	Predictor string
@@ -112,8 +112,8 @@ type Engine struct {
 	// runs the uninstrumented path.
 	Metrics *EngineMetrics
 	// Journal, when non-nil, receives bfbp.journal.v1 events
-	// (suite/run lifecycle, per-window MPKI, worker state transitions,
-	// table-hit distributions, storage budgets).
+	// (suite/run lifecycle, per-window MPKI as each window closes,
+	// worker state transitions, storage budgets).
 	Journal *obs.Journal
 	// Tracer, when non-nil, records the suite's execution timeline as
 	// bfbp.trace.v1 spans: one suite span on lane 0, one run span per
@@ -124,9 +124,10 @@ type Engine struct {
 	// tracing entirely and runs the uninstrumented path.
 	Tracer *obs.Tracer
 	// WindowHook, when non-nil, receives every window-close event of
-	// every windowed cell, with Trace and Predictor filled in. Events
-	// from concurrent cells arrive concurrently; the hook must be safe
-	// for parallel use. It composes with (does not replace) a per-job
+	// every windowed cell, with Trace and Predictor filled in, after
+	// the window's journal event is written. Events from concurrent
+	// cells arrive concurrently; the hook must be safe for parallel
+	// use. It composes with (does not replace) a per-job
 	// Options.OnWindow, which keeps firing with the run-local view.
 	WindowHook func(WindowEvent)
 }
@@ -170,17 +171,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 		if m != nil && opt.Probe == nil {
 			opt.Probe = m.Probe()
 		}
-		if e.WindowHook != nil && opt.Window > 0 {
-			hook, inner := e.WindowHook, opt.OnWindow
-			tn, pn := job.Source.Name(), job.Predictor.Name
-			opt.OnWindow = func(ev WindowEvent) {
-				if inner != nil {
-					inner(ev)
-				}
-				ev.Trace, ev.Predictor = tn, pn
-				hook(ev)
-			}
-		}
 		var rsp *obs.Span
 		if tr != nil {
 			// Run spans live on their worker's lane (tid worker+1; the
@@ -191,6 +181,23 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 			opt.TraceSpan = rsp
 		}
 		sid := rsp.ID()
+		if opt.Window > 0 && (j != nil || e.WindowHook != nil) {
+			// Each window is journaled once, the moment it closes, and
+			// before the hook sees it: an alarm the hook raises can
+			// then dump a flight ring that already holds its trigger.
+			hook, inner := e.WindowHook, opt.OnWindow
+			tn, pn := job.Source.Name(), job.Predictor.Name
+			opt.OnWindow = func(ev WindowEvent) {
+				if inner != nil {
+					inner(ev)
+				}
+				ev.Trace, ev.Predictor = tn, pn
+				journalWindowClose(j, ev, sid)
+				if hook != nil {
+					hook(ev)
+				}
+			}
+		}
 		if opt.ProbeStateEvery > 0 && opt.ProbeState == nil && (m != nil || j != nil || tr != nil) {
 			// State-probe samples flow into the attached telemetry:
 			// occupancy/saturation gauges and conflict counters on m,

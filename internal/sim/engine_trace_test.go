@@ -46,7 +46,7 @@ func TestEngineTraceJournalCorrelation(t *testing.T) {
 	}
 	jobs := Matrix(
 		[]TraceSource{intSpec.Source(20_000), mmSpec.Source(20_000)},
-		[]PredictorSpec{{Name: "toy", New: func() Predictor { return &toyShare{} }}},
+		[]PredictorSpec{{Name: "toy", New: func() Predictor { return &storageToy{} }}},
 		Options{Window: 5_000},
 	)
 	if _, err := eng.Run(context.Background(), jobs); err != nil {
@@ -116,7 +116,7 @@ func TestEngineTraceJournalCorrelation(t *testing.T) {
 	}
 
 	// Every span-tagged journal event must reference a span in the
-	// trace, and run_finish/suite_finish must be tagged.
+	// trace, and run_finish/suite_finish/window/storage must be tagged.
 	tagged := map[string]int{}
 	sc := bufio.NewScanner(strings.NewReader(journalBuf.String()))
 	for sc.Scan() {
@@ -135,7 +135,15 @@ func TestEngineTraceJournalCorrelation(t *testing.T) {
 			t.Errorf("journal %s references span %v absent from trace", ev.Event, *ev.Span)
 		}
 	}
-	if tagged["run_finish"] != 2 || tagged["suite_finish"] != 1 || tagged["window"] == 0 {
+	if tagged["run_finish"] != 2 || tagged["suite_finish"] != 1 || tagged["window"] == 0 || tagged["storage"] != 1 {
 		t.Fatalf("journal span tags incomplete: %v", tagged)
 	}
+}
+
+// storageToy is toyShare with a storage budget, so the engine journals
+// its (per-suite, deduplicated) storage event.
+type storageToy struct{ toyShare }
+
+func (s *storageToy) Storage() Breakdown {
+	return Breakdown{Name: "toy", Components: []Component{{Name: "ghist", Bits: 16}}}
 }

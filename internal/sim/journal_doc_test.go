@@ -88,7 +88,6 @@ func TestJournalPayloadsCarrySpanTag(t *testing.T) {
 		"run_finish":            journalRunFinish{},
 		"run_error":             journalRunError{},
 		"window":                journalWindow{},
-		"table_hits":            journalTableHits{},
 		"storage":               journalStorage{},
 		"worker_state":          journalWorkerState{},
 		"provenance":            journalProvenance{},

@@ -297,13 +297,6 @@ type journalWindow struct {
 	Span         uint64  `json:"span,omitempty"`
 }
 
-type journalTableHits struct {
-	Trace     string   `json:"trace"`
-	Predictor string   `json:"predictor"`
-	Hits      []uint64 `json:"hits"`
-	Span      uint64   `json:"span,omitempty"`
-}
-
 type journalStorageComponent struct {
 	Name string `json:"name"`
 	Bits int    `json:"bits"`
@@ -354,18 +347,38 @@ func JournalEventKinds() []string {
 	return []string{
 		"suite_start", "suite_finish",
 		"run_start", "run_finish", "run_error",
-		"window", "table_hits", "storage", "worker_state",
+		"window", "storage", "worker_state",
 		"provenance", "component_attribution", "checkpoint", "health",
 		"drift", "tablestats",
 	}
 }
 
+// journalWindowClose emits the window event for one closed window of a
+// cell, live, while the run is still in flight. span is the cell's run
+// span. Nil-safe on j.
+func journalWindowClose(j *obs.Journal, ev WindowEvent, span uint64) {
+	if j == nil {
+		return
+	}
+	j.Emit("window", journalWindow{
+		Trace:        ev.Trace,
+		Predictor:    ev.Predictor,
+		Index:        ev.Index,
+		Branches:     ev.Stat.Branches,
+		Mispredicts:  ev.Stat.Mispredicts,
+		Instructions: ev.Stat.Instructions,
+		MPKI:         ev.Stat.MPKI(),
+		Span:         span,
+	})
+}
+
 // journalRun emits the per-run event group for one completed cell:
-// run_finish, one window event per WindowStat, the provider-table
-// histogram for TAGE-class predictors, and (once per predictor name per
-// suite) the storage budget. Every event carries the cell's execution
-// span ID (0 and omitted when tracing is off) so journal records join
-// to their bfbp.trace.v1 timeline slices.
+// run_finish, the decision-trace provenance and component attribution
+// of an explained run, and (once per predictor name per suite) the
+// storage budget. Window events are not part of the group: the engine
+// emits each one live as its window closes. Every event carries the
+// cell's execution span ID (0 and omitted when tracing is off) so
+// journal records join to their bfbp.trace.v1 timeline slices.
 func journalRun(j *obs.Journal, res RunResult, worker int, span uint64, storageSeen *sync.Map) {
 	if j == nil {
 		return
@@ -388,18 +401,6 @@ func journalRun(j *obs.Journal, res RunResult, worker int, span uint64, storageS
 		BranchesPerSec: rate,
 		Span:           span,
 	})
-	for i, w := range st.Windows {
-		j.Emit("window", journalWindow{
-			Trace:        res.Trace,
-			Predictor:    res.Predictor,
-			Index:        i,
-			Branches:     w.Branches,
-			Mispredicts:  w.Mispredicts,
-			Instructions: w.Instructions,
-			MPKI:         w.MPKI(),
-			Span:         span,
-		})
-	}
 	if pv := st.Provenance; pv != nil {
 		j.Emit("provenance", journalProvenance{
 			Trace:         res.Trace,
@@ -430,13 +431,10 @@ func journalRun(j *obs.Journal, res RunResult, worker int, span uint64, storageS
 		}
 		j.Emit("component_attribution", attr)
 	}
-	if th, ok := res.Instance.(TableHitReporter); ok {
-		j.Emit("table_hits", journalTableHits{Trace: res.Trace, Predictor: res.Predictor, Hits: th.TableHits()})
-	}
 	if sa, ok := res.Instance.(StorageAccounter); ok {
 		if _, dup := storageSeen.LoadOrStore(res.Predictor, true); !dup {
 			b := sa.Storage()
-			ev := journalStorage{Predictor: res.Predictor, TotalBits: b.TotalBits()}
+			ev := journalStorage{Predictor: res.Predictor, TotalBits: b.TotalBits(), Span: span}
 			for _, c := range b.Components {
 				ev.Components = append(ev.Components, journalStorageComponent{Name: c.Name, Bits: c.Bits})
 			}

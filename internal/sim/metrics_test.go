@@ -195,23 +195,19 @@ func TestEngineJournalStorageAndTableHits(t *testing.T) {
 	if n := strings.Count(got, `"event":"storage"`); n != 1 {
 		t.Fatalf("storage events = %d, want 1 (deduped per predictor)", n)
 	}
-	if n := strings.Count(got, `"event":"table_hits"`); n != 2 {
-		t.Fatalf("table_hits events = %d, want 2", n)
-	}
 	if !strings.Contains(got, `"total_bits":128`) {
 		t.Fatalf("storage payload missing total_bits: %s", got)
 	}
 }
 
-// accountingToy reports storage and table hits, to exercise the
-// optional journal events.
+// accountingToy reports storage, to exercise the optional journal
+// event.
 type accountingToy struct{ StaticPredictor }
 
 func (a *accountingToy) Name() string { return "acct" }
 func (a *accountingToy) Storage() Breakdown {
 	return Breakdown{Name: "acct", Components: []Component{{Name: "table", Bits: 128}}}
 }
-func (a *accountingToy) TableHits() []uint64 { return []uint64{10, 5} }
 
 func TestHarnessProbeSampling(t *testing.T) {
 	reg := obs.NewRegistry()

@@ -23,16 +23,6 @@ type Explainer interface {
 	Explain(pc uint64) Provenance
 }
 
-// BankReacher is optionally implemented by TAGE-class predictors to
-// report, per tagged bank, how many raw branches of history the bank
-// can observe. For a conventional GHR this equals the history length;
-// for a bias-free compressed history it is the depth of the deepest
-// recency-stack segment the bank's bits extend into — the quantity the
-// paper-shape validation compares across designs.
-type BankReacher interface {
-	BankReach() []int
-}
-
 // Provenance describes how a predictor arrived at one prediction.
 // Which fields are meaningful depends on the family: TAGE-class
 // predictors set Banks/Provider/Alt, adder-tree predictors set

@@ -41,15 +41,6 @@ type StorageAccounter interface {
 	Storage() Breakdown
 }
 
-// TableHitReporter is implemented by TAGE-class predictors that track
-// which tagged table provided each prediction; Fig. 12 plots these
-// distributions.
-type TableHitReporter interface {
-	// TableHits returns provider counts indexed by table number, where
-	// index 0 is the base predictor and 1..N the tagged tables.
-	TableHits() []uint64
-}
-
 // Breakdown is an itemised storage budget.
 type Breakdown struct {
 	Name       string

@@ -32,9 +32,7 @@ type Snapshotter interface {
 // of ad-hoc type asserts.
 type CapabilitySet struct {
 	Storage    StorageAccounter
-	TableHits  TableHitReporter
 	Explain    Explainer
-	BankReach  BankReacher
 	Snapshot   Snapshotter
 	StateProbe StateProbe
 }
@@ -43,30 +41,21 @@ type CapabilitySet struct {
 func Capabilities(p Predictor) CapabilitySet {
 	var c CapabilitySet
 	c.Storage, _ = p.(StorageAccounter)
-	c.TableHits, _ = p.(TableHitReporter)
 	c.Explain, _ = p.(Explainer)
-	c.BankReach, _ = p.(BankReacher)
 	c.Snapshot, _ = p.(Snapshotter)
 	c.StateProbe, _ = p.(StateProbe)
 	return c
 }
 
 // Names lists the implemented capabilities as short stable tags, in a
-// fixed order: storage, table-hits, explain, bank-reach, snapshot,
-// state-probe.
+// fixed order: storage, explain, snapshot, state-probe.
 func (c CapabilitySet) Names() []string {
 	var names []string
 	if c.Storage != nil {
 		names = append(names, "storage")
 	}
-	if c.TableHits != nil {
-		names = append(names, "table-hits")
-	}
 	if c.Explain != nil {
 		names = append(names, "explain")
-	}
-	if c.BankReach != nil {
-		names = append(names, "bank-reach")
 	}
 	if c.Snapshot != nil {
 		names = append(names, "snapshot")

@@ -73,6 +73,10 @@ type BankStats struct {
 	// allocated entry — the tag-conflict signal.
 	Allocs    uint64
 	Evictions uint64
+	// Hits counts the predictions this bank provided since
+	// construction (TAGE-class base and tagged banks; Fig. 12's
+	// provider histogram). Every Predict credits exactly one bank.
+	Hits uint64
 }
 
 // Label renders the bank as a stable metric/track label ("T1:tagged").
@@ -98,6 +102,19 @@ func (b BankStats) ConflictRate() float64 {
 		return 0
 	}
 	return float64(b.Evictions) / float64(b.Allocs)
+}
+
+// ProviderHits returns the Hits of the base and tagged banks in
+// storage order — index 0 the base, i the i-th tagged bank — or nil
+// when the predictor has no provider banks (non-TAGE families).
+func (ts TableStats) ProviderHits() []uint64 {
+	var hits []uint64
+	for _, b := range ts.Banks {
+		if b.Kind == "base" || b.Kind == "tagged" {
+			hits = append(hits, b.Hits)
+		}
+	}
+	return hits
 }
 
 // WeightStats describes one weight array of an adder-tree core.
@@ -153,6 +170,7 @@ type journalBankStats struct {
 	Saturated int    `json:"saturated,omitempty"`
 	Allocs    uint64 `json:"allocs,omitempty"`
 	Evictions uint64 `json:"evictions,omitempty"`
+	Hits      uint64 `json:"hits,omitempty"`
 }
 
 type journalWeightStats struct {
@@ -202,6 +220,7 @@ func JournalTableStats(j *obs.Journal, traceName string, ts TableStats, branch, 
 			Bank: b.Bank, Kind: b.Kind, Entries: b.Entries, Live: b.Live,
 			HistLen: b.HistLen, Reach: b.Reach, UsefulSet: b.UsefulSet,
 			Saturated: b.Saturated, Allocs: b.Allocs, Evictions: b.Evictions,
+			Hits: b.Hits,
 		})
 	}
 	for _, w := range ts.Weights {

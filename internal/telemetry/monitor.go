@@ -14,8 +14,9 @@ import (
 // one streaming change-point detector per watched series (each
 // windowed (trace, predictor) MPKI series, plus the engine-wide
 // throughput), feeds counter tracks into the bfbp.trace.v1 timeline,
-// records recent journal lines in a flight-recorder ring, and cuts a
-// bfbp.flight.v1 dump whenever a detector alarms (and on SIGQUIT).
+// keeps the run journal's recent lines in a flight-recorder ring, and
+// cuts a bfbp.flight.v1 dump whenever a detector alarms (and on
+// SIGQUIT).
 //
 // A nil *Monitor is inert, so the engine hook and history chain wire
 // it unconditionally. ObserveWindow is called concurrently from every
@@ -24,10 +25,9 @@ import (
 // negligible at window sizes worth using.
 type Monitor struct {
 	cfg        obs.DriftConfig
-	journal    *obs.Journal // run journal (nil when -journal is off)
+	journal    *obs.Journal // run journal, teed through recorder
 	tracer     *obs.Tracer  // trace timeline (nil when -trace-out is off)
 	recorder   *obs.FlightRecorder
-	ring       *obs.Journal // writes live window lines into the ring only
 	flightPath string
 
 	mu        sync.Mutex
@@ -45,7 +45,7 @@ type Monitor struct {
 }
 
 // newMonitor builds the drift layer against t's sinks. The recorder is
-// created here so Start can tee the journal file through it.
+// created here so Start can tee the run journal through it.
 func newMonitor(t *T, cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:        cfg.DriftConfig,
@@ -62,15 +62,15 @@ func newMonitor(t *T, cfg Config) *Monitor {
 		score: t.Registry.FloatGaugeFamily("bfbp_drift_score",
 			"Drift-detector decision score (max of up/down), by watched series.", "series"),
 	}
-	m.ring = obs.NewJournal(m.recorder)
 	return m
 }
 
 // ObserveWindow consumes one window-close event from the engine hook:
-// it extends the MPKI counter track, appends a live window line to the
-// flight ring, and runs the series' drift detector, handling the full
-// alarm path (journal event, trace instant, metrics, flight dump) when
-// it fires. Nil-safe.
+// it extends the MPKI counter track and runs the series' drift
+// detector, handling the full alarm path (journal event, trace instant,
+// metrics, flight dump) when it fires. The window's own journal line is
+// already in the flight ring: the engine journals each window before
+// calling the hook. Nil-safe.
 func (m *Monitor) ObserveWindow(ev sim.WindowEvent) {
 	if m == nil {
 		return
@@ -78,7 +78,6 @@ func (m *Monitor) ObserveWindow(ev sim.WindowEvent) {
 	key := ev.Trace + "/" + ev.Predictor
 	mpki := ev.Stat.MPKI()
 	m.tracer.Counter("mpki", map[string]float64{key: mpki})
-	sim.JournalWindowEvent(m.ring, ev)
 	// The trailing partial window is usually a fraction of the window
 	// size; its MPKI is too noisy to feed the detector.
 	if ev.Final {
@@ -146,14 +145,7 @@ func (m *Monitor) observe(series, trc, pred, metric string, window int, x float6
 		return
 	}
 	m.alarms.With(series).Inc()
-	// With a journal file the drift line reaches the ring through the
-	// tee; without one it is written to the ring directly so alarm
-	// dumps always carry their own trigger.
-	if m.journal != nil {
-		sim.JournalDrift(m.journal, trc, pred, metric, window, ev)
-	} else {
-		sim.JournalDrift(m.ring, trc, pred, metric, window, ev)
-	}
+	sim.JournalDrift(m.journal, trc, pred, metric, window, ev)
 	m.tracer.Instant("drift", fmt.Sprintf("drift %s %s", series, ev.Direction), map[string]any{
 		"series":   series,
 		"value":    ev.Value,

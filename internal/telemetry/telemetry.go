@@ -85,7 +85,9 @@ type T struct {
 	Registry *obs.Registry
 	// Engine is the engine metric set commands attach to sim.Engine.
 	Engine *sim.EngineMetrics
-	// Journal is the run journal (nil when -journal is unset).
+	// Journal is the run journal: the -journal file, teed through the
+	// monitor's flight recorder when a monitor runs (nil when neither
+	// is enabled).
 	Journal *obs.Journal
 	// Tracer is the execution-span tracer (nil when -trace-out is
 	// unset).
@@ -199,6 +201,11 @@ func Start(cfg Config) (*T, error) {
 		}
 	}
 
+	// There is at most one journal: the -journal file, the monitor's
+	// flight recorder, or both through a tee. A monitor without a
+	// journal file still gets a journal over its recorder alone, so
+	// alarm dumps carry every engine event.
+	var journalSinks []io.Writer
 	if cfg.JournalPath != "" {
 		f, err := os.Create(cfg.JournalPath)
 		if err != nil {
@@ -206,11 +213,13 @@ func Start(cfg Config) (*T, error) {
 			return nil, fmt.Errorf("telemetry: journal: %w", err)
 		}
 		t.journalFile = f
-		var w io.Writer = f
-		if t.Monitor != nil {
-			w = io.MultiWriter(f, t.Monitor.recorder)
-		}
-		t.Journal = obs.NewJournal(w)
+		journalSinks = append(journalSinks, f)
+	}
+	if t.Monitor != nil {
+		journalSinks = append(journalSinks, t.Monitor.recorder)
+	}
+	if len(journalSinks) > 0 {
+		t.Journal = obs.NewJournal(io.MultiWriter(journalSinks...))
 		if t.Monitor != nil {
 			t.Monitor.journal = t.Journal
 		}

@@ -20,8 +20,7 @@ type PredictorInfo struct {
 func (i PredictorInfo) Spec() PredictorSpec { return PredictorSpec{Name: i.Name, New: i.New} }
 
 // Capabilities probes a fresh instance for its optional interfaces
-// (storage accounting, table hits, explain, bank reach, snapshot,
-// state probe).
+// (storage accounting, explain, snapshot, state probe).
 // The probe instance is discarded; call it for metadata, not for a
 // predictor to run.
 func (i PredictorInfo) Capabilities() CapabilitySet { return Capabilities(i.New()) }

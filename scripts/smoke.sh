@@ -1,0 +1,114 @@
+#!/usr/bin/env bash
+# End-to-end smoke checks of the command-line tools, run by `make smoke`
+# and CI. bfsim, bfstat and journal are built once into $OUT/bin; every
+# artifact a check leaves behind (timelines, journals, the flight dump)
+# stays in $OUT for upload and for loading into Perfetto by hand.
+#
+#   trace     two identical-seed traced suites; their journals must
+#             `journal diff` clean.
+#   snapshot  for each headline predictor a straight run must equal a
+#             split run (half with -checkpoint, then -resume -skip):
+#             branches and mispredicts summed over the legs, exactly.
+#   drift     a short endurance run with the change-point layer on must
+#             fire at least one drift alarm, emit Perfetto counter
+#             tracks ("ph":"C"), and write a flight dump that
+#             `journal flight` parses.
+#   xray      a -probe-state run must journal tablestats events that
+#             `journal summary` reduces to table-state rows, and a
+#             TAGE-class predictor's banks must carry provider "hits".
+#   live      one probing suite serving -metrics-addr, driven from
+#             bfstat: /healthz answers with a state, /metrics/history
+#             serves bfbp.history.v1, the engine-run and harness
+#             predict/update summaries have quantiles, and the live
+#             bfbp_table_occupancy series reaches `bfstat -once -json`.
+#
+# Usage: scripts/smoke.sh   (env: GO, OUT=smoke_ci, OBS_ADDR=127.0.0.1:9377)
+#
+# No pipefail: `cmd | grep -q` checks would fail whenever grep exits at
+# its first match and the writer takes a SIGPIPE.
+set -eu
+
+GO=${GO:-go}
+OUT=${OUT:-smoke_ci}
+OBS_ADDR=${OBS_ADDR:-127.0.0.1:9377}
+
+fail() { echo "smoke: $*" >&2; exit 1; }
+
+rm -rf "$OUT"
+mkdir -p "$OUT/bin"
+for cmd in bfsim bfstat journal; do
+	"$GO" build -o "$OUT/bin/$cmd" "./cmd/$cmd"
+done
+bfsim=$OUT/bin/bfsim
+bfstat=$OUT/bin/bfstat
+journal=$OUT/bin/journal
+
+# trace
+"$bfsim" -p bimodal,gshare -t INT1,MM1 -n 100000 \
+	-trace-out "$OUT/trace.json" -journal "$OUT/journal.jsonl" > /dev/null
+"$bfsim" -p bimodal,gshare -t INT1,MM1 -n 100000 -journal "$OUT/journal_b.jsonl" > /dev/null
+"$journal" summary "$OUT/journal.jsonl"
+"$journal" diff "$OUT/journal.jsonl" "$OUT/journal_b.jsonl"
+echo "smoke: trace ok"
+
+# snapshot
+snap=$OUT/snap.bin
+for p in bimodal gshare isl-tage-15 bf-neural bf-tage-10; do
+	s=$("$bfsim" -p "$p" -t INT1 -n 60000 -warmup 0 -csv | tail -1)
+	a=$("$bfsim" -p "$p" -t INT1 -n 30000 -warmup 0 -csv -checkpoint "$snap" 2> /dev/null | tail -1)
+	skip=$(echo "$a" | cut -d, -f3)
+	b=$("$bfsim" -p "$p" -t INT1 -n 60000 -warmup 0 -csv -resume "$snap" -skip "$skip" | tail -1)
+	sb=$(echo "$s" | cut -d, -f3); sm=$(echo "$s" | cut -d, -f5)
+	ab=$(echo "$a" | cut -d, -f3); am=$(echo "$a" | cut -d, -f5)
+	bb=$(echo "$b" | cut -d, -f3); bm=$(echo "$b" | cut -d, -f5)
+	if [ $((ab + bb)) -ne "$sb" ] || [ $((am + bm)) -ne "$sm" ]; then
+		fail "snapshot: $p drift: straight $sb br/$sm misp, split $((ab + bb))/$((am + bm))"
+	fi
+	echo "smoke: snapshot $p ok ($sb branches, $sm mispredicts)"
+done
+rm -f "$snap"
+
+# drift
+"$bfsim" -p bf-tage-10 -t SERV1,FP1,MM1 -n 200000 -endurance 2 \
+	-drift -journal "$OUT/drift.jsonl" -trace-out "$OUT/drift.trace.json" \
+	-flight-dump "$OUT/drift.flight.json" > /dev/null
+grep -q '"ph":"C"' "$OUT/drift.trace.json" || fail "drift: no counter tracks in timeline"
+drifts=$("$journal" summary -json "$OUT/drift.jsonl" | grep -c '"metric"' || true)
+[ "$drifts" -ge 1 ] || fail "drift: no drift alarms in journal"
+"$journal" flight "$OUT/drift.flight.json" > /dev/null
+echo "smoke: drift ok ($drifts drift alarms)"
+
+# xray
+"$bfsim" -p bf-tage-8,bimodal -t SERV1 -n 150000 \
+	-probe-state -probe-state-every 32768 -journal "$OUT/xray.jsonl" > /dev/null
+n=$(grep -c '"event":"tablestats"' "$OUT/xray.jsonl" || true)
+[ "$n" -ge 1 ] || fail "xray: no tablestats events in journal"
+grep '"event":"tablestats"' "$OUT/xray.jsonl" | grep '"predictor":"bf-tage-8"' | grep -q '"hits":' ||
+	fail "xray: bf-tage-8 tablestats banks carry no provider hits"
+"$journal" summary "$OUT/xray.jsonl" | grep -q 'table-state samples:' ||
+	fail "xray: summary missing table-state rows"
+echo "smoke: xray ok ($n tablestats events)"
+
+# live
+"$bfsim" -p bimodal,gshare,bf-neural,bf-tage-8 -t all -n 500000 -probe-state \
+	-metrics-addr "$OBS_ADDR" > /dev/null 2>&1 &
+pid=$!
+trap 'kill $pid 2> /dev/null || true; wait $pid 2> /dev/null || true' EXIT
+"$bfstat" -addr "$OBS_ADDR" -wait 30s -get /healthz | grep -q '"state"' || fail "live: /healthz has no state"
+"$bfstat" -addr "$OBS_ADDR" -get /metrics/history | grep -q bfbp.history.v1 ||
+	fail "live: /metrics/history is not bfbp.history.v1"
+occupancy=0
+for _ in $(seq 1 100); do
+	if "$bfstat" -addr "$OBS_ADDR" -get /metrics | grep -q bfbp_table_occupancy; then
+		occupancy=1
+		break
+	fi
+	sleep 0.3
+done
+[ "$occupancy" -eq 1 ] || fail "live: no bfbp_table_occupancy series"
+sleep 2
+"$bfstat" -addr "$OBS_ADDR" -once \
+	-require-quantiles bfbp_engine_run_seconds,bfbp_harness_predict_seconds,bfbp_harness_update_seconds ||
+	fail "live: summary quantiles missing"
+"$bfstat" -addr "$OBS_ADDR" -once -json | grep -q '"occupancy"' || fail "live: bfstat -json has no occupancy"
+echo "smoke: live ok"

@@ -59,7 +59,7 @@ func TestEveryPredictorSnapshots(t *testing.T) {
 // predictor over two workload suites: running N branches, snapshotting,
 // restoring into a fresh instance, and running M more must equal a
 // straight N+M run — same counters, same per-PC attribution, same
-// provider-table histogram.
+// per-bank provider hits.
 func TestBitExactResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry integration test")
@@ -113,20 +113,14 @@ func TestBitExactResume(t *testing.T) {
 						t.Fatalf("offender %d: %+v != %+v", i, gotOff[i], wantOff[i])
 					}
 				}
-				th1 := bfbp.Capabilities(sp).TableHits
-				th2 := bfbp.Capabilities(resumed).TableHits
-				if (th1 == nil) != (th2 == nil) {
-					t.Fatal("TableHits capability differs between instances")
+				a := bfbp.Capabilities(sp).StateProbe.ProbeState().Banks
+				b := bfbp.Capabilities(resumed).StateProbe.ProbeState().Banks
+				if len(a) != len(b) {
+					t.Fatalf("bank count %d != %d", len(b), len(a))
 				}
-				if th1 != nil {
-					a, b := th1.TableHits(), th2.TableHits()
-					if len(a) != len(b) {
-						t.Fatalf("TableHits length %d != %d", len(b), len(a))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("TableHits[%d]: split %d != straight %d", i, b[i], a[i])
-						}
+				for i := range a {
+					if a[i].Hits != b[i].Hits {
+						t.Fatalf("bank %s hits: split %d != straight %d", a[i].Label(), b[i].Hits, a[i].Hits)
 					}
 				}
 			})

@@ -11,6 +11,12 @@ import (
 // registry predictor must implement the optional StateProbe interface,
 // advertise it as a capability tag, and — after a short training run —
 // report real table or weight state (static predictors excepted).
+// StateProbe is also the only source of Fig. 12's provider histogram
+// and of bank reach, so it checks their invariants too: a TAGE-class
+// predictor credits exactly one base or tagged bank per Predict, every
+// other family reports no hits, and a tagged bank reaches at least as
+// many raw branches as its history bits (exactly as many without the
+// bias-free compression).
 func TestEveryPredictorProbesState(t *testing.T) {
 	tr := genTrace(t, "INT1", 20_000)
 	for _, info := range bfbp.Predictors() {
@@ -29,7 +35,8 @@ func TestEveryPredictorProbesState(t *testing.T) {
 			t.Errorf("%s: Capabilities().Names() omits \"state-probe\"", info.Name)
 		}
 		p := info.New()
-		if _, err := bfbp.Run(p, tr.Stream(), bfbp.Options{}); err != nil {
+		st, err := bfbp.Run(p, tr.Stream(), bfbp.Options{})
+		if err != nil {
 			t.Errorf("%s: run: %v", info.Name, err)
 			continue
 		}
@@ -37,6 +44,7 @@ func TestEveryPredictorProbesState(t *testing.T) {
 		if ts.Predictor != p.Name() {
 			t.Errorf("%s: sample names predictor %q", info.Name, ts.Predictor)
 		}
+		checkProviderBanks(t, info.Name, ts, st.Branches)
 		if strings.HasPrefix(info.Name, "static-") {
 			continue
 		}
@@ -68,6 +76,40 @@ func TestEveryPredictorProbesState(t *testing.T) {
 		if !trained {
 			t.Errorf("%s: nothing live after 20K branches", info.Name)
 		}
+	}
+}
+
+// checkProviderBanks asserts the provider-hit and reach invariants of
+// one trained predictor's state sample after branches Predict calls.
+func checkProviderBanks(t *testing.T, name string, ts bfbp.TableStats, branches uint64) {
+	t.Helper()
+	if !strings.Contains(name, "tage") {
+		for _, b := range ts.Banks {
+			if b.Hits != 0 {
+				t.Errorf("%s: non-TAGE bank %s reports %d hits", name, b.Label(), b.Hits)
+			}
+		}
+		return
+	}
+	var hits uint64
+	for _, b := range ts.Banks {
+		switch b.Kind {
+		case "base":
+			hits += b.Hits
+		case "tagged":
+			hits += b.Hits
+			bf := strings.HasPrefix(name, "bf-")
+			if b.HistLen <= 0 || b.Reach < b.HistLen || (!bf && b.Reach != b.HistLen) {
+				t.Errorf("%s: bank %s reach %d from %d history bits", name, b.Label(), b.Reach, b.HistLen)
+			}
+		default:
+			if b.Hits != 0 {
+				t.Errorf("%s: %s bank %s reports %d hits", name, b.Kind, b.Label(), b.Hits)
+			}
+		}
+	}
+	if hits != branches {
+		t.Errorf("%s: base+tagged hits %d, want one per branch (%d)", name, hits, branches)
 	}
 }
 
