@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-quick bench-test microbench smoke
+.PHONY: all build vet test race check bench bench-test microbench smoke
 
 all: check
 
@@ -21,19 +21,16 @@ race:
 
 check: build vet race
 
-# End-to-end throughput benchmark: a fixed predictor x trace matrix run
-# by cmd/bench, written to the next free BENCH_<n>.json. Commit the JSON
-# alongside optimisation PRs so before/after numbers live in the tree.
-# `make bench-quick` is the CI smoke variant: 1/5 the branches, one run,
-# compared against the committed BENCH_1.json baseline. The comparison
-# divides out machine speed using the untouched control predictors
-# (bimodal/gshare), so the tolerance only has to absorb per-cell noise
-# and can sit tight enough to catch a real hot-path regression.
+# End-to-end throughput benchmark (bench/run.sh): each of the four
+# workloads for one pass at golden seed 1, which checks every cell's
+# counters against the golden values. A failed cell or a counter
+# mismatch exits 1 and fails the target. Real
+# numbers come from `bash bench/run.sh --seconds 20` on quiet hardware;
+# `--trace 1` prints the per-layer ledger.
 bench:
-	$(GO) run ./cmd/bench
-
-bench-quick:
-	$(GO) run ./cmd/bench -quick -out bench_ci.json -baseline BENCH_1.json -tolerance 1.4
+	@for w in bf-cores tables-suite replay-inflight suite-observed; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # The layered simulator benchmark in bench/ is its own Go module, so
 # the root build, vet and test targets never reach it. This vets it and

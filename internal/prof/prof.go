@@ -64,62 +64,3 @@ func Start() (stop func(), err error) {
 		}
 	}, nil
 }
-
-// Active reports whether a global -cpuprofile capture was requested.
-// Per-section profilers (CellProfiler) cannot run concurrently with it:
-// the runtime supports one CPU profile at a time.
-func Active() bool { return cpuPath != "" }
-
-// CellProfiler captures one cpu+mem profile pair per named section of a
-// batch run (cmd/bench writes one pair per matrix cell). A nil
-// CellProfiler is valid and disabled, so callers thread it through
-// unconditionally.
-type CellProfiler struct {
-	dir string
-}
-
-// NewCellProfiler returns a profiler writing into dir (created if
-// needed), or nil when dir is empty.
-func NewCellProfiler(dir string) (*CellProfiler, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	if Active() {
-		return nil, fmt.Errorf("prof: -profile cannot be combined with -cpuprofile (one CPU profile at a time)")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("prof: %w", err)
-	}
-	return &CellProfiler{dir: dir}, nil
-}
-
-// Start begins the section's CPU profile; the returned stop function
-// ends it and writes the allocation profile. Files land at
-// <dir>/<name>.cpu.pprof and <dir>/<name>.mem.pprof.
-func (c *CellProfiler) Start(name string) (stop func(), err error) {
-	if c == nil {
-		return func() {}, nil
-	}
-	cpuFile, err := os.Create(fmt.Sprintf("%s/%s.cpu.pprof", c.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("prof: %w", err)
-	}
-	if err := pprof.StartCPUProfile(cpuFile); err != nil {
-		cpuFile.Close()
-		return nil, fmt.Errorf("prof: starting CPU profile for %s: %w", name, err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		cpuFile.Close()
-		f, err := os.Create(fmt.Sprintf("%s/%s.mem.pprof", c.dir, name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "prof:", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "prof:", err)
-		}
-	}, nil
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -224,17 +225,14 @@ type HarnessProbe struct {
 }
 
 // sampleMask returns Every-1 with Every rounded up to a power of two,
-// so the hot loop decides "sample this branch?" with one AND.
+// so the hot loop decides "sample this branch?" with one AND. Every
+// above 2^63 rounds up to 2^64: the mask is all ones.
 func (pr *HarnessProbe) sampleMask() uint64 {
 	e := pr.Every
 	if e == 0 {
 		e = 64
 	}
-	m := uint64(1)
-	for m < e {
-		m <<= 1
-	}
-	return m - 1
+	return 1<<bits.Len64(e-1) - 1
 }
 
 // The bfbp.journal.v1 event payloads. Field names are frozen by the

@@ -238,7 +238,10 @@ func TestProbeSampleMask(t *testing.T) {
 	for _, tc := range []struct {
 		every uint64
 		mask  uint64
-	}{{0, 63}, {1, 0}, {64, 63}, {65, 127}, {100, 127}} {
+	}{
+		{0, 63}, {1, 0}, {64, 63}, {65, 127}, {100, 127},
+		{1 << 63, 1<<63 - 1}, {1<<63 + 1, ^uint64(0)}, {^uint64(0), ^uint64(0)},
+	} {
 		pr := &HarnessProbe{Every: tc.every}
 		if got := pr.sampleMask(); got != tc.mask {
 			t.Fatalf("sampleMask(Every=%d) = %d, want %d", tc.every, got, tc.mask)

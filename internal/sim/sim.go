@@ -186,9 +186,11 @@ func (s Stats) TopOffenders(n int) []Offender {
 // Merge folds other into s as a subsequent shard of the same logical
 // run: counters add, per-PC attributions add site-wise, and windowed
 // series concatenate in run order (s's trailing partial window, if any,
-// stays a short window rather than being re-bucketed). The engine uses
-// this to aggregate warmup-split or trace-sharded runs without losing
-// TopOffenders or phase data. Window adopts the first non-zero size.
+// stays a short window rather than being re-bucketed). No code in the
+// engine calls it: it serves library users who run one logical trace
+// in shards, and the resume ≡ straight-run tests, which merge the two
+// halves of a split run without losing TopOffenders or phase data.
+// Window adopts the first non-zero size.
 //
 // When exactly one side collected windowed metrics (the other ran with
 // Window = 0), the unwindowed shard's aggregate is folded in as a
