@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-test microbench smoke
+.PHONY: all build vet test race check fuzz bench bench-test microbench smoke
 
 all: check
 
@@ -20,6 +20,15 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/... ./internal/obs/... ./internal/telemetry/... ./cmd/bfstat/...
 
 check: build vet race
+
+# Fuzz each fuzz target for a fixed 10 s: the snapshot container
+# decoder, the BFT1 trace decoder, and the key map against FoldWords
+# over random geometries. go test fuzzes one target per invocation. A
+# failing input is written under the package's testdata/fuzz/.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/state
+	$(GO) test -run='^$$' -fuzz='^FuzzFileReader$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzKeyMap$$' -fuzztime=10s ./internal/history
 
 # End-to-end throughput benchmark (bench/run.sh): each of the four
 # workloads for one pass at golden seed 1, which checks every cell's
@@ -52,8 +61,9 @@ smoke:
 	GO=$(GO) OBS_ADDR=$(OBS_ADDR) bash scripts/smoke.sh
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
-# hot-path kernels (fold pipelines / fold sets, recency-stack CAM,
-# fused dot-product, and the three flagship cores' probe paths).
+# hot-path kernels (key-map lookup and segment delta, fold sets,
+# recency-stack CAM, fused dot-product, and the three flagship cores'
+# probe paths).
 BENCHTIME ?= 1s
 
 microbench:

@@ -69,7 +69,8 @@ func SaveClassifier(e *state.Enc, c Classifier) error {
 }
 
 // LoadClassifier restores classifier state saved by SaveClassifier into
-// c, which must be the same kind and geometry.
+// c, which must be the same kind and geometry. It validates the whole
+// payload before writing, so a failed load leaves c untouched.
 func LoadClassifier(d *state.Dec, c Classifier) error {
 	kind := d.String()
 	if err := d.Err(); err != nil {
@@ -88,10 +89,12 @@ func LoadClassifier(d *state.Dec, c Classifier) error {
 		if len(raw) != len(t.states) {
 			return fmt.Errorf("%w: BST has %d entries, snapshot %d", state.ErrCorrupt, len(t.states), len(raw))
 		}
-		for i, b := range raw {
+		for _, b := range raw {
 			if State(b) > NonBiased {
 				return fmt.Errorf("%w: BST state byte %#x", state.ErrCorrupt, b)
 			}
+		}
+		for i, b := range raw {
 			t.states[i] = State(b)
 		}
 	case *ProbTable:

@@ -39,7 +39,7 @@ func BenchmarkPredictUpdate(b *testing.B) {
 }
 
 // BenchmarkComputeRef measures the buildGHR+FoldWords reference model,
-// for comparison against the pipeline compute inside
+// for comparison against the key-map compute inside
 // BenchmarkPredictUpdate profiles.
 func BenchmarkComputeRef(b *testing.B) {
 	tr := getBenchTrace(b)

@@ -79,13 +79,12 @@ type Predictor struct {
 	// first; its free slot doubles as scratch for lookups that never go
 	// in flight.
 	inflight inflight.Ring[checkpoint]
-	// pipe maintains one folded register per history-indexed table over
-	// the BF-GHR, updated by XOR deltas as the segments mutate instead of
-	// re-folding the whole vector per lookup; regs maps table -> register
-	// id (table 0 is PC-indexed and has none), folds is FoldAll scratch.
-	pipe  *history.FoldPipeline
-	regs  []int
-	folds []uint64
+	// keys is the linear key map over the BF-GHR: field i-1 is table
+	// i's fold (table 0 is PC-indexed and has none), kept current by the
+	// segment deltas instead of re-folding the whole vector per lookup.
+	// kw is Lookup scratch.
+	keys *history.KeyMap
+	kw   []uint64
 }
 
 // New returns a BF-GEHL predictor for cfg.
@@ -129,15 +128,13 @@ func New(cfg Config) *Predictor {
 			panic("bfgehl: history length exceeds BF-GHR width")
 		}
 	}
-	p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
-	p.regs = make([]int, cfg.Tables)
-	for i := 1; i < cfg.Tables; i++ {
-		p.regs[i] = p.pipe.AddRegister(p.hists[i], cfg.LogEntries)
+	fields := make([][]history.Term, 0, cfg.Tables-1)
+	for _, h := range p.hists[1:] {
+		fields = append(fields, []history.Term{{Ch: 0, N: h, Width: cfg.LogEntries}})
 	}
-	p.folds = make([]uint64, p.pipe.NumRegisters())
-	p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
-		p.pipe.SegmentDelta2(seg, dT, dP)
-	})
+	p.keys = history.NewKeyMap(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments(), fields)
+	p.kw = make([]uint64, p.keys.Words())
+	p.seg.SetPackObserver(p.keys.SegmentDelta)
 	p.inflight = inflight.New(func() checkpoint {
 		return checkpoint{idxs: make([]uint32, cfg.Tables)}
 	})
@@ -156,22 +153,21 @@ func (p *Predictor) Name() string {
 func (p *Predictor) GHRBits() int { return p.cfg.UnfilteredBits + p.seg.Bits() }
 
 // compute evaluates the adder-tree sum for pc, filling idxs with each
-// table's index. Per-table folds come from the fold pipeline (register
-// tails XORed with the folded unfiltered prefix) — no BF-GHR rebuild,
-// no FoldWords walk. It produces exactly the indices of the reference
-// model (asserted by TestComputeDifferential).
+// table's index. Per-table folds come from the key map (maintained key
+// words with the unfiltered prefix rows XORed on top) — no BF-GHR
+// rebuild, no per-table fold. It produces exactly the indices of the
+// reference model (asserted by TestComputeDifferential).
 func (p *Predictor) compute(pc uint64, idxs []uint32) int32 {
-	uT := p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits)
-	p.pipe.FoldAll(uT, p.folds)
+	kw := p.kw
+	p.keys.Lookup(p.seg.Ring().RecentTaken(p.cfg.UnfilteredBits), 0, kw)
 	pch := rng.Hash64(pc >> 2)
-	folds, regs := p.folds, p.regs
 	var sum int32
 	for i := range p.tables {
 		var key uint64
 		if i == 0 {
 			key = pch
 		} else {
-			key = pch ^ folds[regs[i]]<<3 ^ uint64(i)<<57
+			key = pch ^ p.keys.Field(kw, i-1)<<3 ^ uint64(i)<<57
 		}
 		idx := uint32(rng.Hash64(key) & p.mask)
 		idxs[i] = idx

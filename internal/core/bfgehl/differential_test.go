@@ -22,11 +22,11 @@ func diffTrace(t *testing.T, n int) trace.Slice {
 }
 
 // TestComputeDifferential drives 20k branches and, at every step, runs
-// the fold-pipeline compute and the buildGHR+FoldWords reference model
-// side by side, requiring identical sums and table indices.
-// This pins the pipeline's XOR-delta register maintenance (including
-// segment evictions, boundary crossings, and the generic multi-word
-// fold path for the deepest tables) to the scalar re-fold.
+// the key-map compute and the buildGHR+FoldWords reference model side
+// by side, requiring identical sums and table indices. This pins the
+// key words' XOR-delta maintenance (including segment evictions,
+// boundary crossings, and the deepest tables' multi-word folds) to the
+// scalar re-fold.
 func TestComputeDifferential(t *testing.T) {
 	tr := diffTrace(t, 20000)
 	p := New(Default64KB())
@@ -48,10 +48,10 @@ func TestComputeDifferential(t *testing.T) {
 	}
 }
 
-// TestResumePipelineRebuild snapshots mid-run, restores into a fresh
-// predictor, and requires the rebuilt fold pipeline to agree with the
+// TestResumeKeyMapRebuild snapshots mid-run, restores into a fresh
+// predictor, and requires the rebuilt key map to agree with the
 // reference model (and with the donor) over continued execution.
-func TestResumePipelineRebuild(t *testing.T) {
+func TestResumeKeyMapRebuild(t *testing.T) {
 	tr := diffTrace(t, 12000)
 	p := New(Default64KB())
 	for _, rec := range tr[:8000] {

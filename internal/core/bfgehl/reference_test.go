@@ -5,9 +5,9 @@ import (
 	"bfbp/internal/rng"
 )
 
-// This file holds the reference model the fold pipeline replaced: build
-// the BF-GHR as a packed bit vector and re-fold it per table per lookup.
-// TestComputeDifferential and TestResumePipelineRebuild pin compute to
+// This file holds the reference model the key map replaced: build the
+// BF-GHR as a packed bit vector and re-fold it per table per lookup.
+// TestComputeDifferential and TestResumeKeyMapRebuild pin compute to
 // it bit for bit.
 
 // buildGHR assembles the packed BF-GHR: the unfiltered prefix is one

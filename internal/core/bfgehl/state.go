@@ -11,6 +11,7 @@ import (
 	"io"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/rs"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -51,7 +52,10 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded and
+// validated into locals (fresh recency stacks included) before anything
+// is committed, and the classifier, whose load validates before it
+// writes, loads last: a failed load leaves the predictor untouched.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -78,6 +82,22 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			return fmt.Errorf("%w: table %d has %d entries, snapshot %d", state.ErrCorrupt, i, len(p.tables[i]), len(fresh[i]))
 		}
 	}
+	hd, err := s.Dec("history")
+	if err != nil {
+		return err
+	}
+	seg := rs.NewSegmented(p.cfg.SegBounds, p.cfg.SegSize)
+	if err := seg.LoadState(hd); err != nil {
+		return err
+	}
+	m, err := s.Dec("misc")
+	if err != nil {
+		return err
+	}
+	theta, tc := m.I32(), m.I32()
+	if err := m.Err(); err != nil {
+		return err
+	}
 	cd, err := s.Dec("bst")
 	if err != nil {
 		return err
@@ -85,33 +105,14 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err := bst.LoadClassifier(cd, p.class); err != nil {
 		return err
 	}
-	hd, err := s.Dec("history")
-	if err != nil {
-		return err
-	}
-	if err := p.seg.LoadState(hd); err != nil {
-		return err
-	}
-	// The fold pipeline is derived state: rebuild its register tails
-	// from the restored segments' packed words (LoadState reset them, so
-	// feeding the absolute words through the delta path reconstructs).
-	p.pipe.Reset()
-	for i := 0; i < p.seg.Segments(); i++ {
-		tw, pw := p.seg.PackedWords(i)
-		p.pipe.SegmentDelta2(i, tw, pw)
-	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
-	p.theta = m.I32()
-	p.tc = m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
-	for i := range p.tables {
-		copy(p.tables[i], fresh[i])
-	}
+
+	p.tables = fresh
+	p.seg = seg
+	// The key map is derived state: attaching it to the restored
+	// stacks feeds it their packed words, which rebuilds it from empty.
+	p.keys.Reset()
+	seg.SetPackObserver(p.keys.SegmentDelta)
+	p.theta, p.tc = theta, tc
 	p.inflight.Reset()
 	return nil
 }

@@ -126,8 +126,8 @@ type table struct {
 	useful  []uint64 // bitset, entry i at word i/64 bit i%64
 	mask    uint64
 	tagMask uint32
-	// Fold-pipeline register ids: index fold, tag folds, address-bit fold.
-	rIdx, rT0, rT1, rPC int
+	// Key-map field ids: the fused index fold and the fused tag fold.
+	fIdx, fTag int
 
 	// Occupancy accounting for StateProbe, maintained on the rare
 	// allocate path only: alloc marks indices that have ever been
@@ -203,14 +203,14 @@ type Predictor struct {
 	inflight     inflight.Ring[checkpoint]
 	providerHits []uint64
 
-	// pipe is the dual-channel fold pipeline over the BF-GHR's outcome
-	// bits (channel 0) and address bits (channel 1): one register per
-	// table per fold the index/tag hash needs, updated by XOR deltas as
-	// the recency-stack segments mutate instead of re-derived from the
-	// GHR per lookup.
-	pipe *history.FoldPipeline
-	// folds is FoldAll2 scratch, indexed by (global) register id.
-	folds []uint64
+	// keys is the linear key map over the BF-GHR's outcome bits
+	// (channel 0) and address bits (channel 1): per table, the index
+	// field fold_L(T) ^ fold_{L-1}(P)<<1 and the tag field
+	// fold_T(T) ^ fold_{T-1}(T)<<1, kept current by the segment deltas
+	// instead of re-derived from the GHR per lookup. kw is Lookup
+	// scratch.
+	keys *history.KeyMap
+	kw   []uint64
 }
 
 // New returns a BF-TAGE predictor for cfg.
@@ -253,7 +253,7 @@ func New(cfg Config) *Predictor {
 		p.class = bst.NewTable(cfg.BSTEntries)
 	}
 	ghrBits := cfg.UnfilteredBits + p.seg.Bits()
-	p.pipe = history.NewFoldPipeline(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments())
+	var fields [][]history.Term
 	prev := 0
 	for _, tc := range cfg.Tables {
 		if tc.HistLen <= prev {
@@ -281,16 +281,16 @@ func New(cfg Config) *Predictor {
 			tagMask: uint32(1<<tc.TagBits - 1),
 			alloc:   make([]uint64, (n+63)/64),
 		}
-		t.rIdx = p.pipe.AddRegisterCh(0, tc.HistLen, tc.LogEntries)
-		t.rT0 = p.pipe.AddRegisterCh(0, tc.HistLen, tc.TagBits)
-		t.rT1 = p.pipe.AddRegisterCh(0, tc.HistLen, tc.TagBits-1)
-		t.rPC = p.pipe.AddRegisterCh(1, tc.HistLen, tc.LogEntries-1)
+		l := tc.HistLen
+		t.fIdx, t.fTag = len(fields), len(fields)+1
+		fields = append(fields,
+			[]history.Term{{Ch: 0, N: l, Width: tc.LogEntries}, {Ch: 1, N: l, Width: tc.LogEntries - 1, Shift: 1}},
+			[]history.Term{{Ch: 0, N: l, Width: tc.TagBits}, {Ch: 0, N: l, Width: tc.TagBits - 1, Shift: 1}})
 		p.tables = append(p.tables, t)
 	}
-	p.seg.SetPackObserver(func(seg int, dT, dP uint64) {
-		p.pipe.SegmentDelta2(seg, dT, dP)
-	})
-	p.folds = make([]uint64, p.pipe.NumRegisters())
+	p.keys = history.NewKeyMap(cfg.UnfilteredBits, cfg.SegSize, p.seg.Segments(), fields)
+	p.kw = make([]uint64, p.keys.Words())
+	p.seg.SetPackObserver(p.keys.SegmentDelta)
 	n := len(p.tables)
 	p.inflight = inflight.New(func() checkpoint {
 		return checkpoint{idx: make([]uint32, n), tag: make([]uint32, n)}
@@ -337,20 +337,21 @@ func (p *Predictor) reach(histLen int) int {
 	return p.cfg.SegBounds[seg]
 }
 
-// fillKeys computes every table's index and tag from the fold pipelines:
-// each fold is a register tail XORed with the cheap fold of the ring's
-// packed unfiltered prefix — no BF-GHR rebuild, no FoldWords walk.
+// fillKeys computes every table's index and tag from the key map: the
+// maintained key words with the ring's packed unfiltered prefix rows
+// XORed on top — no BF-GHR rebuild, no per-table fold.
 func (p *Predictor) fillKeys(pc uint64, idx, tag []uint32) {
 	ring := p.seg.Ring()
 	uT := ring.RecentTaken(p.cfg.UnfilteredBits)
 	uP := ring.RecentPC(p.cfg.UnfilteredBits)
-	p.pipe.FoldAll2(uT, uP, p.folds)
+	kw := p.kw
+	p.keys.Lookup(uT, uP, kw)
 	pch := rng.Hash64(pc >> 2)
 	path := p.path.Value()
 	for i, t := range p.tables {
-		key := pch ^ p.folds[t.rIdx] ^ p.folds[t.rPC]<<1 ^ path<<20 ^ uint64(i)<<56
+		key := pch ^ p.keys.Field(kw, t.fIdx) ^ path<<20 ^ uint64(i)<<56
 		idx[i] = uint32(rng.Hash64(key) & t.mask)
-		tag[i] = (uint32(pch>>8) ^ uint32(p.folds[t.rT0]) ^ uint32(p.folds[t.rT1])<<1) & t.tagMask
+		tag[i] = (uint32(pch>>8) ^ uint32(p.keys.Field(kw, t.fTag))) & t.tagMask
 	}
 }
 

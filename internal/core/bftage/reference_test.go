@@ -5,8 +5,8 @@ import (
 	"bfbp/internal/rng"
 )
 
-// This file holds the reference model the fold pipeline replaced: build
-// the BF-GHR as packed bit vectors and re-fold it per table per lookup.
+// This file holds the reference model the key map replaced: build the
+// BF-GHR as packed bit vectors and re-fold it per table per lookup.
 // TestFillKeysDifferential pins fillKeys to it bit for bit.
 
 // buildGHR composes the BF-GHR bit vector (outcomes) and the parallel

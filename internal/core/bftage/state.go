@@ -3,8 +3,8 @@
 // (which carry the unfiltered history ring), the path register, the
 // allocator RNG and u-reset clock, the loop predictor and statistical
 // corrector, and the provider histogram. The in-flight checkpoint ring
-// and the fold-pipeline scratch are transient: snapshots are taken at
-// quiescent points (no prediction awaiting its update).
+// and the key map (derived from the segments) are transient: snapshots
+// are taken at quiescent points (no prediction awaiting its update).
 
 package bftage
 
@@ -15,6 +15,9 @@ import (
 	"strconv"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/history"
+	"bfbp/internal/looppred"
+	"bfbp/internal/rs"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -84,21 +87,38 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded and
+// validated into locals (fresh recency stacks, path register and loop
+// predictor included) before anything is committed, and the classifier,
+// whose load validates before it writes, loads last: a failed load
+// leaves the predictor untouched.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
+	type tableState struct {
+		tags   []uint16
+		ctrs   []int8
+		useful []uint64
+	}
+	tabs := make([]tableState, len(p.tables))
 	for i, t := range p.tables {
 		d, err := s.Dec("table_" + strconv.Itoa(i))
 		if err != nil {
 			return err
 		}
-		for j := range t.tags {
-			t.tags[j] = d.U16()
-			t.ctrs[j] = d.I8()
-			t.setU(uint32(j), d.Bool())
+		ts := tableState{
+			tags:   make([]uint16, len(t.tags)),
+			ctrs:   make([]int8, len(t.ctrs)),
+			useful: make([]uint64, len(t.useful)),
+		}
+		for j := range ts.tags {
+			ts.tags[j] = d.U16()
+			ts.ctrs[j] = d.I8()
+			if d.Bool() {
+				ts.useful[j>>6] |= 1 << (j & 63)
+			}
 		}
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("table %d: %w", i, err)
@@ -106,6 +126,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		if d.Remaining() != 0 {
 			return fmt.Errorf("%w: %d trailing bytes in table %d", state.ErrCorrupt, d.Remaining(), i)
 		}
+		tabs[i] = ts
 	}
 	b, err := s.Dec("base")
 	if err != nil {
@@ -119,41 +140,23 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		return fmt.Errorf("%w: base bimodal is %d+%d entries, snapshot %d+%d",
 			state.ErrCorrupt, len(p.basePred), len(p.baseHyst), len(basePred), len(baseHyst))
 	}
-	copy(p.basePred, basePred)
-	copy(p.baseHyst, baseHyst)
-	cd, err := s.Dec("bst")
-	if err != nil {
-		return err
-	}
-	if err := bst.LoadClassifier(cd, p.class); err != nil {
-		return err
-	}
 	hs, err := s.Dec("history")
 	if err != nil {
 		return err
 	}
-	if err := p.seg.LoadState(hs); err != nil {
+	seg := rs.NewSegmented(p.cfg.SegBounds, p.cfg.SegSize)
+	if err := seg.LoadState(hs); err != nil {
 		return err
 	}
-	// The fold pipeline is derived state: rebuild its register tails
-	// from the restored segments' packed words (LoadState reset them, so
-	// feeding the absolute words through the delta path reconstructs).
-	p.pipe.Reset()
-	for i := 0; i < p.seg.Segments(); i++ {
-		tw, pw := p.seg.PackedWords(i)
-		p.pipe.SegmentDelta2(i, tw, pw)
-	}
-	if err := p.path.LoadState(hs); err != nil {
+	path := history.NewPath(p.cfg.PathBits)
+	if err := path.LoadState(hs); err != nil {
 		return err
 	}
 	m, err := s.Dec("misc")
 	if err != nil {
 		return err
 	}
-	p.useAltOnNA = m.I32()
-	p.tick = m.Int()
-	p.r.SetState(m.U64())
-	p.withLoop = m.I32()
+	useAltOnNA, tick, rngState, withLoop := m.I32(), m.Int(), m.U64(), m.I32()
 	hits := m.U64s()
 	if err := m.Err(); err != nil {
 		return err
@@ -161,30 +164,54 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if len(hits) != len(p.providerHits) {
 		return fmt.Errorf("%w: provider histogram has %d buckets, snapshot %d", state.ErrCorrupt, len(p.providerHits), len(hits))
 	}
-	copy(p.providerHits, hits)
+	var loop *looppred.Predictor
 	if p.loop != nil {
 		ld, err := s.Dec("loop")
 		if err != nil {
 			return err
 		}
-		if err := p.loop.LoadState(ld); err != nil {
+		loop = looppred.NewDefault()
+		if err := loop.LoadState(ld); err != nil {
 			return err
 		}
 	}
+	var sc []int8
 	if p.sc != nil {
 		sd, err := s.Dec("sc")
 		if err != nil {
 			return err
 		}
-		sc := sd.I8s()
+		sc = sd.I8s()
 		if err := sd.Err(); err != nil {
 			return err
 		}
 		if len(sc) != len(p.sc) {
 			return fmt.Errorf("%w: statistical corrector has %d counters, snapshot %d", state.ErrCorrupt, len(p.sc), len(sc))
 		}
-		copy(p.sc, sc)
 	}
+	cd, err := s.Dec("bst")
+	if err != nil {
+		return err
+	}
+	if err := bst.LoadClassifier(cd, p.class); err != nil {
+		return err
+	}
+
+	for i, t := range p.tables {
+		t.tags, t.ctrs, t.useful = tabs[i].tags, tabs[i].ctrs, tabs[i].useful
+	}
+	copy(p.basePred, basePred)
+	copy(p.baseHyst, baseHyst)
+	p.seg, p.path = seg, path
+	// The key map is derived state: attaching it to the restored
+	// stacks feeds it their packed words, which rebuilds it from empty.
+	p.keys.Reset()
+	seg.SetPackObserver(p.keys.SegmentDelta)
+	p.useAltOnNA, p.tick, p.withLoop = useAltOnNA, tick, withLoop
+	p.r.SetState(rngState)
+	copy(p.providerHits, hits)
+	p.loop = loop
+	copy(p.sc, sc)
 	p.inflight.Reset()
 	return nil
 }

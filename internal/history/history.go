@@ -2,8 +2,9 @@
 // history-based predictor in this repository: a ring buffer of committed
 // branches, incrementally maintained folded histories (the circular shift
 // registers used by TAGE-class predictors and by the paper's fhist
-// optimization, §IV-A), geometric history-length series (O-GEHL style), and
-// a compact path-history register.
+// optimization, §IV-A), the linear key map the bias-free cores index
+// their tables with (keymap.go), geometric history-length series (O-GEHL
+// style), and a compact path-history register.
 package history
 
 import "math"

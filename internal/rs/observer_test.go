@@ -10,8 +10,8 @@ import (
 // TestSegmentedPackObserver drives identical commit streams through an
 // observed and an unobserved Segmented and checks that (a) the packed
 // words agree at every step and (b) accumulating the observer's XOR
-// deltas reconstructs the packed words exactly — the contract fold
-// pipelines rely on.
+// deltas reconstructs the packed words exactly — the contract key maps
+// rely on. An observer attached mid-run starts from the current words.
 func TestSegmentedPackObserver(t *testing.T) {
 	bounds := []int{4, 8, 16, 32, 64}
 	const segSize = 8
@@ -40,8 +40,8 @@ func TestSegmentedPackObserver(t *testing.T) {
 		obs.Commit(e)
 		ref.Commit(e)
 		for i := 0; i < nSegs; i++ {
-			oT, oP := obs.PackedWords(i)
-			rT, rP := ref.PackedWords(i)
+			oT, oP := obs.segs[i].takenBits, obs.segs[i].pcBits
+			rT, rP := ref.segs[i].takenBits, ref.segs[i].pcBits
 			if oT != rT || oP != rP {
 				t.Fatalf("step %d seg %d: observed words %#x/%#x, reference %#x/%#x", step, i, oT, oP, rT, rP)
 			}
@@ -59,6 +59,16 @@ func TestSegmentedPackObserver(t *testing.T) {
 			if obsVecT.Words()[w] != refVecT.Words()[w] || obsVecP.Words()[w] != refVecP.Words()[w] {
 				t.Fatalf("step %d: AppendPacked diverged between observed and lazy instances", step)
 			}
+		}
+	}
+	late := make([][2]uint64, nSegs)
+	ref.SetPackObserver(func(seg int, dT, dP uint64) {
+		late[seg][0] ^= dT
+		late[seg][1] ^= dP
+	})
+	for i := 0; i < nSegs; i++ {
+		if rT, rP := ref.segs[i].takenBits, ref.segs[i].pcBits; late[i] != [2]uint64{rT, rP} {
+			t.Fatalf("seg %d: late observer starts at %#x/%#x, words are %#x/%#x", i, late[i][0], late[i][1], rT, rP)
 		}
 	}
 }

@@ -28,9 +28,9 @@ type Segmented struct {
 	ring    *history.Ring
 	seq     uint64
 	// onPack, when set, receives the XOR delta of a segment's packed
-	// words the moment a Commit mutates it. Fold pipelines subscribe
-	// here to keep their registers current without re-deriving folds
-	// from the full BF-GHR.
+	// words the moment a Commit mutates it. Key maps subscribe here to
+	// keep their key words current without re-deriving folds from the
+	// full BF-GHR.
 	onPack func(seg int, takenDelta, pcDelta uint64)
 }
 
@@ -87,18 +87,20 @@ func NewSegmented(bounds []int, segSize int) *Segmented {
 }
 
 // SetPackObserver registers fn to receive the XOR delta of a segment's
-// packed words whenever a Commit mutates it. Pass nil to detach.
-// Callers restoring a snapshot must re-feed their observer from
-// PackedWords, since LoadState rebuilds the packed words from scratch.
+// packed words whenever a Commit mutates it. It first feeds fn every
+// non-empty segment's current words, the delta from empty, so an
+// observer that starts from empty segments is in sync from the outset
+// (after a LoadState too). Pass nil to detach.
 func (s *Segmented) SetPackObserver(fn func(seg int, takenDelta, pcDelta uint64)) {
 	s.onPack = fn
-}
-
-// PackedWords returns segment i's packed BF-GHR contribution (outcome
-// bits, address bits). Observers rebuilding after a snapshot load feed
-// these through their delta path.
-func (s *Segmented) PackedWords(i int) (taken, pc uint64) {
-	return s.segs[i].takenBits, s.segs[i].pcBits
+	if fn == nil {
+		return
+	}
+	for i := range s.segs {
+		if t, p := s.segs[i].takenBits, s.segs[i].pcBits; t|p != 0 {
+			fn(i, t, p)
+		}
+	}
 }
 
 // Commit records a committed branch and advances every segment: branches
