@@ -91,12 +91,14 @@ func BenchmarkTable1Storage(b *testing.B) {
 }
 
 // Throughput benchmarks: single-predictor simulation speed on a fixed
-// trace (predictions per op = trace length).
+// trace (predictions per op = trace length), with allocations per op
+// (a fresh predictor each op, so mostly its construction).
 
 func benchPredictor(b *testing.B, mk func() bfbp.Predictor) {
 	spec, _ := bfbp.TraceByName("SPEC05")
 	tr := spec.GenerateN(100_000)
 	var insts uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := mk()
@@ -133,7 +135,7 @@ func BenchmarkPredictBFNeural(b *testing.B) {
 	benchPredictor(b, func() bfbp.Predictor { return bfbp.NewBFNeural(bfbp.BFNeural64KB()) })
 }
 
-func BenchmarkPredictBFTAGE10(b *testing.B) {
+func BenchmarkPredictBFISLTAGE10(b *testing.B) {
 	benchPredictor(b, func() bfbp.Predictor { return bfbp.NewBFTAGE(bfbp.BFISLTAGE(10)) })
 }
 

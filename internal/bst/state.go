@@ -119,6 +119,11 @@ func LoadClassifier(d *state.Dec, c Classifier) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
+		// Each entry is a u64 PC and a u8 state: bound the count by the
+		// payload before sizing the map from it.
+		if n > d.Remaining()/9 {
+			return fmt.Errorf("%w: oracle claims %d entries in %d bytes", state.ErrCorrupt, n, d.Remaining())
+		}
 		class := make(map[uint64]State, n)
 		for i := 0; i < n; i++ {
 			pc := d.U64()

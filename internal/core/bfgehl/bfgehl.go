@@ -14,8 +14,8 @@ import (
 	"strconv"
 
 	"bfbp/internal/bst"
-	"bfbp/internal/core/inflight"
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/rng"
 	"bfbp/internal/rs"
 	"bfbp/internal/sim"

@@ -23,9 +23,9 @@ import (
 	"math/bits"
 
 	"bfbp/internal/bst"
-	"bfbp/internal/core/inflight"
 	"bfbp/internal/dotp"
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/looppred"
 	"bfbp/internal/rng"
 	"bfbp/internal/rs"

@@ -13,6 +13,9 @@ import (
 	"io"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/history"
+	"bfbp/internal/looppred"
+	"bfbp/internal/rs"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -73,20 +76,16 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded and
+// validated into fresh state before any of it is committed, so a failed
+// load leaves the predictor untouched.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	cd, err := s.Dec("bst")
-	if err != nil {
-		return err
-	}
-	if err := bst.LoadClassifier(cd, p.class); err != nil {
-		return err
-	}
-	for _, t := range []struct {
+	var banks [3][]int8
+	for i, t := range []struct {
 		name string
 		dst  []int8
 	}{{"wb", p.wb}, {"wm", p.wm}, {"wrs", p.wrs}} {
@@ -94,32 +93,35 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		got := d.I8s()
+		banks[i] = d.I8s()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if len(got) != len(t.dst) {
-			return fmt.Errorf("%w: %s has %d weights, snapshot %d", state.ErrCorrupt, t.name, len(t.dst), len(got))
+		if len(banks[i]) != len(t.dst) {
+			return fmt.Errorf("%w: %s has %d weights, snapshot %d", state.ErrCorrupt, t.name, len(t.dst), len(banks[i]))
 		}
-		copy(t.dst, got)
 	}
 	hs, err := s.Dec("history")
 	if err != nil {
 		return err
 	}
-	if err := p.folds.LoadState(hs); err != nil {
+	folds := history.NewFoldSet(foldLengths(), p.cfg.FoldWidth, 4096)
+	if err := folds.LoadState(hs); err != nil {
 		return err
 	}
-	p.seq = hs.U64()
+	seq := hs.U64()
 	if err := hs.Err(); err != nil {
 		return err
 	}
+	var rstack *rs.Stack
+	var filt []fentry
 	if p.rstack != nil {
 		rd, err := s.Dec("rstack")
 		if err != nil {
 			return err
 		}
-		if err := p.rstack.LoadState(rd); err != nil {
+		rstack = rs.NewStack(p.cfg.RSDepth, p.cfg.DistBits)
+		if err := rstack.LoadState(rd); err != nil {
 			return err
 		}
 	} else {
@@ -134,34 +136,50 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		if n > p.cfg.RSDepth {
 			return fmt.Errorf("%w: filtered register has %d entries, depth is %d", state.ErrCorrupt, n, p.cfg.RSDepth)
 		}
-		filt := make([]fentry, n)
+		filt = make([]fentry, n)
 		for i := range filt {
 			filt[i] = fentry{hpc: fd.U32(), taken: fd.Bool(), seq: fd.U64()}
 		}
 		if err := fd.Err(); err != nil {
 			return err
 		}
-		p.filt = filt
 	}
 	m, err := s.Dec("misc")
 	if err != nil {
 		return err
 	}
-	p.withLoop = m.I32()
-	p.theta = m.I32()
-	p.tc = m.I32()
+	withLoop, theta, tc := m.I32(), m.I32(), m.I32()
 	if err := m.Err(); err != nil {
 		return err
 	}
+	var loop *looppred.Predictor
 	if p.loop != nil {
 		ld, err := s.Dec("loop")
 		if err != nil {
 			return err
 		}
-		if err := p.loop.LoadState(ld); err != nil {
+		loop = looppred.NewDefault()
+		if err := loop.LoadState(ld); err != nil {
 			return err
 		}
 	}
+	// LoadClassifier validates its whole payload before writing, so it
+	// is the last fallible step.
+	cd, err := s.Dec("bst")
+	if err != nil {
+		return err
+	}
+	if err := bst.LoadClassifier(cd, p.class); err != nil {
+		return err
+	}
+
+	copy(p.wb, banks[0])
+	copy(p.wm, banks[1])
+	copy(p.wrs, banks[2])
+	p.folds, p.seq = folds, seq
+	p.rstack, p.filt = rstack, filt
+	p.withLoop, p.theta, p.tc = withLoop, theta, tc
+	p.loop = loop
 	p.inflight.Reset()
 	return nil
 }

@@ -1,0 +1,114 @@
+package bfneural
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"bfbp/internal/state"
+)
+
+// replaceSection re-encodes snapshot img with the named section's
+// payload written by fill instead of the original.
+func replaceSection(t *testing.T, img []byte, name string, fill func(*state.Enc)) []byte {
+	t.Helper()
+	snap, err := state.Read(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := state.New(snap.Predictor, snap.ConfigHash)
+	for _, sec := range snap.Sections() {
+		e := out.Section(sec)
+		if sec == name {
+			fill(e)
+			continue
+		}
+		d, _ := snap.Dec(sec)
+		for d.Remaining() > 0 {
+			e.U8(d.U8())
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := out.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func saveBytes(t *testing.T, p *Predictor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFailedLoadLeavesPredictorUntouched feeds a BF-Neural a donor's
+// snapshot with one bad section at a time, the sections decoded after
+// the BST and weight banks included, and requires each load to fail
+// with a typed error. The predictor must then save the same bytes and
+// predict the same stream as a twin that never saw the failed loads.
+func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
+	tr := diffTrace(t, 9000)
+	for _, cfg := range []Config{Default64KB(), Ablation(ModeBiasFreeGHR)} {
+		run := func(n int) *Predictor {
+			p := New(cfg)
+			for _, rec := range tr[:n] {
+				p.Predict(rec.PC)
+				p.Update(rec.PC, rec.Taken, rec.Target)
+			}
+			return p
+		}
+		p, twin, donor := run(3000), run(3000), run(6000)
+		img := saveBytes(t, donor)
+		tested := 0
+		for _, tc := range []struct {
+			section string
+			fill    func(*state.Enc)
+		}{
+			{"wb", func(e *state.Enc) { e.I8s(make([]int8, 3)) }},
+			{"history", func(e *state.Enc) { e.U64(1) }},
+			{"rstack", func(e *state.Enc) { e.U64(1); e.U32(1 << 20) }},
+			{"filt", func(e *state.Enc) { e.U32(uint32(cfg.RSDepth + 1)) }},
+			{"misc", func(e *state.Enc) { e.I32(1) }},
+			{"loop", func(e *state.Enc) { e.U8(1) }},
+			{"bst", func(e *state.Enc) { e.String("fsm2"); e.Bytes([]byte{0xFF}) }},
+		} {
+			snap, err := state.Read(bytes.NewReader(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Dec(tc.section); err != nil {
+				continue // not a section of this mode
+			}
+			tested++
+			err = p.LoadState(bytes.NewReader(replaceSection(t, img, tc.section, tc.fill)))
+			if err == nil {
+				t.Fatalf("mode %d, bad %s section: load succeeded", cfg.Mode, tc.section)
+			}
+			if !errors.Is(err, state.ErrCorrupt) && !errors.Is(err, state.ErrTruncated) {
+				t.Fatalf("mode %d, bad %s section: untyped error %v", cfg.Mode, tc.section, err)
+			}
+		}
+		if tested < 6 {
+			t.Fatalf("mode %d: only %d sections corrupted", cfg.Mode, tested)
+		}
+		if !bytes.Equal(saveBytes(t, p), saveBytes(t, twin)) {
+			t.Fatalf("mode %d: failed loads changed the predictor", cfg.Mode)
+		}
+		for i, rec := range tr[3000:] {
+			if got, want := p.Predict(rec.PC), twin.Predict(rec.PC); got != want {
+				t.Fatalf("mode %d: prediction %d after failed loads is %v, twin %v", cfg.Mode, i, got, want)
+			}
+			p.Update(rec.PC, rec.Taken, rec.Target)
+			twin.Update(rec.PC, rec.Taken, rec.Target)
+		}
+		if err := p.LoadState(bytes.NewReader(img)); err != nil {
+			t.Fatalf("mode %d, donor snapshot: %v", cfg.Mode, err)
+		}
+		if !bytes.Equal(saveBytes(t, p), img) {
+			t.Fatalf("mode %d: loaded predictor does not save the donor's bytes", cfg.Mode)
+		}
+	}
+}

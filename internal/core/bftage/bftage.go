@@ -18,8 +18,8 @@ import (
 	"math/bits"
 
 	"bfbp/internal/bst"
-	"bfbp/internal/core/inflight"
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/looppred"
 	"bfbp/internal/predictor/tage"
 	"bfbp/internal/rng"

@@ -12,6 +12,7 @@ import (
 	"strconv"
 
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
 )
@@ -45,25 +46,29 @@ func Default64KB() Config {
 	}
 }
 
+// checkpoint is one prediction awaiting its update. Its idxs array is
+// built once per ring slot and overwritten by each lookup.
 type checkpoint struct {
 	pc   uint64
 	sum  int32
-	idxs []uint32
+	idxs []uint32 // per-table weight index
 }
 
 // Predictor is an O-GEHL predictor.
 type Predictor struct {
-	cfg     Config
-	tables  [][]int8
-	mask    uint64
-	hists   []int // per-table history length (0 for table 0)
-	folds   *history.FoldSet
-	wMax    int8
-	wMin    int8
-	theta   int32
-	tc      int32
-	pending []checkpoint
-	idxBuf  []uint32
+	cfg    Config
+	tables [][]int8
+	mask   uint64
+	hists  []int // per-table history length (0 for table 0)
+	folds  *history.FoldSet
+	wMax   int8
+	wMin   int8
+	theta  int32
+	tc     int32
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight inflight.Ring[checkpoint]
 }
 
 // New returns a predictor for cfg.
@@ -98,6 +103,9 @@ func New(cfg Config) *Predictor {
 		capacity <<= 1
 	}
 	p.folds = history.NewFoldSet(series, cfg.LogEntries, capacity)
+	p.inflight = inflight.New(func() checkpoint {
+		return checkpoint{idxs: make([]uint32, cfg.Tables)}
+	})
 	return p
 }
 
@@ -112,11 +120,11 @@ func (p *Predictor) Name() string {
 // Histories exposes the per-table history lengths.
 func (p *Predictor) Histories() []int { return append([]int(nil), p.hists...) }
 
-func (p *Predictor) compute(pc uint64) int32 {
-	if cap(p.idxBuf) < len(p.tables) {
-		p.idxBuf = make([]uint32, len(p.tables))
-	}
-	p.idxBuf = p.idxBuf[:len(p.tables)]
+// lookup fills the ring's free slot, keeping its array, with pc's
+// per-table indices and adder-tree sum. The slot is not put in flight.
+func (p *Predictor) lookup(pc uint64) *checkpoint {
+	cp := p.inflight.Next()
+	idxs := cp.idxs[:len(p.tables)]
 	pch := rng.Hash64(pc >> 2)
 	var sum int32
 	for i := range p.tables {
@@ -127,33 +135,36 @@ func (p *Predictor) compute(pc uint64) int32 {
 			key = pch ^ p.folds.FoldExact(i-1)<<3 ^ uint64(i)<<57
 		}
 		idx := uint32(rng.Hash64(key) & p.mask)
-		p.idxBuf[i] = idx
+		idxs[i] = idx
 		// The "+ centered" read: counters are centered signed values;
 		// the sum of 2w+1 terms avoids ties, per the O-GEHL paper.
 		sum += 2*int32(p.tables[i][idx]) + 1
 	}
-	return sum
+	cp.pc, cp.sum = pc, sum
+	return cp
 }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	sum := p.compute(pc)
-	cp := checkpoint{pc: pc, sum: sum}
-	cp.idxs = append(cp.idxs, p.idxBuf...)
-	p.pending = append(p.pending, cp)
-	return sum >= 0
+	cp := p.lookup(pc)
+	p.inflight.Push()
+	return cp.sum >= 0
 }
 
-// Update implements sim.Predictor.
+// Update implements sim.Predictor. An update whose PC does not match the
+// oldest checkpoint (a caller that skipped Predict) trains from a fresh
+// lookup instead.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if len(p.pending) > 0 && p.pending[0].pc == pc {
-		cp = p.pending[0]
-		p.pending = p.pending[1:]
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.train(p.inflight.At(0), taken)
+		p.inflight.Pop()
 	} else {
-		cp = checkpoint{pc: pc, sum: p.compute(pc)}
-		cp.idxs = append(cp.idxs, p.idxBuf...)
+		p.train(p.lookup(pc), taken)
 	}
+	p.folds.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
+}
+
+func (p *Predictor) train(cp *checkpoint, taken bool) {
 	pred := cp.sum >= 0
 	mag := cp.sum
 	if mag < 0 {
@@ -174,7 +185,6 @@ func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 			p.adaptTheta(pred != taken, mag)
 		}
 	}
-	p.folds.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
 }
 
 func (p *Predictor) adaptTheta(mispred bool, mag int32) {
@@ -205,18 +215,9 @@ const explainTopWeights = 8
 // with one signed 2w+1 contribution per table (Position is the table
 // index; table 0 is the PC-only bias table).
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	var cp checkpoint
-	found := false
-	for j := len(p.pending) - 1; j >= 0; j-- {
-		if p.pending[j].pc == pc {
-			cp = p.pending[j]
-			found = true
-			break
-		}
-	}
-	if !found {
-		cp = checkpoint{pc: pc, sum: p.compute(pc)}
-		cp.idxs = append(cp.idxs, p.idxBuf...)
+	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+	if cp == nil {
+		cp = p.lookup(pc)
 	}
 	ws := make([]sim.WeightContrib, 0, len(cp.idxs))
 	for i, idx := range cp.idxs {

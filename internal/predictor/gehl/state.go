@@ -1,5 +1,6 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the weight tables,
-// the fold set (ring + fold registers), and the adaptive threshold.
+// the fold set (ring + fold registers), and the adaptive threshold. The
+// in-flight checkpoint ring is transient.
 
 package gehl
 
@@ -26,7 +27,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != 0 {
+	if p.inflight.Len() != 0 {
 		return errors.New("gehl: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -89,7 +90,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	for i := range p.tables {
 		copy(p.tables[i], fresh[i])
 	}
-	p.pending = p.pending[:0]
+	p.inflight.Reset()
 	return nil
 }
 

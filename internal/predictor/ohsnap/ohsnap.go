@@ -20,6 +20,7 @@ import (
 	"strconv"
 
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
 )
@@ -67,6 +68,8 @@ const (
 	coeffMax   = 480
 )
 
+// checkpoint is one prediction awaiting its update. Its idxs and dirs
+// arrays are built once per ring slot and overwritten by each lookup.
 type checkpoint struct {
 	pc   uint64
 	sum  int32
@@ -86,12 +89,13 @@ type Predictor struct {
 	biasMask uint64
 	coeff    []int32
 
-	ring    *history.Ring
-	theta   int32
-	tc      int32
-	pending []checkpoint
-	idxBuf  []int32
-	dirBuf  []bool
+	ring  *history.Ring
+	theta int32
+	tc    int32
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight inflight.Ring[checkpoint]
 }
 
 // New returns a predictor for the given configuration.
@@ -137,6 +141,9 @@ func New(cfg Config) *Predictor {
 	}
 	p.ring = history.NewRing(ringCap)
 	p.theta = int32(2.14*float64(p.hlen) + 20.58)
+	p.inflight = inflight.New(func() checkpoint {
+		return checkpoint{idxs: make([]int32, pos), dirs: make([]bool, pos)}
+	})
 	return p
 }
 
@@ -148,22 +155,12 @@ func (p *Predictor) Name() string {
 	return "oh-snap"
 }
 
-// segOf returns the segment index of history position i (0-based).
-func (p *Predictor) segOf(i int) int {
-	s := 0
-	for s+1 < len(p.segStart) && i >= p.segStart[s+1] {
-		s++
-	}
-	return s
-}
-
-func (p *Predictor) compute(pc uint64) int32 {
-	if cap(p.idxBuf) < p.hlen {
-		p.idxBuf = make([]int32, p.hlen)
-		p.dirBuf = make([]bool, p.hlen)
-	}
-	p.idxBuf = p.idxBuf[:p.hlen]
-	p.dirBuf = p.dirBuf[:p.hlen]
+// lookup fills the ring's free slot, keeping its arrays, with pc's
+// weight indices, history directions and scaled sum. The slot is not put
+// in flight.
+func (p *Predictor) lookup(pc uint64) *checkpoint {
+	cp := p.inflight.Next()
+	idxs, dirs := cp.idxs[:p.hlen], cp.dirs[:p.hlen]
 	sum := int32(p.bias[(pc>>2)&p.biasMask]) * coeffInit >> coeffShift
 	pch := rng.Hash64(pc >> 2)
 	seg := 0
@@ -175,13 +172,13 @@ func (p *Predictor) compute(pc uint64) int32 {
 		segPositions = i - p.segStart[seg]
 		e, ok := p.ring.At(i + 1)
 		if !ok {
-			p.idxBuf[i] = -1
+			idxs[i] = -1
 			continue
 		}
 		row := rng.Hash64(pch^uint64(e.HashedPC)<<1) & p.segMask[seg]
 		idx := p.segBase[seg] + int32(segPositions)*int32(p.segMask[seg]+1) + int32(row)
-		p.idxBuf[i] = idx
-		p.dirBuf[i] = e.Taken
+		idxs[i] = idx
+		dirs[i] = e.Taken
 		w := int32(p.weights[idx])
 		contrib := w * p.coeff[i] >> coeffShift
 		if e.Taken {
@@ -190,36 +187,31 @@ func (p *Predictor) compute(pc uint64) int32 {
 			sum -= contrib
 		}
 	}
-	return sum
+	cp.pc, cp.sum = pc, sum
+	return cp
 }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	sum := p.compute(pc)
-	cp := checkpoint{pc: pc, sum: sum}
-	cp.idxs = append(cp.idxs, p.idxBuf...)
-	cp.dirs = append(cp.dirs, p.dirBuf...)
-	p.pending = append(p.pending, cp)
-	return sum >= 0
+	cp := p.lookup(pc)
+	p.inflight.Push()
+	return cp.sum >= 0
 }
 
-// Update implements sim.Predictor.
+// Update implements sim.Predictor. An update whose PC does not match the
+// oldest checkpoint (a caller that skipped Predict) trains from a fresh
+// lookup instead.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if len(p.pending) > 0 && p.pending[0].pc == pc {
-		cp = p.pending[0]
-		p.pending = p.pending[1:]
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.train(p.inflight.At(0), taken)
+		p.inflight.Pop()
 	} else {
-		sum := p.compute(pc)
-		cp = checkpoint{pc: pc, sum: sum}
-		cp.idxs = append(cp.idxs, p.idxBuf...)
-		cp.dirs = append(cp.dirs, p.dirBuf...)
+		p.train(p.lookup(pc), taken)
 	}
-	p.train(cp, taken)
 	p.ring.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
 }
 
-func (p *Predictor) train(cp checkpoint, taken bool) {
+func (p *Predictor) train(cp *checkpoint, taken bool) {
 	pred := cp.sum >= 0
 	mispred := pred != taken
 	mag := cp.sum
@@ -297,19 +289,9 @@ const explainTopWeights = 8
 // bias weight, position i the i-th most recent branch; each contribution
 // is the coefficient-scaled weight the sum actually used).
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	var cp checkpoint
-	found := false
-	for j := len(p.pending) - 1; j >= 0; j-- {
-		if p.pending[j].pc == pc {
-			cp = p.pending[j]
-			found = true
-			break
-		}
-	}
-	if !found {
-		cp = checkpoint{pc: pc, sum: p.compute(pc)}
-		cp.idxs = append(cp.idxs, p.idxBuf...)
-		cp.dirs = append(cp.dirs, p.dirBuf...)
+	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+	if cp == nil {
+		cp = p.lookup(pc)
 	}
 	ws := make([]sim.WeightContrib, 0, len(cp.idxs)+1)
 	ws = append(ws, sim.WeightContrib{

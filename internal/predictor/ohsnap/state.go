@@ -1,7 +1,7 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the ragged weight
 // tables, bias weights, the dynamically adapted scaling coefficients,
-// the history ring, and the adaptive threshold. The checkpoint FIFO and
-// index scratch buffers are transient.
+// the history ring, and the adaptive threshold. The in-flight checkpoint
+// ring is transient.
 
 package ohsnap
 
@@ -29,7 +29,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != 0 {
+	if p.inflight.Len() != 0 {
 		return errors.New("ohsnap: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -107,7 +107,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	copy(p.weights, weights)
 	copy(p.bias, bias)
 	copy(p.coeff, coeff)
-	p.pending = p.pending[:0]
+	p.inflight.Reset()
 	return nil
 }
 

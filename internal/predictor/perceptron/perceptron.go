@@ -15,6 +15,7 @@ package perceptron
 
 import (
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
 )
@@ -54,13 +55,17 @@ func Default64KB() Config {
 	}
 }
 
+// checkpoint is one prediction awaiting its update. Its rows and dirs
+// arrays are built once per ring slot and overwritten by each lookup.
 type checkpoint struct {
 	pc   uint64
 	sum  int32
-	rows []uint32
+	rows []uint32 // weight row per position (noRow = unpopulated)
 	dirs []bool
-	used bool
 }
+
+// noRow marks a history position not yet populated.
+const noRow = 0xFFFFFFFF
 
 // Predictor is a hashed perceptron predictor.
 type Predictor struct {
@@ -73,12 +78,12 @@ type Predictor struct {
 	ring  *history.Ring
 	folds *history.FoldSet
 
-	theta    int32
-	tc       int32 // adaptive threshold counter
-	pending  []checkpoint
-	rowBuf   []uint32
-	dirBuf   []bool
-	foldBufs []uint64
+	theta int32
+	tc    int32 // adaptive threshold counter
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight inflight.Ring[checkpoint]
 }
 
 // New returns a predictor for the given configuration.
@@ -117,6 +122,10 @@ func New(cfg Config) *Predictor {
 	} else {
 		p.ring = history.NewRing(ringCap)
 	}
+	h := cfg.HistoryLength
+	p.inflight = inflight.New(func() checkpoint {
+		return checkpoint{rows: make([]uint32, h), dirs: make([]bool, h)}
+	})
 	return p
 }
 
@@ -152,22 +161,19 @@ func (p *Predictor) Name() string {
 	return "perceptron"
 }
 
-// compute fills rowBuf/dirBuf with the weight rows and history directions
-// for pc and returns the perceptron sum.
-func (p *Predictor) compute(pc uint64) int32 {
+// lookup fills the ring's free slot, keeping its arrays, with pc's
+// weight rows, history directions and perceptron sum. The slot is not
+// put in flight.
+func (p *Predictor) lookup(pc uint64) *checkpoint {
 	h := p.cfg.HistoryLength
-	if cap(p.rowBuf) < h {
-		p.rowBuf = make([]uint32, h)
-		p.dirBuf = make([]bool, h)
-	}
-	p.rowBuf = p.rowBuf[:h]
-	p.dirBuf = p.dirBuf[:h]
+	cp := p.inflight.Next()
+	rows, dirs := cp.rows[:h], cp.dirs[:h]
 	sum := int32(p.bias[(pc>>2)&p.biasMask])
 	pch := rng.Hash64(pc >> 2)
 	for i := 1; i <= h; i++ {
 		e, ok := p.ring.At(i)
 		if !ok {
-			p.rowBuf[i-1] = 0xFFFFFFFF
+			rows[i-1] = noRow
 			continue
 		}
 		key := pch ^ uint64(e.HashedPC)*0x9e3779b97f4a7c15 ^ uint64(i)<<40
@@ -175,8 +181,8 @@ func (p *Predictor) compute(pc uint64) int32 {
 			key ^= p.folds.Fold(i) << 17
 		}
 		row := uint32(rng.Hash64(key) & p.rowMask)
-		p.rowBuf[i-1] = row
-		p.dirBuf[i-1] = e.Taken
+		rows[i-1] = row
+		dirs[i-1] = e.Taken
 		w := int32(p.weights[int(row)*h+(i-1)])
 		if e.Taken {
 			sum += w
@@ -184,45 +190,33 @@ func (p *Predictor) compute(pc uint64) int32 {
 			sum -= w
 		}
 	}
-	return sum
+	cp.pc, cp.sum = pc, sum
+	return cp
 }
 
 // Predict implements sim.Predictor. It records a checkpoint of the rows
 // and directions used so that training applies to exactly the state that
 // produced the prediction, even under delayed update.
 func (p *Predictor) Predict(pc uint64) bool {
-	sum := p.compute(pc)
-	cp := checkpoint{pc: pc, sum: sum}
-	cp.rows = append(cp.rows, p.rowBuf...)
-	cp.dirs = append(cp.dirs, p.dirBuf...)
-	p.pending = append(p.pending, cp)
-	return sum >= 0
+	cp := p.lookup(pc)
+	p.inflight.Push()
+	return cp.sum >= 0
 }
 
-// Update implements sim.Predictor.
+// Update implements sim.Predictor. An update whose PC does not match the
+// oldest checkpoint (a caller that skipped Predict) trains from a fresh
+// lookup instead.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	cp := p.takeCheckpoint(pc)
-	p.train(cp, taken)
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.train(p.inflight.At(0), taken)
+		p.inflight.Pop()
+	} else {
+		p.train(p.lookup(pc), taken)
+	}
 	p.pushHistory(pc, taken)
 }
 
-// takeCheckpoint pops the FIFO head if it matches pc; when the harness
-// calls Update without a prior Predict (or out of order), a fresh
-// computation stands in.
-func (p *Predictor) takeCheckpoint(pc uint64) checkpoint {
-	if len(p.pending) > 0 && p.pending[0].pc == pc {
-		cp := p.pending[0]
-		p.pending = p.pending[1:]
-		return cp
-	}
-	sum := p.compute(pc)
-	cp := checkpoint{pc: pc, sum: sum}
-	cp.rows = append(cp.rows, p.rowBuf...)
-	cp.dirs = append(cp.dirs, p.dirBuf...)
-	return cp
-}
-
-func (p *Predictor) train(cp checkpoint, taken bool) {
+func (p *Predictor) train(cp *checkpoint, taken bool) {
 	pred := cp.sum >= 0
 	mispred := pred != taken
 	mag := cp.sum
@@ -237,7 +231,7 @@ func (p *Predictor) train(cp checkpoint, taken bool) {
 	p.bias[bi] = satUpdate(p.bias[bi], taken)
 	for i := 0; i < h; i++ {
 		row := cp.rows[i]
-		if row == 0xFFFFFFFF {
+		if row == noRow {
 			continue
 		}
 		idx := int(row)*h + i
@@ -302,27 +296,16 @@ const explainTopWeights = 8
 // contributions (position 0 is the bias weight, position i the i-th most
 // recent branch).
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	var cp checkpoint
-	found := false
-	for j := len(p.pending) - 1; j >= 0; j-- {
-		if p.pending[j].pc == pc {
-			cp = p.pending[j]
-			found = true
-			break
-		}
-	}
-	if !found {
-		cp.pc = pc
-		cp.sum = p.compute(pc)
-		cp.rows = append(cp.rows, p.rowBuf...)
-		cp.dirs = append(cp.dirs, p.dirBuf...)
+	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+	if cp == nil {
+		cp = p.lookup(pc)
 	}
 	h := p.cfg.HistoryLength
 	ws := make([]sim.WeightContrib, 0, h+1)
 	ws = append(ws, sim.WeightContrib{Position: 0, Weight: int32(p.bias[(pc>>2)&p.biasMask])})
-	for i := 0; i < h && i < len(cp.rows); i++ {
+	for i := 0; i < h; i++ {
 		row := cp.rows[i]
-		if row == 0xFFFFFFFF {
+		if row == noRow {
 			continue
 		}
 		w := int32(p.weights[int(row)*h+i])

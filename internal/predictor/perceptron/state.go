@@ -1,7 +1,7 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the weight and bias
 // tables, the history (fold set when fhist indexing is on — the ring is
 // shared inside it — otherwise the bare ring), and the adaptive
-// threshold. The checkpoint FIFO and scratch buffers are transient.
+// threshold. The in-flight checkpoint ring is transient.
 
 package perceptron
 
@@ -28,7 +28,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != 0 {
+	if p.inflight.Len() != 0 {
 		return errors.New("perceptron: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -97,7 +97,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	}
 	copy(p.weights, weights)
 	copy(p.bias, bias)
-	p.pending = p.pending[:0]
+	p.inflight.Reset()
 	return nil
 }
 

@@ -1,6 +1,6 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the sampled weight
 // tables, bias weights, the history ring, and the adaptive threshold.
-// The checkpoint FIFO and index scratch buffers are transient.
+// The in-flight checkpoint ring is transient.
 
 package strided
 
@@ -25,7 +25,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != 0 {
+	if p.inflight.Len() != 0 {
 		return errors.New("strided: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -85,7 +85,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	}
 	copy(p.weights, weights)
 	copy(p.bias, bias)
-	p.pending = p.pending[:0]
+	p.inflight.Reset()
 	return nil
 }
 

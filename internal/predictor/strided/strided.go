@@ -13,6 +13,7 @@ package strided
 
 import (
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
 )
@@ -61,10 +62,12 @@ func Default64KB() Config {
 	}
 }
 
+// checkpoint is one prediction awaiting its update. Its idxs and dirs
+// arrays are built once per ring slot and overwritten by each lookup.
 type checkpoint struct {
 	pc   uint64
 	sum  int32
-	idxs []int32
+	idxs []int32 // flat weight index per sampled offset (-1 = unpopulated)
 	dirs []bool
 }
 
@@ -79,9 +82,10 @@ type Predictor struct {
 	ring     *history.Ring
 	theta    int32
 	tc       int32
-	pending  []checkpoint
-	idxBuf   []int32
-	dirBuf   []bool
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight inflight.Ring[checkpoint]
 }
 
 // New returns a strided perceptron.
@@ -117,6 +121,10 @@ func New(cfg Config) *Predictor {
 		capacity <<= 1
 	}
 	p.ring = history.NewRing(capacity)
+	n := len(cfg.Offsets)
+	p.inflight = inflight.New(func() checkpoint {
+		return checkpoint{idxs: make([]int32, n), dirs: make([]bool, n)}
+	})
 	return p
 }
 
@@ -131,26 +139,24 @@ func (p *Predictor) Name() string {
 // Reach returns the deepest sampled offset.
 func (p *Predictor) Reach() int { return p.offsets[len(p.offsets)-1] }
 
-func (p *Predictor) compute(pc uint64) int32 {
-	n := len(p.offsets)
-	if cap(p.idxBuf) < n {
-		p.idxBuf = make([]int32, n)
-		p.dirBuf = make([]bool, n)
-	}
-	p.idxBuf = p.idxBuf[:n]
-	p.dirBuf = p.dirBuf[:n]
+// lookup fills the ring's free slot, keeping its arrays, with pc's
+// weight indices, sampled directions and perceptron sum. The slot is not
+// put in flight.
+func (p *Predictor) lookup(pc uint64) *checkpoint {
+	cp := p.inflight.Next()
+	idxs, dirs := cp.idxs[:len(p.offsets)], cp.dirs[:len(p.offsets)]
 	pch := rng.Hash64(pc >> 2)
 	sum := int32(p.bias[(pc>>2)&p.biasMask])
 	for i, off := range p.offsets {
 		e, ok := p.ring.At(off)
 		if !ok {
-			p.idxBuf[i] = -1
+			idxs[i] = -1
 			continue
 		}
 		row := rng.Hash64(pch^uint64(e.HashedPC)*0x9e3779b97f4a7c15^uint64(i)<<40) & p.rowMask
 		idx := int32(i)*int32(p.cfg.TableRows) + int32(row)
-		p.idxBuf[i] = idx
-		p.dirBuf[i] = e.Taken
+		idxs[i] = idx
+		dirs[i] = e.Taken
 		w := int32(p.weights[idx])
 		if e.Taken {
 			sum += w
@@ -158,30 +164,31 @@ func (p *Predictor) compute(pc uint64) int32 {
 			sum -= w
 		}
 	}
-	return sum
+	cp.pc, cp.sum = pc, sum
+	return cp
 }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	sum := p.compute(pc)
-	cp := checkpoint{pc: pc, sum: sum}
-	cp.idxs = append(cp.idxs, p.idxBuf...)
-	cp.dirs = append(cp.dirs, p.dirBuf...)
-	p.pending = append(p.pending, cp)
-	return sum >= 0
+	cp := p.lookup(pc)
+	p.inflight.Push()
+	return cp.sum >= 0
 }
 
-// Update implements sim.Predictor.
+// Update implements sim.Predictor. An update whose PC does not match the
+// oldest checkpoint (a caller that skipped Predict) trains from a fresh
+// lookup instead.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if len(p.pending) > 0 && p.pending[0].pc == pc {
-		cp = p.pending[0]
-		p.pending = p.pending[1:]
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.train(p.inflight.At(0), taken)
+		p.inflight.Pop()
 	} else {
-		cp = checkpoint{pc: pc, sum: p.compute(pc)}
-		cp.idxs = append(cp.idxs, p.idxBuf...)
-		cp.dirs = append(cp.dirs, p.dirBuf...)
+		p.train(p.lookup(pc), taken)
 	}
+	p.ring.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
+}
+
+func (p *Predictor) train(cp *checkpoint, taken bool) {
 	pred := cp.sum >= 0
 	mag := cp.sum
 	if mag < 0 {
@@ -200,7 +207,6 @@ func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 			p.adaptTheta(pred != taken, mag)
 		}
 	}
-	p.ring.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
 }
 
 func (p *Predictor) adaptTheta(mispred bool, mag int32) {

@@ -2,7 +2,7 @@
 // their folded-history registers, the base bimodal, the history ring and
 // path register, the allocator RNG and u-reset clock, the loop predictor
 // and statistical corrector, and the provider histogram. The in-flight
-// checkpoint FIFO is deliberately not serialised: snapshots are taken at
+// checkpoint ring is deliberately not serialised: snapshots are taken at
 // quiescent points (no prediction awaiting its update).
 
 package tage
@@ -37,7 +37,7 @@ func (p *Predictor) configHash() uint64 {
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
-	if len(p.pending) != 0 {
+	if p.inflight.Len() != 0 {
 		return errors.New("tage: cannot snapshot with in-flight predictions")
 	}
 	s := state.New(p.Name(), p.configHash())
@@ -166,7 +166,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		}
 		copy(p.sc, sc)
 	}
-	p.pending = p.pending[:0]
+	p.inflight.Reset()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package tage
 
 import (
 	"bfbp/internal/history"
+	"bfbp/internal/inflight"
 	"bfbp/internal/looppred"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
@@ -40,7 +41,8 @@ type table struct {
 }
 
 // checkpoint captures everything Predict computed so Update trains exactly
-// that state (correct under delayed update).
+// that state (correct under delayed update). Its idx and tag arrays are
+// built once per ring slot and overwritten by each lookup.
 type checkpoint struct {
 	pc          uint64
 	idx         []uint32
@@ -88,7 +90,10 @@ type Predictor struct {
 	sc     []int8 // statistical corrector counters (6-bit semantics)
 	scMask uint64
 
-	pending      []checkpoint
+	// inflight holds the predictions awaiting their update, oldest
+	// first; its free slot doubles as scratch for lookups that never go
+	// in flight.
+	inflight     inflight.Ring[checkpoint]
 	providerHits []uint64
 }
 
@@ -150,6 +155,10 @@ func New(cfg Config) *Predictor {
 		ringCap <<= 1
 	}
 	p.ring = history.NewRing(ringCap)
+	n := len(p.tables)
+	p.inflight = inflight.New(func() checkpoint {
+		return checkpoint{idx: make([]uint32, n), tag: make([]uint32, n)}
+	})
 	if cfg.LoopPredictor {
 		p.loop = looppred.NewDefault()
 	}
@@ -200,19 +209,16 @@ func (p *Predictor) indices(pc uint64, idx, tag []uint32) {
 	}
 }
 
-func (p *Predictor) lookup(pc uint64) checkpoint {
-	n := len(p.tables)
-	cp := checkpoint{
-		pc:       pc,
-		idx:      make([]uint32, n),
-		tag:      make([]uint32, n),
-		provider: -1,
-		alt:      -1,
-	}
+// lookup fills the ring's free slot, keeping its index/tag arrays, with
+// pc's table keys and TAGE prediction, which it also takes as the final
+// prediction. The slot is not put in flight.
+func (p *Predictor) lookup(pc uint64) *checkpoint {
+	cp := p.inflight.Next()
+	*cp = checkpoint{pc: pc, idx: cp.idx, tag: cp.tag, provider: -1, alt: -1}
 	p.indices(pc, cp.idx, cp.tag)
 	cp.baseIdx = p.baseIndex(pc)
 	cp.basePred = p.basePredict(cp.baseIdx)
-	for i := n - 1; i >= 0; i-- {
+	for i := len(p.tables) - 1; i >= 0; i-- {
 		e := &p.tables[i].entries[cp.idx[i]]
 		if uint32(e.tag) == cp.tag[i] {
 			if cp.provider < 0 {
@@ -242,6 +248,7 @@ func (p *Predictor) lookup(pc uint64) checkpoint {
 		cp.altPred = cp.basePred
 		cp.tagePred = cp.basePred
 	}
+	cp.finalPred = cp.tagePred
 	return cp
 }
 
@@ -266,12 +273,11 @@ func (p *Predictor) scIndex(cp *checkpoint) uint32 {
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
 	cp := p.lookup(pc)
-	cp.finalPred = cp.tagePred
 
 	// Statistical corrector: invert statistically-wrong low-confidence
 	// predictions.
 	if p.sc != nil {
-		cp.scIdx = p.scIndex(&cp)
+		cp.scIdx = p.scIndex(cp)
 		cp.scSum = int32(p.sc[cp.scIdx])
 		weakProvider := cp.provider < 0 || cp.newlyAlloc || isWeak(p.tables[cp.provider].entries[cp.idx[cp.provider]].ctr)
 		if weakProvider && cp.scSum <= -8 {
@@ -284,8 +290,8 @@ func (p *Predictor) Predict(pc uint64) bool {
 	// updated) branch used the same provider entry, forward its direction
 	// — mimicking the update that entry is about to receive.
 	if p.cfg.IUM && cp.provider >= 0 {
-		for j := len(p.pending) - 1; j >= 0; j-- {
-			q := &p.pending[j]
+		for j := p.inflight.Len() - 1; j >= 0; j-- {
+			q := p.inflight.At(j)
 			if q.provider == cp.provider && q.idx[q.provider] == cp.idx[cp.provider] {
 				cp.finalPred = q.finalPred
 				break
@@ -308,23 +314,22 @@ func (p *Predictor) Predict(pc uint64) bool {
 	} else {
 		p.providerHits[0]++
 	}
-	p.pending = append(p.pending, cp)
+	p.inflight.Push()
 	return cp.finalPred
 }
 
 func isWeak(ctr int8) bool { return ctr == 0 || ctr == -1 }
 
-// Update implements sim.Predictor.
+// Update implements sim.Predictor. An update whose PC does not match the
+// oldest checkpoint (a caller that skipped Predict) trains from a fresh
+// lookup instead.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	var cp checkpoint
-	if len(p.pending) > 0 && p.pending[0].pc == pc {
-		cp = p.pending[0]
-		p.pending = p.pending[1:]
+	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
+		p.train(p.inflight.At(0), taken)
+		p.inflight.Pop()
 	} else {
-		cp = p.lookup(pc)
-		cp.finalPred = cp.tagePred
+		p.train(p.lookup(pc), taken)
 	}
-	p.train(&cp, taken)
 	p.pushHistory(pc, taken)
 }
 
@@ -472,26 +477,14 @@ func minInt(a, b int) int {
 	return b
 }
 
-// lastPending returns the newest in-flight checkpoint for pc, if any —
-// the prediction Explain should describe under delayed update.
-func (p *Predictor) lastPending(pc uint64) (checkpoint, bool) {
-	for j := len(p.pending) - 1; j >= 0; j-- {
-		if p.pending[j].pc == pc {
-			return p.pending[j], true
-		}
-	}
-	return checkpoint{}, false
-}
-
 // Explain implements sim.Explainer: it reports the provenance of the
 // newest in-flight prediction for pc (or of a fresh side-effect-free
-// lookup when none is pending) — provider/alt banks, the provider
+// lookup when none is in flight) — provider/alt banks, the provider
 // entry's counter and useful bit, and which component had the last word.
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
-	cp, ok := p.lastPending(pc)
-	if !ok {
+	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+	if cp == nil {
 		cp = p.lookup(pc)
-		cp.finalPred = cp.tagePred
 	}
 	prov := sim.Provenance{
 		Predictor:      p.Name(),
