@@ -14,10 +14,10 @@ test:
 	$(GO) test ./...
 
 # Race-enabled run of the concurrency-sensitive packages (suite engine
-# worker pool, the experiment runner built on it, the telemetry stack
-# that observes both, and the bfstat console's live-stack test).
+# worker pool, the experiment runner built on it, and the telemetry
+# stack that observes both).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/experiments/... ./internal/obs/... ./internal/telemetry/... ./cmd/bfstat/...
+	$(GO) test -race ./internal/sim/... ./internal/experiments/... ./internal/obs/... ./internal/telemetry/...
 
 check: build vet race
 
@@ -49,16 +49,13 @@ bench-test:
 	cd bench && $(GO) vet . && $(GO) test -race .
 
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
-# bfsim, bfstat and journal once, then checks identical-seed journals
-# diff clean, split snapshot runs equal straight runs, drift alarms and
-# counter tracks and the flight dump, tablestats journal events (TAGE
-# banks carrying provider hits), and the live /healthz,
-# /metrics/history, summary-quantile and table-occupancy surfaces.
+# bfsim and journal once, then runs four checks: trace (identical-seed
+# journals diff clean), snapshot (split runs equal straight runs),
+# drift (alarms, counter tracks and a parseable flight dump) and xray
+# (tablestats journal events, TAGE banks carrying provider hits).
 # Leaves its artifacts in smoke_ci/ for CI upload.
-OBS_ADDR ?= 127.0.0.1:9377
-
 smoke:
-	GO=$(GO) OBS_ADDR=$(OBS_ADDR) bash scripts/smoke.sh
+	GO=$(GO) bash scripts/smoke.sh
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
 # hot-path kernels (key-map lookup and segment delta, fold sets,

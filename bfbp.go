@@ -22,7 +22,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"time"
 
 	"bfbp/internal/bst"
 	"bfbp/internal/core/bfgehl"
@@ -112,18 +111,6 @@ type (
 	// RuntimeCollector bridges runtime/metrics (heap, goroutines, GC
 	// pauses, scheduler latency) into a registry as bfbp_runtime_*.
 	RuntimeCollector = obs.RuntimeCollector
-	// MetricsHistory is a fixed-depth in-process time-series ring of
-	// registry scrapes, served as bfbp.history.v1 at /metrics/history.
-	MetricsHistory = obs.History
-	// HistoryPoint is one flattened scrape in a MetricsHistory ring.
-	HistoryPoint = obs.HistoryPoint
-	// Health evaluates declarative HealthRules against scrapes and
-	// aggregates them into a HealthState (behind /healthz).
-	Health = obs.Health
-	// HealthRule is one declarative threshold/rate rule.
-	HealthRule = obs.HealthRule
-	// HealthState is the aggregate run-health verdict.
-	HealthState = obs.HealthState
 	// Journal writes bfbp.journal.v1 JSONL run events.
 	Journal = obs.Journal
 	// Tracer records hierarchical execution spans as a bfbp.trace.v1
@@ -279,42 +266,19 @@ const FlightSchema = obs.FlightSchema
 // sequence — the splice primitive behind bfsim -endurance.
 func ConcatTraces(readers ...TraceReader) TraceReader { return trace.Concat(readers...) }
 
-// Aggregate health states, ordered by severity.
-const (
-	HealthOK        = obs.HealthOK
-	HealthDegraded  = obs.HealthDegraded
-	HealthUnhealthy = obs.HealthUnhealthy
-)
-
 // MetricsQuantileRelError is the worst-case relative error of a
 // MetricsQuantile estimate.
 const MetricsQuantileRelError = obs.QuantileRelError
 
 // NewRuntimeCollector registers the bfbp_runtime_* gauge set on reg;
-// call Collect before scrapes (MetricsHistory.BeforeScrape does this
-// when wired) or Start a ticker.
+// call Collect before a scrape, or Start a ticker that collects on
+// every tick.
 func NewRuntimeCollector(reg *MetricsRegistry) *RuntimeCollector { return obs.NewRuntimeCollector(reg) }
-
-// NewMetricsHistory returns a depth-point ring sampling reg every
-// interval once Started; serve it with MetricsMuxWith.
-func NewMetricsHistory(reg *MetricsRegistry, depth int, interval time.Duration) *MetricsHistory {
-	return obs.NewHistory(reg, depth, interval)
-}
-
-// NewHealth returns a rule engine over flattened scrapes; wire its
-// Sample as a MetricsHistory.OnSample hook.
-func NewHealth(rules []HealthRule) *Health { return obs.NewHealth(rules) }
 
 // MetricsMux returns an http.ServeMux serving /metrics (Prometheus
 // text), /debug/vars (expvar-style JSON), and /debug/pprof/* for the
 // registry — the handler behind the commands' -metrics-addr flag.
 func MetricsMux(reg *MetricsRegistry) *http.ServeMux { return obs.NewMux(reg) }
-
-// MetricsMuxWith is MetricsMux plus /metrics/history (hist non-nil)
-// and /healthz (health non-nil).
-func MetricsMuxWith(reg *MetricsRegistry, hist *MetricsHistory, health *Health) *http.ServeMux {
-	return obs.NewMuxWith(reg, hist, health)
-}
 
 // Trace types.
 type (

@@ -16,7 +16,7 @@
 //
 // Long attributions can be observed live like the other commands:
 //
-//	analyze ... -metrics-addr :8080   # /metrics, /metrics/history, /healthz (watch with bfstat)
+//	analyze ... -metrics-addr :8080   # /metrics, /debug/vars, /debug/pprof
 //	analyze ... -heartbeat 10s        # periodic stderr progress line
 package main
 
@@ -54,7 +54,7 @@ func main() {
 		interfere = flag.String("interference", "", "second trace: context-switch interference between -t and this trace")
 		quantum   = flag.Int("quantum", 2000, "context-switch quantum in branches for -interference")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics/history, /healthz, /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", time.Duration(0), "print a progress line to stderr at this period (0 = off)")
 	)

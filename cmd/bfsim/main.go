@@ -27,11 +27,9 @@
 //
 // Long suite runs can be observed live:
 //
-//	bfsim -p all-suite... -metrics-addr :8080    # /metrics, /debug/vars, /debug/pprof,
-//	                                             # /metrics/history ring, /healthz rules
-//	                                             # (watch live with cmd/bfstat)
+//	bfsim -p all-suite... -metrics-addr :8080    # /metrics, /debug/vars, /debug/pprof
 //	bfsim ... -journal run.jsonl                 # bfbp.journal.v1 event log
-//	bfsim ... -heartbeat 10s                     # periodic stderr progress + health line
+//	bfsim ... -heartbeat 10s                     # periodic stderr progress + runtime line
 //	bfsim ... -probe-state                       # table/state X-ray: occupancy metrics,
 //	                                             # tablestats journal events, counter tracks
 //	bfsim ... -trace-out run.trace.json          # bfbp.trace.v1 span timeline (Perfetto)
@@ -39,12 +37,12 @@
 //
 // Phase and drift observability (see DESIGN.md §6): -drift runs
 // streaming change-point detectors over every windowed (trace,
-// predictor) MPKI series and the engine throughput, emitting `drift`
-// journal events, Perfetto counter tracks (with alarm instants) on the
-// -trace-out timeline, and bfbp_drift_* metrics; -flight-dump keeps a
-// ring of recent journal lines and snapshots it (bfbp.flight.v1) on
-// every alarm and on SIGQUIT; -endurance splices reseeded synthetic
-// segments into one long phase-shifting run:
+// predictor) MPKI series, emitting `drift` journal events, Perfetto
+// counter tracks (with alarm instants) on the -trace-out timeline, and
+// bfbp_drift_* metrics; -flight-dump keeps a ring of recent journal
+// lines and snapshots it (bfbp.flight.v1) on every alarm and on
+// SIGQUIT; -endurance splices reseeded synthetic segments into one
+// long phase-shifting run:
 //
 //	bfsim -p bf-tage-10 -t SERV1,FP1,MM1 -n 1000000 -endurance 20 \
 //	      -drift -journal run.jsonl -trace-out run.trace.json \
@@ -100,7 +98,7 @@ func main() {
 		resumePath      = flag.String("resume", "", "load a bfbp.state.v1 predictor snapshot before the run")
 		skip            = flag.Int("skip", 0, "discard the first N trace records (fast-forward a resumed trace)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics/history, /healthz, /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
 		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
@@ -110,7 +108,7 @@ func main() {
 		probeStateEvery = flag.Uint64("probe-state-every", 65536, "with -probe-state, sample every N branches (quantised to batch boundaries)")
 
 		endurance  = flag.Int("endurance", 0, "splice the -t traces into one continuous run of N laps, -n branches per segment, reseeded per lap (phase-shifting long-run mode)")
-		drift      = flag.Bool("drift", false, "run streaming change-point detectors over windowed MPKI and engine throughput (drift journal events, counter tracks, alarm metrics)")
+		drift      = flag.Bool("drift", false, "run streaming change-point detectors over windowed MPKI (drift journal events, counter tracks, alarm metrics)")
 		flightDump = flag.String("flight-dump", "", "write a bfbp.flight.v1 flight-recorder snapshot to this file on every drift alarm and on SIGQUIT (implies -drift)")
 	)
 	prof.Flags(flag.CommandLine)

@@ -15,7 +15,7 @@
 //	experiments -suite                               # full matrix, CSV rows
 //	experiments -suite -json                         # + windowed MPKI series
 //	experiments -suite -preds oh-snap,bf-neural      # registry predictor set
-//	experiments -suite -metrics-addr :8080           # live /metrics + /healthz + pprof (watch with bfstat)
+//	experiments -suite -metrics-addr :8080           # live /metrics + /debug/vars + pprof
 //	experiments -suite -journal run.jsonl -heartbeat 10s
 //	experiments -suite -trace-out run.trace.json     # Perfetto span timeline
 //
@@ -59,7 +59,7 @@ func main() {
 		varianceTrace = flag.String("variance", "", "run a seed-variance study on the named trace")
 		seeds         = flag.Int("seeds", 5, "seed variants for -variance")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /metrics/history, /healthz, /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
 		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")

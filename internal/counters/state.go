@@ -17,44 +17,26 @@ func SaveSigned(e *state.Enc, bank []Signed) {
 	e.I32s(vals)
 }
 
-// LoadSigned restores a signed counter bank saved by SaveSigned.
-// Values saturate into each counter's range.
-func LoadSigned(d *state.Dec, bank []Signed) error {
+// DecodeSigned reads a signed counter bank saved by SaveSigned and
+// checks that it holds n counters. It writes nothing, so a loader can
+// decode every section before committing any with SetSigned.
+func DecodeSigned(d *state.Dec, n int) ([]int32, error) {
 	vals := d.I32s()
 	if err := d.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if len(vals) != len(bank) {
-		return fmt.Errorf("%w: counter bank has %d entries, snapshot %d", state.ErrCorrupt, len(bank), len(vals))
+	if len(vals) != n {
+		return nil, fmt.Errorf("%w: counter bank has %d entries, snapshot %d", state.ErrCorrupt, n, len(vals))
 	}
+	return vals, nil
+}
+
+// SetSigned commits values read by DecodeSigned into bank. Values
+// saturate into each counter's range.
+func SetSigned(bank []Signed, vals []int32) {
 	for i := range bank {
 		bank[i].Set(vals[i])
 	}
-	return nil
-}
-
-// SaveUnsigned appends an unsigned counter bank's values.
-func SaveUnsigned(e *state.Enc, bank []Unsigned) {
-	vals := make([]uint32, len(bank))
-	for i := range bank {
-		vals[i] = bank[i].Value()
-	}
-	e.U32s(vals)
-}
-
-// LoadUnsigned restores an unsigned counter bank saved by SaveUnsigned.
-func LoadUnsigned(d *state.Dec, bank []Unsigned) error {
-	vals := d.U32s()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(vals) != len(bank) {
-		return fmt.Errorf("%w: counter bank has %d entries, snapshot %d", state.ErrCorrupt, len(bank), len(vals))
-	}
-	for i := range bank {
-		bank[i].Set(vals[i])
-	}
-	return nil
 }
 
 // Raw returns the probabilistic counter's current value for snapshot

@@ -101,9 +101,12 @@ func (s *FoldSet) SaveState(e *state.Enc) {
 }
 
 // LoadState restores a fold set saved by SaveState into one built with
-// the same lengths, width, and capacity.
+// the same lengths, width, and capacity. The ring and every register
+// are decoded before any is committed, so a failed load changes
+// nothing.
 func (s *FoldSet) LoadState(d *state.Dec) error {
-	if err := s.ring.LoadState(d); err != nil {
+	ring := NewRing(s.ring.Cap())
+	if err := ring.LoadState(d); err != nil {
 		return err
 	}
 	n := int(d.U32())
@@ -113,14 +116,22 @@ func (s *FoldSet) LoadState(d *state.Dec) error {
 	if n != len(s.folds) {
 		return fmt.Errorf("%w: fold set has %d registers, snapshot %d", state.ErrCorrupt, len(s.folds), n)
 	}
-	for i := range s.folds {
-		if err := s.folds[i].LoadState(d); err != nil {
+	vals := make([]uint64, n)
+	for i := range vals {
+		f := s.folds[i]
+		if err := f.LoadState(d); err != nil {
 			return err
 		}
-		s.vals[i] = s.folds[i].comp
+		vals[i] = f.comp
 	}
+	// Commit in place: owners may hold the ring pointer.
+	*s.ring = *ring
+	for i, v := range vals {
+		s.folds[i].comp = v
+	}
+	copy(s.vals, vals)
 	// The evicted-bit windows are caches over the restored ring; zeroing
 	// the cursor forces a refill on the next push.
 	s.wk = 0
-	return d.Err()
+	return nil
 }

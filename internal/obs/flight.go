@@ -137,7 +137,7 @@ func (f *FlightRecorder) Total() uint64 {
 }
 
 // FlightDetector pairs a detector's series key ("SERV1/bf-tage-10
-// mpki", "engine throughput") with its state at dump time.
+// mpki") with its state at dump time.
 type FlightDetector struct {
 	Key   string     `json:"key"`
 	State DriftState `json:"state"`

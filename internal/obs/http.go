@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 )
@@ -16,57 +15,15 @@ import (
 // The commands mount this on -metrics-addr so long suite runs can be
 // scraped and live-profiled (go tool pprof http://addr/debug/pprof/profile).
 func NewMux(r *Registry) *http.ServeMux {
-	return NewMuxWith(r, nil, nil)
-}
-
-// NewMuxWith is NewMux plus the run-health surfaces, each mounted only
-// when its component is non-nil:
-//
-//	/metrics/history  bfbp.history.v1 JSON ring of recent scrapes
-//	/healthz          health-rule report; 503 when unhealthy
-func NewMuxWith(r *Registry, hist *History, health *Health) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", PrometheusHandler(r))
 	mux.Handle("/debug/vars", JSONHandler(r))
-	if hist != nil {
-		mux.Handle("/metrics/history", HistoryHandler(hist))
-	}
-	if health != nil {
-		mux.Handle("/healthz", HealthHandler(health))
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// HistoryHandler serves the history ring as a bfbp.history.v1 JSON
-// document.
-func HistoryHandler(h *History) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(h.Snapshot())
-	})
-}
-
-// HealthHandler serves the health report as JSON: HTTP 200 while the
-// state is ok or degraded, 503 when unhealthy — so a liveness probe
-// restarts only on hard failure.
-func HealthHandler(h *Health) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		rep := h.Report()
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if rep.State == HealthUnhealthy.String() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
-	})
 }
 
 // PrometheusHandler serves the registry in Prometheus text format.

@@ -204,7 +204,7 @@ func (h *QuantileHistogram) quantiles(qs []float64) []float64 {
 }
 
 // QuantileSnapshot is a point-in-time read of a quantile histogram,
-// the shape exported to expvar JSON and consumed by bfstat.
+// the shape exported to expvar JSON.
 type QuantileSnapshot struct {
 	Count uint64  `json:"count"`
 	Sum   float64 `json:"sum"`

@@ -10,12 +10,11 @@ import (
 // RuntimeCollector bridges the Go runtime's own instrumentation
 // (runtime/metrics) into a Registry, so GC pauses, heap size,
 // goroutine count, and scheduler latency show up next to the engine
-// metrics on /metrics, in the history ring, and in health rules.
+// metrics on /metrics and in the heartbeat line.
 //
 // Collect performs one deterministic scrape — tests call it directly;
 // live stacks call Start(interval) for a ticker-driven loop (the
-// telemetry layer instead hooks Collect into the history scrape so
-// runtime gauges and history points advance together). All methods are
+// telemetry layer starts one at a 1 s period). All methods are
 // nil-safe.
 type RuntimeCollector struct {
 	samples []metrics.Sample

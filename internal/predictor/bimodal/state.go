@@ -36,10 +36,12 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := counters.LoadSigned(d, p.table); err != nil {
+	pht, err := counters.DecodeSigned(d, len(p.table))
+	if err != nil {
 		return err
 	}
-	return d.Err()
+	counters.SetSigned(p.table, pht)
+	return nil
 }
 
 var _ sim.Snapshotter = (*Predictor)(nil)

@@ -5,6 +5,7 @@ package filter
 
 import (
 	"io"
+	"slices"
 
 	"bfbp/internal/counters"
 	"bfbp/internal/sim"
@@ -36,7 +37,8 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded
+// before any is committed, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -46,10 +48,11 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	for i := range p.entries {
-		p.entries[i].dir = fd.Bool()
-		p.entries[i].run.Set(fd.U32())
-		p.entries[i].valid = fd.Bool()
+	entries := slices.Clone(p.entries)
+	for i := range entries {
+		entries[i].dir = fd.Bool()
+		entries[i].run.Set(fd.U32())
+		entries[i].valid = fd.Bool()
 	}
 	if err := fd.Err(); err != nil {
 		return err
@@ -58,15 +61,22 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := counters.LoadSigned(pd, p.pht); err != nil {
+	pht, err := counters.DecodeSigned(pd, len(p.pht))
+	if err != nil {
 		return err
 	}
 	g, err := s.Dec("ghr")
 	if err != nil {
 		return err
 	}
-	p.ghr = g.U64()
-	return g.Err()
+	ghr := g.U64()
+	if err := g.Err(); err != nil {
+		return err
+	}
+	copy(p.entries, entries)
+	counters.SetSigned(p.pht, pht)
+	p.ghr = ghr
+	return nil
 }
 
 var _ sim.Snapshotter = (*Predictor)(nil)

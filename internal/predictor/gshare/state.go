@@ -28,7 +28,8 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Both sections are decoded
+// before either is committed, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -38,15 +39,21 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := counters.LoadSigned(d, p.table); err != nil {
+	pht, err := counters.DecodeSigned(d, len(p.table))
+	if err != nil {
 		return err
 	}
 	g, err := s.Dec("ghr")
 	if err != nil {
 		return err
 	}
-	p.ghr = g.U64()
-	return g.Err()
+	ghr := g.U64()
+	if err := g.Err(); err != nil {
+		return err
+	}
+	counters.SetSigned(p.table, pht)
+	p.ghr = ghr
+	return nil
 }
 
 var _ sim.Snapshotter = (*Predictor)(nil)

@@ -50,11 +50,13 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := counters.LoadSigned(pd, p.pht); err != nil {
+	pht, err := counters.DecodeSigned(pd, len(p.pht))
+	if err != nil {
 		return err
 	}
 	copy(p.histories, hist)
-	return pd.Err()
+	counters.SetSigned(p.pht, pht)
+	return nil
 }
 
 var _ sim.Snapshotter = (*Predictor)(nil)

@@ -44,7 +44,8 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded
+// before any is committed, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -88,6 +89,16 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			return fmt.Errorf("%w: coefficient %d is %d, outside [%d, %d]", state.ErrCorrupt, i, c, coeffMin, coeffMax)
 		}
 	}
+	m, err := s.Dec("misc")
+	if err != nil {
+		return err
+	}
+	theta, tc := m.I32(), m.I32()
+	if err := m.Err(); err != nil {
+		return err
+	}
+	// History is decoded last: its loader validates before it writes,
+	// so it doubles as the commit of the history section.
 	hd, err := s.Dec("history")
 	if err != nil {
 		return err
@@ -95,18 +106,10 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err := p.ring.LoadState(hd); err != nil {
 		return err
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
-	p.theta = m.I32()
-	p.tc = m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
 	copy(p.weights, weights)
 	copy(p.bias, bias)
 	copy(p.coeff, coeff)
+	p.theta, p.tc = theta, tc
 	p.inflight.Reset()
 	return nil
 }

@@ -47,7 +47,8 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded
+// before any is committed, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -75,6 +76,16 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if len(bias) != len(p.bias) {
 		return fmt.Errorf("%w: bias table has %d entries, snapshot %d", state.ErrCorrupt, len(p.bias), len(bias))
 	}
+	m, err := s.Dec("misc")
+	if err != nil {
+		return err
+	}
+	theta, tc := m.I32(), m.I32()
+	if err := m.Err(); err != nil {
+		return err
+	}
+	// History is decoded last: its loader validates before it writes,
+	// so it doubles as the commit of the history section.
 	hs, err := s.Dec("history")
 	if err != nil {
 		return err
@@ -86,17 +97,9 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	} else if err := p.ring.LoadState(hs); err != nil {
 		return err
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
-	p.theta = m.I32()
-	p.tc = m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
 	copy(p.weights, weights)
 	copy(p.bias, bias)
+	p.theta, p.tc = theta, tc
 	p.inflight.Reset()
 	return nil
 }

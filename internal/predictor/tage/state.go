@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 
+	"bfbp/internal/history"
+	"bfbp/internal/looppred"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -74,34 +76,40 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded and
+// validated into locals before any of them is committed, so a failed
+// load leaves the predictor untouched.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
+	type tableState struct {
+		entries []entry
+		folds   [3]history.Folded // foldIdx, foldTag0, foldTag1
+	}
+	tabs := make([]tableState, len(p.tables))
 	for i, t := range p.tables {
 		d, err := s.Dec("table_" + itoa(i))
 		if err != nil {
 			return err
 		}
-		for j := range t.entries {
-			t.entries[j].tag = d.U16()
-			t.entries[j].ctr = d.I8()
-			t.entries[j].u = d.Bool()
+		ts := tableState{
+			entries: make([]entry, len(t.entries)),
+			folds:   [3]history.Folded{*t.foldIdx, *t.foldTag0, *t.foldTag1},
 		}
-		if err := t.foldIdx.LoadState(d); err != nil {
-			return fmt.Errorf("table %d foldIdx: %w", i, err)
+		for j := range ts.entries {
+			ts.entries[j] = entry{tag: d.U16(), ctr: d.I8(), u: d.Bool()}
 		}
-		if err := t.foldTag0.LoadState(d); err != nil {
-			return fmt.Errorf("table %d foldTag0: %w", i, err)
-		}
-		if err := t.foldTag1.LoadState(d); err != nil {
-			return fmt.Errorf("table %d foldTag1: %w", i, err)
+		for k := range ts.folds {
+			if err := ts.folds[k].LoadState(d); err != nil {
+				return fmt.Errorf("table %d fold %d: %w", i, k, err)
+			}
 		}
 		if d.Remaining() != 0 {
 			return fmt.Errorf("%w: %d trailing bytes in table %d", state.ErrCorrupt, d.Remaining(), i)
 		}
+		tabs[i] = ts
 	}
 	b, err := s.Dec("base")
 	if err != nil {
@@ -115,26 +123,23 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		return fmt.Errorf("%w: base bimodal is %d+%d entries, snapshot %d+%d",
 			state.ErrCorrupt, len(p.basePred), len(p.baseHyst), len(basePred), len(baseHyst))
 	}
-	copy(p.basePred, basePred)
-	copy(p.baseHyst, baseHyst)
 	hs, err := s.Dec("history")
 	if err != nil {
 		return err
 	}
-	if err := p.ring.LoadState(hs); err != nil {
+	ring := history.NewRing(p.ring.Cap())
+	if err := ring.LoadState(hs); err != nil {
 		return err
 	}
-	if err := p.path.LoadState(hs); err != nil {
+	path := history.NewPath(p.cfg.PathBits)
+	if err := path.LoadState(hs); err != nil {
 		return err
 	}
 	m, err := s.Dec("misc")
 	if err != nil {
 		return err
 	}
-	p.useAltOnNA = m.I32()
-	p.tick = m.Int()
-	p.r.SetState(m.U64())
-	p.withLoop = m.I32()
+	useAltOnNA, tick, rngState, withLoop := m.I32(), m.Int(), m.U64(), m.I32()
 	hits := m.U64s()
 	if err := m.Err(); err != nil {
 		return err
@@ -142,30 +147,44 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if len(hits) != len(p.providerHits) {
 		return fmt.Errorf("%w: provider histogram has %d buckets, snapshot %d", state.ErrCorrupt, len(p.providerHits), len(hits))
 	}
-	copy(p.providerHits, hits)
+	var loop *looppred.Predictor
 	if p.loop != nil {
 		ld, err := s.Dec("loop")
 		if err != nil {
 			return err
 		}
-		if err := p.loop.LoadState(ld); err != nil {
+		loop = looppred.NewDefault()
+		if err := loop.LoadState(ld); err != nil {
 			return err
 		}
 	}
+	var sc []int8
 	if p.sc != nil {
 		sd, err := s.Dec("sc")
 		if err != nil {
 			return err
 		}
-		sc := sd.I8s()
+		sc = sd.I8s()
 		if err := sd.Err(); err != nil {
 			return err
 		}
 		if len(sc) != len(p.sc) {
 			return fmt.Errorf("%w: statistical corrector has %d counters, snapshot %d", state.ErrCorrupt, len(p.sc), len(sc))
 		}
-		copy(p.sc, sc)
 	}
+
+	for i, t := range p.tables {
+		t.entries = tabs[i].entries
+		*t.foldIdx, *t.foldTag0, *t.foldTag1 = tabs[i].folds[0], tabs[i].folds[1], tabs[i].folds[2]
+	}
+	copy(p.basePred, basePred)
+	copy(p.baseHyst, baseHyst)
+	p.ring, p.path = ring, path
+	p.useAltOnNA, p.tick, p.withLoop = useAltOnNA, tick, withLoop
+	p.r.SetState(rngState)
+	copy(p.providerHits, hits)
+	p.loop = loop
+	copy(p.sc, sc)
 	p.inflight.Reset()
 	return nil
 }

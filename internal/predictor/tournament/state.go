@@ -36,7 +36,9 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded, in
+// a fixed order, before any is committed, so a failed load changes
+// nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -53,16 +55,14 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if len(hist) != len(p.localHist) {
 		return fmt.Errorf("%w: local history table has %d entries, snapshot %d", state.ErrCorrupt, len(p.localHist), len(hist))
 	}
-	for name, bank := range map[string][]counters.Signed{
-		"local_pht":  p.localPHT,
-		"global_pht": p.global,
-		"chooser":    p.chooser,
-	} {
+	banks := [3][]counters.Signed{p.localPHT, p.global, p.chooser}
+	var vals [3][]int32
+	for k, name := range [3]string{"local_pht", "global_pht", "chooser"} {
 		bd, err := s.Dec(name)
 		if err != nil {
 			return err
 		}
-		if err := counters.LoadSigned(bd, bank); err != nil {
+		if vals[k], err = counters.DecodeSigned(bd, len(banks[k])); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
@@ -70,11 +70,15 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	p.ghr = g.U64()
+	ghr := g.U64()
 	if err := g.Err(); err != nil {
 		return err
 	}
 	copy(p.localHist, hist)
+	for k, bank := range banks {
+		counters.SetSigned(bank, vals[k])
+	}
+	p.ghr = ghr
 	return nil
 }
 

@@ -6,6 +6,7 @@ package yags
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"bfbp/internal/counters"
 	"bfbp/internal/sim"
@@ -30,13 +31,16 @@ func saveCache(e *state.Enc, cache []cacheEntry) {
 	}
 }
 
-func loadCache(d *state.Dec, cache []cacheEntry) error {
-	for i := range cache {
-		cache[i].tag = d.U16()
-		cache[i].ctr.Set(d.I32())
-		cache[i].valid = d.Bool()
+// loadCache decodes a cache saved by saveCache into a copy of cache,
+// whose counters carry the configured widths.
+func loadCache(d *state.Dec, cache []cacheEntry) ([]cacheEntry, error) {
+	out := slices.Clone(cache)
+	for i := range out {
+		out[i].tag = d.U16()
+		out[i].ctr.Set(d.I32())
+		out[i].valid = d.Bool()
 	}
-	return d.Err()
+	return out, d.Err()
 }
 
 // SaveState implements sim.Snapshotter.
@@ -50,7 +54,8 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Every section is decoded
+// before any is committed, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -60,15 +65,17 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := counters.LoadSigned(cd, p.choice); err != nil {
+	choice, err := counters.DecodeSigned(cd, len(p.choice))
+	if err != nil {
 		return err
 	}
-	for name, cache := range map[string][]cacheEntry{"t_cache": p.tCache, "nt_cache": p.ntCache} {
+	caches := [2][]cacheEntry{p.tCache, p.ntCache}
+	for k, name := range [2]string{"t_cache", "nt_cache"} {
 		d, err := s.Dec(name)
 		if err != nil {
 			return err
 		}
-		if err := loadCache(d, cache); err != nil {
+		if caches[k], err = loadCache(d, caches[k]); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
@@ -76,8 +83,15 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	p.ghr = g.U64()
-	return g.Err()
+	ghr := g.U64()
+	if err := g.Err(); err != nil {
+		return err
+	}
+	counters.SetSigned(p.choice, choice)
+	copy(p.tCache, caches[0])
+	copy(p.ntCache, caches[1])
+	p.ghr = ghr
+	return nil
 }
 
 var _ sim.Snapshotter = (*Predictor)(nil)

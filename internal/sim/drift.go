@@ -5,9 +5,8 @@ import "bfbp/internal/obs"
 // journalDrift is the bfbp.journal.v1 payload for a change-point alarm:
 // a streaming drift detector watching one windowed metric of one run
 // decided the series shifted. Window is the index of the window whose
-// sample tripped the alarm (-1 for non-windowed series such as engine
-// throughput), and Baseline/Value/Score snapshot the detector at the
-// moment it fired.
+// sample tripped the alarm, and Baseline/Value/Score snapshot the
+// detector at the moment it fired.
 type journalDrift struct {
 	Trace     string  `json:"trace,omitempty"`
 	Predictor string  `json:"predictor,omitempty"`
@@ -22,8 +21,7 @@ type journalDrift struct {
 
 // JournalDrift emits a drift event: the detector keyed by
 // (trace, predictor, metric) alarmed on window index window with the
-// given event. The telemetry monitor calls this from its window hook;
-// trace and predictor are empty for engine-wide series (throughput).
+// given event. The telemetry monitor calls this from its window hook.
 // Span is always 0 today (window hooks run outside any recorded span)
 // but kept for the correlation contract. Nil-safe on j.
 func JournalDrift(j *obs.Journal, trace, predictor, metric string, window int, ev obs.DriftEvent) {

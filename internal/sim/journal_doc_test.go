@@ -93,7 +93,6 @@ func TestJournalPayloadsCarrySpanTag(t *testing.T) {
 		"provenance":            journalProvenance{},
 		"component_attribution": journalComponentAttribution{},
 		"checkpoint":            journalCheckpoint{},
-		"health":                journalHealth{},
 		"drift":                 journalDrift{},
 		"tablestats":            journalTableStats{},
 	}

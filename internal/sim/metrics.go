@@ -346,7 +346,7 @@ func JournalEventKinds() []string {
 		"suite_start", "suite_finish",
 		"run_start", "run_finish", "run_error",
 		"window", "storage", "worker_state",
-		"provenance", "component_attribution", "checkpoint", "health",
+		"provenance", "component_attribution", "checkpoint",
 		"drift", "tablestats",
 	}
 }

@@ -11,15 +11,14 @@ import (
 )
 
 // Monitor is the phase/drift watchdog of a telemetry stack: it keeps
-// one streaming change-point detector per watched series (each
-// windowed (trace, predictor) MPKI series, plus the engine-wide
-// throughput), feeds counter tracks into the bfbp.trace.v1 timeline,
-// keeps the run journal's recent lines in a flight-recorder ring, and
-// cuts a bfbp.flight.v1 dump whenever a detector alarms (and on
-// SIGQUIT).
+// one streaming change-point detector per windowed (trace, predictor)
+// MPKI series, feeds MPKI counter tracks into the bfbp.trace.v1
+// timeline, keeps the run journal's recent lines in a flight-recorder
+// ring, and cuts a bfbp.flight.v1 dump whenever a detector alarms (and
+// on SIGQUIT).
 //
-// A nil *Monitor is inert, so the engine hook and history chain wire
-// it unconditionally. ObserveWindow is called concurrently from every
+// A nil *Monitor is inert, so the engine hook wires it
+// unconditionally. ObserveWindow is called concurrently from every
 // engine worker; detector state is guarded by one mutex — the work per
 // window close is a handful of float operations, so contention is
 // negligible at window sizes worth using.
@@ -37,11 +36,6 @@ type Monitor struct {
 	dumps    *obs.Counter
 	baseline *obs.FloatGaugeFamily
 	score    *obs.FloatGaugeFamily
-
-	// throughput-series state fed from history points
-	lastBranches float64
-	lastMillis   int64
-	haveRate     bool
 }
 
 // newMonitor builds the drift layer against t's sinks. The recorder is
@@ -67,8 +61,8 @@ func newMonitor(t *T, cfg Config) *Monitor {
 
 // ObserveWindow consumes one window-close event from the engine hook:
 // it extends the MPKI counter track and runs the series' drift
-// detector, handling the full alarm path (journal event, trace instant,
-// metrics, flight dump) when it fires. The window's own journal line is
+// detector, handling the full alarm path (drift journal event, trace
+// instant, alarm counter, flight dump) when it fires. The window's own journal line is
 // already in the flight ring: the engine journals each window before
 // calling the hook. Nil-safe.
 func (m *Monitor) ObserveWindow(ev sim.WindowEvent) {
@@ -83,76 +77,30 @@ func (m *Monitor) ObserveWindow(ev sim.WindowEvent) {
 	if ev.Final {
 		return
 	}
-	m.observe(key+" mpki", ev.Trace, ev.Predictor, "mpki", ev.Index, mpki)
-}
-
-// ObserveSample consumes one history point (the same stream the health
-// evaluator reads): it derives the engine branch rate between points,
-// extends the throughput and heap counter tracks, and feeds the
-// engine-wide throughput detector. Idle scrapes (no busy workers) are
-// excluded from detection so inter-suite gaps don't read as collapses.
-// Nil-safe.
-func (m *Monitor) ObserveSample(p obs.HistoryPoint) {
-	if m == nil {
-		return
-	}
-	branches, ok := p.Values["bfbp_engine_branches_total"]
-	if !ok {
-		return
-	}
-	m.mu.Lock()
-	rate := 0.0
-	valid := false
-	if m.haveRate && p.UnixMillis > m.lastMillis {
-		rate = (branches - m.lastBranches) / (float64(p.UnixMillis-m.lastMillis) / 1000)
-		valid = true
-	}
-	m.lastBranches, m.lastMillis, m.haveRate = branches, p.UnixMillis, true
-	m.mu.Unlock()
-	if !valid {
-		return
-	}
-	tracks := map[string]float64{"branches_per_sec": rate}
-	m.tracer.Counter("throughput", tracks)
-	if heap, ok := p.Values["bfbp_runtime_heap_bytes"]; ok {
-		m.tracer.Counter("heap", map[string]float64{"bytes": heap})
-	}
-	if busy := p.Values["bfbp_engine_busy_workers"]; busy >= 1 {
-		m.observe("engine throughput", "", "", "throughput", -1, rate)
-	}
-}
-
-// observe runs one sample through the named series' detector and
-// handles an alarm: drift journal event, trace instant, alarm counter,
-// and a flight dump.
-func (m *Monitor) observe(series, trc, pred, metric string, window int, x float64) {
+	series := key + " mpki"
 	m.mu.Lock()
 	d := m.detectors[series]
 	if d == nil {
 		d = obs.NewDriftDetector(m.cfg)
 		m.detectors[series] = d
 	}
-	ev, fired := d.Observe(x)
+	alarm, fired := d.Observe(mpki)
 	st := d.State()
 	m.mu.Unlock()
 	m.baseline.With(series).Set(st.Baseline)
-	score := st.ScoreUp
-	if st.ScoreDown > score {
-		score = st.ScoreDown
-	}
-	m.score.With(series).Set(score)
+	m.score.With(series).Set(max(st.ScoreUp, st.ScoreDown))
 	if !fired {
 		return
 	}
 	m.alarms.With(series).Inc()
-	sim.JournalDrift(m.journal, trc, pred, metric, window, ev)
-	m.tracer.Instant("drift", fmt.Sprintf("drift %s %s", series, ev.Direction), map[string]any{
+	sim.JournalDrift(m.journal, ev.Trace, ev.Predictor, "mpki", ev.Index, alarm)
+	m.tracer.Instant("drift", fmt.Sprintf("drift %s %s", series, alarm.Direction), map[string]any{
 		"series":   series,
-		"value":    ev.Value,
-		"baseline": ev.Baseline,
-		"score":    ev.Score,
+		"value":    alarm.Value,
+		"baseline": alarm.Baseline,
+		"score":    alarm.Score,
 	})
-	m.dump("alarm", series, &ev)
+	m.dump("alarm", series, &alarm)
 }
 
 // detectorStates snapshots every detector, sorted by series key so

@@ -49,26 +49,12 @@ type Config struct {
 	// and GC events.
 	RuntimeTracePath string
 
-	// The run-health layer (runtime-metrics collector, history ring,
-	// health rules) activates whenever MetricsAddr or Heartbeat is set.
-	// HistoryInterval is its scrape period (0 means 1s) and
-	// HistoryDepth the ring size in points (0 means 600 — ten minutes
-	// at the default period).
-	HistoryInterval time.Duration
-	HistoryDepth    int
-	// HealthRules overrides the evaluated rule set; nil means
-	// DefaultHealthRules().
-	HealthRules []obs.HealthRule
-	// OnHealth, when set, receives every health state transition,
-	// after the journal `health` event is emitted.
-	OnHealth func(from, to obs.HealthState, causes []string)
-
 	// Drift enables the phase/drift monitor: one streaming change-point
-	// detector per windowed (trace, predictor) MPKI series plus the
-	// engine throughput, MPKI/throughput/heap counter tracks on the
-	// bfbp.trace.v1 timeline, drift journal events, and a flight
-	// recorder of recent journal lines. DriftConfig tunes the detectors
-	// (zero fields take the obs defaults).
+	// detector per windowed (trace, predictor) MPKI series, MPKI
+	// counter tracks on the bfbp.trace.v1 timeline, drift journal
+	// events, and a flight recorder of recent journal lines.
+	// DriftConfig tunes the detectors (zero fields take the obs
+	// defaults).
 	Drift       bool
 	DriftConfig obs.DriftConfig
 	// FlightPath, when non-empty, writes a bfbp.flight.v1 snapshot of
@@ -95,14 +81,9 @@ type T struct {
 	// Addr is the bound metrics listen address ("" when -metrics-addr
 	// is unset); it differs from Config.MetricsAddr for ":0" binds.
 	Addr string
-	// Runtime, History, and Health form the run-health layer (nil
-	// unless MetricsAddr or Heartbeat is set): Runtime bridges
-	// runtime/metrics into the registry, History keeps the in-process
-	// metric ring served at /metrics/history, Health evaluates the
-	// rule set behind /healthz.
+	// Runtime bridges runtime/metrics into the registry as
+	// bfbp_runtime_* (nil unless MetricsAddr or Heartbeat is set).
 	Runtime *obs.RuntimeCollector
-	History *obs.History
-	Health  *obs.Health
 	// Monitor is the phase/drift watchdog (nil unless Drift or
 	// FlightPath is set).
 	Monitor *Monitor
@@ -125,6 +106,10 @@ func (cfg Config) Enabled() bool {
 		cfg.Drift || cfg.FlightPath != ""
 }
 
+// runtimePeriod is how often the runtime collector refreshes the
+// bfbp_runtime_* gauges.
+const runtimePeriod = time.Second
+
 // Start brings up the requested sinks. It returns (nil, nil) when cfg
 // is fully disabled. The listener is bound synchronously so address
 // errors fail fast; serving happens on a background goroutine.
@@ -135,34 +120,10 @@ func Start(cfg Config) (*T, error) {
 	t := &T{Registry: obs.NewRegistry()}
 	t.Engine = sim.NewEngineMetrics(t.Registry)
 
-	// The health layer rides along whenever a live surface exists to
-	// read it (the HTTP endpoint or the heartbeat); one History ticker
-	// drives runtime collection and rule evaluation together.
+	// The runtime gauges ride along whenever a live surface exists to
+	// read them: the HTTP endpoint or the heartbeat.
 	if cfg.MetricsAddr != "" || cfg.Heartbeat > 0 {
 		t.Runtime = obs.NewRuntimeCollector(t.Registry)
-		interval := cfg.HistoryInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		depth := cfg.HistoryDepth
-		if depth <= 0 {
-			depth = 600
-		}
-		rules := cfg.HealthRules
-		if rules == nil {
-			rules = DefaultHealthRules()
-		}
-		t.History = obs.NewHistory(t.Registry, depth, interval)
-		t.Health = obs.NewHealth(rules)
-		t.History.BeforeScrape = t.Runtime.Collect
-		t.History.OnSample = t.Health.Sample
-		onHealth := cfg.OnHealth
-		t.Health.OnTransition = func(from, to obs.HealthState, causes []string) {
-			sim.JournalHealth(t.Journal, from, to, causes)
-			if onHealth != nil {
-				onHealth(from, to, causes)
-			}
-		}
 	}
 
 	if cfg.TracePath != "" {
@@ -181,15 +142,6 @@ func Start(cfg Config) (*T, error) {
 	// recorder so every journal line lands in the ring).
 	if cfg.Drift || cfg.FlightPath != "" {
 		t.Monitor = newMonitor(t, cfg)
-		if t.History != nil {
-			health := t.History.OnSample
-			t.History.OnSample = func(p obs.HistoryPoint) {
-				if health != nil {
-					health(p)
-				}
-				t.Monitor.ObserveSample(p)
-			}
-		}
 		if cfg.FlightPath != "" {
 			t.sigCh = make(chan os.Signal, 1)
 			signal.Notify(t.sigCh, syscall.SIGQUIT)
@@ -248,10 +200,10 @@ func Start(cfg Config) (*T, error) {
 			t.closeSinks()
 			return nil, fmt.Errorf("telemetry: metrics listener: %w", err)
 		}
-		t.server = &http.Server{Handler: obs.NewMuxWith(t.Registry, t.History, t.Health)}
+		t.server = &http.Server{Handler: obs.NewMux(t.Registry)}
 		t.Addr = ln.Addr().String()
 		go func() { _ = t.server.Serve(ln) }()
-		fmt.Fprintf(os.Stderr, "bfbp: serving metrics on http://%s/metrics (history on /metrics/history, health on /healthz, pprof on /debug/pprof/)\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "bfbp: serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", ln.Addr())
 	}
 
 	if cfg.Heartbeat > 0 {
@@ -259,39 +211,8 @@ func Start(cfg Config) (*T, error) {
 		t.stopped = make(chan struct{})
 		go t.heartbeat(cfg.Heartbeat)
 	}
-	t.History.Start()
+	t.Runtime.Start(runtimePeriod)
 	return t, nil
-}
-
-// DefaultHealthRules is the stock rule set evaluated once per history
-// point: throughput collapse while workers are busy, queue backlog,
-// run failures, and two GC-pause budgets (alert at 50ms p99, hard-fail
-// at 500ms). Metric keys use the Registry.Flatten grammar.
-func DefaultHealthRules() []obs.HealthRule {
-	return []obs.HealthRule{
-		{
-			Name: "throughput-collapse", Metric: "bfbp_engine_branches_total",
-			Rate: true, Below: true, Limit: 1000, For: 3,
-			Severity: obs.HealthDegraded,
-			When:     "bfbp_engine_busy_workers", WhenMin: 1,
-		},
-		{
-			Name: "queue-backlog", Metric: "bfbp_engine_queue_depth",
-			Limit: 4096, For: 5, Severity: obs.HealthDegraded,
-		},
-		{
-			Name: "run-failures", Metric: `bfbp_engine_runs_total{status="error"}`,
-			Rate: true, Limit: 0, For: 1, Severity: obs.HealthDegraded,
-		},
-		{
-			Name: "gc-pause-budget", Metric: `bfbp_runtime_gc_pause_seconds{q="0.99"}`,
-			Limit: 0.05, For: 2, Severity: obs.HealthDegraded,
-		},
-		{
-			Name: "gc-pause-stall", Metric: `bfbp_runtime_gc_pause_seconds{q="0.99"}`,
-			Limit: 0.5, For: 2, Severity: obs.HealthUnhealthy,
-		},
-	}
 }
 
 // Attach points an engine at the telemetry sinks. Nil-safe.
@@ -334,12 +255,12 @@ func (t *T) RunTracer() *obs.Tracer {
 
 // heartbeat prints one progress line per period:
 //
-//	bfbp: 12/160 runs (0 failed), 8 busy, 140 queued, 45.2M branches, 3.4M branches/s, 9 spans, 1.2M journal, 38.1M heap, 14 gor, 1.2ms gc p99, health=ok
+//	bfbp: 12/160 runs (0 failed), 8 busy, 140 queued, 45.2M branches, 3.4M branches/s, 9 spans, 1.2M journal, 38.1M heap, 14 gor, 1.2ms gc p99
 //
 // The rate is the branch-counter delta since the previous beat. The
 // spans-in-flight and journal-bytes fields appear only when those
-// sinks are enabled; the heap/goroutine/GC-pause and health fields
-// appear only when the health layer is live.
+// sinks are enabled; the heap/goroutine/GC-pause fields appear only
+// when the runtime collector runs.
 func (t *T) heartbeat(period time.Duration) {
 	defer close(t.stopped)
 	tick := time.NewTicker(period)
@@ -376,9 +297,6 @@ func (t *T) heartbeatLine(lastBranches *uint64, last *time.Time, now time.Time) 
 		rs := t.Runtime.Snapshot()
 		line += fmt.Sprintf(", %s heap, %d gor, %.1fms gc p99",
 			human(float64(rs.HeapBytes)), rs.Goroutines, rs.GCPauseP99*1e3)
-	}
-	if t.Health != nil {
-		line += ", health=" + t.Health.State().String()
 	}
 	*lastBranches, *last = s.Branches, now
 	return line
@@ -432,9 +350,7 @@ func (t *T) Close() error {
 			signal.Stop(t.sigCh)
 			close(t.sigCh)
 		}
-		// The history ticker can emit journal `health` events, so stop
-		// it before the journal is sealed.
-		t.History.Stop()
+		t.Runtime.Stop()
 		if t.Tracer != nil {
 			if err := t.Tracer.Close(); err != nil {
 				t.closeErr = err

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bfbp/internal/obs"
+	"bfbp/internal/predictor/bimodal"
 	"bfbp/internal/sim"
 	"bfbp/internal/workload"
 )
@@ -37,8 +38,10 @@ func TestDisabledConfigIsInert(t *testing.T) {
 	}
 }
 
-// End-to-end: run a small suite with every sink enabled, then check
-// the HTTP surface and the journal file.
+// End-to-end: run a small latency- and state-probed suite with the
+// metrics endpoint and journal enabled, then check the HTTP surface
+// (summary quantiles, table occupancy, runtime gauges), the heartbeat
+// fields, and the journal file.
 func TestStartServesMetricsAndJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "run.jsonl")
@@ -60,8 +63,8 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 	}
 	jobs := sim.Matrix(
 		[]sim.TraceSource{spec.Source(20_000)},
-		[]sim.PredictorSpec{{Name: "static-taken", New: func() sim.Predictor { return &sim.StaticPredictor{Direction: true} }}},
-		sim.Options{Window: 5_000},
+		[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1<<12, 2) }}},
+		sim.Options{Window: 5_000, Probe: tel.EngineMetrics().Probe(), ProbeStateEvery: 4_096},
 	)
 	if _, err := eng.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
@@ -79,11 +82,46 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 		}
 		return string(b)
 	}
-	if body := get("/metrics"); !strings.Contains(body, `bfbp_engine_runs_total{status="ok"} 1`) {
-		t.Fatalf("/metrics missing run counter:\n%s", body)
+	metrics := get("/metrics")
+	for _, frag := range []string{
+		`bfbp_engine_runs_total{status="ok"} 1`,
+		`bfbp_table_occupancy{predictor="bimodal"`,
+		"bfbp_runtime_heap_bytes ",
+	} {
+		if !strings.Contains(metrics, frag) {
+			t.Fatalf("/metrics missing %q:\n%s", frag, metrics)
+		}
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, `"bfbp_engine_branches_total"`) {
+	body := get("/debug/vars")
+	if !strings.Contains(body, `"bfbp_engine_branches_total"`) {
 		t.Fatalf("/debug/vars missing branches counter:\n%s", body)
+	}
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &vars); err != nil {
+		t.Fatalf("/debug/vars is not JSON: %v", err)
+	}
+	for _, name := range []string{
+		"bfbp_engine_run_seconds",
+		"bfbp_harness_predict_seconds",
+		"bfbp_harness_update_seconds",
+	} {
+		if quantileSamples(vars[name]) == 0 {
+			t.Errorf("/debug/vars %s has no quantile samples: %s", name, vars[name])
+		}
+	}
+	// With tracing off the span summary stays empty.
+	if n := quantileSamples(vars["bfbp_span_seconds"]); n != 0 {
+		t.Errorf("bfbp_span_seconds has %d samples with tracing off", n)
+	}
+
+	// The heartbeat line carries the runtime collector's fields.
+	var lastBranches uint64
+	last := time.Now().Add(-time.Second)
+	line := tel.heartbeatLine(&lastBranches, &last, time.Now())
+	for _, frag := range []string{" heap", " gor", " gc p99"} {
+		if !strings.Contains(line, frag) {
+			t.Errorf("heartbeat missing %q: %q", frag, line)
+		}
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof index not served:\n%s", body)
@@ -117,6 +155,28 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 			t.Fatalf("journal missing %s events (got %v)", want, events)
 		}
 	}
+}
+
+// quantileSamples counts the samples of a /debug/vars quantile entry:
+// an unlabeled summary, or a family whose series are summed. An absent
+// entry counts zero.
+func quantileSamples(raw json.RawMessage) uint64 {
+	if raw == nil {
+		return 0
+	}
+	var one obs.QuantileSnapshot
+	if err := json.Unmarshal(raw, &one); err == nil && one.Count > 0 {
+		return one.Count
+	}
+	var fam map[string]obs.QuantileSnapshot
+	if err := json.Unmarshal(raw, &fam); err != nil {
+		return 0
+	}
+	var n uint64
+	for _, s := range fam {
+		n += s.Count
+	}
+	return n
 }
 
 // End-to-end with tracing: run a suite with -trace-out wired, then
@@ -353,142 +413,4 @@ func TestHuman(t *testing.T) {
 			t.Fatalf("human(%v) = %q, want %q", v, got, want)
 		}
 	}
-}
-
-// The health layer comes up with the metrics endpoint: /metrics/history
-// serves the ring, /healthz serves the rule report, and the runtime
-// gauges appear on /metrics.
-func TestStartHealthLayerEndpoints(t *testing.T) {
-	tel, err := Start(Config{MetricsAddr: "127.0.0.1:0", HistoryInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tel.Close()
-	if tel.Runtime == nil || tel.History == nil || tel.Health == nil {
-		t.Fatal("health layer not constructed with MetricsAddr set")
-	}
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + tel.Addr + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
-	}
-
-	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, `"state": "ok"`) {
-		t.Fatalf("/healthz = %d %q", code, body)
-	}
-	if code, body := get("/metrics/history"); code != 200 || !strings.Contains(body, `"bfbp.history.v1"`) {
-		t.Fatalf("/metrics/history = %d %q", code, body)
-	}
-	var snap struct {
-		Points []struct {
-			Values map[string]float64 `json:"values"`
-		} `json:"points"`
-	}
-	_, body := get("/metrics/history")
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatal(err)
-	}
-	// Start takes one immediate sample; runtime collection rides it.
-	if len(snap.Points) < 1 || snap.Points[0].Values["bfbp_runtime_goroutines"] < 1 {
-		t.Fatalf("history missing runtime gauges: %+v", snap.Points)
-	}
-	if _, body := get("/metrics"); !strings.Contains(body, "bfbp_runtime_heap_bytes") {
-		t.Fatalf("/metrics missing runtime family:\n%s", body)
-	}
-
-	// Heartbeat line gains the runtime and health fields.
-	var lastBranches uint64
-	last := time.Now().Add(-time.Second)
-	line := tel.heartbeatLine(&lastBranches, &last, time.Now())
-	for _, frag := range []string{" heap", " gor", " gc p99", "health=ok"} {
-		if !strings.Contains(line, frag) {
-			t.Fatalf("heartbeat missing %q: %q", frag, line)
-		}
-	}
-}
-
-// A health transition must land in the journal as a `health` event and
-// reach the OnHealth hook.
-func TestHealthTransitionJournalsAndHooks(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "j.jsonl")
-	var hookTo string
-	tel, err := Start(Config{
-		MetricsAddr:     "127.0.0.1:0",
-		JournalPath:     journal,
-		HistoryInterval: time.Hour,
-		HealthRules: []obs.HealthRule{{
-			Name: "always", Metric: "bfbp_engine_queue_depth",
-			Limit: -1, Severity: obs.HealthUnhealthy,
-		}},
-		OnHealth: func(from, to obs.HealthState, causes []string) {
-			hookTo = to.String()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tel.Close()
-
-	tel.History.Sample(time.Now()) // queue_depth 0 > -1: rule fires
-	if tel.Health.State() != obs.HealthUnhealthy {
-		t.Fatalf("state = %v, want unhealthy", tel.Health.State())
-	}
-	if hookTo != "unhealthy" {
-		t.Fatalf("OnHealth saw %q, want unhealthy", hookTo)
-	}
-	resp, err := http.Get("http://" + tel.Addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("/healthz = %d, want 503", resp.StatusCode)
-	}
-	if err := tel.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"event":"health"`) ||
-		!strings.Contains(string(raw), `"to":"unhealthy"`) {
-		t.Fatalf("journal missing health event:\n%s", raw)
-	}
-}
-
-// The history/runtime ticker must be reaped on Close, including when
-// Close races the first tick.
-func TestHealthLayerShutdownLeakFree(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		tel, err := Start(Config{Heartbeat: time.Hour, HistoryInterval: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(3 * time.Millisecond)
-		if err := tel.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tel.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Fatalf("health layer leaked goroutines: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bfbp"
+	"bfbp/internal/state"
 )
 
 // saveState serialises p's state, failing the test if the predictor
@@ -149,6 +150,82 @@ func TestSnapshotByteStable(t *testing.T) {
 			img2 := saveState(t, q)
 			if !bytes.Equal(img1, img2) {
 				t.Fatalf("save→load→save drifted: %d vs %d bytes", len(img1), len(img2))
+			}
+		})
+	}
+}
+
+// emptySection re-encodes the snapshot img with section name emptied
+// and every other section copied byte for byte. It reports false when
+// the section is already empty in img.
+func emptySection(t *testing.T, img []byte, name string) ([]byte, bool) {
+	t.Helper()
+	snap, err := state.Read(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := state.New(snap.Predictor, snap.ConfigHash)
+	nonEmpty := false
+	for _, sec := range snap.Sections() {
+		e := out.Section(sec)
+		d, err := snap.Dec(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sec == name {
+			nonEmpty = d.Remaining() > 0
+			continue
+		}
+		for d.Remaining() > 0 {
+			e.U8(d.U8())
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := out.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), nonEmpty
+}
+
+// TestFailedLoadLeavesPredictorUntouched asserts that LoadState fails
+// closed on every registry predictor: a donor snapshot with any one
+// section emptied must be rejected with a typed error and leave the
+// predictor byte-identical to a twin trained the same way. Only a
+// section that is empty in the donor (static's) is skipped, since it
+// legitimately decodes from nothing.
+func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
+	tr := genTrace(t, "SERV1", 4000)
+	half := tr[:len(tr)/2]
+	for _, info := range bfbp.Predictors() {
+		info := info
+		t.Run(info.Name, func(t *testing.T) {
+			t.Parallel()
+			train := func(tr bfbp.Trace) bfbp.Predictor {
+				p := info.New()
+				if _, err := bfbp.Run(p, tr.Stream(), bfbp.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			p, twin := train(half), train(half)
+			img := saveState(t, train(tr))
+			want := saveState(t, twin)
+			snap, err := state.Read(bytes.NewReader(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sec := range snap.Sections() {
+				bad, nonEmpty := emptySection(t, img, sec)
+				if !nonEmpty {
+					continue
+				}
+				err := bfbp.Capabilities(p).Snapshot.LoadState(bytes.NewReader(bad))
+				if !errors.Is(err, state.ErrCorrupt) && !errors.Is(err, state.ErrTruncated) {
+					t.Fatalf("empty %s section: got %v, want ErrCorrupt or ErrTruncated", sec, err)
+				}
+				if !bytes.Equal(saveState(t, p), want) {
+					t.Fatalf("empty %s section: failed load changed the predictor", sec)
+				}
 			}
 		})
 	}
