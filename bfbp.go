@@ -134,10 +134,14 @@ type (
 	FlightRecorder = obs.FlightRecorder
 	// FlightDump is one bfbp.flight.v1 incident snapshot.
 	FlightDump = obs.FlightDump
-	// WindowEvent is one closed metrics window, delivered to
-	// Options.OnWindow / Engine.WindowHook as a run progresses.
+	// Event is one fact of the engine's event stream (a bfbp.journal.v1
+	// payload), delivered to Options.OnEvent / Engine.OnEvent.
+	Event = sim.Event
+	// WindowEvent is the event for one closed metrics window, delivered
+	// live as a run progresses.
 	WindowEvent = sim.WindowEvent
-	// EngineMetrics is the engine metric set; assign to Engine.Metrics.
+	// EngineMetrics is the engine metric set; assign to Engine.Metrics
+	// and it subscribes to every Run's event stream.
 	EngineMetrics = sim.EngineMetrics
 	// EngineSnapshot is a point-in-time read of the engine metrics.
 	EngineSnapshot = sim.EngineSnapshot

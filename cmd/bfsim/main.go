@@ -249,7 +249,8 @@ func main() {
 			if err != nil {
 				return err
 			}
-			sim.JournalCheckpoint(jr, tname, pname, path, branches, n, 0)
+			ev := sim.Checkpoint{Trace: tname, Predictor: pname, Path: path, Branch: branches, Bytes: n}
+			jr.Emit(ev.Kind(), ev)
 			return nil
 		}
 	}
@@ -268,8 +269,9 @@ func main() {
 			tel.Close()
 			fatal(err)
 		}
-		sim.JournalCheckpoint(tel.RunJournal(), sources[0].Name(), specs[0].Name,
-			*checkpointPath, results[0].Stats.Branches, n, 0)
+		ev := sim.Checkpoint{Trace: sources[0].Name(), Predictor: specs[0].Name,
+			Path: *checkpointPath, Branch: results[0].Stats.Branches, Bytes: n}
+		tel.RunJournal().Emit(ev.Kind(), ev)
 		fmt.Fprintf(os.Stderr, "bfsim: checkpoint %s (%d bytes, branch %d)\n",
 			*checkpointPath, n, results[0].Stats.Branches)
 	}

@@ -97,9 +97,7 @@ func main() {
 		fatal(err)
 	}
 	defer tel.Close()
-	cfg.Metrics = tel.EngineMetrics()
-	cfg.Journal = tel.RunJournal()
-	cfg.Tracer = tel.RunTracer()
+	cfg.Telemetry = tel
 
 	if *suite {
 		runSuite(cfg, *predNames, *jsonOut)

@@ -89,10 +89,8 @@ func runEngine(cfg Config, figure string, jobs []sim.Job) []sim.RunResult {
 		Progress: func(ev sim.ProgressEvent) {
 			cfg.logf("%s: %s/%s done (%d/%d)\n", figure, ev.Trace, ev.Predictor, ev.Done, ev.Total)
 		},
-		Metrics: cfg.Metrics,
-		Journal: cfg.Journal,
-		Tracer:  cfg.Tracer,
 	}
+	cfg.Telemetry.Attach(&eng)
 	results, err := eng.Run(context.Background(), jobs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", figure, err))
@@ -134,10 +132,8 @@ func Suite(ctx context.Context, cfg Config, preds []sim.PredictorSpec) ([]sim.Ru
 			cfg.logf("suite: %s/%s MPKI %.3f (%d/%d, %s)\n",
 				ev.Trace, ev.Predictor, ev.Stats.MPKI(), ev.Done, ev.Total, ev.Elapsed.Round(time.Millisecond))
 		},
-		Metrics: cfg.Metrics,
-		Journal: cfg.Journal,
-		Tracer:  cfg.Tracer,
 	}
+	cfg.Telemetry.Attach(&eng)
 	results, err := eng.Run(ctx, jobs)
 	if err != nil {
 		return nil, err

@@ -18,11 +18,11 @@ import (
 	"bfbp/internal/bst"
 	"bfbp/internal/core/bfneural"
 	"bfbp/internal/core/bftage"
-	"bfbp/internal/obs"
 	"bfbp/internal/predictor/ohsnap"
 	"bfbp/internal/predictor/perceptron"
 	"bfbp/internal/predictor/tage"
 	"bfbp/internal/sim"
+	"bfbp/internal/telemetry"
 	"bfbp/internal/workload"
 )
 
@@ -40,15 +40,9 @@ type Config struct {
 	Workers int
 	// Log receives progress lines (nil silences them).
 	Log io.Writer
-	// Metrics, when non-nil, receives live engine telemetry from every
-	// figure and suite run (see sim.EngineMetrics).
-	Metrics *sim.EngineMetrics
-	// Journal, when non-nil, receives bfbp.journal.v1 events from every
-	// engine run.
-	Journal *obs.Journal
-	// Tracer, when non-nil, records bfbp.trace.v1 execution spans from
-	// every engine run.
-	Tracer *obs.Tracer
+	// Telemetry, when non-nil, is attached to every figure and suite
+	// engine run (metrics, journal, tracer; see telemetry.T.Attach).
+	Telemetry *telemetry.T
 }
 
 // DefaultConfig is the laptop-scale configuration used by the benchmarks.

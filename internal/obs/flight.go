@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"sync"
 )
@@ -193,12 +194,16 @@ func (d FlightDump) Render(w io.Writer) error {
 }
 
 // ReadFlightDump parses a bfbp.flight.v1 document, rejecting foreign
-// schemas.
+// schemas and anything but whitespace after the document (the tail of
+// an overwritten longer dump, say).
 func ReadFlightDump(r io.Reader) (FlightDump, error) {
 	var d FlightDump
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&d); err != nil {
 		return d, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return d, errors.New("flight dump: trailing data after the document")
 	}
 	if d.Schema != FlightSchema {
 		return d, &FlightSchemaError{Got: d.Schema}

@@ -170,3 +170,20 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Fatalf("nil snapshot = %+v", d)
 	}
 }
+
+// A dump file holding anything after its document — the tail of a
+// longer dump another writer overwrote — is rejected, not read as the
+// leading document.
+func TestReadFlightDumpRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewFlightRecorder(4).Snapshot("signal", "", nil, nil).Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.String()
+	if _, err := ReadFlightDump(strings.NewReader(whole + "\n  \n")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	if _, err := ReadFlightDump(strings.NewReader(whole + `  "evicted": 0, "records": []}` + "\n")); err == nil {
+		t.Fatal("trailing data accepted")
+	}
+}

@@ -107,29 +107,29 @@ type Engine struct {
 	// Progress, when non-nil, receives one event per completed cell.
 	Progress func(ProgressEvent)
 	// Metrics, when non-nil, receives live engine telemetry (queue
-	// depth, busy workers, run counters/latencies, sampled harness
-	// predict/update latencies). Nil disables collection entirely and
+	// depth, busy workers, run counters/latencies, state-probe gauges)
+	// from the event stream, and samples harness predict/update
+	// latencies through its Probe. Nil disables collection entirely and
 	// runs the uninstrumented path.
 	Metrics *EngineMetrics
-	// Journal, when non-nil, receives bfbp.journal.v1 events
-	// (suite/run lifecycle, per-window MPKI as each window closes,
-	// worker state transitions, storage budgets).
+	// Journal, when non-nil, records every event as a bfbp.journal.v1
+	// line (suite/run lifecycle, per-window MPKI as each window closes,
+	// worker state transitions, storage budgets, state samples).
 	Journal *obs.Journal
 	// Tracer, when non-nil, records the suite's execution timeline as
 	// bfbp.trace.v1 spans: one suite span on lane 0, one run span per
 	// matrix cell on its worker's lane, and the harness's batch/drain
-	// spans and sampled predict/update phases beneath each run. Journal
-	// events carry the matching span IDs in their "span" field, so a
-	// journal record can be joined to its timeline slice. Nil disables
-	// tracing entirely and runs the uninstrumented path.
+	// spans and sampled predict/update phases beneath each run. Events
+	// carry the matching span IDs in their "span" field, so a journal
+	// record can be joined to its timeline slice, and state samples
+	// become occupancy and weight-saturation counter tracks. Nil
+	// disables tracing entirely and runs the uninstrumented path.
 	Tracer *obs.Tracer
-	// WindowHook, when non-nil, receives every window-close event of
-	// every windowed cell, with Trace and Predictor filled in, after
-	// the window's journal event is written. Events from concurrent
-	// cells arrive concurrently; the hook must be safe for parallel
-	// use. It composes with (does not replace) a per-job
-	// Options.OnWindow, which keeps firing with the run-local view.
-	WindowHook func(WindowEvent)
+	// OnEvent, when non-nil, subscribes to the event stream: it receives
+	// every event after the journal, metrics and tracer have. Windows
+	// and state samples arrive live from concurrent cells, so it must
+	// be safe for parallel use.
+	OnEvent func(Event)
 }
 
 // Run evaluates every job and returns results in job order — identical
@@ -145,10 +145,9 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 		failed      int
 		storageSeen sync.Map
 	)
-	m, j, tr := e.Metrics, e.Journal, e.Tracer
+	tr := e.Tracer
+	observed := e.Metrics != nil || e.Journal != nil || tr != nil || e.OnEvent != nil
 	workers := effectiveWorkers(e.Workers, len(jobs))
-	m.suiteStart(len(jobs), workers)
-	defer m.suiteFinish()
 	preds, traces := suiteNames(jobs)
 	var suite *obs.Span
 	if tr != nil {
@@ -160,96 +159,89 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 		suite = tr.StartSpan("suite", "suite", 0).
 			Attr("jobs", len(jobs)).Attr("workers", workers)
 	}
-	j.Emit("suite_start", journalSuiteStart{Jobs: len(jobs), Workers: workers, Predictors: preds, Traces: traces, Span: suite.ID()})
+	e.emit(SuiteStart{Jobs: len(jobs), Workers: workers, Predictors: preds, Traces: traces, Span: suite.ID()})
 	suiteStart := time.Now()
 	err := forEachWorker(ctx, len(jobs), e.Workers, func(ctx context.Context, worker, i int) error {
 		job := jobs[i]
+		tn, pn := job.Source.Name(), job.Predictor.Name
 		opt := e.Options
 		if job.Options != nil {
 			opt = *job.Options
 		}
-		if m != nil && opt.Probe == nil {
-			opt.Probe = m.Probe()
+		if e.Metrics != nil && opt.Probe == nil {
+			opt.Probe = e.Metrics.Probe()
 		}
 		var rsp *obs.Span
 		if tr != nil {
 			// Run spans live on their worker's lane (tid worker+1; the
 			// suite span owns lane 0) so Perfetto shows one row per
 			// worker with the cells it executed.
-			rsp = suite.ChildTID("run", job.Predictor.Name+"/"+job.Source.Name(), int64(worker+1)).
-				Attr("trace", job.Source.Name()).Attr("predictor", job.Predictor.Name)
+			rsp = suite.ChildTID("run", pn+"/"+tn, int64(worker+1)).
+				Attr("trace", tn).Attr("predictor", pn)
 			opt.TraceSpan = rsp
 		}
 		sid := rsp.ID()
-		if opt.Window > 0 && (j != nil || e.WindowHook != nil) {
-			// Each window is journaled once, the moment it closes, and
-			// before the hook sees it: an alarm the hook raises can
-			// then dump a flight ring that already holds its trigger.
-			hook, inner := e.WindowHook, opt.OnWindow
-			tn, pn := job.Source.Name(), job.Predictor.Name
-			opt.OnWindow = func(ev WindowEvent) {
+		if observed && (opt.Window > 0 || opt.ProbeStateEvery > 0) {
+			// Windows and state samples enter the stream live, from the
+			// cell's worker, as RunContext produces them.
+			inner := opt.OnEvent
+			opt.OnEvent = func(ev Event) {
 				if inner != nil {
 					inner(ev)
 				}
-				ev.Trace, ev.Predictor = tn, pn
-				journalWindowClose(j, ev, sid)
-				if hook != nil {
-					hook(ev)
+				switch ev := ev.(type) {
+				case WindowEvent:
+					ev.Trace, ev.Predictor, ev.Span = tn, pn, sid
+					e.emit(ev)
+				case TableStats:
+					ev.Trace, ev.Predictor, ev.Span, ev.cell = tn, pn, sid, i+1
+					e.emit(ev)
 				}
 			}
 		}
-		if opt.ProbeStateEvery > 0 && opt.ProbeState == nil && (m != nil || j != nil || tr != nil) {
-			// State-probe samples flow into the attached telemetry:
-			// occupancy/saturation gauges and conflict counters on m,
-			// tablestats journal events on j, per-bank counter tracks
-			// on tr.
-			opt.ProbeState = stateProbeSink(m, j, tr, job.Source.Name(), job.Predictor.Name, sid)
+		// Per-cell events are built only for an observed engine, so a
+		// bare one allocates nothing for them.
+		if observed {
+			e.emit(WorkerState{Worker: worker, State: "busy", Span: sid})
+			e.emit(RunStart{Trace: tn, Predictor: pn, Worker: worker, Span: sid})
 		}
-		m.runStart()
-		j.Emit("worker_state", journalWorkerState{Worker: worker, State: "busy", Span: sid})
-		j.Emit("run_start", journalRunStart{Trace: job.Source.Name(), Predictor: job.Predictor.Name, Worker: worker, Span: sid})
 		p := job.Predictor.New()
 		start := time.Now()
 		st, err := RunContext(ctx, p, job.Source.Open(), opt)
 		elapsed := time.Since(start)
 		rsp.Attr("branches", st.Branches).End()
-		m.runFinish(job.Predictor.Name, st, elapsed, err)
 		if err != nil {
 			mu.Lock()
 			failed++
 			mu.Unlock()
-			j.Emit("run_error", journalRunError{
-				Trace: job.Source.Name(), Predictor: job.Predictor.Name, Worker: worker, Error: err.Error(), Span: sid,
-			})
-			j.Emit("worker_state", journalWorkerState{Worker: worker, State: "idle", Span: sid})
-			return fmt.Errorf("sim: %s on %s: %w", job.Predictor.Name, job.Source.Name(), err)
+			if observed {
+				e.emit(RunError{Trace: tn, Predictor: pn, Worker: worker, Error: err.Error(), Span: sid, cell: i + 1})
+				e.emit(WorkerState{Worker: worker, State: "idle", Span: sid})
+			}
+			return fmt.Errorf("sim: %s on %s: %w", pn, tn, err)
 		}
-		results[i] = RunResult{
-			Trace:     job.Source.Name(),
-			Predictor: job.Predictor.Name,
-			Stats:     st,
-			Elapsed:   elapsed,
-			Instance:  p,
+		results[i] = RunResult{Trace: tn, Predictor: pn, Stats: st, Elapsed: elapsed, Instance: p}
+		if observed {
+			e.emitRun(results[i], worker, i+1, sid, &storageSeen)
+			e.emit(WorkerState{Worker: worker, State: "idle", Span: sid})
 		}
-		journalRun(j, results[i], worker, sid, &storageSeen)
-		j.Emit("worker_state", journalWorkerState{Worker: worker, State: "idle", Span: sid})
 		mu.Lock()
 		done++
 		if e.Progress != nil {
 			e.Progress(ProgressEvent{
 				Done:      done,
 				Total:     len(jobs),
-				Trace:     results[i].Trace,
-				Predictor: results[i].Predictor,
+				Trace:     tn,
+				Predictor: pn,
 				Stats:     st,
-				Elapsed:   results[i].Elapsed,
+				Elapsed:   elapsed,
 			})
 		}
 		mu.Unlock()
 		return nil
 	})
 	suite.Attr("runs", done).Attr("failed", failed).End()
-	j.Emit("suite_finish", journalSuiteFinish{Runs: done, Failed: failed, ElapsedNS: time.Since(suiteStart).Nanoseconds(), Span: suite.ID()})
+	e.emit(SuiteFinish{Runs: done, Failed: failed, ElapsedNS: time.Since(suiteStart).Nanoseconds(), Span: suite.ID()})
 	if err != nil {
 		return nil, err
 	}

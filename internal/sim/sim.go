@@ -49,8 +49,8 @@ type Breakdown struct {
 
 // Component is one line of a storage budget.
 type Component struct {
-	Name string
-	Bits int
+	Name string `json:"name"`
+	Bits int    `json:"bits"`
 }
 
 // TotalBits sums the component budgets.
@@ -107,26 +107,6 @@ func (w WindowStat) MPKI() float64 {
 		return 0
 	}
 	return float64(w.Mispredicts) * 1000 / float64(w.Instructions)
-}
-
-// WindowEvent is the live counterpart of a Stats.Windows entry: it is
-// delivered to Options.OnWindow the moment each window closes, while
-// the run is still in flight, so change-point detectors and counter
-// tracks can watch phase behaviour without waiting for the run to end.
-type WindowEvent struct {
-	// Trace and Predictor identify the run. RunContext leaves them
-	// empty; the engine fills them in when it installs its WindowHook.
-	Trace     string
-	Predictor string
-	// Index is the window's position in the Stats.Windows series.
-	Index int
-	// Final marks the trailing partial window emitted at end of trace.
-	Final bool
-	// Stat is the closed window.
-	Stat WindowStat
-	// Branches is the cumulative branch count (including warmup) at the
-	// moment the window closed.
-	Branches uint64
 }
 
 type pcStat struct {
@@ -262,11 +242,13 @@ type Options struct {
 	// WindowStat per Window post-warmup branches (plus a final partial
 	// window) into Stats.Windows.
 	Window uint64
-	// OnWindow, when non-nil (and Window > 0), receives each WindowStat
-	// synchronously as its window closes, including the final partial
-	// one. It runs on the simulation goroutine, so it must be fast and
-	// must not retain the event past the call.
-	OnWindow func(WindowEvent)
+	// OnEvent, when non-nil, receives the run's live events on the
+	// simulation goroutine, so it must be fast: a WindowEvent as each
+	// window closes (Window > 0, including the final partial one) and a
+	// TableStats sample per ProbeStateEvery branches. The engine
+	// installs its own, forwarding to its receivers, when telemetry is
+	// attached; a per-job OnEvent still sees the run-local events first.
+	OnEvent func(Event)
 	// Probe, when non-nil, samples Predict/Update latencies into its
 	// histograms every Probe.Every branches. The engine injects one
 	// automatically when Engine.Metrics is set; a nil Probe runs the
@@ -297,18 +279,14 @@ type Options struct {
 	// run. Must be set when CheckpointEvery is non-zero.
 	CheckpointFn func(p Predictor, branches uint64) error
 	// ProbeStateEvery, when non-zero, samples predictor-internal table
-	// statistics: for predictors implementing StateProbe, ProbeState
+	// statistics: for predictors implementing StateProbe, OnEvent
 	// receives one TableStats sample at the first batch boundary at or
 	// after every ProbeStateEvery branches (quantised like checkpoints)
-	// plus one final sample at end of trace. Probing is observation-only
-	// — results are bit-identical with it on or off — and predictors
-	// without the interface run unchanged. The engine injects its own
-	// consumer (metrics, journal, counter tracks) when ProbeState is nil
-	// and telemetry is attached.
+	// plus one final sample at end of trace, each stamped with the
+	// branch count it was taken at. Probing is observation-only —
+	// results are bit-identical with it on or off — and predictors
+	// without the interface, or runs without OnEvent, run unchanged.
 	ProbeStateEvery uint64
-	// ProbeState receives each state sample with the branch count it was
-	// taken at. It runs on the simulation goroutine between batches.
-	ProbeState func(ts TableStats, branches uint64)
 	// TraceSpan, when non-nil, is the parent execution span under which
 	// RunContext records its timeline: one "batch" span per record
 	// batch, a "drain" span for the delayed-update flush, and — when a
@@ -362,7 +340,7 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 		sprobe    StateProbe
 		nextProbe uint64
 	)
-	if opt.ProbeStateEvery > 0 && opt.ProbeState != nil {
+	if opt.ProbeStateEvery > 0 && opt.OnEvent != nil {
 		if spr, ok := p.(StateProbe); ok {
 			sprobe = spr
 			nextProbe = opt.ProbeStateEvery
@@ -453,8 +431,8 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 					}
 					if win.Branches == opt.Window {
 						stats.Windows = append(stats.Windows, win)
-						if opt.OnWindow != nil {
-							opt.OnWindow(WindowEvent{Index: len(stats.Windows) - 1, Stat: win, Branches: stats.Branches})
+						if opt.OnEvent != nil {
+							opt.OnEvent(windowEvent(len(stats.Windows)-1, win, false))
 						}
 						win = WindowStat{}
 					}
@@ -513,7 +491,7 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 		}
 		if nextProbe > 0 && stats.Branches >= nextProbe {
 			psp := sp.Child("tablestats", "tablestats")
-			opt.ProbeState(sprobe.ProbeState(), stats.Branches)
+			probeState(sprobe, stats.Branches, opt.OnEvent)
 			psp.End()
 			for nextProbe <= stats.Branches {
 				nextProbe += opt.ProbeStateEvery
@@ -531,18 +509,25 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 	}
 	if win.Branches > 0 {
 		stats.Windows = append(stats.Windows, win)
-		if opt.OnWindow != nil {
-			opt.OnWindow(WindowEvent{Index: len(stats.Windows) - 1, Final: true, Stat: win, Branches: stats.Branches})
+		if opt.OnEvent != nil {
+			opt.OnEvent(windowEvent(len(stats.Windows)-1, win, true))
 		}
 	}
 	// A final state sample covers the run end (and guarantees short runs
 	// still produce at least one tablestats event).
 	if sprobe != nil {
-		opt.ProbeState(sprobe.ProbeState(), stats.Branches)
+		probeState(sprobe, stats.Branches, opt.OnEvent)
 	}
 	// Warmup branches contribute no instructions; Branches keeps the full
 	// count so callers can verify trace coverage.
 	return stats, nil
+}
+
+// probeState takes one state sample at branch and hands it to onEvent.
+func probeState(p StateProbe, branch uint64, onEvent func(Event)) {
+	ts := p.ProbeState()
+	ts.Branch = branch
+	onEvent(ts)
 }
 
 // Result pairs a predictor name with its run statistics.

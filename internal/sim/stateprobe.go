@@ -11,11 +11,7 @@
 
 package sim
 
-import (
-	"strconv"
-
-	"bfbp/internal/obs"
-)
+import "strconv"
 
 // StateProbe is the optional interface for predictors that can report
 // structured statistics over their internal tables. ProbeState must be
@@ -30,53 +26,64 @@ type StateProbe interface {
 
 // TableStats is one point-in-time sample of a predictor's internal
 // state: indexed banks (PHTs, tagged tables, caches, classifiers),
-// weight arrays of the adder cores, and recency-stack segments.
+// weight arrays of the adder cores, and recency-stack segments. It is
+// also the tablestats event, its json tags the journal schema.
 type TableStats struct {
-	// Predictor is the reporting predictor's Name().
-	Predictor string
+	// Trace names the run's trace and Span its run span; the engine
+	// fills both in, ProbeState leaves them zero.
+	Trace string `json:"trace"`
+	// Predictor is the reporting predictor's Name(); the engine
+	// replaces it with the cell's predictor name.
+	Predictor string `json:"predictor"`
+	// Branch is the committed-branch count the harness took the sample
+	// at.
+	Branch uint64 `json:"branch"`
 	// Banks describes each indexed table, in storage order.
-	Banks []BankStats
+	Banks []BankStats `json:"banks,omitempty"`
 	// Weights describes each weight array of an adder-tree core.
-	Weights []WeightStats
+	Weights []WeightStats `json:"weights,omitempty"`
 	// Recency describes each recency-stack segment of a bias-free core.
-	Recency []RecencyStats
+	Recency []RecencyStats `json:"recency,omitempty"`
+	Span    uint64         `json:"span,omitempty"`
+	// cell is the engine's per-Run identity of the sample's cell.
+	cell int
 }
 
 // BankStats describes one indexed table.
 type BankStats struct {
 	// Bank is the table's position in the predictor's storage order
 	// (0 is the base/choice structure where one exists).
-	Bank int
+	Bank int `json:"bank"`
 	// Kind classifies the bank: "base", "tagged", "pht", "lhist",
 	// "choice", "cache", "filter", "bst".
-	Kind string
+	Kind string `json:"kind"`
 	// Entries is the bank's capacity.
-	Entries int
+	Entries int `json:"entries"`
 	// Live counts entries holding trained state: a set valid bit for
 	// tagged/cache banks, an allocation since reset for TAGE tagged
 	// tables, a counter away from its reset value for PHT-style banks.
-	Live int
+	Live int `json:"live"`
 	// HistLen is the history length indexing the bank, in the
 	// predictor's own history bits (BF-GHR bits for bias-free cores);
 	// 0 for PC-indexed banks.
-	HistLen int
+	HistLen int `json:"hist_len,omitempty"`
 	// Reach is the raw-branch depth the bank's history can observe —
 	// equal to HistLen for conventional predictors, and the segment
 	// bound for bias-free cores (the paper's structural advantage).
-	Reach int
+	Reach int `json:"reach,omitempty"`
 	// UsefulSet counts set useful bits (TAGE tagged tables).
-	UsefulSet int
+	UsefulSet int `json:"useful,omitempty"`
 	// Saturated counts counters pinned at either clamp bound.
-	Saturated int
+	Saturated int `json:"saturated,omitempty"`
 	// Allocs counts entry installs since construction (TAGE tagged
 	// tables); Evictions counts installs that displaced a previously
 	// allocated entry — the tag-conflict signal.
-	Allocs    uint64
-	Evictions uint64
+	Allocs    uint64 `json:"allocs,omitempty"`
+	Evictions uint64 `json:"evictions,omitempty"`
 	// Hits counts the predictions this bank provided since
 	// construction (TAGE-class base and tagged banks; Fig. 12's
 	// provider histogram). Every Predict credits exactly one bank.
-	Hits uint64
+	Hits uint64 `json:"hits,omitempty"`
 }
 
 // Label renders the bank as a stable metric/track label ("T1:tagged").
@@ -120,20 +127,20 @@ func (ts TableStats) ProviderHits() []uint64 {
 // WeightStats describes one weight array of an adder-tree core.
 type WeightStats struct {
 	// Bank is the array's position in the predictor's storage order.
-	Bank int
+	Bank int `json:"bank"`
 	// Name identifies the array ("W3", "bias", "Wm", "sc").
-	Name string
+	Name string `json:"name"`
 	// HistLen is the history length feeding the array (0 for bias rows).
-	HistLen int
+	HistLen int `json:"hist_len,omitempty"`
 	// Weights is the array length; Live counts non-zero weights and
 	// Saturated counts weights pinned at either clamp bound.
-	Weights   int
-	Live      int
-	Saturated int
+	Weights   int `json:"weights"`
+	Live      int `json:"live"`
+	Saturated int `json:"saturated"`
 	// L1 is the sum of absolute weight values; Max is the largest
 	// absolute value.
-	L1  int64
-	Max int32
+	L1  int64 `json:"l1"`
+	Max int32 `json:"max"`
 }
 
 // SaturationRate is the clamped fraction of the array.
@@ -149,121 +156,11 @@ func (w WeightStats) SaturationRate() float64 {
 type RecencyStats struct {
 	// Segment indexes the segment; Size is its capacity and Live its
 	// occupied depth.
-	Segment int
-	Size    int
-	Live    int
-	// Depth is the raw-branch depth bound of the segment.
-	Depth int
-}
-
-// The bfbp.journal.v1 tablestats payload mirrors TableStats with
-// frozen field names (DESIGN.md schema table).
-
-type journalBankStats struct {
-	Bank      int    `json:"bank"`
-	Kind      string `json:"kind"`
-	Entries   int    `json:"entries"`
-	Live      int    `json:"live"`
-	HistLen   int    `json:"hist_len,omitempty"`
-	Reach     int    `json:"reach,omitempty"`
-	UsefulSet int    `json:"useful,omitempty"`
-	Saturated int    `json:"saturated,omitempty"`
-	Allocs    uint64 `json:"allocs,omitempty"`
-	Evictions uint64 `json:"evictions,omitempty"`
-	Hits      uint64 `json:"hits,omitempty"`
-}
-
-type journalWeightStats struct {
-	Bank      int    `json:"bank"`
-	Name      string `json:"name"`
-	HistLen   int    `json:"hist_len,omitempty"`
-	Weights   int    `json:"weights"`
-	Live      int    `json:"live"`
-	Saturated int    `json:"saturated"`
-	L1        int64  `json:"l1"`
-	Max       int32  `json:"max"`
-}
-
-type journalRecencyStats struct {
 	Segment int `json:"segment"`
 	Size    int `json:"size"`
 	Live    int `json:"live"`
-	Depth   int `json:"depth,omitempty"`
-}
-
-type journalTableStats struct {
-	Trace     string                `json:"trace"`
-	Predictor string                `json:"predictor"`
-	Branch    uint64                `json:"branch"`
-	Banks     []journalBankStats    `json:"banks,omitempty"`
-	Weights   []journalWeightStats  `json:"weights,omitempty"`
-	Recency   []journalRecencyStats `json:"recency,omitempty"`
-	Span      uint64                `json:"span,omitempty"`
-}
-
-// JournalTableStats emits a tablestats event: one StateProbe sample of
-// predictor state taken after branch committed branches. Span joins
-// the event to its bfbp.trace.v1 timeline slice (0 when tracing is
-// off). Nil-safe on j.
-func JournalTableStats(j *obs.Journal, traceName string, ts TableStats, branch, span uint64) {
-	if j == nil {
-		return
-	}
-	ev := journalTableStats{
-		Trace:     traceName,
-		Predictor: ts.Predictor,
-		Branch:    branch,
-		Span:      span,
-	}
-	for _, b := range ts.Banks {
-		ev.Banks = append(ev.Banks, journalBankStats{
-			Bank: b.Bank, Kind: b.Kind, Entries: b.Entries, Live: b.Live,
-			HistLen: b.HistLen, Reach: b.Reach, UsefulSet: b.UsefulSet,
-			Saturated: b.Saturated, Allocs: b.Allocs, Evictions: b.Evictions,
-			Hits: b.Hits,
-		})
-	}
-	for _, w := range ts.Weights {
-		ev.Weights = append(ev.Weights, journalWeightStats{
-			Bank: w.Bank, Name: w.Name, HistLen: w.HistLen, Weights: w.Weights,
-			Live: w.Live, Saturated: w.Saturated, L1: w.L1, Max: w.Max,
-		})
-	}
-	for _, r := range ts.Recency {
-		ev.Recency = append(ev.Recency, journalRecencyStats{
-			Segment: r.Segment, Size: r.Size, Live: r.Live, Depth: r.Depth,
-		})
-	}
-	j.Emit("tablestats", ev)
-}
-
-// stateProbeSink is the engine's standard ProbeState consumer for one
-// matrix cell: metric families on m, a tablestats journal event on j,
-// and per-bank Perfetto counter tracks on tr. All three sinks are
-// nil-safe, and the returned closure runs on the cell's worker
-// goroutine only.
-func stateProbeSink(m *EngineMetrics, j *obs.Journal, tr *obs.Tracer, traceName, predictor string, span uint64) func(TableStats, uint64) {
-	// Evictions are cumulative in each sample; the counter family wants
-	// deltas, tracked per bank across this cell's samples.
-	lastEvict := map[string]uint64{}
-	return func(ts TableStats, branches uint64) {
-		m.observeTableStats(predictor, ts, lastEvict)
-		JournalTableStats(j, traceName, ts, branches, span)
-		if tr != nil && len(ts.Banks) > 0 {
-			occ := make(map[string]float64, len(ts.Banks))
-			for _, b := range ts.Banks {
-				occ[b.Label()] = b.Occupancy()
-			}
-			tr.Counter("occupancy:"+predictor+"/"+traceName, occ)
-		}
-		if tr != nil && len(ts.Weights) > 0 {
-			sat := make(map[string]float64, len(ts.Weights))
-			for _, w := range ts.Weights {
-				sat[w.Name] = w.SaturationRate()
-			}
-			tr.Counter("weight-saturation:"+predictor+"/"+traceName, sat)
-		}
-	}
+	// Depth is the raw-branch depth bound of the segment.
+	Depth int `json:"depth,omitempty"`
 }
 
 // ProbeState implements StateProbe. A static predictor holds no

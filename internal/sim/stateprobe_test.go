@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,11 +49,12 @@ func TestRunContextProbeStateFiring(t *testing.T) {
 	var samples []sample
 	st, err := Run(p, spec.Stream(total), Options{
 		ProbeStateEvery: every,
-		ProbeState: func(ts TableStats, branches uint64) {
+		OnEvent: func(ev Event) {
+			ts := ev.(TableStats)
 			if ts.Predictor != "toy" {
 				t.Errorf("sample predictor = %q, want toy", ts.Predictor)
 			}
-			samples = append(samples, sample{branches, len(ts.Banks)})
+			samples = append(samples, sample{ts.Branch, len(ts.Banks)})
 		},
 	})
 	if err != nil {
@@ -91,13 +93,13 @@ func TestRunContextProbeStateSkipsNonProbers(t *testing.T) {
 	calls := 0
 	_, err := Run(&toyShare{}, spec.Stream(20_000), Options{
 		ProbeStateEvery: 4096,
-		ProbeState:      func(TableStats, uint64) { calls++ },
+		OnEvent:         func(Event) { calls++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
-		t.Fatalf("ProbeState called %d times for a non-probing predictor", calls)
+		t.Fatalf("OnEvent called %d times for a non-probing predictor", calls)
 	}
 }
 
@@ -115,7 +117,7 @@ func TestRunContextProbeStateBitExact(t *testing.T) {
 	probed, err := Run(&probeToy{}, spec.Stream(40_000), Options{
 		Warmup:          4_000,
 		ProbeStateEvery: 4096,
-		ProbeState:      func(TableStats, uint64) {},
+		OnEvent:         func(Event) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +128,9 @@ func TestRunContextProbeStateBitExact(t *testing.T) {
 	}
 }
 
-// With telemetry attached and ProbeStateEvery set, the engine must
-// inject the default sink: occupancy gauges in the registry and
-// tablestats journal events, per cell.
+// With telemetry attached and ProbeStateEvery set, state samples must
+// reach the receivers: occupancy gauges in the registry and tablestats
+// journal events, per cell — from two cells running at once.
 func TestEngineProbeStateSink(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewEngineMetrics(reg)
@@ -137,12 +139,13 @@ func TestEngineProbeStateSink(t *testing.T) {
 	j.Clock = func() time.Time { return time.Unix(0, 0).UTC() }
 
 	spec, ok := workload.ByName("MM1")
-	if !ok {
-		t.Fatal("MM1 missing")
+	spec2, ok2 := workload.ByName("INT1")
+	if !ok || !ok2 {
+		t.Fatal("MM1/INT1 missing")
 	}
-	eng := Engine{Workers: 1, Metrics: m, Journal: j}
+	eng := Engine{Workers: 2, Metrics: m, Journal: j}
 	jobs := Matrix(
-		[]TraceSource{spec.Source(30_000)},
+		[]TraceSource{spec.Source(30_000), spec2.Source(30_000)},
 		[]PredictorSpec{{Name: "toy", New: func() Predictor { return &probeToy{} }}},
 		Options{ProbeStateEvery: 8192},
 	)
@@ -168,5 +171,97 @@ func TestEngineProbeStateSink(t *testing.T) {
 	}
 	if !strings.Contains(journal, `"kind":"pht"`) {
 		t.Fatalf("tablestats events lost bank detail:\n%s", journal)
+	}
+}
+
+// lockstep counts the samples the engine has delivered, so probed
+// cells can be made to take turns.
+type lockstep struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	seen int
+}
+
+func (l *lockstep) observed() {
+	l.mu.Lock()
+	l.seen++
+	l.cond.Broadcast()
+	l.mu.Unlock()
+}
+
+func (l *lockstep) await(n int) {
+	l.mu.Lock()
+	for l.seen < n {
+		l.cond.Wait()
+	}
+	l.mu.Unlock()
+}
+
+// evictToy reports a tagged bank whose cumulative evictions grow by
+// rate per update. Its k-th ProbeState waits until 2(k-1) samples have
+// been delivered, so two such cells deliver their samples in rounds.
+type evictToy struct {
+	toyShare
+	rate, evictions uint64
+	probes          int
+	steps           *lockstep
+}
+
+func (p *evictToy) Update(pc uint64, taken bool, target uint64) {
+	p.toyShare.Update(pc, taken, target)
+	p.evictions += p.rate
+}
+
+func (p *evictToy) ProbeState() TableStats {
+	p.probes++
+	p.steps.await(2 * (p.probes - 1))
+	return TableStats{Banks: []BankStats{{Bank: 1, Kind: "tagged", Entries: 1, Evictions: p.evictions}}}
+}
+
+// The same (trace, predictor) cell listed twice and run at once must
+// keep one eviction baseline per cell. With their samples interleaved,
+// the tag-conflict counter must never fall and must end at the sum of
+// both cells' final evictions.
+func TestEngineDuplicateCellsKeepOwnEvictionBaselines(t *testing.T) {
+	spec, ok := workload.ByName("MM1")
+	if !ok {
+		t.Fatal("MM1 missing")
+	}
+	steps := &lockstep{}
+	steps.cond.L = &steps.mu
+	job := func(rate uint64) Job {
+		return Job{
+			Predictor: PredictorSpec{Name: "evict", New: func() Predictor { return &evictToy{rate: rate, steps: steps} }},
+			Source:    spec.Source(30_000),
+		}
+	}
+	m := NewEngineMetrics(obs.NewRegistry())
+	label := BankStats{Bank: 1, Kind: "tagged"}.Label()
+	conflicts := m.tagConflicts.With("evict", label)
+	var (
+		mu   sync.Mutex
+		last uint64
+	)
+	eng := Engine{Workers: 2, Metrics: m, Options: Options{ProbeStateEvery: 8192}}
+	eng.OnEvent = func(ev Event) {
+		if _, ok := ev.(TableStats); !ok {
+			return
+		}
+		mu.Lock()
+		if v := conflicts.Value(); v < last {
+			t.Errorf("bfbp_tag_conflicts_total fell from %d to %d", last, v)
+		} else {
+			last = v
+		}
+		mu.Unlock()
+		steps.observed()
+	}
+	res, err := eng.Run(context.Background(), []Job{job(1), job(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res[0].Stats.Branches + 3*res[1].Stats.Branches
+	if got := conflicts.Value(); got != want {
+		t.Fatalf("bfbp_tag_conflicts_total{evict,%s} = %d, want %d", label, got, want)
 	}
 }

@@ -17,11 +17,13 @@ import (
 // ring, and cuts a bfbp.flight.v1 dump whenever a detector alarms (and
 // on SIGQUIT).
 //
-// A nil *Monitor is inert, so the engine hook wires it
-// unconditionally. ObserveWindow is called concurrently from every
-// engine worker; detector state is guarded by one mutex — the work per
-// window close is a handful of float operations, so contention is
-// negligible at window sizes worth using.
+// A nil *Monitor is inert, so Attach subscribes it unconditionally.
+// Observe is called concurrently from every engine worker; detector
+// state is guarded by one mutex — the work per window close is a
+// handful of float operations, so contention is negligible at window
+// sizes worth using. Dumps are serialized by a second mutex, so
+// concurrent alarms (and SIGQUIT) never interleave writes to the one
+// dump file.
 type Monitor struct {
 	cfg        obs.DriftConfig
 	journal    *obs.Journal // run journal, teed through recorder
@@ -31,6 +33,7 @@ type Monitor struct {
 
 	mu        sync.Mutex
 	detectors map[string]*obs.DriftDetector
+	dumpMu    sync.Mutex
 
 	alarms   *obs.CounterFamily
 	dumps    *obs.Counter
@@ -59,18 +62,20 @@ func newMonitor(t *T, cfg Config) *Monitor {
 	return m
 }
 
-// ObserveWindow consumes one window-close event from the engine hook:
-// it extends the MPKI counter track and runs the series' drift
-// detector, handling the full alarm path (drift journal event, trace
-// instant, alarm counter, flight dump) when it fires. The window's own journal line is
-// already in the flight ring: the engine journals each window before
-// calling the hook. Nil-safe.
-func (m *Monitor) ObserveWindow(ev sim.WindowEvent) {
-	if m == nil {
+// Observe subscribes the monitor to the engine's event stream. Each
+// closed window extends the MPKI counter track and runs the series'
+// drift detector, handling the full alarm path (drift journal event,
+// trace instant, alarm counter, flight dump) when it fires. The
+// window's own journal line is already in the flight ring: the engine
+// journals each event before the subscriber sees it. Other events are
+// ignored. Nil-safe.
+func (m *Monitor) Observe(e sim.Event) {
+	ev, ok := e.(sim.WindowEvent)
+	if m == nil || !ok {
 		return
 	}
 	key := ev.Trace + "/" + ev.Predictor
-	mpki := ev.Stat.MPKI()
+	mpki := ev.MPKI
 	m.tracer.Counter("mpki", map[string]float64{key: mpki})
 	// The trailing partial window is usually a fraction of the window
 	// size; its MPKI is too noisy to feed the detector.
@@ -93,7 +98,17 @@ func (m *Monitor) ObserveWindow(ev sim.WindowEvent) {
 		return
 	}
 	m.alarms.With(series).Inc()
-	sim.JournalDrift(m.journal, ev.Trace, ev.Predictor, "mpki", ev.Index, alarm)
+	drift := sim.Drift{
+		Trace:     ev.Trace,
+		Predictor: ev.Predictor,
+		Metric:    "mpki",
+		Window:    ev.Index,
+		Value:     alarm.Value,
+		Baseline:  alarm.Baseline,
+		Score:     alarm.Score,
+		Direction: alarm.Direction,
+	}
+	m.journal.Emit(drift.Kind(), drift)
 	m.tracer.Instant("drift", fmt.Sprintf("drift %s %s", series, alarm.Direction), map[string]any{
 		"series":   series,
 		"value":    alarm.Value,
@@ -122,11 +137,15 @@ func (m *Monitor) detectorStates() []obs.FlightDetector {
 
 // dump writes a bfbp.flight.v1 snapshot to the configured path
 // (overwriting the previous one — the file always holds the most
-// recent incident). No-op without a -flight-dump path. Nil-safe.
+// recent incident). Dumps run one at a time, snapshot and write
+// together, so the last dump to snapshot is the last to write. No-op
+// without a -flight-dump path. Nil-safe.
 func (m *Monitor) dump(reason, alarmKey string, alarm *obs.DriftEvent) {
 	if m == nil || m.flightPath == "" {
 		return
 	}
+	m.dumpMu.Lock()
+	defer m.dumpMu.Unlock()
 	snap := m.recorder.Snapshot(reason, alarmKey, alarm, m.detectorStates())
 	f, err := os.Create(m.flightPath)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"bfbp/internal/obs"
@@ -21,12 +22,14 @@ func driveWindows(m *Monitor, trc, pred string, series []float64) {
 	for i, mpki := range series {
 		// Window stats that reproduce the requested MPKI exactly:
 		// mispredicts per 1000 instructions.
-		m.ObserveWindow(sim.WindowEvent{
-			Trace:     trc,
-			Predictor: pred,
-			Index:     i,
-			Stat:      sim.WindowStat{Branches: 1000, Instructions: 1000, Mispredicts: uint64(mpki)},
-			Branches:  uint64((i + 1) * 1000),
+		m.Observe(sim.WindowEvent{
+			Trace:        trc,
+			Predictor:    pred,
+			Index:        i,
+			Branches:     1000,
+			Instructions: 1000,
+			Mispredicts:  uint64(mpki),
+			MPKI:         mpki,
 		})
 	}
 }
@@ -284,7 +287,7 @@ func TestMonitorMetrics(t *testing.T) {
 }
 
 // The monitor rides Attach: an engine run with windowed options feeds
-// real window closes through the hook.
+// real window closes through the event subscriber.
 func TestMonitorAttachedEngine(t *testing.T) {
 	tel, err := Start(Config{Drift: true})
 	if err != nil {
@@ -293,7 +296,51 @@ func TestMonitorAttachedEngine(t *testing.T) {
 	defer tel.Close()
 	var eng sim.Engine
 	tel.Attach(&eng)
-	if eng.WindowHook == nil {
-		t.Fatal("Attach did not install the window hook")
+	if eng.OnEvent == nil {
+		t.Fatal("Attach did not subscribe the monitor")
+	}
+}
+
+// Alarms on several workers, and SIGQUIT, can dump at the same time.
+// Every dump must land whole: after each burst the file parses as one
+// bfbp.flight.v1 document with nothing after it, never a shorter dump
+// written over the head of a longer one.
+func TestConcurrentFlightDumps(t *testing.T) {
+	flight := filepath.Join(t.TempDir(), "flight.json")
+	tel, err := Start(Config{FlightPath: flight, FlightDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tel.Close()
+	alarm := obs.DriftEvent{Sample: 3, Value: 9, Baseline: 4, Score: 1.5, Direction: "up"}
+	for round := 0; round < 50; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Growing the ring between snapshots, and alternating
+				// alarm and signal dumps, makes documents differ in
+				// length.
+				ev := sim.WorkerState{Worker: g, State: "busy"}
+				tel.Journal.Emit(ev.Kind(), ev)
+				if g%2 == 0 {
+					tel.Monitor.dump("signal", "", nil)
+				} else {
+					tel.Monitor.dump("alarm", "PHASE/static-taken mpki", &alarm)
+				}
+			}(g)
+		}
+		wg.Wait()
+		b, err := os.ReadFile(flight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(b) {
+			t.Fatalf("round %d: dump file is not one JSON document:\n%s", round, b)
+		}
+		if _, err := obs.ReadFlightDump(bytes.NewReader(b)); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
 }

@@ -215,7 +215,9 @@ func Start(cfg Config) (*T, error) {
 	return t, nil
 }
 
-// Attach points an engine at the telemetry sinks. Nil-safe.
+// Attach points an engine at the telemetry sinks: metrics, journal,
+// tracer, and the drift monitor as its event subscriber. It is the one
+// place commands wire telemetry into an engine. Nil-safe.
 func (t *T) Attach(eng *sim.Engine) {
 	if t == nil {
 		return
@@ -224,17 +226,8 @@ func (t *T) Attach(eng *sim.Engine) {
 	eng.Journal = t.Journal
 	eng.Tracer = t.Tracer
 	if t.Monitor != nil {
-		eng.WindowHook = t.Monitor.ObserveWindow
+		eng.OnEvent = t.Monitor.Observe
 	}
-}
-
-// EngineMetrics returns the engine metric set (nil when telemetry is
-// off), for wiring through config structs.
-func (t *T) EngineMetrics() *sim.EngineMetrics {
-	if t == nil {
-		return nil
-	}
-	return t.Engine
 }
 
 // RunJournal returns the run journal (nil when off).
@@ -243,14 +236,6 @@ func (t *T) RunJournal() *obs.Journal {
 		return nil
 	}
 	return t.Journal
-}
-
-// RunTracer returns the execution-span tracer (nil when off).
-func (t *T) RunTracer() *obs.Tracer {
-	if t == nil {
-		return nil
-	}
-	return t.Tracer
 }
 
 // heartbeat prints one progress line per period:

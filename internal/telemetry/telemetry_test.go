@@ -33,7 +33,7 @@ func TestDisabledConfigIsInert(t *testing.T) {
 	if eng.Metrics != nil || eng.Journal != nil {
 		t.Fatal("nil T attached telemetry")
 	}
-	if tel.EngineMetrics() != nil || tel.RunJournal() != nil || tel.RunTracer() != nil || tel.Close() != nil {
+	if tel.RunJournal() != nil || tel.Close() != nil {
 		t.Fatal("nil T methods must be inert")
 	}
 }
@@ -64,7 +64,7 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 	jobs := sim.Matrix(
 		[]sim.TraceSource{spec.Source(20_000)},
 		[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1<<12, 2) }}},
-		sim.Options{Window: 5_000, Probe: tel.EngineMetrics().Probe(), ProbeStateEvery: 4_096},
+		sim.Options{Window: 5_000, Probe: tel.Engine.Probe(), ProbeStateEvery: 4_096},
 	)
 	if _, err := eng.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
@@ -191,8 +191,8 @@ func TestStartTraceExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tel.Close()
-	if tel.RunTracer() == nil {
-		t.Fatal("TracePath set but RunTracer is nil")
+	if tel.Tracer == nil {
+		t.Fatal("TracePath set but Tracer is nil")
 	}
 
 	var eng sim.Engine

@@ -136,7 +136,11 @@ func TestProbeStateBitExact(t *testing.T) {
 		probed, err := bfbp.Run(p2, tr.Stream(), bfbp.Options{
 			Warmup:          6_000,
 			ProbeStateEvery: 8192,
-			ProbeState:      func(bfbp.TableStats, uint64) { samples++ },
+			OnEvent: func(ev bfbp.Event) {
+				if _, ok := ev.(bfbp.TableStats); ok {
+					samples++
+				}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
