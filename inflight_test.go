@@ -17,7 +17,9 @@ import (
 // predicted, which drives the fresh-lookup fallback both with an empty
 // ring and with a mismatched checkpoint at its head. The counters were
 // recorded before each family's in-flight queue became a ring and must
-// not move.
+// not move. The 1-, 4- and 7-table TAGE rows were recorded before the
+// conventional and bias-free TAGE cores became one engine, so every
+// table count of both histories stays pinned.
 func TestInFlightCheckpoints(t *testing.T) {
 	tr := genTrace(t, "SPEC03", 20000)
 	if len(tr) != 21904 {
@@ -33,7 +35,11 @@ func TestInFlightCheckpoints(t *testing.T) {
 		{"bf-isl-tage-10", []uint64{659, 712, 1031}, 565},
 		{"bf-neural", []uint64{387, 397, 836}, 337},
 		{"bf-gehl", []uint64{479, 508, 931}, 422},
+		{"bf-tage-4", []uint64{701, 753, 1121}, 595},
+		{"bf-isl-tage-7", []uint64{629, 688, 1017}, 565},
 		{"tage-15", []uint64{550, 583, 1043}, 480},
+		{"tage-1", []uint64{421, 483, 981}, 391},
+		{"isl-tage-4", []uint64{510, 567, 988}, 474},
 		{"isl-tage-15", []uint64{540, 574, 1012}, 476},
 		{"oh-snap", []uint64{414, 447, 994}, 378},
 		{"perceptron", []uint64{453, 465, 964}, 389},
