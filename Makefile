@@ -22,13 +22,16 @@ race:
 check: build vet race
 
 # Fuzz each fuzz target for a fixed 10 s: the snapshot container
-# decoder, the BFT1 trace decoder, and the key map against FoldWords
-# over random geometries. go test fuzzes one target per invocation. A
-# failing input is written under the package's testdata/fuzz/.
+# decoder, the BFT1 trace decoder, the key map against FoldWords over
+# random geometries, and the TAGE and GEHL engines' snapshot loaders
+# (each over both histories) fed one corrupted section at a time. go
+# test fuzzes one target per invocation. A failing input is written
+# under the package's testdata/fuzz/.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/state
 	$(GO) test -run='^$$' -fuzz='^FuzzFileReader$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyMap$$' -fuzztime=10s ./internal/history
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadState$$' -fuzztime=10s .
 
 # End-to-end throughput benchmark (bench/run.sh): each of the four
 # workloads for one pass at golden seed 1, which checks every cell's
@@ -49,8 +52,9 @@ bench-test:
 	cd bench && $(GO) vet . && $(GO) test -race .
 
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
-# bfsim and journal once, then runs four checks: trace (identical-seed
-# journals diff clean), snapshot (split runs equal straight runs),
+# the commands once, then runs five checks: trace (identical-seed
+# journals diff clean), flags (a negative count exits 2 without a
+# panic), snapshot (split runs equal straight runs),
 # drift (alarms, counter tracks and a parseable flight dump) and xray
 # (tablestats journal events, TAGE banks carrying provider hits).
 # Leaves its artifacts in smoke_ci/ for CI upload.

@@ -353,13 +353,15 @@ type (
 	PerceptronConfig = perceptron.Config
 	// OHSNAPConfig parameterises the scaled neural baseline.
 	OHSNAPConfig = ohsnap.Config
-	// TAGEConfig parameterises TAGE / ISL-TAGE.
+	// TAGEConfig parameterises TAGE / ISL-TAGE, and the TAGE engine
+	// BF-TAGE shares.
 	TAGEConfig = tage.Config
 	// BFNeuralConfig parameterises the BF-Neural predictor.
 	BFNeuralConfig = bfneural.Config
 	// BFNeuralMode selects the Fig. 9 ablation level.
 	BFNeuralMode = bfneural.Mode
-	// BFTAGEConfig parameterises the BF-TAGE predictor.
+	// BFTAGEConfig parameterises the BF-TAGE predictor: the TAGE
+	// engine's fields plus the BF-GHR's.
 	BFTAGEConfig = bftage.Config
 )
 
@@ -398,7 +400,8 @@ func NewOHSNAP(cfg OHSNAPConfig) Predictor { return ohsnap.New(cfg) }
 // OHSNAP64KB is the ~64KB OH-SNAP configuration used in Fig. 8.
 func OHSNAP64KB() OHSNAPConfig { return ohsnap.Default64KB() }
 
-// NewTAGE returns a TAGE/ISL-TAGE predictor.
+// NewTAGE returns a TAGE/ISL-TAGE predictor: the TAGE engine over the
+// conventional global history.
 func NewTAGE(cfg TAGEConfig) *tage.Predictor { return tage.New(cfg) }
 
 // ISLTAGE returns the full ISL-TAGE configuration with n tagged tables
@@ -425,8 +428,10 @@ func BFNeuralAblation(mode BFNeuralMode) BFNeuralConfig { return bfneural.Ablati
 // weight rows indexed from history alone, with the PC arriving late.
 func BFNeuralAhead() BFNeuralConfig { return bfneural.AheadPipelined() }
 
-// NewBFTAGE returns the paper's BF-TAGE predictor.
-func NewBFTAGE(cfg BFTAGEConfig) *bftage.Predictor { return bftage.New(cfg) }
+// NewBFTAGE returns the paper's BF-TAGE predictor: the same TAGE engine
+// as NewTAGE, its tagged tables indexed by the bias-free global history
+// register (BF-GHR) instead of the raw history.
+func NewBFTAGE(cfg BFTAGEConfig) *tage.Predictor { return bftage.New(cfg) }
 
 // BFISLTAGE returns the BF-ISL-TAGE configuration with n tagged tables
 // (SC and IUM inherited from ISL-TAGE), as in Fig. 10.
@@ -435,12 +440,13 @@ func BFISLTAGE(n int) BFTAGEConfig { return bftage.Conventional(n) }
 // BFTAGEBare drops the SC/IUM components.
 func BFTAGEBare(n int) BFTAGEConfig { return bftage.ConventionalBare(n) }
 
-// BFGEHLConfig parameterises the BF-GEHL extension predictor (a GEHL
-// indexed by the bias-free global history register — beyond the paper's
-// evaluated designs, see internal/core/bfgehl).
+// BFGEHLConfig parameterises the BF-GEHL extension predictor: the O-GEHL
+// adder-tree engine indexed by the BF-GHR, beyond the paper's evaluated
+// designs (see internal/core/bfgehl).
 type BFGEHLConfig = bfgehl.Config
 
-// NewBFGEHL returns the BF-GEHL extension predictor.
+// NewBFGEHL returns the BF-GEHL extension predictor: the NewGEHL engine
+// over the BF-GHR.
 func NewBFGEHL(cfg BFGEHLConfig) Predictor { return bfgehl.New(cfg) }
 
 // BFGEHL64KB is an 8-table ~64KB BF-GEHL.

@@ -59,6 +59,10 @@ func main() {
 		heartbeat   = flag.Duration("heartbeat", time.Duration(0), "print a progress line to stderr at this period (0 = off)")
 	)
 	flag.Parse()
+	if *branches < 1 {
+		fmt.Fprintf(os.Stderr, "analyze: -n %d is below 1\n", *branches)
+		os.Exit(2)
+	}
 
 	tel, err := telemetry.Start(telemetry.Config{
 		MetricsAddr: *metricsAddr,

@@ -30,6 +30,10 @@ func main() {
 		list  = flag.Bool("list", false, "list trace names and exit")
 	)
 	flag.Parse()
+	if *n < 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n %d is below 0 (0 = family default)\n", *n)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, s := range bfbp.Traces() {

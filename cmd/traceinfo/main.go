@@ -24,6 +24,10 @@ func main() {
 		branches  = flag.Int("n", 500_000, "dynamic branches for synthetic traces")
 	)
 	flag.Parse()
+	if *branches < 1 {
+		fmt.Fprintf(os.Stderr, "traceinfo: -n %d is below 1\n", *branches)
+		os.Exit(2)
+	}
 
 	switch {
 	case *traceName != "":

@@ -39,21 +39,20 @@ func BenchmarkPredictUpdate(b *testing.B) {
 }
 
 // BenchmarkComputeRef measures the buildGHR+FoldWords reference model,
-// for comparison against the key-map compute inside
+// for comparison against the key-map folds inside
 // BenchmarkPredictUpdate profiles.
 func BenchmarkComputeRef(b *testing.B) {
 	tr := getBenchTrace(b)
-	p := New(Default64KB())
+	cfg := Default64KB()
+	p, h := build(cfg)
 	for _, rec := range tr[:20000] {
 		p.Predict(rec.PC)
 		p.Update(rec.PC, rec.Taken, rec.Target)
 	}
-	idxs := make([]uint32, p.cfg.Tables)
+	folds := make([]uint64, cfg.Tables-1)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var sink int32
 	for i := 0; i < b.N; i++ {
-		sink += p.computeRef(tr[i%20000].PC, idxs)
+		h.computeRef(cfg, folds)
 	}
-	_ = sink
 }

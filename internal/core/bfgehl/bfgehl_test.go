@@ -75,9 +75,9 @@ func TestCapturesDeepCorrelationThroughBiasedPads(t *testing.T) {
 }
 
 func TestGHRWidth(t *testing.T) {
-	p := New(smallCfg())
-	if p.GHRBits() != 144 {
-		t.Fatalf("BF-GHR = %d bits, want 144", p.GHRBits())
+	_, h := build(smallCfg())
+	if h.Bits() != 144 {
+		t.Fatalf("BF-GHR = %d bits, want 144", h.Bits())
 	}
 }
 

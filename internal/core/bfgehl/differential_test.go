@@ -21,26 +21,24 @@ func diffTrace(t *testing.T, n int) trace.Slice {
 	return nil
 }
 
-// TestComputeDifferential drives 20k branches and, at every step, runs
-// the key-map compute and the buildGHR+FoldWords reference model side
-// by side, requiring identical sums and table indices. This pins the
-// key words' XOR-delta maintenance (including segment evictions,
-// boundary crossings, and the deepest tables' multi-word folds) to the
-// scalar re-fold.
+// TestComputeDifferential drives 20k branches and, at every step, reads
+// every table's fold through the key map and through the
+// buildGHR+FoldWords reference model side by side, requiring identical
+// folds. This pins the key words' XOR-delta maintenance (including
+// segment evictions, boundary crossings, and the deepest tables'
+// multi-word folds) to the scalar re-fold.
 func TestComputeDifferential(t *testing.T) {
 	tr := diffTrace(t, 20000)
-	p := New(Default64KB())
-	idxs := make([]uint32, p.cfg.Tables)
-	idxsRef := make([]uint32, p.cfg.Tables)
+	cfg := Default64KB()
+	p, h := build(cfg)
+	folds := make([]uint64, cfg.Tables-1)
+	foldsRef := make([]uint64, cfg.Tables-1)
 	for i, rec := range tr {
-		sum := p.compute(rec.PC, idxs)
-		sumRef := p.computeRef(rec.PC, idxsRef)
-		if sum != sumRef {
-			t.Fatalf("step %d: sum fast %d, ref %d", i, sum, sumRef)
-		}
-		for j := range idxs {
-			if idxs[j] != idxsRef[j] {
-				t.Fatalf("step %d table %d: idx fast %d, ref %d", i, j, idxs[j], idxsRef[j])
+		h.Folds(folds)
+		h.computeRef(cfg, foldsRef)
+		for j := range folds {
+			if folds[j] != foldsRef[j] {
+				t.Fatalf("step %d table %d: fold fast %#x, ref %#x", i, j+1, folds[j], foldsRef[j])
 			}
 		}
 		p.Predict(rec.PC)
@@ -50,10 +48,12 @@ func TestComputeDifferential(t *testing.T) {
 
 // TestResumeKeyMapRebuild snapshots mid-run, restores into a fresh
 // predictor, and requires the rebuilt key map to agree with the
-// reference model (and with the donor) over continued execution.
+// reference model (and the restored predictor with the donor) over
+// continued execution.
 func TestResumeKeyMapRebuild(t *testing.T) {
 	tr := diffTrace(t, 12000)
-	p := New(Default64KB())
+	cfg := Default64KB()
+	p := New(cfg)
 	for _, rec := range tr[:8000] {
 		p.Predict(rec.PC)
 		p.Update(rec.PC, rec.Taken, rec.Target)
@@ -62,15 +62,19 @@ func TestResumeKeyMapRebuild(t *testing.T) {
 	if err := p.SaveState(&buf); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	q := New(Default64KB())
+	q, h := build(cfg)
 	if err := q.LoadState(&buf); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	idxs := make([]uint32, q.cfg.Tables)
+	folds := make([]uint64, cfg.Tables-1)
+	foldsRef := make([]uint64, cfg.Tables-1)
 	for i, rec := range tr[8000:] {
-		sum := q.compute(rec.PC, idxs)
-		if ref := q.computeRef(rec.PC, idxs); sum != ref {
-			t.Fatalf("step %d after resume: sum fast %d, ref %d", i, sum, ref)
+		h.Folds(folds)
+		h.computeRef(cfg, foldsRef)
+		for j := range folds {
+			if folds[j] != foldsRef[j] {
+				t.Fatalf("step %d after resume, table %d: fold fast %#x, ref %#x", i, j+1, folds[j], foldsRef[j])
+			}
 		}
 		pw, qw := p.Predict(rec.PC), q.Predict(rec.PC)
 		if pw != qw {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/predictor/gehl"
 	"bfbp/internal/state"
 )
 
@@ -36,7 +37,7 @@ func replaceSection(t *testing.T, img []byte, name string, fill func(*state.Enc)
 	return buf.Bytes()
 }
 
-func saveBytes(t *testing.T, p *Predictor) []byte {
+func saveBytes(t *testing.T, p *gehl.Predictor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.SaveState(&buf); err != nil {
@@ -50,7 +51,7 @@ func saveBytes(t *testing.T, p *Predictor) []byte {
 // load to fail with the predictor's SaveState bytes unchanged.
 func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 	tr := diffTrace(t, 6000)
-	run := func(n int) *Predictor {
+	run := func(n int) *gehl.Predictor {
 		p := New(Default64KB())
 		for _, rec := range tr[:n] {
 			p.Predict(rec.PC)

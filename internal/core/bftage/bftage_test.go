@@ -3,6 +3,7 @@ package bftage
 import (
 	"testing"
 
+	"bfbp/internal/bfghr"
 	"bfbp/internal/bst"
 	"bfbp/internal/predictor/tage"
 	"bfbp/internal/rng"
@@ -23,7 +24,7 @@ func smallCfg(n int) Config {
 		BaseLogEntries: 12,
 		Tables:         tables,
 		UnfilteredBits: 16,
-		SegBounds:      PaperSegBounds(),
+		SegBounds:      bfghr.PaperSegBounds(),
 		SegSize:        8,
 		BSTEntries:     1 << 12,
 		LoopPredictor:  true,
@@ -42,10 +43,10 @@ func TestPaperHistories(t *testing.T) {
 }
 
 func TestGHRWidth(t *testing.T) {
-	p := New(smallCfg(10))
+	_, h := build(smallCfg(10))
 	// 16 unfiltered + 16 segments x 8 = 144 bits.
-	if p.GHRBits() != 144 {
-		t.Fatalf("BF-GHR = %d bits, want 144", p.GHRBits())
+	if h.Bits() != 144 {
+		t.Fatalf("BF-GHR = %d bits, want 144", h.Bits())
 	}
 }
 
@@ -265,17 +266,17 @@ func TestValidation(t *testing.T) {
 }
 
 // TestValidationTableGeometry requires New to reject per-table sizes
-// outside tage.New's envelope. Tags are stored as uint16, so a wider tag
+// outside the TAGE engine's envelope. Tags are stored as uint16, so a wider tag
 // would be truncated on allocation and that entry could never hit again.
 func TestValidationTableGeometry(t *testing.T) {
 	for _, c := range []struct {
 		logEntries, tagBits int
 		want                string
 	}{
-		{3, 9, "bftage: LogEntries out of range"},
-		{23, 9, "bftage: LogEntries out of range"},
-		{10, 3, "bftage: TagBits out of range"},
-		{10, 17, "bftage: TagBits out of range"},
+		{3, 9, "tage: LogEntries out of range"},
+		{23, 9, "tage: LogEntries out of range"},
+		{10, 3, "tage: TagBits out of range"},
+		{10, 17, "tage: TagBits out of range"},
 	} {
 		cfg := smallCfg(4)
 		cfg.Tables[2].LogEntries = c.logEntries

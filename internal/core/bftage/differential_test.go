@@ -22,22 +22,23 @@ func diffTrace(t *testing.T, n int) trace.Slice {
 
 // TestFillKeysDifferential drives 20k branches through the flagship
 // bf-tage-10 and bf-isl-tage-10 configurations and, at every step,
-// computes every table's index and tag through the key map and through
-// the buildGHR+FoldWords reference model, requiring bit-identical
-// results. This pins the key words' XOR-delta maintenance across
-// segment evictions, boundary crossings, and snapshot-depth histories.
+// computes every table's index and tag folds through the key map and
+// through the buildGHR+FoldWords reference model, requiring
+// bit-identical results. This pins the key words' XOR-delta maintenance
+// across segment evictions, boundary crossings, and snapshot-depth
+// histories.
 func TestFillKeysDifferential(t *testing.T) {
 	tr := diffTrace(t, 20000)
 	for _, cfg := range []Config{ConventionalBare(10), Conventional(10)} {
-		p := New(cfg)
-		n := len(p.tables)
-		idx := make([]uint32, n)
-		tag := make([]uint32, n)
-		idxRef := make([]uint32, n)
-		tagRef := make([]uint32, n)
+		p, h := build(cfg)
+		n := len(cfg.Tables)
+		idx := make([]uint64, n)
+		tag := make([]uint64, n)
+		idxRef := make([]uint64, n)
+		tagRef := make([]uint64, n)
 		for i, rec := range tr {
-			p.fillKeys(rec.PC, idx, tag)
-			p.fillKeysRef(rec.PC, idxRef, tagRef)
+			h.Folds(idx, tag)
+			h.fillKeysRef(cfg, idxRef, tagRef)
 			for j := 0; j < n; j++ {
 				if idx[j] != idxRef[j] || tag[j] != tagRef[j] {
 					t.Fatalf("%s step %d table %d: key map idx/tag %d/%#x, ref %d/%#x",

@@ -1,42 +1,39 @@
 package bftage
 
-import (
-	"bfbp/internal/history"
-	"bfbp/internal/rng"
-)
+import "bfbp/internal/history"
 
 // This file holds the reference model the key map replaced: build the
 // BF-GHR as packed bit vectors and re-fold it per table per lookup.
-// TestFillKeysDifferential pins fillKeys to it bit for bit.
+// TestFillKeysDifferential pins Folds to it bit for bit.
 
 // buildGHR composes the BF-GHR bit vector (outcomes) and the parallel
 // address-bit vector: recent unfiltered bits first, then each segment's
 // stack slots in increasing depth (Fig. 7).
-func (p *Predictor) buildGHR(ghr, pcs *history.BitVec) {
+func (h *ghrHistory) buildGHR(ghr, pcs *history.BitVec, unfiltered int) {
 	ghr.Reset()
 	pcs.Reset()
-	ring := p.seg.Ring()
-	ghr.Append(ring.RecentTaken(p.cfg.UnfilteredBits), p.cfg.UnfilteredBits)
-	pcs.Append(ring.RecentPC(p.cfg.UnfilteredBits), p.cfg.UnfilteredBits)
-	p.seg.AppendPacked(ghr, pcs)
+	seg := h.Segmented()
+	ring := seg.Ring()
+	ghr.Append(ring.RecentTaken(unfiltered), unfiltered)
+	pcs.Append(ring.RecentPC(unfiltered), unfiltered)
+	seg.AppendPacked(ghr, pcs)
 }
 
-// fillKeysRef computes every table's index and tag by rebuilding the
-// packed BF-GHR and folding it per table with FoldWords.
-func (p *Predictor) fillKeysRef(pc uint64, idx, tag []uint32) {
+// fillKeysRef computes every table's index fold (path included) and tag
+// fold by rebuilding the packed BF-GHR and folding it per table with
+// FoldWords.
+func (h *ghrHistory) fillKeysRef(cfg Config, idx, tag []uint64) {
 	var ghrVec, pcsVec history.BitVec
-	p.buildGHR(&ghrVec, &pcsVec)
+	h.buildGHR(&ghrVec, &pcsVec, cfg.UnfilteredBits)
 	bits, pcs := ghrVec.Words(), pcsVec.Words()
-	pch := rng.Hash64(pc >> 2)
-	path := p.path.Value()
-	for i, t := range p.tables {
-		l := t.cfg.HistLen
-		fIdx := history.FoldWords(bits, l, t.cfg.LogEntries)
-		fPC := history.FoldWords(pcs, l, t.cfg.LogEntries-1)
-		key := pch ^ fIdx ^ fPC<<1 ^ path<<20 ^ uint64(i)<<56
-		idx[i] = uint32(rng.Hash64(key) & t.mask)
-		fT0 := history.FoldWords(bits, l, t.cfg.TagBits)
-		fT1 := history.FoldWords(bits, l, t.cfg.TagBits-1)
-		tag[i] = (uint32(pch>>8) ^ uint32(fT0) ^ uint32(fT1)<<1) & t.tagMask
+	path := h.path.Value()
+	for i, t := range cfg.Tables {
+		l := t.HistLen
+		fIdx := history.FoldWords(bits, l, t.LogEntries)
+		fPC := history.FoldWords(pcs, l, t.LogEntries-1)
+		idx[i] = fIdx ^ fPC<<1 ^ path<<20
+		fT0 := history.FoldWords(bits, l, t.TagBits)
+		fT1 := history.FoldWords(bits, l, t.TagBits-1)
+		tag[i] = fT0 ^ fT1<<1
 	}
 }

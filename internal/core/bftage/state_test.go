@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bfbp/internal/bst"
+	"bfbp/internal/predictor/tage"
 	"bfbp/internal/state"
 )
 
@@ -36,7 +37,7 @@ func replaceSection(t *testing.T, img []byte, name string, fill func(*state.Enc)
 	return buf.Bytes()
 }
 
-func saveBytes(t *testing.T, p *Predictor) []byte {
+func saveBytes(t *testing.T, p *tage.Predictor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.SaveState(&buf); err != nil {
@@ -52,7 +53,7 @@ func saveBytes(t *testing.T, p *Predictor) []byte {
 // unchanged.
 func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 	tr := diffTrace(t, 6000)
-	run := func(n int) *Predictor {
+	run := func(n int) *tage.Predictor {
 		p := New(Conventional(10))
 		for _, rec := range tr[:n] {
 			p.Predict(rec.PC)

@@ -10,12 +10,11 @@ import (
 
 func smallCfg() Config {
 	return Config{
-		Tables:        6,
-		LogEntries:    10,
-		MinHist:       2,
-		MaxHist:       80,
-		CounterBits:   5,
-		AdaptiveTheta: true,
+		Tables:      6,
+		LogEntries:  10,
+		MinHist:     2,
+		MaxHist:     80,
+		CounterBits: 5,
 	}
 }
 

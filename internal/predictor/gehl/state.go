@@ -1,6 +1,6 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the weight tables,
-// the fold set (ring + fold registers), and the adaptive threshold. The
-// in-flight checkpoint ring is transient.
+// the history's sections, and the adaptive threshold. The in-flight
+// checkpoint ring is transient: snapshots are taken at quiescent points.
 
 package gehl
 
@@ -14,14 +14,12 @@ import (
 )
 
 func (p *Predictor) configHash() uint64 {
-	h := state.NewHash("gehl")
+	h := state.NewHash(p.org.Kind)
 	h.String(p.cfg.Name)
 	h.Int(p.cfg.Tables)
 	h.Int(p.cfg.LogEntries)
-	h.Int(p.cfg.MinHist)
-	h.Int(p.cfg.MaxHist)
+	p.hist.HashConfig(h)
 	h.Int(p.cfg.CounterBits)
-	h.Bool(p.cfg.AdaptiveTheta)
 	return h.Sum()
 }
 
@@ -36,7 +34,9 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	for _, t := range p.tables {
 		te.I8s(t)
 	}
-	p.folds.SaveState(s.Section("history"))
+	if err := p.hist.SaveState(s); err != nil {
+		return err
+	}
 	m := s.Section("misc")
 	m.I32(p.theta)
 	m.I32(p.tc)
@@ -45,7 +45,8 @@ func (p *Predictor) SaveState(w io.Writer) error {
 }
 
 // LoadState implements sim.Snapshotter. Every section is decoded
-// before any is committed, so a failed load changes nothing.
+// before any is committed, and the history, whose load leaves it
+// untouched on error, loads last: a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -80,18 +81,12 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err := m.Err(); err != nil {
 		return err
 	}
-	// History is decoded last: its loader validates before it writes,
-	// so it doubles as the commit of the history section.
-	hd, err := s.Dec("history")
+	commitHist, err := p.hist.LoadState(s)
 	if err != nil {
 		return err
 	}
-	if err := p.folds.LoadState(hd); err != nil {
-		return err
-	}
-	for i := range p.tables {
-		copy(p.tables[i], fresh[i])
-	}
+	p.tables = fresh
+	commitHist()
 	p.theta, p.tc = theta, tc
 	p.inflight.Reset()
 	return nil

@@ -1,9 +1,9 @@
-// Snapshot support (bfbp.state.v1). Mutable state: tagged entries and
-// their folded-history registers, the base bimodal, the history ring and
-// path register, the allocator RNG and u-reset clock, the loop predictor
-// and statistical corrector, and the provider histogram. The in-flight
-// checkpoint ring is deliberately not serialised: snapshots are taken at
-// quiescent points (no prediction awaiting its update).
+// Snapshot support (bfbp.state.v1). Mutable state: the tagged entries,
+// the base bimodal, the history's sections, the allocator RNG and
+// u-reset clock, the loop predictor and statistical corrector, and the
+// provider histogram. The in-flight checkpoint ring is deliberately not
+// serialised: snapshots are taken at quiescent points (no prediction
+// awaiting its update).
 
 package tage
 
@@ -11,15 +11,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
-	"bfbp/internal/history"
 	"bfbp/internal/looppred"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
 
 func (p *Predictor) configHash() uint64 {
-	h := state.NewHash("tage")
+	h := state.NewHash(p.org.Kind)
 	h.String(p.cfg.Name)
 	h.Int(p.cfg.BaseLogEntries)
 	h.Int(len(p.cfg.Tables))
@@ -28,6 +28,7 @@ func (p *Predictor) configHash() uint64 {
 		h.Int(t.TagBits)
 		h.Int(t.LogEntries)
 	}
+	p.hist.HashConfig(h)
 	h.Int(p.cfg.PathBits)
 	h.Bool(p.cfg.LoopPredictor)
 	h.Bool(p.cfg.StatisticalCorrector)
@@ -44,22 +45,20 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	}
 	s := state.New(p.Name(), p.configHash())
 	for i, t := range p.tables {
-		e := s.Section("table_" + itoa(i))
-		for j := range t.entries {
-			e.U16(t.entries[j].tag)
-			e.I8(t.entries[j].ctr)
-			e.Bool(t.entries[j].u)
+		e := s.Section("table_" + strconv.Itoa(i))
+		// The SoA arrays serialise in interleaved per-entry order.
+		for j := range t.tags {
+			e.U16(t.tags[j])
+			e.I8(t.ctrs[j])
+			e.Bool(t.u(uint32(j)))
 		}
-		t.foldIdx.SaveState(e)
-		t.foldTag0.SaveState(e)
-		t.foldTag1.SaveState(e)
 	}
 	b := s.Section("base")
 	b.Bools(p.basePred)
 	b.Bools(p.baseHyst)
-	hs := s.Section("history")
-	p.ring.SaveState(hs)
-	p.path.SaveState(hs)
+	if err := p.hist.SaveState(s); err != nil {
+		return err
+	}
 	m := s.Section("misc")
 	m.I32(p.useAltOnNA)
 	m.Int(p.tick)
@@ -77,34 +76,39 @@ func (p *Predictor) SaveState(w io.Writer) error {
 }
 
 // LoadState implements sim.Snapshotter. Every section is decoded and
-// validated into locals before any of them is committed, so a failed
-// load leaves the predictor untouched.
+// validated into locals (a fresh loop predictor included) before any of
+// them is committed, and the history, whose load leaves it untouched on
+// error, loads last: a failed load leaves the predictor untouched.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
 	type tableState struct {
-		entries []entry
-		folds   [3]history.Folded // foldIdx, foldTag0, foldTag1
+		tags   []uint16
+		ctrs   []int8
+		useful []uint64
 	}
 	tabs := make([]tableState, len(p.tables))
 	for i, t := range p.tables {
-		d, err := s.Dec("table_" + itoa(i))
+		d, err := s.Dec("table_" + strconv.Itoa(i))
 		if err != nil {
 			return err
 		}
 		ts := tableState{
-			entries: make([]entry, len(t.entries)),
-			folds:   [3]history.Folded{*t.foldIdx, *t.foldTag0, *t.foldTag1},
+			tags:   make([]uint16, len(t.tags)),
+			ctrs:   make([]int8, len(t.ctrs)),
+			useful: make([]uint64, len(t.useful)),
 		}
-		for j := range ts.entries {
-			ts.entries[j] = entry{tag: d.U16(), ctr: d.I8(), u: d.Bool()}
-		}
-		for k := range ts.folds {
-			if err := ts.folds[k].LoadState(d); err != nil {
-				return fmt.Errorf("table %d fold %d: %w", i, k, err)
+		for j := range ts.tags {
+			ts.tags[j] = d.U16()
+			ts.ctrs[j] = d.I8()
+			if d.Bool() {
+				ts.useful[j>>6] |= 1 << (j & 63)
 			}
+		}
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("table %d: %w", i, err)
 		}
 		if d.Remaining() != 0 {
 			return fmt.Errorf("%w: %d trailing bytes in table %d", state.ErrCorrupt, d.Remaining(), i)
@@ -122,18 +126,6 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if len(basePred) != len(p.basePred) || len(baseHyst) != len(p.baseHyst) {
 		return fmt.Errorf("%w: base bimodal is %d+%d entries, snapshot %d+%d",
 			state.ErrCorrupt, len(p.basePred), len(p.baseHyst), len(basePred), len(baseHyst))
-	}
-	hs, err := s.Dec("history")
-	if err != nil {
-		return err
-	}
-	ring := history.NewRing(p.ring.Cap())
-	if err := ring.LoadState(hs); err != nil {
-		return err
-	}
-	path := history.NewPath(p.cfg.PathBits)
-	if err := path.LoadState(hs); err != nil {
-		return err
 	}
 	m, err := s.Dec("misc")
 	if err != nil {
@@ -172,14 +164,17 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			return fmt.Errorf("%w: statistical corrector has %d counters, snapshot %d", state.ErrCorrupt, len(p.sc), len(sc))
 		}
 	}
+	commitHist, err := p.hist.LoadState(s)
+	if err != nil {
+		return err
+	}
 
 	for i, t := range p.tables {
-		t.entries = tabs[i].entries
-		*t.foldIdx, *t.foldTag0, *t.foldTag1 = tabs[i].folds[0], tabs[i].folds[1], tabs[i].folds[2]
+		t.tags, t.ctrs, t.useful = tabs[i].tags, tabs[i].ctrs, tabs[i].useful
 	}
 	copy(p.basePred, basePred)
 	copy(p.baseHyst, baseHyst)
-	p.ring, p.path = ring, path
+	commitHist()
 	p.useAltOnNA, p.tick, p.withLoop = useAltOnNA, tick, withLoop
 	p.r.SetState(rngState)
 	copy(p.providerHits, hits)

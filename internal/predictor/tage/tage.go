@@ -1,11 +1,14 @@
 package tage
 
 import (
-	"bfbp/internal/history"
+	"fmt"
+	"math/bits"
+
 	"bfbp/internal/inflight"
 	"bfbp/internal/looppred"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
+	"bfbp/internal/state"
 )
 
 const (
@@ -13,21 +16,60 @@ const (
 	ctrMin = -4
 )
 
-type entry struct {
-	tag uint16
-	ctr int8
-	u   bool
+// History is the global history a TAGE engine indexes its tagged tables
+// by: the one part in which a conventional TAGE and the paper's BF-TAGE
+// differ. New builds the engine over the conventional history (folded
+// registers over the raw outcome ring); bftage builds it over the
+// bias-free global history register. The engine calls Folds once per
+// lookup and Commit once per update.
+type History interface {
+	// Folds writes every tagged table's index fold, path bits included,
+	// into idx and its tag fold into tag.
+	Folds(idx, tag []uint64)
+	// Commit records a resolved branch.
+	Commit(pc uint64, taken bool)
+	// Reach is the raw-branch depth a table indexed by histLen history
+	// bits can observe.
+	Reach(histLen int) int
+	// BiasState is pc's bias classification, "" for a history that does
+	// not filter.
+	BiasState(pc uint64) string
+	// Storage returns the history's storage lines, path history included.
+	Storage() []sim.Component
+	// Probe appends the history's own banks and recency stacks to ts.
+	Probe(ts *sim.TableStats)
+	// HashConfig folds the history's geometry into the config hash.
+	HashConfig(h *state.Hash)
+	// SaveState writes the history's sections.
+	SaveState(s *state.Snapshot) error
+	// LoadState decodes the history's sections. It is the last fallible
+	// step of a load: on error the history is unchanged, and on success
+	// commit installs what it decoded.
+	LoadState(s *state.Snapshot) (commit func(), err error)
 }
 
-// table is one tagged component with its incremental folded histories.
+// Org names a TAGE organisation.
+type Org struct {
+	// Kind seeds the snapshot config hash ("tage", "bftage").
+	Kind string
+	// Name is reported when Config.Name is empty.
+	Name string
+	// Unit is what the tables' history lengths count, as the storage
+	// lines print it ("hist", "bf-hist").
+	Unit string
+}
+
+// table is one tagged bank in structure-of-arrays layout: tags, counters,
+// and useful bits live in parallel dense arrays instead of a fat entry
+// struct, so the provider scan touches 2 bytes per probe, the useful-bit
+// reset is a word-wise clear, and each array stays cache-line packed.
 type table struct {
-	cfg      TableConfig
-	entries  []entry
-	mask     uint64
-	tagMask  uint32
-	foldIdx  *history.Folded
-	foldTag0 *history.Folded
-	foldTag1 *history.Folded
+	cfg     TableConfig
+	tags    []uint16
+	ctrs    []int8
+	useful  []uint64 // bitset, entry i at word i/64 bit i%64
+	mask    uint64
+	tagMask uint32
 
 	// Occupancy accounting for StateProbe, maintained on the rare
 	// allocate path only: alloc marks indices that have ever been
@@ -40,6 +82,19 @@ type table struct {
 	evictions uint64
 }
 
+// u reads entry i's useful bit.
+func (t *table) u(i uint32) bool { return t.useful[i>>6]>>(i&63)&1 != 0 }
+
+// setU writes entry i's useful bit.
+func (t *table) setU(i uint32, b bool) {
+	m := uint64(1) << (i & 63)
+	if b {
+		t.useful[i>>6] |= m
+	} else {
+		t.useful[i>>6] &^= m
+	}
+}
+
 // checkpoint captures everything Predict computed so Update trains exactly
 // that state (correct under delayed update). Its idx and tag arrays are
 // built once per ring slot and overwritten by each lookup.
@@ -49,7 +104,6 @@ type checkpoint struct {
 	tag         []uint32
 	provider    int // -1 = base
 	alt         int // -1 = base
-	providerOK  bool
 	newlyAlloc  bool
 	basePred    bool
 	baseIdx     uint32
@@ -65,10 +119,14 @@ type checkpoint struct {
 	finalPred   bool
 }
 
-// Predictor is a TAGE / ISL-TAGE predictor.
+// Predictor is a TAGE / ISL-TAGE engine over a History.
 type Predictor struct {
 	cfg    Config
+	org    Org
+	hist   History
 	tables []*table
+	// fIdx and fTag are Folds scratch.
+	fIdx, fTag []uint64
 
 	// Base bimodal: 1 prediction bit per entry, 1 hysteresis bit shared
 	// by 4 entries (Table I's 2560-byte T0 at 16K entries).
@@ -76,12 +134,8 @@ type Predictor struct {
 	baseHyst []bool
 	baseMask uint64
 
-	ring *history.Ring
-	path *history.Path
-
 	useAltOnNA int32 // 4-bit counter, >= 8 prefers alt on newly allocated
 	tick       int
-	resetAt    int
 	r          *rng.SplitMix64
 
 	loop     *looppred.Predictor
@@ -97,8 +151,15 @@ type Predictor struct {
 	providerHits []uint64
 }
 
-// New returns a predictor for the given configuration.
+// New returns a TAGE/ISL-TAGE predictor over the conventional global
+// history.
 func New(cfg Config) *Predictor {
+	return NewWithHistory(cfg, Org{Kind: "tage", Name: "tage", Unit: "hist"}, newFolded)
+}
+
+// NewWithHistory returns a TAGE engine for cfg named by org, indexed by
+// the history newHist builds for the validated cfg.
+func NewWithHistory(cfg Config, org Org, newHist func(Config) History) *Predictor {
 	if len(cfg.Tables) == 0 {
 		panic("tage: need at least one tagged table")
 	}
@@ -111,51 +172,45 @@ func New(cfg Config) *Predictor {
 	if cfg.UResetPeriod == 0 {
 		cfg.UResetPeriod = 1 << 18
 	}
+	n := len(cfg.Tables)
 	p := &Predictor{
 		cfg:          cfg,
+		org:          org,
+		fIdx:         make([]uint64, n),
+		fTag:         make([]uint64, n),
 		basePred:     make([]bool, 1<<cfg.BaseLogEntries),
 		baseHyst:     make([]bool, 1<<(cfg.BaseLogEntries-2)),
 		baseMask:     uint64(1<<cfg.BaseLogEntries - 1),
-		path:         history.NewPath(cfg.PathBits),
 		useAltOnNA:   8,
-		resetAt:      cfg.UResetPeriod,
 		r:            rng.New(cfg.Seed | 1),
-		providerHits: make([]uint64, len(cfg.Tables)+1),
+		providerHits: make([]uint64, n+1),
 	}
-	maxHist := 0
 	prev := 0
 	for _, tc := range cfg.Tables {
 		if tc.HistLen <= prev {
 			panic("tage: history lengths must be strictly increasing")
 		}
 		prev = tc.HistLen
-		if tc.HistLen > maxHist {
-			maxHist = tc.HistLen
-		}
 		if tc.LogEntries < 4 || tc.LogEntries > 22 {
 			panic("tage: LogEntries out of range")
 		}
+		// Tags are stored as uint16: a wider tag would be truncated on
+		// allocation and its entry could never hit again.
 		if tc.TagBits < 4 || tc.TagBits > 16 {
 			panic("tage: TagBits out of range")
 		}
-		t := &table{
-			cfg:      tc,
-			entries:  make([]entry, 1<<tc.LogEntries),
-			mask:     uint64(1<<tc.LogEntries - 1),
-			tagMask:  uint32(1<<tc.TagBits - 1),
-			foldIdx:  history.NewFolded(tc.HistLen, tc.LogEntries),
-			foldTag0: history.NewFolded(tc.HistLen, tc.TagBits),
-			foldTag1: history.NewFolded(tc.HistLen, maxInt(tc.TagBits-1, 1)),
-			alloc:    make([]uint64, (1<<tc.LogEntries+63)/64),
-		}
-		p.tables = append(p.tables, t)
+		size := 1 << tc.LogEntries
+		p.tables = append(p.tables, &table{
+			cfg:     tc,
+			tags:    make([]uint16, size),
+			ctrs:    make([]int8, size),
+			useful:  make([]uint64, (size+63)/64),
+			mask:    uint64(size - 1),
+			tagMask: uint32(1<<tc.TagBits - 1),
+			alloc:   make([]uint64, (size+63)/64),
+		})
 	}
-	ringCap := 1
-	for ringCap < maxHist+2 {
-		ringCap <<= 1
-	}
-	p.ring = history.NewRing(ringCap)
-	n := len(p.tables)
+	p.hist = newHist(cfg)
 	p.inflight = inflight.New(func() checkpoint {
 		return checkpoint{idx: make([]uint32, n), tag: make([]uint32, n)}
 	})
@@ -174,39 +229,7 @@ func (p *Predictor) Name() string {
 	if p.cfg.Name != "" {
 		return p.cfg.Name
 	}
-	return "tage"
-}
-
-// NumTables returns the tagged table count.
-func (p *Predictor) NumTables() int { return len(p.tables) }
-
-func (p *Predictor) baseIndex(pc uint64) uint32 { return uint32((pc >> 2) & p.baseMask) }
-
-func (p *Predictor) basePredict(idx uint32) bool { return p.basePred[idx] }
-
-func (p *Predictor) baseUpdate(idx uint32, taken bool) {
-	hi := idx >> 2
-	if p.basePred[idx] == taken {
-		p.baseHyst[hi] = true
-		return
-	}
-	if p.baseHyst[hi] {
-		p.baseHyst[hi] = false
-		return
-	}
-	p.basePred[idx] = taken
-}
-
-// indices computes the per-table index and tag for pc.
-func (p *Predictor) indices(pc uint64, idx, tag []uint32) {
-	pch := rng.Hash64(pc >> 2)
-	path := p.path.Value()
-	for i, t := range p.tables {
-		key := pch ^ t.foldIdx.Value() ^ (path&((1<<uint(minInt(t.cfg.HistLen, p.cfg.PathBits)))-1))<<20 ^ uint64(i)<<56
-		idx[i] = uint32(rng.Hash64(key) & t.mask)
-		tg := uint32(pch>>8) ^ uint32(t.foldTag0.Value()) ^ uint32(t.foldTag1.Value())<<1
-		tag[i] = tg & t.tagMask
-	}
+	return p.org.Name
 }
 
 // lookup fills the ring's free slot, keeping its index/tag arrays, with
@@ -215,12 +238,16 @@ func (p *Predictor) indices(pc uint64, idx, tag []uint32) {
 func (p *Predictor) lookup(pc uint64) *checkpoint {
 	cp := p.inflight.Next()
 	*cp = checkpoint{pc: pc, idx: cp.idx, tag: cp.tag, provider: -1, alt: -1}
-	p.indices(pc, cp.idx, cp.tag)
-	cp.baseIdx = p.baseIndex(pc)
-	cp.basePred = p.basePredict(cp.baseIdx)
+	p.hist.Folds(p.fIdx, p.fTag)
+	pch := rng.Hash64(pc >> 2)
+	for i, t := range p.tables {
+		cp.idx[i] = uint32(rng.Hash64(pch^p.fIdx[i]^uint64(i)<<56) & t.mask)
+		cp.tag[i] = (uint32(pch>>8) ^ uint32(p.fTag[i])) & t.tagMask
+	}
+	cp.baseIdx = uint32((pc >> 2) & p.baseMask)
+	cp.basePred = p.basePred[cp.baseIdx]
 	for i := len(p.tables) - 1; i >= 0; i-- {
-		e := &p.tables[i].entries[cp.idx[i]]
-		if uint32(e.tag) == cp.tag[i] {
+		if uint32(p.tables[i].tags[cp.idx[i]]) == cp.tag[i] {
 			if cp.provider < 0 {
 				cp.provider = i
 			} else {
@@ -230,12 +257,13 @@ func (p *Predictor) lookup(pc uint64) *checkpoint {
 		}
 	}
 	if cp.provider >= 0 {
-		e := &p.tables[cp.provider].entries[cp.idx[cp.provider]]
-		cp.provPred = e.ctr >= 0
-		cp.newlyAlloc = !e.u && (e.ctr == 0 || e.ctr == -1)
+		t := p.tables[cp.provider]
+		e := cp.idx[cp.provider]
+		ctr := t.ctrs[e]
+		cp.provPred = ctr >= 0
+		cp.newlyAlloc = !t.u(e) && isWeak(ctr)
 		if cp.alt >= 0 {
-			ae := &p.tables[cp.alt].entries[cp.idx[cp.alt]]
-			cp.altPred = ae.ctr >= 0
+			cp.altPred = p.tables[cp.alt].ctrs[cp.idx[cp.alt]] >= 0
 		} else {
 			cp.altPred = cp.basePred
 		}
@@ -252,16 +280,18 @@ func (p *Predictor) lookup(pc uint64) *checkpoint {
 	return cp
 }
 
+// providerCtr is the counter of cp's provider entry.
+func (p *Predictor) providerCtr(cp *checkpoint) int8 {
+	return p.tables[cp.provider].ctrs[cp.idx[cp.provider]]
+}
+
 // scIndex hashes the PC with the provider confidence class, following the
 // ISL statistical corrector's idea of learning, per (branch, confidence),
 // whether TAGE's prediction is statistically wrong.
 func (p *Predictor) scIndex(cp *checkpoint) uint32 {
-	conf := uint64(0)
+	conf := uint64(9)
 	if cp.provider >= 0 {
-		e := &p.tables[cp.provider].entries[cp.idx[cp.provider]]
-		conf = uint64(int64(e.ctr) + 4)
-	} else {
-		conf = 9
+		conf = uint64(int64(p.providerCtr(cp)) + 4)
 	}
 	dir := uint64(0)
 	if cp.tagePred {
@@ -279,8 +309,8 @@ func (p *Predictor) Predict(pc uint64) bool {
 	if p.sc != nil {
 		cp.scIdx = p.scIndex(cp)
 		cp.scSum = int32(p.sc[cp.scIdx])
-		weakProvider := cp.provider < 0 || cp.newlyAlloc || isWeak(p.tables[cp.provider].entries[cp.idx[cp.provider]].ctr)
-		if weakProvider && cp.scSum <= -8 {
+		weak := cp.provider < 0 || cp.newlyAlloc || isWeak(p.providerCtr(cp))
+		if weak && cp.scSum <= -8 {
 			cp.finalPred = !cp.tagePred
 			cp.scApplied = true
 		}
@@ -309,11 +339,7 @@ func (p *Predictor) Predict(pc uint64) bool {
 		}
 	}
 
-	if cp.provider >= 0 {
-		p.providerHits[cp.provider+1]++
-	} else {
-		p.providerHits[0]++
-	}
+	p.providerHits[cp.provider+1]++
 	p.inflight.Push()
 	return cp.finalPred
 }
@@ -330,7 +356,7 @@ func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 	} else {
 		p.train(p.lookup(pc), taken)
 	}
-	p.pushHistory(pc, taken)
+	p.hist.Commit(pc, taken)
 }
 
 func (p *Predictor) train(cp *checkpoint, taken bool) {
@@ -362,14 +388,15 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 
 	// Train the provider (or the base).
 	if cp.provider >= 0 {
-		e := &p.tables[cp.provider].entries[cp.idx[cp.provider]]
-		e.ctr = satCtr(e.ctr, taken)
+		t := p.tables[cp.provider]
+		e := cp.idx[cp.provider]
+		t.ctrs[e] = satCtr(t.ctrs[e], taken)
 		if cp.provPred != cp.altPred {
-			e.u = cp.provPred == taken
+			t.setU(e, cp.provPred == taken)
 		}
 		// When the provider entry is still weak, keep the base warm too,
 		// so evictions fall back gracefully.
-		if !e.u && isWeak(e.ctr) {
+		if !t.u(e) && isWeak(t.ctrs[e]) {
 			p.baseUpdate(cp.baseIdx, taken)
 		}
 	} else {
@@ -382,16 +409,27 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 		p.allocate(cp, taken)
 	}
 
-	// Periodic graceful reset of useful bits.
+	// Periodic graceful reset of useful bits: a word-wise clear.
 	p.tick++
-	if p.tick >= p.resetAt {
+	if p.tick >= p.cfg.UResetPeriod {
 		p.tick = 0
 		for _, t := range p.tables {
-			for i := range t.entries {
-				t.entries[i].u = false
-			}
+			clear(t.useful)
 		}
 	}
+}
+
+func (p *Predictor) baseUpdate(idx uint32, taken bool) {
+	hi := idx >> 2
+	if p.basePred[idx] == taken {
+		p.baseHyst[hi] = true
+		return
+	}
+	if p.baseHyst[hi] {
+		p.baseHyst[hi] = false
+		return
+	}
+	p.basePred[idx] = taken
 }
 
 // allocate installs a new entry in a table with longer history than the
@@ -407,9 +445,9 @@ func (p *Predictor) allocate(cp *checkpoint, taken bool) {
 	}
 	for i := start; i < len(p.tables); i++ {
 		t := p.tables[i]
-		e := &t.entries[cp.idx[i]]
-		if !e.u {
-			w, b := cp.idx[i]>>6, uint64(1)<<(cp.idx[i]&63)
+		e := cp.idx[i]
+		if !t.u(e) {
+			w, b := e>>6, uint64(1)<<(e&63)
 			if t.alloc[w]&b == 0 {
 				t.alloc[w] |= b
 				t.live++
@@ -417,27 +455,15 @@ func (p *Predictor) allocate(cp *checkpoint, taken bool) {
 				t.evictions++
 			}
 			t.allocs++
-			e.tag = uint16(cp.tag[i])
-			e.ctr = int8(b2i(taken) - 1) // weak toward the outcome
-			e.u = false
+			t.tags[e] = uint16(cp.tag[i])
+			t.ctrs[e] = int8(b2i(taken) - 1) // weak toward the outcome
 			return
 		}
 	}
 	// No free slot: age the candidates.
 	for i := start; i < len(p.tables); i++ {
-		p.tables[i].entries[cp.idx[i]].u = false
+		p.tables[i].setU(cp.idx[i], false)
 	}
-}
-
-func (p *Predictor) pushHistory(pc uint64, taken bool) {
-	for _, t := range p.tables {
-		old := p.ring.TakenAt(t.cfg.HistLen)
-		t.foldIdx.Update(taken, old)
-		t.foldTag0.Update(taken, old)
-		t.foldTag1.Update(taken, old)
-	}
-	p.ring.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
-	p.path.Push(pc)
 }
 
 func satCtr(c int8, taken bool) int8 {
@@ -470,17 +496,13 @@ func clamp32(v, lo, hi int32) int32 {
 	return v
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Explain implements sim.Explainer: it reports the provenance of the
 // newest in-flight prediction for pc (or of a fresh side-effect-free
 // lookup when none is in flight) — provider/alt banks, the provider
-// entry's counter and useful bit, and which component had the last word.
+// entry's counter and useful bit, which component had the last word,
+// and the branch's bias classification when the history filters. The
+// bias-free history only gates history insertion, so FilterDecision
+// stays false.
 func (p *Predictor) Explain(pc uint64) sim.Provenance {
 	cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
 	if cp == nil {
@@ -495,11 +517,11 @@ func (p *Predictor) Explain(pc uint64) sim.Provenance {
 		ProviderPred:   cp.provPred,
 		AltPred:        cp.altPred,
 		NewlyAllocated: cp.newlyAlloc,
+		BiasState:      p.hist.BiasState(pc),
 	}
 	if cp.provider >= 0 {
-		e := &p.tables[cp.provider].entries[cp.idx[cp.provider]]
-		prov.ProviderCtr = e.ctr
-		prov.ProviderUseful = e.u
+		prov.ProviderCtr = p.providerCtr(cp)
+		prov.ProviderUseful = p.tables[cp.provider].u(cp.idx[cp.provider])
 	}
 	switch {
 	case cp.loopApplied:
@@ -529,17 +551,17 @@ func abs32(v int32) int32 {
 // Storage implements sim.StorageAccounter, following Table I's accounting.
 func (p *Predictor) Storage() sim.Breakdown {
 	b := sim.Breakdown{Name: p.Name()}
-	baseBits := len(p.basePred) + len(p.baseHyst)
-	b.Components = append(b.Components, sim.Component{Name: "base bimodal (pred+hyst)", Bits: baseBits})
+	b.Components = append(b.Components, sim.Component{
+		Name: "base bimodal (pred+hyst)",
+		Bits: len(p.basePred) + len(p.baseHyst),
+	})
 	for i, t := range p.tables {
-		bits := len(t.entries) * (4 + t.cfg.TagBits) // 3-bit ctr + u + tag
 		b.Components = append(b.Components, sim.Component{
-			Name: "tagged T" + itoa(i+1) + " (hist " + itoa(t.cfg.HistLen) + ")",
-			Bits: bits,
+			Name: fmt.Sprintf("tagged T%d (%s %d)", i+1, p.org.Unit, t.cfg.HistLen),
+			Bits: len(t.tags) * (4 + t.cfg.TagBits), // 3-bit ctr + u + tag
 		})
 	}
-	b.Components = append(b.Components, sim.Component{Name: "global history ring", Bits: p.ring.Cap()})
-	b.Components = append(b.Components, sim.Component{Name: "path history", Bits: p.cfg.PathBits})
+	b.Components = append(b.Components, p.hist.Storage()...)
 	if p.loop != nil {
 		b.Components = append(b.Components, sim.Component{Name: "loop predictor", Bits: p.loop.StorageBits()})
 	}
@@ -550,10 +572,12 @@ func (p *Predictor) Storage() sim.Breakdown {
 }
 
 // ProbeState implements sim.StateProbe: base-table warmth, per-bank
-// occupancy/conflict/useful/saturation profiles (live counts come from
-// the allocate-path bitmap; useful and saturation are scanned here, off
-// the hot path), each bank's raw-branch reach (its history length) and
-// provider hits, and the statistical corrector's weight saturation.
+// occupancy/conflict/useful/saturation profiles with each bank's
+// history length and raw-branch reach (so capacity-vs-reach reports can
+// compare bias-free banks against conventional ones), provider hits,
+// the history's own state, and the statistical corrector's weight
+// saturation. Live counts come from the allocate-path bitmap;
+// everything else is scanned here, off the hot path.
 func (p *Predictor) ProbeState() sim.TableStats {
 	ts := sim.TableStats{Predictor: p.Name()}
 	baseLive := 0
@@ -567,22 +591,23 @@ func (p *Predictor) ProbeState() sim.TableStats {
 		Hits: p.providerHits[0],
 	})
 	for i, t := range p.tables {
-		useful, sat := 0, 0
-		for j := range t.entries {
-			if t.entries[j].u {
-				useful++
-			}
-			if t.entries[j].ctr == ctrMax || t.entries[j].ctr == ctrMin {
+		useful := 0
+		for _, w := range t.useful {
+			useful += bits.OnesCount64(w)
+		}
+		sat := 0
+		for _, c := range t.ctrs {
+			if c == ctrMax || c == ctrMin {
 				sat++
 			}
 		}
 		ts.Banks = append(ts.Banks, sim.BankStats{
 			Bank:      i + 1,
 			Kind:      "tagged",
-			Entries:   len(t.entries),
+			Entries:   len(t.tags),
 			Live:      t.live,
 			HistLen:   t.cfg.HistLen,
-			Reach:     t.cfg.HistLen,
+			Reach:     p.hist.Reach(t.cfg.HistLen),
 			UsefulSet: useful,
 			Saturated: sat,
 			Allocs:    t.allocs,
@@ -590,32 +615,11 @@ func (p *Predictor) ProbeState() sim.TableStats {
 			Hits:      p.providerHits[i+1],
 		})
 	}
+	p.hist.Probe(&ts)
 	if p.sc != nil {
 		ts.Weights = append(ts.Weights, sim.WeightArrayStats(0, "sc", 0, p.sc, -32, 31))
 	}
 	return ts
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 var (

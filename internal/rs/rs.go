@@ -89,29 +89,9 @@ func (s *Stack) Contains(pc uint64) bool { return s.c.lookup(pc) != camNil }
 // first). Iteration is O(1) per entry.
 func (s *Stack) Iter() Iter { return Iter{s: s} }
 
-// Gather writes every live entry in recency order into the parallel
-// destination arrays (each at least Len() long) and returns the count —
-// the bulk form of Iter for hot loops, walking the dense order array
-// with distances saturated exactly as Iter reports them.
-func (s *Stack) Gather(pcs, dists []uint64, taken []bool) int {
-	c := &s.c
-	n := c.n
-	for k := 0; k < n; k++ {
-		sl := c.order[k]
-		pcs[k] = c.pc[sl]
-		taken[k] = c.taken[sl]
-		d := s.seq - c.seq[sl]
-		if d > s.maxDist {
-			d = s.maxDist
-		}
-		dists[k] = d
-	}
-	return n
-}
-
 // View is a read-only window into a Stack's dense storage, for fused
 // hot loops that fold the recency walk into their own iteration instead
-// of staging entries through Gather. Order[k] (k < N) is the slot of
+// of staging entries through Iter. Order[k] (k < N) is the slot of
 // the k-th most recent entry in the PC/Taken/Seq slot arrays; a live
 // distance is min(Cur - Seq[slot], MaxDist). The window is invalidated
 // by the next Push/Tick — consume it immediately, never retain it.

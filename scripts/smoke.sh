@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks of the command-line tools, run by `make smoke`
-# and CI. bfsim and journal are built once into $OUT/bin; every
+# and CI. The commands are built once into $OUT/bin; every
 # artifact a check leaves behind (timelines, journals, the flight dump)
 # stays in $OUT for upload and for loading into Perfetto by hand.
 #
 #   trace     two identical-seed traced suites; their journals must
 #             `journal diff` clean.
-#   snapshot  for each headline predictor a straight run must equal a
-#             split run (half with -checkpoint, then -resume -skip):
-#             branches and mispredicts summed over the legs, exactly.
+#   flags     a count flag below its floor (a negative -n, -delay,
+#             -skip, ...) must exit 2 with a message and no panic.
+#   snapshot  for each headline predictor, every engine and history
+#             included, a straight run must equal a split run (half with
+#             -checkpoint, then -resume -skip): branches and mispredicts
+#             summed over the legs, exactly.
 #   drift     a short endurance run with the change-point layer on must
 #             fire at least one drift alarm, emit Perfetto counter
 #             tracks ("ph":"C"), and write a flight dump that
@@ -33,7 +36,7 @@ fail() { echo "smoke: $*" >&2; exit 1; }
 
 rm -rf "$OUT"
 mkdir -p "$OUT/bin"
-for cmd in bfsim journal; do
+for cmd in bfsim journal analyze traceinfo tracegen; do
 	"$GO" build -o "$OUT/bin/$cmd" "./cmd/$cmd"
 done
 bfsim=$OUT/bin/bfsim
@@ -47,9 +50,33 @@ journal=$OUT/bin/journal
 "$journal" diff "$OUT/journal.jsonl" "$OUT/journal_b.jsonl"
 echo "smoke: trace ok"
 
+# flags
+while read -r cmd args; do
+	code=0
+	# shellcheck disable=SC2086 # args is a flag list
+	"$OUT/bin/$cmd" $args > /dev/null 2> "$OUT/flags.err" || code=$?
+	[ "$code" -eq 2 ] || fail "flags: $cmd $args exited $code, want 2"
+	[ -s "$OUT/flags.err" ] || fail "flags: $cmd $args printed no message"
+	if grep -q 'panic:' "$OUT/flags.err"; then
+		fail "flags: $cmd $args panicked"
+	fi
+done <<CASES
+analyze -t SERV1 -p bimodal -n -1000
+traceinfo -t SERV1 -n -10
+bfsim -t SERV1 -p bimodal -n -5
+tracegen -t SERV1 -n -10 -o $OUT/tracegen
+bfsim -t SERV1 -p bimodal -n 1000 -delay -3
+bfsim -t SERV1 -p bimodal -n 1000 -skip -1
+bfsim -t SERV1 -p bimodal -n 1000 -offenders -1
+bfsim -t SERV1 -p bimodal -n 1000 -endurance -1
+bfsim -t SERV1 -p bimodal -n 1000 -warmup -7
+CASES
+rm -f "$OUT/flags.err"
+echo "smoke: flags ok"
+
 # snapshot
 snap=$OUT/snap.bin
-for p in bimodal gshare isl-tage-15 bf-neural bf-tage-10; do
+for p in bimodal gshare isl-tage-15 bf-neural bf-tage-10 o-gehl bf-gehl; do
 	s=$("$bfsim" -p "$p" -t INT1 -n 60000 -warmup 0 -csv | tail -1)
 	a=$("$bfsim" -p "$p" -t INT1 -n 30000 -warmup 0 -csv -checkpoint "$snap" 2> /dev/null | tail -1)
 	skip=$(echo "$a" | cut -d, -f3)

@@ -164,17 +164,30 @@ func emptySection(t *testing.T, img []byte, name string) ([]byte, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := snap.Dec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resealSection(t, snap, name, nil), d.Remaining() > 0
+}
+
+// resealSection re-encodes snap with section name's payload replaced by
+// payload and every other section copied byte for byte, so the
+// container checksum still passes.
+func resealSection(t testing.TB, snap *state.Snapshot, name string, payload []byte) []byte {
+	t.Helper()
 	out := state.New(snap.Predictor, snap.ConfigHash)
-	nonEmpty := false
 	for _, sec := range snap.Sections() {
 		e := out.Section(sec)
+		if sec == name {
+			for _, b := range payload {
+				e.U8(b)
+			}
+			continue
+		}
 		d, err := snap.Dec(sec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sec == name {
-			nonEmpty = d.Remaining() > 0
-			continue
 		}
 		for d.Remaining() > 0 {
 			e.U8(d.U8())
@@ -184,7 +197,93 @@ func emptySection(t *testing.T, img []byte, name string) ([]byte, bool) {
 	if _, err := out.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), nonEmpty
+	return buf.Bytes()
+}
+
+// FuzzLoadState feeds one predictor per engine and history (TAGE and
+// GEHL, each over the conventional history and the BF-GHR) a trained
+// donor's snapshot with one section's payload replaced by fuzz bytes.
+// A load that fails must leave the predictor's SaveState bytes
+// unchanged; after a load that succeeds, 1,000 more Predict/Update
+// steps must not panic. The seed corpus empties, truncates and keeps
+// every section of every donor.
+func FuzzLoadState(f *testing.F) {
+	spec, ok := bfbp.TraceByName("SERV1")
+	if !ok {
+		f.Fatal("SERV1 missing")
+	}
+	tr := spec.GenerateN(4000)
+	type target struct {
+		p      bfbp.Predictor
+		snap   bfbp.Snapshotter
+		donor  *state.Snapshot
+		before []byte
+	}
+	var targets []target
+	for i, name := range []string{"isl-tage-15", "bf-isl-tage-10", "o-gehl", "bf-gehl"} {
+		info, err := bfbp.PredictorByName(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		train := func(tr bfbp.Trace) bfbp.Predictor {
+			p := info.New()
+			if _, err := bfbp.Run(p, tr.Stream(), bfbp.Options{}); err != nil {
+				f.Fatal(err)
+			}
+			return p
+		}
+		p := train(tr[:1000])
+		var buf bytes.Buffer
+		if err := bfbp.Capabilities(train(tr[:2000])).Snapshot.SaveState(&buf); err != nil {
+			f.Fatal(err)
+		}
+		donor, err := state.Read(&buf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		t := target{p: p, snap: bfbp.Capabilities(p).Snapshot, donor: donor}
+		buf.Reset()
+		if err := t.snap.SaveState(&buf); err != nil {
+			f.Fatal(err)
+		}
+		t.before = buf.Bytes()
+		targets = append(targets, t)
+		for j, sec := range donor.Sections() {
+			d, _ := donor.Dec(sec)
+			payload := make([]byte, d.Remaining())
+			for k := range payload {
+				payload[k] = d.U8()
+			}
+			f.Add(uint8(i), uint8(j), []byte{})
+			f.Add(uint8(i), uint8(j), payload[:len(payload)/2])
+			f.Add(uint8(i), uint8(j), payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, pi, si uint8, payload []byte) {
+		tg := targets[int(pi)%len(targets)]
+		secs := tg.donor.Sections()
+		img := resealSection(t, tg.donor, secs[int(si)%len(secs)], payload)
+		save := func() []byte {
+			var buf bytes.Buffer
+			if err := tg.snap.SaveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		if err := tg.snap.LoadState(bytes.NewReader(img)); err != nil {
+			if !bytes.Equal(save(), tg.before) {
+				t.Fatalf("failed load (%v) changed the predictor", err)
+			}
+			return
+		}
+		for _, rec := range tr[2000:3000] {
+			tg.p.Predict(rec.PC)
+			tg.p.Update(rec.PC, rec.Taken, rec.Target)
+		}
+		if err := tg.snap.LoadState(bytes.NewReader(tg.before)); err != nil {
+			t.Fatalf("restoring the target: %v", err)
+		}
+	})
 }
 
 // TestFailedLoadLeavesPredictorUntouched asserts that LoadState fails
