@@ -19,7 +19,9 @@ import (
 // recorded before each family's in-flight queue became a ring and must
 // not move. The 1-, 4- and 7-table TAGE rows were recorded before the
 // conventional and bias-free TAGE cores became one engine, so every
-// table count of both histories stays pinned.
+// table count of both histories stays pinned. The bf-neural-32k,
+// -fweights, -ghist and -ahead rows were recorded before the perceptron,
+// strided and BF-Neural predictors became one neural engine.
 func TestInFlightCheckpoints(t *testing.T) {
 	tr := genTrace(t, "SPEC03", 20000)
 	if len(tr) != 21904 {
@@ -34,6 +36,10 @@ func TestInFlightCheckpoints(t *testing.T) {
 		{"bf-tage-10", []uint64{707, 771, 1117}, 600},
 		{"bf-isl-tage-10", []uint64{659, 712, 1031}, 565},
 		{"bf-neural", []uint64{387, 397, 836}, 337},
+		{"bf-neural-32k", []uint64{382, 407, 846}, 354},
+		{"bf-neural-fweights", []uint64{432, 427, 891}, 407},
+		{"bf-neural-ghist", []uint64{388, 394, 845}, 344},
+		{"bf-neural-ahead", []uint64{392, 420, 895}, 385},
 		{"bf-gehl", []uint64{479, 508, 931}, 422},
 		{"bf-tage-4", []uint64{701, 753, 1121}, 595},
 		{"bf-isl-tage-7", []uint64{629, 688, 1017}, 565},
