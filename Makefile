@@ -23,8 +23,10 @@ check: build vet race
 
 # Fuzz each fuzz target for a fixed 10 s: the snapshot container
 # decoder, the BFT1 trace decoder, the key map against FoldWords over
-# random geometries, and the TAGE and GEHL engines' snapshot loaders
-# (each over both histories) fed one corrupted section at a time. go
+# random geometries, and the snapshot loaders of the TAGE and GEHL
+# engines (each over both histories), the neural engine (over the
+# folded dense, sampled, recency-stack and bias-free-register
+# histories) and oh-snap, fed one corrupted section at a time. go
 # test fuzzes one target per invocation. A failing input is written
 # under the package's testdata/fuzz/.
 fuzz:

@@ -387,7 +387,8 @@ func NewLocal(histEntries, histBits, phtEntries int) Predictor {
 	return local.New(histEntries, histBits, phtEntries)
 }
 
-// NewPerceptron returns a hashed perceptron predictor.
+// NewPerceptron returns a hashed perceptron: the neural engine, its
+// weights picked by the HistoryLength most recent branches.
 func NewPerceptron(cfg PerceptronConfig) Predictor { return perceptron.New(cfg) }
 
 // Perceptron64KB is the paper's Fig. 9 conventional-perceptron baseline:
@@ -412,8 +413,9 @@ func ISLTAGE(n int) TAGEConfig { return tage.Conventional(n) }
 // (no SC, no IUM).
 func TAGEBare(n int) TAGEConfig { return tage.ConventionalBare(n) }
 
-// NewBFNeural returns the paper's BF-Neural predictor.
-func NewBFNeural(cfg BFNeuralConfig) *bfneural.Predictor { return bfneural.New(cfg) }
+// NewBFNeural returns the paper's BF-Neural predictor: the NewPerceptron
+// engine behind the BST, indexed by recent history and the recency stack.
+func NewBFNeural(cfg BFNeuralConfig) *perceptron.Predictor { return bfneural.New(cfg) }
 
 // BFNeural64KB is the §VI-B 64KB BF-Neural configuration.
 func BFNeural64KB() BFNeuralConfig { return bfneural.Default64KB() }
@@ -496,7 +498,8 @@ func NewFilter(cfg FilterConfig) Predictor { return filter.New(cfg) }
 func Filter64KB() FilterConfig { return filter.Default64KB() }
 
 // NewStrided returns a strided-sampling hashed perceptron (Jiménez,
-// CBP-4): the competing approach to deep history reach on a budget.
+// CBP-4), the NewPerceptron engine indexed by sampled history offsets:
+// the competing approach to deep history reach on a budget.
 func NewStrided(cfg StridedConfig) Predictor { return strided.New(cfg) }
 
 // Strided64KB is a ~64KB strided perceptron sampling out to 1024

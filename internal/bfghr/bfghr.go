@@ -154,16 +154,7 @@ func (g *GHR) Storage() []sim.Component {
 // Probe appends the BST's classification census, as the bank after
 // the ones already in ts, and the segmented recency stacks' fill.
 func (g *GHR) Probe(ts *sim.TableStats) {
-	if tbl, ok := g.class.(*bst.Table); ok {
-		counts := tbl.StateCounts()
-		ts.Banks = append(ts.Banks, sim.BankStats{
-			Bank:      len(ts.Banks),
-			Kind:      "bst",
-			Entries:   tbl.Entries(),
-			Live:      tbl.Entries() - counts[bst.NotFound],
-			UsefulSet: counts[bst.NonBiased],
-		})
-	}
+	bst.Probe(ts, g.class)
 	for i := 0; i < g.seg.Segments(); i++ {
 		ts.Recency = append(ts.Recency, sim.RecencyStats{
 			Segment: i,

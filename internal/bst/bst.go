@@ -16,6 +16,7 @@ package bst
 import (
 	"bfbp/internal/counters"
 	"bfbp/internal/rng"
+	"bfbp/internal/sim"
 )
 
 // State is the detection FSM state for one table entry.
@@ -256,3 +257,20 @@ var (
 	_ Classifier = (*ProbTable)(nil)
 	_ Classifier = (*Oracle)(nil)
 )
+
+// Probe appends c's classification census, when c is a Table, to ts as
+// the bank after the ones already there.
+func Probe(ts *sim.TableStats, c Classifier) {
+	tbl, ok := c.(*Table)
+	if !ok {
+		return
+	}
+	counts := tbl.StateCounts()
+	ts.Banks = append(ts.Banks, sim.BankStats{
+		Bank:      len(ts.Banks),
+		Kind:      "bst",
+		Entries:   tbl.Entries(),
+		Live:      tbl.Entries() - counts[NotFound],
+		UsefulSet: counts[NonBiased],
+	})
+}

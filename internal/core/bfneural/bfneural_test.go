@@ -18,7 +18,6 @@ func smallCfg() Config {
 		RecentUnfiltered: 12,
 		WrsEntries:       1 << 13,
 		RSDepth:          32,
-		DistBits:         12,
 		LoopPredictor:    true,
 	}
 }
@@ -171,7 +170,7 @@ func TestPositionalHistoryFig4(t *testing.T) {
 func TestBSTTransitionTrainsWeights(t *testing.T) {
 	// A branch biased for a long stretch then revealing non-bias: the
 	// predictor must transition it and keep predicting sensibly.
-	p := New(smallCfg())
+	p, s := build(smallCfg())
 	var recs trace.Slice
 	for i := 0; i < 5000; i++ {
 		recs = append(recs, trace.Record{PC: 0x300, Taken: true, Instret: 5})
@@ -184,7 +183,7 @@ func TestBSTTransitionTrainsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Classifier().Lookup(0x300) != bst.NonBiased {
+	if s.class.Lookup(0x300) != bst.NonBiased {
 		t.Fatal("branch should be classified NonBiased after both directions")
 	}
 	// Alternation is learnable from the unfiltered recent history.
@@ -254,7 +253,7 @@ func TestDefaultBudget(t *testing.T) {
 }
 
 func TestRecencyStackUniqueInFullMode(t *testing.T) {
-	p := New(smallCfg())
+	p, s := build(smallCfg())
 	r := rng.New(5)
 	for i := 0; i < 20000; i++ {
 		pc := uint64(0x100 + (i%6)*4) // 6 alternating branches
@@ -262,8 +261,8 @@ func TestRecencyStackUniqueInFullMode(t *testing.T) {
 		p.Predict(pc)
 		p.Update(pc, taken, 0)
 	}
-	if p.FilteredLen() > 6 {
-		t.Fatalf("recency stack holds %d entries for 6 distinct PCs", p.FilteredLen())
+	if s.rstack.Len() > 6 {
+		t.Fatalf("recency stack holds %d entries for 6 distinct PCs", s.rstack.Len())
 	}
 }
 

@@ -22,27 +22,27 @@ func diffTrace(t *testing.T, n int) trace.Slice {
 }
 
 // TestComputeDifferential drives 20k branches and, at every step, runs
-// the gathered fast-path compute and the per-entry-accessor reference
-// model side by side, requiring identical accumulators and index
-// lists. This pins the packed recent-outcome read, the bulk PC and
-// recency-stack gathers, and the bits.Len64 distance quantizer to the
-// reference formulation across warmup, stack churn, and deep history.
+// the gathered fast-path Fill and the per-entry-accessor reference
+// model side by side, requiring identical index lists and directions.
+// This pins the dense fill (past 64 positions in the 72-deep
+// filter-weights ablation, and across warm-up, where the unpopulated
+// positions are left out), the bulk PC and recency-stack gathers, and
+// the tabulated distance quantizer to the reference formulation across
+// stack churn and deep history, with and without the PC in the hash.
 func TestComputeDifferential(t *testing.T) {
 	tr := diffTrace(t, 20000)
-	for _, cfg := range []Config{Default64KB(), Ablation(ModeBiasFreeGHR)} {
-		p := New(cfg)
-		a, b := p.makeCheckpoint(), p.makeCheckpoint()
+	for _, cfg := range []Config{Default64KB(), Ablation(ModeBiasFreeGHR), Ablation(ModeFilterWeights), AheadPipelined()} {
+		p, s := build(cfg)
+		n := cfg.RecentUnfiltered + cfg.RSDepth
+		idx, dirs := make([]int32, n), make([]bool, n)
 		for i, rec := range tr {
-			p.compute(rec.PC, &a)
-			p.computeRef(rec.PC, &b)
-			if a.accum != b.accum {
-				t.Fatalf("%s step %d: accum fast %d, ref %d", p.Name(), i, a.accum, b.accum)
+			got, recent := s.Fill(rec.PC, idx, dirs)
+			refIdx, refDirs, refRecent := s.computeRef(rec.PC)
+			if recent != refRecent {
+				t.Fatalf("%s step %d: %d Wm positions, ref %d", p.Name(), i, recent, refRecent)
 			}
-			if !equalI32(a.wmRows, b.wmRows) || !equalBool(a.wmDirs, b.wmDirs) {
-				t.Fatalf("%s step %d: Wm rows/dirs diverge", p.Name(), i)
-			}
-			if !equalI32(a.wrsIdxs, b.wrsIdxs) || !equalBool(a.wrsDirs, b.wrsDirs) {
-				t.Fatalf("%s step %d: Wrs idxs/dirs diverge", p.Name(), i)
+			if !equalI32(idx[:got], refIdx) || !equalBool(dirs[:got], refDirs) {
+				t.Fatalf("%s step %d: indices/directions diverge", p.Name(), i)
 			}
 			p.Predict(rec.PC)
 			p.Update(rec.PC, rec.Taken, rec.Target)

@@ -3,7 +3,7 @@ package bfneural
 import "bfbp/internal/rng"
 
 // This file holds the reference models the gathered fast paths replaced.
-// TestComputeDifferential and TestQuantDistDifferential pin compute and
+// TestComputeDifferential and TestQuantDistDifferential pin Fill and
 // quantDist to them.
 
 // quantDistRef is the original loop formulation of quantDist.
@@ -18,79 +18,50 @@ func quantDistRef(d uint64) uint64 {
 	return (d >> shift) << shift
 }
 
-// computeRef is the reference model for compute: the same sum through
+// computeRef is the reference model for Fill: the same indices through
 // the per-entry accessors (Ring.At, Stack.Iter, the loop-based
-// quantizer) instead of the gathered fast paths. Differential tests run
-// both and require identical accumulators and index lists.
-func (p *Predictor) computeRef(pc uint64, cp *checkpoint) {
+// quantizer) instead of the gathered fast paths. It returns the indices,
+// their directions, and how many of them are Wm positions.
+func (s *source) computeRef(pc uint64) (idx []int32, dirs []bool, recent int) {
 	var pch uint64
-	if !p.cfg.AheadPipelined {
+	if !s.cfg.AheadPipelined {
 		pch = rng.Hash64(pc >> 2)
 	}
-	accum := int32(p.wb[(pc>>2)&p.biasMask])
-
-	ht := p.cfg.RecentUnfiltered
-	cp.wmRows = cp.wmRows[:0]
-	cp.wmDirs = cp.wmDirs[:0]
-	ring := p.folds.Ring()
+	ht := s.cfg.RecentUnfiltered
+	fs := s.u.Folds()
+	wmMask := uint64(s.cfg.WmRows - 1)
 	for i := 1; i <= ht; i++ {
-		e, ok := ring.At(i)
+		e, ok := fs.Ring().At(i)
 		if !ok {
-			cp.wmRows = append(cp.wmRows, -1)
-			cp.wmDirs = append(cp.wmDirs, false)
-			continue
+			break // deeper positions are unpopulated too
 		}
-		key := pch ^ uint64(e.HashedPC)*0x9e3779b97f4a7c15 ^ p.folds.Fold(i)<<17 ^ uint64(i)<<40
-		row := int32(rng.Hash64(key)&p.wmMask)*int32(ht) + int32(i-1)
-		cp.wmRows = append(cp.wmRows, row)
-		cp.wmDirs = append(cp.wmDirs, e.Taken)
-		w := int32(p.wm[row])
-		if e.Taken {
-			accum += w
-		} else {
-			accum -= w
-		}
+		key := pch ^ uint64(e.HashedPC)*0x9e3779b97f4a7c15 ^ fs.Fold(i)<<17 ^ uint64(i)<<40
+		idx = append(idx, int32(rng.Hash64(key)&wmMask)*int32(ht)+int32(i-1))
+		dirs = append(dirs, e.Taken)
 	}
+	recent = len(idx)
 
-	cp.wrsIdxs = cp.wrsIdxs[:0]
-	cp.wrsDirs = cp.wrsDirs[:0]
-	if p.rstack != nil {
-		for it := p.rstack.Iter(); ; {
+	if s.rstack != nil {
+		for it := s.rstack.Iter(); ; {
 			e, ok := it.Next()
 			if !ok {
 				break
 			}
-			q := quantDistRef(e.Dist)
-			key := pch ^ e.PC*0x9e3779b97f4a7c15 ^ q<<28 ^ p.folds.Fold(int(e.Dist))<<9
-			idx := int32(rng.Hash64(key) & p.wrsMask)
-			cp.wrsIdxs = append(cp.wrsIdxs, idx)
-			cp.wrsDirs = append(cp.wrsDirs, e.Taken)
-			w := int32(p.wrs[idx])
-			if e.Taken {
-				accum += w
-			} else {
-				accum -= w
-			}
+			key := pch ^ e.PC*0x9e3779b97f4a7c15 ^ quantDistRef(e.Dist)<<28 ^ fs.Fold(int(e.Dist))<<9
+			idx = append(idx, s.wrsBase+int32(rng.Hash64(key)&s.wrsMask))
+			dirs = append(dirs, e.Taken)
 		}
-		cp.accum = accum
-		return
+		return idx, dirs, recent
 	}
-	for j := range p.filt {
-		e := &p.filt[j]
-		dist := p.seq - e.seq
-		if dist > p.distCap {
-			dist = p.distCap
+	for j := range s.filt {
+		e := &s.filt[j]
+		dist := s.seq - e.seq
+		if dist > 1<<distBits-1 {
+			dist = 1<<distBits - 1
 		}
-		key := pch ^ uint64(e.hpc)*0x9e3779b97f4a7c15 ^ uint64(j)<<28 ^ p.folds.Fold(int(dist))<<9
-		idx := int32(rng.Hash64(key) & p.wrsMask)
-		cp.wrsIdxs = append(cp.wrsIdxs, idx)
-		cp.wrsDirs = append(cp.wrsDirs, e.taken)
-		w := int32(p.wrs[idx])
-		if e.taken {
-			accum += w
-		} else {
-			accum -= w
-		}
+		key := pch ^ uint64(e.hpc)*0x9e3779b97f4a7c15 ^ uint64(j)<<28 ^ fs.Fold(int(dist))<<9
+		idx = append(idx, s.wrsBase+int32(rng.Hash64(key)&s.wrsMask))
+		dirs = append(dirs, e.taken)
 	}
-	cp.accum = accum
+	return idx, dirs, recent
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"bfbp/internal/predictor/perceptron"
 	"bfbp/internal/state"
 )
 
@@ -35,7 +36,7 @@ func replaceSection(t *testing.T, img []byte, name string, fill func(*state.Enc)
 	return buf.Bytes()
 }
 
-func saveBytes(t *testing.T, p *Predictor) []byte {
+func saveBytes(t *testing.T, p *perceptron.Predictor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.SaveState(&buf); err != nil {
@@ -52,7 +53,7 @@ func saveBytes(t *testing.T, p *Predictor) []byte {
 func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 	tr := diffTrace(t, 9000)
 	for _, cfg := range []Config{Default64KB(), Ablation(ModeBiasFreeGHR)} {
-		run := func(n int) *Predictor {
+		run := func(n int) *perceptron.Predictor {
 			p := New(cfg)
 			for _, rec := range tr[:n] {
 				p.Predict(rec.PC)
@@ -109,6 +110,42 @@ func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 		}
 		if !bytes.Equal(saveBytes(t, p), img) {
 			t.Fatalf("mode %d: loaded predictor does not save the donor's bytes", cfg.Mode)
+		}
+	}
+}
+
+// TestLoadRejectsOutOfRangeWeights feeds a trained BF-Neural a snapshot
+// whose Wm or Wrs weights lie outside the 6-bit clamp [-32, 31]. Each
+// load must fail with state.ErrCorrupt and leave the predictor saving
+// the same bytes.
+func TestLoadRejectsOutOfRangeWeights(t *testing.T) {
+	tr := diffTrace(t, 3000)
+	cfg := Default64KB()
+	p := New(cfg)
+	for _, rec := range tr {
+		p.Predict(rec.PC)
+		p.Update(rec.PC, rec.Taken, rec.Target)
+	}
+	img := saveBytes(t, p)
+	for _, tc := range []struct {
+		section string
+		n       int
+		v       int8
+	}{
+		{"wm", cfg.WmRows * cfg.RecentUnfiltered, 100},
+		{"wm", cfg.WmRows * cfg.RecentUnfiltered, -33},
+		{"wrs", cfg.WrsEntries, 32},
+	} {
+		bad := make([]int8, tc.n)
+		for i := range bad {
+			bad[i] = tc.v
+		}
+		err := p.LoadState(bytes.NewReader(replaceSection(t, img, tc.section, func(e *state.Enc) { e.I8s(bad) })))
+		if !errors.Is(err, state.ErrCorrupt) {
+			t.Fatalf("%s weights of %d: load returned %v, want ErrCorrupt", tc.section, tc.v, err)
+		}
+		if !bytes.Equal(saveBytes(t, p), img) {
+			t.Fatalf("%s weights of %d: failed load changed the predictor", tc.section, tc.v)
 		}
 	}
 }

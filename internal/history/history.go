@@ -160,14 +160,19 @@ func (r *Ring) PCAt(depth int) uint32 {
 	return r.pcs[(r.head-(depth-1))&r.mask]
 }
 
-// FillRecentPCs writes the hashed PCs of the len(dst) most recent
-// branches into dst (dst[i] = depth i+1). Every requested depth must be
-// populated (len(dst) <= Len()); it is the bulk form of PCAt for hot
-// loops that consume a dense recent-history prefix.
-func (r *Ring) FillRecentPCs(dst []uint32) {
+// FillRecent writes the hashed PCs and outcomes of the len(pcs) most
+// recent branches into pcs and taken (index i = depth i+1). Every
+// requested depth must be populated (len(pcs) <= Len()) and taken must
+// be at least as long as pcs; it is the bulk form of PCAt and TakenAt
+// for hot loops that consume a dense recent-history prefix of any
+// length.
+func (r *Ring) FillRecent(pcs []uint32, taken []bool) {
 	h, m := r.head, r.mask
-	for i := range dst {
-		dst[i] = r.pcs[(h-i)&m]
+	taken = taken[:len(pcs)]
+	for i := range pcs {
+		pos := (h - i) & m
+		pcs[i] = r.pcs[pos]
+		taken[i] = slotBit(r.takenW, pos)
 	}
 }
 
@@ -535,25 +540,6 @@ func (p *Path) Push(pc uint64) {
 
 // Value returns the packed path bits.
 func (p *Path) Value() uint64 { return p.bits }
-
-// GeometricAlpha returns n history lengths following the O-GEHL series
-// L(i) = round(alpha^(i-1) * l1), deduplicated to be strictly increasing.
-func GeometricAlpha(l1 float64, alpha float64, n int) []int {
-	if n < 1 {
-		panic("history: need at least one length")
-	}
-	out := make([]int, n)
-	v := l1
-	for i := 0; i < n; i++ {
-		li := int(v + 0.5)
-		if i > 0 && li <= out[i-1] {
-			li = out[i-1] + 1
-		}
-		out[i] = li
-		v *= alpha
-	}
-	return out
-}
 
 // GeometricRange returns n strictly increasing history lengths from lMin to
 // lMax following a geometric progression, the standard way TAGE sizes its

@@ -213,25 +213,6 @@ func TestPathWidth64(t *testing.T) {
 	}
 }
 
-func TestGeometricAlphaSeries(t *testing.T) {
-	got := GeometricAlpha(3, 2, 5)
-	want := []int{3, 6, 12, 24, 48}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GeometricAlpha = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestGeometricAlphaStrictlyIncreasing(t *testing.T) {
-	got := GeometricAlpha(1, 1.05, 30)
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("series not strictly increasing at %d: %v", i, got)
-		}
-	}
-}
-
 func TestGeometricRangeEndpoints(t *testing.T) {
 	got := GeometricRange(3, 1930, 15)
 	if got[0] != 3 {

@@ -42,9 +42,6 @@ type Config struct {
 	Segments []Segment
 	// BiasEntries is the power-of-two bias table size.
 	BiasEntries int
-	// AdaptCoefficients enables dynamic per-position coefficient
-	// adaptation.
-	AdaptCoefficients bool
 }
 
 // Default64KB approximates the 64KB OH-SNAP configuration: 128 positions
@@ -56,8 +53,7 @@ func Default64KB() Config {
 			{Positions: 48, Rows: 1 << 9},
 			{Positions: 64, Rows: 1 << 8},
 		},
-		BiasEntries:       1 << 12,
-		AdaptCoefficients: true,
+		BiasEntries: 1 << 12,
 	}
 }
 
@@ -229,21 +225,19 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 		}
 		agree := taken == cp.dirs[i]
 		p.weights[idx] = satUpdate(p.weights[idx], agree)
-		if p.cfg.AdaptCoefficients {
-			// Dynamic coefficient adaptation: a position whose stored
-			// weight confidently pointed toward the actual outcome gains
-			// influence; one that pointed away loses it. The contribution
-			// sign is sign(w) when the history bit was taken and -sign(w)
-			// otherwise, so it was correct exactly when (w > 0) == agree.
-			w := p.weights[idx]
-			if w > 8 || w < -8 {
-				if (w > 0) == agree {
-					if p.coeff[i] < coeffMax {
-						p.coeff[i]++
-					}
-				} else if p.coeff[i] > coeffMin {
-					p.coeff[i]--
+		// Dynamic coefficient adaptation: a position whose stored
+		// weight confidently pointed toward the actual outcome gains
+		// influence; one that pointed away loses it. The contribution
+		// sign is sign(w) when the history bit was taken and -sign(w)
+		// otherwise, so it was correct exactly when (w > 0) == agree.
+		w := p.weights[idx]
+		if w > 8 || w < -8 {
+			if (w > 0) == agree {
+				if p.coeff[i] < coeffMax {
+					p.coeff[i]++
 				}
+			} else if p.coeff[i] > coeffMin {
+				p.coeff[i]--
 			}
 		}
 	}

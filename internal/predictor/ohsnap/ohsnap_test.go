@@ -14,8 +14,7 @@ func smallCfg() Config {
 			{Positions: 8, Rows: 1 << 9},
 			{Positions: 24, Rows: 1 << 8},
 		},
-		BiasEntries:       1 << 8,
-		AdaptCoefficients: true,
+		BiasEntries: 1 << 8,
 	}
 }
 

@@ -23,7 +23,7 @@ func (p *Predictor) configHash() uint64 {
 		h.Int(s.Rows)
 	}
 	h.Int(p.cfg.BiasEntries)
-	h.Bool(p.cfg.AdaptCoefficients)
+	h.Bool(true) // coefficient adaptation, always on
 	return h.Sum()
 }
 

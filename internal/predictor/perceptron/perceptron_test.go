@@ -1,6 +1,7 @@
 package perceptron
 
 import (
+	"slices"
 	"testing"
 
 	"bfbp/internal/rng"
@@ -14,7 +15,6 @@ func smallCfg(fhist bool) Config {
 		TableRows:     1 << 10,
 		BiasEntries:   1 << 8,
 		FoldedHistory: fhist,
-		AdaptiveTheta: true,
 	}
 }
 
@@ -144,7 +144,7 @@ func TestFoldedHistoryReducesPathAliasing(t *testing.T) {
 
 func TestAdaptiveThetaMoves(t *testing.T) {
 	p := New(smallCfg(false))
-	initial := p.Theta()
+	initial := p.theta
 	r := rng.New(5)
 	for i := 0; i < 50000; i++ {
 		pc := uint64(0x100 + (i%8)*4)
@@ -152,7 +152,7 @@ func TestAdaptiveThetaMoves(t *testing.T) {
 		p.Predict(pc)
 		p.Update(pc, taken, 0)
 	}
-	if p.Theta() == initial {
+	if p.theta == initial {
 		t.Fatal("adaptive theta never moved under noise")
 	}
 }
@@ -223,5 +223,46 @@ func TestStorageReport(t *testing.T) {
 	// Default64KB should be in the vicinity of a 64KB budget.
 	if b.TotalBytes() > 80*1024 {
 		t.Fatalf("Default64KB budget = %d bytes, too large", b.TotalBytes())
+	}
+}
+
+// TestDenseFillDifferential runs the dense fill against the
+// per-position Ring.At loop that was the perceptron's lookup, over the
+// paper's 72 positions (more than one packed word holds) with and
+// without fold registers, from the first branch on, while the deepest
+// positions are still unpopulated.
+func TestDenseFillDifferential(t *testing.T) {
+	for _, fhist := range []bool{false, true} {
+		cfg := Default64KB()
+		cfg.FoldedHistory = fhist
+		p := New(cfg)
+		src := p.spec.Source.(*source)
+		h := cfg.HistoryLength
+		idx, dirs := make([]int32, h), make([]bool, h)
+		r := rng.New(1)
+		for step := 0; step < 3000; step++ {
+			pc := uint64(0x1000 + r.Intn(64)*4)
+			n, _ := src.Fill(pc, idx, dirs)
+			pch := rng.Hash64(pc >> 2)
+			var want []int32
+			var wantDirs []bool
+			for i := 1; i <= h; i++ {
+				e, ok := src.Ring().At(i)
+				if !ok {
+					break
+				}
+				key := pch ^ uint64(e.HashedPC)*0x9e3779b97f4a7c15 ^ uint64(i)<<40
+				if fhist {
+					key ^= src.Folds().Fold(i) << 17
+				}
+				want = append(want, int32(rng.Hash64(key)&uint64(cfg.TableRows-1))*int32(h)+int32(i-1))
+				wantDirs = append(wantDirs, e.Taken)
+			}
+			if !slices.Equal(idx[:n], want) || !slices.Equal(dirs[:n], wantDirs) {
+				t.Fatalf("fhist %v step %d: dense fill diverges from the per-position reference", fhist, step)
+			}
+			p.Predict(pc)
+			p.Update(pc, r.Bool(0.5), 0)
+		}
 	}
 }

@@ -9,27 +9,28 @@
 // sampling reaches deep but only at fixed offsets, while bias-free
 // filtering adapts the reach to where the non-biased branches actually
 // are.
+//
+// The predictor is the perceptron package's neural engine indexed by
+// the sampled offsets.
 package strided
 
 import (
-	"bfbp/internal/history"
-	"bfbp/internal/inflight"
+	"bfbp/internal/predictor/perceptron"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
+	"bfbp/internal/state"
 )
 
 // Config parameterises the strided perceptron.
 type Config struct {
 	Name string
-	// Offsets are the sampled history depths; if nil, DefaultOffsets()
-	// is used.
+	// Offsets are the sampled history depths, strictly increasing from
+	// at least 1; if nil, DefaultOffsets() is used.
 	Offsets []int
 	// TableRows is the power-of-two row count per term.
 	TableRows int
 	// BiasEntries is the power-of-two bias table size.
 	BiasEntries int
-	// AdaptiveTheta enables threshold fitting.
-	AdaptiveTheta bool
 }
 
 // DefaultOffsets samples densely near the top of the history and at
@@ -55,37 +56,21 @@ func DefaultOffsets() []int {
 // Default64KB is a ~64KB configuration.
 func Default64KB() Config {
 	return Config{
-		Offsets:       DefaultOffsets(),
-		TableRows:     1 << 10,
-		BiasEntries:   1 << 12,
-		AdaptiveTheta: true,
+		Offsets:     DefaultOffsets(),
+		TableRows:   1 << 10,
+		BiasEntries: 1 << 12,
 	}
 }
 
-// checkpoint is one prediction awaiting its update. Its idxs and dirs
-// arrays are built once per ring slot and overwritten by each lookup.
-type checkpoint struct {
-	pc   uint64
-	sum  int32
-	idxs []int32 // flat weight index per sampled offset (-1 = unpopulated)
-	dirs []bool
-}
-
-// Predictor is a strided-sampling hashed perceptron.
+// Predictor is the strided perceptron: the neural engine with every
+// capability but Explain. Explain places contributions by history
+// position, and a sampled term's index is not one.
 type Predictor struct {
-	cfg      Config
-	offsets  []int
-	weights  []int8 // len(offsets) x TableRows
-	bias     []int8
-	rowMask  uint64
-	biasMask uint64
-	ring     *history.Ring
-	theta    int32
-	tc       int32
-	// inflight holds the predictions awaiting their update, oldest
-	// first; its free slot doubles as scratch for lookups that never go
-	// in flight.
-	inflight inflight.Ring[checkpoint]
+	sim.Predictor
+	sim.StorageAccounter
+	sim.StateProbe
+	sim.Snapshotter
+	reach int
 }
 
 // New returns a strided perceptron.
@@ -96,9 +81,9 @@ func New(cfg Config) *Predictor {
 	if len(cfg.Offsets) == 0 {
 		panic("strided: need at least one offset")
 	}
-	for i := 1; i < len(cfg.Offsets); i++ {
-		if cfg.Offsets[i] <= cfg.Offsets[i-1] {
-			panic("strided: offsets must be strictly increasing")
+	for i, off := range cfg.Offsets {
+		if off < 1 || i > 0 && off <= cfg.Offsets[i-1] {
+			panic("strided: offsets must be strictly increasing from at least 1")
 		}
 	}
 	if cfg.TableRows <= 0 || cfg.TableRows&(cfg.TableRows-1) != 0 {
@@ -107,166 +92,70 @@ func New(cfg Config) *Predictor {
 	if cfg.BiasEntries <= 0 || cfg.BiasEntries&(cfg.BiasEntries-1) != 0 {
 		panic("strided: BiasEntries must be a positive power of two")
 	}
-	p := &Predictor{
-		cfg:      cfg,
-		offsets:  cfg.Offsets,
-		weights:  make([]int8, len(cfg.Offsets)*cfg.TableRows),
-		bias:     make([]int8, cfg.BiasEntries),
-		rowMask:  uint64(cfg.TableRows - 1),
-		biasMask: uint64(cfg.BiasEntries - 1),
-		theta:    int32(2.14*float64(len(cfg.Offsets)) + 20.58),
+	n, reach := len(cfg.Offsets), cfg.Offsets[len(cfg.Offsets)-1]
+	u := perceptron.NewUnfiltered(reach, nil)
+	name := cfg.Name
+	if name == "" {
+		name = "strided-perceptron"
 	}
-	capacity := 1
-	for capacity < cfg.Offsets[len(cfg.Offsets)-1]+2 {
-		capacity <<= 1
-	}
-	p.ring = history.NewRing(capacity)
-	n := len(cfg.Offsets)
-	p.inflight = inflight.New(func() checkpoint {
-		return checkpoint{idxs: make([]int32, n), dirs: make([]bool, n)}
+	e := perceptron.NewEngine(perceptron.Spec{
+		Name:       name,
+		ConfigHash: configHash(cfg),
+		Tables: []perceptron.Table{
+			{Name: "weights", Label: "sampled weights (8-bit)", Entries: n * cfg.TableRows, HistLen: reach},
+			{Name: "bias", Label: "bias weights (8-bit)", Entries: cfg.BiasEntries, Bias: true},
+		},
+		Tuning: perceptron.Tuning{
+			WeightBits:   8,
+			Theta0:       int32(2.14*float64(n) + 20.58),
+			ThetaPeriod:  32,
+			ThetaFloor:   1,
+			TrainAtTheta: true,
+		},
+		MaxIndices:     n,
+		Source:         &source{Unfiltered: u, offsets: cfg.Offsets, rows: int32(cfg.TableRows)},
+		HistoryStorage: []sim.Component{{Name: "history ring", Bits: u.Ring().Cap() * 15}},
 	})
-	return p
+	return &Predictor{e, e, e, e, reach}
 }
 
-// Name implements sim.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	return "strided-perceptron"
+// configHash hashes cfg and, in its place in the snapshot format's
+// hash, the always-on adaptive threshold.
+func configHash(cfg Config) uint64 {
+	h := state.NewHash("strided")
+	h.String(cfg.Name)
+	h.Ints(cfg.Offsets)
+	h.Int(cfg.TableRows)
+	h.Int(cfg.BiasEntries)
+	h.Bool(true)
+	return h.Sum()
 }
 
 // Reach returns the deepest sampled offset.
-func (p *Predictor) Reach() int { return p.offsets[len(p.offsets)-1] }
+func (p *Predictor) Reach() int { return p.reach }
 
-// lookup fills the ring's free slot, keeping its arrays, with pc's
-// weight indices, sampled directions and perceptron sum. The slot is not
-// put in flight.
-func (p *Predictor) lookup(pc uint64) *checkpoint {
-	cp := p.inflight.Next()
-	idxs, dirs := cp.idxs[:len(p.offsets)], cp.dirs[:len(p.offsets)]
+// source indexes term i's table, of rows weights, by the branch at
+// depth offsets[i].
+type source struct {
+	*perceptron.Unfiltered
+	offsets []int
+	rows    int32
+}
+
+// Fill writes the index of every populated sampled offset; the
+// unpopulated ones, until the history is that deep, are the deepest.
+func (s *source) Fill(pc uint64, idx []int32, dirs []bool) (n, recent int) {
+	ring := s.Ring()
 	pch := rng.Hash64(pc >> 2)
-	sum := int32(p.bias[(pc>>2)&p.biasMask])
-	for i, off := range p.offsets {
-		e, ok := p.ring.At(off)
-		if !ok {
-			idxs[i] = -1
-			continue
+	mask := uint64(s.rows - 1)
+	for i, off := range s.offsets {
+		if off > ring.Len() {
+			break
 		}
-		row := rng.Hash64(pch^uint64(e.HashedPC)*0x9e3779b97f4a7c15^uint64(i)<<40) & p.rowMask
-		idx := int32(i)*int32(p.cfg.TableRows) + int32(row)
-		idxs[i] = idx
-		dirs[i] = e.Taken
-		w := int32(p.weights[idx])
-		if e.Taken {
-			sum += w
-		} else {
-			sum -= w
-		}
+		row := rng.Hash64(pch^uint64(ring.PCAt(off))*0x9e3779b97f4a7c15^uint64(i)<<40) & mask
+		idx[i] = int32(i)*s.rows + int32(row)
+		dirs[i] = ring.TakenAt(off)
+		n++
 	}
-	cp.pc, cp.sum = pc, sum
-	return cp
+	return n, n
 }
-
-// Predict implements sim.Predictor.
-func (p *Predictor) Predict(pc uint64) bool {
-	cp := p.lookup(pc)
-	p.inflight.Push()
-	return cp.sum >= 0
-}
-
-// Update implements sim.Predictor. An update whose PC does not match the
-// oldest checkpoint (a caller that skipped Predict) trains from a fresh
-// lookup instead.
-func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	if p.inflight.Len() > 0 && p.inflight.At(0).pc == pc {
-		p.train(p.inflight.At(0), taken)
-		p.inflight.Pop()
-	} else {
-		p.train(p.lookup(pc), taken)
-	}
-	p.ring.Push(history.Entry{HashedPC: uint32(rng.Hash64(pc >> 2)), Taken: taken})
-}
-
-func (p *Predictor) train(cp *checkpoint, taken bool) {
-	pred := cp.sum >= 0
-	mag := cp.sum
-	if mag < 0 {
-		mag = -mag
-	}
-	if pred != taken || mag <= p.theta {
-		bi := (cp.pc >> 2) & p.biasMask
-		p.bias[bi] = sat8(p.bias[bi], taken)
-		for i, idx := range cp.idxs {
-			if idx < 0 {
-				continue
-			}
-			p.weights[idx] = sat8(p.weights[idx], taken == cp.dirs[i])
-		}
-		if p.cfg.AdaptiveTheta {
-			p.adaptTheta(pred != taken, mag)
-		}
-	}
-}
-
-func (p *Predictor) adaptTheta(mispred bool, mag int32) {
-	if mispred {
-		p.tc++
-		if p.tc >= 32 {
-			p.theta++
-			p.tc = 0
-		}
-	} else if mag <= p.theta {
-		p.tc--
-		if p.tc <= -32 {
-			if p.theta > 1 {
-				p.theta--
-			}
-			p.tc = 0
-		}
-	}
-}
-
-func sat8(w int8, up bool) int8 {
-	if up {
-		if w < 127 {
-			return w + 1
-		}
-		return w
-	}
-	if w > -128 {
-		return w - 1
-	}
-	return w
-}
-
-// Storage implements sim.StorageAccounter.
-func (p *Predictor) Storage() sim.Breakdown {
-	return sim.Breakdown{
-		Name: p.Name(),
-		Components: []sim.Component{
-			{Name: "sampled weights (8-bit)", Bits: 8 * len(p.weights)},
-			{Name: "bias weights (8-bit)", Bits: 8 * len(p.bias)},
-			{Name: "history ring", Bits: p.ring.Cap() * 15},
-		},
-	}
-}
-
-// ProbeState implements sim.StateProbe: norms and clamp saturation of
-// the sampled weight matrix (HistLen reports the deepest sampled
-// offset) and the bias table.
-func (p *Predictor) ProbeState() sim.TableStats {
-	return sim.TableStats{
-		Predictor: p.Name(),
-		Weights: []sim.WeightStats{
-			sim.WeightArrayStats(0, "weights", p.Reach(), p.weights, -128, 127),
-			sim.WeightArrayStats(1, "bias", 0, p.bias, -128, 127),
-		},
-	}
-}
-
-var (
-	_ sim.Predictor        = (*Predictor)(nil)
-	_ sim.StorageAccounter = (*Predictor)(nil)
-	_ sim.StateProbe       = (*Predictor)(nil)
-)

@@ -10,10 +10,9 @@ import (
 
 func smallCfg() Config {
 	return Config{
-		Offsets:       []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256},
-		TableRows:     1 << 9,
-		BiasEntries:   1 << 8,
-		AdaptiveTheta: true,
+		Offsets:     []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256},
+		TableRows:   1 << 9,
+		BiasEntries: 1 << 8,
 	}
 }
 
@@ -125,6 +124,8 @@ func TestDeterminism(t *testing.T) {
 func TestValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Offsets: []int{4, 4}, TableRows: 64, BiasEntries: 64},
+		{Offsets: []int{0, 3}, TableRows: 64, BiasEntries: 64},
+		{Offsets: []int{-5, 3}, TableRows: 64, BiasEntries: 64},
 		{Offsets: []int{1, 2}, TableRows: 100, BiasEntries: 64},
 		{Offsets: []int{1, 2}, TableRows: 64, BiasEntries: 100},
 	} {

@@ -76,7 +76,8 @@ echo "smoke: flags ok"
 
 # snapshot
 snap=$OUT/snap.bin
-for p in bimodal gshare isl-tage-15 bf-neural bf-tage-10 o-gehl bf-gehl; do
+for p in bimodal gshare isl-tage-15 bf-neural bf-neural-ghist perceptron-fhist strided \
+	bf-tage-10 o-gehl bf-gehl; do
 	s=$("$bfsim" -p "$p" -t INT1 -n 60000 -warmup 0 -csv | tail -1)
 	a=$("$bfsim" -p "$p" -t INT1 -n 30000 -warmup 0 -csv -checkpoint "$snap" 2> /dev/null | tail -1)
 	skip=$(echo "$a" | cut -d, -f3)

@@ -201,8 +201,11 @@ func resealSection(t testing.TB, snap *state.Snapshot, name string, payload []by
 }
 
 // FuzzLoadState feeds one predictor per engine and history (TAGE and
-// GEHL, each over the conventional history and the BF-GHR) a trained
-// donor's snapshot with one section's payload replaced by fuzz bytes.
+// GEHL, each over the conventional history and the BF-GHR; the neural
+// engine over the folded dense history, the sampled offsets, and
+// BF-Neural's recency stack and bias-free shift register) and oh-snap
+// a trained donor's snapshot with one section's payload replaced by
+// fuzz bytes.
 // A load that fails must leave the predictor's SaveState bytes
 // unchanged; after a load that succeeds, 1,000 more Predict/Update
 // steps must not panic. The seed corpus empties, truncates and keeps
@@ -220,7 +223,8 @@ func FuzzLoadState(f *testing.F) {
 		before []byte
 	}
 	var targets []target
-	for i, name := range []string{"isl-tage-15", "bf-isl-tage-10", "o-gehl", "bf-gehl"} {
+	for i, name := range []string{"isl-tage-15", "bf-isl-tage-10", "o-gehl", "bf-gehl",
+		"bf-neural", "bf-neural-ghist", "perceptron-fhist", "strided", "oh-snap"} {
 		info, err := bfbp.PredictorByName(name)
 		if err != nil {
 			f.Fatal(err)
