@@ -26,7 +26,8 @@ check: build vet race
 # random geometries, and the snapshot loaders of the TAGE and GEHL
 # engines (each over both histories), the neural engine (over the
 # folded dense, sampled, recency-stack and bias-free-register
-# histories) and oh-snap, fed one corrupted section at a time. go
+# histories), oh-snap and the six table predictors, fed one corrupted
+# section at a time. go
 # test fuzzes one target per invocation. A failing input is written
 # under the package's testdata/fuzz/.
 fuzz:
@@ -64,9 +65,9 @@ smoke:
 	GO=$(GO) bash scripts/smoke.sh
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
-# hot-path kernels (key-map lookup and segment delta, fold sets,
-# recency-stack CAM, fused dot-product, and the three flagship cores'
-# probe paths).
+# hot-path kernels (key-map lookup and segment delta, fold-bank push,
+# fused dot-product, and the three flagship cores' probe paths).
+# internal/rs has no benchmarks yet; its tests still run here.
 BENCHTIME ?= 1s
 
 microbench:

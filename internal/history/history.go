@@ -7,7 +7,10 @@
 // style), and a compact path-history register.
 package history
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Entry is one committed branch as seen by the history structures.
 type Entry struct {
@@ -62,6 +65,16 @@ func NewRing(capacity int) *Ring {
 		mask:   capacity - 1,
 		head:   -1,
 	}
+}
+
+// NewRingFor returns a ring that reads depth branches back: its
+// capacity is the smallest power of two >= depth+2.
+func NewRingFor(depth int) *Ring {
+	capacity := 1
+	for capacity < depth+2 {
+		capacity <<= 1
+	}
+	return NewRing(capacity)
 }
 
 // setSlotBit stores b at slot position pos of a packed word array.
@@ -182,69 +195,10 @@ func (r *Ring) Len() int { return r.size }
 // Cap returns the ring capacity.
 func (r *Ring) Cap() int { return len(r.pcs) }
 
-// Folded is an incrementally maintained folded history: the XOR of
-// consecutive width-bit groups of the most recent origLen outcome bits,
-// with the newest bit at position 0 of the first group. TAGE maintains one
-// of these per table for index computation (and two more for tags); the
-// neural predictors use them for the paper's folded-history hashing.
-//
-// The update is O(1), implemented as the classic circular shift register:
-// rotate, insert the new bit, and cancel the bit that falls out of the
-// origLen-deep window.
-type Folded struct {
-	comp     uint64
-	width    int
-	origLen  int
-	outpoint int
-	mask     uint64
-}
-
-// NewFolded returns a folded history of origLen bits compressed to width
-// bits. width must be in [1, 63] and origLen >= 1.
-func NewFolded(origLen, width int) *Folded {
-	if width < 1 || width > 63 {
-		panic("history: folded width out of range")
-	}
-	if origLen < 1 {
-		panic("history: folded origLen must be >= 1")
-	}
-	return &Folded{
-		width:    width,
-		origLen:  origLen,
-		outpoint: origLen % width,
-		mask:     (1 << width) - 1,
-	}
-}
-
-// Update folds in the newest outcome bit and folds out oldBit, which must
-// be the outcome at depth origLen before this update (false when the
-// history is still shorter than origLen).
-func (f *Folded) Update(newBit, oldBit bool) {
-	// Rotate left by one within width bits.
-	f.comp = ((f.comp << 1) | (f.comp >> (f.width - 1))) & f.mask
-	if newBit {
-		f.comp ^= 1
-	}
-	if oldBit {
-		f.comp ^= 1 << f.outpoint
-	}
-}
-
-// Value returns the current folded value.
-func (f *Folded) Value() uint64 { return f.comp }
-
-// Width returns the compressed width in bits.
-func (f *Folded) Width() int { return f.width }
-
-// OrigLen returns the length of the history window being folded.
-func (f *Folded) OrigLen() int { return f.origLen }
-
-// Reset clears the register.
-func (f *Folded) Reset() { f.comp = 0 }
-
 // FoldBits folds an explicit bit vector (index 0 = newest) down to width
-// bits using the same group-XOR definition as Folded. It is the reference
-// implementation; hot paths use FoldWords over a packed BitVec instead.
+// bits using the same group-XOR definition as FoldSet's registers. It is
+// the reference implementation; hot paths use FoldWords over a packed
+// BitVec instead.
 func FoldBits(bits []bool, width int) uint64 {
 	if width < 1 || width > 63 {
 		panic("history: fold width out of range")
@@ -336,89 +290,109 @@ func FoldWords(words []uint64, n, width int) uint64 {
 	return v
 }
 
-// FoldSet bundles a Ring with a family of Folded registers at quantized
-// lengths, so that consumers can ask for "the folded history of
-// approximately the last d branches" in O(1). BF-Neural uses it to hash
-// the folded history from a recency-stack entry's position up to the
-// current branch (§IV-B2): positions are quantized to the nearest
-// maintained length, which mirrors what a hardware implementation with a
-// fixed set of fold registers would do.
-type FoldSet struct {
-	ring    *Ring
-	lengths []int    // ascending
-	folds   []Folded // flat: one chase-free cache run per Push
-	// byDist maps a distance to the index of the largest maintained
-	// length <= distance (-1 when below the smallest), so Fold is one
-	// table load instead of a scan over lengths. Distances beyond the
-	// ring capacity clamp to the deepest entry.
-	byDist []int8
-	// Evicted-bit plumbing for Push. A register of length L folds out
-	// the outcome bit at depth L every push. Registers with L <= 64
-	// (the first nShort, lengths being ascending) read it from the
-	// ring's packed recent-outcome word; deeper registers read from
-	// win, a per-register 64-bit window of upcoming evicted bits cut
-	// from the ring's packed storage once every 64 pushes (consecutive
-	// pushes evict consecutive ring positions). A window never goes
-	// stale mid-run: position head+1+j, written at push j, would be
-	// consumed at push j+L >= 64, after the next refill. wk is the
-	// window cursor; it is a pure cache (refilling early is harmless),
-	// so snapshot restore just zeroes it.
-	nShort int
-	win    []uint64
-	wk     uint
-	// vals holds each register's live fold value in one dense array —
-	// the authoritative hot-path state, updated by Push and read by
-	// Fold/FoldExact. The Folded structs keep the geometry; their comp
-	// fields are synchronized on snapshot save/load only.
-	vals  []uint64
-	width uint
-	mask  uint64
-	// outShift[i] is register i's outpoint; shShort[i] (first nShort
-	// only) is length-1, the recent-word bit position of its evicted
-	// bit. Hot-loop copies of the per-register metadata, packed dense.
-	outShift []uint8
-	shShort  []uint8
+// FoldReg names one fold register: the fold of the Len newest outcomes
+// into Width bits, the XOR of consecutive Width-bit groups with the
+// newest outcome at bit 0 (FoldBits).
+type FoldReg struct{ Len, Width int }
+
+// FoldRegs returns one register of the given width per length.
+func FoldRegs(lengths []int, width int) []FoldReg {
+	regs := make([]FoldReg, len(lengths))
+	for i, l := range lengths {
+		regs[i] = FoldReg{Len: l, Width: width}
+	}
+	return regs
 }
 
-// NewFoldSet builds a fold set over the given ascending lengths, all folded
-// to width bits. The ring capacity must be a power of two >= max length+1.
-func NewFoldSet(lengths []int, width, capacity int) *FoldSet {
-	if len(lengths) == 0 {
-		panic("history: fold set needs at least one length")
+// FoldSet is the one fold bank: a Ring with fold registers over it,
+// each maintained in O(1) per push as the classic circular shift
+// register (rotate, insert the new bit, cancel the bit that falls out
+// of the Len-deep window). TAGE keeps three registers per table (index
+// and two tag folds), O-GEHL one per table, and the neural predictors
+// one per quantized length, from which Fold answers "the folded
+// history of approximately the last d branches" (§IV-B2): a distance is
+// quantized to the nearest maintained length, as a hardware bank of
+// fixed fold registers would.
+type FoldSet struct {
+	ring    *Ring
+	lengths []int // per register, non-descending
+	regs    []foldReg
+	// vals holds each register's live fold value in one dense array,
+	// updated by Push and read by Fold/FoldExact.
+	vals []uint64
+	// byDist maps a distance to the index of the last register whose
+	// length is <= distance (-1 when below the smallest), so Fold is
+	// one table load instead of a scan over lengths. Distances beyond
+	// the ring capacity clamp to the deepest entry.
+	byDist []int16
+	// Evicted-bit plumbing for Push. A register of length L folds out
+	// the outcome bit at depth L every push, and registers of one
+	// length share its source. Registers with L <= 64 (the first
+	// nShort, lengths being non-descending) read it from the ring's
+	// packed recent-outcome word; deeper ones read from win, one 64-bit
+	// window of upcoming evicted bits per distinct length in winLen,
+	// cut from the ring's packed storage once every 64 pushes
+	// (consecutive pushes evict consecutive ring positions). A window
+	// never goes stale mid-run: position head+1+j, written at push j,
+	// would be consumed at push j+L >= 64, after the next refill. wk is
+	// the window cursor; it is a pure cache (refilling early is
+	// harmless), so Restore just zeroes it.
+	nShort int
+	win    []uint64
+	winLen []int
+	wk     uint
+}
+
+// foldReg is one register's hot-loop geometry: its width mask, its
+// outpoint bit (bit Len mod width), and its evicted-bit source: the
+// recent-word bit position of depth Len (Len-1) for a short register,
+// the window index for a deep one.
+type foldReg struct {
+	mask, out, src uint64
+}
+
+// NewFoldSet builds a fold bank over regs, whose lengths must be
+// non-descending and widths in [1, 63], on a ring deep enough for depth
+// branches (NewRingFor). The ring must hold the longest register's
+// window plus one.
+func NewFoldSet(regs []FoldReg, depth int) *FoldSet {
+	if len(regs) == 0 {
+		panic("history: fold set needs at least one register")
 	}
-	for i := 1; i < len(lengths); i++ {
-		if lengths[i] <= lengths[i-1] {
-			panic("history: fold set lengths must be strictly ascending")
+	if len(regs) > math.MaxInt16 {
+		panic("history: fold set has too many registers")
+	}
+	s := &FoldSet{ring: NewRingFor(depth)}
+	for i, r := range regs {
+		if r.Width < 1 || r.Width > 63 {
+			panic("history: fold width out of range")
 		}
+		if r.Len < 1 || i > 0 && r.Len < regs[i-1].Len {
+			panic("history: fold set lengths must be positive and non-descending")
+		}
+		fr := foldReg{mask: 1<<uint(r.Width) - 1, out: 1 << uint(r.Len%r.Width)}
+		if r.Len <= 64 {
+			fr.src = uint64(r.Len - 1)
+			s.nShort = i + 1
+		} else {
+			if n := len(s.winLen); n == 0 || s.winLen[n-1] != r.Len {
+				s.winLen = append(s.winLen, r.Len)
+			}
+			fr.src = uint64(len(s.winLen) - 1)
+		}
+		s.lengths = append(s.lengths, r.Len)
+		s.regs = append(s.regs, fr)
 	}
-	if capacity < lengths[len(lengths)-1]+1 {
+	capacity := s.ring.Cap()
+	if capacity < s.lengths[len(s.lengths)-1]+1 {
 		panic("history: fold set ring capacity too small")
 	}
-	if len(lengths) > 127 {
-		panic("history: fold set supports at most 127 lengths")
-	}
-	s := &FoldSet{ring: NewRing(capacity), lengths: lengths}
-	s.width = uint(width)
-	s.mask = 1<<uint(width) - 1
-	s.folds = make([]Folded, len(lengths))
-	s.vals = make([]uint64, len(lengths))
-	s.outShift = make([]uint8, len(lengths))
-	for i, l := range lengths {
-		s.folds[i] = *NewFolded(l, width)
-		s.outShift[i] = uint8(s.folds[i].outpoint)
-		if l <= 64 {
-			s.nShort = i + 1
-		}
-	}
-	s.win = make([]uint64, len(lengths)-s.nShort)
-	s.shShort = make([]uint8, s.nShort)
-	for i := 0; i < s.nShort; i++ {
-		s.shShort[i] = uint8(lengths[i] - 1)
-	}
-	s.byDist = make([]int8, capacity+1)
-	idx := int8(-1)
+	s.vals = make([]uint64, len(regs))
+	s.win = make([]uint64, len(s.winLen))
+	s.byDist = make([]int16, capacity+1)
+	idx := int16(-1)
 	for d := 0; d <= capacity; d++ {
-		for int(idx)+1 < len(lengths) && lengths[idx+1] <= d {
+		for int(idx)+1 < len(s.lengths) && s.lengths[idx+1] <= d {
 			idx++
 		}
 		s.byDist[d] = idx
@@ -427,48 +401,57 @@ func NewFoldSet(lengths []int, width, capacity int) *FoldSet {
 }
 
 // Push commits a branch: updates the ring and every fold register. The
-// per-register work is the classic O(1) circular-shift update, but the
 // evicted bits come from packed words (see the field comments) instead
-// of per-register ring probes, so the whole bank updates in one tight
-// pass.
+// of per-register ring probes, and no shift depends on a register's
+// width (rotate compares against the mask; other shifts are by
+// constants or masked counts), so the bank updates in one tight pass.
 func (s *FoldSet) Push(e Entry) {
 	k := s.wk
 	if k == 0 {
 		s.refillWindows()
 	}
 	s.wk = (k + 1) & 63
+	// The evicted bits are read from the ring as it was before this
+	// push: rt here, the windows at their last refill.
 	rt := s.ring.recentTaken
+	s.ring.Push(e)
 	nb := uint64(0)
 	if e.Taken {
 		nb = 1
 	}
-	// Every register shares the set's width (NewFoldSet invariant), so
-	// the rotate geometry hoists out of the loops; the live fold values
-	// update in the dense vals array, never touching the Folded structs.
-	w1 := s.width - 1
-	mask := s.mask
-	vals := s.vals
-	for i := 0; i < s.nShort; i++ {
-		c := vals[i]
-		vals[i] = (c<<1|c>>w1)&mask ^ nb ^ (rt>>s.shShort[i]&1)<<s.outShift[i]
+	regs, win := s.regs, s.win
+	vals := s.vals[:len(regs)]
+	for i := range regs[:s.nShort] {
+		r := &regs[i]
+		ev := rt >> (r.src & 63) & 1
+		vals[i] = rotate(vals[i], r.mask) ^ nb ^ -ev&r.out
 	}
-	for j, i := 0, s.nShort; i < len(s.folds); i, j = i+1, j+1 {
-		c := vals[i]
-		vals[i] = (c<<1|c>>w1)&mask ^ nb ^ (s.win[j]>>k&1)<<s.outShift[i]
+	for i := s.nShort; i < len(regs); i++ {
+		r := &regs[i]
+		ev := win[r.src] >> (k & 63) & 1
+		vals[i] = rotate(vals[i], r.mask) ^ nb ^ -ev&r.out
 	}
-	s.ring.Push(e)
 }
 
-// refillWindows cuts each deep register's next 64 evicted bits from the
-// ring's packed outcome words: register length L evicts the bit at
-// depth L, whose ring position advances by one per push, so a 64-bit
-// slice starting at the current depth-L position covers the next 64
-// pushes.
+// rotate rotates the register c left by one within the width whose mask
+// is mask: the bit shifted out at the top (bit width) wraps to bit 0.
+func rotate(c, mask uint64) uint64 {
+	c <<= 1
+	if c > mask {
+		c ^= mask + 2
+	}
+	return c
+}
+
+// refillWindows cuts each deep length's next 64 evicted bits from the
+// ring's packed outcome words: length L evicts the bit at depth L,
+// whose ring position advances by one per push, so a 64-bit slice
+// starting at the current depth-L position covers the next 64 pushes.
 func (s *FoldSet) refillWindows() {
 	r := s.ring
 	posMask := uint(r.mask)
-	for j, i := 0, s.nShort; i < len(s.lengths); i, j = i+1, j+1 {
-		p := uint(r.head-(s.lengths[i]-1)) & posMask
+	for j, l := range s.winLen {
+		p := uint(r.head-(l-1)) & posMask
 		wi, sh := p>>6, p&63
 		w := r.takenW[wi] >> sh
 		if sh != 0 {
@@ -482,9 +465,37 @@ func (s *FoldSet) refillWindows() {
 	}
 }
 
-// Fold returns the folded history for the largest maintained length that
-// does not exceed distance; requesting a distance below the smallest
-// maintained length returns 0 (an empty fold).
+// refold writes into vals every register recomputed from ring r: the
+// fold of r's Len newest outcomes, depths not yet pushed reading as
+// zero, which is what Push maintains. It is the bank's one rebuild
+// rule; LoadState checks a snapshot's registers against it.
+func (s *FoldSet) refold(r *Ring, vals []uint64) {
+	for i, l := range s.lengths {
+		w := uint(bits.Len64(s.regs[i].mask))
+		var v uint64
+		for d := 1; d <= l; d++ {
+			if r.TakenAt(d) {
+				v ^= 1 << (uint(d-1) % w)
+			}
+		}
+		vals[i] = v
+	}
+}
+
+// Restore makes r's branches the bank's history and recomputes every
+// register from them. r must have the bank's ring capacity; its
+// contents are copied into the bank's ring, so holders of Ring() see
+// them.
+func (s *FoldSet) Restore(r *Ring) {
+	*s.ring = *r
+	s.refold(s.ring, s.vals)
+	s.wk = 0
+}
+
+// Fold returns the register of the largest maintained length that does
+// not exceed distance (the last such register when several share it);
+// requesting a distance below the smallest maintained length returns 0
+// (an empty fold).
 func (s *FoldSet) Fold(distance int) uint64 {
 	if distance < 0 {
 		return 0
@@ -499,13 +510,13 @@ func (s *FoldSet) Fold(distance int) uint64 {
 	return s.vals[idx]
 }
 
-// FoldExact returns the fold register for the i-th maintained length.
+// FoldExact returns register i.
 func (s *FoldSet) FoldExact(i int) uint64 { return s.vals[i] }
 
 // Ring exposes the underlying ring for depth-indexed access.
 func (s *FoldSet) Ring() *Ring { return s.ring }
 
-// Lengths returns the maintained lengths (not a copy; do not modify).
+// Lengths returns each register's length (not a copy; do not modify).
 func (s *FoldSet) Lengths() []int { return s.lengths }
 
 // Path is a compact path-history register: one low-order PC bit per

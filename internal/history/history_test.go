@@ -1,10 +1,11 @@
 package history
 
 import (
+	"errors"
 	"testing"
-	"testing/quick"
 
 	"bfbp/internal/rng"
+	"bfbp/internal/state"
 )
 
 func TestRingDepthOrder(t *testing.T) {
@@ -69,54 +70,63 @@ func naiveFold(outcomes []bool, origLen, width int) uint64 {
 	return v
 }
 
-func TestFoldedMatchesNaive(t *testing.T) {
-	r := rng.New(77)
-	for _, cfg := range []struct{ origLen, width int }{
-		{5, 3}, {16, 7}, {64, 10}, {130, 11}, {1000, 12}, {7, 7}, {12, 13},
-	} {
-		f := NewFolded(cfg.origLen, cfg.width)
-		var hist []bool // hist[0] = newest
-		for step := 0; step < 3000; step++ {
-			newBit := r.Bool(0.5)
-			var oldBit bool
-			if len(hist) >= cfg.origLen {
-				oldBit = hist[cfg.origLen-1]
+// TestRingLoadRejectsInconsistentState checks that a ring snapshot
+// whose recent words or never-pushed slots disagree with its pushed
+// entries fails as corrupt, before and after the ring wraps, while the
+// untouched snapshot loads.
+func TestRingLoadRejectsInconsistentState(t *testing.T) {
+	type image struct {
+		rt, rp    uint64
+		pcs       []uint32
+		taken, nb []bool
+	}
+	for _, pushes := range []int{5, 40} { // capacity 16: partial, wrapped
+		r := NewRing(16)
+		for i := 0; i < pushes; i++ {
+			r.Push(Entry{HashedPC: uint32(i*7 + 3), Taken: i%3 == 0, NonBiased: i%2 == 0})
+		}
+		load := func(mutate func(*image)) error {
+			m := image{rt: r.recentTaken, rp: r.recentPC, pcs: append([]uint32(nil), r.pcs...),
+				taken: make([]bool, 16), nb: make([]bool, 16)}
+			for i := range m.taken {
+				m.taken[i], m.nb[i] = slotBit(r.takenW, i), slotBit(r.nbW, i)
 			}
-			f.Update(newBit, oldBit)
-			hist = append([]bool{newBit}, hist...)
-			if len(hist) > cfg.origLen+8 {
-				hist = hist[:cfg.origLen+8]
+			mutate(&m)
+			snap := state.New("t", 0)
+			e := snap.Section("ring")
+			e.Int(r.head)
+			e.Int(r.size)
+			e.U64(m.rt)
+			e.U64(m.rp)
+			e.U32s(m.pcs)
+			e.Bools(m.taken)
+			e.Bools(m.nb)
+			d, err := snap.Dec("ring")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, want := f.Value(), naiveFold(hist, cfg.origLen, cfg.width); got != want {
-				t.Fatalf("cfg %+v step %d: folded = %#x, naive = %#x", cfg, step, got, want)
+			return NewRing(16).LoadState(d)
+		}
+		if err := load(func(*image) {}); err != nil {
+			t.Fatalf("%d pushes: intact snapshot: %v", pushes, err)
+		}
+		for name, mutate := range map[string]func(*image){
+			"recent taken": func(m *image) { m.rt ^= 1 },
+			"recent pc":    func(m *image) { m.rp ^= 2 },
+			"slot outcome": func(m *image) { m.taken[r.head] = !m.taken[r.head] },
+			"slot pc":      func(m *image) { m.pcs[15] += 2 }, // low bit kept
+		} {
+			err := load(mutate)
+			if name == "slot pc" && pushes > 16 { // a pushed slot: any pc is legal
+				if err != nil {
+					t.Errorf("%d pushes: %s: %v", pushes, name, err)
+				}
+				continue
+			}
+			if !errors.Is(err, state.ErrCorrupt) {
+				t.Errorf("%d pushes: %s: err = %v, want ErrCorrupt", pushes, name, err)
 			}
 		}
-	}
-}
-
-func TestFoldedProperty(t *testing.T) {
-	f := func(seed uint64, origLen8, width8 uint8) bool {
-		origLen := int(origLen8%100) + 1
-		width := int(width8%16) + 1
-		r := rng.New(seed)
-		fd := NewFolded(origLen, width)
-		var hist []bool
-		for step := 0; step < 300; step++ {
-			nb := r.Bool(0.5)
-			var ob bool
-			if len(hist) >= origLen {
-				ob = hist[origLen-1]
-			}
-			fd.Update(nb, ob)
-			hist = append([]bool{nb}, hist...)
-			if fd.Value() != naiveFold(hist, origLen, width) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -134,7 +144,7 @@ func TestFoldBitsMatchesNaive(t *testing.T) {
 }
 
 func TestFoldSetQuantization(t *testing.T) {
-	s := NewFoldSet([]int{4, 16, 64}, 8, 128)
+	s := NewFoldSet(FoldRegs([]int{4, 16, 64}, 8), 126)
 	r := rng.New(3)
 	for i := 0; i < 200; i++ {
 		s.Push(Entry{Taken: r.Bool(0.5)})
@@ -157,7 +167,7 @@ func TestFoldSetQuantization(t *testing.T) {
 }
 
 func TestFoldSetTracksRing(t *testing.T) {
-	s := NewFoldSet([]int{8}, 5, 32)
+	s := NewFoldSet(FoldRegs([]int{8}, 5), 30)
 	r := rng.New(11)
 	var hist []bool
 	for i := 0; i < 500; i++ {
@@ -182,9 +192,12 @@ func TestFoldSetValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("empty lengths", func() { NewFoldSet(nil, 8, 64) })
-	mustPanic("non-ascending", func() { NewFoldSet([]int{8, 8}, 8, 64) })
-	mustPanic("small capacity", func() { NewFoldSet([]int{100}, 8, 64) })
+	mustPanic("empty lengths", func() { NewFoldSet(nil, 62) })
+	mustPanic("descending", func() { NewFoldSet(FoldRegs([]int{9, 8}, 8), 62) })
+	mustPanic("zero length", func() { NewFoldSet(FoldRegs([]int{0}, 8), 62) })
+	mustPanic("zero width", func() { NewFoldSet(FoldRegs([]int{8}, 0), 62) })
+	mustPanic("width 64", func() { NewFoldSet(FoldRegs([]int{8}, 64), 62) })
+	mustPanic("small capacity", func() { NewFoldSet(FoldRegs([]int{100}, 8), 62) })
 }
 
 func TestPathHistory(t *testing.T) {

@@ -159,7 +159,7 @@ func TestRingRecentMatchesWalk(t *testing.T) {
 func TestFoldSetFoldMatchesScan(t *testing.T) {
 	lengths := []int{3, 9, 17, 40, 90}
 	const capacity = 128
-	s := NewFoldSet(lengths, 11, capacity)
+	s := NewFoldSet(FoldRegs(lengths, 11), capacity-2)
 	rng := rand.New(rand.NewSource(5))
 	// foldScan is the pre-table implementation: linear scan for the
 	// largest maintained length <= distance.

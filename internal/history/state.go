@@ -45,6 +45,33 @@ func (r *Ring) LoadState(d *state.Dec) error {
 	if head < -1 || head >= len(r.pcs) || size < 0 || size > len(r.pcs) {
 		return fmt.Errorf("%w: ring head %d / size %d out of range", state.ErrCorrupt, head, size)
 	}
+	// The recent words and the slots not yet pushed follow from the
+	// pushed entries. Fold windows and the BF-GHR read them directly,
+	// so a snapshot whose copies disagree is corrupt.
+	n := len(pcs)
+	if size < n && head != size-1 {
+		return fmt.Errorf("%w: ring head %d does not follow size %d", state.ErrCorrupt, head, size)
+	}
+	var rt, rp uint64
+	for d := min(size, 64); d >= 1; d-- {
+		pos := (head - (d - 1)) & (n - 1)
+		rt, rp = rt<<1, rp<<1|uint64(pcs[pos]&1)
+		if taken[pos] {
+			rt |= 1
+		}
+	}
+	known := ^uint64(0) // before the ring wraps, older depths were never pushed
+	if size == n {
+		known = lowMask(size)
+	}
+	if ((recentTaken^rt)|(recentPC^rp))&known != 0 {
+		return fmt.Errorf("%w: ring recent words disagree with its slots", state.ErrCorrupt)
+	}
+	for i := size; i < n; i++ {
+		if pcs[i] != 0 || taken[i] || nonBiased[i] {
+			return fmt.Errorf("%w: ring slot %d is set but was never pushed", state.ErrCorrupt, i)
+		}
+	}
 	r.head, r.size = head, size
 	r.recentTaken, r.recentPC = recentTaken, recentPC
 	copy(r.pcs, pcs)
@@ -52,23 +79,6 @@ func (r *Ring) LoadState(d *state.Dec) error {
 		setSlotBit(r.takenW, i, taken[i])
 		setSlotBit(r.nbW, i, nonBiased[i])
 	}
-	return nil
-}
-
-// SaveState appends the folded register's compressed value.
-func (f *Folded) SaveState(e *state.Enc) { e.U64(f.comp) }
-
-// LoadState restores a folded register value, rejecting bits outside
-// the register's width.
-func (f *Folded) LoadState(d *state.Dec) error {
-	c := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if c&^f.mask != 0 {
-		return fmt.Errorf("%w: folded value %#x exceeds width %d", state.ErrCorrupt, c, f.width)
-	}
-	f.comp = c
 	return nil
 }
 
@@ -88,22 +98,21 @@ func (p *Path) LoadState(d *state.Dec) error {
 	return nil
 }
 
-// SaveState appends the fold set's ring and every fold register. The
-// live fold values are kept in the dense vals array; sync them into the
-// Folded structs so the byte format stays the per-register one.
+// SaveState appends the fold set's ring, its register count and every
+// register.
 func (s *FoldSet) SaveState(e *state.Enc) {
 	s.ring.SaveState(e)
-	e.U32(uint32(len(s.folds)))
-	for i := range s.folds {
-		s.folds[i].comp = s.vals[i]
-		s.folds[i].SaveState(e)
+	e.U32(uint32(len(s.vals)))
+	for _, v := range s.vals {
+		e.U64(v)
 	}
 }
 
 // LoadState restores a fold set saved by SaveState into one built with
-// the same lengths, width, and capacity. The ring and every register
-// are decoded before any is committed, so a failed load changes
-// nothing.
+// the same registers and capacity. Every register must equal its
+// rebuild from the restored ring (which also keeps it within its
+// width); the ring and every register are decoded and checked before
+// any is committed, so a failed load changes nothing.
 func (s *FoldSet) LoadState(d *state.Dec) error {
 	ring := NewRing(s.ring.Cap())
 	if err := ring.LoadState(d); err != nil {
@@ -113,25 +122,20 @@ func (s *FoldSet) LoadState(d *state.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n != len(s.folds) {
-		return fmt.Errorf("%w: fold set has %d registers, snapshot %d", state.ErrCorrupt, len(s.folds), n)
+	if n != len(s.vals) {
+		return fmt.Errorf("%w: fold set has %d registers, snapshot %d", state.ErrCorrupt, len(s.vals), n)
 	}
-	vals := make([]uint64, n)
-	for i := range vals {
-		f := s.folds[i]
-		if err := f.LoadState(d); err != nil {
+	want := make([]uint64, n)
+	s.refold(ring, want)
+	for i, w := range want {
+		v := d.U64()
+		if err := d.Err(); err != nil {
 			return err
 		}
-		vals[i] = f.comp
+		if v != w {
+			return fmt.Errorf("%w: fold register %d is %#x, its ring gives %#x", state.ErrCorrupt, i, v, w)
+		}
 	}
-	// Commit in place: owners may hold the ring pointer.
-	*s.ring = *ring
-	for i, v := range vals {
-		s.folds[i].comp = v
-	}
-	copy(s.vals, vals)
-	// The evicted-bit windows are caches over the restored ring; zeroing
-	// the cursor forces a refill on the next push.
-	s.wk = 0
+	s.Restore(ring)
 	return nil
 }

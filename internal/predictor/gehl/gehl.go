@@ -317,12 +317,8 @@ func newFoldSet(cfg Config) History {
 	if cfg.MinHist < 1 || cfg.MaxHist <= cfg.MinHist {
 		panic("gehl: invalid history range")
 	}
-	capacity := 1
-	for capacity < cfg.MaxHist+2 {
-		capacity <<= 1
-	}
 	series := history.GeometricRange(cfg.MinHist, cfg.MaxHist, cfg.Tables-1)
-	return &foldSet{FoldSet: history.NewFoldSet(series, cfg.LogEntries, capacity), cfg: cfg}
+	return &foldSet{FoldSet: history.NewFoldSet(history.FoldRegs(series, cfg.LogEntries), cfg.MaxHist), cfg: cfg}
 }
 
 func (h *foldSet) Folds(dst []uint64) {

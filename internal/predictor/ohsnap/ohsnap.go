@@ -131,11 +131,7 @@ func New(cfg Config) *Predictor {
 			p.coeff[i] = coeffMin
 		}
 	}
-	ringCap := 1
-	for ringCap < p.hlen+2 {
-		ringCap <<= 1
-	}
-	p.ring = history.NewRing(ringCap)
+	p.ring = history.NewRingFor(p.hlen)
 	p.theta = int32(2.14*float64(p.hlen) + 20.58)
 	p.inflight = inflight.New(func() checkpoint {
 		return checkpoint{idxs: make([]int32, pos), dirs: make([]bool, pos)}

@@ -24,14 +24,10 @@ type Unfiltered struct {
 // back, with fold registers at foldLengths, or none when foldLengths
 // is nil.
 func NewUnfiltered(depth int, foldLengths []int) *Unfiltered {
-	capacity := 1
-	for capacity < depth+2 {
-		capacity <<= 1
-	}
 	if foldLengths == nil {
-		return &Unfiltered{ring: history.NewRing(capacity), depth: depth}
+		return &Unfiltered{ring: history.NewRingFor(depth), depth: depth}
 	}
-	fs := history.NewFoldSet(foldLengths, FoldWidth, capacity)
+	fs := history.NewFoldSet(history.FoldRegs(foldLengths, FoldWidth), depth)
 	return &Unfiltered{ring: fs.Ring(), folds: fs, depth: depth}
 }
 

@@ -203,10 +203,10 @@ func resealSection(t testing.TB, snap *state.Snapshot, name string, payload []by
 // FuzzLoadState feeds one predictor per engine and history (TAGE and
 // GEHL, each over the conventional history and the BF-GHR; the neural
 // engine over the folded dense history, the sampled offsets, and
-// BF-Neural's recency stack and bias-free shift register) and oh-snap
-// a trained donor's snapshot with one section's payload replaced by
-// fuzz bytes.
-// A load that fails must leave the predictor's SaveState bytes
+// BF-Neural's recency stack and bias-free shift register), oh-snap and
+// the table predictors (bimodal, gshare, local, tournament, yags,
+// filter) a trained donor's snapshot with one section's payload
+// replaced by fuzz bytes. A load that fails must leave the predictor's SaveState bytes
 // unchanged; after a load that succeeds, 1,000 more Predict/Update
 // steps must not panic. The seed corpus empties, truncates and keeps
 // every section of every donor.
@@ -224,7 +224,8 @@ func FuzzLoadState(f *testing.F) {
 	}
 	var targets []target
 	for i, name := range []string{"isl-tage-15", "bf-isl-tage-10", "o-gehl", "bf-gehl",
-		"bf-neural", "bf-neural-ghist", "perceptron-fhist", "strided", "oh-snap"} {
+		"bf-neural", "bf-neural-ghist", "perceptron-fhist", "strided", "oh-snap",
+		"bimodal", "gshare", "local", "tournament", "yags", "filter"} {
 		info, err := bfbp.PredictorByName(name)
 		if err != nil {
 			f.Fatal(err)
