@@ -57,8 +57,8 @@ bench-test:
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
 # the commands once, then runs five checks: trace (identical-seed
 # journals diff clean), flags (a negative count exits 2 without a
-# panic), snapshot (split runs equal straight runs),
-# drift (alarms, counter tracks and a parseable flight dump) and xray
+# panic), snapshot (split runs equal straight runs, and a snapshot cut
+# by one byte exits 1 without a panic), drift (alarms, counter tracks and a parseable flight dump) and xray
 # (tablestats journal events, TAGE banks carrying provider hits).
 # Leaves its artifacts in smoke_ci/ for CI upload.
 smoke:

@@ -186,38 +186,20 @@ func (g *GHR) Save(s *state.Snapshot) (*state.Enc, error) {
 	return hs, nil
 }
 
-// Load decodes what Save wrote into fresh recency stacks; more, when
-// set, decodes the caller's state that follows them in the "history"
-// section. The classifier, whose load validates before it writes, loads
-// last, so on error nothing has changed. On success the classifier is
-// restored and commit installs the stacks and rebuilds the key map
-// from them.
-func (g *GHR) Load(s *state.Snapshot, more func(*state.Dec) error) (commit func(), err error) {
-	hd, err := s.Dec("history")
-	if err != nil {
-		return nil, err
-	}
+// Load decodes what Save wrote into fresh recency stacks, leaving the
+// "history" cursor after them for the caller's own state. commit, run
+// once Snapshot.Err returns nil, installs the classifier and the stacks
+// and rebuilds the key map from them.
+func (g *GHR) Load(s *state.Snapshot) (commit func()) {
 	seg := rs.NewSegmented(g.cfg.SegBounds, g.cfg.SegSize)
-	if err := seg.LoadState(hd); err != nil {
-		return nil, err
-	}
-	if more != nil {
-		if err := more(hd); err != nil {
-			return nil, err
-		}
-	}
-	cd, err := s.Dec("bst")
-	if err != nil {
-		return nil, err
-	}
-	if err := bst.LoadClassifier(cd, g.class); err != nil {
-		return nil, err
-	}
+	seg.LoadState(s.Dec("history"))
+	class := bst.LoadClassifier(s.Dec("bst"), g.class)
 	return func() {
+		class()
 		g.seg = seg
 		// Attaching the key map to the restored stacks feeds it their
 		// packed words, which rebuilds it from empty.
 		g.keys.Reset()
 		seg.SetPackObserver(g.keys.SegmentDelta)
-	}, nil
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bfbp/internal/counters"
 	"bfbp/internal/state"
 )
 
@@ -43,11 +44,7 @@ func SaveClassifier(e *state.Enc, c Classifier) error {
 	case *ProbTable:
 		e.Bools(t.seen)
 		e.Bools(t.dir)
-		vals := make([]uint32, len(t.conf))
-		for i := range t.conf {
-			vals[i] = t.conf[i].Raw()
-		}
-		e.U32s(vals)
+		counters.SaveProbabilistic(e, t.conf)
 		// Every counter in the bank shares one generator: save its stream
 		// position once.
 		e.U64(t.conf[0].RNG().State())
@@ -68,77 +65,59 @@ func SaveClassifier(e *state.Enc, c Classifier) error {
 	return nil
 }
 
-// LoadClassifier restores classifier state saved by SaveClassifier into
-// c, which must be the same kind and geometry. It validates the whole
-// payload before writing, so a failed load leaves c untouched.
-func LoadClassifier(d *state.Dec, c Classifier) error {
-	kind := d.String()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if kind != KindOf(c) {
-		return fmt.Errorf("%w: snapshot classifier %q, instance %q", state.ErrConfigMismatch, kind, KindOf(c))
+// LoadClassifier decodes classifier state saved by SaveClassifier for
+// c, which must be the same kind and geometry, and returns the install
+// that writes it into c. Failures are recorded on d.
+func LoadClassifier(d *state.Dec, c Classifier) (install func()) {
+	if kind := d.String(); kind != KindOf(c) {
+		d.Corruptf("snapshot classifier %q, instance %q", kind, KindOf(c))
+		return func() {}
 	}
 	switch t := c.(type) {
-	case nil:
 	case *Table:
-		raw := d.Bytes()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(raw) != len(t.states) {
-			return fmt.Errorf("%w: BST has %d entries, snapshot %d", state.ErrCorrupt, len(t.states), len(raw))
-		}
+		raw := d.Bytes(len(t.states))
 		for _, b := range raw {
 			if State(b) > NonBiased {
-				return fmt.Errorf("%w: BST state byte %#x", state.ErrCorrupt, b)
+				d.Corruptf("BST state byte %#x", b)
+				break
 			}
 		}
-		for i, b := range raw {
-			t.states[i] = State(b)
+		return func() {
+			for i, b := range raw {
+				t.states[i] = State(b)
+			}
 		}
 	case *ProbTable:
-		seen := d.Bools()
-		dir := d.Bools()
-		vals := d.U32s()
+		seen, dir := d.Bools(len(t.seen)), d.Bools(len(t.dir))
+		conf := counters.LoadProbabilistic(d, t.conf)
 		rngState := d.U64()
-		if err := d.Err(); err != nil {
-			return err
+		return func() {
+			copy(t.seen, seen)
+			copy(t.dir, dir)
+			conf()
+			t.conf[0].RNG().SetState(rngState)
 		}
-		if len(seen) != len(t.seen) || len(dir) != len(t.dir) || len(vals) != len(t.conf) {
-			return fmt.Errorf("%w: probabilistic BST has %d entries, snapshot %d", state.ErrCorrupt, len(t.seen), len(seen))
-		}
-		copy(t.seen, seen)
-		copy(t.dir, dir)
-		for i := range t.conf {
-			t.conf[i].SetRaw(vals[i])
-		}
-		t.conf[0].RNG().SetState(rngState)
 	case *Oracle:
-		n := int(d.U32())
-		if err := d.Err(); err != nil {
-			return err
-		}
 		// Each entry is a u64 PC and a u8 state: bound the count by the
 		// payload before sizing the map from it.
+		n := int(d.U32())
 		if n > d.Remaining()/9 {
-			return fmt.Errorf("%w: oracle claims %d entries in %d bytes", state.ErrCorrupt, n, d.Remaining())
+			d.Corruptf("oracle claims %d entries in %d bytes", n, d.Remaining())
+			return func() {}
 		}
 		class := make(map[uint64]State, n)
+		var prev uint64
 		for i := 0; i < n; i++ {
-			pc := d.U64()
-			st := State(d.U8())
-			if st > NonBiased {
-				return fmt.Errorf("%w: oracle state byte %#x", state.ErrCorrupt, uint8(st))
+			pc, st := d.U64(), State(d.U8())
+			if st > NonBiased || (i > 0 && pc <= prev) {
+				d.Corruptf("oracle entry %d (pc %#x, state %#x) out of order or range", i, pc, uint8(st))
 			}
-			class[pc] = st
+			class[pc], prev = st, pc
 		}
-		if err := d.Err(); err != nil {
-			return err
-		}
-		t.class = class
-	default:
-		return fmt.Errorf("bst: cannot snapshot classifier %T", c)
+		return func() { t.class = class }
 	}
-	return d.Err()
+	if c != nil {
+		d.Corruptf("cannot restore classifier %T", c)
+	}
+	return func() {}
 }

@@ -119,4 +119,4 @@ func (h *ghrHistory) SaveState(s *state.Snapshot) error {
 	return err
 }
 
-func (h *ghrHistory) LoadState(s *state.Snapshot) (func(), error) { return h.Load(s, nil) }
+func (h *ghrHistory) LoadState(s *state.Snapshot) func() { return h.Load(s) }

@@ -24,7 +24,6 @@
 package bfneural
 
 import (
-	"fmt"
 	"math/bits"
 
 	"bfbp/internal/bst"
@@ -413,45 +412,27 @@ func (s *source) Save(snap *state.Snapshot) {
 }
 
 // Load decodes what Save wrote into fresh structures.
-func (s *source) Load(snap *state.Snapshot) (func(), error) {
-	var seq uint64
-	commitU, err := s.u.LoadHistory(snap, func(d *state.Dec) error {
-		seq = d.U64()
-		return d.Err()
-	})
-	if err != nil {
-		return nil, err
-	}
+func (s *source) Load(snap *state.Snapshot) func() {
+	commitU := s.u.Load(snap)
+	seq := snap.Dec("history").U64()
 	var rstack *rs.Stack
 	var filt []fentry
 	if s.rstack != nil {
-		rd, err := snap.Dec("rstack")
-		if err != nil {
-			return nil, err
-		}
 		rstack = rs.NewStack(s.cfg.RSDepth, distBits)
-		if err := rstack.LoadState(rd); err != nil {
-			return nil, err
-		}
+		rstack.LoadState(snap.Dec("rstack"))
 	} else {
-		fd, err := snap.Dec("filt")
-		if err != nil {
-			return nil, err
+		fd := snap.Dec("filt")
+		if n := int(fd.U32()); n > s.cfg.RSDepth {
+			fd.Corruptf("filtered register has %d entries, depth is %d", n, s.cfg.RSDepth)
+		} else {
+			filt = make([]fentry, n)
 		}
-		n := int(fd.U32()) // 0 when truncated, which the Err below reports
-		if n > s.cfg.RSDepth {
-			return nil, fmt.Errorf("%w: filtered register has %d entries, depth is %d", state.ErrCorrupt, n, s.cfg.RSDepth)
-		}
-		filt = make([]fentry, n)
 		for i := range filt {
 			filt[i] = fentry{hpc: fd.U32(), taken: fd.Bool(), seq: fd.U64()}
-		}
-		if err := fd.Err(); err != nil {
-			return nil, err
 		}
 	}
 	return func() {
 		commitU()
 		s.seq, s.rstack, s.filt = seq, rstack, filt
-	}, nil
+	}
 }

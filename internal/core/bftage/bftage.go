@@ -204,14 +204,12 @@ func (h *ghrHistory) SaveState(s *state.Snapshot) error {
 	return nil
 }
 
-func (h *ghrHistory) LoadState(s *state.Snapshot) (func(), error) {
+func (h *ghrHistory) LoadState(s *state.Snapshot) func() {
+	commit := h.Load(s)
 	path := history.NewPath(h.pathBits)
-	commit, err := h.Load(s, path.LoadState)
-	if err != nil {
-		return nil, err
-	}
+	path.LoadState(s.Dec("history"))
 	return func() {
 		commit()
 		h.path = path
-	}, nil
+	}
 }

@@ -25,7 +25,7 @@ func replaceSection(t *testing.T, img []byte, name string, fill func(*state.Enc)
 			fill(e)
 			continue
 		}
-		d, _ := snap.Dec(sec)
+		d := snap.Dec(sec)
 		for d.Remaining() > 0 {
 			e.U8(d.U8())
 		}

@@ -1,8 +1,6 @@
 package counters
 
 import (
-	"fmt"
-
 	"bfbp/internal/rng"
 	"bfbp/internal/state"
 )
@@ -17,40 +15,49 @@ func SaveSigned(e *state.Enc, bank []Signed) {
 	e.I32s(vals)
 }
 
-// DecodeSigned reads a signed counter bank saved by SaveSigned and
-// checks that it holds n counters. It writes nothing, so a loader can
-// decode every section before committing any with SetSigned.
-func DecodeSigned(d *state.Dec, n int) ([]int32, error) {
-	vals := d.I32s()
-	if err := d.Err(); err != nil {
-		return nil, err
+// LoadSigned decodes a bank saved by SaveSigned, checking every value
+// against its counter's range, and returns the install.
+func LoadSigned(d *state.Dec, bank []Signed) (install func()) {
+	vals := d.I32s(len(bank))
+	for i, v := range vals {
+		if v < bank[i].min || v > bank[i].max {
+			d.Corruptf("counter %d is %d, outside [%d, %d]", i, v, bank[i].min, bank[i].max)
+			break
+		}
 	}
-	if len(vals) != n {
-		return nil, fmt.Errorf("%w: counter bank has %d entries, snapshot %d", state.ErrCorrupt, n, len(vals))
+	return func() {
+		for i := range bank {
+			bank[i].v = vals[i]
+		}
 	}
-	return vals, nil
 }
 
-// SetSigned commits values read by DecodeSigned into bank. Values
-// saturate into each counter's range.
-func SetSigned(bank []Signed, vals []int32) {
+// SaveProbabilistic appends a probabilistic counter bank's values.
+// Width, growth, and RNG wiring are configuration that the owning
+// table's constructor rebuilds.
+func SaveProbabilistic(e *state.Enc, bank []Probabilistic) {
+	vals := make([]uint32, len(bank))
 	for i := range bank {
-		bank[i].Set(vals[i])
+		vals[i] = bank[i].v
 	}
+	e.U32s(vals)
 }
 
-// Raw returns the probabilistic counter's current value for snapshot
-// serialisation. Width, growth, and RNG wiring are configuration that
-// the owning table's constructor rebuilds.
-func (c *Probabilistic) Raw() uint32 { return c.v }
-
-// SetRaw restores a snapshotted counter value, saturating at the
-// counter's maximum so corrupt input cannot create unreachable states.
-func (c *Probabilistic) SetRaw(v uint32) {
-	if v > c.max {
-		v = c.max
+// LoadProbabilistic decodes a bank saved by SaveProbabilistic, checking
+// every value against its counter's maximum, and returns the install.
+func LoadProbabilistic(d *state.Dec, bank []Probabilistic) (install func()) {
+	vals := d.U32s(len(bank))
+	for i, v := range vals {
+		if v > bank[i].max {
+			d.Corruptf("counter %d is %d, above %d", i, v, bank[i].max)
+			break
+		}
 	}
-	c.v = v
+	return func() {
+		for i := range bank {
+			bank[i].v = vals[i]
+		}
+	}
 }
 
 // RNG exposes the generator this counter draws from. Counter banks share

@@ -101,11 +101,7 @@ func TestRingLoadRejectsInconsistentState(t *testing.T) {
 			e.U32s(m.pcs)
 			e.Bools(m.taken)
 			e.Bools(m.nb)
-			d, err := snap.Dec("ring")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewRing(16).LoadState(d)
+			return loadSection(snap, "ring", NewRing(16).LoadState)
 		}
 		if err := load(func(*image) {}); err != nil {
 			t.Fatalf("%d pushes: intact snapshot: %v", pushes, err)
@@ -128,6 +124,13 @@ func TestRingLoadRejectsInconsistentState(t *testing.T) {
 			}
 		}
 	}
+}
+
+// loadSection runs load over the named section of snap and returns the
+// snapshot's one Err check.
+func loadSection(snap *state.Snapshot, name string, load func(*state.Dec)) error {
+	load(snap.Dec(name))
+	return snap.Err()
 }
 
 func TestFoldBitsMatchesNaive(t *testing.T) {

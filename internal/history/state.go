@@ -5,11 +5,7 @@
 
 package history
 
-import (
-	"fmt"
-
-	"bfbp/internal/state"
-)
+import "bfbp/internal/state"
 
 // SaveState appends the ring's mutable state to a snapshot section.
 func (r *Ring) SaveState(e *state.Enc) {
@@ -28,33 +24,28 @@ func (r *Ring) SaveState(e *state.Enc) {
 	e.Bools(nonBiased)
 }
 
-// LoadState restores ring state saved by SaveState into a ring of the
-// same capacity.
-func (r *Ring) LoadState(d *state.Dec) error {
+// LoadState decodes ring state saved by SaveState into r, a fresh ring
+// of the same capacity that nothing reads yet. Failures are recorded on
+// d; the caller installs r only after Snapshot.Err returns nil.
+func (r *Ring) LoadState(d *state.Dec) {
+	n := len(r.pcs)
 	head, size := d.Int(), d.Int()
 	recentTaken, recentPC := d.U64(), d.U64()
-	pcs := d.U32s()
-	taken := d.Bools()
-	nonBiased := d.Bools()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(pcs) != len(r.pcs) || len(taken) != len(r.pcs) || len(nonBiased) != len(r.pcs) {
-		return fmt.Errorf("%w: ring snapshot capacity %d, instance %d", state.ErrCorrupt, len(pcs), len(r.pcs))
-	}
-	if head < -1 || head >= len(r.pcs) || size < 0 || size > len(r.pcs) {
-		return fmt.Errorf("%w: ring head %d / size %d out of range", state.ErrCorrupt, head, size)
+	pcs := d.U32s(n)
+	taken, nonBiased := d.Bools(n), d.Bools(n)
+	if head < -1 || head >= n || size < 0 || size > n {
+		d.Corruptf("ring head %d / size %d out of range", head, size)
+		return
 	}
 	// The recent words and the slots not yet pushed follow from the
 	// pushed entries. Fold windows and the BF-GHR read them directly,
 	// so a snapshot whose copies disagree is corrupt.
-	n := len(pcs)
 	if size < n && head != size-1 {
-		return fmt.Errorf("%w: ring head %d does not follow size %d", state.ErrCorrupt, head, size)
+		d.Corruptf("ring head %d does not follow size %d", head, size)
 	}
 	var rt, rp uint64
-	for d := min(size, 64); d >= 1; d-- {
-		pos := (head - (d - 1)) & (n - 1)
+	for k := min(size, 64); k >= 1; k-- {
+		pos := (head - (k - 1)) & (n - 1)
 		rt, rp = rt<<1, rp<<1|uint64(pcs[pos]&1)
 		if taken[pos] {
 			rt |= 1
@@ -65,77 +56,53 @@ func (r *Ring) LoadState(d *state.Dec) error {
 		known = lowMask(size)
 	}
 	if ((recentTaken^rt)|(recentPC^rp))&known != 0 {
-		return fmt.Errorf("%w: ring recent words disagree with its slots", state.ErrCorrupt)
+		d.Corruptf("ring recent words disagree with its slots")
 	}
 	for i := size; i < n; i++ {
 		if pcs[i] != 0 || taken[i] || nonBiased[i] {
-			return fmt.Errorf("%w: ring slot %d is set but was never pushed", state.ErrCorrupt, i)
+			d.Corruptf("ring slot %d is set but was never pushed", i)
 		}
 	}
 	r.head, r.size = head, size
 	r.recentTaken, r.recentPC = recentTaken, recentPC
-	copy(r.pcs, pcs)
+	r.pcs = pcs
 	for i := range r.pcs {
 		setSlotBit(r.takenW, i, taken[i])
 		setSlotBit(r.nbW, i, nonBiased[i])
 	}
-	return nil
 }
 
 // SaveState appends the path register's packed bits.
 func (p *Path) SaveState(e *state.Enc) { e.U64(p.bits) }
 
-// LoadState restores a path register, rejecting bits outside its width.
-func (p *Path) LoadState(d *state.Dec) error {
-	b := d.U64()
-	if err := d.Err(); err != nil {
-		return err
+// LoadState decodes a path register into p, a fresh one, rejecting bits
+// outside its width.
+func (p *Path) LoadState(d *state.Dec) {
+	p.bits = d.U64()
+	if p.bits&^p.mask != 0 {
+		d.Corruptf("path value %#x exceeds width %d", p.bits, p.width)
 	}
-	if b&^p.mask != 0 {
-		return fmt.Errorf("%w: path value %#x exceeds width %d", state.ErrCorrupt, b, p.width)
-	}
-	p.bits = b
-	return nil
 }
 
 // SaveState appends the fold set's ring, its register count and every
 // register.
 func (s *FoldSet) SaveState(e *state.Enc) {
 	s.ring.SaveState(e)
-	e.U32(uint32(len(s.vals)))
-	for _, v := range s.vals {
-		e.U64(v)
-	}
+	e.U64s(s.vals)
 }
 
-// LoadState restores a fold set saved by SaveState into one built with
-// the same registers and capacity. Every register must equal its
-// rebuild from the restored ring (which also keeps it within its
-// width); the ring and every register are decoded and checked before
-// any is committed, so a failed load changes nothing.
-func (s *FoldSet) LoadState(d *state.Dec) error {
-	ring := NewRing(s.ring.Cap())
-	if err := ring.LoadState(d); err != nil {
-		return err
-	}
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(s.vals) {
-		return fmt.Errorf("%w: fold set has %d registers, snapshot %d", state.ErrCorrupt, len(s.vals), n)
-	}
-	want := make([]uint64, n)
-	s.refold(ring, want)
-	for i, w := range want {
-		v := d.U64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if v != w {
-			return fmt.Errorf("%w: fold register %d is %#x, its ring gives %#x", state.ErrCorrupt, i, v, w)
+// LoadState decodes a fold set saved by SaveState into s, a fresh one
+// built with the same registers and capacity. Every saved register must
+// equal its rebuild from the restored ring, which also keeps it within
+// its width.
+func (s *FoldSet) LoadState(d *state.Dec) {
+	s.ring.LoadState(d)
+	saved := d.U64s(len(s.vals))
+	s.Restore(s.ring)
+	for i, v := range saved {
+		if v != s.vals[i] {
+			d.Corruptf("fold register %d is %#x, its ring gives %#x", i, v, s.vals[i])
+			return
 		}
 	}
-	s.Restore(ring)
-	return nil
 }

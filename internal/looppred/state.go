@@ -4,11 +4,7 @@
 
 package looppred
 
-import (
-	"fmt"
-
-	"bfbp/internal/state"
-)
+import "bfbp/internal/state"
 
 // SaveState appends every entry of every way to a snapshot section.
 func (p *Predictor) SaveState(e *state.Enc) {
@@ -28,15 +24,13 @@ func (p *Predictor) SaveState(e *state.Enc) {
 	}
 }
 
-// LoadState restores entries saved by SaveState into a predictor with
-// the same geometry.
-func (p *Predictor) LoadState(d *state.Dec) error {
-	ways, sets := d.Int(), d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if ways != p.ways || sets != p.sets {
-		return fmt.Errorf("%w: loop predictor is %dx%d, snapshot %dx%d", state.ErrCorrupt, p.ways, p.sets, ways, sets)
+// LoadState decodes entries saved by SaveState into p, a fresh
+// predictor with the same geometry, checking each field against its
+// width.
+func (p *Predictor) LoadState(d *state.Dec) {
+	if ways, sets := d.Int(), d.Int(); ways != p.ways || sets != p.sets {
+		d.Corruptf("loop predictor is %dx%d, snapshot %dx%d", p.ways, p.sets, ways, sets)
+		return
 	}
 	for w := 0; w < p.ways; w++ {
 		for i := range p.banks[w] {
@@ -49,7 +43,9 @@ func (p *Predictor) LoadState(d *state.Dec) error {
 				dir:     d.Bool(),
 				valid:   d.Bool(),
 			}
+			if e := &p.banks[w][i]; e.tag>>tagBits|e.nbIter>>iterBits|e.curIter>>iterBits != 0 || e.conf > confMax {
+				d.Corruptf("way %d entry %d: tag, trip count or confidence out of range", w, i)
+			}
 		}
 	}
-	return d.Err()
 }

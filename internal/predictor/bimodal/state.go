@@ -32,15 +32,11 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d, err := s.Dec("pht")
-	if err != nil {
+	pht := counters.LoadSigned(s.Dec("pht"), p.table)
+	if err := s.Err(); err != nil {
 		return err
 	}
-	pht, err := counters.DecodeSigned(d, len(p.table))
-	if err != nil {
-		return err
-	}
-	counters.SetSigned(p.table, pht)
+	pht()
 	return nil
 }
 

@@ -37,44 +37,33 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Every section is decoded
-// before any is committed, so a failed load changes nothing.
+// LoadState implements sim.Snapshotter. Every section is read, each
+// counter checked against its range, before the one Snapshot.Err
+// check, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	fd, err := s.Dec("filter")
-	if err != nil {
-		return err
-	}
+	fd := s.Dec("filter")
 	entries := slices.Clone(p.entries)
 	for i := range entries {
-		entries[i].dir = fd.Bool()
-		entries[i].run.Set(fd.U32())
-		entries[i].valid = fd.Bool()
+		e := &entries[i]
+		e.dir = fd.Bool()
+		if run := fd.U32(); run > e.run.Max() {
+			fd.Corruptf("entry %d run %d above %d", i, run, e.run.Max())
+		} else {
+			e.run.Set(run)
+		}
+		e.valid = fd.Bool()
 	}
-	if err := fd.Err(); err != nil {
-		return err
-	}
-	pd, err := s.Dec("pht")
-	if err != nil {
-		return err
-	}
-	pht, err := counters.DecodeSigned(pd, len(p.pht))
-	if err != nil {
-		return err
-	}
-	g, err := s.Dec("ghr")
-	if err != nil {
-		return err
-	}
-	ghr := g.U64()
-	if err := g.Err(); err != nil {
+	pht := counters.LoadSigned(s.Dec("pht"), p.pht)
+	ghr := s.Dec("ghr").U64()
+	if err := s.Err(); err != nil {
 		return err
 	}
 	copy(p.entries, entries)
-	counters.SetSigned(p.pht, pht)
+	pht()
 	p.ghr = ghr
 	return nil
 }

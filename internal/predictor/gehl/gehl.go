@@ -69,10 +69,10 @@ type History interface {
 	HashConfig(h *state.Hash)
 	// SaveState writes the history's sections.
 	SaveState(s *state.Snapshot) error
-	// LoadState decodes the history's sections. It is the last fallible
-	// step of a load: on error the history is unchanged, and on success
-	// commit installs what it decoded.
-	LoadState(s *state.Snapshot) (commit func(), err error)
+	// LoadState decodes the history's sections, recording failures on
+	// s. The predictor runs commit, which installs what it decoded, only
+	// once s.Err returns nil.
+	LoadState(s *state.Snapshot) (commit func())
 }
 
 // Org names a GEHL organisation.
@@ -352,17 +352,10 @@ func (h *foldSet) SaveState(s *state.Snapshot) error {
 	return nil
 }
 
-// LoadState loads the fold set, whose loader validates before it
-// writes, so it commits on success.
-func (h *foldSet) LoadState(s *state.Snapshot) (func(), error) {
-	hd, err := s.Dec("history")
-	if err != nil {
-		return nil, err
-	}
-	if err := h.FoldSet.LoadState(hd); err != nil {
-		return nil, err
-	}
-	return func() {}, nil
+func (h *foldSet) LoadState(s *state.Snapshot) func() {
+	fresh := newFoldSet(h.cfg).(*foldSet)
+	fresh.FoldSet.LoadState(s.Dec("history"))
+	return func() { *h = *fresh }
 }
 
 var (

@@ -6,7 +6,6 @@ package gehl
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"bfbp/internal/sim"
@@ -44,45 +43,31 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Every section is decoded
-// before any is committed, and the history, whose load leaves it
-// untouched on error, loads last: a failed load changes nothing.
+// LoadState implements sim.Snapshotter. Every section is read and
+// every weight checked against [wMin, wMax] before the one
+// Snapshot.Err check, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	td, err := s.Dec("tables")
-	if err != nil {
-		return err
+	td := s.Dec("tables")
+	if n := int(td.U32()); n != len(p.tables) {
+		td.Corruptf("predictor has %d tables, snapshot %d", len(p.tables), n)
 	}
-	n := int(td.U32())
-	if err := td.Err(); err != nil {
-		return err
-	}
-	if n != len(p.tables) {
-		return fmt.Errorf("%w: predictor has %d tables, snapshot %d", state.ErrCorrupt, len(p.tables), n)
-	}
-	fresh := make([][]int8, n)
+	fresh := make([][]int8, len(p.tables))
 	for i := range fresh {
-		fresh[i] = td.I8s()
-		if err := td.Err(); err != nil {
-			return err
-		}
-		if len(fresh[i]) != len(p.tables[i]) {
-			return fmt.Errorf("%w: table %d has %d entries, snapshot %d", state.ErrCorrupt, i, len(p.tables[i]), len(fresh[i]))
+		fresh[i] = td.I8s(len(p.tables[i]))
+		for j, w := range fresh[i] {
+			if w < p.wMin || w > p.wMax {
+				td.Corruptf("table %d weight %d is %d, outside [%d, %d]", i, j, w, p.wMin, p.wMax)
+			}
 		}
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
+	m := s.Dec("misc")
 	theta, tc := m.I32(), m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
-	commitHist, err := p.hist.LoadState(s)
-	if err != nil {
+	commitHist := p.hist.LoadState(s)
+	if err := s.Err(); err != nil {
 		return err
 	}
 	p.tables = fresh

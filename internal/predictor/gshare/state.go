@@ -28,30 +28,19 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Both sections are decoded
-// before either is committed, so a failed load changes nothing.
+// LoadState implements sim.Snapshotter. Both sections are read before
+// the one Snapshot.Err check, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	d, err := s.Dec("pht")
-	if err != nil {
+	pht := counters.LoadSigned(s.Dec("pht"), p.table)
+	ghr := s.Dec("ghr").U64()
+	if err := s.Err(); err != nil {
 		return err
 	}
-	pht, err := counters.DecodeSigned(d, len(p.table))
-	if err != nil {
-		return err
-	}
-	g, err := s.Dec("ghr")
-	if err != nil {
-		return err
-	}
-	ghr := g.U64()
-	if err := g.Err(); err != nil {
-		return err
-	}
-	counters.SetSigned(p.table, pht)
+	pht()
 	p.ghr = ghr
 	return nil
 }

@@ -4,7 +4,6 @@
 package local
 
 import (
-	"fmt"
 	"io"
 
 	"bfbp/internal/counters"
@@ -29,33 +28,27 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter.
+// LoadState implements sim.Snapshotter. Both sections are read, each
+// history checked against its width, before the one Snapshot.Err
+// check, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	d, err := s.Dec("histories")
-	if err != nil {
-		return err
+	d := s.Dec("histories")
+	hist := d.U32s(len(p.histories))
+	for i, h := range hist {
+		if h>>p.histBits != 0 {
+			d.Corruptf("history %d is %#x, wider than %d bits", i, h, p.histBits)
+		}
 	}
-	hist := d.U32s()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(hist) != len(p.histories) {
-		return fmt.Errorf("%w: local history table has %d entries, snapshot %d", state.ErrCorrupt, len(p.histories), len(hist))
-	}
-	pd, err := s.Dec("pht")
-	if err != nil {
-		return err
-	}
-	pht, err := counters.DecodeSigned(pd, len(p.pht))
-	if err != nil {
+	pht := counters.LoadSigned(s.Dec("pht"), p.pht)
+	if err := s.Err(); err != nil {
 		return err
 	}
 	copy(p.histories, hist)
-	counters.SetSigned(p.pht, pht)
+	pht()
 	return nil
 }
 

@@ -7,9 +7,9 @@ package ohsnap
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
+	"bfbp/internal/history"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -44,71 +44,34 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Every section is decoded
-// before any is committed, so a failed load changes nothing.
+// LoadState implements sim.Snapshotter. Every section is read, each
+// coefficient checked against its adaptation clamps, before the one
+// Snapshot.Err check, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	wd, err := s.Dec("weights")
-	if err != nil {
-		return err
-	}
-	weights := wd.I8s()
-	if err := wd.Err(); err != nil {
-		return err
-	}
-	if len(weights) != len(p.weights) {
-		return fmt.Errorf("%w: weight table has %d entries, snapshot %d", state.ErrCorrupt, len(p.weights), len(weights))
-	}
-	bd, err := s.Dec("bias")
-	if err != nil {
-		return err
-	}
-	bias := bd.I8s()
-	if err := bd.Err(); err != nil {
-		return err
-	}
-	if len(bias) != len(p.bias) {
-		return fmt.Errorf("%w: bias table has %d entries, snapshot %d", state.ErrCorrupt, len(p.bias), len(bias))
-	}
-	cd, err := s.Dec("coeff")
-	if err != nil {
-		return err
-	}
-	coeff := cd.I32s()
-	if err := cd.Err(); err != nil {
-		return err
-	}
-	if len(coeff) != len(p.coeff) {
-		return fmt.Errorf("%w: coefficient vector has %d positions, snapshot %d", state.ErrCorrupt, len(p.coeff), len(coeff))
-	}
+	weights := s.Dec("weights").I8s(len(p.weights))
+	bias := s.Dec("bias").I8s(len(p.bias))
+	cd := s.Dec("coeff")
+	coeff := cd.I32s(len(p.coeff))
 	for i, c := range coeff {
 		if c < coeffMin || c > coeffMax {
-			return fmt.Errorf("%w: coefficient %d is %d, outside [%d, %d]", state.ErrCorrupt, i, c, coeffMin, coeffMax)
+			cd.Corruptf("coefficient %d is %d, outside [%d, %d]", i, c, coeffMin, coeffMax)
 		}
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
+	ring := history.NewRing(p.ring.Cap())
+	ring.LoadState(s.Dec("history"))
+	m := s.Dec("misc")
 	theta, tc := m.I32(), m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
-	// History is decoded last: its loader validates before it writes,
-	// so it doubles as the commit of the history section.
-	hd, err := s.Dec("history")
-	if err != nil {
-		return err
-	}
-	if err := p.ring.LoadState(hd); err != nil {
+	if err := s.Err(); err != nil {
 		return err
 	}
 	copy(p.weights, weights)
 	copy(p.bias, bias)
 	copy(p.coeff, coeff)
+	p.ring = ring
 	p.theta, p.tc = theta, tc
 	p.inflight.Reset()
 	return nil

@@ -29,10 +29,10 @@ type Source interface {
 	Probe(ts *sim.TableStats)
 	// Save writes the history's sections.
 	Save(s *state.Snapshot)
-	// Load decodes the history's sections into fresh state. On error
-	// the history is unchanged; on success commit installs what it
-	// decoded.
-	Load(s *state.Snapshot) (commit func(), err error)
+	// Load decodes the history's sections into fresh state, recording
+	// failures on s. The engine runs commit, which installs what it
+	// decoded, only once s.Err returns nil.
+	Load(s *state.Snapshot) (commit func())
 }
 
 // Tuning holds the constants in which the predictors on the engine
@@ -458,10 +458,10 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Every section is decoded and
-// validated, each weight against its table's clamp, before any is
-// committed; the BST, whose loader validates before it writes, loads
-// last. A failed load changes nothing.
+// LoadState implements sim.Snapshotter. Every section is read, each
+// weight checked against its table's clamp, before the one Snapshot.Err
+// check; only then is anything installed, so a failed load changes
+// nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.spec.ConfigHash)
 	if err != nil {
@@ -469,63 +469,39 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	}
 	fresh := make([][]int8, len(p.tables))
 	for i, t := range p.tables {
-		d, err := s.Dec(t.Name)
-		if err != nil {
-			return err
-		}
-		w := d.I8s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(w) != len(t.w) {
-			return fmt.Errorf("%w: %s has %d weights, snapshot %d", state.ErrCorrupt, t.Name, len(t.w), len(w))
-		}
-		for _, v := range w {
+		d := s.Dec(t.Name)
+		fresh[i] = d.I8s(len(t.w))
+		for _, v := range fresh[i] {
 			if v < t.min || v > t.max {
-				return fmt.Errorf("%w: %s weight %d outside [%d, %d]", state.ErrCorrupt, t.Name, v, t.min, t.max)
+				d.Corruptf("weight %d outside [%d, %d]", v, t.min, t.max)
 			}
 		}
-		fresh[i] = w
 	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
+	m := s.Dec("misc")
 	var withLoop int32
 	if p.spec.Gate != nil {
-		withLoop = m.I32()
+		if withLoop = m.I32(); withLoop < -64 || withLoop > 63 {
+			m.Corruptf("loop chooser %d outside [-64, 63]", withLoop)
+		}
 	}
 	theta, tc := m.I32(), m.I32()
-	if err := m.Err(); err != nil {
-		return err
-	}
-	commitSrc, err := p.spec.Source.Load(s)
-	if err != nil {
-		return err
-	}
+	commitSrc := p.spec.Source.Load(s)
 	var loop *looppred.Predictor
 	if p.loop != nil {
-		ld, err := s.Dec("loop")
-		if err != nil {
-			return err
-		}
 		loop = looppred.NewDefault()
-		if err := loop.LoadState(ld); err != nil {
-			return err
-		}
+		loop.LoadState(s.Dec("loop"))
 	}
+	installGate := func() {}
 	if p.spec.Gate != nil {
-		cd, err := s.Dec("bst")
-		if err != nil {
-			return err
-		}
-		if err := bst.LoadClassifier(cd, p.spec.Gate); err != nil {
-			return err
-		}
+		installGate = bst.LoadClassifier(s.Dec("bst"), p.spec.Gate)
+	}
+	if err := s.Err(); err != nil {
+		return err
 	}
 	for i, t := range p.tables {
 		copy(t.w, fresh[i])
 	}
+	installGate()
 	commitSrc()
 	p.loop = loop
 	p.withLoop, p.theta, p.tc = withLoop, theta, tc

@@ -61,38 +61,21 @@ func (u *Unfiltered) Save(s *state.Snapshot) {
 	}
 }
 
-// Load decodes what Save wrote into a fresh history; on success commit
+// Load decodes what Save wrote into a fresh history, leaving the
+// "history" cursor after it for the caller's own state. commit
 // installs it.
-func (u *Unfiltered) Load(s *state.Snapshot) (commit func(), err error) {
-	return u.LoadHistory(s, nil)
-}
-
-// LoadHistory is Load, with more, when set, decoding the caller's state
-// that follows the history in its section.
-func (u *Unfiltered) LoadHistory(s *state.Snapshot, more func(*state.Dec) error) (commit func(), err error) {
-	hd, err := s.Dec("history")
-	if err != nil {
-		return nil, err
-	}
+func (u *Unfiltered) Load(s *state.Snapshot) (commit func()) {
 	var lengths []int
 	if u.folds != nil {
 		lengths = u.folds.Lengths()
 	}
 	fresh := NewUnfiltered(u.depth, lengths)
 	if fresh.folds != nil {
-		err = fresh.folds.LoadState(hd)
+		fresh.folds.LoadState(s.Dec("history"))
 	} else {
-		err = fresh.ring.LoadState(hd)
+		fresh.ring.LoadState(s.Dec("history"))
 	}
-	if err != nil {
-		return nil, err
-	}
-	if more != nil {
-		if err := more(hd); err != nil {
-			return nil, err
-		}
-	}
-	return func() { *u = *fresh }, nil
+	return func() { *u = *fresh }
 }
 
 // Dense is the one dense-position fill: history position i in 1..h

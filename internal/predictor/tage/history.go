@@ -73,21 +73,14 @@ func (h *folded) SaveState(s *state.Snapshot) error {
 	return nil
 }
 
-func (h *folded) LoadState(s *state.Snapshot) (func(), error) {
-	hs, err := s.Dec("history")
-	if err != nil {
-		return nil, err
-	}
+func (h *folded) LoadState(s *state.Snapshot) func() {
+	hs := s.Dec("history")
 	ring := history.NewRing(h.folds.Ring().Cap())
-	if err := ring.LoadState(hs); err != nil {
-		return nil, err
-	}
+	ring.LoadState(hs)
 	path := history.NewPath(h.pathBits)
-	if err := path.LoadState(hs); err != nil {
-		return nil, err
-	}
+	path.LoadState(hs)
 	return func() {
 		h.folds.Restore(ring)
 		h.path = path
-	}, nil
+	}
 }

@@ -9,7 +9,6 @@ package tage
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -75,10 +74,10 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Every section is decoded and
-// validated into locals (a fresh loop predictor included) before any of
-// them is committed, and the history, whose load leaves it untouched on
-// error, loads last: a failed load leaves the predictor untouched.
+// LoadState implements sim.Snapshotter. Every section is read and
+// checked, each counter against its range and each tag against its
+// width, before the one Snapshot.Err check; only then is anything
+// installed, so a failed load leaves the predictor untouched.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
@@ -91,81 +90,48 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	}
 	tabs := make([]tableState, len(p.tables))
 	for i, t := range p.tables {
-		d, err := s.Dec("table_" + strconv.Itoa(i))
-		if err != nil {
-			return err
-		}
+		d := s.Dec("table_" + strconv.Itoa(i))
 		ts := tableState{
 			tags:   make([]uint16, len(t.tags)),
 			ctrs:   make([]int8, len(t.ctrs)),
 			useful: make([]uint64, len(t.useful)),
 		}
 		for j := range ts.tags {
-			ts.tags[j] = d.U16()
-			ts.ctrs[j] = d.I8()
+			ts.tags[j], ts.ctrs[j] = d.U16(), d.I8()
 			if d.Bool() {
 				ts.useful[j>>6] |= 1 << (j & 63)
 			}
-		}
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("table %d: %w", i, err)
-		}
-		if d.Remaining() != 0 {
-			return fmt.Errorf("%w: %d trailing bytes in table %d", state.ErrCorrupt, d.Remaining(), i)
+			if uint32(ts.tags[j]) > t.tagMask || ts.ctrs[j] < ctrMin || ts.ctrs[j] > ctrMax {
+				d.Corruptf("entry %d: tag %#x or counter %d out of range", j, ts.tags[j], ts.ctrs[j])
+			}
 		}
 		tabs[i] = ts
 	}
-	b, err := s.Dec("base")
-	if err != nil {
-		return err
-	}
-	basePred, baseHyst := b.Bools(), b.Bools()
-	if err := b.Err(); err != nil {
-		return err
-	}
-	if len(basePred) != len(p.basePred) || len(baseHyst) != len(p.baseHyst) {
-		return fmt.Errorf("%w: base bimodal is %d+%d entries, snapshot %d+%d",
-			state.ErrCorrupt, len(p.basePred), len(p.baseHyst), len(basePred), len(baseHyst))
-	}
-	m, err := s.Dec("misc")
-	if err != nil {
-		return err
-	}
+	b := s.Dec("base")
+	basePred, baseHyst := b.Bools(len(p.basePred)), b.Bools(len(p.baseHyst))
+	m := s.Dec("misc")
 	useAltOnNA, tick, rngState, withLoop := m.I32(), m.Int(), m.U64(), m.I32()
-	hits := m.U64s()
-	if err := m.Err(); err != nil {
-		return err
-	}
-	if len(hits) != len(p.providerHits) {
-		return fmt.Errorf("%w: provider histogram has %d buckets, snapshot %d", state.ErrCorrupt, len(p.providerHits), len(hits))
+	hits := m.U64s(len(p.providerHits))
+	if useAltOnNA < 0 || useAltOnNA > 15 || withLoop < -64 || withLoop > 63 {
+		m.Corruptf("use-alt %d or loop chooser %d out of range", useAltOnNA, withLoop)
 	}
 	var loop *looppred.Predictor
 	if p.loop != nil {
-		ld, err := s.Dec("loop")
-		if err != nil {
-			return err
-		}
 		loop = looppred.NewDefault()
-		if err := loop.LoadState(ld); err != nil {
-			return err
-		}
+		loop.LoadState(s.Dec("loop"))
 	}
 	var sc []int8
 	if p.sc != nil {
-		sd, err := s.Dec("sc")
-		if err != nil {
-			return err
-		}
-		sc = sd.I8s()
-		if err := sd.Err(); err != nil {
-			return err
-		}
-		if len(sc) != len(p.sc) {
-			return fmt.Errorf("%w: statistical corrector has %d counters, snapshot %d", state.ErrCorrupt, len(p.sc), len(sc))
+		sd := s.Dec("sc")
+		sc = sd.I8s(len(p.sc))
+		for i, v := range sc {
+			if v < scMin || v > scMax {
+				sd.Corruptf("counter %d is %d, outside [%d, %d]", i, v, scMin, scMax)
+			}
 		}
 	}
-	commitHist, err := p.hist.LoadState(s)
-	if err != nil {
+	commitHist := p.hist.LoadState(s)
+	if err := s.Err(); err != nil {
 		return err
 	}
 

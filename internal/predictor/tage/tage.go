@@ -14,6 +14,8 @@ import (
 const (
 	ctrMax = 3 // 3-bit signed prediction counter [-4, 3]
 	ctrMin = -4
+	scMax  = 31 // 6-bit signed statistical-corrector counter [-32, 31]
+	scMin  = -32
 )
 
 // History is the global history a TAGE engine indexes its tagged tables
@@ -42,10 +44,10 @@ type History interface {
 	HashConfig(h *state.Hash)
 	// SaveState writes the history's sections.
 	SaveState(s *state.Snapshot) error
-	// LoadState decodes the history's sections. It is the last fallible
-	// step of a load: on error the history is unchanged, and on success
-	// commit installs what it decoded.
-	LoadState(s *state.Snapshot) (commit func(), err error)
+	// LoadState decodes the history's sections, recording failures on
+	// s. The predictor runs commit, which installs what it decoded, only
+	// once s.Err returns nil.
+	LoadState(s *state.Snapshot) (commit func())
 }
 
 // Org names a TAGE organisation.
@@ -373,10 +375,10 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 	if p.sc != nil {
 		v := p.sc[cp.scIdx]
 		if cp.tagePred == taken {
-			if v < 31 {
+			if v < scMax {
 				p.sc[cp.scIdx] = v + 1
 			}
-		} else if v > -32 {
+		} else if v > scMin {
 			p.sc[cp.scIdx] = v - 1
 		}
 	}
@@ -617,7 +619,7 @@ func (p *Predictor) ProbeState() sim.TableStats {
 	}
 	p.hist.Probe(&ts)
 	if p.sc != nil {
-		ts.Weights = append(ts.Weights, sim.WeightArrayStats(0, "sc", 0, p.sc, -32, 31))
+		ts.Weights = append(ts.Weights, sim.WeightArrayStats(0, "sc", 0, p.sc, scMin, scMax))
 	}
 	return ts
 }

@@ -4,7 +4,6 @@
 package tournament
 
 import (
-	"fmt"
 	"io"
 
 	"bfbp/internal/counters"
@@ -36,48 +35,32 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Every section is decoded, in
-// a fixed order, before any is committed, so a failed load changes
-// nothing.
+// LoadState implements sim.Snapshotter. Every section is read, each
+// local history checked against its width, before the one
+// Snapshot.Err check, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	d, err := s.Dec("local_hist")
-	if err != nil {
-		return err
-	}
-	hist := d.U32s()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(hist) != len(p.localHist) {
-		return fmt.Errorf("%w: local history table has %d entries, snapshot %d", state.ErrCorrupt, len(p.localHist), len(hist))
-	}
-	banks := [3][]counters.Signed{p.localPHT, p.global, p.chooser}
-	var vals [3][]int32
-	for k, name := range [3]string{"local_pht", "global_pht", "chooser"} {
-		bd, err := s.Dec(name)
-		if err != nil {
-			return err
-		}
-		if vals[k], err = counters.DecodeSigned(bd, len(banks[k])); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	d := s.Dec("local_hist")
+	hist := d.U32s(len(p.localHist))
+	for i, h := range hist {
+		if h>>p.cfg.LocalHistBits != 0 {
+			d.Corruptf("local history %d is %#x, wider than %d bits", i, h, p.cfg.LocalHistBits)
 		}
 	}
-	g, err := s.Dec("ghr")
-	if err != nil {
-		return err
-	}
-	ghr := g.U64()
-	if err := g.Err(); err != nil {
+	localPHT := counters.LoadSigned(s.Dec("local_pht"), p.localPHT)
+	global := counters.LoadSigned(s.Dec("global_pht"), p.global)
+	chooser := counters.LoadSigned(s.Dec("chooser"), p.chooser)
+	ghr := s.Dec("ghr").U64()
+	if err := s.Err(); err != nil {
 		return err
 	}
 	copy(p.localHist, hist)
-	for k, bank := range banks {
-		counters.SetSigned(bank, vals[k])
-	}
+	localPHT()
+	global()
+	chooser()
 	p.ghr = ghr
 	return nil
 }

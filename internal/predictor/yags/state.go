@@ -4,7 +4,6 @@
 package yags
 
 import (
-	"fmt"
 	"io"
 	"slices"
 
@@ -32,15 +31,21 @@ func saveCache(e *state.Enc, cache []cacheEntry) {
 }
 
 // loadCache decodes a cache saved by saveCache into a copy of cache,
-// whose counters carry the configured widths.
-func loadCache(d *state.Dec, cache []cacheEntry) ([]cacheEntry, error) {
+// whose counters carry the configured widths, checking each tag against
+// tagMask and each counter against its range.
+func loadCache(d *state.Dec, cache []cacheEntry, tagMask uint32) []cacheEntry {
 	out := slices.Clone(cache)
 	for i := range out {
-		out[i].tag = d.U16()
-		out[i].ctr.Set(d.I32())
-		out[i].valid = d.Bool()
+		e := &out[i]
+		e.tag = d.U16()
+		if v := d.I32(); uint32(e.tag) > tagMask || v < e.ctr.Min() || v > e.ctr.Max() {
+			d.Corruptf("entry %d: tag %#x or counter %d out of range", i, e.tag, v)
+		} else {
+			e.ctr.Set(v)
+		}
+		e.valid = d.Bool()
 	}
-	return out, d.Err()
+	return out
 }
 
 // SaveState implements sim.Snapshotter.
@@ -54,42 +59,23 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements sim.Snapshotter. Every section is decoded
-// before any is committed, so a failed load changes nothing.
+// LoadState implements sim.Snapshotter. Every section is read before
+// the one Snapshot.Err check, so a failed load changes nothing.
 func (p *Predictor) LoadState(r io.Reader) error {
 	s, err := state.Load(r, p.Name(), p.configHash())
 	if err != nil {
 		return err
 	}
-	cd, err := s.Dec("choice")
-	if err != nil {
+	choice := counters.LoadSigned(s.Dec("choice"), p.choice)
+	tCache := loadCache(s.Dec("t_cache"), p.tCache, p.tagMask)
+	ntCache := loadCache(s.Dec("nt_cache"), p.ntCache, p.tagMask)
+	ghr := s.Dec("ghr").U64()
+	if err := s.Err(); err != nil {
 		return err
 	}
-	choice, err := counters.DecodeSigned(cd, len(p.choice))
-	if err != nil {
-		return err
-	}
-	caches := [2][]cacheEntry{p.tCache, p.ntCache}
-	for k, name := range [2]string{"t_cache", "nt_cache"} {
-		d, err := s.Dec(name)
-		if err != nil {
-			return err
-		}
-		if caches[k], err = loadCache(d, caches[k]); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	g, err := s.Dec("ghr")
-	if err != nil {
-		return err
-	}
-	ghr := g.U64()
-	if err := g.Err(); err != nil {
-		return err
-	}
-	counters.SetSigned(p.choice, choice)
-	copy(p.tCache, caches[0])
-	copy(p.ntCache, caches[1])
+	choice()
+	copy(p.tCache, tCache)
+	copy(p.ntCache, ntCache)
 	p.ghr = ghr
 	return nil
 }

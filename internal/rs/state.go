@@ -1,13 +1,18 @@
 // Snapshot support (bfbp.state.v1). A cam serialises its live entries
 // in recency order and rebuilds by replaying them oldest-first, so the
-// restored intrusive list iterates identically to the saved one; slot
+// restored order array iterates identically to the saved one; slot
 // numbering and hash-index layout are unobservable implementation
-// detail and are free to differ.
+// detail and are free to differ. A segmented stack is a function of its
+// ring, and its load checks the saved segments against that rebuild.
+//
+// Every loader here decodes into a fresh receiver that nothing reads
+// yet and records failures on the decoder; the caller installs the
+// receiver only after Snapshot.Err returns nil.
 
 package rs
 
 import (
-	"fmt"
+	"math"
 
 	"bfbp/internal/state"
 )
@@ -23,35 +28,26 @@ func (c *cam) save(e *state.Enc) {
 	}
 }
 
-// load rebuilds the cam from a saved entry list.
-func (c *cam) load(d *state.Dec) error {
+// load rebuilds the fresh cam c from a saved entry list.
+func (c *cam) load(d *state.Dec) {
 	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > len(c.pc) {
-		return fmt.Errorf("%w: cam holds %d slots, snapshot has %d entries", state.ErrCorrupt, len(c.pc), n)
+	if n > len(c.pc) {
+		d.Corruptf("cam holds %d slots, snapshot has %d entries", len(c.pc), n)
+		return
 	}
 	pcs := make([]uint64, n)
 	taken := make([]bool, n)
 	seqs := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		pcs[i] = d.U64()
-		taken[i] = d.Bool()
-		seqs[i] = d.U64()
+		pcs[i], taken[i], seqs[i] = d.U64(), d.Bool(), d.U64()
 	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	fresh := newCam(len(c.pc))
 	for i := n - 1; i >= 0; i-- {
-		if fresh.lookup(pcs[i]) != camNil {
-			return fmt.Errorf("%w: duplicate cam pc %#x", state.ErrCorrupt, pcs[i])
+		if c.lookup(pcs[i]) != camNil {
+			d.Corruptf("duplicate cam pc %#x", pcs[i])
+			return
 		}
-		fresh.push(pcs[i], taken[i], seqs[i])
+		c.push(pcs[i], taken[i], seqs[i])
 	}
-	*c = fresh
-	return nil
 }
 
 // SaveState appends the stack's position counter and live entries to a
@@ -61,11 +57,11 @@ func (s *Stack) SaveState(e *state.Enc) {
 	s.c.save(e)
 }
 
-// LoadState restores a stack saved by SaveState into one of the same
-// depth.
-func (s *Stack) LoadState(d *state.Dec) error {
+// LoadState decodes a stack saved by SaveState into s, a fresh stack of
+// the same depth.
+func (s *Stack) LoadState(d *state.Dec) {
 	s.seq = d.U64()
-	return s.c.load(d)
+	s.c.load(d)
 }
 
 // save appends the segment's live entries, most recent first — the same
@@ -79,35 +75,40 @@ func (g *segment) save(e *state.Enc) {
 	}
 }
 
-// load rebuilds the segment from a saved entry list, repacking the
-// outcome/address words directly.
-func (g *segment) load(d *state.Dec) error {
+// load decodes the fresh segment g from a saved entry list, repacking
+// the outcome/address words directly.
+func (g *segment) load(d *state.Dec) {
 	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > len(g.pcs) {
-		return fmt.Errorf("%w: segment holds %d slots, snapshot has %d entries", state.ErrCorrupt, len(g.pcs), n)
+	if n > len(g.pcs) {
+		d.Corruptf("segment holds %d slots, snapshot has %d entries", len(g.pcs), n)
+		return
 	}
 	g.n = n
-	g.takenBits, g.pcBits = 0, 0
 	for j := 0; j < n; j++ {
 		pc := d.U64()
-		taken := d.Bool()
-		seq := d.U64()
-		for k := 0; k < j; k++ {
-			if g.pcs[k] == uint32(pc) {
-				return fmt.Errorf("%w: duplicate cam pc %#x", state.ErrCorrupt, pc)
-			}
+		if pc > math.MaxUint32 {
+			d.Corruptf("segment pc %#x exceeds 32 bits", pc)
 		}
 		g.pcs[j] = uint32(pc)
-		g.seqs[j] = seq
-		if taken {
+		if d.Bool() {
 			g.takenBits |= 1 << uint(j)
 		}
+		g.seqs[j] = d.U64()
 		g.pcBits |= (pc & 1) << uint(j)
 	}
-	return d.Err()
+}
+
+// equal reports whether two segments hold the same entries.
+func (g *segment) equal(o *segment) bool {
+	if g.n != o.n || g.takenBits != o.takenBits || g.pcBits != o.pcBits {
+		return false
+	}
+	for j := 0; j < g.n; j++ {
+		if g.pcs[j] != o.pcs[j] || g.seqs[j] != o.seqs[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // SaveState appends the segmented stack's position counter, unfiltered
@@ -121,24 +122,44 @@ func (s *Segmented) SaveState(e *state.Enc) {
 	}
 }
 
-// LoadState restores a segmented stack saved by SaveState into one
-// built with the same bounds and segment size.
-func (s *Segmented) LoadState(d *state.Dec) error {
+// LoadState decodes a segmented stack saved by SaveState into s, a
+// fresh one built with the same bounds and segment size. The segments
+// are a function of the ring: replaying its newest min(seq, deepest
+// bound) branches into fresh stacks, with the position counter starting
+// that many commits back, reproduces them. A ring whose fill is not
+// min(seq, capacity), or a segment that differs from the replay, is
+// corrupt.
+func (s *Segmented) LoadState(d *state.Dec) {
 	s.seq = d.U64()
-	if err := s.ring.LoadState(d); err != nil {
-		return err
-	}
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(s.segs) {
-		return fmt.Errorf("%w: segmented stack has %d segments, snapshot %d", state.ErrCorrupt, len(s.segs), n)
+	s.ring.LoadState(d)
+	if n := int(d.U32()); n != len(s.segs) {
+		d.Corruptf("segmented stack has %d segments, snapshot %d", len(s.segs), n)
+		return
 	}
 	for i := range s.segs {
-		if err := s.segs[i].load(d); err != nil {
-			return err
+		s.segs[i].load(d)
+	}
+	if fill := min(s.seq, uint64(s.ring.Cap())); uint64(s.ring.Len()) != fill {
+		d.Corruptf("ring holds %d branches after %d commits", s.ring.Len(), s.seq)
+		return
+	}
+	ref := s.rebuild()
+	for i := range s.segs {
+		if !s.segs[i].equal(&ref.segs[i]) {
+			d.Corruptf("segment %d differs from its rebuild from the ring", i)
+			return
 		}
 	}
-	return d.Err()
+}
+
+// rebuild replays the ring's newest branches into fresh stacks.
+func (s *Segmented) rebuild() *Segmented {
+	ref := NewSegmented(s.bounds, s.segSize)
+	k := min(s.seq, uint64(s.bounds[len(s.bounds)-1]))
+	ref.seq = s.seq - k
+	for depth := int(k); depth >= 1; depth-- {
+		e, _ := s.ring.At(depth)
+		ref.Commit(e)
+	}
+	return ref
 }

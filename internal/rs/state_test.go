@@ -2,9 +2,11 @@ package rs
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"bfbp/internal/history"
+	"bfbp/internal/rng"
 	"bfbp/internal/state"
 )
 
@@ -25,12 +27,8 @@ func TestStackStateRoundTrip(t *testing.T) {
 	s.SaveState(&e)
 
 	r := NewStack(8, 12)
-	d := decOf(e)
-	if err := r.LoadState(d); err != nil {
+	if err := loadEnc(e, r.LoadState); err != nil {
 		t.Fatalf("LoadState: %v", err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("leftover %d bytes", d.Remaining())
 	}
 	if r.Len() != s.Len() {
 		t.Fatalf("len %d vs %d", r.Len(), s.Len())
@@ -53,10 +51,7 @@ func TestStackStateRoundTrip(t *testing.T) {
 	// Byte stability: re-saving the restored stack reproduces the bytes.
 	var e2 state.Enc
 	r.SaveState(&e2)
-	if d2 := decOf(e2); d2.Remaining() != decOf(e).Remaining() {
-		t.Fatal("re-encoded size differs")
-	}
-	if string(encBytes(&e)) != string(encBytes(&e2)) {
+	if string(e.Data()) != string(e2.Data()) {
 		t.Fatal("stack snapshot is not byte-stable")
 	}
 
@@ -87,12 +82,12 @@ func TestSegmentedStateRoundTrip(t *testing.T) {
 	var e state.Enc
 	s.SaveState(&e)
 	r := mk()
-	if err := r.LoadState(decOf(e)); err != nil {
+	if err := loadEnc(e, r.LoadState); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
 	var e2 state.Enc
 	r.SaveState(&e2)
-	if string(encBytes(&e)) != string(encBytes(&e2)) {
+	if string(e.Data()) != string(e2.Data()) {
 		t.Fatal("segmented snapshot is not byte-stable")
 	}
 	// Packed BF-GHR output and subsequent evolution must match.
@@ -125,7 +120,7 @@ func TestStackLoadRejectsCorrupt(t *testing.T) {
 	e.U64(5) // seq
 	e.U32(3) // 3 entries claimed...
 	e.U64(7) // ...but only one present
-	if err := NewStack(8, 12).LoadState(decOf(e)); !errors.Is(err, state.ErrTruncated) {
+	if err := loadEnc(e, NewStack(8, 12).LoadState); !errors.Is(err, state.ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
 
@@ -138,29 +133,102 @@ func TestStackLoadRejectsCorrupt(t *testing.T) {
 	dup.U64(7) // duplicate pc
 	dup.Bool(false)
 	dup.U64(2)
-	if err := NewStack(8, 12).LoadState(decOf(dup)); !errors.Is(err, state.ErrCorrupt) {
+	if err := loadEnc(dup, NewStack(8, 12).LoadState); !errors.Is(err, state.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt on duplicate pc, got %v", err)
 	}
 
 	var over state.Enc
 	over.U64(5)
 	over.U32(99) // more entries than depth
-	if err := NewStack(8, 12).LoadState(decOf(over)); !errors.Is(err, state.ErrCorrupt) {
+	if err := loadEnc(over, NewStack(8, 12).LoadState); !errors.Is(err, state.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt on overflow, got %v", err)
 	}
 }
 
-// decOf round-trips an encoder's payload through a one-section snapshot
-// so tests decode exactly what predictors would.
-func decOf(e state.Enc) *state.Dec {
-	s := state.New("t", 0)
-	enc := s.Section("x")
-	*enc = e
-	d, err := s.Dec("x")
-	if err != nil {
-		panic(err)
+// TestSegmentedLoadMatchesRebuild saves the paper's segmented stacks
+// before and after the deepest bound (2048) fills, over five PC
+// alphabets, and checks every snapshot loads: replaying the ring
+// reproduces the segments that the commits built.
+func TestSegmentedLoadMatchesRebuild(t *testing.T) {
+	bounds := []int{16, 32, 48, 64, 80, 104, 128, 192, 256, 320, 416, 512, 768, 1024, 1280, 1536, 2048}
+	for _, alphabet := range []int{3, 17, 200, 2000, 1 << 20} {
+		s := NewSegmented(bounds, 8)
+		r := rng.New(uint64(alphabet))
+		for i := 1; i <= 6000; i++ {
+			s.Commit(history.Entry{HashedPC: uint32(r.Intn(alphabet)), Taken: r.Bool(0.5), NonBiased: r.Bool(0.6)})
+			if i%500 != 0 && (i < 2046 || i > 2050) {
+				continue
+			}
+			var e state.Enc
+			s.SaveState(&e)
+			if err := loadEnc(e, NewSegmented(bounds, 8).LoadState); err != nil {
+				t.Fatalf("alphabet %d, %d commits: %v", alphabet, i, err)
+			}
+		}
 	}
-	return d
 }
 
-func encBytes(e *state.Enc) []byte { return e.Data() }
+// TestSegmentedLoadRejectsTamperedSegments edits a trained segmented
+// stack's saved state one way at a time and checks each load fails as
+// corrupt. Every edit keeps each segment's entries within its slots.
+func TestSegmentedLoadRejectsTamperedSegments(t *testing.T) {
+	bounds := []int{4, 16, 64, 256}
+	s := NewSegmented(bounds, 4)
+	r := rng.New(7)
+	for i := 0; i < 1000; i++ {
+		s.Commit(history.Entry{HashedPC: uint32(r.Intn(40) + 1), Taken: r.Bool(0.5), NonBiased: r.Bool(0.6)})
+	}
+	seg := slices.IndexFunc(s.segs, func(g segment) bool { return g.n >= 2 })
+	if seg < 0 {
+		t.Fatal("no segment holds two entries")
+	}
+	swap := func(x uint64) uint64 { return x&^3 | x>>1&1 | x&1<<1 }
+	for _, tc := range []struct {
+		name   string
+		tamper func(c *Segmented)
+	}{
+		{"none", func(*Segmented) {}},
+		{"entries swapped", func(c *Segmented) {
+			g := &c.segs[seg]
+			g.pcs[0], g.pcs[1] = g.pcs[1], g.pcs[0]
+			g.seqs[0], g.seqs[1] = g.seqs[1], g.seqs[0]
+			g.takenBits = swap(g.takenBits)
+		}},
+		{"pc changed", func(c *Segmented) { c.segs[seg].pcs[0] ^= 4 }},
+		{"seq past the counter", func(c *Segmented) { c.segs[seg].seqs[0] = c.seq + 1 }},
+		{"every outcome flipped", func(c *Segmented) {
+			for i := range c.segs {
+				c.segs[i].takenBits ^= 1<<uint(c.segs[i].n) - 1
+			}
+		}},
+		{"ring fill", func(c *Segmented) { c.seq = uint64(c.ring.Cap()) - 1 }},
+	} {
+		c := *s
+		c.segs = make([]segment, len(s.segs))
+		for i, g := range s.segs {
+			g.pcs, g.seqs = slices.Clone(g.pcs), slices.Clone(g.seqs)
+			c.segs[i] = g
+		}
+		tc.tamper(&c)
+		var e state.Enc
+		c.SaveState(&e)
+		err := loadEnc(e, NewSegmented(bounds, 4).LoadState)
+		if tc.name == "none" {
+			if err != nil {
+				t.Fatalf("untampered copy: %v", err)
+			}
+		} else if !errors.Is(err, state.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// loadEnc runs load over an encoder's payload as the one section of a
+// snapshot, so tests decode exactly what predictors would, and returns
+// the snapshot's one Err check.
+func loadEnc(e state.Enc, load func(*state.Dec)) error {
+	s := state.New("t", 0)
+	*s.Section("x") = e
+	load(s.Dec("x"))
+	return s.Err()
+}

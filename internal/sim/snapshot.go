@@ -82,10 +82,15 @@ func (s *StaticPredictor) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements Snapshotter.
+// LoadState implements Snapshotter. The empty "static" section is read
+// too, so extra bytes or sections fail as corrupt.
 func (s *StaticPredictor) LoadState(r io.Reader) error {
-	_, err := state.Load(r, s.Name(), s.configHash())
-	return err
+	snap, err := state.Load(r, s.Name(), s.configHash())
+	if err != nil {
+		return err
+	}
+	snap.Dec("static")
+	return snap.Err()
 }
 
 var _ Snapshotter = (*StaticPredictor)(nil)

@@ -52,15 +52,22 @@ var (
 // Snapshot is one bfbp.state.v1 container: identity plus an ordered list
 // of named sections. Order is preserved across encode/decode, which is
 // what makes round-trips byte-stable.
+//
+// Loading follows one rule. A loader reads every section it owns
+// through Dec, checks the snapshot once with Err, and only then
+// installs what it read. Every cursor the snapshot hands out shares one
+// sticky first error, so the reads need no checks of their own.
 type Snapshot struct {
 	Predictor  string
 	ConfigHash uint64
 	sections   []section
+	err        error // the first failure of any cursor
 }
 
 type section struct {
 	name string
 	enc  Enc
+	dec  *Dec // the section's one read cursor, once handed out
 }
 
 // New starts an empty snapshot for the named predictor configuration.
@@ -90,15 +97,41 @@ func (s *Snapshot) Sections() []string {
 	return names
 }
 
-// Dec returns a decoder over the named section's payload, or an error
-// wrapping ErrNoSection.
-func (s *Snapshot) Dec(name string) (*Dec, error) {
+// Dec returns the read cursor over the named section's payload. Every
+// call for one section returns the same cursor, so a section's readers
+// continue where the previous one stopped. A missing section's cursor
+// has already failed with ErrNoSection.
+func (s *Snapshot) Dec(name string) *Dec {
 	for i := range s.sections {
-		if s.sections[i].name == name {
-			return &Dec{buf: s.sections[i].enc.buf}, nil
+		if sec := &s.sections[i]; sec.name == name {
+			if sec.dec == nil {
+				sec.dec = &Dec{buf: sec.enc.buf, name: name, err: &s.err}
+			}
+			return sec.dec
 		}
 	}
-	return nil, fmt.Errorf("%w: %q", ErrNoSection, name)
+	d := &Dec{name: name, err: &s.err}
+	d.fail(fmt.Errorf("%w: %q", ErrNoSection, name))
+	return d
+}
+
+// Err is the one check a loader makes, after its last read and before
+// it installs anything. It returns the first failure of any cursor;
+// otherwise ErrCorrupt if a section that was read has bytes left over,
+// or if a section was never read.
+func (s *Snapshot) Err() error {
+	if s.err != nil {
+		return s.err
+	}
+	for _, sec := range s.sections {
+		switch {
+		case sec.dec == nil:
+			return fmt.Errorf("%w: section %q was never read", ErrCorrupt, sec.name)
+		case sec.dec.Remaining() != 0:
+			return fmt.Errorf("%w: section %q has %d bytes left over", ErrCorrupt, sec.name, sec.dec.Remaining())
+		}
+	}
+	return nil
 }
 
 // Verify checks that the snapshot was produced by the given predictor
@@ -149,8 +182,8 @@ func readHeader(d *Dec) (Header, error) {
 		return h, fmt.Errorf("%w (bad magic)", ErrBadMagic)
 	}
 	h.Version = d.U16()
-	if d.err != nil {
-		return h, d.err
+	if *d.err != nil {
+		return h, *d.err
 	}
 	if h.Version != Version {
 		return h, fmt.Errorf("%w: snapshot v%d, codec v%d", ErrVersion, h.Version, Version)
@@ -158,8 +191,8 @@ func readHeader(d *Dec) (Header, error) {
 	h.Predictor = d.String()
 	h.ConfigHash = d.U64()
 	n := d.U32()
-	if d.err != nil {
-		return h, d.err
+	if *d.err != nil {
+		return h, *d.err
 	}
 	if n > maxSections {
 		return h, fmt.Errorf("%w: header claims %d sections", ErrCorrupt, n)
@@ -176,7 +209,7 @@ func ReadHeader(r io.Reader) (Header, error) {
 	if err != nil {
 		return Header{}, fmt.Errorf("state: read header: %w", err)
 	}
-	return readHeader(&Dec{buf: buf})
+	return readHeader(newDec(buf))
 }
 
 // Read decodes a full snapshot from r, validating framing and returning
@@ -187,7 +220,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("state: read snapshot: %w", err)
 	}
-	d := &Dec{buf: data}
+	d := newDec(data)
 	h, err := readHeader(d)
 	if err != nil {
 		return nil, err
@@ -197,8 +230,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 	for i := 0; i < h.Sections; i++ {
 		name := d.String()
 		length := d.U64()
-		if d.err != nil {
-			return nil, d.err
+		if *d.err != nil {
+			return nil, *d.err
 		}
 		if length > uint64(d.Remaining()) {
 			return nil, fmt.Errorf("%w: section %q claims %d bytes, %d remain", ErrTruncated, name, length, d.Remaining())
@@ -340,36 +373,46 @@ func (e *Enc) Bools(v []bool) {
 
 // Dec reads fixed-width little-endian primitives from a section payload.
 // It is sticky on error: the first failure is recorded, every later
-// accessor returns a zero value, and Err surfaces the failure. Load
-// implementations read an entire section and finish with `return
-// d.Err()`.
+// accessor returns a zero value, and Snapshot.Err surfaces the failure.
+// The error is shared by every cursor of one snapshot, so a failure in
+// one section also stops the reads of the others.
 type Dec struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	name string
+	err  *error
 }
 
-// Err reports the first decode failure, or nil.
-func (d *Dec) Err() error { return d.err }
+// newDec returns a cursor over buf with an error of its own.
+func newDec(buf []byte) *Dec { return &Dec{buf: buf, err: new(error)} }
 
 // Remaining reports the undecoded byte count.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
 
 // fail records err as the sticky decode error if none is set.
 func (d *Dec) fail(err error) {
-	if d.err == nil {
-		d.err = err
+	if *d.err == nil {
+		*d.err = err
+	}
+}
+
+// Corruptf records a semantic failure, such as a value out of range or
+// a register that disagrees with its ring, as ErrCorrupt naming the
+// section. It does nothing after an earlier failure.
+func (d *Dec) Corruptf(format string, args ...any) {
+	if *d.err == nil {
+		*d.err = fmt.Errorf("%w: section %q: %s", ErrCorrupt, d.name, fmt.Sprintf(format, args...))
 	}
 }
 
 // need checks that n more bytes are available, recording ErrTruncated
 // otherwise.
 func (d *Dec) need(n int) bool {
-	if d.err != nil {
+	if *d.err != nil {
 		return false
 	}
 	if n < 0 || len(d.buf)-d.off < n {
-		d.fail(fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrTruncated, n, d.off, len(d.buf)-d.off))
+		d.fail(fmt.Errorf("%w: section %q: need %d bytes at offset %d, have %d", ErrTruncated, d.name, n, d.off, len(d.buf)-d.off))
 		return false
 	}
 	return true
@@ -431,7 +474,7 @@ func (d *Dec) Int() int { return int(d.I64()) }
 func (d *Dec) Bool() bool {
 	b := d.U8()
 	if b > 1 {
-		d.fail(fmt.Errorf("%w: bool byte %#x", ErrCorrupt, b))
+		d.Corruptf("bool byte %#x", b)
 		return false
 	}
 	return b == 1
@@ -446,86 +489,87 @@ func (d *Dec) String() string {
 	return string(d.take(n))
 }
 
-// Bytes reads a u32-length-prefixed byte slice (copied out of the
-// payload).
-func (d *Dec) Bytes() []byte {
-	n := int(d.U32())
-	if !d.need(n) {
-		return nil
+// count reads a slice's u32 count and checks it against n, the length
+// the instance expects, then that size bytes of payload follow.
+func (d *Dec) count(n, size int) bool {
+	if c := d.U32(); int64(c) != int64(n) {
+		d.Corruptf("%d values where the instance holds %d", c, n)
 	}
-	return append([]byte(nil), d.take(n)...)
+	return d.need(n * size)
 }
 
-// I8s reads a u32-count-prefixed signed byte slice.
-func (d *Dec) I8s() []int8 {
-	n := int(d.U32())
-	if !d.need(n) {
-		return nil
+// The slice readers read a u32 count that must equal n, then the
+// values. They always return n values, zero after a failure, so a
+// loader can index them by its own geometry before Snapshot.Err.
+
+// Bytes reads n raw bytes (copied out of the payload).
+func (d *Dec) Bytes(n int) []byte {
+	out := make([]byte, n)
+	if d.count(n, 1) {
+		copy(out, d.take(n))
 	}
-	raw := d.take(n)
+	return out
+}
+
+// I8s reads n signed bytes.
+func (d *Dec) I8s(n int) []int8 {
 	out := make([]int8, n)
-	for i, b := range raw {
-		out[i] = int8(b)
+	if d.count(n, 1) {
+		for i, b := range d.take(n) {
+			out[i] = int8(b)
+		}
 	}
 	return out
 }
 
-// I32s reads a u32-count-prefixed int32 slice.
-func (d *Dec) I32s() []int32 {
-	n := int(d.U32())
-	if !d.need(4 * n) {
-		return nil
-	}
+// I32s reads n little-endian int32 values.
+func (d *Dec) I32s(n int) []int32 {
 	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(d.take(4)))
+	if d.count(n, 4) {
+		for i := range out {
+			out[i] = int32(binary.LittleEndian.Uint32(d.take(4)))
+		}
 	}
 	return out
 }
 
-// U32s reads a u32-count-prefixed uint32 slice.
-func (d *Dec) U32s() []uint32 {
-	n := int(d.U32())
-	if !d.need(4 * n) {
-		return nil
-	}
+// U32s reads n little-endian uint32 values.
+func (d *Dec) U32s(n int) []uint32 {
 	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(d.take(4))
+	if d.count(n, 4) {
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint32(d.take(4))
+		}
 	}
 	return out
 }
 
-// U64s reads a u32-count-prefixed uint64 slice.
-func (d *Dec) U64s() []uint64 {
-	n := int(d.U32())
-	if !d.need(8 * n) {
-		return nil
-	}
+// U64s reads n little-endian uint64 values.
+func (d *Dec) U64s(n int) []uint64 {
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(d.take(8))
+	if d.count(n, 8) {
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint64(d.take(8))
+		}
 	}
 	return out
 }
 
-// Bools reads a u32-count-prefixed packed bool slice.
-func (d *Dec) Bools() []bool {
-	n := int(d.U32())
+// Bools reads n bools packed 8 per byte.
+func (d *Dec) Bools(n int) []bool {
+	out := make([]bool, n)
 	nb := (n + 7) / 8
-	if !d.need(nb) {
-		return nil
+	if !d.count(n, 0) || !d.need(nb) {
+		return out
 	}
 	raw := d.take(nb)
-	out := make([]bool, n)
 	for i := range out {
 		out[i] = raw[i/8]&(1<<(i&7)) != 0
 	}
 	// Trailing pad bits must be zero, or two different byte streams
 	// would decode to the same state and byte-stability breaks.
 	if n&7 != 0 && raw[nb-1]>>(n&7) != 0 {
-		d.fail(fmt.Errorf("%w: nonzero pad bits in packed bools", ErrCorrupt))
-		return nil
+		d.Corruptf("nonzero pad bits in packed bools")
 	}
 	return out
 }

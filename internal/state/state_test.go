@@ -55,10 +55,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := strings.Join(s.Sections(), ","); got != "scalars,vectors,empty" {
 		t.Fatalf("section order: %s", got)
 	}
-	d, err := s.Dec("scalars")
-	if err != nil {
-		t.Fatalf("Dec: %v", err)
-	}
+	d := s.Dec("scalars")
 	if d.U8() != 7 || d.U16() != 0x1234 || d.U32() != 0xDEADBEEF || d.U64() != 1<<63|5 {
 		t.Fatal("unsigned scalars mismatch")
 	}
@@ -68,41 +65,36 @@ func TestRoundTrip(t *testing.T) {
 	if d.Bool() != true || d.Bool() != false {
 		t.Fatal("bools mismatch")
 	}
-	if d.String() != "hello" || !bytes.Equal(d.Bytes(), []byte{0, 1, 2}) {
+	if d.String() != "hello" || !bytes.Equal(d.Bytes(3), []byte{0, 1, 2}) {
 		t.Fatal("string/bytes mismatch")
 	}
-	if d.Remaining() != 0 || d.Err() != nil {
-		t.Fatalf("scalars leftover %d err %v", d.Remaining(), d.Err())
+	if d.Remaining() != 0 {
+		t.Fatalf("scalars leftover %d", d.Remaining())
 	}
-	vd, err := s.Dec("vectors")
-	if err != nil {
-		t.Fatalf("Dec vectors: %v", err)
-	}
-	i8 := vd.I8s()
-	if len(i8) != 5 || i8[3] != 127 || i8[4] != -128 {
+	vd := s.Dec("vectors")
+	i8 := vd.I8s(5)
+	if i8[3] != 127 || i8[4] != -128 {
 		t.Fatalf("I8s: %v", i8)
 	}
-	if i32 := vd.I32s(); len(i32) != 2 || i32[0] != -5 {
+	if i32 := vd.I32s(2); i32[0] != -5 {
 		t.Fatalf("I32s: %v", i32)
 	}
-	if u32 := vd.U32s(); len(u32) != 3 || u32[2] != 11 {
+	if u32 := vd.U32s(3); u32[2] != 11 {
 		t.Fatalf("U32s: %v", u32)
 	}
-	if u64 := vd.U64s(); len(u64) != 1 || u64[0] != 1<<50 {
+	if u64 := vd.U64s(1); u64[0] != 1<<50 {
 		t.Fatalf("U64s: %v", u64)
 	}
-	bs := vd.Bools()
 	want := []bool{true, false, true, true, false, false, true, false, true}
-	if len(bs) != len(want) {
-		t.Fatalf("Bools len %d", len(bs))
-	}
+	bs := vd.Bools(len(want))
 	for i := range want {
 		if bs[i] != want[i] {
 			t.Fatalf("Bools[%d] = %v", i, bs[i])
 		}
 	}
-	if vd.Err() != nil || vd.Remaining() != 0 {
-		t.Fatalf("vectors: err %v leftover %d", vd.Err(), vd.Remaining())
+	s.Dec("empty")
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err after reading every section: %v", err)
 	}
 }
 
@@ -177,41 +169,145 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
+// read decodes raw, runs load over it and returns Snapshot.Err.
+func read(t *testing.T, raw []byte, load func(*Snapshot)) error {
+	t.Helper()
+	s, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	load(s)
+	return s.Err()
+}
+
+// readAll reads every section of sample() as it was written.
+func readAll(s *Snapshot) {
+	d := s.Dec("scalars")
+	d.U8()
+	d.U16()
+	d.U32()
+	d.U64()
+	d.I8()
+	d.I32()
+	d.I64()
+	d.Int()
+	d.Bool()
+	d.Bool()
+	_ = d.String()
+	d.Bytes(3)
+	v := s.Dec("vectors")
+	v.I8s(5)
+	v.I32s(2)
+	v.U32s(3)
+	v.U64s(1)
+	v.Bools(9)
+	s.Dec("empty")
+}
+
 func TestMissingSection(t *testing.T) {
-	s := sample()
-	if _, err := s.Dec("nope"); !errors.Is(err, ErrNoSection) {
+	err := read(t, encode(t, sample()), func(s *Snapshot) {
+		readAll(s)
+		if d := s.Dec("nope"); d.U8() != 0 || d.Remaining() != 0 {
+			t.Fatal("a missing section's cursor read a value")
+		}
+	})
+	if !errors.Is(err, ErrNoSection) {
 		t.Fatalf("want ErrNoSection, got %v", err)
+	}
+}
+
+// TestLoadRule pins what Snapshot.Err reports: nothing after every
+// section is read to its end, and ErrCorrupt for a count that is not
+// the instance's length, for bytes left over, for a section never read
+// and for Corruptf.
+func TestLoadRule(t *testing.T) {
+	raw := encode(t, sample())
+	if err := read(t, raw, readAll); err != nil {
+		t.Fatalf("clean read: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		load       func(*Snapshot)
+	}{
+		{"length mismatch", `section "vectors": 5 values where the instance holds 4`, func(s *Snapshot) {
+			readAll(s)
+			v := s.Dec("vectors")
+			v.off = 0
+			if got := v.I8s(4); len(got) != 4 || got[0] != 0 {
+				t.Errorf("mismatched I8s returned %v, want 4 zeros", got)
+			}
+		}},
+		{"leftover bytes", `section "scalars" has 3 bytes left over`, func(s *Snapshot) {
+			readAll(s)
+			s.Dec("scalars").off -= 3
+		}},
+		{"unread section", `section "empty" was never read`, func(s *Snapshot) {
+			readAll(s)
+			s.sections[2].dec = nil
+		}},
+		{"Corruptf", `section "vectors": weight 9 outside [0, 3]`, func(s *Snapshot) {
+			readAll(s)
+			s.Dec("vectors").Corruptf("weight %d outside [%d, %d]", 9, 0, 3)
+		}},
+	} {
+		err := read(t, raw, tc.load)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want ErrCorrupt containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestErrorSticksAcrossSections checks that the first failure in one
+// section stops the reads of every other section and is the one Err
+// reports, and that repeated Dec calls share one cursor.
+func TestErrorSticksAcrossSections(t *testing.T) {
+	err := read(t, encode(t, sample()), func(s *Snapshot) {
+		if s.Dec("scalars") != s.Dec("scalars") {
+			t.Fatal("two cursors for one section")
+		}
+		s.Dec("scalars").I8s(7) // its first four bytes, read as a count, are not 7
+		v := s.Dec("vectors")
+		if got := v.I8s(5); got[3] != 0 {
+			t.Fatalf("read %v after an earlier section failed", got)
+		}
+		v.Corruptf("a later failure")
+		if v.Remaining() == 0 {
+			t.Fatal("the failed read consumed the other section")
+		}
+	})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `section "scalars"`) {
+		t.Fatalf("got %v, want the scalars section's ErrCorrupt", err)
 	}
 }
 
 func TestDecSticky(t *testing.T) {
 	var e Enc
 	e.U8(1)
-	d := &Dec{buf: e.buf}
+	d := newDec(e.buf)
 	_ = d.U64() // runs past the end
-	if !errors.Is(d.Err(), ErrTruncated) {
-		t.Fatalf("want sticky ErrTruncated, got %v", d.Err())
+	if !errors.Is(*d.err, ErrTruncated) {
+		t.Fatalf("want sticky ErrTruncated, got %v", *d.err)
 	}
 	// Every accessor after an error returns zero values without
 	// touching the remaining input.
-	if d.U8() != 0 || d.String() != "" || d.I8s() != nil || d.Bool() {
+	if d.U8() != 0 || d.String() != "" || len(d.I8s(0)) != 0 || d.Bool() || d.Remaining() != 1 {
 		t.Fatal("post-error accessor returned non-zero")
 	}
 }
 
 func TestBoolAndPadValidation(t *testing.T) {
-	d := &Dec{buf: []byte{2}}
+	d := newDec([]byte{2})
 	d.Bool()
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("bool byte 2: want ErrCorrupt, got %v", d.Err())
+	if !errors.Is(*d.err, ErrCorrupt) {
+		t.Fatalf("bool byte 2: want ErrCorrupt, got %v", *d.err)
 	}
 	var e Enc
 	e.Bools([]bool{true, true, false})
 	e.buf[len(e.buf)-1] |= 1 << 7 // set a pad bit
-	d = &Dec{buf: e.buf}
-	d.Bools()
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("pad bits: want ErrCorrupt, got %v", d.Err())
+	d = newDec(e.buf)
+	d.Bools(3)
+	if !errors.Is(*d.err, ErrCorrupt) {
+		t.Fatalf("pad bits: want ErrCorrupt, got %v", *d.err)
 	}
 }
 

@@ -11,7 +11,9 @@
 #   snapshot  for each headline predictor, every engine and history
 #             included, a straight run must equal a split run (half with
 #             -checkpoint, then -resume -skip): branches and mispredicts
-#             summed over the legs, exactly.
+#             summed over the legs, exactly. Resuming from the snapshot
+#             with its last byte cut must exit 1 with a "state:" message
+#             and no panic.
 #   drift     a short endurance run with the change-point layer on must
 #             fire at least one drift alarm, emit Perfetto counter
 #             tracks ("ph":"C"), and write a flight dump that
@@ -88,9 +90,18 @@ for p in bimodal gshare isl-tage-15 bf-neural bf-neural-ghist perceptron-fhist s
 	if [ $((ab + bb)) -ne "$sb" ] || [ $((am + bm)) -ne "$sm" ]; then
 		fail "snapshot: $p drift: straight $sb br/$sm misp, split $((ab + bb))/$((am + bm))"
 	fi
-	echo "smoke: snapshot $p ok ($sb branches, $sm mispredicts)"
+	head -c -1 "$snap" > "$snap.cut"
+	code=0
+	"$bfsim" -p "$p" -t INT1 -n 60000 -warmup 0 -resume "$snap.cut" -skip "$skip" \
+		> /dev/null 2> "$OUT/cut.err" || code=$?
+	[ "$code" -eq 1 ] || fail "snapshot: $p resumed from a cut snapshot exited $code, want 1"
+	grep -q 'state:' "$OUT/cut.err" || fail "snapshot: $p cut snapshot printed no state: message"
+	if grep -q 'panic:' "$OUT/cut.err"; then
+		fail "snapshot: $p cut snapshot panicked"
+	fi
+	echo "smoke: snapshot $p ok ($sb branches, $sm mispredicts; cut snapshot refused)"
 done
-rm -f "$snap"
+rm -f "$snap" "$snap.cut" "$OUT/cut.err"
 
 # drift
 "$bfsim" -p bf-tage-10 -t SERV1,FP1,MM1 -n 200000 -endurance 2 \

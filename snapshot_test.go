@@ -2,7 +2,10 @@ package bfbp_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"bfbp"
@@ -155,29 +158,41 @@ func TestSnapshotByteStable(t *testing.T) {
 	}
 }
 
-// emptySection re-encodes the snapshot img with section name emptied
-// and every other section copied byte for byte. It reports false when
-// the section is already empty in img.
-func emptySection(t *testing.T, img []byte, name string) ([]byte, bool) {
+// sectionPayloads decodes snapshot img and returns each section's
+// name and payload, in order.
+func sectionPayloads(t testing.TB, img []byte) (names []string, payloads [][]byte) {
 	t.Helper()
 	snap, err := state.Read(bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := snap.Dec(name)
+	for _, sec := range snap.Sections() {
+		d := snap.Dec(sec)
+		b := make([]byte, d.Remaining())
+		for i := range b {
+			b[i] = d.U8()
+		}
+		names, payloads = append(names, sec), append(payloads, b)
+	}
+	return names, payloads
+}
+
+// resealSection re-encodes snapshot img with section name's payload
+// replaced by payload and every other section copied byte for byte, so
+// the container framing still passes. A name that img lacks is
+// appended as an extra section.
+func resealSection(t testing.TB, img []byte, name string, payload []byte) []byte {
+	t.Helper()
+	snap, err := state.Read(bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resealSection(t, snap, name, nil), d.Remaining() > 0
-}
-
-// resealSection re-encodes snap with section name's payload replaced by
-// payload and every other section copied byte for byte, so the
-// container checksum still passes.
-func resealSection(t testing.TB, snap *state.Snapshot, name string, payload []byte) []byte {
-	t.Helper()
 	out := state.New(snap.Predictor, snap.ConfigHash)
-	for _, sec := range snap.Sections() {
+	names := snap.Sections()
+	if !slices.Contains(names, name) {
+		names = append(names, name)
+	}
+	for _, sec := range names {
 		e := out.Section(sec)
 		if sec == name {
 			for _, b := range payload {
@@ -185,10 +200,7 @@ func resealSection(t testing.TB, snap *state.Snapshot, name string, payload []by
 			}
 			continue
 		}
-		d, err := snap.Dec(sec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := snap.Dec(sec)
 		for d.Remaining() > 0 {
 			e.U8(d.U8())
 		}
@@ -208,8 +220,8 @@ func resealSection(t testing.TB, snap *state.Snapshot, name string, payload []by
 // filter) a trained donor's snapshot with one section's payload
 // replaced by fuzz bytes. A load that fails must leave the predictor's SaveState bytes
 // unchanged; after a load that succeeds, 1,000 more Predict/Update
-// steps must not panic. The seed corpus empties, truncates and keeps
-// every section of every donor.
+// steps must not panic. The seed corpus empties, truncates, keeps and
+// extends by one byte every section of every donor.
 func FuzzLoadState(f *testing.F) {
 	spec, ok := bfbp.TraceByName("SERV1")
 	if !ok {
@@ -219,7 +231,8 @@ func FuzzLoadState(f *testing.F) {
 	type target struct {
 		p      bfbp.Predictor
 		snap   bfbp.Snapshotter
-		donor  *state.Snapshot
+		donor  []byte
+		secs   []string
 		before []byte
 	}
 	var targets []target
@@ -242,32 +255,25 @@ func FuzzLoadState(f *testing.F) {
 		if err := bfbp.Capabilities(train(tr[:2000])).Snapshot.SaveState(&buf); err != nil {
 			f.Fatal(err)
 		}
-		donor, err := state.Read(&buf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		t := target{p: p, snap: bfbp.Capabilities(p).Snapshot, donor: donor}
+		donor := bytes.Clone(buf.Bytes())
+		secs, payloads := sectionPayloads(f, donor)
+		t := target{p: p, snap: bfbp.Capabilities(p).Snapshot, donor: donor, secs: secs}
 		buf.Reset()
 		if err := t.snap.SaveState(&buf); err != nil {
 			f.Fatal(err)
 		}
 		t.before = buf.Bytes()
 		targets = append(targets, t)
-		for j, sec := range donor.Sections() {
-			d, _ := donor.Dec(sec)
-			payload := make([]byte, d.Remaining())
-			for k := range payload {
-				payload[k] = d.U8()
-			}
+		for j, payload := range payloads {
 			f.Add(uint8(i), uint8(j), []byte{})
 			f.Add(uint8(i), uint8(j), payload[:len(payload)/2])
 			f.Add(uint8(i), uint8(j), payload)
+			f.Add(uint8(i), uint8(j), append(payload, 0))
 		}
 	}
 	f.Fuzz(func(t *testing.T, pi, si uint8, payload []byte) {
 		tg := targets[int(pi)%len(targets)]
-		secs := tg.donor.Sections()
-		img := resealSection(t, tg.donor, secs[int(si)%len(secs)], payload)
+		img := resealSection(t, tg.donor, tg.secs[int(si)%len(tg.secs)], payload)
 		save := func() []byte {
 			var buf bytes.Buffer
 			if err := tg.snap.SaveState(&buf); err != nil {
@@ -292,11 +298,12 @@ func FuzzLoadState(f *testing.F) {
 }
 
 // TestFailedLoadLeavesPredictorUntouched asserts that LoadState fails
-// closed on every registry predictor: a donor snapshot with any one
-// section emptied must be rejected with a typed error and leave the
-// predictor byte-identical to a twin trained the same way. Only a
-// section that is empty in the donor (static's) is skipped, since it
-// legitimately decodes from nothing.
+// closed on every registry predictor. A donor snapshot with any one
+// section emptied, any one section with one byte appended, or one extra
+// section must be rejected with a typed error (ErrCorrupt for the last
+// two) and leave the predictor byte-identical to a twin trained the
+// same way. Emptying is skipped for a section that is empty in the
+// donor (static's), since it legitimately decodes from nothing.
 func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 	tr := genTrace(t, "SERV1", 4000)
 	half := tr[:len(tr)/2]
@@ -314,24 +321,104 @@ func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 			p, twin := train(half), train(half)
 			img := saveState(t, train(tr))
 			want := saveState(t, twin)
-			snap, err := state.Read(bytes.NewReader(img))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sec := range snap.Sections() {
-				bad, nonEmpty := emptySection(t, img, sec)
-				if !nonEmpty {
-					continue
-				}
+			check := func(what string, bad []byte, typed ...error) {
+				t.Helper()
 				err := bfbp.Capabilities(p).Snapshot.LoadState(bytes.NewReader(bad))
-				if !errors.Is(err, state.ErrCorrupt) && !errors.Is(err, state.ErrTruncated) {
-					t.Fatalf("empty %s section: got %v, want ErrCorrupt or ErrTruncated", sec, err)
+				if !slices.ContainsFunc(typed, func(e error) bool { return errors.Is(err, e) }) {
+					t.Fatalf("%s: got %v, want one of %v", what, err, typed)
 				}
 				if !bytes.Equal(saveState(t, p), want) {
-					t.Fatalf("empty %s section: failed load changed the predictor", sec)
+					t.Fatalf("%s: failed load changed the predictor", what)
+				}
+			}
+			names, payloads := sectionPayloads(t, img)
+			for i, sec := range names {
+				if len(payloads[i]) > 0 {
+					check("empty "+sec+" section", resealSection(t, img, sec, nil), state.ErrCorrupt, state.ErrTruncated)
+				}
+				check(sec+" section plus one byte", resealSection(t, img, sec, append(payloads[i], 0)), state.ErrCorrupt)
+			}
+			check("extra section", resealSection(t, img, "extra", []byte{1}), state.ErrCorrupt)
+		})
+	}
+}
+
+// TestLoadRejectsOutOfRangeState edits one value of a trained
+// snapshot on every registry predictor that has a value narrower than
+// its field: a counter or weight beyond its range and, on the BF-GHR
+// predictors, the outcome of a recency-stack entry. Each load must fail
+// with ErrCorrupt and leave the predictor saving the same bytes. The
+// static predictors, and the neural ones whose weights are all 8-bit,
+// have no such value and are skipped.
+func TestLoadRejectsOutOfRangeState(t *testing.T) {
+	tr := genTrace(t, "SERV1", 4000)
+	i32 := func(v int32) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(v)) }
+	for _, info := range bfbp.Predictors() {
+		type edit struct {
+			section string
+			apply   func(payload []byte)
+		}
+		set := func(off int, val []byte) func([]byte) { return func(p []byte) { copy(p[off:], val) } }
+		var edits []edit
+		switch name := info.Name; {
+		case name == "bimodal" || name == "gshare" || name == "local" || name == "filter":
+			edits = []edit{{"pht", set(4, i32(100))}}
+		case name == "tournament":
+			edits = []edit{{"chooser", set(4, i32(-100))}}
+		case name == "yags":
+			edits = []edit{{"choice", set(4, i32(100))}}
+		case name == "oh-snap":
+			edits = []edit{{"coeff", set(4, i32(1000))}}
+		case strings.HasPrefix(name, "bf-neural"):
+			edits = []edit{{"wm", set(4, []byte{100})}}
+		case strings.Contains(name, "tage"):
+			edits = []edit{{"table_0", set(2, []byte{100})}} // entry 0's counter
+		case strings.HasSuffix(name, "gehl"):
+			edits = []edit{{"tables", set(8, []byte{100})}} // table 0's weight 0
+		}
+		if strings.HasPrefix(info.Name, "bf-") && !strings.HasPrefix(info.Name, "bf-neural") {
+			edits = append(edits, edit{"history", func(p []byte) { p[firstSegmentOutcome(p)] ^= 1 }})
+		}
+		if edits == nil {
+			continue
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			t.Parallel()
+			p := info.New()
+			if _, err := bfbp.Run(p, tr.Stream(), bfbp.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			img := saveState(t, p)
+			names, payloads := sectionPayloads(t, img)
+			for _, e := range edits {
+				payload := bytes.Clone(payloads[slices.Index(names, e.section)])
+				e.apply(payload)
+				err := bfbp.Capabilities(p).Snapshot.LoadState(bytes.NewReader(resealSection(t, img, e.section, payload)))
+				if !errors.Is(err, state.ErrCorrupt) {
+					t.Fatalf("edited %s section: got %v, want ErrCorrupt", e.section, err)
+				}
+				if !bytes.Equal(saveState(t, p), img) {
+					t.Fatalf("edited %s section: failed load changed the predictor", e.section)
 				}
 			}
 		})
+	}
+}
+
+// firstSegmentOutcome returns the offset, in a BF-GHR "history"
+// section, of the outcome bool of the first entry of the first
+// non-empty segment: after the position counter, the ring (head, size,
+// two recent words, then its pcs and two packed bool runs, each behind
+// a u32 count) and the segment count, each segment is a u32 entry
+// count and 17-byte entries of pc, outcome and seq.
+func firstSegmentOutcome(payload []byte) int {
+	capacity := int(binary.LittleEndian.Uint32(payload[40:]))
+	off := 40 + 4 + 4*capacity + 2*(4+(capacity+7)/8) + 4
+	for {
+		if n := binary.LittleEndian.Uint32(payload[off:]); n > 0 {
+			return off + 4 + 8
+		}
+		off += 4
 	}
 }
 
