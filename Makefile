@@ -58,8 +58,10 @@ bench-test:
 # the commands once, then runs five checks: trace (identical-seed
 # journals diff clean), flags (a negative count exits 2 without a
 # panic), snapshot (split runs equal straight runs, and a snapshot cut
-# by one byte exits 1 without a panic), drift (alarms, counter tracks and a parseable flight dump) and xray
-# (tablestats journal events, TAGE banks carrying provider hits).
+# by one byte exits 1 without a panic), drift (`journal summary` finds
+# alarms in a journaled endurance run, whose timeline carries the mpki
+# counter track) and xray (tablestats journal events, TAGE banks
+# carrying provider hits).
 # Leaves its artifacts in smoke_ci/ for CI upload.
 smoke:
 	GO=$(GO) bash scripts/smoke.sh

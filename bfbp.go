@@ -122,18 +122,8 @@ type (
 	// DriftDetector is a streaming change-point detector (EWMA baseline
 	// + Page-Hinkley alarm) over one metric series.
 	DriftDetector = obs.DriftDetector
-	// DriftConfig parameterises a DriftDetector; the zero value selects
-	// sane defaults.
-	DriftConfig = obs.DriftConfig
 	// DriftEvent describes one change-point alarm.
 	DriftEvent = obs.DriftEvent
-	// DriftState is a point-in-time snapshot of a DriftDetector.
-	DriftState = obs.DriftState
-	// FlightRecorder is a bounded ring of recent journal lines; tee a
-	// Journal's writer through it and Snapshot on incidents.
-	FlightRecorder = obs.FlightRecorder
-	// FlightDump is one bfbp.flight.v1 incident snapshot.
-	FlightDump = obs.FlightDump
 	// Event is one fact of the engine's event stream (a bfbp.journal.v1
 	// payload), delivered to Options.OnEvent / Engine.OnEvent.
 	Event = sim.Event
@@ -253,18 +243,7 @@ func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
 
 // NewDriftDetector returns a streaming change-point detector; feed it
 // one value per window with Observe.
-func NewDriftDetector(cfg DriftConfig) *DriftDetector { return obs.NewDriftDetector(cfg) }
-
-// NewFlightRecorder returns a flight-recorder ring retaining the last
-// depth journal lines (0 selects the default depth); write journal
-// output through it (io.MultiWriter) and Snapshot on incidents.
-func NewFlightRecorder(depth int) *FlightRecorder { return obs.NewFlightRecorder(depth) }
-
-// ReadFlightDump parses a bfbp.flight.v1 flight-recorder dump.
-func ReadFlightDump(r io.Reader) (FlightDump, error) { return obs.ReadFlightDump(r) }
-
-// FlightSchema is the schema tag of flight-recorder dumps.
-const FlightSchema = obs.FlightSchema
+func NewDriftDetector() *DriftDetector { return obs.NewDriftDetector() }
 
 // ConcatTraces returns a reader that yields each reader's records in
 // sequence — the splice primitive behind bfsim -endurance.

@@ -30,7 +30,6 @@ import (
 	"bfbp"
 	"bfbp/internal/analysis"
 	"bfbp/internal/experiments"
-	"bfbp/internal/obs"
 	"bfbp/internal/sim"
 	"bfbp/internal/telemetry"
 	"bfbp/internal/workload"
@@ -120,7 +119,7 @@ func main() {
 			}
 		}
 		for _, p := range ps {
-			rep, err := analysis.AnalyzePhases(p, spec.Stream(*branches), spec.Name, p.Name(), win, obs.DriftConfig{}, *offenders)
+			rep, err := analysis.AnalyzePhases(p, spec.Stream(*branches), spec.Name, p.Name(), win, *offenders)
 			if err != nil {
 				fatal(err)
 			}

@@ -35,18 +35,16 @@
 //	bfsim ... -trace-out run.trace.json          # bfbp.trace.v1 span timeline (Perfetto)
 //	bfsim ... -runtime-trace run.rtrace          # Go runtime/trace with bridged spans
 //
-// Phase and drift observability (see DESIGN.md §6): -drift runs
-// streaming change-point detectors over every windowed (trace,
-// predictor) MPKI series, emitting `drift` journal events, Perfetto
-// counter tracks (with alarm instants) on the -trace-out timeline, and
-// bfbp_drift_* metrics; -flight-dump keeps a ring of recent journal
-// lines and snapshots it (bfbp.flight.v1) on every alarm and on
-// SIGQUIT; -endurance splices reseeded synthetic segments into one
-// long phase-shifting run:
+// Phase and drift observability (see DESIGN.md §6): -endurance
+// splices reseeded synthetic segments into one long phase-shifting
+// run. Every closed window is journaled and drawn on the -trace-out
+// timeline's mpki counter track; `journal summary` replays the
+// journaled window series through change-point detectors to list the
+// drift alarms:
 //
 //	bfsim -p bf-tage-10 -t SERV1,FP1,MM1 -n 1000000 -endurance 20 \
-//	      -drift -journal run.jsonl -trace-out run.trace.json \
-//	      -flight-dump flight.json            # 60M-branch mixed-phase run
+//	      -journal run.jsonl -trace-out run.trace.json   # 60M-branch mixed-phase run
+//	journal summary run.jsonl
 //
 // Run-to-completion profiles land in files for `go tool pprof`:
 //
@@ -107,9 +105,7 @@ func main() {
 		probeState      = flag.Bool("probe-state", false, "sample predictor table/state internals periodically (occupancy metrics, tablestats journal events, Perfetto counter tracks)")
 		probeStateEvery = flag.Uint64("probe-state-every", 65536, "with -probe-state, sample every N branches (quantised to batch boundaries)")
 
-		endurance  = flag.Int("endurance", 0, "splice the -t traces into one continuous run of N laps, -n branches per segment, reseeded per lap (phase-shifting long-run mode)")
-		drift      = flag.Bool("drift", false, "run streaming change-point detectors over windowed MPKI (drift journal events, counter tracks, alarm metrics)")
-		flightDump = flag.String("flight-dump", "", "write a bfbp.flight.v1 flight-recorder snapshot to this file on every drift alarm and on SIGQUIT (implies -drift)")
+		endurance = flag.Int("endurance", 0, "splice the -t traces into one continuous run of N laps, -n branches per segment, reseeded per lap (phase-shifting long-run mode)")
 	)
 	prof.Flags(flag.CommandLine)
 	flag.Parse()
@@ -221,8 +217,6 @@ func main() {
 		Heartbeat:        *heartbeat,
 		TracePath:        *traceOut,
 		RuntimeTracePath: *rtraceOut,
-		Drift:            *drift,
-		FlightPath:       *flightDump,
 	})
 	if err != nil {
 		fatal(err)
@@ -345,7 +339,8 @@ func traceSources(file, names string, branches int) ([]bfbp.TraceSource, int, er
 // repeats byte-for-byte. Segments are materialised lazily as the read
 // cursor reaches them, so a 50M-branch endurance run holds one open
 // segment at a time. The trace-family changes at every splice point
-// are exactly the MPKI phase shifts the drift layer detects.
+// are exactly the MPKI phase shifts `journal summary` reports as drift
+// alarms.
 func enduranceSources(names string, laps, branches int) ([]bfbp.TraceSource, error) {
 	if names == "" {
 		return nil, fmt.Errorf("-endurance needs -t <traces>")

@@ -6,19 +6,17 @@
 //	journal summary run.jsonl                  # event counts + run table + drift alarms
 //	journal summary -json run.jsonl            # the same as a JSON document
 //	journal filter -kind run_finish run.jsonl  # print matching raw lines
-//	journal filter -kind drift run.jsonl       # change-point alarms only
 //	journal filter -trace SERV1 -predictor bf-tage-10 run.jsonl
 //	journal filter -span 7 run.jsonl           # events joined to trace span 7
 //	journal diff a.jsonl b.jsonl               # flag MPKI/window drift
 //	journal diff -tolerance 0.01 a.jsonl b.jsonl
-//	journal flight flight.json                 # inspect a bfbp.flight.v1 dump
 //
 // diff exits 1 when the runs drifted, so it slots into CI gates; the
 // -span filter takes the span IDs found in a bfbp.trace.v1 timeline
 // (bfsim -trace-out), joining journal records to their trace slices.
-// flight validates a flight-recorder dump (bfsim -flight-dump), prints
-// the triggering alarm and detector states, and summarises the journal
-// records embedded in it.
+// summary finds drift alarms by replaying each run's window series
+// through a change-point detector, so any windowed run (bfsim -window
+// or -endurance) has them.
 package main
 
 import (
@@ -45,8 +43,6 @@ func main() {
 		cmdFilter(args[1:])
 	case "diff":
 		cmdDiff(args[1:])
-	case "flight":
-		cmdFlight(args[1:])
 	default:
 		fmt.Fprintf(os.Stderr, "journal: unknown command %q\n", args[0])
 		usage()
@@ -59,7 +55,6 @@ func usage() {
   journal summary [-json] FILE
   journal filter [-kind K] [-trace T] [-predictor P] [-span N] FILE
   journal diff [-tolerance F] FILE_A FILE_B
-  journal flight FILE
 `)
 }
 
@@ -123,38 +118,6 @@ func cmdDiff(args []string) {
 	if !rep.Clean() {
 		os.Exit(1)
 	}
-}
-
-func cmdFlight(args []string) {
-	fs := flag.NewFlagSet("flight", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("flight: need exactly one flight-dump file"))
-	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	dump, events, err := journalq.ReadFlight(f)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s dump, reason %s\n", dump.Schema, dump.Reason)
-	if dump.Alarm != nil {
-		fmt.Printf("alarm: %s %s at sample %d, %.3f -> %.3f (score %.3f)\n",
-			dump.AlarmKey, dump.Alarm.Direction, dump.Alarm.Sample,
-			dump.Alarm.Baseline, dump.Alarm.Value, dump.Alarm.Score)
-	}
-	if len(dump.Detectors) > 0 {
-		fmt.Println("detectors:")
-		for _, d := range dump.Detectors {
-			fmt.Printf("  %-40s samples %6d  baseline %10.3f  alarms %d\n",
-				d.Key, d.State.Samples, d.State.Baseline, d.State.Alarms)
-		}
-	}
-	fmt.Printf("%d records retained (%d evicted)\n", len(dump.Records), dump.Evicted)
-	fmt.Print(journalq.Summarize(events).Render())
 }
 
 func fatal(err error) {

@@ -1,9 +1,8 @@
 // Phase analysis: segment a run's windowed MPKI series at the change
 // points a streaming drift detector finds, then attribute the shifts to
-// the branch sites whose accuracy moves most between phases. This is
-// the offline counterpart of the live telemetry monitor — same
-// detector, applied after the fact with per-PC attribution the live
-// path is too hot to afford.
+// the branch sites whose accuracy moves most between phases. It runs
+// the same detector as `journal summary` does over a journal's window
+// series, adding the per-PC attribution the journal does not carry.
 package analysis
 
 import (
@@ -82,10 +81,9 @@ const siteMinCount = 32
 
 // AnalyzePhases runs p over the trace with its own predict/update
 // loop, closing an MPKI window every window branches, segmenting the
-// window series with a drift detector (cfg zero-fields take the obs
-// defaults), and accumulating per-PC counts per segment. topN bounds
-// the Movers list (0 means 10).
-func AnalyzePhases(p sim.Predictor, r trace.Reader, name, pred string, window uint64, cfg obs.DriftConfig, topN int) (PhaseReport, error) {
+// window series with a drift detector, and accumulating per-PC counts
+// per segment. topN bounds the Movers list (0 means 10).
+func AnalyzePhases(p sim.Predictor, r trace.Reader, name, pred string, window uint64, topN int) (PhaseReport, error) {
 	if window == 0 {
 		return PhaseReport{}, errors.New("analysis: phase window must be non-zero")
 	}
@@ -93,7 +91,7 @@ func AnalyzePhases(p sim.Predictor, r trace.Reader, name, pred string, window ui
 		topN = 10
 	}
 	rep := PhaseReport{Trace: name, Predictor: pred, Window: window}
-	det := obs.NewDriftDetector(cfg)
+	det := obs.NewDriftDetector()
 
 	type siteCount struct{ count, misp uint64 }
 	// perPhase accumulates site stats for the phase being built;

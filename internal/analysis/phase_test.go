@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"bfbp/internal/obs"
 	"bfbp/internal/predictor/bimodal"
 	"bfbp/internal/trace"
 )
@@ -34,7 +33,7 @@ func phaseTrace(n1, n2 int) trace.Slice {
 
 func TestAnalyzePhasesSegmentsAndMovers(t *testing.T) {
 	tr := phaseTrace(4000, 4000)
-	rep, err := AnalyzePhases(bimodal.New(1<<12, 2), tr.Stream(), "synthetic", "bimodal", 600, obs.DriftConfig{}, 5)
+	rep, err := AnalyzePhases(bimodal.New(1<<12, 2), tr.Stream(), "synthetic", "bimodal", 600, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestAnalyzePhasesSegmentsAndMovers(t *testing.T) {
 // A stationary trace yields one segment and no movers.
 func TestAnalyzePhasesStationary(t *testing.T) {
 	tr := phaseTrace(6000, 0)
-	rep, err := AnalyzePhases(bimodal.New(1<<12, 2), tr.Stream(), "flat", "bimodal", 600, obs.DriftConfig{}, 5)
+	rep, err := AnalyzePhases(bimodal.New(1<<12, 2), tr.Stream(), "flat", "bimodal", 600, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestAnalyzePhasesStationary(t *testing.T) {
 
 // Window 0 is a usage error.
 func TestAnalyzePhasesRejectsZeroWindow(t *testing.T) {
-	if _, err := AnalyzePhases(bimodal.New(1<<8, 2), trace.Slice{}.Stream(), "x", "y", 0, obs.DriftConfig{}, 0); err == nil {
+	if _, err := AnalyzePhases(bimodal.New(1<<8, 2), trace.Slice{}.Stream(), "x", "y", 0, 0); err == nil {
 		t.Fatal("window 0 accepted")
 	}
 }

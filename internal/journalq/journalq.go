@@ -2,8 +2,9 @@
 // bfbp.journal.v1 files — the query layer behind cmd/journal. It
 // parses the JSONL event stream back into typed records, keeping the
 // raw line alongside the decoded common fields so filters can print
-// events verbatim, and it joins two journals by (trace, predictor) to
-// flag result drift between runs.
+// events verbatim; it replays each run's window series through a
+// change-point detector to find its phase shifts; and it joins two
+// journals by (trace, predictor) to flag result drift between runs.
 package journalq
 
 import (
@@ -14,6 +15,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"bfbp/internal/obs"
 )
 
 // Schema is the journal line format this package understands.
@@ -122,8 +125,9 @@ type RunLine struct {
 	Span        uint64  `json:"span,omitempty"`
 }
 
-// DriftLine is one drift-alarm row of a summary: a change-point
-// detector watching the named metric of (trace, predictor) fired.
+// DriftLine is one drift-alarm row of a summary: the change-point
+// detector watching the named metric of (trace, predictor) fired on
+// window Window.
 type DriftLine struct {
 	Trace     string  `json:"trace,omitempty"`
 	Predictor string  `json:"predictor,omitempty"`
@@ -158,7 +162,7 @@ type Summary struct {
 
 // Summarize builds a Summary over events.
 func Summarize(events []Event) Summary {
-	s := Summary{Events: len(events), ByKind: map[string]int{}}
+	s := Summary{Events: len(events), ByKind: map[string]int{}, Drifts: driftRows(events)}
 	for _, ev := range events {
 		s.ByKind[ev.Kind]++
 		switch ev.Kind {
@@ -172,16 +176,6 @@ func Summarize(events []Event) Summary {
 			}
 			rl.MPKI, _ = ev.Num("mpki")
 			s.Runs = append(s.Runs, rl)
-		case "drift":
-			dl := DriftLine{Trace: ev.Trace, Predictor: ev.Predictor}
-			dl.Metric, _ = ev.Fields["metric"].(string)
-			dl.Direction, _ = ev.Fields["direction"].(string)
-			if v, ok := ev.Num("window"); ok {
-				dl.Window = int(v)
-			}
-			dl.Value, _ = ev.Num("value")
-			dl.Baseline, _ = ev.Num("baseline")
-			s.Drifts = append(s.Drifts, dl)
 		case "tablestats":
 			tl := TableStatsLine{Trace: ev.Trace, Predictor: ev.Predictor}
 			if v, ok := ev.Num("branch"); ok {
@@ -236,14 +230,51 @@ func (s Summary) Render() string {
 	if len(s.Drifts) > 0 {
 		fmt.Fprintf(&b, "drift alarms:\n")
 		for _, d := range s.Drifts {
-			who := d.Metric
-			if d.Trace != "" {
-				who = d.Trace + "/" + d.Predictor + " " + d.Metric
-			}
+			who := d.Trace + "/" + d.Predictor + " " + d.Metric
 			fmt.Fprintf(&b, "  %-40s window %4d  %s  %.3f -> %.3f\n", who, d.Window, d.Direction, d.Baseline, d.Value)
 		}
 	}
 	return b.String()
+}
+
+// driftRows runs one obs.DriftDetector over the MPKI series of window
+// events of each (trace, predictor), in journal order, and returns the
+// alarms as summary rows in the order they fire. The trailing partial
+// window of a run (journaled with "final":true) is skipped: it is
+// usually a fraction of the window size, too noisy to feed a detector.
+func driftRows(events []Event) []DriftLine {
+	detectors := map[runKey]*obs.DriftDetector{}
+	var rows []DriftLine
+	for _, ev := range events {
+		if ev.Kind != "window" {
+			continue
+		}
+		if final, _ := ev.Fields["final"].(bool); final {
+			continue
+		}
+		k := runKey{ev.Trace, ev.Predictor}
+		d := detectors[k]
+		if d == nil {
+			d = obs.NewDriftDetector()
+			detectors[k] = d
+		}
+		mpki, _ := ev.Num("mpki")
+		alarm, fired := d.Observe(mpki)
+		if !fired {
+			continue
+		}
+		index, _ := ev.Num("index")
+		rows = append(rows, DriftLine{
+			Trace:     ev.Trace,
+			Predictor: ev.Predictor,
+			Metric:    "mpki",
+			Window:    int(index),
+			Value:     alarm.Value,
+			Baseline:  alarm.Baseline,
+			Direction: alarm.Direction,
+		})
+	}
+	return rows
 }
 
 // Drift is one diverging (trace, predictor) cell between two journals.

@@ -10,62 +10,39 @@ package obs
 //
 // The algorithm is an EWMA baseline with a two-sided Page-Hinkley
 // cumulative test on top: each sample's deviation from the baseline
-// (beyond a Delta slack band) accumulates into an up-score and a
-// down-score, and when either score crosses Lambda the detector fires,
+// (beyond a driftDelta slack band) accumulates into an up-score and a
+// down-score, and when either score crosses driftLambda the detector fires,
 // re-baselines, and backs off for a cooldown. Everything is plain
 // float arithmetic over the sample sequence — same series, same
 // alarms, regardless of how the caller batches its Observe calls —
 // and Observe never allocates, so detectors can sit on window
 // boundaries of a hot run.
 
-// DriftConfig parameterises a DriftDetector. The zero value selects
-// the defaults noted on each field (applied by NewDriftDetector).
-type DriftConfig struct {
-	// Alpha is the EWMA baseline weight: baseline += Alpha*(x-baseline)
-	// per sample. Smaller tracks slower. 0 means 0.1.
-	Alpha float64
-	// Delta is the slack band around the baseline, as a fraction of the
-	// baseline magnitude (a relative Page-Hinkley): deviations within
-	// ±Delta×|baseline| do not accumulate. 0 means 0.05 (5%).
-	Delta float64
-	// Lambda is the alarm threshold on the accumulated relative
-	// deviation. With the defaults, roughly two windows 55% off
-	// baseline — or one window 105% off — fire. 0 means 1.0.
-	Lambda float64
-	// Warmup is the number of leading samples used only to seat the
-	// baseline; no alarms fire during it. 0 means 4.
-	Warmup int
-	// Cooldown is the number of samples after an alarm during which the
-	// detector re-baselines without alarming again. 0 means 2.
-	Cooldown int
-	// Floor is the minimum baseline magnitude used when normalising
-	// deviations, so near-zero baselines (an 0.02-MPKI run) don't turn
-	// noise into alarms. 0 means 0.25.
-	Floor float64
-}
-
-// withDefaults resolves zero fields to the documented defaults.
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.1
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.05
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 1.0
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 4
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 2
-	}
-	if c.Floor == 0 {
-		c.Floor = 0.25
-	}
-	return c
-}
+// The detector's parameters, fixed: every caller runs the same
+// detector, so alarms read the same in every report.
+const (
+	// driftAlpha is the EWMA baseline weight: baseline +=
+	// driftAlpha*(x-baseline) per sample. Smaller tracks slower.
+	driftAlpha = 0.1
+	// driftDelta is the slack band around the baseline, as a fraction
+	// of the baseline magnitude (a relative Page-Hinkley): deviations
+	// within ±driftDelta×|baseline| do not accumulate.
+	driftDelta = 0.05
+	// driftLambda is the alarm threshold on the accumulated relative
+	// deviation: roughly two windows 55% off baseline, or one window
+	// 105% off, fire.
+	driftLambda = 1.0
+	// driftWarmup is the number of leading samples used only to seat
+	// the baseline; no alarms fire during it.
+	driftWarmup = 4
+	// driftCooldown is the number of samples after an alarm during
+	// which the detector re-baselines without alarming again.
+	driftCooldown = 2
+	// driftFloor is the minimum baseline magnitude used when
+	// normalising deviations, so near-zero baselines (an 0.02-MPKI run)
+	// don't turn noise into alarms.
+	driftFloor = 0.25
+)
 
 // DriftEvent is one fired alarm: the series moved Direction
 // ("up"/"down") away from Baseline at sample Sample (0-based), with
@@ -78,43 +55,25 @@ type DriftEvent struct {
 	Direction string  `json:"direction"`
 }
 
-// DriftState is a point-in-time snapshot of a detector, carried in
-// flight-recorder dumps so a post-mortem shows how armed each detector
-// was when the dump was cut.
-type DriftState struct {
-	Samples   int     `json:"samples"`
-	Baseline  float64 `json:"baseline"`
-	Last      float64 `json:"last"`
-	ScoreUp   float64 `json:"score_up"`
-	ScoreDown float64 `json:"score_down"`
-	Alarms    uint64  `json:"alarms"`
-	Cooldown  int     `json:"cooldown,omitempty"`
-}
-
 // DriftDetector is the streaming change-point detector. Not safe for
 // concurrent use; give each observed series its own detector.
 type DriftDetector struct {
-	cfg      DriftConfig
 	n        int
 	baseline float64
-	last     float64
 	up       float64
 	down     float64
-	alarms   uint64
 	cooldown int
 }
 
-// NewDriftDetector builds a detector with cfg's zero fields resolved
-// to the documented defaults.
-func NewDriftDetector(cfg DriftConfig) *DriftDetector {
-	return &DriftDetector{cfg: cfg.withDefaults()}
+// NewDriftDetector builds a detector with no samples seen.
+func NewDriftDetector() *DriftDetector {
+	return &DriftDetector{}
 }
 
 // Observe feeds one sample and reports whether it fired an alarm.
 // Deterministic and allocation-free.
 func (d *DriftDetector) Observe(x float64) (DriftEvent, bool) {
 	d.n++
-	d.last = x
 	if d.n == 1 {
 		d.baseline = x
 		return DriftEvent{}, false
@@ -123,12 +82,12 @@ func (d *DriftDetector) Observe(x float64) (DriftEvent, bool) {
 	if scale < 0 {
 		scale = -scale
 	}
-	if scale < d.cfg.Floor {
-		scale = d.cfg.Floor
+	if scale < driftFloor {
+		scale = driftFloor
 	}
 	dev := (x - d.baseline) / scale
-	d.baseline += d.cfg.Alpha * (x - d.baseline)
-	if d.n <= d.cfg.Warmup {
+	d.baseline += driftAlpha * (x - d.baseline)
+	if d.n <= driftWarmup {
 		return DriftEvent{}, false
 	}
 	if d.cooldown > 0 {
@@ -138,18 +97,18 @@ func (d *DriftDetector) Observe(x float64) (DriftEvent, bool) {
 	// Two-sided Page-Hinkley: deviations beyond the slack band
 	// accumulate per direction; an in-band sample bleeds both scores
 	// toward zero so stale excursions don't linger forever.
-	if dev > d.cfg.Delta {
-		d.up += dev - d.cfg.Delta
+	if dev > driftDelta {
+		d.up += dev - driftDelta
 	} else {
-		d.up -= d.cfg.Delta - dev
+		d.up -= driftDelta - dev
 		if d.up < 0 {
 			d.up = 0
 		}
 	}
-	if dev < -d.cfg.Delta {
-		d.down += -dev - d.cfg.Delta
+	if dev < -driftDelta {
+		d.down += -dev - driftDelta
 	} else {
-		d.down -= d.cfg.Delta + dev
+		d.down -= driftDelta + dev
 		if d.down < 0 {
 			d.down = 0
 		}
@@ -157,9 +116,9 @@ func (d *DriftDetector) Observe(x float64) (DriftEvent, bool) {
 	var dir string
 	var score float64
 	switch {
-	case d.up > d.cfg.Lambda && d.up >= d.down:
+	case d.up > driftLambda && d.up >= d.down:
 		dir, score = "up", d.up
-	case d.down > d.cfg.Lambda:
+	case d.down > driftLambda:
 		dir, score = "down", d.down
 	default:
 		return DriftEvent{}, false
@@ -171,28 +130,11 @@ func (d *DriftDetector) Observe(x float64) (DriftEvent, bool) {
 		Score:     score,
 		Direction: dir,
 	}
-	d.alarms++
 	// Re-baseline on the new level and back off: the alarm marks the
 	// transition, and the detector should treat the post-shift level as
 	// the new normal rather than re-firing every window.
 	d.baseline = x
 	d.up, d.down = 0, 0
-	d.cooldown = d.cfg.Cooldown
+	d.cooldown = driftCooldown
 	return ev, true
 }
-
-// State snapshots the detector for flight dumps and tests.
-func (d *DriftDetector) State() DriftState {
-	return DriftState{
-		Samples:   d.n,
-		Baseline:  d.baseline,
-		Last:      d.last,
-		ScoreUp:   d.up,
-		ScoreDown: d.down,
-		Alarms:    d.alarms,
-		Cooldown:  d.cooldown,
-	}
-}
-
-// Alarms returns the number of alarms fired so far.
-func (d *DriftDetector) Alarms() uint64 { return d.alarms }

@@ -33,7 +33,7 @@ func alarmsOf(d *DriftDetector, series []float64) []DriftEvent {
 // every post-shift window.
 func TestDriftDetectsLevelShift(t *testing.T) {
 	series := phaseSeries(4, 20, 9, 20, 0.05)
-	alarms := alarmsOf(NewDriftDetector(DriftConfig{}), series)
+	alarms := alarmsOf(NewDriftDetector(), series)
 	if len(alarms) != 1 {
 		t.Fatalf("got %d alarms %+v, want exactly 1", len(alarms), alarms)
 	}
@@ -52,7 +52,7 @@ func TestDriftDetectsLevelShift(t *testing.T) {
 // A downward collapse fires a "down" alarm — the throughput-drop case.
 func TestDriftDetectsCollapse(t *testing.T) {
 	series := phaseSeries(100, 15, 30, 15, 0.5)
-	alarms := alarmsOf(NewDriftDetector(DriftConfig{}), series)
+	alarms := alarmsOf(NewDriftDetector(), series)
 	if len(alarms) != 1 || alarms[0].Direction != "down" {
 		t.Fatalf("got %+v, want one down alarm", alarms)
 	}
@@ -61,7 +61,7 @@ func TestDriftDetectsCollapse(t *testing.T) {
 // A stationary noisy series never alarms.
 func TestDriftQuietOnStationarySeries(t *testing.T) {
 	series := phaseSeries(5, 200, 5, 0, 0.1)
-	if alarms := alarmsOf(NewDriftDetector(DriftConfig{}), series); len(alarms) != 0 {
+	if alarms := alarmsOf(NewDriftDetector(), series); len(alarms) != 0 {
 		t.Fatalf("stationary series fired %+v", alarms)
 	}
 }
@@ -70,7 +70,7 @@ func TestDriftQuietOnStationarySeries(t *testing.T) {
 // almost-perfect predictor don't become relative explosions.
 func TestDriftFloorSuppressesNearZeroNoise(t *testing.T) {
 	series := phaseSeries(0.01, 100, 0.04, 100, 0.005)
-	if alarms := alarmsOf(NewDriftDetector(DriftConfig{}), series); len(alarms) != 0 {
+	if alarms := alarmsOf(NewDriftDetector(), series); len(alarms) != 0 {
 		t.Fatalf("sub-floor series fired %+v", alarms)
 	}
 }
@@ -81,13 +81,13 @@ func TestDriftFloorSuppressesNearZeroNoise(t *testing.T) {
 func TestDriftDeterministicAcrossBatchSizes(t *testing.T) {
 	series := phaseSeries(4, 30, 12, 30, 0.2)
 	series = append(series, phaseSeries(12, 0, 2, 30, 0.2)...)
-	ref := NewDriftDetector(DriftConfig{})
+	ref := NewDriftDetector()
 	want := alarmsOf(ref, series)
 	if len(want) < 2 {
 		t.Fatalf("reference run fired %d alarms, want >= 2 (test series too tame)", len(want))
 	}
 	for _, batch := range []int{1, 2, 3, 7, 16, len(series)} {
-		d := NewDriftDetector(DriftConfig{})
+		d := NewDriftDetector()
 		var got []DriftEvent
 		for i := 0; i < len(series); i += batch {
 			end := i + batch
@@ -104,8 +104,8 @@ func TestDriftDeterministicAcrossBatchSizes(t *testing.T) {
 				t.Fatalf("batch %d: alarm %d = %+v, want %+v", batch, i, got[i], want[i])
 			}
 		}
-		if d.State() != ref.State() {
-			t.Fatalf("batch %d: final state %+v, want %+v", batch, d.State(), ref.State())
+		if *d != *ref {
+			t.Fatalf("batch %d: final state %+v, want %+v", batch, *d, *ref)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestDriftDeterministicAcrossBatchSizes(t *testing.T) {
 // Observe is allocation-free in steady state — it sits on window
 // boundaries of live runs.
 func TestDriftObserveNoAllocs(t *testing.T) {
-	d := NewDriftDetector(DriftConfig{})
+	d := NewDriftDetector()
 	x := 4.0
 	allocs := testing.AllocsPerRun(1000, func() {
 		x = math.Mod(x*1.1, 20)
@@ -124,20 +124,23 @@ func TestDriftObserveNoAllocs(t *testing.T) {
 	}
 }
 
-// State snapshots track samples, alarms, and cooldown.
-func TestDriftState(t *testing.T) {
-	d := NewDriftDetector(DriftConfig{Cooldown: 3})
-	for _, x := range phaseSeries(4, 10, 12, 1, 0) {
-		d.Observe(x)
+// After an alarm the detector re-baselines on the new level and stays
+// quiet for driftCooldown samples, even when the series jumps again.
+func TestDriftCooldownSuppressesRefire(t *testing.T) {
+	d := NewDriftDetector()
+	series := phaseSeries(4, 10, 12, 1, 0)
+	if alarms := alarmsOf(d, series); len(alarms) != 1 || alarms[0].Sample != 10 {
+		t.Fatalf("alarms = %+v, want one at sample 10", alarms)
 	}
-	st := d.State()
-	if st.Samples != 11 || st.Alarms != 1 {
-		t.Fatalf("state = %+v, want 11 samples / 1 alarm", st)
+	if d.cooldown != driftCooldown || d.baseline != 12 {
+		t.Fatalf("after the alarm: cooldown %d baseline %v, want %d and 12", d.cooldown, d.baseline, driftCooldown)
 	}
-	if st.Cooldown != 3 {
-		t.Fatalf("cooldown = %d, want 3 right after the alarm", st.Cooldown)
+	for i := 0; i < driftCooldown; i++ {
+		if ev, ok := d.Observe(40); ok {
+			t.Fatalf("cooldown sample %d fired %+v", i, ev)
+		}
 	}
-	if st.Last != 12 {
-		t.Fatalf("last = %v, want 12", st.Last)
+	if d.cooldown != 0 {
+		t.Fatalf("cooldown = %d after %d samples, want 0", d.cooldown, driftCooldown)
 	}
 }

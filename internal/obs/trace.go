@@ -127,7 +127,6 @@ type traceEvent struct {
 	Dur  *float64       `json:"dur,omitempty"`
 	PID  int64          `json:"pid"`
 	TID  int64          `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant-event scope ("g" = global)
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -202,18 +201,6 @@ func (t *Tracer) Counter(name string, values map[string]float64) {
 	}
 	t.emit(traceEvent{Name: name, Ph: "C", TS: micros(t.now()),
 		PID: tracePID, TID: 0, Args: args})
-}
-
-// Instant emits a global-scope "i" phase event — a vertical marker
-// across every lane at the current clock. Drift alarms land on the
-// timeline this way, so the phase change is visible at the exact
-// instant against the MPKI counter track that tripped it. Nil-safe.
-func (t *Tracer) Instant(kind, name string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.emit(traceEvent{Name: name, Cat: kind, Ph: "i", TS: micros(t.now()),
-		PID: tracePID, TID: 0, S: "g", Args: args})
 }
 
 // StartSpan opens a root span of the given kind on timeline lane tid.

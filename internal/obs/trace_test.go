@@ -52,8 +52,8 @@ func parseTrace(t *testing.T, b []byte) traceDoc {
 
 // goldenTrace drives a fixed single-threaded scenario: a suite span
 // with one run span on another lane, a batch child, a sampled phase,
-// counter-track samples with a drift instant between them, and lane
-// metadata — every event shape the tracer can emit.
+// counter-track samples, and lane metadata — every event shape the
+// tracer can emit.
 func goldenTrace(w *bytes.Buffer) *Tracer {
 	tr := NewTracer(w)
 	tr.Clock = fakeClock(100 * time.Microsecond)
@@ -68,8 +68,6 @@ func goldenTrace(w *bytes.Buffer) *Tracer {
 	run.Phase("predict", 5*time.Microsecond)
 	tr.Counter("mpki", map[string]float64{"SERV1/bf-tage-10": 4.25})
 	tr.Counter("throughput", map[string]float64{"branches_per_sec": 1.5e6})
-	tr.Instant("drift", "drift SERV1/bf-tage-10 mpki up",
-		map[string]any{"baseline": 4.25, "value": 9.5})
 	tr.Counter("mpki", map[string]float64{"SERV1/bf-tage-10": 9.5})
 	run.End()
 	suite.End()
@@ -141,50 +139,39 @@ func TestTracePerfettoRequiredFields(t *testing.T) {
 	}
 }
 
-// Counter tracks and drift instants carry the shapes Perfetto needs:
-// "C" events with numeric args series on the process row, and "i"
-// events with global scope so the marker spans every lane.
-func TestTraceCounterAndInstantEvents(t *testing.T) {
+// Counter tracks carry the shape Perfetto needs: "C" events with
+// numeric args series on the process row.
+func TestTraceCounterEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tr := goldenTrace(&buf)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	doc := parseTrace(t, buf.Bytes())
-	counters, instants := 0, 0
+	counters := 0
 	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "C":
-			counters++
-			if len(ev.Args) == 0 {
-				t.Errorf("counter %q has no series args", ev.Name)
-			}
-			for k, v := range ev.Args {
-				if _, ok := v.(float64); !ok {
-					t.Errorf("counter %q series %q is %T, want number", ev.Name, k, v)
-				}
-			}
-			if *ev.TID != 0 {
-				t.Errorf("counter %q on tid %d, want process row 0", ev.Name, *ev.TID)
-			}
-		case "i":
-			instants++
-			if ev.Cat != "drift" {
-				t.Errorf("instant %q cat = %q, want drift", ev.Name, ev.Cat)
+		if ev.Ph != "C" {
+			continue
+		}
+		counters++
+		if len(ev.Args) == 0 {
+			t.Errorf("counter %q has no series args", ev.Name)
+		}
+		for k, v := range ev.Args {
+			if _, ok := v.(float64); !ok {
+				t.Errorf("counter %q series %q is %T, want number", ev.Name, k, v)
 			}
 		}
+		if *ev.TID != 0 {
+			t.Errorf("counter %q on tid %d, want process row 0", ev.Name, *ev.TID)
+		}
 	}
-	if counters != 3 || instants != 1 {
-		t.Fatalf("got %d counter / %d instant events, want 3 / 1", counters, instants)
+	if counters != 3 {
+		t.Fatalf("got %d counter events, want 3", counters)
 	}
-	// Instant scope must be global; decode raw to see the "s" field.
-	if !strings.Contains(buf.String(), `"s":"g"`) {
-		t.Fatal("instant event missing global scope s:g")
-	}
-	// A nil tracer stays inert for the new shapes too.
+	// A nil tracer stays inert for counters too.
 	var nilTr *Tracer
 	nilTr.Counter("mpki", map[string]float64{"x": 1})
-	nilTr.Instant("drift", "x", nil)
 }
 
 // Span IDs are deterministic (1, 2, 3 in start order), parents link

@@ -138,6 +138,24 @@ func TestEngineTraceJournalCorrelation(t *testing.T) {
 	if tagged["run_finish"] != 2 || tagged["suite_finish"] != 1 || tagged["window"] == 0 || tagged["storage"] != 1 {
 		t.Fatalf("journal span tags incomplete: %v", tagged)
 	}
+
+	// Each journaled window, the trailing partial one included, also
+	// extends the mpki counter track, one series per (trace, predictor).
+	mpki := map[string]int{}
+	for _, ev := range doc.Events {
+		if ev.Ph != "C" || ev.Name != "mpki" {
+			continue
+		}
+		for series, v := range ev.Args {
+			if _, ok := v.(float64); !ok {
+				t.Errorf("mpki series %q is %T, want number", series, v)
+			}
+			mpki[series]++
+		}
+	}
+	if len(mpki) != 2 || mpki["INT1/toy"]+mpki["MM1/toy"] != tagged["window"] {
+		t.Fatalf("mpki counter samples %v, want one per journaled window (%d) over 2 series", mpki, tagged["window"])
+	}
 }
 
 // storageToy is toyShare with a storage budget, so the engine journals

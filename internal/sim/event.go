@@ -29,7 +29,7 @@ func Events() []Event {
 	return []Event{
 		SuiteStart{}, RunStart{}, RunFinish{}, RunError{}, WindowEvent{},
 		ProvenanceEvent{}, ComponentAttribution{}, Storage{}, WorkerState{},
-		Checkpoint{}, Drift{}, TableStats{}, SuiteFinish{},
+		Checkpoint{}, TableStats{}, SuiteFinish{},
 	}
 }
 
@@ -86,7 +86,7 @@ type RunError struct {
 
 // WindowEvent is the live counterpart of a Stats.Windows entry: it is
 // delivered the moment each window closes, while the run is still in
-// flight, so change-point detectors and counter tracks can watch phase
+// flight, so the journal and the mpki counter track follow phase
 // behaviour without waiting for the run to end. RunContext leaves
 // Trace, Predictor and Span empty; the engine fills them in.
 type WindowEvent struct {
@@ -99,8 +99,7 @@ type WindowEvent struct {
 	Instructions uint64  `json:"instructions"`
 	MPKI         float64 `json:"mpki"`
 	// Final marks the trailing partial window emitted at end of trace.
-	// It is not journaled.
-	Final bool   `json:"-"`
+	Final bool   `json:"final,omitempty"`
 	Span  uint64 `json:"span,omitempty"`
 }
 
@@ -160,22 +159,6 @@ type Checkpoint struct {
 	Span      uint64 `json:"span,omitempty"`
 }
 
-// Drift is a change-point alarm: a streaming detector watching one
-// windowed Metric of one run decided the series shifted. Window is the
-// index of the window whose sample tripped the alarm, and
-// Value/Baseline/Score snapshot the detector as it fired.
-type Drift struct {
-	Trace     string  `json:"trace,omitempty"`
-	Predictor string  `json:"predictor,omitempty"`
-	Metric    string  `json:"metric"`
-	Window    int     `json:"window"`
-	Value     float64 `json:"value"`
-	Baseline  float64 `json:"baseline"`
-	Score     float64 `json:"score"`
-	Direction string  `json:"direction"`
-	Span      uint64  `json:"span,omitempty"`
-}
-
 func (SuiteStart) Kind() string           { return "suite_start" }
 func (SuiteFinish) Kind() string          { return "suite_finish" }
 func (RunStart) Kind() string             { return "run_start" }
@@ -187,7 +170,6 @@ func (ComponentAttribution) Kind() string { return "component_attribution" }
 func (Storage) Kind() string              { return "storage" }
 func (WorkerState) Kind() string          { return "worker_state" }
 func (Checkpoint) Kind() string           { return "checkpoint" }
-func (Drift) Kind() string                { return "drift" }
 func (TableStats) Kind() string           { return "tablestats" }
 
 // windowEvent builds the event for window index of a run.
@@ -203,13 +185,11 @@ func windowEvent(index int, w WindowStat, final bool) WindowEvent {
 }
 
 // emit hands ev to every receiver, in a fixed order: the journal, the
-// metrics, the state counter tracks, then OnEvent. The journal comes
-// first so that an alarm OnEvent raises can dump a flight ring that
-// already holds its trigger.
+// metrics, the counter tracks, then OnEvent.
 func (e *Engine) emit(ev Event) {
 	e.Journal.Emit(ev.Kind(), ev)
 	e.Metrics.observe(ev)
-	stateTracks(e.Tracer, ev)
+	counterTracks(e.Tracer, ev)
 	if e.OnEvent != nil {
 		e.OnEvent(ev)
 	}
@@ -269,27 +249,33 @@ func (e *Engine) emitRun(res RunResult, worker, cell int, span uint64, storageSe
 	}
 }
 
-// stateTracks draws a TableStats sample as two Perfetto counter tracks
-// per (predictor, trace): bank occupancy and weight saturation. Other
-// events, and a nil tracer, are ignored.
-func stateTracks(tr *obs.Tracer, ev Event) {
-	ts, ok := ev.(TableStats)
-	if !ok || tr == nil {
+// counterTracks draws Perfetto counter tracks: each closed window
+// extends the mpki track with one series per (trace, predictor), and
+// each TableStats sample two tracks per (predictor, trace), bank
+// occupancy and weight saturation. Other events, and a nil tracer, are
+// ignored.
+func counterTracks(tr *obs.Tracer, ev Event) {
+	if tr == nil {
 		return
 	}
-	if len(ts.Banks) > 0 {
-		occ := make(map[string]float64, len(ts.Banks))
-		for _, b := range ts.Banks {
-			occ[b.Label()] = b.Occupancy()
+	switch ev := ev.(type) {
+	case WindowEvent:
+		tr.Counter("mpki", map[string]float64{ev.Trace + "/" + ev.Predictor: ev.MPKI})
+	case TableStats:
+		if len(ev.Banks) > 0 {
+			occ := make(map[string]float64, len(ev.Banks))
+			for _, b := range ev.Banks {
+				occ[b.Label()] = b.Occupancy()
+			}
+			tr.Counter("occupancy:"+ev.Predictor+"/"+ev.Trace, occ)
 		}
-		tr.Counter("occupancy:"+ts.Predictor+"/"+ts.Trace, occ)
-	}
-	if len(ts.Weights) > 0 {
-		sat := make(map[string]float64, len(ts.Weights))
-		for _, w := range ts.Weights {
-			sat[w.Name] = w.SaturationRate()
+		if len(ev.Weights) > 0 {
+			sat := make(map[string]float64, len(ev.Weights))
+			for _, w := range ev.Weights {
+				sat[w.Name] = w.SaturationRate()
+			}
+			tr.Counter("weight-saturation:"+ev.Predictor+"/"+ev.Trace, sat)
 		}
-		tr.Counter("weight-saturation:"+ts.Predictor+"/"+ts.Trace, sat)
 	}
 }
 

@@ -13,14 +13,11 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	rtrace "runtime/trace"
 	"sync"
-	"syscall"
 	"time"
 
 	"bfbp/internal/obs"
@@ -48,21 +45,6 @@ type Config struct {
 	// `go tool trace` shows suite/run/batch slices alongside scheduler
 	// and GC events.
 	RuntimeTracePath string
-
-	// Drift enables the phase/drift monitor: one streaming change-point
-	// detector per windowed (trace, predictor) MPKI series, MPKI
-	// counter tracks on the bfbp.trace.v1 timeline, drift journal
-	// events, and a flight recorder of recent journal lines.
-	// DriftConfig tunes the detectors (zero fields take the obs
-	// defaults).
-	Drift       bool
-	DriftConfig obs.DriftConfig
-	// FlightPath, when non-empty, writes a bfbp.flight.v1 snapshot of
-	// the flight recorder to this file on every drift alarm and on
-	// SIGQUIT (the file always holds the latest incident). Implies
-	// Drift. FlightDepth bounds the ring (0 means 256 lines).
-	FlightPath  string
-	FlightDepth int
 }
 
 // T is a running telemetry stack. A nil *T is valid and inert.
@@ -71,9 +53,8 @@ type T struct {
 	Registry *obs.Registry
 	// Engine is the engine metric set commands attach to sim.Engine.
 	Engine *sim.EngineMetrics
-	// Journal is the run journal: the -journal file, teed through the
-	// monitor's flight recorder when a monitor runs (nil when neither
-	// is enabled).
+	// Journal is the run journal over the -journal file (nil when
+	// -journal is unset).
 	Journal *obs.Journal
 	// Tracer is the execution-span tracer (nil when -trace-out is
 	// unset).
@@ -84,9 +65,6 @@ type T struct {
 	// Runtime bridges runtime/metrics into the registry as
 	// bfbp_runtime_* (nil unless MetricsAddr or Heartbeat is set).
 	Runtime *obs.RuntimeCollector
-	// Monitor is the phase/drift watchdog (nil unless Drift or
-	// FlightPath is set).
-	Monitor *Monitor
 
 	server      *http.Server
 	journalFile *os.File
@@ -94,7 +72,6 @@ type T struct {
 	rtFile      *os.File
 	stop        chan struct{}
 	stopped     chan struct{}
-	sigCh       chan os.Signal
 	closeOnce   sync.Once
 	closeErr    error
 }
@@ -102,8 +79,7 @@ type T struct {
 // Enabled reports whether cfg requests any telemetry.
 func (cfg Config) Enabled() bool {
 	return cfg.MetricsAddr != "" || cfg.JournalPath != "" || cfg.Heartbeat > 0 ||
-		cfg.TracePath != "" || cfg.RuntimeTracePath != "" ||
-		cfg.Drift || cfg.FlightPath != ""
+		cfg.TracePath != "" || cfg.RuntimeTracePath != ""
 }
 
 // runtimePeriod is how often the runtime collector refreshes the
@@ -137,27 +113,6 @@ func Start(cfg Config) (*T, error) {
 		t.Tracer.Instrument(t.Registry)
 	}
 
-	// The monitor is built after the tracer (it feeds counter tracks)
-	// and before the journal (whose writer is teed through the flight
-	// recorder so every journal line lands in the ring).
-	if cfg.Drift || cfg.FlightPath != "" {
-		t.Monitor = newMonitor(t, cfg)
-		if cfg.FlightPath != "" {
-			t.sigCh = make(chan os.Signal, 1)
-			signal.Notify(t.sigCh, syscall.SIGQUIT)
-			go func() {
-				for range t.sigCh {
-					t.Monitor.dump("signal", "", nil)
-				}
-			}()
-		}
-	}
-
-	// There is at most one journal: the -journal file, the monitor's
-	// flight recorder, or both through a tee. A monitor without a
-	// journal file still gets a journal over its recorder alone, so
-	// alarm dumps carry every engine event.
-	var journalSinks []io.Writer
 	if cfg.JournalPath != "" {
 		f, err := os.Create(cfg.JournalPath)
 		if err != nil {
@@ -165,16 +120,7 @@ func Start(cfg Config) (*T, error) {
 			return nil, fmt.Errorf("telemetry: journal: %w", err)
 		}
 		t.journalFile = f
-		journalSinks = append(journalSinks, f)
-	}
-	if t.Monitor != nil {
-		journalSinks = append(journalSinks, t.Monitor.recorder)
-	}
-	if len(journalSinks) > 0 {
-		t.Journal = obs.NewJournal(io.MultiWriter(journalSinks...))
-		if t.Monitor != nil {
-			t.Monitor.journal = t.Journal
-		}
+		t.Journal = obs.NewJournal(f)
 	}
 
 	if cfg.RuntimeTracePath != "" {
@@ -215,9 +161,9 @@ func Start(cfg Config) (*T, error) {
 	return t, nil
 }
 
-// Attach points an engine at the telemetry sinks: metrics, journal,
-// tracer, and the drift monitor as its event subscriber. It is the one
-// place commands wire telemetry into an engine. Nil-safe.
+// Attach points an engine at the telemetry sinks: metrics, journal and
+// tracer. It is the one place commands wire telemetry into an engine.
+// Nil-safe.
 func (t *T) Attach(eng *sim.Engine) {
 	if t == nil {
 		return
@@ -225,9 +171,6 @@ func (t *T) Attach(eng *sim.Engine) {
 	eng.Metrics = t.Engine
 	eng.Journal = t.Journal
 	eng.Tracer = t.Tracer
-	if t.Monitor != nil {
-		eng.OnEvent = t.Monitor.Observe
-	}
 }
 
 // RunJournal returns the run journal (nil when off).
@@ -330,10 +273,6 @@ func (t *T) Close() error {
 		if t.stop != nil {
 			close(t.stop)
 			<-t.stopped
-		}
-		if t.sigCh != nil {
-			signal.Stop(t.sigCh)
-			close(t.sigCh)
 		}
 		t.Runtime.Stop()
 		if t.Tracer != nil {

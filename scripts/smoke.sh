@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks of the command-line tools, run by `make smoke`
 # and CI. The commands are built once into $OUT/bin; every
-# artifact a check leaves behind (timelines, journals, the flight dump)
+# artifact a check leaves behind (timelines, journals, snapshots)
 # stays in $OUT for upload and for loading into Perfetto by hand.
 #
 #   trace     two identical-seed traced suites; their journals must
@@ -14,10 +14,10 @@
 #             summed over the legs, exactly. Resuming from the snapshot
 #             with its last byte cut must exit 1 with a "state:" message
 #             and no panic.
-#   drift     a short endurance run with the change-point layer on must
-#             fire at least one drift alarm, emit Perfetto counter
-#             tracks ("ph":"C"), and write a flight dump that
-#             `journal flight` parses.
+#   drift     a short journaled endurance run must show at least one
+#             drift alarm in `journal summary -json`, found from its
+#             window events, and its timeline must carry the mpki
+#             Perfetto counter track ("ph":"C").
 #   xray      a -probe-state run must journal tablestats events that
 #             `journal summary` reduces to table-state rows, and a
 #             TAGE-class predictor's banks must carry provider "hits".
@@ -105,12 +105,10 @@ rm -f "$snap" "$snap.cut" "$OUT/cut.err"
 
 # drift
 "$bfsim" -p bf-tage-10 -t SERV1,FP1,MM1 -n 200000 -endurance 2 \
-	-drift -journal "$OUT/drift.jsonl" -trace-out "$OUT/drift.trace.json" \
-	-flight-dump "$OUT/drift.flight.json" > /dev/null
-grep -q '"ph":"C"' "$OUT/drift.trace.json" || fail "drift: no counter tracks in timeline"
-drifts=$("$journal" summary -json "$OUT/drift.jsonl" | grep -c '"metric"' || true)
-[ "$drifts" -ge 1 ] || fail "drift: no drift alarms in journal"
-"$journal" flight "$OUT/drift.flight.json" > /dev/null
+	-journal "$OUT/drift.jsonl" -trace-out "$OUT/drift.trace.json" > /dev/null
+grep -q '"name":"mpki","ph":"C"' "$OUT/drift.trace.json" || fail "drift: no mpki counter track in timeline"
+drifts=$("$journal" summary -json "$OUT/drift.jsonl" | grep -c '"metric": "mpki"' || true)
+[ "$drifts" -ge 1 ] || fail "drift: no drift alarms in journal summary"
 echo "smoke: drift ok ($drifts drift alarms)"
 
 # xray
