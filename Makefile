@@ -56,9 +56,10 @@ bench-test:
 
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
 # the commands once, then runs five checks: trace (identical-seed
-# journals diff clean), flags (a negative count exits 2 without a
-# panic), snapshot (split runs equal straight runs, and a snapshot cut
-# by one byte exits 1 without a panic), drift (`journal summary` finds
+# journals diff clean, no per-branch predict/update slices in the
+# timeline), flags (a negative count exits 2 without a panic), snapshot
+# (split runs equal straight runs, and a snapshot cut by one byte exits
+# 1 without a panic), drift (`journal summary` finds
 # alarms in a journaled endurance run, whose timeline carries the mpki
 # counter track) and xray (tablestats journal events, TAGE banks
 # carrying provider hits).

@@ -19,7 +19,6 @@ package bfbp
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net/http"
 
@@ -125,7 +124,8 @@ type (
 	// DriftEvent describes one change-point alarm.
 	DriftEvent = obs.DriftEvent
 	// Event is one fact of the engine's event stream (a bfbp.journal.v1
-	// payload), delivered to Options.OnEvent / Engine.OnEvent.
+	// payload); a run delivers its windows and state samples to
+	// Options.OnEvent.
 	Event = sim.Event
 	// WindowEvent is the event for one closed metrics window, delivered
 	// live as a run progresses.
@@ -503,16 +503,4 @@ func NewProbabilisticBST(entries int, seed uint64) bst.Classifier {
 // NewBiasOracle builds a static profile-assisted bias classifier (§VI-D)
 // from a profiling pass over the trace; assign it to a BFNeuralConfig or
 // BFTAGEConfig Classifier field.
-func NewBiasOracle(r TraceReader) (*bst.Oracle, error) {
-	o := bst.NewOracle()
-	for {
-		rec, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return o, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		o.Observe(rec.PC, rec.Taken)
-	}
-}
+func NewBiasOracle(r TraceReader) (*bst.Oracle, error) { return bst.ProfileOracle(r) }

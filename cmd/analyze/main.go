@@ -43,7 +43,6 @@ func main() {
 		offenders   = flag.Int("offenders", 0, "print the top-N mispredicted PCs with classes")
 		population  = flag.Bool("population", false, "print the branch population summary and exit")
 		explain     = flag.Bool("explain", false, "decision provenance: cause taxonomy, component/bank attribution, paper-shape check")
-		explainNN   = flag.Uint64("explain-sample", 0, "confidence-margin sample period for -explain (power of two; 0 = 64)")
 		utilization = flag.Bool("utilization", false, "capacity-vs-reach report: per-bank occupancy/conflicts by history length, with a bias-free vs conventional shape check on pairs")
 		phases      = flag.Bool("phases", false, "segment the run at MPKI change points and rank phase-sensitive branch sites")
 		phaseWindow = flag.Uint64("phase-window", 0, "MPKI window in branches for -phases (0 = branches/50)")
@@ -152,7 +151,7 @@ func main() {
 	}
 
 	if *explain {
-		explainRun(spec, *branches, *explainNN, ps)
+		explainRun(spec, *branches, ps)
 		return
 	}
 
@@ -190,7 +189,7 @@ func main() {
 // and prints the attribution reports; when the list pairs a bias-free
 // predictor with a conventional one (both with bank attribution), the
 // paper-shape validation runs on the pair.
-func explainRun(spec workload.Spec, branches int, sample uint64, ps []sim.Predictor) {
+func explainRun(spec workload.Spec, branches int, ps []sim.Predictor) {
 	tr := spec.GenerateN(branches)
 	classes, err := analysis.Classify(tr.Stream())
 	if err != nil {
@@ -199,10 +198,9 @@ func explainRun(spec workload.Spec, branches int, sample uint64, ps []sim.Predic
 	var shapes []analysis.ShapeInput
 	for _, p := range ps {
 		st, err := bfbp.Run(p, tr.Stream(), bfbp.Options{
-			Warmup:       uint64(branches / 10),
-			PerPC:        true,
-			Explain:      true,
-			ExplainEvery: sample,
+			Warmup:  uint64(branches / 10),
+			PerPC:   true,
+			Explain: true,
 		})
 		if err != nil {
 			fatal(err)

@@ -87,7 +87,6 @@ func main() {
 		offenders = flag.Int("offenders", 0, "print the top-N mispredicted PCs")
 		tableHits = flag.Bool("tablehits", false, "print the provider-table histogram")
 		explain   = flag.Bool("explain", false, "collect decision provenance (cause taxonomy, component/bank attribution)")
-		explainNN = flag.Uint64("explain-sample", 0, "confidence-margin sample period for -explain (power of two; 0 = 64)")
 		storage   = flag.Bool("storage", false, "print the storage budget and exit")
 		list      = flag.Bool("list", false, "list available predictor names")
 
@@ -232,12 +231,11 @@ func main() {
 	eng := bfbp.Engine{
 		Workers: *workers,
 		Options: bfbp.Options{
-			Warmup:       warm,
-			UpdateDelay:  *delay,
-			PerPC:        *offenders > 0,
-			Window:       *window,
-			Explain:      *explain,
-			ExplainEvery: *explainNN,
+			Warmup:      warm,
+			UpdateDelay: *delay,
+			PerPC:       *offenders > 0,
+			Window:      *window,
+			Explain:     *explain,
 		},
 	}
 	tel.Attach(&eng)

@@ -14,9 +14,13 @@
 package bst
 
 import (
+	"errors"
+	"io"
+
 	"bfbp/internal/counters"
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
+	"bfbp/internal/trace"
 )
 
 // State is the detection FSM state for one table entry.
@@ -238,6 +242,22 @@ func (o *Oracle) Observe(pc uint64, taken bool) {
 		if taken {
 			o.class[pc] = NonBiased
 		}
+	}
+}
+
+// ProfileOracle builds an oracle from a profiling pass that observes
+// every record of r up to its end.
+func ProfileOracle(r trace.Reader) (*Oracle, error) {
+	o := NewOracle()
+	for {
+		rec, err := r.Read()
+		if errors.Is(err, io.EOF) {
+			return o, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		o.Observe(rec.PC, rec.Taken)
 	}
 }
 

@@ -1,8 +1,11 @@
 package bst
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"bfbp/internal/trace"
 )
 
 func TestTableFSMTransitions(t *testing.T) {
@@ -200,6 +203,29 @@ func TestOracleClassification(t *testing.T) {
 		t.Fatalf("unprofiled pc = %v, want NotFound", o.Lookup(99))
 	}
 }
+
+// ProfileOracle observes every record of its reader and passes a read
+// error through instead of returning a partial profile.
+func TestProfileOracle(t *testing.T) {
+	recs := trace.Slice{{PC: 1, Taken: true}, {PC: 2, Taken: true}, {PC: 2, Taken: false}, {PC: 3}}
+	o, err := ProfileOracle(recs.Stream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pc, want := range map[uint64]State{1: Taken, 2: NonBiased, 3: NotTaken, 4: NotFound} {
+		if got := o.Lookup(pc); got != want {
+			t.Errorf("pc%d = %v, want %v", pc, got, want)
+		}
+	}
+	boom := errors.New("boom")
+	if o, err := ProfileOracle(failingReader{boom}); !errors.Is(err, boom) || o != nil {
+		t.Fatalf("ProfileOracle on a failing reader = %v, %v; want nil, %v", o, err, boom)
+	}
+}
+
+type failingReader struct{ err error }
+
+func (r failingReader) Read() (trace.Record, error) { return trace.Record{}, r.err }
 
 func TestOracleUpdateIsNoop(t *testing.T) {
 	o := NewOracle()

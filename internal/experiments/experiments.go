@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -379,17 +378,9 @@ func Fig13(cfg Config) Table {
 		warm := uint64(n / 10)
 		dyn := runOne(src, warm, func() sim.Predictor { return bftage.New(bftage.Conventional(10)) })
 		// Profiling pass for the static oracle streams the trace again.
-		oracle := bst.NewOracle()
-		r := src.Open()
-		for {
-			rec, rerr := r.Read()
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			if rerr != nil {
-				return rerr
-			}
-			oracle.Observe(rec.PC, rec.Taken)
+		oracle, err := bst.ProfileOracle(src.Open())
+		if err != nil {
+			return err
 		}
 		orc := runOne(src, warm, func() sim.Predictor {
 			c := bftage.Conventional(10)

@@ -51,7 +51,6 @@ type Tracer struct {
 	start    time.Time
 	nextID   atomic.Uint64
 	inFlight atomic.Int64
-	spanDur  *QuantileFamily
 
 	mu     sync.Mutex
 	buf    *bufio.Writer
@@ -71,18 +70,6 @@ func NewTracer(w io.Writer) *Tracer {
 		t.err = err
 	}
 	return t
-}
-
-// Instrument registers the bfbp_span_seconds{kind} duration quantile
-// histogram on reg; every subsequent span End (and Phase) aggregates
-// into it, so the metrics surface carries per-span-kind p50/p99 time
-// even when no trace file is kept. Nil-safe on both sides.
-func (t *Tracer) Instrument(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	t.spanDur = reg.QuantileFamily("bfbp_span_seconds",
-		"execution-span durations by span kind (summary quantiles)", "kind")
 }
 
 // InFlight returns the number of started-but-unended spans, for
@@ -299,8 +286,8 @@ func (s *Span) Attr(key string, v any) *Span {
 	return s
 }
 
-// End closes the span, emits its complete ("ph":"X") event, feeds the
-// per-kind duration histogram, and returns the measured duration.
+// End closes the span, emits its complete ("ph":"X") event, and
+// returns the measured duration.
 // Nil-safe (returns 0). End must be called on the goroutine that
 // started the span when runtime bridging is on.
 func (s *Span) End() time.Duration {
@@ -318,7 +305,6 @@ func (s *Span) End() time.Duration {
 		s.task.End()
 	}
 	s.t.inFlight.Add(-1)
-	s.t.observe(s.kind, d)
 	args := s.attrs
 	if args == nil {
 		args = make(map[string]any, 2)
@@ -331,37 +317,6 @@ func (s *Span) End() time.Duration {
 	s.t.emit(traceEvent{Name: s.name, Cat: s.kind, Ph: "X", TS: micros(s.start),
 		Dur: &dur, PID: tracePID, TID: s.tid, Args: args})
 	return d
-}
-
-// Phase emits a retroactive child slice of duration d ending now — the
-// shape for already-measured work like the harness's sampled
-// predict/update latencies, where the caller timed the phase itself and
-// a full Span object per sample would be waste. The slice lands on the
-// span's lane with a fresh id and this span as parent, and aggregates
-// into the kind histogram. Nil-safe.
-func (s *Span) Phase(kind string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	start := s.t.now() - d
-	if start < 0 {
-		start = 0
-	}
-	id := s.t.nextID.Add(1)
-	s.t.observe(kind, d)
-	dur := micros(d)
-	s.t.emit(traceEvent{Name: kind, Cat: kind, Ph: "X", TS: micros(start),
-		Dur: &dur, PID: tracePID, TID: s.tid,
-		Args: map[string]any{"span": id, "parent": s.id}})
-}
-
-func (t *Tracer) observe(kind string, d time.Duration) {
-	if t.spanDur != nil {
-		t.spanDur.With(kind).Observe(d.Seconds())
-	}
 }
 
 // Err returns the first emission error, if any. Nil-safe.

@@ -51,9 +51,8 @@ func parseTrace(t *testing.T, b []byte) traceDoc {
 }
 
 // goldenTrace drives a fixed single-threaded scenario: a suite span
-// with one run span on another lane, a batch child, a sampled phase,
-// counter-track samples, and lane metadata — every event shape the
-// tracer can emit.
+// with one run span on another lane, a batch child, counter-track
+// samples, and lane metadata — every event shape the tracer can emit.
 func goldenTrace(w *bytes.Buffer) *Tracer {
 	tr := NewTracer(w)
 	tr.Clock = fakeClock(100 * time.Microsecond)
@@ -65,7 +64,6 @@ func goldenTrace(w *bytes.Buffer) *Tracer {
 		Attr("trace", "SERV1").Attr("predictor", "bf-tage-10")
 	batch := run.Child("batch", "batch").Attr("records", 4096)
 	batch.End()
-	run.Phase("predict", 5*time.Microsecond)
 	tr.Counter("mpki", map[string]float64{"SERV1/bf-tage-10": 4.25})
 	tr.Counter("throughput", map[string]float64{"branches_per_sec": 1.5e6})
 	tr.Counter("mpki", map[string]float64{"SERV1/bf-tage-10": 9.5})
@@ -235,7 +233,6 @@ func TestTraceNilSafety(t *testing.T) {
 	if tr.Err() != nil || tr.Close() != nil || tr.InFlight() != 0 || tr.Events() != 0 {
 		t.Fatal("nil tracer methods must be inert")
 	}
-	tr.Instrument(NewRegistry())
 	tr.ThreadName(0, "x")
 	tr.ProcessName("x")
 	sp := tr.StartSpan("suite", "suite", 0)
@@ -245,7 +242,6 @@ func TestTraceNilSafety(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		s := tr.StartSpan("k", "n", 0)
 		c := s.Child("k", "n").Attr("a", 1)
-		c.Phase("p", time.Microsecond)
 		c.End()
 		s.ChildTID("k", "n", 2).End()
 		s.End()
@@ -253,36 +249,6 @@ func TestTraceNilSafety(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil span path allocated %.1f times per op, want 0", allocs)
-	}
-}
-
-// Ended spans aggregate into bfbp_span_seconds{kind} when the tracer is
-// instrumented on a registry.
-func TestTraceInstrumentHistograms(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	tr.Clock = fakeClock(time.Millisecond)
-	reg := NewRegistry()
-	tr.Instrument(reg)
-	s := tr.StartSpan("suite", "suite", 0)
-	s.Child("batch", "b").End()
-	s.Phase("predict", 10*time.Microsecond)
-	s.End()
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var prom bytes.Buffer
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{
-		`bfbp_span_seconds_count{kind="suite"} 1`,
-		`bfbp_span_seconds_count{kind="batch"} 1`,
-		`bfbp_span_seconds_count{kind="predict"} 1`,
-	} {
-		if !strings.Contains(prom.String(), frag) {
-			t.Fatalf("metrics missing %q:\n%s", frag, prom.String())
-		}
 	}
 }
 

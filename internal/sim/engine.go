@@ -118,18 +118,13 @@ type Engine struct {
 	Journal *obs.Journal
 	// Tracer, when non-nil, records the suite's execution timeline as
 	// bfbp.trace.v1 spans: one suite span on lane 0, one run span per
-	// matrix cell on its worker's lane, and the harness's batch/drain
-	// spans and sampled predict/update phases beneath each run. Events
+	// matrix cell on its worker's lane, and the harness's batch, drain,
+	// checkpoint and tablestats spans beneath each run. Events
 	// carry the matching span IDs in their "span" field, so a journal
 	// record can be joined to its timeline slice, and state samples
 	// become occupancy and weight-saturation counter tracks. Nil
 	// disables tracing entirely and runs the uninstrumented path.
 	Tracer *obs.Tracer
-	// OnEvent, when non-nil, subscribes to the event stream: it receives
-	// every event after the journal, metrics and tracer have. Windows
-	// and state samples arrive live from concurrent cells, so it must
-	// be safe for parallel use.
-	OnEvent func(Event)
 }
 
 // Run evaluates every job and returns results in job order — identical
@@ -146,7 +141,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 		storageSeen sync.Map
 	)
 	tr := e.Tracer
-	observed := e.Metrics != nil || e.Journal != nil || tr != nil || e.OnEvent != nil
+	observed := e.Metrics != nil || e.Journal != nil || tr != nil
 	workers := effectiveWorkers(e.Workers, len(jobs))
 	preds, traces := suiteNames(jobs)
 	var suite *obs.Span

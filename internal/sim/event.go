@@ -185,14 +185,11 @@ func windowEvent(index int, w WindowStat, final bool) WindowEvent {
 }
 
 // emit hands ev to every receiver, in a fixed order: the journal, the
-// metrics, the counter tracks, then OnEvent.
+// metrics, then the counter tracks.
 func (e *Engine) emit(ev Event) {
 	e.Journal.Emit(ev.Kind(), ev)
 	e.Metrics.observe(ev)
 	counterTracks(e.Tracer, ev)
-	if e.OnEvent != nil {
-		e.OnEvent(ev)
-	}
 }
 
 // emitRun emits the event group of one completed cell: RunFinish, the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"sync"
 	"time"
 
@@ -85,7 +84,7 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 		mispredictCauses: reg.CounterFamily("bfbp_mispredict_total",
 			"explained mispredictions by taxonomy cause", "predictor", "cause"),
 		confMargin: reg.HistogramFamily("bfbp_confidence_margin",
-			"sampled confidence minus threshold of explained predictions",
+			"confidence minus threshold of explained predictions",
 			MarginBounds(), "predictor"),
 		tableOccupancy: reg.FloatGaugeFamily("bfbp_table_occupancy",
 			"live fraction of each predictor bank (StateProbe samples)", "predictor", "bank"),
@@ -101,7 +100,7 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 }
 
 // Probe returns the sampled predict/update latency probe backed by
-// these metrics (HarnessProbe's default period), for wiring into
+// these metrics, for wiring into
 // Options.Probe. Nil-safe.
 func (m *EngineMetrics) Probe() *HarnessProbe {
 	if m == nil {
@@ -233,25 +232,16 @@ func (m *EngineMetrics) Snapshot() EngineSnapshot {
 	}
 }
 
+// probePeriod is HarnessProbe's sampling period in branches: a power
+// of two, so the hot loop's "sample this branch?" test compiles to one
+// AND.
+const probePeriod = 64
+
 // HarnessProbe samples predict/update latencies inside RunContext's hot
-// loop. Only every Every'th branch is timed (Every rounds up to a power
-// of two; 0 means 64), so the cost is two time.Now calls per period
-// rather than per branch.
+// loop. Only every probePeriod'th branch is timed, so the cost is two
+// time.Now calls per period rather than per branch.
 type HarnessProbe struct {
-	// Every is the sampling period in branches.
-	Every uint64
 	// Predict and Update receive the sampled latencies in seconds.
 	Predict *obs.QuantileHistogram
 	Update  *obs.QuantileHistogram
-}
-
-// sampleMask returns Every-1 with Every rounded up to a power of two,
-// so the hot loop decides "sample this branch?" with one AND. Every
-// above 2^63 rounds up to 2^64: the mask is all ones.
-func (pr *HarnessProbe) sampleMask() uint64 {
-	e := pr.Every
-	if e == 0 {
-		e = 64
-	}
-	return 1<<bits.Len64(e-1) - 1
 }

@@ -213,7 +213,6 @@ func (a *accountingToy) Storage() Breakdown {
 func TestHarnessProbeSampling(t *testing.T) {
 	reg := obs.NewRegistry()
 	pr := &HarnessProbe{
-		Every:   64,
 		Predict: reg.Quantile("p", ""),
 		Update:  reg.Quantile("u", ""),
 	}
@@ -226,27 +225,12 @@ func TestHarnessProbeSampling(t *testing.T) {
 		t.Fatalf("samples = %d/%d, want 16/16", pr.Predict.Count(), pr.Update.Count())
 	}
 	// Probe with delayed update still samples the update path.
-	pr2 := &HarnessProbe{Every: 64, Predict: pr.Predict, Update: reg.Quantile("u2", "")}
+	pr2 := &HarnessProbe{Predict: pr.Predict, Update: reg.Quantile("u2", "")}
 	if _, err := Run(&StaticPredictor{}, recs.Stream(), Options{Probe: pr2, UpdateDelay: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if pr2.Update.Count() == 0 {
 		t.Fatal("delayed-update path not sampled")
-	}
-}
-
-func TestProbeSampleMask(t *testing.T) {
-	for _, tc := range []struct {
-		every uint64
-		mask  uint64
-	}{
-		{0, 63}, {1, 0}, {64, 63}, {65, 127}, {100, 127},
-		{1 << 63, 1<<63 - 1}, {1<<63 + 1, ^uint64(0)}, {^uint64(0), ^uint64(0)},
-	} {
-		pr := &HarnessProbe{Every: tc.every}
-		if got := pr.sampleMask(); got != tc.mask {
-			t.Fatalf("sampleMask(Every=%d) = %d, want %d", tc.every, got, tc.mask)
-		}
 	}
 }
 

@@ -194,7 +194,7 @@ func (c ComponentStat) MissRate() float64 {
 // ProvenanceStats aggregates the decision trace of one run: every
 // post-warmup prediction attributed to its supplying component (and
 // provider bank for TAGE-class predictors), every misprediction
-// classified into the cause taxonomy, and sampled confidence margins.
+// classified into the cause taxonomy, and its confidence margin.
 // Collected into Stats.Provenance when Options.Explain is set and the
 // predictor implements Explainer; nil otherwise.
 type ProvenanceStats struct {
@@ -209,8 +209,9 @@ type ProvenanceStats struct {
 	// table. Nil for predictors without banks.
 	BankHits   []uint64 `json:"bank_hits,omitempty"`
 	BankMisses []uint64 `json:"bank_misses,omitempty"`
-	// MarginSamples counts sampled margins; MarginCounts buckets them by
-	// MarginBounds (one extra overflow bucket).
+	// MarginSamples counts the margins recorded, one per explained
+	// branch; MarginCounts buckets them by MarginBounds (one extra
+	// overflow bucket).
 	MarginSamples uint64   `json:"margin_samples"`
 	MarginCounts  []uint64 `json:"margin_counts"`
 }
@@ -267,20 +268,18 @@ func (pv *ProvenanceStats) merge(other *ProvenanceStats) {
 }
 
 // decisionTrace is the harness-side recorder: one Explain call per
-// post-warmup branch, a per-site occurrence map for cold-site
-// classification, and a power-of-two mask throttling margin samples.
+// post-warmup branch, whose margin it also buckets, and a per-site
+// occurrence map for cold-site classification.
 type decisionTrace struct {
 	ex   Explainer
 	pv   *ProvenanceStats
-	mask uint64
 	seen map[uint64]uint64
 }
 
-func newDecisionTrace(ex Explainer, every uint64) *decisionTrace {
+func newDecisionTrace(ex Explainer) *decisionTrace {
 	return &decisionTrace{
 		ex:   ex,
 		pv:   NewProvenanceStats(),
-		mask: (&HarnessProbe{Every: every}).sampleMask(),
 		seen: make(map[uint64]uint64),
 	}
 }
@@ -289,9 +288,8 @@ func newDecisionTrace(ex Explainer, every uint64) *decisionTrace {
 // branches the predictor trained on.
 func (dt *decisionTrace) warm(pc uint64) { dt.seen[pc]++ }
 
-// record attributes one post-warmup prediction. branchIdx is the running
-// branch count, used for margin-sample throttling.
-func (dt *decisionTrace) record(pc uint64, miss bool, branchIdx uint64) {
+// record attributes one post-warmup prediction.
+func (dt *decisionTrace) record(pc uint64, miss bool) {
 	prior := dt.seen[pc]
 	dt.seen[pc] = prior + 1
 	prov := dt.ex.Explain(pc)
@@ -319,8 +317,6 @@ func (dt *decisionTrace) record(pc uint64, miss bool, branchIdx uint64) {
 		cs.Mispredicts++
 		dt.pv.Causes[classifyCause(&prov, prior)]++
 	}
-	if branchIdx&dt.mask == 0 {
-		dt.pv.MarginSamples++
-		dt.pv.MarginCounts[marginBucket(float64(prov.Confidence-prov.Threshold))]++
-	}
+	dt.pv.MarginSamples++
+	dt.pv.MarginCounts[marginBucket(float64(prov.Confidence-prov.Threshold))]++
 }

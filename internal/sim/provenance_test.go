@@ -55,7 +55,7 @@ func TestExplainCollectsAttribution(t *testing.T) {
 			0xB: {Component: "base", Confidence: 1, Banks: 3, Provider: -1, Alt: -1},
 		},
 	}
-	st, err := Run(p, recs.Stream(), Options{Explain: true, ExplainEvery: 1})
+	st, err := Run(p, recs.Stream(), Options{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,11 @@ func TestExplainCollectsAttribution(t *testing.T) {
 		t.Fatalf("cause total %d disagrees with Stats.Mispredicts %d",
 			pv.Mispredicts(), st.Mispredicts)
 	}
-	// ExplainEvery=1 samples every branch; margin = Confidence-Threshold
+	// Every explained branch records its margin: Confidence-Threshold
 	// is 5 for 0xA (bucket for (4,8]) and 1 for 0xB (bucket for (0,2]).
+	if pv.MarginSamples != pv.Explained {
+		t.Fatalf("MarginSamples = %d, want Explained = %d", pv.MarginSamples, pv.Explained)
+	}
 	if pv.MarginSamples != 40 {
 		t.Fatalf("MarginSamples = %d, want 40", pv.MarginSamples)
 	}

@@ -250,7 +250,7 @@ type Options struct {
 	// attached; a per-job OnEvent still sees the run-local events first.
 	OnEvent func(Event)
 	// Probe, when non-nil, samples Predict/Update latencies into its
-	// histograms every Probe.Every branches. The engine injects one
+	// histograms once every 64 branches. The engine injects one
 	// automatically when Engine.Metrics is set; a nil Probe runs the
 	// uninstrumented hot path.
 	Probe *HarnessProbe
@@ -262,11 +262,6 @@ type Options struct {
 	// Explain method run unchanged. Off (the default) leaves the hot path
 	// and all results byte-identical.
 	Explain bool
-	// ExplainEvery throttles the confidence-margin sampling of an
-	// explained run: one margin sample per ExplainEvery branches, rounded
-	// up to a power of two (0 means every 64). Attribution and taxonomy
-	// always cover every post-warmup branch; only margins are sampled.
-	ExplainEvery uint64
 	// CheckpointEvery, when non-zero, invokes CheckpointFn at the first
 	// batch boundary at or after every CheckpointEvery branches. Batches
 	// are runBatchSize records, so the actual checkpoint positions are
@@ -289,9 +284,9 @@ type Options struct {
 	ProbeStateEvery uint64
 	// TraceSpan, when non-nil, is the parent execution span under which
 	// RunContext records its timeline: one "batch" span per record
-	// batch, a "drain" span for the delayed-update flush, and — when a
-	// Probe samples a branch — retroactive "predict"/"update" phase
-	// slices. The engine injects the per-run span automatically when
+	// batch, a "drain" span for the delayed-update flush, and
+	// "checkpoint" and "tablestats" spans at the batch boundaries that
+	// take them. The engine injects the per-run span automatically when
 	// Engine.Tracer is set; a nil span runs the uninstrumented
 	// (zero-alloc) hot path.
 	TraceSpan *obs.Span
@@ -350,14 +345,10 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 		stats.perPC = make(map[uint64]*pcStat)
 	}
 	probe := opt.Probe
-	var probeMask uint64
-	if probe != nil {
-		probeMask = probe.sampleMask()
-	}
 	var dt *decisionTrace
 	if opt.Explain {
 		if ex, ok := p.(Explainer); ok {
-			dt = newDecisionTrace(ex, opt.ExplainEvery)
+			dt = newDecisionTrace(ex)
 			stats.Provenance = dt.pv
 		}
 	}
@@ -375,7 +366,7 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 	br := trace.Batched(r)
 	batch := make([]trace.Record, runBatchSize)
 	var win WindowStat
-	// sp parents the run's timeline; every Span/Phase call below is a
+	// sp parents the run's timeline; every Span call below is a
 	// nil-safe no-op (and allocation-free) when tracing is off.
 	sp := opt.TraceSpan
 	for {
@@ -395,17 +386,15 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 			return stats, fmt.Errorf("sim: trace read: %w", err)
 		}
 		for _, rec := range batch[:n] {
-			// Sampled latency probe: time every probeMask+1'th branch so
+			// Sampled latency probe: time every probePeriod'th branch so
 			// instrumentation costs two clock reads per period, not per
 			// branch. The nil-probe path is a single predictable test.
-			sample := probe != nil && stats.Branches&probeMask == 0
+			sample := probe != nil && stats.Branches%probePeriod == 0
 			var pred bool
 			if sample {
 				t0 := time.Now()
 				pred = p.Predict(rec.PC)
-				d := time.Since(t0)
-				probe.Predict.Observe(d.Seconds())
-				sp.Phase("predict", d)
+				probe.Predict.Observe(time.Since(t0).Seconds())
 			} else {
 				pred = p.Predict(rec.PC)
 			}
@@ -421,7 +410,7 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 				// so Explain always sees the in-flight prediction it is
 				// attributing.
 				if dt != nil {
-					dt.record(rec.PC, miss, stats.Branches)
+					dt.record(rec.PC, miss)
 				}
 				if opt.Window > 0 {
 					win.Branches++
@@ -468,9 +457,7 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 			if sample {
 				t0 := time.Now()
 				p.Update(u.pc, u.taken, u.target)
-				d := time.Since(t0)
-				probe.Update.Observe(d.Seconds())
-				sp.Phase("update", d)
+				probe.Update.Observe(time.Since(t0).Seconds())
 			} else {
 				p.Update(u.pc, u.taken, u.target)
 			}

@@ -242,8 +242,10 @@ func TestEngineDuplicateCellsKeepOwnEvictionBaselines(t *testing.T) {
 		mu   sync.Mutex
 		last uint64
 	)
-	eng := Engine{Workers: 2, Metrics: m, Options: Options{ProbeStateEvery: 8192}}
-	eng.OnEvent = func(ev Event) {
+	// The per-job OnEvent sees each sample before the engine forwards
+	// it to the metrics, so it reads the counter as every earlier
+	// sample, of either cell, left it.
+	opt := Options{ProbeStateEvery: 8192, OnEvent: func(ev Event) {
 		if _, ok := ev.(TableStats); !ok {
 			return
 		}
@@ -255,7 +257,8 @@ func TestEngineDuplicateCellsKeepOwnEvictionBaselines(t *testing.T) {
 		}
 		mu.Unlock()
 		steps.observed()
-	}
+	}}
+	eng := Engine{Workers: 2, Metrics: m, Options: opt}
 	res, err := eng.Run(context.Background(), []Job{job(1), job(3)})
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,6 @@ func Start(cfg Config) (*T, error) {
 		}
 		t.traceFile = f
 		t.Tracer = obs.NewTracer(f)
-		t.Tracer.Instrument(t.Registry)
 	}
 
 	if cfg.JournalPath != "" {

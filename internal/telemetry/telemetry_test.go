@@ -109,10 +109,6 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 			t.Errorf("/debug/vars %s has no quantile samples: %s", name, vars[name])
 		}
 	}
-	// With tracing off the span summary stays empty.
-	if n := quantileSamples(vars["bfbp_span_seconds"]); n != 0 {
-		t.Errorf("bfbp_span_seconds has %d samples with tracing off", n)
-	}
 
 	// The heartbeat line carries the runtime collector's fields.
 	var lastBranches uint64
@@ -282,6 +278,89 @@ func TestStartTraceExport(t *testing.T) {
 	}
 	if tagged == 0 {
 		t.Fatal("no journal events carried span IDs")
+	}
+}
+
+// A sampled harness latency lands only in the bfbp_harness_* quantiles:
+// a traced, metered run writes no slice per sampled branch and
+// registers no span-duration family, so its timeline grows with record
+// batches, not with branches/64.
+func TestTracedRunKeepsHarnessLatencyInProbe(t *testing.T) {
+	spec, ok := workload.ByName("INT1")
+	if !ok {
+		t.Fatal("INT1 missing")
+	}
+	run := func(n int) (slices int, samples uint64) {
+		dir := t.TempDir()
+		tracePath := filepath.Join(dir, "run.trace.json")
+		tel, err := Start(Config{TracePath: tracePath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tel.Close()
+		var eng sim.Engine
+		tel.Attach(&eng)
+		jobs := sim.Matrix(
+			[]sim.TraceSource{spec.Source(n)},
+			[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1<<12, 2) }}},
+			sim.Options{},
+		)
+		res, err := eng.Run(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tel.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// One predict and one update sample per 64 branches, the first
+		// at branch 0.
+		branches := res[0].Stats.Branches
+		want := (branches + 63) / 64
+		snap := tel.Engine.Snapshot()
+		if snap.PredictSamples != want || snap.UpdateSamples != want {
+			t.Errorf("%d branches: %d/%d harness samples, want %d/%d",
+				branches, snap.PredictSamples, snap.UpdateSamples, want, want)
+		}
+		var prom strings.Builder
+		if err := tel.Registry.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(prom.String(), "bfbp_span_seconds") {
+			t.Errorf("%d branches: registry carries a bfbp_span_seconds family", n)
+		}
+		raw, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Events []struct {
+				Cat string `json:"cat"`
+				Ph  string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("trace file is not valid JSON: %v", err)
+		}
+		phases := 0
+		for _, ev := range doc.Events {
+			if ev.Ph != "X" {
+				continue
+			}
+			slices++
+			if ev.Cat == "predict" || ev.Cat == "update" {
+				phases++
+			}
+		}
+		if phases > 0 {
+			t.Errorf("%d branches: timeline has %d predict/update slices", n, phases)
+		}
+		return slices, want
+	}
+	shortX, shortS := run(20_000)
+	longX, longS := run(200_000)
+	if longX-shortX >= int(longS-shortS)/8 {
+		t.Fatalf("slices grew from %d to %d while samples grew from %d to %d",
+			shortX, longX, shortS, longS)
 	}
 }
 

@@ -4,8 +4,10 @@
 # artifact a check leaves behind (timelines, journals, snapshots)
 # stays in $OUT for upload and for loading into Perfetto by hand.
 #
-#   trace     two identical-seed traced suites; their journals must
-#             `journal diff` clean.
+#   trace     two identical-seed suites, one traced; their journals must
+#             `journal diff` clean, and the timeline must hold no
+#             per-branch "predict" or "update" slice (sampled harness
+#             latencies go to the bfbp_harness_* quantiles only).
 #   flags     a count flag below its floor (a negative -n, -delay,
 #             -skip, ...) must exit 2 with a message and no panic.
 #   snapshot  for each headline predictor, every engine and history
@@ -50,6 +52,9 @@ journal=$OUT/bin/journal
 "$bfsim" -p bimodal,gshare -t INT1,MM1 -n 100000 -journal "$OUT/journal_b.jsonl" > /dev/null
 "$journal" summary "$OUT/journal.jsonl"
 "$journal" diff "$OUT/journal.jsonl" "$OUT/journal_b.jsonl"
+if grep -Eq '"cat":"(predict|update)"' "$OUT/trace.json"; then
+	fail "trace: timeline has per-branch predict/update slices"
+fi
 echo "smoke: trace ok"
 
 # flags
