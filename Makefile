@@ -69,11 +69,12 @@ smoke:
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
 # hot-path kernels (key-map lookup and segment delta, fold-bank push,
-# fused dot-product, and the three flagship cores' probe paths).
-# internal/rs has no benchmarks yet; its tests still run here.
+# segmented recency-stack commit, the two dot-product kernels, the
+# three flagship cores' probe paths and oh-snap's predict/update).
 BENCHTIME ?= 1s
 
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) . ./internal/sim \
 		./internal/history ./internal/rs ./internal/dotp \
-		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl
+		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl \
+		./internal/predictor/ohsnap

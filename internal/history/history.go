@@ -173,21 +173,29 @@ func (r *Ring) PCAt(depth int) uint32 {
 	return r.pcs[(r.head-(depth-1))&r.mask]
 }
 
-// FillRecent writes the hashed PCs and outcomes of the len(pcs) most
-// recent branches into pcs and taken (index i = depth i+1). Every
-// requested depth must be populated (len(pcs) <= Len()) and taken must
-// be at least as long as pcs; it is the bulk form of PCAt and TakenAt
-// for hot loops that consume a dense recent-history prefix of any
-// length.
-func (r *Ring) FillRecent(pcs []uint32, taken []bool) {
-	h, m := r.head, r.mask
-	taken = taken[:len(pcs)]
-	for i := range pcs {
-		pos := (h - i) & m
-		pcs[i] = r.pcs[pos]
-		taken[i] = slotBit(r.takenW, pos)
-	}
+// Window is a read-only view of a ring's most recent branches for hot
+// loops that walk many depths: position i is depth i+1, valid for i in
+// [0, N). It reads the ring's storage in place, with no population test
+// per position, and is valid until the next Push or LoadState.
+type Window struct {
+	// N is the number of populated positions the view covers.
+	N     int
+	pcs   []uint32
+	taken []uint64
+	head  int
+	mask  int
 }
+
+// Window returns a view of the min(n, Len()) most recent branches.
+func (r *Ring) Window(n int) Window {
+	return Window{N: min(n, r.size), pcs: r.pcs, taken: r.takenW, head: r.head, mask: r.mask}
+}
+
+// PC returns the hashed PC at position i (depth i+1), i in [0, N).
+func (w *Window) PC(i int) uint32 { return w.pcs[(w.head-i)&w.mask] }
+
+// Taken returns the outcome at position i (depth i+1), i in [0, N).
+func (w *Window) Taken(i int) bool { return slotBit(w.taken, (w.head-i)&w.mask) }
 
 // Len returns the number of populated entries (saturating at capacity).
 func (r *Ring) Len() int { return r.size }

@@ -49,6 +49,30 @@ func TestRingWraps(t *testing.T) {
 	}
 }
 
+// TestRingWindowMatchesAt checks the in-place view against At at every
+// position, for requests shorter and longer than the populated history,
+// before the ring fills, once it is full and after its head wraps.
+func TestRingWindowMatchesAt(t *testing.T) {
+	r := NewRing(128)
+	g := rng.New(17)
+	for pushed := 0; pushed <= 300; pushed++ {
+		for _, n := range []int{0, 1, 16, 64, 126, 128} {
+			w := r.Window(n)
+			if want := min(n, r.Len()); w.N != want {
+				t.Fatalf("pushed %d: Window(%d).N = %d, want %d", pushed, n, w.N, want)
+			}
+			for i := 0; i < w.N; i++ {
+				e, ok := r.At(i + 1)
+				if !ok || w.PC(i) != e.HashedPC || w.Taken(i) != e.Taken {
+					t.Fatalf("pushed %d n %d position %d: (%d, %v), At gives (%d, %v, %v)",
+						pushed, n, i, w.PC(i), w.Taken(i), e.HashedPC, e.Taken, ok)
+				}
+			}
+		}
+		r.Push(Entry{HashedPC: g.Uint32(), Taken: g.Intn(2) == 0, NonBiased: g.Intn(2) == 0})
+	}
+}
+
 func TestRingCapacityPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -19,6 +19,7 @@ package ohsnap
 import (
 	"strconv"
 
+	"bfbp/internal/dotp"
 	"bfbp/internal/history"
 	"bfbp/internal/inflight"
 	"bfbp/internal/rng"
@@ -65,21 +66,30 @@ const (
 )
 
 // checkpoint is one prediction awaiting its update. Its idxs and dirs
-// arrays are built once per ring slot and overwritten by each lookup.
+// arrays are built once per ring slot and overwritten by each lookup;
+// only the first n, the positions the history had populated, are live.
 type checkpoint struct {
 	pc   uint64
 	sum  int32
-	idxs []int32 // flat weight indices per position (-1 = unpopulated)
+	n    int
+	idxs []int32 // flat weight index per position
 	dirs []bool
+}
+
+// segTable is one ragged segment's block of the flat weight array:
+// positions [start, end) each own rows consecutive weights, the first
+// at base.
+type segTable struct {
+	start, end int
+	base, rows int32
+	mask       uint64
 }
 
 // Predictor is an OH-SNAP-style scaled neural predictor.
 type Predictor struct {
 	cfg      Config
 	hlen     int
-	segStart []int   // first position of each segment
-	segBase  []int32 // offset of each segment's table in weights
-	segMask  []uint64
+	segs     []segTable
 	weights  []int8
 	bias     []int8
 	biasMask uint64
@@ -112,9 +122,10 @@ func New(cfg Config) *Predictor {
 		if s.Rows <= 0 || s.Rows&(s.Rows-1) != 0 {
 			panic("ohsnap: segment Rows must be a positive power of two")
 		}
-		p.segStart = append(p.segStart, pos)
-		p.segBase = append(p.segBase, total)
-		p.segMask = append(p.segMask, uint64(s.Rows-1))
+		p.segs = append(p.segs, segTable{
+			start: pos, end: pos + s.Positions,
+			base: total, rows: int32(s.Rows), mask: uint64(s.Rows - 1),
+		})
 		total += int32(s.Rows * s.Positions)
 		pos += s.Positions
 	}
@@ -149,38 +160,32 @@ func (p *Predictor) Name() string {
 
 // lookup fills the ring's free slot, keeping its arrays, with pc's
 // weight indices, history directions and scaled sum. The slot is not put
-// in flight.
+// in flight. An index pass hashes each populated position, one loop per
+// ragged segment over the history read in place; the scaled gather
+// kernel then reduces the indices it wrote.
 func (p *Predictor) lookup(pc uint64) *checkpoint {
 	cp := p.inflight.Next()
-	idxs, dirs := cp.idxs[:p.hlen], cp.dirs[:p.hlen]
-	sum := int32(p.bias[(pc>>2)&p.biasMask]) * coeffInit >> coeffShift
+	win := p.ring.Window(p.hlen)
+	n := win.N
+	idxs, dirs := cp.idxs[:n], cp.dirs[:n]
 	pch := rng.Hash64(pc >> 2)
-	seg := 0
-	segPositions := 0
-	for i := 0; i < p.hlen; i++ {
-		if seg+1 < len(p.segStart) && i >= p.segStart[seg+1] {
-			seg++
-		}
-		segPositions = i - p.segStart[seg]
-		e, ok := p.ring.At(i + 1)
-		if !ok {
-			idxs[i] = -1
-			continue
-		}
-		row := rng.Hash64(pch^uint64(e.HashedPC)<<1) & p.segMask[seg]
-		idx := p.segBase[seg] + int32(segPositions)*int32(p.segMask[seg]+1) + int32(row)
-		idxs[i] = idx
-		dirs[i] = e.Taken
-		w := int32(p.weights[idx])
-		contrib := w * p.coeff[i] >> coeffShift
-		if e.Taken {
-			sum += contrib
-		} else {
-			sum -= contrib
+	for _, s := range p.segs {
+		base, end := s.base, min(s.end, n)
+		for i := s.start; i < end; i++ {
+			idxs[i] = base + int32(rng.Hash64(pch^uint64(win.PC(i))<<1)&s.mask)
+			dirs[i] = win.Taken(i)
+			base += s.rows
 		}
 	}
-	cp.pc, cp.sum = pc, sum
+	cp.pc, cp.n = pc, n
+	cp.sum = p.biasTerm(pc) + dotp.ScaledGatherSum(p.weights, idxs, dirs, p.coeff, coeffShift)
 	return cp
+}
+
+// biasTerm is pc's bias weight at the initial coefficient, the first
+// term of every sum.
+func (p *Predictor) biasTerm(pc uint64) int32 {
+	return dotp.ScaledTerm(p.bias[(pc>>2)&p.biasMask], coeffInit, coeffShift, true)
 }
 
 // Predict implements sim.Predictor.
@@ -215,27 +220,23 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 	}
 	bi := (cp.pc >> 2) & p.biasMask
 	p.bias[bi] = satUpdate(p.bias[bi], taken)
-	for i, idx := range cp.idxs {
-		if idx < 0 {
-			continue
-		}
-		agree := taken == cp.dirs[i]
-		p.weights[idx] = satUpdate(p.weights[idx], agree)
+	idxs, dirs := cp.idxs[:cp.n], cp.dirs[:cp.n]
+	coeff := p.coeff[:len(idxs)]
+	for i, idx := range idxs {
+		// Branch-free on the unpredictable agreement: step the weight
+		// toward it, saturating at the int8 clamps.
+		agree := taken == dirs[i]
+		w := min(max(int32(p.weights[idx])+2*b2i(agree)-1, -128), 127)
+		p.weights[idx] = int8(w)
 		// Dynamic coefficient adaptation: a position whose stored
-		// weight confidently pointed toward the actual outcome gains
-		// influence; one that pointed away loses it. The contribution
-		// sign is sign(w) when the history bit was taken and -sign(w)
-		// otherwise, so it was correct exactly when (w > 0) == agree.
-		w := p.weights[idx]
-		if w > 8 || w < -8 {
-			if (w > 0) == agree {
-				if p.coeff[i] < coeffMax {
-					p.coeff[i]++
-				}
-			} else if p.coeff[i] > coeffMin {
-				p.coeff[i]--
-			}
-		}
+		// weight confidently (|w| > 8) pointed toward the actual outcome
+		// gains influence; one that pointed away loses it. The
+		// contribution sign is sign(w) when the history bit was taken
+		// and -sign(w) otherwise, so it was correct exactly when
+		// (w > 0) == agree. Coefficients always lie in [coeffMin,
+		// coeffMax], so clamping the step is the saturating update.
+		step := b2i(w > 8 || w < -8) * (2*b2i((w > 0) == agree) - 1)
+		coeff[i] = min(max(coeff[i]+step, coeffMin), coeffMax)
 	}
 	// Adaptive threshold.
 	if mispred {
@@ -253,6 +254,13 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 			p.tc = 0
 		}
 	}
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func satUpdate(w int8, up bool) int8 {
@@ -283,21 +291,6 @@ func (p *Predictor) Explain(pc uint64) sim.Provenance {
 	if cp == nil {
 		cp = p.lookup(pc)
 	}
-	ws := make([]sim.WeightContrib, 0, len(cp.idxs)+1)
-	ws = append(ws, sim.WeightContrib{
-		Position: 0,
-		Weight:   int32(p.bias[(pc>>2)&p.biasMask]) * coeffInit >> coeffShift,
-	})
-	for i, idx := range cp.idxs {
-		if idx < 0 {
-			continue
-		}
-		contrib := int32(p.weights[idx]) * p.coeff[i] >> coeffShift
-		if !cp.dirs[i] {
-			contrib = -contrib
-		}
-		ws = append(ws, sim.WeightContrib{Position: i + 1, Weight: contrib})
-	}
 	mag := cp.sum
 	if mag < 0 {
 		mag = -mag
@@ -308,8 +301,22 @@ func (p *Predictor) Explain(pc uint64) sim.Provenance {
 		Prediction: cp.sum >= 0,
 		Confidence: mag,
 		Threshold:  p.theta,
-		TopWeights: sim.TopWeightContribs(ws, explainTopWeights),
+		TopWeights: sim.TopWeightContribs(p.contribs(cp), explainTopWeights),
 	}
+}
+
+// contribs lists every term of cp's sum, in the order lookup adds them:
+// the bias weight as position 0, then each populated position i+1.
+func (p *Predictor) contribs(cp *checkpoint) []sim.WeightContrib {
+	ws := make([]sim.WeightContrib, 0, cp.n+1)
+	ws = append(ws, sim.WeightContrib{Position: 0, Weight: p.biasTerm(cp.pc)})
+	for i, idx := range cp.idxs[:cp.n] {
+		ws = append(ws, sim.WeightContrib{
+			Position: i + 1,
+			Weight:   dotp.ScaledTerm(p.weights[idx], p.coeff[i], coeffShift, cp.dirs[i]),
+		})
+	}
+	return ws
 }
 
 // Coefficient exposes a position's scaling coefficient (for tests).
@@ -334,10 +341,10 @@ func (p *Predictor) Storage() sim.Breakdown {
 // coeffMin or coeffMax, the dynamic-adaptation clamps).
 func (p *Predictor) ProbeState() sim.TableStats {
 	ts := sim.TableStats{Predictor: p.Name()}
-	for s, seg := range p.cfg.Segments {
-		block := p.weights[p.segBase[s] : int(p.segBase[s])+seg.Rows*seg.Positions]
+	for s, seg := range p.segs {
+		block := p.weights[seg.base : seg.base+seg.rows*int32(seg.end-seg.start)]
 		ts.Weights = append(ts.Weights, sim.WeightArrayStats(
-			s, "seg"+strconv.Itoa(s), p.segStart[s]+seg.Positions, block, -128, 127))
+			s, "seg"+strconv.Itoa(s), seg.end, block, -128, 127))
 	}
 	ts.Weights = append(ts.Weights,
 		sim.WeightArrayStats(len(p.cfg.Segments), "bias", 0, p.bias, -128, 127))

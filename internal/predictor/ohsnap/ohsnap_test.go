@@ -6,6 +6,7 @@ import (
 	"bfbp/internal/rng"
 	"bfbp/internal/sim"
 	"bfbp/internal/trace"
+	"bfbp/internal/workload"
 )
 
 func smallCfg() Config {
@@ -159,5 +160,169 @@ func TestValidation(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// suiteTrace returns the first n branches of the named workload trace.
+func suiteTrace(tb testing.TB, name string, n int) trace.Slice {
+	tb.Helper()
+	for _, s := range workload.Traces() {
+		if s.Name == name {
+			return s.GenerateN(n)
+		}
+	}
+	tb.Skipf("%s workload spec unavailable", name)
+	return nil
+}
+
+// drive runs recs through p with each update lagging its prediction by
+// delay branches, calling after once each Predict has put its
+// checkpoint in flight. Updates still pending at the end are applied.
+func drive(p *Predictor, recs trace.Slice, delay int, after func(i int, pc uint64, pred bool)) {
+	var pending []trace.Record
+	for i, rec := range recs {
+		pred := p.Predict(rec.PC)
+		after(i, rec.PC, pred)
+		pending = append(pending, rec)
+		if len(pending) > delay {
+			u := pending[0]
+			pending = pending[1:]
+			p.Update(u.PC, u.Taken, u.Target)
+		}
+	}
+	for _, u := range pending {
+		p.Update(u.PC, u.Taken, u.Target)
+	}
+}
+
+// refLookup is the per-position loop that lookup replaced, kept as its
+// reference: Ring.At and a segment test at every position, the sum
+// accumulated in order with a branch on each direction, and -1 marking
+// a position the history has not populated. Its geometry comes from the
+// configuration, not from the predictor's precomputed segment tables.
+func refLookup(p *Predictor, pc uint64) (sum int32, idxs []int32, dirs []bool) {
+	var segStart []int
+	var segBase []int32
+	var segMask []uint64
+	total, pos := int32(0), 0
+	for _, s := range p.cfg.Segments {
+		segStart = append(segStart, pos)
+		segBase = append(segBase, total)
+		segMask = append(segMask, uint64(s.Rows-1))
+		total += int32(s.Rows * s.Positions)
+		pos += s.Positions
+	}
+	idxs, dirs = make([]int32, p.hlen), make([]bool, p.hlen)
+	sum = int32(p.bias[(pc>>2)&p.biasMask]) * coeffInit >> coeffShift
+	pch := rng.Hash64(pc >> 2)
+	seg := 0
+	for i := 0; i < p.hlen; i++ {
+		if seg+1 < len(segStart) && i >= segStart[seg+1] {
+			seg++
+		}
+		segPositions := i - segStart[seg]
+		e, ok := p.ring.At(i + 1)
+		if !ok {
+			idxs[i] = -1
+			continue
+		}
+		row := rng.Hash64(pch^uint64(e.HashedPC)<<1) & segMask[seg]
+		idx := segBase[seg] + int32(segPositions)*int32(segMask[seg]+1) + int32(row)
+		idxs[i] = idx
+		dirs[i] = e.Taken
+		contrib := int32(p.weights[idx]) * p.coeff[i] >> coeffShift
+		if e.Taken {
+			sum += contrib
+		} else {
+			sum -= contrib
+		}
+	}
+	return sum, idxs, dirs
+}
+
+// TestLookupMatchesReference compares lookup with refLookup at every
+// branch of a trace, warm-up (a history shorter than the 128 positions)
+// included, under immediate and delayed updates: same sum, same
+// populated count, and the same index and direction at every populated
+// position.
+func TestLookupMatchesReference(t *testing.T) {
+	recs := suiteTrace(t, "SPEC03", 20000)
+	for _, delay := range []int{0, 33} {
+		for _, cfg := range []Config{Default64KB(), smallCfg()} {
+			p := New(cfg)
+			drive(p, recs, delay, func(i int, pc uint64, _ bool) {
+				wantSum, wantIdx, wantDir := refLookup(p, pc)
+				cp := p.lookup(pc)
+				if want := min(p.hlen, p.ring.Len()); cp.n != want {
+					t.Fatalf("delay %d hlen %d branch %d: n = %d, want %d", delay, p.hlen, i, cp.n, want)
+				}
+				if cp.sum != wantSum {
+					t.Fatalf("delay %d hlen %d branch %d: sum = %d, reference %d", delay, p.hlen, i, cp.sum, wantSum)
+				}
+				for j := range wantIdx {
+					if j >= cp.n {
+						if wantIdx[j] != -1 {
+							t.Fatalf("delay %d hlen %d branch %d: position %d populated in the reference but beyond n = %d", delay, p.hlen, i, j, cp.n)
+						}
+						continue
+					}
+					if cp.idxs[j] != wantIdx[j] || cp.dirs[j] != wantDir[j] {
+						t.Fatalf("delay %d hlen %d branch %d position %d: (%d, %v), reference (%d, %v)",
+							delay, p.hlen, i, j, cp.idxs[j], cp.dirs[j], wantIdx[j], wantDir[j])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestExplainSumsToCheckpoint checks Explain against the sum that made
+// each prediction, at every branch from the first on, with immediate and
+// delayed updates: the full contribution list (bias plus every populated
+// position, before TopWeightContribs cuts it) adds up to the
+// checkpoint's sum, and Confidence is that sum's magnitude.
+func TestExplainSumsToCheckpoint(t *testing.T) {
+	recs := suiteTrace(t, "SPEC03", 20000)
+	for _, delay := range []int{0, 33} {
+		p := New(Default64KB())
+		drive(p, recs, delay, func(i int, pc uint64, pred bool) {
+			prov := p.Explain(pc)
+			cp := p.inflight.Last(func(q *checkpoint) bool { return q.pc == pc })
+			ws := p.contribs(cp)
+			if len(ws) != cp.n+1 {
+				t.Fatalf("delay %d branch %d: %d contributions for %d populated positions", delay, i, len(ws), cp.n)
+			}
+			var total int32
+			for _, w := range ws {
+				total += w.Weight
+			}
+			if total != cp.sum {
+				t.Fatalf("delay %d branch %d: contributions sum to %d, checkpoint sum %d", delay, i, total, cp.sum)
+			}
+			mag := cp.sum
+			if mag < 0 {
+				mag = -mag
+			}
+			if prov.Confidence != mag {
+				t.Fatalf("delay %d branch %d: Confidence = %d, |sum| = %d", delay, i, prov.Confidence, mag)
+			}
+			if prov.Prediction != pred {
+				t.Fatalf("delay %d branch %d: Explain predicts %v, Predict returned %v", delay, i, prov.Prediction, pred)
+			}
+		})
+	}
+}
+
+// BenchmarkPredictUpdate measures the Predict+Update path of the
+// 64KB configuration on SPEC03.
+func BenchmarkPredictUpdate(b *testing.B) {
+	tr := suiteTrace(b, "SPEC03", 100000)
+	p := New(Default64KB())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := tr[i%len(tr)]
+		p.Predict(rec.PC)
+		p.Update(rec.PC, rec.Taken, rec.Target)
 	}
 }

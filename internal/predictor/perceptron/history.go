@@ -86,13 +86,12 @@ type Dense struct {
 	u       *Unfiltered
 	h       int
 	rowMask uint64
-	pcs     []uint32 // Fill scratch
 }
 
 // NewDense returns the fill over u's h most recent positions into a
 // table of rows rows (a power of two).
 func NewDense(u *Unfiltered, h, rows int) Dense {
-	return Dense{u: u, h: h, rowMask: uint64(rows - 1), pcs: make([]uint32, h)}
+	return Dense{u: u, h: h, rowMask: uint64(rows - 1)}
 }
 
 // Fill writes the indices and directions of positions 1..h for the
@@ -100,17 +99,17 @@ func NewDense(u *Unfiltered, h, rows int) Dense {
 // the history holds h branches the unpopulated positions, always the
 // deepest, are left out.
 func (d *Dense) Fill(pch uint64, idx []int32, dirs []bool) int {
-	ring, fs := d.u.ring, d.u.folds
-	n := min(d.h, ring.Len())
-	pcs := d.pcs[:n]
-	ring.FillRecent(pcs, dirs)
+	win, fs := d.u.ring.Window(d.h), d.u.folds
+	n := win.N
+	idx, dirs = idx[:n], dirs[:n]
 	h := int32(d.h)
-	for i := 1; i <= n; i++ {
-		key := pch ^ uint64(pcs[i-1])*0x9e3779b97f4a7c15 ^ uint64(i)<<40
+	for i := range idx {
+		key := pch ^ uint64(win.PC(i))*0x9e3779b97f4a7c15 ^ uint64(i+1)<<40
 		if fs != nil {
-			key ^= fs.Fold(i) << 17
+			key ^= fs.Fold(i+1) << 17
 		}
-		idx[i-1] = int32(rng.Hash64(key)&d.rowMask)*h + int32(i-1)
+		idx[i] = int32(rng.Hash64(key)&d.rowMask)*h + int32(i)
+		dirs[i] = win.Taken(i)
 	}
 	return n
 }

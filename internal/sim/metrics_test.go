@@ -265,10 +265,15 @@ func TestProbeDoesNotPerturbStats(t *testing.T) {
 // nil test per branch. Each leg is timed in process CPU time, so time
 // the host gives to other processes is left out, and off and probed
 // legs alternate, so a burst of machine load slows both sides instead
-// of one.
+// of one. Under the race detector the probed leg pays for the
+// instrumentation of the probe's atomics, not for telemetry, so the
+// guard runs only in builds without -race.
 func TestTelemetryOffOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
+	}
+	if raceEnabled {
+		t.Skip("timing test: the race detector's instrumentation dominates the probed leg")
 	}
 	s, ok := workload.ByName("SPEC01")
 	if !ok {
