@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fuzz bench bench-test microbench smoke
+.PHONY: all build vet test race check fuzz bench bench-test microbench smoke loc
 
 all: check
 
@@ -57,7 +57,8 @@ bench-test:
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
 # the commands once, then runs five checks: trace (identical-seed
 # journals diff clean, no per-branch predict/update slices in the
-# timeline), flags (a negative count exits 2 without a panic), snapshot
+# timeline), flags (a negative count, an unknown trace or figure, or
+# too few variance seeds exits 2 without a panic), snapshot
 # (split runs equal straight runs, and a snapshot cut by one byte exits
 # 1 without a panic), drift (`journal summary` finds
 # alarms in a journaled endurance run, whose timeline carries the mpki
@@ -78,3 +79,12 @@ microbench:
 		./internal/history ./internal/rs ./internal/dotp \
 		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl \
 		./internal/predictor/ohsnap
+
+# The tracked size of the code: lines of non-test Go outside bench/
+# (the figure ROADMAP.md's north star follows) and lines of test Go
+# outside bench/. Hidden directories (.git, .bench_build) are skipped.
+LOCFIND = find . \( -path ./bench -o -path './.*' \) -prune -o -type f -name '*.go'
+
+loc:
+	@echo "non-test Go (excluding bench/): $$($(LOCFIND) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go (excluding bench/): $$($(LOCFIND) -name '*_test.go' -print | xargs cat | wc -l)"

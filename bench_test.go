@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bfbp"
+	"bfbp/internal/bst"
 	"bfbp/internal/experiments"
 )
 
@@ -76,7 +77,10 @@ func BenchmarkFig11RelativeImprovement(b *testing.B) {
 // reports the hit-weighted center of each predictor.
 func BenchmarkFig12TableHits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Fig12(benchCfg(), "SPEC00")
+		tab, err := experiments.Fig12(benchCfg(), "SPEC00")
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(experiments.WeightedCenter(tab, 0), "tage15-center")
 		b.ReportMetric(experiments.WeightedCenter(tab, 1), "bftage10-center")
 	}
@@ -168,7 +172,7 @@ func BenchmarkAblationBSTCounters(b *testing.B) {
 		func() bfbp.Predictor { return bfbp.NewBFNeural(bfbp.BFNeural64KB()) },
 		func() bfbp.Predictor {
 			cfg := bfbp.BFNeural64KB()
-			cfg.Classifier = bfbp.NewProbabilisticBST(16384, 7)
+			cfg.Classifier = bst.NewProbTable(16384, 7)
 			return bfbp.NewBFNeural(cfg)
 		})
 }
@@ -250,34 +254,6 @@ func BenchmarkAblationSegmentedRS(b *testing.B) {
 			}
 			return bfbp.NewBFTAGE(cfg)
 		})
-}
-
-// BenchmarkAblationContextSwitch measures accuracy under context
-// switching (two processes round-robin at a 5000-branch quantum) versus a
-// solo run — the scenario hybrid predictors were originally built for
-// (the paper's reference [17]).
-func BenchmarkAblationContextSwitch(b *testing.B) {
-	sa, _ := bfbp.TraceByName("INT2")
-	sb, _ := bfbp.TraceByName("MM1")
-	ta := sa.GenerateN(120_000)
-	tb := sb.GenerateN(120_000)
-	mixed := bfbp.InterleaveTraces(5_000, ta, tb)
-	warm := uint64(len(mixed) / 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		solo, err := bfbp.Run(bfbp.NewBFNeural(bfbp.BFNeural64KB()), ta.Stream(),
-			bfbp.Options{Warmup: uint64(len(ta) / 10)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mix, err := bfbp.Run(bfbp.NewBFNeural(bfbp.BFNeural64KB()), mixed.Stream(),
-			bfbp.Options{Warmup: warm})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(solo.MPKI(), "solo-mpki")
-		b.ReportMetric(mix.MPKI(), "ctxswitch-mpki")
-	}
 }
 
 // BenchmarkPredictBFGEHL measures the BF-GEHL extension's throughput.

@@ -20,7 +20,6 @@ package bfbp
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"bfbp/internal/bst"
 	"bfbp/internal/core/bfgehl"
@@ -39,7 +38,6 @@ import (
 	"bfbp/internal/predictor/tournament"
 	"bfbp/internal/predictor/yags"
 	"bfbp/internal/sim"
-	"bfbp/internal/state"
 	"bfbp/internal/trace"
 	"bfbp/internal/workload"
 )
@@ -48,19 +46,13 @@ import (
 type (
 	// Predictor is the interface every branch predictor implements.
 	Predictor = sim.Predictor
-	// StorageAccounter reports a predictor's hardware budget.
-	StorageAccounter = sim.StorageAccounter
 	// Stats holds accuracy results of a run.
 	Stats = sim.Stats
-	// WindowStat is one fixed-branch-window slice of a run's MPKI series.
-	WindowStat = sim.WindowStat
 	// Options configures a run (warmup, update delay, per-PC stats,
 	// windowed metrics).
 	Options = sim.Options
 	// Result pairs a predictor name with its stats.
 	Result = sim.Result
-	// Breakdown is an itemised storage budget.
-	Breakdown = sim.Breakdown
 )
 
 // Suite-engine types, re-exported from the harness.
@@ -92,8 +84,8 @@ type (
 // See DESIGN.md §Observability for the metric names and the
 // bfbp.journal.v1 event schema.
 type (
-	// MetricsRegistry holds named metrics with Prometheus-text and
-	// expvar-style JSON export (WritePrometheus / WriteJSON).
+	// MetricsRegistry holds named metrics with Prometheus-text export
+	// (WritePrometheus).
 	MetricsRegistry = obs.Registry
 	// MetricsCounter is an atomic monotonic counter.
 	MetricsCounter = obs.Counter
@@ -102,14 +94,9 @@ type (
 	// MetricsHistogram is a fixed-bucket lock-free histogram.
 	MetricsHistogram = obs.Histogram
 	// MetricsQuantile is an HDR-style log-linear quantile histogram
-	// (p50/p90/p99/p999 within obs.QuantileRelError relative error),
-	// exported as a Prometheus summary.
+	// (p50/p90/p99/p999 within 1.5625% relative error), exported as a
+	// Prometheus summary.
 	MetricsQuantile = obs.QuantileHistogram
-	// MetricsFloatGauge is an atomic float64 instantaneous value.
-	MetricsFloatGauge = obs.FloatGauge
-	// RuntimeCollector bridges runtime/metrics (heap, goroutines, GC
-	// pauses, scheduler latency) into a registry as bfbp_runtime_*.
-	RuntimeCollector = obs.RuntimeCollector
 	// Journal writes bfbp.journal.v1 JSONL run events.
 	Journal = obs.Journal
 	// Tracer records hierarchical execution spans as a bfbp.trace.v1
@@ -118,18 +105,6 @@ type (
 	Tracer = obs.Tracer
 	// Span is one timed slice of a Tracer's timeline.
 	Span = obs.Span
-	// DriftDetector is a streaming change-point detector (EWMA baseline
-	// + Page-Hinkley alarm) over one metric series.
-	DriftDetector = obs.DriftDetector
-	// DriftEvent describes one change-point alarm.
-	DriftEvent = obs.DriftEvent
-	// Event is one fact of the engine's event stream (a bfbp.journal.v1
-	// payload); a run delivers its windows and state samples to
-	// Options.OnEvent.
-	Event = sim.Event
-	// WindowEvent is the event for one closed metrics window, delivered
-	// live as a run progresses.
-	WindowEvent = sim.WindowEvent
 	// EngineMetrics is the engine metric set; assign to Engine.Metrics
 	// and it subscribes to every Run's event stream.
 	EngineMetrics = sim.EngineMetrics
@@ -140,89 +115,14 @@ type (
 	HarnessProbe = sim.HarnessProbe
 )
 
-// Decision-provenance types, re-exported from the harness. Enable with
-// Options.Explain on predictors implementing Explainer; the harness
-// then fills Stats.Provenance with the misprediction taxonomy and
-// component/bank attribution.
-type (
-	// Explainer describes a predictor's most recent prediction.
-	Explainer = sim.Explainer
-	// Provenance describes how one prediction was made.
-	Provenance = sim.Provenance
-	// WeightContrib is one signed adder-tree contribution.
-	WeightContrib = sim.WeightContrib
-	// ProvenanceStats aggregates a run's decision trace.
-	ProvenanceStats = sim.ProvenanceStats
-	// ComponentStat counts predictions attributed to one component.
-	ComponentStat = sim.ComponentStat
-)
-
-// State-snapshot types (bfbp.state.v1), re-exported from the harness
-// and internal/state. See DESIGN.md §State snapshots for the format.
-type (
-	// Snapshotter is the optional interface for predictors whose state
-	// serialises to the bfbp.state.v1 format and restores bit-exactly.
-	// Every registry predictor implements it.
-	Snapshotter = sim.Snapshotter
-	// CapabilitySet holds a predictor's optional interfaces, each nil
-	// when unimplemented.
-	CapabilitySet = sim.CapabilitySet
-	// SnapshotHeader is the identity header of a bfbp.state.v1 file:
-	// predictor name, config hash, and section directory.
-	SnapshotHeader = state.Header
-)
-
-// Predictor-internals introspection types, re-exported from the
-// harness. Enable periodic sampling with Options.ProbeStateEvery on
-// predictors implementing StateProbe; every registry predictor does.
-type (
-	// StateProbe is the optional interface for predictors that expose
-	// internal table statistics for observation-only sampling.
-	StateProbe = sim.StateProbe
-	// TableStats is one StateProbe sample: per-bank occupancy, weight
-	// saturation, and recency-structure fill.
-	TableStats = sim.TableStats
-	// BankStats describes one table bank (occupancy, conflicts,
-	// useful-bit and counter saturation, history length and reach,
-	// provider hits).
-	BankStats = sim.BankStats
-	// WeightStats describes one weight array (live weights, L1 norm,
-	// clamp saturation).
-	WeightStats = sim.WeightStats
-	// RecencyStats describes one recency-stack segment's fill.
-	RecencyStats = sim.RecencyStats
-)
-
-// Typed snapshot errors, matchable with errors.Is on Snapshotter.LoadState
-// failures.
-var (
-	// ErrSnapshotBadMagic: the reader is not a bfbp.state snapshot.
-	ErrSnapshotBadMagic = state.ErrBadMagic
-	// ErrSnapshotVersion: the snapshot version is unsupported.
-	ErrSnapshotVersion = state.ErrVersion
-	// ErrSnapshotTruncated: the snapshot ended mid-structure.
-	ErrSnapshotTruncated = state.ErrTruncated
-	// ErrSnapshotCorrupt: a decoded value is structurally impossible.
-	ErrSnapshotCorrupt = state.ErrCorrupt
-	// ErrSnapshotPredictor: the snapshot names a different predictor.
-	ErrSnapshotPredictor = state.ErrPredictorMismatch
-	// ErrSnapshotConfig: the snapshot's config hash does not match the
-	// loading instance's configuration.
-	ErrSnapshotConfig = state.ErrConfigMismatch
-)
+// CapabilitySet holds a predictor's optional interfaces (storage
+// accounting, decision provenance, state snapshots, state probes), each
+// nil when unimplemented.
+type CapabilitySet = sim.CapabilitySet
 
 // Capabilities probes p for every optional interface, replacing
 // scattered type asserts: branch on the returned struct's fields.
 func Capabilities(p Predictor) CapabilitySet { return sim.Capabilities(p) }
-
-// ReadSnapshotHeader reads just the identity header of a bfbp.state.v1
-// stream — enough to tell which predictor a checkpoint file belongs to
-// without decoding its payload.
-func ReadSnapshotHeader(r io.Reader) (SnapshotHeader, error) { return state.ReadHeader(r) }
-
-// MispredictCauses lists the misprediction taxonomy in classification
-// order.
-func MispredictCauses() []string { return sim.Causes() }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
@@ -240,28 +140,6 @@ func NewJournal(w io.Writer) *Journal { return obs.NewJournal(w) }
 // the file. Journal events carry the matching span IDs in their "span"
 // field.
 func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
-
-// NewDriftDetector returns a streaming change-point detector; feed it
-// one value per window with Observe.
-func NewDriftDetector() *DriftDetector { return obs.NewDriftDetector() }
-
-// ConcatTraces returns a reader that yields each reader's records in
-// sequence — the splice primitive behind bfsim -endurance.
-func ConcatTraces(readers ...TraceReader) TraceReader { return trace.Concat(readers...) }
-
-// MetricsQuantileRelError is the worst-case relative error of a
-// MetricsQuantile estimate.
-const MetricsQuantileRelError = obs.QuantileRelError
-
-// NewRuntimeCollector registers the bfbp_runtime_* gauge set on reg;
-// call Collect before a scrape, or Start a ticker that collects on
-// every tick.
-func NewRuntimeCollector(reg *MetricsRegistry) *RuntimeCollector { return obs.NewRuntimeCollector(reg) }
-
-// MetricsMux returns an http.ServeMux serving /metrics (Prometheus
-// text), /debug/vars (expvar-style JSON), and /debug/pprof/* for the
-// registry — the handler behind the commands' -metrics-addr flag.
-func MetricsMux(reg *MetricsRegistry) *http.ServeMux { return obs.NewMux(reg) }
 
 // Trace types.
 type (
@@ -344,15 +222,14 @@ type (
 	BFTAGEConfig = bftage.Config
 )
 
-// BF-Neural ablation modes (Fig. 9).
+// BF-Neural ablation modes (Fig. 9). The complete design is
+// BFNeural64KB.
 const (
 	// BFModeFilterWeights gates by the BST but keeps the history
 	// unfiltered.
 	BFModeFilterWeights = bfneural.ModeFilterWeights
 	// BFModeBiasFreeGHR filters the history without a recency stack.
 	BFModeBiasFreeGHR = bfneural.ModeBiasFreeGHR
-	// BFModeFull is the complete BF-Neural design.
-	BFModeFull = bfneural.ModeFull
 )
 
 // NewBimodal returns a PC-indexed 2-bit bimodal predictor.
@@ -433,13 +310,6 @@ func NewBFGEHL(cfg BFGEHLConfig) Predictor { return bfgehl.New(cfg) }
 // BFGEHL64KB is an 8-table ~64KB BF-GEHL.
 func BFGEHL64KB() BFGEHLConfig { return bfgehl.Default64KB() }
 
-// InterleaveTraces merges traces by round-robin quanta of `quantum`
-// branches, modelling context switches between processes; PCs are
-// offset into disjoint ranges per process.
-func InterleaveTraces(quantum int, traces ...Trace) Trace {
-	return trace.Interleave(quantum, traces...)
-}
-
 // Related-work baseline configurations (paper §VII).
 type (
 	// GEHLConfig parameterises the O-GEHL predictor [11].
@@ -490,15 +360,6 @@ func NewTournament(cfg TournamentConfig) Predictor { return tournament.New(cfg) 
 
 // Tournament64KB is a ~64KB tournament hybrid.
 func Tournament64KB() TournamentConfig { return tournament.Default64KB() }
-
-// NewProbabilisticBST builds the probabilistic-counter Branch Status
-// Table the paper advocates for production designs (§IV-B1): unlike the
-// 2-bit FSM, it can reclassify a branch from non-biased back to biased
-// when the application changes phase. Assign it to a BFNeuralConfig or
-// BFTAGEConfig Classifier field.
-func NewProbabilisticBST(entries int, seed uint64) bst.Classifier {
-	return bst.NewProbTable(entries, seed)
-}
 
 // NewBiasOracle builds a static profile-assisted bias classifier (§VI-D)
 // from a profiling pass over the trace; assign it to a BFNeuralConfig or

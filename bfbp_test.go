@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"bfbp"
+	"bfbp/internal/core/bfneural"
+	"bfbp/internal/sim"
 )
 
 // These integration tests assert the paper's qualitative results — the
@@ -74,7 +76,7 @@ func TestShapeFig9(t *testing.T) {
 		sums[0] += mpki(t, bfbp.NewPerceptron(bfbp.Perceptron64KB()), tr)
 		sums[1] += mpki(t, bfbp.NewBFNeural(bfbp.BFNeuralAblation(bfbp.BFModeFilterWeights)), tr)
 		sums[2] += mpki(t, bfbp.NewBFNeural(bfbp.BFNeuralAblation(bfbp.BFModeBiasFreeGHR)), tr)
-		sums[3] += mpki(t, bfbp.NewBFNeural(bfbp.BFNeuralAblation(bfbp.BFModeFull)), tr)
+		sums[3] += mpki(t, bfbp.NewBFNeural(bfbp.BFNeuralAblation(bfneural.ModeFull)), tr)
 	}
 	t.Logf("ablation means: perceptron %.3f, +filter %.3f, +ghist %.3f, +RS %.3f",
 		sums[0], sums[1], sums[2], sums[3])
@@ -194,7 +196,7 @@ func TestPublicAPISurface(t *testing.T) {
 		}
 	}
 	for _, p := range preds {
-		if sa, ok := p.(bfbp.StorageAccounter); ok {
+		if sa, ok := p.(sim.StorageAccounter); ok {
 			if sa.Storage().TotalBits() <= 0 {
 				t.Errorf("%s reports empty storage", p.Name())
 			}
@@ -335,7 +337,7 @@ func TestMatrixShortCorrelation(t *testing.T) {
 // TestMatrixStorageAccounting: every predictor reports a sane budget.
 func TestMatrixStorageAccounting(t *testing.T) {
 	for _, p := range allPredictors() {
-		sa, ok := p.(bfbp.StorageAccounter)
+		sa, ok := p.(sim.StorageAccounter)
 		if !ok {
 			t.Errorf("%s: no storage accounting", p.Name())
 			continue

@@ -12,11 +12,10 @@
 //	analyze -t SERV1 -p tage-8,bf-tage-8 -utilization     # occupancy by history length
 //	analyze -t SPEC03 -p bf-neural -warmstart             # cold vs warm MPKI curve
 //	analyze -t SERV3 -p bf-tage-10 -phases                # MPKI phase segments + movers
-//	analyze -t SPEC03 -p gshare -interference SERV1       # context-switch penalty
 //
 // Long attributions can be observed live like the other commands:
 //
-//	analyze ... -metrics-addr :8080   # /metrics, /debug/vars, /debug/pprof
+//	analyze ... -metrics-addr :8080   # /metrics, /debug/pprof
 //	analyze ... -heartbeat 10s        # periodic stderr progress line
 package main
 
@@ -49,17 +48,23 @@ func main() {
 
 		warmstart = flag.Bool("warmstart", false, "cold vs warm MPKI windows via a bfbp.state.v1 snapshot")
 		windows   = flag.Int("windows", 10, "window count for -warmstart")
-		interfere = flag.String("interference", "", "second trace: context-switch interference between -t and this trace")
-		quantum   = flag.Int("quantum", 2000, "context-switch quantum in branches for -interference")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", time.Duration(0), "print a progress line to stderr at this period (0 = off)")
 	)
 	flag.Parse()
-	if *branches < 1 {
-		fmt.Fprintf(os.Stderr, "analyze: -n %d is below 1\n", *branches)
-		os.Exit(2)
+	// A count below its floor is a usage error, not a silent default.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"n", *branches, 1}, {"offenders", *offenders, 0},
+	} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "analyze: -%s %d is below %d\n", f.name, f.val, f.min)
+			os.Exit(2)
+		}
 	}
 
 	tel, err := telemetry.Start(telemetry.Config{
@@ -130,17 +135,11 @@ func main() {
 		return
 	}
 
-	if *warmstart || *interfere != "" {
+	if *warmstart {
 		cfg := experiments.DefaultConfig()
 		cfg.LongBranches, cfg.ShortBranches = *branches, *branches
 		for _, info := range infos {
-			var t experiments.Table
-			var err error
-			if *warmstart {
-				t, err = experiments.WarmStart(cfg, info.Spec(), spec.Name, *windows)
-			} else {
-				t, err = experiments.Interference(cfg, info.Spec(), spec.Name, *interfere, *quantum)
-			}
+			t, err := experiments.WarmStart(cfg, info.Spec(), spec.Name, *windows)
 			if err != nil {
 				fatal(err)
 			}

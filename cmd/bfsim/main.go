@@ -27,9 +27,9 @@
 //
 // Long suite runs can be observed live:
 //
-//	bfsim -p all-suite... -metrics-addr :8080    # /metrics, /debug/vars, /debug/pprof
+//	bfsim -p all-suite... -metrics-addr :8080    # /metrics, /debug/pprof
 //	bfsim ... -journal run.jsonl                 # bfbp.journal.v1 event log
-//	bfsim ... -heartbeat 10s                     # periodic stderr progress + runtime line
+//	bfsim ... -heartbeat 10s                     # periodic stderr progress line
 //	bfsim ... -probe-state                       # table/state X-ray: occupancy metrics,
 //	                                             # tablestats journal events, counter tracks
 //	bfsim ... -trace-out run.trace.json          # bfbp.trace.v1 span timeline (Perfetto)
@@ -95,7 +95,7 @@ func main() {
 		resumePath      = flag.String("resume", "", "load a bfbp.state.v1 predictor snapshot before the run")
 		skip            = flag.Int("skip", 0, "discard the first N trace records (fast-forward a resumed trace)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
 		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
@@ -115,6 +115,7 @@ func main() {
 	}{
 		{"n", *branches, 1}, {"warmup", *warmup, -1}, {"delay", *delay, 0},
 		{"skip", *skip, 0}, {"offenders", *offenders, 0}, {"endurance", *endurance, 0},
+		{"workers", *workers, 0},
 	} {
 		if f.val < f.min {
 			fmt.Fprintf(os.Stderr, "bfsim: -%s %d is below %d\n", f.name, f.val, f.min)

@@ -15,7 +15,7 @@
 //	experiments -suite                               # full matrix, CSV rows
 //	experiments -suite -json                         # + windowed MPKI series
 //	experiments -suite -preds oh-snap,bf-neural      # registry predictor set
-//	experiments -suite -metrics-addr :8080           # live /metrics + /debug/vars + pprof
+//	experiments -suite -metrics-addr :8080           # live /metrics + pprof
 //	experiments -suite -journal run.jsonl -heartbeat 10s
 //	experiments -suite -trace-out run.trace.json     # Perfetto span timeline
 //
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"bfbp"
@@ -40,26 +41,27 @@ import (
 	"bfbp/internal/prof"
 	"bfbp/internal/sim"
 	"bfbp/internal/telemetry"
+	"bfbp/internal/workload"
 )
 
 func main() {
 	var (
 		figs          = flag.String("fig", "", "comma-separated figure numbers to regenerate (2,8,9,10,11,12,13)")
-		table         = flag.Int("table", 0, "table number to regenerate (1)")
+		table         = flag.Int("table", 0, "table number to regenerate (1; 0 = none)")
 		all           = flag.Bool("all", false, "regenerate every figure and table")
 		suite         = flag.Bool("suite", false, "run the full (predictor x trace) suite matrix")
 		predNames     = flag.String("preds", "", "registry predictor names for -suite (default: headline set)")
 		csv           = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut       = flag.Bool("json", false, "emit -suite results as JSON (includes window series)")
-		long          = flag.Int("long", 800_000, "dynamic branches per SPEC trace")
-		short         = flag.Int("short", 300_000, "dynamic branches per short trace")
+		long          = flag.Int("long", 800_000, "dynamic branches per SPEC trace (0 = the family's default length)")
+		short         = flag.Int("short", 300_000, "dynamic branches per short trace (0 = the family's default length)")
 		traces        = flag.String("traces", "", "comma-separated trace subset (default: all 40)")
 		workers       = flag.Int("workers", 0, "parallel engine workers (0 = min(GOMAXPROCS, 8))")
 		quiet         = flag.Bool("q", false, "suppress progress logging")
 		varianceTrace = flag.String("variance", "", "run a seed-variance study on the named trace")
-		seeds         = flag.Int("seeds", 5, "seed variants for -variance")
+		seeds         = flag.Int("seeds", 5, "seed variants for -variance (>= 2)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
 		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
@@ -67,6 +69,40 @@ func main() {
 	)
 	prof.Flags(flag.CommandLine)
 	flag.Parse()
+	// Bad input is a usage error, not a panic, an empty table or a
+	// silent default.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"long", *long, 0}, {"short", *short, 0}, {"workers", *workers, 0}, {"seeds", *seeds, 2},
+	} {
+		if f.val < f.min {
+			usage("-%s %d is below %d", f.name, f.val, f.min)
+		}
+	}
+	if *table != 0 && *table != 1 {
+		usage("-table %d: only Table 1 exists", *table)
+	}
+	want := map[string]bool{}
+	for _, f := range strings.Split(*figs, ",") {
+		if f = strings.TrimSpace(f); f == "" {
+			continue
+		}
+		if !slices.Contains(figures, f) {
+			usage("-fig %s: want one of %s", f, strings.Join(figures, ","))
+		}
+		want[f] = true
+	}
+	var traceFilter []string
+	if *traces != "" {
+		traceFilter = strings.Split(*traces, ",")
+	}
+	for _, name := range append(slices.Clip(traceFilter), *varianceTrace) {
+		if _, ok := workload.ByName(name); name != "" && !ok {
+			usage("unknown trace %q", name)
+		}
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -78,12 +114,10 @@ func main() {
 		LongBranches:  *long,
 		ShortBranches: *short,
 		Workers:       *workers,
+		TraceFilter:   traceFilter,
 	}
 	if !*quiet {
 		cfg.Log = os.Stderr
-	}
-	if *traces != "" {
-		cfg.TraceFilter = strings.Split(*traces, ",")
 	}
 
 	tel, err := telemetry.Start(telemetry.Config{
@@ -104,17 +138,11 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
 	if *all {
-		for _, f := range []string{"2", "8", "9", "10", "11", "12", "13"} {
+		for _, f := range figures {
 			want[f] = true
 		}
 		*table = 1
-	}
-	for _, f := range strings.Split(*figs, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			want[f] = true
-		}
 	}
 	if len(want) == 0 && *table == 0 && *varianceTrace == "" {
 		flag.Usage()
@@ -150,14 +178,22 @@ func main() {
 			names = cfg.TraceFilter
 		}
 		for _, name := range names {
-			emit(experiments.Fig12(cfg, name))
+			t, err := experiments.Fig12(cfg, name)
+			if err != nil {
+				fatal(err)
+			}
+			emit(t)
 		}
 	}
 	if want["13"] {
 		emit(experiments.Fig13(cfg))
 	}
 	if *varianceTrace != "" {
-		emit(experiments.Variance(cfg, *varianceTrace, *seeds))
+		t, err := experiments.Variance(cfg, *varianceTrace, *seeds)
+		if err != nil {
+			fatal(err)
+		}
+		emit(t)
 	}
 	if *table == 1 {
 		fmt.Println("Table I: storage budget of the 10-table BF-TAGE")
@@ -194,6 +230,15 @@ func runSuite(cfg experiments.Config, predNames string, jsonOut bool) {
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// figures are the -fig values the command regenerates.
+var figures = []string{"2", "8", "9", "10", "11", "12", "13"}
+
+// usage reports a bad flag value and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -297,10 +297,10 @@ var Fig12Traces = []string{"SPEC00", "SPEC02", "SPEC03", "SPEC06", "SPEC09", "SP
 // trace: the percentage of predictions provided by each tagged table for
 // a 15-table conventional TAGE and a 10-table BF-TAGE. Row i is table
 // i+1; the base predictor's share is excluded, as in the paper.
-func Fig12(cfg Config, traceName string) Table {
+func Fig12(cfg Config, traceName string) (Table, error) {
 	s, ok := workload.ByName(traceName)
 	if !ok {
-		panic("experiments: unknown trace " + traceName)
+		return Table{}, fmt.Errorf("experiments: unknown trace %q", traceName)
 	}
 	n := cfg.branchesFor(s)
 	cfg.logf("fig12: %s\n", traceName)
@@ -342,7 +342,7 @@ func Fig12(cfg Config, traceName string) Table {
 			Vals:  []float64{a[i], b[i]},
 		})
 	}
-	return t
+	return t, nil
 }
 
 // Table1 reproduces the storage-budget accounting of Table I for the
@@ -401,13 +401,14 @@ func Fig13(cfg Config) Table {
 // Variance runs the headline predictors over `seeds` reseeded variants of
 // one trace and reports each predictor's mean MPKI and standard deviation
 // — the error bars the paper's single-trace numbers implicitly carry.
-func Variance(cfg Config, traceName string, seeds int) Table {
+// A standard deviation needs at least two variants.
+func Variance(cfg Config, traceName string, seeds int) (Table, error) {
 	s, ok := workload.ByName(traceName)
 	if !ok {
-		panic("experiments: unknown trace " + traceName)
+		return Table{}, fmt.Errorf("experiments: unknown trace %q", traceName)
 	}
 	if seeds < 2 {
-		seeds = 2
+		return Table{}, fmt.Errorf("experiments: variance needs at least 2 seeds, got %d", seeds)
 	}
 	n := cfg.branchesFor(s)
 	preds := []sim.PredictorSpec{
@@ -443,7 +444,7 @@ func Variance(cfg Config, traceName string, seeds int) Table {
 		std := math.Sqrt(ss / float64(seeds-1))
 		t.Rows = append(t.Rows, Row{Label: p.Name, Vals: []float64{mean, std}})
 	}
-	return t
+	return t, nil
 }
 
 // WeightedCenter returns the hit-weighted mean table number of a Fig. 12

@@ -64,7 +64,10 @@ func TestFig9SmallRun(t *testing.T) {
 }
 
 func TestFig12SmallRun(t *testing.T) {
-	tab := Fig12(tiny(), "SPEC00")
+	tab, err := Fig12(tiny(), "SPEC00")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 15 {
 		t.Fatalf("rows = %d, want 15 tables", len(tab.Rows))
 	}
@@ -221,7 +224,10 @@ func TestSuiteCancellation(t *testing.T) {
 }
 
 func TestVarianceSmallRun(t *testing.T) {
-	tab := Variance(tiny(), "FP5", 2)
+	tab, err := Variance(tiny(), "FP5", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 predictors", len(tab.Rows))
 	}
@@ -232,5 +238,18 @@ func TestVarianceSmallRun(t *testing.T) {
 		if r.Vals[1] < 0 {
 			t.Fatalf("%s negative stddev", r.Label)
 		}
+	}
+}
+
+// Bad input is an error, never a panic or a silent clamp.
+func TestFig12AndVarianceRejectBadInput(t *testing.T) {
+	if _, err := Fig12(tiny(), "NOPE"); err == nil {
+		t.Error("Fig12 accepted an unknown trace")
+	}
+	if _, err := Variance(tiny(), "NOPE", 2); err == nil {
+		t.Error("Variance accepted an unknown trace")
+	}
+	if _, err := Variance(tiny(), "FP5", 1); err == nil {
+		t.Error("Variance accepted a single seed")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"bfbp/internal/sim"
-	"bfbp/internal/trace"
 	"bfbp/internal/workload"
 )
 
@@ -100,104 +99,4 @@ func WarmStart(cfg Config, pred sim.PredictorSpec, traceName string, windows int
 	}
 	t.Rows = append(t.Rows, Row{Label: "overall", Vals: []float64{cold.MPKI(), warm.MPKI()}})
 	return t, nil
-}
-
-// Interference measures context-switch interference between two traces
-// sharing one predictor. Both traces are interleaved by round-robin
-// quanta (trace.Interleave's flushed-ASID model: disjoint PC ranges, so
-// all interference flows through shared tables and polluted histories).
-// Two configurations run the identical interleaved stream:
-//
-//   - shared: one instance serves both processes across switches — the
-//     conventional hardware baseline.
-//   - swapped: at every context switch the outgoing process's predictor
-//     state is saved to a bfbp.state.v1 snapshot and the incoming
-//     process's snapshot is restored, modelling per-process predictor
-//     state preserved by the OS.
-//
-// The MPKI gap between the rows is the interference penalty that
-// snapshot isolation recovers. Stats exclude a 10% warmup.
-func Interference(cfg Config, pred sim.PredictorSpec, traceA, traceB string, quantum int) (Table, error) {
-	sa, ok := workload.ByName(traceA)
-	if !ok {
-		return Table{}, fmt.Errorf("experiments: unknown trace %q", traceA)
-	}
-	sb, ok := workload.ByName(traceB)
-	if !ok {
-		return Table{}, fmt.Errorf("experiments: unknown trace %q", traceB)
-	}
-	if quantum < 1 {
-		return Table{}, fmt.Errorf("experiments: interference quantum must be >= 1")
-	}
-	n := cfg.branchesFor(sa)
-	if nb := cfg.branchesFor(sb); nb < n {
-		n = nb
-	}
-	cfg.logf("interference: %s on %s+%s, quantum %d\n", pred.Name, traceA, traceB, quantum)
-	merged := trace.Interleave(quantum, sa.GenerateN(n), sb.GenerateN(n))
-	if len(merged) == 0 {
-		return Table{}, fmt.Errorf("experiments: traces shorter than one quantum (%d)", quantum)
-	}
-	warm := uint64(len(merged) / 10)
-
-	shared, err := sim.Run(pred.New(), merged.Stream(), sim.Options{Warmup: warm})
-	if err != nil {
-		return Table{}, err
-	}
-	swapped, err := runSwapped(pred, merged, quantum, warm)
-	if err != nil {
-		return Table{}, err
-	}
-
-	t := Table{
-		Title: fmt.Sprintf("Context-switch interference: %s on %s+%s (quantum %d, %d branches)",
-			pred.Name, traceA, traceB, quantum, len(merged)),
-		Columns: []string{"MPKI", "mispredicts"},
-	}
-	t.Rows = append(t.Rows,
-		Row{Label: "shared", Vals: []float64{shared.MPKI(), float64(shared.Mispredicts)}},
-		Row{Label: "swapped", Vals: []float64{swapped.MPKI(), float64(swapped.Mispredicts)}},
-		Row{Label: "penalty", Vals: []float64{shared.MPKI() - swapped.MPKI(),
-			float64(shared.Mispredicts) - float64(swapped.Mispredicts)}},
-	)
-	return t, nil
-}
-
-// runSwapped replays an interleaved trace on one predictor instance,
-// swapping per-process state via snapshots at every quantum boundary.
-// Interleave emits exact quantum-sized rounds, so record i belongs to
-// process (i/quantum) mod 2. Each process starts from the fresh
-// instance's image, so the first switch-in of either process is
-// well-defined.
-func runSwapped(pred sim.PredictorSpec, merged trace.Slice, quantum int, warmup uint64) (sim.Stats, error) {
-	p := pred.New()
-	fresh, err := snapshotOf(p)
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	imgs := [2][]byte{fresh, fresh}
-	cur := 0
-	var st sim.Stats
-	for i, rec := range merged {
-		if next := (i / quantum) % 2; next != cur {
-			if imgs[cur], err = snapshotOf(p); err != nil {
-				return sim.Stats{}, err
-			}
-			if err := restore(p, imgs[next]); err != nil {
-				return sim.Stats{}, err
-			}
-			cur = next
-		}
-		predicted := p.Predict(rec.PC)
-		p.Update(rec.PC, rec.Taken, rec.Target)
-		if uint64(i) < warmup {
-			continue
-		}
-		st.Branches++
-		st.Instructions += uint64(rec.Instret)
-		if predicted != rec.Taken {
-			st.Mispredicts++
-		}
-	}
-	return st, nil
 }

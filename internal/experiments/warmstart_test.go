@@ -5,8 +5,6 @@ import (
 
 	"bfbp/internal/predictor/gshare"
 	"bfbp/internal/sim"
-	"bfbp/internal/trace"
-	"bfbp/internal/workload"
 )
 
 func gsharePred() sim.PredictorSpec {
@@ -37,62 +35,5 @@ func TestWarmStart(t *testing.T) {
 func TestWarmStartUnknownTrace(t *testing.T) {
 	if _, err := WarmStart(DefaultConfig(), gsharePred(), "NOPE", 5); err == nil {
 		t.Fatal("unknown trace did not error")
-	}
-}
-
-func TestInterference(t *testing.T) {
-	cfg := Config{LongBranches: 30000, ShortBranches: 30000}
-	tab, err := Interference(cfg, gsharePred(), "SPEC03", "SERV1", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, label := range []string{"shared", "swapped", "penalty"} {
-		if _, ok := tab.RowByLabel(label); !ok {
-			t.Fatalf("missing %q row", label)
-		}
-	}
-	shared, _ := tab.RowByLabel("shared")
-	swapped, _ := tab.RowByLabel("swapped")
-	if swapped.Vals[0] > shared.Vals[0] {
-		t.Errorf("state swapping hurt: shared %.3f, swapped %.3f MPKI", shared.Vals[0], swapped.Vals[0])
-	}
-}
-
-// TestSwappedEqualsIsolation is the semantic check on the snapshot swap:
-// because Save/Load round-trips are bit-exact, swapping per-process
-// state through snapshots must behave exactly like giving each process
-// its own private predictor instance.
-func TestSwappedEqualsIsolation(t *testing.T) {
-	const quantum, n = 500, 10000
-	sa, _ := workload.ByName("SPEC03")
-	sb, _ := workload.ByName("SERV1")
-	merged := trace.Interleave(quantum, sa.GenerateN(n), sb.GenerateN(n))
-	warm := uint64(len(merged) / 10)
-
-	swapped, err := runSwapped(gsharePred(), merged, quantum, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: one private instance per process, no snapshots.
-	insts := [2]sim.Predictor{gsharePred().New(), gsharePred().New()}
-	var want sim.Stats
-	for i, rec := range merged {
-		p := insts[(i/quantum)%2]
-		predicted := p.Predict(rec.PC)
-		p.Update(rec.PC, rec.Taken, rec.Target)
-		if uint64(i) < warm {
-			continue
-		}
-		want.Branches++
-		want.Instructions += uint64(rec.Instret)
-		if predicted != rec.Taken {
-			want.Mispredicts++
-		}
-	}
-	if swapped.Branches != want.Branches || swapped.Mispredicts != want.Mispredicts ||
-		swapped.Instructions != want.Instructions {
-		t.Fatalf("swapped (%d br, %d misp) != isolated (%d br, %d misp)",
-			swapped.Branches, swapped.Mispredicts, want.Branches, want.Mispredicts)
 	}
 }

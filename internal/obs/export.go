@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -9,9 +8,9 @@ import (
 	"strings"
 )
 
-// Export formats. Both renderers iterate families in name order and
-// series in label order, so exports are deterministic snapshots
-// (modulo the metric values themselves).
+// The Prometheus renderer iterates families in name order and series
+// in label order, so an export is a deterministic snapshot (modulo the
+// metric values themselves).
 
 // formatFloat renders a float the way Prometheus clients do: shortest
 // representation that round-trips, +Inf spelled "+Inf".
@@ -121,65 +120,4 @@ func writePrometheusSummary(w io.Writer, f *family, s *series) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, lp, snap.Count)
 	return err
-}
-
-// jsonHistogram is the JSON shape of one histogram series.
-type jsonHistogram struct {
-	Count   uint64            `json:"count"`
-	Sum     float64           `json:"sum"`
-	Buckets map[string]uint64 `json:"buckets"`
-}
-
-// jsonValue renders one series to its JSON value.
-func jsonValue(f *family, s *series) any {
-	switch f.kind {
-	case counterKind:
-		return s.counter.Value()
-	case gaugeKind:
-		return s.gauge.Value()
-	case floatGaugeKind:
-		return s.fgauge.Value()
-	case quantileKind:
-		return s.quant.Snapshot()
-	default:
-		bounds, counts := s.hist.Snapshot()
-		buckets := make(map[string]uint64, len(counts))
-		var cum uint64
-		for i, c := range counts {
-			cum += c
-			bound := "+Inf"
-			if i < len(bounds) {
-				bound = formatFloat(bounds[i])
-			}
-			buckets[bound] = cum
-		}
-		return jsonHistogram{Count: s.hist.Count(), Sum: s.hist.Sum(), Buckets: buckets}
-	}
-}
-
-// WriteJSON renders every registered metric as one expvar-style JSON
-// object: unlabeled metrics map name -> value, labeled families map
-// name -> {"v1,v2": value} keyed by comma-joined label values,
-// histograms render as {count, sum, buckets}. Keys are emitted in
-// sorted order (encoding/json sorts map keys), so the document is a
-// deterministic snapshot.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	doc := make(map[string]any)
-	for _, f := range r.sortedFamilies() {
-		if len(f.labelNames) == 0 {
-			ss := f.sortedSeries()
-			if len(ss) > 0 {
-				doc[f.name] = jsonValue(f, ss[0])
-			}
-			continue
-		}
-		sub := make(map[string]any)
-		for _, s := range f.sortedSeries() {
-			sub[strings.Join(s.labels, ",")] = jsonValue(f, s)
-		}
-		doc[f.name] = sub
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

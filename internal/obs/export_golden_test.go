@@ -11,10 +11,9 @@ import (
 var updateExportGolden = flag.Bool("update-export", false, "rewrite the export golden files")
 
 // goldenRegistry builds one registry covering every metric kind with
-// deterministic values, so both export formats can be pinned to bytes:
-// series and family ordering, float formatting, histogram cumulation,
-// summary quantile lines, and the quantile JSON shape are all under
-// guard. Quantile samples are exact bucket midpoints, so their
+// deterministic values, so the Prometheus export can be pinned to
+// bytes: series and family ordering, float formatting, histogram
+// cumulation and summary quantile lines are all under guard. Quantile samples are exact bucket midpoints, so their
 // estimates (and therefore the golden bytes) are stable by
 // construction.
 func goldenRegistry() *Registry {
@@ -23,7 +22,7 @@ func goldenRegistry() *Registry {
 	reg.CounterFamily("g_runs_total", "runs by status", "status").With("ok").Add(7)
 	reg.CounterFamily("g_runs_total", "runs by status", "status").With("error").Add(1)
 	reg.Gauge("g_workers", "worker count").Set(8)
-	reg.FloatGauge("g_ratio", "a plain float gauge").Set(0.375)
+	reg.FloatGaugeFamily("g_ratio", "a plain float gauge").With().Set(0.375)
 	fgf := reg.FloatGaugeFamily("g_pause_seconds", "runtime distribution points", "q")
 	fgf.With("0.5").Set(0.0009765625)
 	fgf.With("0.99").Set(0.001953125)
@@ -60,9 +59,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// The Prometheus text exposition and the expvar JSON document are
-// public surfaces scraped by external tooling — any byte change is a
-// deliberate format decision, not an accident of refactoring.
+// The Prometheus text exposition is a public surface scraped by
+// external tooling — any byte change is a deliberate format decision,
+// not an accident of refactoring.
 func TestExportGolden(t *testing.T) {
 	reg := goldenRegistry()
 	var prom bytes.Buffer
@@ -70,10 +69,4 @@ func TestExportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "metrics.prom.golden", prom.Bytes())
-
-	var js bytes.Buffer
-	if err := reg.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "metrics.json.golden", js.Bytes())
 }

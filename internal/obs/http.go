@@ -9,7 +9,6 @@ import (
 // profiler:
 //
 //	/metrics       Prometheus text exposition
-//	/debug/vars    expvar-style JSON snapshot
 //	/debug/pprof/  net/http/pprof index (profile, heap, trace, ...)
 //
 // The commands mount this on -metrics-addr so long suite runs can be
@@ -17,7 +16,6 @@ import (
 func NewMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", PrometheusHandler(r))
-	mux.Handle("/debug/vars", JSONHandler(r))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -31,13 +29,5 @@ func PrometheusHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
-	})
-}
-
-// JSONHandler serves the registry as an expvar-style JSON document.
-func JSONHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = r.WriteJSON(w)
 	})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -65,39 +64,6 @@ func TestMetricsMuxPrometheusText(t *testing.T) {
 	}
 }
 
-// /debug/vars must serve one valid expvar-style JSON document carrying
-// every registered metric.
-func TestMetricsMuxExpvarJSON(t *testing.T) {
-	srv := httptest.NewServer(NewMux(muxFixture()))
-	defer srv.Close()
-
-	resp, body := get(t, srv, "/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("content type %q is not JSON", ct)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v\n%s", err, body)
-	}
-	if doc["requests_total"] != float64(7) {
-		t.Fatalf("requests_total = %v, want 7", doc["requests_total"])
-	}
-	if doc["depth"] != float64(-3) {
-		t.Fatalf("depth = %v, want -3", doc["depth"])
-	}
-	runs, ok := doc["runs_total"].(map[string]any)
-	if !ok || runs["ok"] != float64(2) {
-		t.Fatalf("runs_total = %v, want {ok: 2}", doc["runs_total"])
-	}
-	hist, ok := doc["latency_seconds"].(map[string]any)
-	if !ok || hist["count"] != float64(1) {
-		t.Fatalf("latency_seconds = %v, want histogram with count 1", doc["latency_seconds"])
-	}
-}
-
 // The pprof surface must be reachable: the index, the cmdline/symbol
 // helpers, and a goroutine profile in debug mode.
 func TestMetricsMuxPprofReachable(t *testing.T) {
@@ -123,12 +89,16 @@ func TestMetricsMuxPprofReachable(t *testing.T) {
 	}
 }
 
-// Unknown paths must 404 rather than fall through to a handler.
+// Unknown paths, /debug/vars among them (the registry is served as
+// Prometheus text only), must 404 rather than fall through to a
+// handler.
 func TestMetricsMuxUnknownPath(t *testing.T) {
 	srv := httptest.NewServer(NewMux(muxFixture()))
 	defer srv.Close()
-	resp, _ := get(t, srv, "/nope")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /nope: status %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/nope", "/debug/vars"} {
+		resp, _ := get(t, srv, path)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability substrate of the repository: an
 // allocation-light, stdlib-only metrics layer (atomic counters, gauges,
 // fixed-bucket histograms, labeled families, a registry with
-// Prometheus-text and expvar-style JSON export) plus a structured
+// Prometheus-text export) plus a structured
 // run-journal writer (JSONL, schema "bfbp.journal.v1").
 //
 // The design targets the suite engine's hot paths: observing a metric
@@ -393,23 +393,6 @@ func (cf *CounterFamily) With(labelValues ...string) *Counter {
 	return cf.f.get(labelValues).counter
 }
 
-// GaugeFamily is a labeled gauge family; With resolves one series.
-type GaugeFamily struct{ f *family }
-
-// GaugeFamily registers (or returns) a gauge family keyed by the given
-// label names.
-func (r *Registry) GaugeFamily(name, help string, labelNames ...string) *GaugeFamily {
-	return &GaugeFamily{r.family(name, help, gaugeKind, labelNames, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (gf *GaugeFamily) With(labelValues ...string) *Gauge {
-	if gf == nil {
-		return nil
-	}
-	return gf.f.get(labelValues).gauge
-}
-
 // HistogramFamily is a labeled histogram family; With resolves one
 // series.
 type HistogramFamily struct{ f *family }
@@ -426,11 +409,6 @@ func (hf *HistogramFamily) With(labelValues ...string) *Histogram {
 		return nil
 	}
 	return hf.f.get(labelValues).hist
-}
-
-// FloatGauge registers (or returns) an unlabeled float gauge.
-func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	return r.family(name, help, floatGaugeKind, nil, nil).get(nil).fgauge
 }
 
 // FloatGaugeFamily is a labeled float-gauge family; With resolves one

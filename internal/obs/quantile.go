@@ -203,20 +203,14 @@ func (h *QuantileHistogram) quantiles(qs []float64) []float64 {
 	return out
 }
 
-// QuantileSnapshot is a point-in-time read of a quantile histogram,
-// the shape exported to expvar JSON.
+// QuantileSnapshot is a point-in-time read of a quantile histogram.
 type QuantileSnapshot struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
+	Count               uint64
+	Sum, Min, Max       float64
+	P50, P90, P99, P999 float64
 }
 
-// exportQuantiles are the quantile points rendered by both exporters.
+// exportQuantiles are the quantile points of the Prometheus summary.
 var exportQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
 // exportQuantileLabels are the Prometheus quantile label values,

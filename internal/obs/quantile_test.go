@@ -144,7 +144,7 @@ func TestQuantileConcurrentObserve(t *testing.T) {
 }
 
 // Registry round-trip: quantile families and float gauges register,
-// resolve, and export through both formats.
+// resolve, and export as Prometheus text.
 func TestRegistryQuantileAndFloatGauge(t *testing.T) {
 	reg := NewRegistry()
 	q := reg.Quantile("test_latency_seconds", "test latencies")
@@ -153,8 +153,7 @@ func TestRegistryQuantileAndFloatGauge(t *testing.T) {
 	}
 	qf := reg.QuantileFamily("test_run_seconds", "per-thing durations", "thing")
 	qf.With("a").Observe(0.5)
-	fg := reg.FloatGauge("test_ratio", "a float gauge")
-	fg.Set(0.625)
+	reg.FloatGaugeFamily("test_ratio", "a float gauge").With().Set(0.625)
 	fgf := reg.FloatGaugeFamily("test_pause_seconds", "paused", "q")
 	fgf.With("0.99").Set(0.001953125)
 
@@ -177,14 +176,9 @@ func TestRegistryQuantileAndFloatGauge(t *testing.T) {
 		}
 	}
 
-	var js strings.Builder
-	if err := reg.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{`"p50"`, `"p999"`, `"min"`, `"max"`, `"test_ratio": 0.625`} {
-		if !strings.Contains(js.String(), frag) {
-			t.Errorf("JSON export missing %q:\n%s", frag, js.String())
-		}
+	// The snapshot behind the summary clamps to the exact extremes.
+	if s := q.Snapshot(); s.Min != 1e-6 || s.Max != 1000e-6 || s.P999 > s.Max {
+		t.Errorf("snapshot min %v max %v p999 %v, want min 1e-6, max 1e-3, p999 <= max", s.Min, s.Max, s.P999)
 	}
 
 	// Estimates honour the documented bound: p50 of 1..1000 µs is 500µs.

@@ -157,13 +157,11 @@ func TestEngineProbeStateSink(t *testing.T) {
 	}
 
 	var expo strings.Builder
-	if err := reg.WriteJSON(&expo); err != nil {
+	if err := reg.WritePrometheus(&expo); err != nil {
 		t.Fatal(err)
 	}
-	for _, metric := range []string{"bfbp_table_occupancy", "toy,T0:pht"} {
-		if !strings.Contains(expo.String(), metric) {
-			t.Errorf("registry export missing %q:\n%s", metric, expo.String())
-		}
+	if metric := `bfbp_table_occupancy{predictor="toy",bank="T0:pht"}`; !strings.Contains(expo.String(), metric) {
+		t.Errorf("registry export missing %q:\n%s", metric, expo.String())
 	}
 	journal := journalBuf.String()
 	if !strings.Contains(journal, `"event":"tablestats"`) {

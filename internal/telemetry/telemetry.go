@@ -1,7 +1,7 @@
 // Package telemetry wires the obs substrate into the command-line
 // tools: one call turns the -metrics-addr / -journal / -heartbeat /
 // -trace-out / -runtime-trace flags into a live metrics endpoint
-// (Prometheus text + expvar JSON + net/http/pprof), a bfbp.journal.v1
+// (Prometheus text + net/http/pprof), a bfbp.journal.v1
 // JSONL file, a bfbp.trace.v1 execution-span timeline (loadable in
 // Perfetto or chrome://tracing), an optional runtime/trace capture,
 // and a periodic stderr heartbeat summarising engine progress.
@@ -27,8 +27,8 @@ import (
 // Config selects which telemetry sinks to enable. The zero value
 // disables everything.
 type Config struct {
-	// MetricsAddr, when non-empty, serves /metrics, /debug/vars, and
-	// /debug/pprof/* on this listen address (e.g. "localhost:8080").
+	// MetricsAddr, when non-empty, serves /metrics and /debug/pprof/*
+	// on this listen address (e.g. "localhost:8080").
 	MetricsAddr string
 	// JournalPath, when non-empty, appends bfbp.journal.v1 JSONL events
 	// to this file (created or truncated).
@@ -62,9 +62,6 @@ type T struct {
 	// Addr is the bound metrics listen address ("" when -metrics-addr
 	// is unset); it differs from Config.MetricsAddr for ":0" binds.
 	Addr string
-	// Runtime bridges runtime/metrics into the registry as
-	// bfbp_runtime_* (nil unless MetricsAddr or Heartbeat is set).
-	Runtime *obs.RuntimeCollector
 
 	server      *http.Server
 	journalFile *os.File
@@ -82,10 +79,6 @@ func (cfg Config) Enabled() bool {
 		cfg.TracePath != "" || cfg.RuntimeTracePath != ""
 }
 
-// runtimePeriod is how often the runtime collector refreshes the
-// bfbp_runtime_* gauges.
-const runtimePeriod = time.Second
-
 // Start brings up the requested sinks. It returns (nil, nil) when cfg
 // is fully disabled. The listener is bound synchronously so address
 // errors fail fast; serving happens on a background goroutine.
@@ -95,12 +88,6 @@ func Start(cfg Config) (*T, error) {
 	}
 	t := &T{Registry: obs.NewRegistry()}
 	t.Engine = sim.NewEngineMetrics(t.Registry)
-
-	// The runtime gauges ride along whenever a live surface exists to
-	// read them: the HTTP endpoint or the heartbeat.
-	if cfg.MetricsAddr != "" || cfg.Heartbeat > 0 {
-		t.Runtime = obs.NewRuntimeCollector(t.Registry)
-	}
 
 	if cfg.TracePath != "" {
 		f, err := os.Create(cfg.TracePath)
@@ -156,7 +143,6 @@ func Start(cfg Config) (*T, error) {
 		t.stopped = make(chan struct{})
 		go t.heartbeat(cfg.Heartbeat)
 	}
-	t.Runtime.Start(runtimePeriod)
 	return t, nil
 }
 
@@ -182,12 +168,11 @@ func (t *T) RunJournal() *obs.Journal {
 
 // heartbeat prints one progress line per period:
 //
-//	bfbp: 12/160 runs (0 failed), 8 busy, 140 queued, 45.2M branches, 3.4M branches/s, 9 spans, 1.2M journal, 38.1M heap, 14 gor, 1.2ms gc p99
+//	bfbp: 12/160 runs (0 failed), 8 busy, 140 queued, 45.2M branches, 3.4M branches/s, 9 spans, 1.2M journal
 //
 // The rate is the branch-counter delta since the previous beat. The
 // spans-in-flight and journal-bytes fields appear only when those
-// sinks are enabled; the heap/goroutine/GC-pause fields appear only
-// when the runtime collector runs.
+// sinks are enabled.
 func (t *T) heartbeat(period time.Duration) {
 	defer close(t.stopped)
 	tick := time.NewTicker(period)
@@ -219,11 +204,6 @@ func (t *T) heartbeatLine(lastBranches *uint64, last *time.Time, now time.Time) 
 	}
 	if t.Journal != nil {
 		line += fmt.Sprintf(", %s journal", human(float64(t.Journal.Bytes())))
-	}
-	if t.Runtime != nil {
-		rs := t.Runtime.Snapshot()
-		line += fmt.Sprintf(", %s heap, %d gor, %.1fms gc p99",
-			human(float64(rs.HeapBytes)), rs.Goroutines, rs.GCPauseP99*1e3)
 	}
 	*lastBranches, *last = s.Branches, now
 	return line
@@ -273,7 +253,6 @@ func (t *T) Close() error {
 			close(t.stop)
 			<-t.stopped
 		}
-		t.Runtime.Stop()
 		if t.Tracer != nil {
 			if err := t.Tracer.Close(); err != nil {
 				t.closeErr = err

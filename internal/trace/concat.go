@@ -2,28 +2,14 @@ package trace
 
 import "io"
 
-// Concat returns a reader that yields every record of each reader in
-// turn, as one continuous trace. The endurance driver (bfsim
-// -endurance) uses it to splice reseeded workload segments into a
-// single long run whose behaviour shifts at each splice point —
-// exactly the mixed-phase stream the drift detector watches for.
-func Concat(readers ...Reader) Reader {
-	i := 0
-	return ConcatFunc(func() Reader {
-		if i >= len(readers) {
-			return nil
-		}
-		r := readers[i]
-		i++
-		return r
-	})
-}
-
-// ConcatFunc is the lazy form of Concat: next is called each time the
+// ConcatFunc returns a reader that yields every record of each segment
+// in turn, as one continuous trace: next is called each time the
 // current segment ends and returns the following segment, or nil when
 // the trace is complete. Segments are only materialised as the read
-// cursor reaches them, so a very long endurance run never holds more
-// than one open segment. The returned reader implements BatchReader.
+// cursor reaches them, so a very long endurance run (bfsim -endurance,
+// which splices reseeded workload segments into one run whose
+// behaviour shifts at each splice point) never holds more than one open
+// segment. The returned reader implements BatchReader.
 func ConcatFunc(next func() Reader) Reader {
 	return &concatReader{next: next}
 }

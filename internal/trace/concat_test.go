@@ -14,13 +14,25 @@ func seqSlice(base uint64, n int) Slice {
 	return out
 }
 
-// Concat yields every segment's records in order, across both the
+// concat splices a fixed list of segments through ConcatFunc.
+func concat(readers ...Reader) Reader {
+	return ConcatFunc(func() Reader {
+		if len(readers) == 0 {
+			return nil
+		}
+		r := readers[0]
+		readers = readers[1:]
+		return r
+	})
+}
+
+// ConcatFunc yields every segment's records in order, across both the
 // Reader and BatchReader paths.
 func TestConcatOrder(t *testing.T) {
 	a, b, c := seqSlice(0x100, 5), seqSlice(0x200, 3), seqSlice(0x300, 7)
 	want := append(append(append(Slice{}, a...), b...), c...)
 
-	got, err := Collect(Concat(a.Stream(), b.Stream(), c.Stream()))
+	got, err := Collect(concat(a.Stream(), b.Stream(), c.Stream()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +46,7 @@ func TestConcatOrder(t *testing.T) {
 	}
 
 	// Batch path with a buffer that straddles segment boundaries.
-	r := Concat(a.Stream(), b.Stream(), c.Stream()).(BatchReader)
+	r := concat(a.Stream(), b.Stream(), c.Stream()).(BatchReader)
 	var batched Slice
 	buf := make([]Record, 4)
 	for {
@@ -60,11 +72,11 @@ func TestConcatOrder(t *testing.T) {
 
 // Empty segments (including a fully empty concat) splice cleanly.
 func TestConcatEmptySegments(t *testing.T) {
-	got, err := Collect(Concat(Slice{}.Stream(), seqSlice(1, 2).Stream(), Slice{}.Stream()))
+	got, err := Collect(concat(Slice{}.Stream(), seqSlice(1, 2).Stream(), Slice{}.Stream()))
 	if err != nil || len(got) != 2 {
 		t.Fatalf("got %d records, err %v; want 2, nil", len(got), err)
 	}
-	if _, err := Concat().Read(); err != io.EOF {
+	if _, err := concat().Read(); err != io.EOF {
 		t.Fatalf("empty concat Read = %v, want EOF", err)
 	}
 }
@@ -109,7 +121,7 @@ func TestConcatFuncLazy(t *testing.T) {
 func TestConcatPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	bad := Func(func() (Record, error) { return Record{}, boom })
-	r := Concat(seqSlice(0, 1).Stream(), bad)
+	r := concat(seqSlice(0, 1).Stream(), bad)
 	if _, err := r.Read(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,9 @@
 #             per-branch "predict" or "update" slice (sampled harness
 #             latencies go to the bfbp_harness_* quantiles only).
 #   flags     a count flag below its floor (a negative -n, -delay,
-#             -skip, ...) must exit 2 with a message and no panic.
+#             -skip, -workers, ...), an unknown trace or figure, or a
+#             -seeds too small for a variance must exit 2 with a message
+#             and no panic.
 #   snapshot  for each headline predictor, every engine and history
 #             included, a straight run must equal a split run (half with
 #             -checkpoint, then -resume -skip): branches and mispredicts
@@ -24,8 +26,8 @@
 #             `journal summary` reduces to table-state rows, and a
 #             TAGE-class predictor's banks must carry provider "hits".
 #
-# The live metrics surface (/metrics, /debug/vars) is covered by the
-# Go tests in internal/telemetry, so no check here binds a port.
+# The live metrics surface (/metrics and pprof) is covered by the Go
+# tests in internal/telemetry, so no check here binds a port.
 #
 # Usage: scripts/smoke.sh   (env: GO, OUT=smoke_ci)
 #
@@ -40,7 +42,7 @@ fail() { echo "smoke: $*" >&2; exit 1; }
 
 rm -rf "$OUT"
 mkdir -p "$OUT/bin"
-for cmd in bfsim journal analyze traceinfo tracegen; do
+for cmd in bfsim journal analyze traceinfo tracegen experiments; do
 	"$GO" build -o "$OUT/bin/$cmd" "./cmd/$cmd"
 done
 bfsim=$OUT/bin/bfsim
@@ -77,6 +79,13 @@ bfsim -t SERV1 -p bimodal -n 1000 -skip -1
 bfsim -t SERV1 -p bimodal -n 1000 -offenders -1
 bfsim -t SERV1 -p bimodal -n 1000 -endurance -1
 bfsim -t SERV1 -p bimodal -n 1000 -warmup -7
+bfsim -t SERV1 -p bimodal -n 1000 -workers -1
+analyze -t SERV1 -p bimodal -n 1000 -offenders -1
+experiments -variance NOPE
+experiments -fig 99
+experiments -fig 2 -traces NOPE
+experiments -long -5 -fig 2
+experiments -variance SPEC03 -seeds 1
 CASES
 rm -f "$OUT/flags.err"
 echo "smoke: flags ok"

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bfbp"
+	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
 
@@ -230,7 +231,7 @@ func FuzzLoadState(f *testing.F) {
 	tr := spec.GenerateN(4000)
 	type target struct {
 		p      bfbp.Predictor
-		snap   bfbp.Snapshotter
+		snap   sim.Snapshotter
 		donor  []byte
 		secs   []string
 		before []byte
@@ -432,24 +433,24 @@ func TestSnapshotMismatchErrors(t *testing.T) {
 	}
 	img := saveState(t, p)
 
-	hdr, err := bfbp.ReadSnapshotHeader(bytes.NewReader(img))
+	hdr, err := state.ReadHeader(bytes.NewReader(img))
 	if err != nil {
-		t.Fatalf("ReadSnapshotHeader: %v", err)
+		t.Fatalf("ReadHeader: %v", err)
 	}
 	if hdr.Predictor != "gshare" {
 		t.Fatalf("header predictor %q, want gshare", hdr.Predictor)
 	}
 
 	wrong := bfbp.NewBimodal(1 << 14)
-	if err := bfbp.Capabilities(wrong).Snapshot.LoadState(bytes.NewReader(img)); !errors.Is(err, bfbp.ErrSnapshotPredictor) {
-		t.Fatalf("load into bimodal: %v, want ErrSnapshotPredictor", err)
+	if err := bfbp.Capabilities(wrong).Snapshot.LoadState(bytes.NewReader(img)); !errors.Is(err, state.ErrPredictorMismatch) {
+		t.Fatalf("load into bimodal: %v, want ErrPredictorMismatch", err)
 	}
 	smaller := bfbp.NewGShare(1<<14, 14)
-	if err := bfbp.Capabilities(smaller).Snapshot.LoadState(bytes.NewReader(img)); !errors.Is(err, bfbp.ErrSnapshotConfig) {
-		t.Fatalf("load into resized gshare: %v, want ErrSnapshotConfig", err)
+	if err := bfbp.Capabilities(smaller).Snapshot.LoadState(bytes.NewReader(img)); !errors.Is(err, state.ErrConfigMismatch) {
+		t.Fatalf("load into resized gshare: %v, want ErrConfigMismatch", err)
 	}
-	if err := bfbp.Capabilities(p).Snapshot.LoadState(bytes.NewReader(img[:len(img)/2])); !errors.Is(err, bfbp.ErrSnapshotTruncated) {
-		t.Fatalf("truncated load: %v, want ErrSnapshotTruncated", err)
+	if err := bfbp.Capabilities(p).Snapshot.LoadState(bytes.NewReader(img[:len(img)/2])); !errors.Is(err, state.ErrTruncated) {
+		t.Fatalf("truncated load: %v, want ErrTruncated", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bfbp"
+	"bfbp/internal/sim"
 )
 
 // TestEveryPredictorProbesState is the tentpole's coverage guard: every
@@ -81,7 +82,7 @@ func TestEveryPredictorProbesState(t *testing.T) {
 
 // checkProviderBanks asserts the provider-hit and reach invariants of
 // one trained predictor's state sample after branches Predict calls.
-func checkProviderBanks(t *testing.T, name string, ts bfbp.TableStats, branches uint64) {
+func checkProviderBanks(t *testing.T, name string, ts sim.TableStats, branches uint64) {
 	t.Helper()
 	if !strings.Contains(name, "tage") {
 		for _, b := range ts.Banks {
@@ -136,8 +137,8 @@ func TestProbeStateBitExact(t *testing.T) {
 		probed, err := bfbp.Run(p2, tr.Stream(), bfbp.Options{
 			Warmup:          6_000,
 			ProbeStateEvery: 8192,
-			OnEvent: func(ev bfbp.Event) {
-				if _, ok := ev.(bfbp.TableStats); ok {
+			OnEvent: func(ev sim.Event) {
+				if _, ok := ev.(sim.TableStats); ok {
 					samples++
 				}
 			},
