@@ -57,8 +57,8 @@ bench-test:
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
 # the commands once, then runs five checks: trace (identical-seed
 # journals diff clean, no per-branch predict/update slices in the
-# timeline), flags (a negative count, an unknown trace or figure, or
-# too few variance seeds exits 2 without a panic), snapshot
+# timeline), flags (a negative count, an unknown trace or figure, too
+# few variance seeds or an undefined flag exits 2 without a panic), snapshot
 # (split runs equal straight runs, and a snapshot cut by one byte exits
 # 1 without a panic), drift (`journal summary` finds
 # alarms in a journaled endurance run, whose timeline carries the mpki

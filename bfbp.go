@@ -89,10 +89,8 @@ type (
 	MetricsRegistry = obs.Registry
 	// MetricsCounter is an atomic monotonic counter.
 	MetricsCounter = obs.Counter
-	// MetricsGauge is an atomic instantaneous value.
+	// MetricsGauge is an atomic instantaneous float64 value.
 	MetricsGauge = obs.Gauge
-	// MetricsHistogram is a fixed-bucket lock-free histogram.
-	MetricsHistogram = obs.Histogram
 	// MetricsQuantile is an HDR-style log-linear quantile histogram
 	// (p50/p90/p99/p999 within 1.5625% relative error), exported as a
 	// Prometheus summary.

@@ -12,11 +12,6 @@
 //	analyze -t SERV1 -p tage-8,bf-tage-8 -utilization     # occupancy by history length
 //	analyze -t SPEC03 -p bf-neural -warmstart             # cold vs warm MPKI curve
 //	analyze -t SERV3 -p bf-tage-10 -phases                # MPKI phase segments + movers
-//
-// Long attributions can be observed live like the other commands:
-//
-//	analyze ... -metrics-addr :8080   # /metrics, /debug/pprof
-//	analyze ... -heartbeat 10s        # periodic stderr progress line
 package main
 
 import (
@@ -24,13 +19,11 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"bfbp"
 	"bfbp/internal/analysis"
 	"bfbp/internal/experiments"
 	"bfbp/internal/sim"
-	"bfbp/internal/telemetry"
 	"bfbp/internal/workload"
 )
 
@@ -48,10 +41,6 @@ func main() {
 
 		warmstart = flag.Bool("warmstart", false, "cold vs warm MPKI windows via a bfbp.state.v1 snapshot")
 		windows   = flag.Int("windows", 10, "window count for -warmstart")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
-		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
-		heartbeat   = flag.Duration("heartbeat", time.Duration(0), "print a progress line to stderr at this period (0 = off)")
 	)
 	flag.Parse()
 	// A count below its floor is a usage error, not a silent default.
@@ -59,23 +48,13 @@ func main() {
 		name     string
 		val, min int
 	}{
-		{"n", *branches, 1}, {"offenders", *offenders, 0},
+		{"n", *branches, 1}, {"offenders", *offenders, 0}, {"windows", *windows, 1},
 	} {
 		if f.val < f.min {
 			fmt.Fprintf(os.Stderr, "analyze: -%s %d is below %d\n", f.name, f.val, f.min)
 			os.Exit(2)
 		}
 	}
-
-	tel, err := telemetry.Start(telemetry.Config{
-		MetricsAddr: *metricsAddr,
-		JournalPath: *journalPath,
-		Heartbeat:   *heartbeat,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer tel.Close()
 
 	if *traceName == "" {
 		fatal(fmt.Errorf("need -t <trace>"))

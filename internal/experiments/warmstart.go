@@ -51,7 +51,7 @@ func WarmStart(cfg Config, pred sim.PredictorSpec, traceName string, windows int
 		return Table{}, fmt.Errorf("experiments: unknown trace %q", traceName)
 	}
 	if windows < 1 {
-		windows = 10
+		return Table{}, fmt.Errorf("experiments: warm-start needs at least 1 window, got %d", windows)
 	}
 	n := cfg.branchesFor(s)
 	src := s.Source(n)

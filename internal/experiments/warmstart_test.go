@@ -37,3 +37,11 @@ func TestWarmStartUnknownTrace(t *testing.T) {
 		t.Fatal("unknown trace did not error")
 	}
 }
+
+func TestWarmStartRejectsBadWindows(t *testing.T) {
+	for _, w := range []int{0, -3} {
+		if _, err := WarmStart(DefaultConfig(), gsharePred(), "SPEC03", w); err == nil {
+			t.Fatalf("windows %d did not error", w)
+		}
+	}
+}

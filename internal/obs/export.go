@@ -13,10 +13,15 @@ import (
 // metric values themselves).
 
 // formatFloat renders a float the way Prometheus clients do: shortest
-// representation that round-trips, +Inf spelled "+Inf".
+// representation that round-trips, +Inf spelled "+Inf". A whole number
+// a float64 holds exactly prints as an integer (8, not 8e+00 or
+// 1e+06), so gauges that count things read as counts.
 func formatFloat(v float64) string {
-	if math.IsInf(v, +1) {
+	switch {
+	case math.IsInf(v, +1):
 		return "+Inf"
+	case v == math.Trunc(v) && math.Abs(v) < 1<<53:
+		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
@@ -28,7 +33,7 @@ func escapeLabel(v string) string {
 }
 
 // labelPairs renders {k="v",...} for a series, with extra appended as a
-// pre-rendered pair (used for histogram le bounds). Empty when the
+// pre-rendered pair (used for summary quantile labels). Empty when the
 // series has no labels and extra is empty.
 func labelPairs(names, values []string, extra string) string {
 	var parts []string
@@ -45,8 +50,8 @@ func labelPairs(names, values []string, extra string) string {
 }
 
 // WritePrometheus renders every registered metric in the Prometheus
-// text exposition format (version 0.0.4): HELP/TYPE headers, cumulative
-// histogram buckets with an explicit +Inf bound, _sum and _count
+// text exposition format (version 0.0.4): HELP/TYPE headers, counter
+// and gauge samples, and summaries with quantile, _sum and _count
 // series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
@@ -55,7 +60,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind.promType()); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
 		for _, s := range f.sortedSeries() {
@@ -64,11 +69,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case counterKind:
 				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, labelPairs(f.labelNames, s.labels, ""), s.counter.Value())
 			case gaugeKind:
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, labelPairs(f.labelNames, s.labels, ""), s.gauge.Value())
-			case floatGaugeKind:
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelPairs(f.labelNames, s.labels, ""), formatFloat(s.fgauge.Value()))
-			case histogramKind:
-				err = writePrometheusHistogram(w, f, s)
+				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelPairs(f.labelNames, s.labels, ""), formatFloat(s.gauge.Value()))
 			case quantileKind:
 				err = writePrometheusSummary(w, f, s)
 			}
@@ -78,28 +79,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func writePrometheusHistogram(w io.Writer, f *family, s *series) error {
-	bounds, counts := s.hist.Snapshot()
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		bound := "+Inf"
-		if i < len(bounds) {
-			bound = formatFloat(bounds[i])
-		}
-		le := fmt.Sprintf(`le="%s"`, bound)
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelPairs(f.labelNames, s.labels, le), cum); err != nil {
-			return err
-		}
-	}
-	lp := labelPairs(f.labelNames, s.labels, "")
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, lp, formatFloat(s.hist.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, lp, s.hist.Count())
-	return err
 }
 
 // writePrometheusSummary renders a quantile histogram in the summary

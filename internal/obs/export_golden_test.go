@@ -12,8 +12,9 @@ var updateExportGolden = flag.Bool("update-export", false, "rewrite the export g
 
 // goldenRegistry builds one registry covering every metric kind with
 // deterministic values, so the Prometheus export can be pinned to
-// bytes: series and family ordering, float formatting, histogram
-// cumulation and summary quantile lines are all under guard. Quantile samples are exact bucket midpoints, so their
+// bytes: series and family ordering, float formatting (whole-number
+// gauges print as integers) and summary quantile lines are all under
+// guard. Quantile samples are exact bucket midpoints, so their
 // estimates (and therefore the golden bytes) are stable by
 // construction.
 func goldenRegistry() *Registry {
@@ -22,14 +23,10 @@ func goldenRegistry() *Registry {
 	reg.CounterFamily("g_runs_total", "runs by status", "status").With("ok").Add(7)
 	reg.CounterFamily("g_runs_total", "runs by status", "status").With("error").Add(1)
 	reg.Gauge("g_workers", "worker count").Set(8)
-	reg.FloatGaugeFamily("g_ratio", "a plain float gauge").With().Set(0.375)
-	fgf := reg.FloatGaugeFamily("g_pause_seconds", "runtime distribution points", "q")
-	fgf.With("0.5").Set(0.0009765625)
-	fgf.With("0.99").Set(0.001953125)
-	h := reg.Histogram("g_rate", "bucketed rate", []float64{1, 2, 4})
-	h.Observe(0.5)
-	h.Observe(3)
-	h.Observe(100)
+	reg.GaugeFamily("g_ratio", "a plain float gauge").With().Set(0.375)
+	gf := reg.GaugeFamily("g_pause_seconds", "runtime distribution points", "q")
+	gf.With("0.5").Set(0.0009765625)
+	gf.With("0.99").Set(0.001953125)
 	q := reg.Quantile("g_latency_seconds", "a quantile summary")
 	for i := 0; i < 100; i++ {
 		// Exact midpoint of a 2^-10 octave sub-bucket: estimate == sample.

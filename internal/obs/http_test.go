@@ -9,13 +9,13 @@ import (
 )
 
 // muxFixture builds a registry exercising every metric shape behind the
-// mux: unlabeled counter/gauge, a labeled family, and a histogram.
+// mux: unlabeled counter/gauge, a labeled family, and a summary.
 func muxFixture() *Registry {
 	r := NewRegistry()
 	r.Counter("requests_total", "total requests").Add(7)
 	r.Gauge("depth", "queue depth").Set(-3)
 	r.CounterFamily("runs_total", "runs by status", "status").With("ok").Add(2)
-	r.Histogram("latency_seconds", "latency", []float64{0.1, 1}).Observe(0.5)
+	r.Quantile("latency_seconds", "latency").Observe(0.5)
 	return r
 }
 
@@ -34,8 +34,8 @@ func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, strin
 }
 
 // /metrics must serve the Prometheus text exposition format with the
-// right content type: HELP/TYPE headers, labeled series, cumulative
-// histogram buckets with +Inf, _sum and _count.
+// right content type: HELP/TYPE headers, labeled series, summary
+// quantiles, _sum and _count.
 func TestMetricsMuxPrometheusText(t *testing.T) {
 	srv := httptest.NewServer(NewMux(muxFixture()))
 	defer srv.Close()
@@ -53,8 +53,8 @@ func TestMetricsMuxPrometheusText(t *testing.T) {
 		"requests_total 7",
 		"depth -3",
 		`runs_total{status="ok"} 2`,
-		`latency_seconds_bucket{le="1"} 1`,
-		`latency_seconds_bucket{le="+Inf"} 1`,
+		"# TYPE latency_seconds summary",
+		`latency_seconds{quantile="0.5"} 0.5`,
 		"latency_seconds_sum 0.5",
 		"latency_seconds_count 1",
 	} {

@@ -1,16 +1,17 @@
 // Package obs is the observability substrate of the repository: an
 // allocation-light, stdlib-only metrics layer (atomic counters, gauges,
-// fixed-bucket histograms, labeled families, a registry with
+// log-linear quantile histograms, labeled families, a registry with
 // Prometheus-text export) plus a structured
 // run-journal writer (JSONL, schema "bfbp.journal.v1").
 //
 // The design targets the suite engine's hot paths: observing a metric
-// never allocates and never takes a lock — counters and gauges are
-// single atomic adds, histograms are one bucket scan plus two atomics —
-// so instrumentation can stay enabled on million-branch simulation
-// loops. Every metric type is nil-safe: methods on a nil *Counter,
-// *Gauge, or *Histogram are no-ops, which lets instrumented code hold
-// optional metric handles without branching at every observation site.
+// never allocates and never takes a lock — counters are single atomic
+// adds, gauges a compare-and-swap on float bits, quantile histograms a
+// bucket index plus a few atomics — so instrumentation can stay enabled
+// on million-branch simulation loops. Every metric type is nil-safe:
+// methods on a nil *Counter, *Gauge, or *QuantileHistogram are no-ops,
+// which lets instrumented code hold optional metric handles without
+// branching at every observation site.
 package obs
 
 import (
@@ -46,25 +47,27 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic instantaneous value that can go up and down.
+// Gauge is an atomic instantaneous value that can go up and down. It
+// holds a float64, so one type serves counts (workers, queue depth) and
+// fractions (occupancy, saturation) alike; Add is a CAS on the bits.
 type Gauge struct {
-	v atomic.Int64
+	v atomic.Uint64 // float64 bits
 }
 
-// Set stores n.
-func (g *Gauge) Set(n int64) {
+// Set stores v.
+func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(n)
+	g.v.Store(math.Float64bits(v))
 }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) {
+// Add adds v (which may be negative).
+func (g *Gauge) Add(v float64) {
 	if g == nil {
 		return
 	}
-	g.v.Add(n)
+	casAddFloat(&g.v, v)
 }
 
 // Inc adds 1.
@@ -74,174 +77,28 @@ func (g *Gauge) Inc() { g.Add(1) }
 func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 {
+func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return math.Float64frombits(g.v.Load())
 }
 
-// Histogram is a fixed-bucket cumulative histogram in the Prometheus
-// style: bounds are inclusive upper limits with an implicit final +Inf
-// bucket, and the exported bucket counts are cumulative. Observations
-// are lock-free: one linear bucket scan (bucket counts are small, ~20)
-// plus two atomic updates.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1, last is +Inf
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
-}
-
-// NewHistogram builds a histogram with the given upper bounds, which
-// must be sorted ascending. Most callers get histograms from a Registry
-// instead.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram bounds not ascending: %v", bounds))
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// ObserveN records n samples of the same value in one bucket scan —
-// the bulk form used to replay pre-bucketed counts (e.g. a run's
-// confidence-margin distribution) into a histogram without n Observe
-// calls.
-func (h *Histogram) ObserveN(v float64, n uint64) {
-	if h == nil || n == 0 {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(n)
-	h.count.Add(n)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Snapshot returns the bucket upper bounds and the per-bucket
-// (non-cumulative) counts, with the final entry counting observations
-// above the last bound.
-func (h *Histogram) Snapshot() (bounds []float64, counts []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	counts = make([]uint64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return h.bounds, counts
-}
-
-// ExpBuckets returns n ascending bucket bounds starting at start and
-// multiplying by factor — the standard latency-histogram shape.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// kind discriminates what a family holds.
-type kind int
+// kind is what a family holds, spelled as its Prometheus TYPE keyword:
+// quantile histograms are exported as summaries.
+type kind string
 
 const (
-	counterKind kind = iota
-	gaugeKind
-	histogramKind
-	floatGaugeKind
-	quantileKind
+	counterKind  kind = "counter"
+	gaugeKind    kind = "gauge"
+	quantileKind kind = "summary"
 )
-
-func (k kind) String() string {
-	switch k {
-	case counterKind:
-		return "counter"
-	case gaugeKind:
-		return "gauge"
-	case histogramKind:
-		return "histogram"
-	case floatGaugeKind:
-		return "floatgauge"
-	default:
-		return "quantile"
-	}
-}
-
-// promType is the Prometheus TYPE keyword for a kind: float gauges are
-// plain gauges on the wire, quantile histograms are summaries.
-func (k kind) promType() string {
-	switch k {
-	case floatGaugeKind:
-		return "gauge"
-	case quantileKind:
-		return "summary"
-	default:
-		return k.String()
-	}
-}
 
 // series is one labeled instance within a family.
 type series struct {
 	labels  []string // label values, parallel to family.labelNames
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
-	fgauge  *FloatGauge
 	quant   *QuantileHistogram
 }
 
@@ -251,7 +108,6 @@ type family struct {
 	help       string
 	kind       kind
 	labelNames []string
-	buckets    []float64 // histogram families only
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -276,10 +132,6 @@ func (f *family) get(values []string) *series {
 			s.counter = &Counter{}
 		case gaugeKind:
 			s.gauge = &Gauge{}
-		case histogramKind:
-			s.hist = NewHistogram(f.buckets)
-		case floatGaugeKind:
-			s.fgauge = &FloatGauge{}
 		case quantileKind:
 			s.quant = NewQuantileHistogram()
 		}
@@ -320,7 +172,7 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-func (r *Registry) family(name, help string, k kind, labelNames []string, buckets []float64) *family {
+func (r *Registry) family(name, help string, k kind, labelNames []string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -330,7 +182,6 @@ func (r *Registry) family(name, help string, k kind, labelNames []string, bucket
 			help:       help,
 			kind:       k,
 			labelNames: append([]string(nil), labelNames...),
-			buckets:    append([]float64(nil), buckets...),
 			series:     make(map[string]*series),
 		}
 		r.families[name] = f
@@ -361,18 +212,12 @@ func (r *Registry) sortedFamilies() []*family {
 
 // Counter registers (or returns) an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.family(name, help, counterKind, nil, nil).get(nil).counter
+	return r.family(name, help, counterKind, nil).get(nil).counter
 }
 
 // Gauge registers (or returns) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, gaugeKind, nil, nil).get(nil).gauge
-}
-
-// Histogram registers (or returns) an unlabeled histogram with the
-// given bucket upper bounds (ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.family(name, help, histogramKind, nil, buckets).get(nil).hist
+	return r.family(name, help, gaugeKind, nil).get(nil).gauge
 }
 
 // CounterFamily is a labeled counter family; With resolves one series.
@@ -381,7 +226,7 @@ type CounterFamily struct{ f *family }
 // CounterFamily registers (or returns) a counter family keyed by the
 // given label names.
 func (r *Registry) CounterFamily(name, help string, labelNames ...string) *CounterFamily {
-	return &CounterFamily{r.family(name, help, counterKind, labelNames, nil)}
+	return &CounterFamily{r.family(name, help, counterKind, labelNames)}
 }
 
 // With returns the counter for the given label values, creating it on
@@ -393,47 +238,28 @@ func (cf *CounterFamily) With(labelValues ...string) *Counter {
 	return cf.f.get(labelValues).counter
 }
 
-// HistogramFamily is a labeled histogram family; With resolves one
-// series.
-type HistogramFamily struct{ f *family }
+// GaugeFamily is a labeled gauge family; With resolves one series.
+type GaugeFamily struct{ f *family }
 
-// HistogramFamily registers (or returns) a histogram family with shared
-// buckets, keyed by the given label names.
-func (r *Registry) HistogramFamily(name, help string, buckets []float64, labelNames ...string) *HistogramFamily {
-	return &HistogramFamily{r.family(name, help, histogramKind, labelNames, buckets)}
+// GaugeFamily registers (or returns) a gauge family keyed by the given
+// label names.
+func (r *Registry) GaugeFamily(name, help string, labelNames ...string) *GaugeFamily {
+	return &GaugeFamily{r.family(name, help, gaugeKind, labelNames)}
 }
 
-// With returns the histogram for the given label values.
-func (hf *HistogramFamily) With(labelValues ...string) *Histogram {
-	if hf == nil {
-		return nil
-	}
-	return hf.f.get(labelValues).hist
-}
-
-// FloatGaugeFamily is a labeled float-gauge family; With resolves one
-// series.
-type FloatGaugeFamily struct{ f *family }
-
-// FloatGaugeFamily registers (or returns) a float-gauge family keyed by
-// the given label names.
-func (r *Registry) FloatGaugeFamily(name, help string, labelNames ...string) *FloatGaugeFamily {
-	return &FloatGaugeFamily{r.family(name, help, floatGaugeKind, labelNames, nil)}
-}
-
-// With returns the float gauge for the given label values.
-func (gf *FloatGaugeFamily) With(labelValues ...string) *FloatGauge {
+// With returns the gauge for the given label values.
+func (gf *GaugeFamily) With(labelValues ...string) *Gauge {
 	if gf == nil {
 		return nil
 	}
-	return gf.f.get(labelValues).fgauge
+	return gf.f.get(labelValues).gauge
 }
 
 // Quantile registers (or returns) an unlabeled quantile histogram —
 // the log-linear HDR-style instrument exported as a Prometheus summary
 // with p50/p90/p99/p999 series.
 func (r *Registry) Quantile(name, help string) *QuantileHistogram {
-	return r.family(name, help, quantileKind, nil, nil).get(nil).quant
+	return r.family(name, help, quantileKind, nil).get(nil).quant
 }
 
 // QuantileFamily is a labeled quantile-histogram family; With resolves
@@ -443,7 +269,7 @@ type QuantileFamily struct{ f *family }
 // QuantileFamily registers (or returns) a quantile-histogram family
 // keyed by the given label names.
 func (r *Registry) QuantileFamily(name, help string, labelNames ...string) *QuantileFamily {
-	return &QuantileFamily{r.family(name, help, quantileKind, labelNames, nil)}
+	return &QuantileFamily{r.family(name, help, quantileKind, labelNames)}
 }
 
 // With returns the quantile histogram for the given label values.

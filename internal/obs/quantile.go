@@ -265,26 +265,3 @@ func casMaxFloat(a *atomic.Uint64, v float64) {
 		}
 	}
 }
-
-// FloatGauge is an atomic instantaneous float64 value, the gauge type
-// for quantities that are not integers (seconds, ratios). Nil-safe
-// like Gauge.
-type FloatGauge struct {
-	v atomic.Uint64 // float64 bits
-}
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(math.Float64bits(v))
-}
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.v.Load())
-}

@@ -143,7 +143,7 @@ func TestQuantileConcurrentObserve(t *testing.T) {
 	}
 }
 
-// Registry round-trip: quantile families and float gauges register,
+// Registry round-trip: quantile families and fractional gauges register,
 // resolve, and export as Prometheus text.
 func TestRegistryQuantileAndFloatGauge(t *testing.T) {
 	reg := NewRegistry()
@@ -153,9 +153,9 @@ func TestRegistryQuantileAndFloatGauge(t *testing.T) {
 	}
 	qf := reg.QuantileFamily("test_run_seconds", "per-thing durations", "thing")
 	qf.With("a").Observe(0.5)
-	reg.FloatGaugeFamily("test_ratio", "a float gauge").With().Set(0.625)
-	fgf := reg.FloatGaugeFamily("test_pause_seconds", "paused", "q")
-	fgf.With("0.99").Set(0.001953125)
+	reg.GaugeFamily("test_ratio", "a float gauge").With().Set(0.625)
+	gf := reg.GaugeFamily("test_pause_seconds", "paused", "q")
+	gf.With("0.99").Set(0.001953125)
 
 	var prom strings.Builder
 	if err := reg.WritePrometheus(&prom); err != nil {
@@ -187,7 +187,7 @@ func TestRegistryQuantileAndFloatGauge(t *testing.T) {
 	}
 	// Nil family handles are inert.
 	var nq *QuantileFamily
-	var ng *FloatGaugeFamily
+	var ng *GaugeFamily
 	if nq.With("x") != nil || ng.With("x") != nil {
 		t.Fatal("nil families must resolve nil handles")
 	}

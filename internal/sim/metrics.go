@@ -13,9 +13,6 @@ import (
 // nil-safe, so instrumented code never branches on "telemetry
 // enabled?" at observation sites.
 
-// Throughput buckets: 100K to ~400M branches/sec.
-func rateBuckets() []float64 { return obs.ExpBuckets(1e5, 2, 12) }
-
 // EngineMetrics is the engine's metric set, registered under the
 // bfbp_engine_* / bfbp_harness_* names documented in DESIGN.md. Attach
 // one to Engine.Metrics: it then subscribes to every Run's event
@@ -32,18 +29,16 @@ type EngineMetrics struct {
 	mispredicts  *obs.CounterFamily
 	instructions *obs.CounterFamily
 	runSeconds   *obs.QuantileFamily
-	branchRate   *obs.Histogram
 	predictLat   *obs.QuantileHistogram
 	updateLat    *obs.QuantileHistogram
 	// Provenance families, populated only by explained runs
 	// (Options.Explain + an Explainer predictor).
 	mispredictCauses *obs.CounterFamily
-	confMargin       *obs.HistogramFamily
 	// State-probe families, populated only by probed runs
 	// (Options.ProbeStateEvery + a StateProbe predictor).
-	tableOccupancy *obs.FloatGaugeFamily
+	tableOccupancy *obs.GaugeFamily
 	tagConflicts   *obs.CounterFamily
-	weightSat      *obs.FloatGaugeFamily
+	weightSat      *obs.GaugeFamily
 
 	// lastEvict holds each running cell's cumulative evictions per bank
 	// label, so tagConflicts advances by the delta between samples.
@@ -75,22 +70,17 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 			"instructions covered by completed runs, by predictor", "predictor"),
 		runSeconds: reg.QuantileFamily("bfbp_engine_run_seconds",
 			"per-cell wall time by predictor (summary quantiles)", "predictor"),
-		branchRate: reg.Histogram("bfbp_engine_run_branches_per_second",
-			"per-cell simulation throughput", rateBuckets()),
 		predictLat: reg.Quantile("bfbp_harness_predict_seconds",
 			"sampled Predict latency (summary quantiles)"),
 		updateLat: reg.Quantile("bfbp_harness_update_seconds",
 			"sampled Update latency (summary quantiles)"),
 		mispredictCauses: reg.CounterFamily("bfbp_mispredict_total",
 			"explained mispredictions by taxonomy cause", "predictor", "cause"),
-		confMargin: reg.HistogramFamily("bfbp_confidence_margin",
-			"confidence minus threshold of explained predictions",
-			MarginBounds(), "predictor"),
-		tableOccupancy: reg.FloatGaugeFamily("bfbp_table_occupancy",
+		tableOccupancy: reg.GaugeFamily("bfbp_table_occupancy",
 			"live fraction of each predictor bank (StateProbe samples)", "predictor", "bank"),
 		tagConflicts: reg.CounterFamily("bfbp_tag_conflicts_total",
 			"allocations that evicted a previously allocated entry, by tagged bank", "predictor", "bank"),
-		weightSat: reg.FloatGaugeFamily("bfbp_weight_saturation",
+		weightSat: reg.GaugeFamily("bfbp_weight_saturation",
 			"fraction of weights pinned at a clamp bound, by weight array", "predictor", "bank"),
 	}
 	m.runsOK = m.runs.With("ok")
@@ -119,8 +109,8 @@ func (m *EngineMetrics) observe(ev Event) {
 	}
 	switch ev := ev.(type) {
 	case SuiteStart:
-		m.workers.Set(int64(ev.Workers))
-		m.queueDepth.Set(int64(ev.Jobs))
+		m.workers.Set(float64(ev.Workers))
+		m.queueDepth.Set(float64(ev.Jobs))
 		m.busyWorkers.Set(0)
 	case SuiteFinish:
 		// Cancelled suites drain jobs without running them; the live
@@ -141,28 +131,11 @@ func (m *EngineMetrics) observe(ev Event) {
 		m.branches.Add(ev.Branches)
 		m.mispredicts.With(ev.Predictor).Add(ev.Mispredicts)
 		m.instructions.With(ev.Predictor).Add(ev.Instructions)
-		s := time.Duration(ev.ElapsedNS).Seconds()
-		m.runSeconds.With(ev.Predictor).Observe(s)
-		if s > 0 {
-			m.branchRate.Observe(ev.BranchesPerSec)
-		}
+		m.runSeconds.With(ev.Predictor).Observe(time.Duration(ev.ElapsedNS).Seconds())
 		m.forgetCell(cellKey{ev.Trace, ev.Predictor, ev.cell})
 	case ProvenanceEvent:
 		for cause, n := range ev.Causes {
 			m.mispredictCauses.With(ev.Predictor, cause).Add(n)
-		}
-		// Replay the run's margin buckets into the family histogram.
-		// Bounds are shared (MarginBounds), so observing each bucket's
-		// upper bound lands the count in the matching bucket; the
-		// overflow bucket replays just past the last bound.
-		h := m.confMargin.With(ev.Predictor)
-		bounds := MarginBounds()
-		for i, n := range ev.MarginCounts {
-			if i < len(bounds) {
-				h.ObserveN(bounds[i], n)
-			} else {
-				h.ObserveN(bounds[len(bounds)-1]+1, n)
-			}
 		}
 	case TableStats:
 		m.observeTableStats(ev)
@@ -221,9 +194,9 @@ func (m *EngineMetrics) Snapshot() EngineSnapshot {
 		return EngineSnapshot{}
 	}
 	return EngineSnapshot{
-		Workers:        m.workers.Value(),
-		Queued:         m.queueDepth.Value(),
-		Busy:           m.busyWorkers.Value(),
+		Workers:        int64(m.workers.Value()),
+		Queued:         int64(m.queueDepth.Value()),
+		Busy:           int64(m.busyWorkers.Value()),
 		RunsOK:         m.runsOK.Value(),
 		RunsFailed:     m.runsFailed.Value(),
 		Branches:       m.branches.Value(),

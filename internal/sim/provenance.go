@@ -161,9 +161,8 @@ func classifyCause(prov *Provenance, priorSeen uint64) string {
 
 // MarginBounds are the fixed bucket upper bounds of the confidence-margin
 // histogram (margin = Confidence - Threshold; negative means the decision
-// was below its training threshold). Shared by ProvenanceStats and the
-// bfbp_confidence_margin metric family so the two views bucket
-// identically.
+// was below its training threshold) that ProvenanceStats.MarginCounts
+// and the provenance journal event's margin_counts share.
 func MarginBounds() []float64 {
 	return []float64{-64, -32, -16, -8, -4, -2, 0, 2, 4, 8, 16, 32, 64}
 }

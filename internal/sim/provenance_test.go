@@ -291,7 +291,7 @@ func TestEngineExplainedRunJournalAndMetrics(t *testing.T) {
 	got := buf.String()
 	for _, frag := range []string{
 		`"event":"provenance"`, `"event":"component_attribution"`,
-		`"causes":{`, `"components":[{"name":"adder"`,
+		`"causes":{`, `"margin_counts":[`, `"components":[{"name":"adder"`,
 	} {
 		if !strings.Contains(got, frag) {
 			t.Fatalf("journal missing %q:\n%s", frag, got)
@@ -304,7 +304,6 @@ func TestEngineExplainedRunJournalAndMetrics(t *testing.T) {
 	}
 	for _, frag := range []string{
 		"bfbp_mispredict_total", `cause="low_confidence"`, `predictor="exp"`,
-		"bfbp_confidence_margin_count",
 	} {
 		if !strings.Contains(prom.String(), frag) {
 			t.Fatalf("metrics export missing %q:\n%s", frag, prom.String())

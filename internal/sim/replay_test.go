@@ -121,13 +121,24 @@ func TestJournalReplayMatchesLiveScrape(t *testing.T) {
 		`bfbp_engine_runs_total{status="ok"} 4`,
 		`bfbp_engine_run_seconds_count{predictor="taken"} 2`,
 		`bfbp_mispredict_total{predictor="taken",cause="low_confidence"}`,
-		`bfbp_confidence_margin_count{predictor="not-taken"}`,
 		`bfbp_table_occupancy{predictor="taken",bank="T1:tagged"}`,
 		`bfbp_tag_conflicts_total{predictor="not-taken",bank="T1:tagged"}`,
 		`bfbp_weight_saturation{predictor="taken",bank="W0"}`,
 	} {
 		if !strings.Contains(want, frag) {
 			t.Errorf("live scrape missing %q", frag)
+		}
+	}
+	// One type per metric kind: the explained, state-probed, metered
+	// scrape carries only counters, gauges and summaries.
+	for _, line := range strings.Split(want, "\n") {
+		if !strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		switch typ := line[strings.LastIndexByte(line, ' ')+1:]; typ {
+		case "counter", "gauge", "summary":
+		default:
+			t.Errorf("live scrape has a %s family: %s", typ, line)
 		}
 	}
 	if got != want {

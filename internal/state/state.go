@@ -163,9 +163,8 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Header is the identity portion of a snapshot, readable without
-// decoding section payloads.
-type Header struct {
+// header is the identity portion of a snapshot, ahead of its sections.
+type header struct {
 	Version    uint16
 	Predictor  string
 	ConfigHash uint64
@@ -173,8 +172,8 @@ type Header struct {
 }
 
 // readHeader parses the fixed header off the front of d.
-func readHeader(d *Dec) (Header, error) {
-	var h Header
+func readHeader(d *Dec) (header, error) {
+	var h header
 	if !d.need(len(Magic)) {
 		return h, fmt.Errorf("%w (%d bytes)", ErrTruncated, len(d.buf))
 	}
@@ -199,17 +198,6 @@ func readHeader(d *Dec) (Header, error) {
 	}
 	h.Sections = int(n)
 	return h, nil
-}
-
-// ReadHeader decodes just the snapshot header from r — enough to
-// identify a snapshot file without loading its payload.
-func ReadHeader(r io.Reader) (Header, error) {
-	// Magic + version + hash + two counts + a name comfortably fit here.
-	buf, err := io.ReadAll(io.LimitReader(r, 4096))
-	if err != nil {
-		return Header{}, fmt.Errorf("state: read header: %w", err)
-	}
-	return readHeader(newDec(buf))
 }
 
 // Read decodes a full snapshot from r, validating framing and returning

@@ -114,12 +114,12 @@ func TestByteStable(t *testing.T) {
 
 func TestReadHeader(t *testing.T) {
 	raw := encode(t, sample())
-	h, err := ReadHeader(bytes.NewReader(raw))
+	s, err := Read(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("ReadHeader: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
-	if h.Version != Version || h.Predictor != "demo-pred" || h.ConfigHash != 0xDEADBEEFCAFE || h.Sections != 3 {
-		t.Fatalf("header: %+v", h)
+	if s.Predictor != "demo-pred" || s.ConfigHash != 0xDEADBEEFCAFE || len(s.Sections()) != 3 {
+		t.Fatalf("header: %q %#x %v", s.Predictor, s.ConfigHash, s.Sections())
 	}
 }
 

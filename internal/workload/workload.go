@@ -101,9 +101,6 @@ type Spec struct {
 	profile profile
 }
 
-// Generate builds the trace at its default length.
-func (s Spec) Generate() trace.Slice { return s.GenerateN(s.Branches) }
-
 // GenerateN builds the trace with approximately n dynamic branches
 // (kernels finish their current burst, so the result may exceed n by a
 // burst length).

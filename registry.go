@@ -141,16 +141,6 @@ func Predictors() []PredictorInfo {
 	return out
 }
 
-// PredictorNames returns every registry name in reporting order.
-func PredictorNames() []string {
-	ps := Predictors()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
-}
-
 // PredictorByName resolves a registry name (or alias such as
 // "bf-neural-64kb") to its entry. Family names parse their table count,
 // so any in-range "tage-N" / "isl-tage-N" / "bf-tage-N" /
@@ -181,13 +171,4 @@ func PredictorByName(name string) (PredictorInfo, error) {
 		}, nil
 	}
 	return PredictorInfo{}, fmt.Errorf("bfbp: unknown predictor %q", name)
-}
-
-// NewByName constructs a fresh predictor by registry name.
-func NewByName(name string) (Predictor, error) {
-	info, err := PredictorByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return info.New(), nil
 }

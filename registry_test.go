@@ -31,12 +31,12 @@ func TestRegistryCoversEveryEntry(t *testing.T) {
 			t.Fatalf("%s: New returned the same instance twice", info.Name)
 		}
 		// Round trip: every listed name resolves through the lookup path.
-		got, err := NewByName(info.Name)
+		got, err := PredictorByName(info.Name)
 		if err != nil {
-			t.Fatalf("NewByName(%s): %v", info.Name, err)
+			t.Fatalf("PredictorByName(%s): %v", info.Name, err)
 		}
-		if got == nil {
-			t.Fatalf("NewByName(%s) = nil", info.Name)
+		if got.New() == nil {
+			t.Fatalf("PredictorByName(%s).New() = nil", info.Name)
 		}
 	}
 	for _, want := range []string{"bf-neural", "oh-snap", "tage-15", "isl-tage-15", "bf-tage-10", "bf-isl-tage-10"} {
@@ -58,24 +58,25 @@ func TestRegistryAliases(t *testing.T) {
 
 func TestRegistryRejectsUnknown(t *testing.T) {
 	for _, name := range []string{"nope", "tage-", "tage-99", "bf-isl-tage-3", "bf-tage-eleven"} {
-		if _, err := NewByName(name); err == nil {
-			t.Fatalf("NewByName(%q) should fail", name)
+		if _, err := PredictorByName(name); err == nil {
+			t.Fatalf("PredictorByName(%q) should fail", name)
 		}
 	}
-	if _, err := NewByName("tage-99"); err == nil || !strings.Contains(err.Error(), "[1,15]") {
+	if _, err := PredictorByName("tage-99"); err == nil || !strings.Contains(err.Error(), "[1,15]") {
 		t.Fatalf("out-of-range error should state bounds, got %v", err)
 	}
 }
 
+// Every listed name resolves to the same entry through the lookup path,
+// so the catalogue and PredictorByName cannot drift.
 func TestRegistryNamesMatchPredictors(t *testing.T) {
-	names := PredictorNames()
-	infos := Predictors()
-	if len(names) != len(infos) {
-		t.Fatalf("names %d != entries %d", len(names), len(infos))
-	}
-	for i := range names {
-		if names[i] != infos[i].Name {
-			t.Fatalf("name %d: %q != %q", i, names[i], infos[i].Name)
+	for _, info := range Predictors() {
+		got, err := PredictorByName(info.Name)
+		if err != nil {
+			t.Fatalf("PredictorByName(%s): %v", info.Name, err)
+		}
+		if got.Name != info.Name || got.Description != info.Description {
+			t.Fatalf("PredictorByName(%s) = %q (%q), want %q (%q)", info.Name, got.Name, got.Description, info.Name, info.Description)
 		}
 	}
 }

@@ -9,9 +9,10 @@
 #             per-branch "predict" or "update" slice (sampled harness
 #             latencies go to the bfbp_harness_* quantiles only).
 #   flags     a count flag below its floor (a negative -n, -delay,
-#             -skip, -workers, ...), an unknown trace or figure, or a
-#             -seeds too small for a variance must exit 2 with a message
-#             and no panic.
+#             -skip, -workers, ..., or -windows 0), an unknown trace or
+#             figure, a -seeds too small for a variance, or a flag the
+#             command does not define (analyze has no -journal) must
+#             exit 2 with a message and no panic.
 #   snapshot  for each headline predictor, every engine and history
 #             included, a straight run must equal a split run (half with
 #             -checkpoint, then -resume -skip): branches and mispredicts
@@ -81,6 +82,8 @@ bfsim -t SERV1 -p bimodal -n 1000 -endurance -1
 bfsim -t SERV1 -p bimodal -n 1000 -warmup -7
 bfsim -t SERV1 -p bimodal -n 1000 -workers -1
 analyze -t SERV1 -p bimodal -n 1000 -offenders -1
+analyze -t SERV1 -p bimodal -n 1000 -journal $OUT/none.jsonl
+analyze -t SPEC03 -p gshare -n 1000 -warmstart -windows 0
 experiments -variance NOPE
 experiments -fig 99
 experiments -fig 2 -traces NOPE

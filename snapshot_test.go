@@ -433,12 +433,12 @@ func TestSnapshotMismatchErrors(t *testing.T) {
 	}
 	img := saveState(t, p)
 
-	hdr, err := state.ReadHeader(bytes.NewReader(img))
+	snap, err := state.Read(bytes.NewReader(img))
 	if err != nil {
-		t.Fatalf("ReadHeader: %v", err)
+		t.Fatalf("state.Read: %v", err)
 	}
-	if hdr.Predictor != "gshare" {
-		t.Fatalf("header predictor %q, want gshare", hdr.Predictor)
+	if snap.Predictor != "gshare" {
+		t.Fatalf("header predictor %q, want gshare", snap.Predictor)
 	}
 
 	wrong := bfbp.NewBimodal(1 << 14)

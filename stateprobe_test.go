@@ -121,18 +121,16 @@ func checkProviderBanks(t *testing.T, name string, ts sim.TableStats, branches u
 func TestProbeStateBitExact(t *testing.T) {
 	tr := genTrace(t, "SERV1", 60_000)
 	for _, name := range []string{"bimodal", "yags", "o-gehl", "tage-4", "bf-tage-4", "bf-neural"} {
-		p1, err := bfbp.NewByName(name)
+		info, err := bfbp.PredictorByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p1 := info.New()
 		plain, err := bfbp.Run(p1, tr.Stream(), bfbp.Options{Warmup: 6_000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := bfbp.NewByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p2 := info.New()
 		samples := 0
 		probed, err := bfbp.Run(p2, tr.Stream(), bfbp.Options{
 			Warmup:          6_000,
