@@ -87,14 +87,6 @@ type (
 	// MetricsRegistry holds named metrics with Prometheus-text export
 	// (WritePrometheus).
 	MetricsRegistry = obs.Registry
-	// MetricsCounter is an atomic monotonic counter.
-	MetricsCounter = obs.Counter
-	// MetricsGauge is an atomic instantaneous float64 value.
-	MetricsGauge = obs.Gauge
-	// MetricsQuantile is an HDR-style log-linear quantile histogram
-	// (p50/p90/p99/p999 within 1.5625% relative error), exported as a
-	// Prometheus summary.
-	MetricsQuantile = obs.QuantileHistogram
 	// Journal writes bfbp.journal.v1 JSONL run events.
 	Journal = obs.Journal
 	// Tracer records hierarchical execution spans as a bfbp.trace.v1

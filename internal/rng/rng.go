@@ -6,6 +6,8 @@
 // SplitMix64 is tiny, fast, passes BigCrush, and is trivially seedable.
 package rng
 
+import "math/bits"
+
 // SplitMix64 is a 64-bit state pseudo-random generator with period 2^64.
 // The zero value is a valid generator (seed 0).
 type SplitMix64 struct {
@@ -38,7 +40,7 @@ func (r *SplitMix64) Intn(n int) int {
 	}
 	// Lemire's multiply-shift rejection method on 64 bits: bias is
 	// negligible for the n values used here, so no rejection loop.
-	hi, _ := mul64(r.Uint64(), uint64(n))
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
 	return int(hi)
 }
 
@@ -70,17 +72,4 @@ func Hash64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return hi, lo
 }

@@ -83,16 +83,8 @@ func checkSegmentedEqual(t *testing.T, step int, ref *refSegmented, s *Segmented
 		}
 	}
 	wantGHR := ref.AppendBFGHR(nil)
-	gotGHR := s.AppendBFGHR(nil)
 	wantPCs := ref.AppendBFPCs(nil)
-	gotPCs := s.AppendBFPCs(nil)
-	for k := range wantGHR {
-		if gotGHR[k] != wantGHR[k] || gotPCs[k] != wantPCs[k] {
-			t.Fatalf("step %d: BF-GHR bit %d ref=(%v,%v) new=(%v,%v)",
-				step, k, wantGHR[k], wantPCs[k], gotGHR[k], gotPCs[k])
-		}
-	}
-	// AppendPacked must agree with the []bool reference forms.
+	// AppendPacked must agree with the reference's []bool forms.
 	var ghrVec, pcsVec history.BitVec
 	s.AppendPacked(&ghrVec, &pcsVec)
 	if ghrVec.Len() != len(wantGHR) {
@@ -116,6 +108,8 @@ func TestSegmentedDifferential(t *testing.T) {
 		{[]int{8, 16, 32, 64}, 4, 32},
 		{[]int{16, 33, 67, 134, 270}, 8, 256}, // BF-TAGE-like geometry
 		{[]int{1, 2, 5, 11, 23, 47}, 8, 16},   // dense bounds, heavy hits
+		{paperSegBounds, 8, 1 << 14},          // §VI-C geometry, 14-bit hashed PCs
+		{[]int{16, 1024, 2048}, 64, 1 << 12},  // the segment-size ablation
 	}
 	for _, cfg := range configs {
 		rng := rand.New(rand.NewSource(int64(cfg.segSize*100 + cfg.pcSpace)))

@@ -40,8 +40,8 @@ func TestSegmentedPackObserver(t *testing.T) {
 		obs.Commit(e)
 		ref.Commit(e)
 		for i := 0; i < nSegs; i++ {
-			oT, oP := obs.segs[i].takenBits, obs.segs[i].pcBits
-			rT, rP := ref.segs[i].takenBits, ref.segs[i].pcBits
+			oT, oP := obs.segs[i].taken, obs.segs[i].pcs
+			rT, rP := ref.segs[i].taken, ref.segs[i].pcs
 			if oT != rT || oP != rP {
 				t.Fatalf("step %d seg %d: observed words %#x/%#x, reference %#x/%#x", step, i, oT, oP, rT, rP)
 			}
@@ -67,7 +67,7 @@ func TestSegmentedPackObserver(t *testing.T) {
 		late[seg][1] ^= dP
 	})
 	for i := 0; i < nSegs; i++ {
-		if rT, rP := ref.segs[i].takenBits, ref.segs[i].pcBits; late[i] != [2]uint64{rT, rP} {
+		if rT, rP := ref.segs[i].taken, ref.segs[i].pcs; late[i] != [2]uint64{rT, rP} {
 			t.Fatalf("seg %d: late observer starts at %#x/%#x, words are %#x/%#x", i, late[i][0], late[i][1], rT, rP)
 		}
 	}

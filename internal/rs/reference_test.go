@@ -1,13 +1,17 @@
 package rs
 
-import "bfbp/internal/history"
+import (
+	"bfbp/internal/history"
+	"bfbp/internal/state"
+)
 
 // This file preserves the original O(depth) shift-register
-// implementations verbatim as reference models. The differential tests
-// drive them in lockstep with the O(1) cam-based structures under
-// randomized workloads and assert bit-identical observable state —
-// which is what licenses the hot-path swap without re-validating any
-// predictor behaviour.
+// implementations verbatim as reference models: one scan-and-shift
+// stack, and one such stack per segment. The differential tests and
+// FuzzSegmented drive them in lockstep with the cam-based Stack and the
+// one-stack Segmented under randomized workloads and assert
+// bit-identical observable state — which is what licenses the hot-path
+// swap without re-validating any predictor behaviour.
 
 // refStack is the pre-overhaul Stack: parallel slices shifted on every
 // push, with a linear associative scan.
@@ -193,4 +197,34 @@ func (s *refSegmented) AppendBFPCs(dst []bool) []bool {
 		}
 	}
 	return dst
+}
+
+// SaveState writes the reference in the snapshot layout Segmented uses:
+// position counter, ring, then each segment's entries, most recent
+// first, with the position counter at which each entered its segment.
+func (s *refSegmented) SaveState(e *state.Enc) {
+	e.U64(s.seq)
+	s.ring.SaveState(e)
+	e.U32(uint32(len(s.segs)))
+	for i := range s.segs {
+		g := &s.segs[i]
+		e.U32(uint32(g.n))
+		for j := 0; j < g.n; j++ {
+			e.U64(uint64(g.pcs[j]))
+			e.Bool(g.taken[j])
+			e.U64(g.seqs[j])
+		}
+	}
+}
+
+// words returns segment i's packed outcome and address bits.
+func (s *refSegmented) words(i int) (taken, pcs uint64) {
+	g := &s.segs[i]
+	for j := 0; j < g.n; j++ {
+		if g.taken[j] {
+			taken |= 1 << uint(j)
+		}
+		pcs |= uint64(g.pcs[j]&1) << uint(j)
+	}
+	return taken, pcs
 }

@@ -7,10 +7,11 @@
 // stack.
 //
 // Hardware performs the associative match with a CAM in one cycle; the
-// software model does the same with a hash index over a fixed slot
+// monolithic model does the same with a hash index over a fixed slot
 // buffer threaded onto a recency list (see cam.go), so hit lookup and
-// push are O(1) instead of the O(depth) scan-and-shift of a literal
-// shift-register emulation.
+// push are O(1). The segmented model keeps one small stack and a ring of
+// per-commit records of it, each segment reading the record from when
+// its start depth was reached (see segmented.go).
 package rs
 
 // Entry is a recency-stack slot as exposed to predictors.

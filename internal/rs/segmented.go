@@ -1,51 +1,76 @@
 package rs
 
-import "bfbp/internal/history"
+import (
+	"math/bits"
+	"slices"
+
+	"bfbp/internal/history"
+)
 
 // Segmented is the BF-TAGE history structure of Fig. 7: the long global
 // history is divided into non-overlapping segments whose sizes form a
-// geometric series, and each segment is covered by a small recency stack
-// holding at most segSize non-biased branches. A branch enters a segment's
-// stack when it reaches the segment's starting depth in the unfiltered
-// history (evicting any older same-address entry), and falls out when it
-// reaches the segment's ending depth — at which point the next, deeper
-// segment considers it. Associative searches are therefore localized to
-// one small stack per boundary crossing instead of one monolithic
-// structure, which is what makes the design implementable (§V-B1).
+// geometric series, and each segment holds at most segSize non-biased
+// branches — the latest occurrence of each distinct address among the
+// branches at the segment's depths, most recent first. In hardware each
+// segment is a small recency stack that a branch enters when it reaches
+// the segment's starting depth and leaves at its ending depth, so every
+// associative search stays local to one small stack (§V-B1).
 //
-// Each segment stores its slots as small recency-ordered parallel arrays
-// (a segment holds at most 8 entries, so the associative match is a
-// cache-line scan and an insert is a short memmove) and maintains its
-// BF-GHR contribution — outcome bits and low address bits of its slots
-// in recency order — directly as packed words, updated in place by every
-// mutation. AppendPacked therefore assembles the full BF-GHR with one
-// word append per segment and no per-slot walk, and Commit can hand
-// observers the exact XOR delta of a segment's packed words for free.
+// The model keeps one recency stack instead of one per segment. Segment
+// i at commit t is the part of that stack, as it stood at commit
+// c = t-bounds[i]+1 (the commit that just reached the segment's start),
+// younger than the segment's width bounds[i+1]-bounds[i]: both are the
+// non-biased addresses of commits (c-width, c] ordered by latest
+// occurrence and cut to segSize. So a commit pushes its branch into the
+// one stack (if non-biased) and writes one record to a ring indexed by
+// commit number: the stack's packed outcome and address bits and, for
+// each distinct segment width, how many leading slots are younger than
+// it. Each segment's BF-GHR words are then one record read, cut to its
+// width's count, and Commit hands observers the XOR delta of those
+// words. Entries with their distances are found by walking the
+// unfiltered ring (SegmentEntry, SaveState), off the hot path.
 type Segmented struct {
 	bounds  []int // ascending depths; segment i covers [bounds[i], bounds[i+1])
 	segSize int
-	segs    []segment
 	ring    *history.Ring
 	seq     uint64
+	// The recency stack over the non-biased commits, slot 0 the most
+	// recent: addresses, commit numbers, and the slots' outcome and
+	// address low bits packed (bit j = slot j).
+	pcs         []uint32
+	seqs        []uint64
+	taken, addr uint64
+	// widths are the distinct segment widths, ascending; young[k] counts
+	// the leading slots younger than widths[k]. The tail expires at the
+	// widest, so the last count is the stack's live length.
+	widths []uint64
+	young  []int
+	// recs is a power-of-two ring of per-commit records, stride words
+	// each, holding bit fields that never straddle a word: the taken
+	// bits at bit 0, the address bits at addrOff, and young[k] in cntBits
+	// bits at cntOff[k].
+	recs    []uint64
+	recMask uint64
+	stride  int
+	addrOff uint
+	cntBits uint
+	cntOff  []uint
+	segs    []view
 	// onPack, when set, receives the XOR delta of a segment's packed
-	// words the moment a Commit mutates it. Key maps subscribe here to
+	// words the moment a Commit changes them. Key maps subscribe here to
 	// keep their key words current without re-deriving folds from the
 	// full BF-GHR.
 	onPack func(seg int, takenDelta, pcDelta uint64)
 }
 
-// segment is one recency stack in structure-of-arrays layout: pcs/seqs
-// hold the live entries in recency order (slot 0 = most recent), and
-// takenBits/pcBits pack the slots' outcome and low address bits (bit j =
-// slot j, empty slots zero), kept current by every mutation. seqs is
-// strictly decreasing — entries are inserted with ever-increasing
-// sequence numbers — so expiry only ever inspects the tail.
-type segment struct {
-	pcs       []uint32
-	seqs      []uint64
-	n         int
-	takenBits uint64
-	pcBits    uint64
+// view is one segment's current BF-GHR words (bit j = slot j, empty
+// slots zero) and live count, and where its record field lies: start is
+// the segment's starting depth, cntOff its width's count offset.
+type view struct {
+	taken, pcs uint64
+	n          int
+	start      uint64
+	cntOff     uint
 }
 
 // NewSegmented builds a segmented recency stack. bounds must be a strictly
@@ -67,27 +92,50 @@ func NewSegmented(bounds []int, segSize int) *Segmented {
 	if segSize < 1 || segSize > 64 {
 		panic("rs: segment size out of range [1,64]")
 	}
-	cap := 1
-	for cap < bounds[len(bounds)-1]+1 {
-		cap <<= 1
-	}
 	s := &Segmented{
 		bounds:  append([]int(nil), bounds...),
 		segSize: segSize,
-		segs:    make([]segment, len(bounds)-1),
-		ring:    history.NewRing(cap),
+		ring:    history.NewRing(1 << bits.Len(uint(bounds[len(bounds)-1]))),
+		pcs:     make([]uint32, segSize),
+		seqs:    make([]uint64, segSize),
+		segs:    make([]view, len(bounds)-1),
 	}
 	for i := range s.segs {
-		s.segs[i] = segment{
-			pcs:  make([]uint32, segSize),
-			seqs: make([]uint64, segSize),
-		}
+		s.widths = append(s.widths, uint64(bounds[i+1]-bounds[i]))
 	}
+	slices.Sort(s.widths)
+	s.widths = slices.Compact(s.widths)
+	s.young = make([]int, len(s.widths))
+	var off uint
+	field := func(w uint) uint {
+		if off&63+w > 64 {
+			off = (off + 63) &^ 63
+		}
+		off += w
+		return off - w
+	}
+	field(uint(segSize))
+	s.addrOff = field(uint(segSize))
+	s.cntBits = uint(bits.Len(uint(segSize)))
+	for range s.widths {
+		s.cntOff = append(s.cntOff, field(s.cntBits))
+	}
+	s.stride = int(off+63) / 64
+	for i := range s.segs {
+		k, _ := slices.BinarySearch(s.widths, uint64(bounds[i+1]-bounds[i]))
+		s.segs[i].start = uint64(bounds[i])
+		s.segs[i].cntOff = s.cntOff[k]
+	}
+	// A segment reads the record of the commit at its start depth, so
+	// the ring spans the deepest start.
+	nrec := 1 << bits.Len(uint(bounds[len(bounds)-2]-1))
+	s.recs = make([]uint64, nrec*s.stride)
+	s.recMask = uint64(nrec - 1)
 	return s
 }
 
 // SetPackObserver registers fn to receive the XOR delta of a segment's
-// packed words whenever a Commit mutates it. It first feeds fn every
+// packed words whenever a Commit changes them. It first feeds fn every
 // non-empty segment's current words, the delta from empty, so an
 // observer that starts from empty segments is in sync from the outset
 // (after a LoadState too). Pass nil to detach.
@@ -97,95 +145,104 @@ func (s *Segmented) SetPackObserver(fn func(seg int, takenDelta, pcDelta uint64)
 		return
 	}
 	for i := range s.segs {
-		if t, p := s.segs[i].takenBits, s.segs[i].pcBits; t|p != 0 {
+		if t, p := s.segs[i].taken, s.segs[i].pcs; t|p != 0 {
 			fn(i, t, p)
 		}
 	}
 }
 
-// Commit records a committed branch and advances every segment: branches
-// crossing a segment's starting depth are inserted (if non-biased), and
-// entries that have sunk past a segment's ending depth are evicted.
+// Commit records a committed branch: it ages the stack, pushes the
+// branch if it is non-biased, writes the commit's record, and moves
+// every segment to the record of the commit now at its starting depth.
 func (s *Segmented) Commit(e history.Entry) {
 	s.seq++
 	s.ring.Push(e)
+	// Ages grow by one, so at most the last young slot of each width
+	// reaches it.
+	for k, w := range s.widths {
+		if c := s.young[k]; c > 0 && s.seq-s.seqs[c-1] >= w {
+			s.young[k] = c - 1
+		}
+	}
+	if e.NonBiased {
+		j := s.enter(e.HashedPC, e.Taken)
+		// Slot j's old occupant left and the new entry is young, so
+		// every count that did not already cover slot j gains one.
+		for k, c := range s.young {
+			if c <= j {
+				s.young[k] = c + 1
+			}
+		}
+	}
+	r := int(s.seq&s.recMask) * s.stride
+	clear(s.recs[r : r+s.stride])
+	s.put(r, 0, s.taken)
+	s.put(r, s.addrOff, s.addr)
+	for k, c := range s.young {
+		s.put(r, s.cntOff[k], uint64(c))
+	}
 	for i := range s.segs {
-		start := uint64(s.bounds[i])
-		end := uint64(s.bounds[i+1])
-		seg := &s.segs[i]
-		oldT, oldP := seg.takenBits, seg.pcBits
-		// Evict entries that fell past the segment's end. Entries are in
-		// recency order, so only the tail can expire.
-		for seg.n > 0 && s.seq-seg.seqs[seg.n-1] >= end {
-			seg.evictTail()
-		}
-		// The branch that just reached depth `start` enters this segment.
-		if s.seq >= start {
-			d := int(start)
-			if s.ring.NonBiasedAt(d) {
-				seg.push(s.ring.PCAt(d), s.ring.TakenAt(d), s.seq-start)
-			}
-		}
-		if s.onPack != nil {
-			if dT, dP := oldT^seg.takenBits, oldP^seg.pcBits; dT|dP != 0 {
-				s.onPack(i, dT, dP)
-			}
+		v := &s.segs[i]
+		// Before the segment's start is reached this reads a record
+		// not yet written, which is zero: the segment is empty.
+		r := int((s.seq-v.start+1)&s.recMask) * s.stride
+		n := uint(s.get(r, v.cntOff, s.cntBits))
+		t, p := s.get(r, 0, n), s.get(r, s.addrOff, n)
+		dT, dP := t^v.taken, p^v.pcs
+		v.taken, v.pcs, v.n = t, p, int(n)
+		if s.onPack != nil && dT|dP != 0 {
+			s.onPack(i, dT, dP)
 		}
 	}
 }
 
-// evictTail drops the least recent entry (n must be > 0).
-func (g *segment) evictTail() {
-	g.n--
-	m := ^(uint64(1) << uint(g.n))
-	g.takenBits &= m
-	g.pcBits &= m
-}
-
-// push records the latest occurrence of pc: a hit drops the stale
-// occurrence and re-inserts at the front; a miss inserts at the front,
-// evicting the least recent entry when the stack is full. These are
-// exactly the shift register's hit/insert/evict cases, fused into one
-// rotate of the slots in [0, j]: everything at or beyond j+1 is
-// untouched, slot j's old occupant (the stale hit or the evicted tail)
-// drops out, and slots 0..j-1 shift one position deeper.
-func (g *segment) push(pc uint32, taken bool, seq uint64) {
-	n := g.n
-	j := -1
-	for k := 0; k < n; k++ {
-		if g.pcs[k] == pc {
-			j = k
-			break
-		}
-	}
-	if j == 0 {
-		// Refreshing the most recent entry leaves the order untouched.
-		g.seqs[0] = seq
-		g.takenBits &^= 1
-		if taken {
-			g.takenBits |= 1
-		}
-		return
-	}
+// enter makes pc the stack's most recent entry and returns the slot
+// whose old occupant left: the stale occurrence on a hit, else the first
+// free slot, else the least recent slot, which falls off. Slots 0..j-1
+// shift one deeper and everything beyond j is untouched.
+func (s *Segmented) enter(pc uint32, taken bool) int {
+	n := s.young[len(s.young)-1]
+	j := slices.Index(s.pcs[:n], pc)
 	if j < 0 {
-		if n == len(g.pcs) {
-			j = n - 1
-		} else {
-			j = n
-			g.n = n + 1
+		j = min(n, s.segSize-1)
+	}
+	copy(s.pcs[1:j+1], s.pcs[:j])
+	copy(s.seqs[1:j+1], s.seqs[:j])
+	s.pcs[0], s.seqs[0] = pc, s.seq
+	lo := uint64(1)<<uint(j+1) - 1
+	s.taken = s.taken&^lo | (s.taken<<1)&lo
+	if taken {
+		s.taken |= 1
+	}
+	s.addr = s.addr&^lo | (s.addr<<1)&lo | uint64(pc&1)
+	return j
+}
+
+// put ORs v into the zeroed field at bit off of the record at word r.
+func (s *Segmented) put(r int, off uint, v uint64) {
+	s.recs[r+int(off>>6)] |= v << (off & 63)
+}
+
+// get returns the low w bits, w in [0, 64], of the field at bit off of
+// the record at word r.
+func (s *Segmented) get(r int, off, w uint) uint64 {
+	return s.recs[r+int(off>>6)] >> (off & 63) & (1<<w - 1)
+}
+
+// walk appends segment i's live entries to dst, most recent first: the
+// first occurrence of each distinct non-biased address met walking the
+// unfiltered ring down from the segment's starting depth. Dist is the
+// occurrence's depth.
+func (s *Segmented) walk(i int, dst []Entry) []Entry {
+	base := len(dst)
+	for d := s.bounds[i]; d < s.bounds[i+1] && len(dst)-base < s.segs[i].n; d++ {
+		e, _ := s.ring.At(d)
+		pc := uint64(e.HashedPC)
+		if e.NonBiased && !slices.ContainsFunc(dst[base:], func(x Entry) bool { return x.PC == pc }) {
+			dst = append(dst, Entry{PC: pc, Taken: e.Taken, Dist: uint64(d)})
 		}
 	}
-	copy(g.pcs[1:j+1], g.pcs[:j])
-	copy(g.seqs[1:j+1], g.seqs[:j])
-	g.pcs[0] = pc
-	g.seqs[0] = seq
-	lo := uint64(1)<<uint(j+1) - 1
-	tb := g.takenBits&^lo | (g.takenBits<<1)&lo
-	if taken {
-		tb |= 1
-	}
-	g.takenBits = tb
-	g.pcBits = g.pcBits&^lo | (g.pcBits<<1)&lo | uint64(pc&1)
+	return dst
 }
 
 // Segments returns the number of segments.
@@ -199,17 +256,14 @@ func (s *Segmented) SegmentLen(i int) int { return s.segs[i].n }
 
 // SegmentEntry returns slot j of segment i (j = 0 most recent). Empty
 // slots return a zero Entry with ok=false; keeping the geometry fixed lets
-// BF-TAGE build a stable-width BF-GHR bit vector.
+// BF-TAGE build a stable-width BF-GHR bit vector. It walks the unfiltered
+// ring, so it is for tests and diagnostics, not hot paths.
 func (s *Segmented) SegmentEntry(i, j int) (Entry, bool) {
-	seg := &s.segs[i]
-	if j < 0 || j >= seg.n {
+	if j < 0 || j >= s.segs[i].n {
 		return Entry{}, false
 	}
-	return Entry{
-		PC:    uint64(seg.pcs[j]),
-		Taken: seg.takenBits>>uint(j)&1 != 0,
-		Dist:  s.seq - seg.seqs[j],
-	}, true
+	var buf [64]Entry
+	return s.walk(i, buf[:0])[j], true
 }
 
 // AppendPacked appends the segmented stacks' BF-GHR contribution to two
@@ -221,32 +275,9 @@ func (s *Segmented) SegmentEntry(i, j int) (Entry, bool) {
 // different contexts.
 func (s *Segmented) AppendPacked(ghr, pcs *history.BitVec) {
 	for i := range s.segs {
-		ghr.Append(s.segs[i].takenBits, s.segSize)
-		pcs.Append(s.segs[i].pcBits, s.segSize)
+		ghr.Append(s.segs[i].taken, s.segSize)
+		pcs.Append(s.segs[i].pcs, s.segSize)
 	}
-}
-
-// AppendBFGHR appends the segmented stacks' outcome bits to dst in
-// increasing depth order — segment 0's slots first — with empty slots
-// contributing false. It is the []bool reference form of AppendPacked.
-func (s *Segmented) AppendBFGHR(dst []bool) []bool {
-	for i := range s.segs {
-		for j := 0; j < s.segSize; j++ {
-			dst = append(dst, s.segs[i].takenBits>>uint(j)&1 != 0)
-		}
-	}
-	return dst
-}
-
-// AppendBFPCs appends the segmented stacks' hashed-address low bits
-// (1 bit per slot) to dst, same geometry as AppendBFGHR.
-func (s *Segmented) AppendBFPCs(dst []bool) []bool {
-	for i := range s.segs {
-		for j := 0; j < s.segSize; j++ {
-			dst = append(dst, s.segs[i].pcBits>>uint(j)&1 != 0)
-		}
-	}
-	return dst
 }
 
 // Bits returns the total BF-GHR contribution in bits (segments × segSize).

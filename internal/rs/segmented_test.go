@@ -101,18 +101,21 @@ func TestSegmentedBFGHRGeometry(t *testing.T) {
 	if s.Bits() != 6 {
 		t.Fatalf("Bits = %d, want 6 (2 segments × 3)", s.Bits())
 	}
-	bits := s.AppendBFGHR(nil)
-	if len(bits) != 6 {
-		t.Fatalf("BFGHR len = %d, want 6 even when empty", len(bits))
+	var ghr, pcs history.BitVec
+	s.AppendPacked(&ghr, &pcs)
+	if ghr.Len() != 6 || pcs.Len() != 6 {
+		t.Fatalf("packed lens = %d/%d, want 6 even when empty", ghr.Len(), pcs.Len())
 	}
 	s.Commit(history.Entry{HashedPC: 9, Taken: true, NonBiased: true})
 	commitN(s, 2, 1, false, false)
-	bits = s.AppendBFGHR(nil)
-	if !bits[0] {
+	ghr.Reset()
+	pcs.Reset()
+	s.AppendPacked(&ghr, &pcs)
+	if !ghr.Bit(0) {
 		t.Fatal("first slot of segment 0 should carry the taken outcome")
 	}
-	for _, b := range bits[1:] {
-		if b {
+	for k := 1; k < ghr.Len(); k++ {
+		if ghr.Bit(k) {
 			t.Fatal("empty slots must contribute false")
 		}
 	}
@@ -121,9 +124,10 @@ func TestSegmentedBFGHRGeometry(t *testing.T) {
 func TestSegmentedBFPCsBit(t *testing.T) {
 	s := NewSegmented([]int{1, 4}, 2)
 	s.Commit(history.Entry{HashedPC: 0b11, Taken: false, NonBiased: true})
-	pcs := s.AppendBFPCs(nil)
-	if len(pcs) != 2 || !pcs[0] || pcs[1] {
-		t.Fatalf("BFPCs = %v, want [true false]", pcs)
+	var ghr, pcs history.BitVec
+	s.AppendPacked(&ghr, &pcs)
+	if pcs.Len() != 2 || !pcs.Bit(0) || pcs.Bit(1) {
+		t.Fatalf("address bits = %v %v (len %d), want [true false]", pcs.Bit(0), pcs.Bit(1), pcs.Len())
 	}
 }
 

@@ -3,7 +3,9 @@
 // restored order array iterates identically to the saved one; slot
 // numbering and hash-index layout are unobservable implementation
 // detail and are free to differ. A segmented stack is a function of its
-// ring, and its load checks the saved segments against that rebuild.
+// ring: it saves the entries a walk of the ring finds, and its load
+// rebuilds the stack from the ring and checks the saved segments
+// against it.
 //
 // Every loader here decodes into a fresh receiver that nothing reads
 // yet and records failures on the decoder; the caller installs the
@@ -11,11 +13,7 @@
 
 package rs
 
-import (
-	"math"
-
-	"bfbp/internal/state"
-)
+import "bfbp/internal/state"
 
 // save appends the cam's live entries, most recent first.
 func (c *cam) save(e *state.Enc) {
@@ -64,71 +62,34 @@ func (s *Stack) LoadState(d *state.Dec) {
 	s.c.load(d)
 }
 
-// save appends the segment's live entries, most recent first — the same
-// byte stream the original cam-backed segment produced.
-func (g *segment) save(e *state.Enc) {
-	e.U32(uint32(g.n))
-	for j := 0; j < g.n; j++ {
-		e.U64(uint64(g.pcs[j]))
-		e.Bool(g.takenBits>>uint(j)&1 != 0)
-		e.U64(g.seqs[j])
-	}
-}
-
-// load decodes the fresh segment g from a saved entry list, repacking
-// the outcome/address words directly.
-func (g *segment) load(d *state.Dec) {
-	n := int(d.U32())
-	if n > len(g.pcs) {
-		d.Corruptf("segment holds %d slots, snapshot has %d entries", len(g.pcs), n)
-		return
-	}
-	g.n = n
-	for j := 0; j < n; j++ {
-		pc := d.U64()
-		if pc > math.MaxUint32 {
-			d.Corruptf("segment pc %#x exceeds 32 bits", pc)
-		}
-		g.pcs[j] = uint32(pc)
-		if d.Bool() {
-			g.takenBits |= 1 << uint(j)
-		}
-		g.seqs[j] = d.U64()
-		g.pcBits |= (pc & 1) << uint(j)
-	}
-}
-
-// equal reports whether two segments hold the same entries.
-func (g *segment) equal(o *segment) bool {
-	if g.n != o.n || g.takenBits != o.takenBits || g.pcBits != o.pcBits {
-		return false
-	}
-	for j := 0; j < g.n; j++ {
-		if g.pcs[j] != o.pcs[j] || g.seqs[j] != o.seqs[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // SaveState appends the segmented stack's position counter, unfiltered
-// ring, and every segment's entries.
+// ring, and every segment's entries, most recent first, each as its
+// address, outcome and position counter at the moment it reached the
+// segment (the counter less its depth). The entries come from walking
+// the ring.
 func (s *Segmented) SaveState(e *state.Enc) {
 	e.U64(s.seq)
 	s.ring.SaveState(e)
 	e.U32(uint32(len(s.segs)))
+	var buf []Entry
 	for i := range s.segs {
-		s.segs[i].save(e)
+		buf = s.walk(i, buf[:0])
+		e.U32(uint32(len(buf)))
+		for _, x := range buf {
+			e.U64(x.PC)
+			e.Bool(x.Taken)
+			e.U64(s.seq - x.Dist)
+		}
 	}
 }
 
 // LoadState decodes a segmented stack saved by SaveState into s, a
-// fresh one built with the same bounds and segment size. The segments
-// are a function of the ring: replaying its newest min(seq, deepest
-// bound) branches into fresh stacks, with the position counter starting
-// that many commits back, reproduces them. A ring whose fill is not
-// min(seq, capacity), or a segment that differs from the replay, is
-// corrupt.
+// fresh one built with the same bounds and segment size. The stack is a
+// function of the ring: replaying its newest min(seq, deepest bound)
+// branches into a fresh one, with the position counter starting that
+// many commits back, reproduces every record a later commit reads. A
+// ring whose fill is not min(seq, capacity), or a saved segment that
+// differs from the replay's, is corrupt.
 func (s *Segmented) LoadState(d *state.Dec) {
 	s.seq = d.U64()
 	s.ring.LoadState(d)
@@ -136,23 +97,30 @@ func (s *Segmented) LoadState(d *state.Dec) {
 		d.Corruptf("segmented stack has %d segments, snapshot %d", len(s.segs), n)
 		return
 	}
-	for i := range s.segs {
-		s.segs[i].load(d)
-	}
 	if fill := min(s.seq, uint64(s.ring.Cap())); uint64(s.ring.Len()) != fill {
 		d.Corruptf("ring holds %d branches after %d commits", s.ring.Len(), s.seq)
 		return
 	}
 	ref := s.rebuild()
+	var want []Entry
 	for i := range s.segs {
-		if !s.segs[i].equal(&ref.segs[i]) {
-			d.Corruptf("segment %d differs from its rebuild from the ring", i)
+		want = ref.walk(i, want[:0])
+		if n := int(d.U32()); n != len(want) {
+			d.Corruptf("segment %d holds %d entries, its rebuild from the ring %d", i, n, len(want))
 			return
 		}
+		for _, x := range want {
+			if d.U64() != x.PC || d.Bool() != x.Taken || d.U64() != s.seq-x.Dist {
+				d.Corruptf("segment %d differs from its rebuild from the ring", i)
+				return
+			}
+		}
 	}
+	ref.ring = s.ring
+	*s = *ref
 }
 
-// rebuild replays the ring's newest branches into fresh stacks.
+// rebuild replays the ring's newest branches into a fresh stack.
 func (s *Segmented) rebuild() *Segmented {
 	ref := NewSegmented(s.bounds, s.segSize)
 	k := min(s.seq, uint64(s.bounds[len(s.bounds)-1]))

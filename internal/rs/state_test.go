@@ -2,7 +2,6 @@ package rs
 
 import (
 	"errors"
-	"slices"
 	"testing"
 
 	"bfbp/internal/history"
@@ -178,41 +177,38 @@ func TestSegmentedLoadRejectsTamperedSegments(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Commit(history.Entry{HashedPC: uint32(r.Intn(40) + 1), Taken: r.Bool(0.5), NonBiased: r.Bool(0.6)})
 	}
-	seg := slices.IndexFunc(s.segs, func(g segment) bool { return g.n >= 2 })
+	seg := -1
+	for i := 0; i < s.Segments() && seg < 0; i++ {
+		if s.SegmentLen(i) >= 2 {
+			seg = i
+		}
+	}
 	if seg < 0 {
 		t.Fatal("no segment holds two entries")
 	}
-	swap := func(x uint64) uint64 { return x&^3 | x>>1&1 | x&1<<1 }
 	for _, tc := range []struct {
 		name   string
-		tamper func(c *Segmented)
+		tamper func(c *savedSegmented)
 	}{
-		{"none", func(*Segmented) {}},
-		{"entries swapped", func(c *Segmented) {
-			g := &c.segs[seg]
-			g.pcs[0], g.pcs[1] = g.pcs[1], g.pcs[0]
-			g.seqs[0], g.seqs[1] = g.seqs[1], g.seqs[0]
-			g.takenBits = swap(g.takenBits)
+		{"none", func(*savedSegmented) {}},
+		{"entries swapped", func(c *savedSegmented) {
+			g := c.segs[seg]
+			g[0], g[1] = g[1], g[0]
 		}},
-		{"pc changed", func(c *Segmented) { c.segs[seg].pcs[0] ^= 4 }},
-		{"seq past the counter", func(c *Segmented) { c.segs[seg].seqs[0] = c.seq + 1 }},
-		{"every outcome flipped", func(c *Segmented) {
-			for i := range c.segs {
-				c.segs[i].takenBits ^= 1<<uint(c.segs[i].n) - 1
+		{"pc changed", func(c *savedSegmented) { c.segs[seg][0].pc ^= 4 }},
+		{"seq past the counter", func(c *savedSegmented) { c.segs[seg][0].seq = c.seq + 1 }},
+		{"every outcome flipped", func(c *savedSegmented) {
+			for _, g := range c.segs {
+				for j := range g {
+					g[j].taken = !g[j].taken
+				}
 			}
 		}},
-		{"ring fill", func(c *Segmented) { c.seq = uint64(c.ring.Cap()) - 1 }},
+		{"ring fill", func(c *savedSegmented) { c.seq = uint64(s.Ring().Cap()) - 1 }},
 	} {
-		c := *s
-		c.segs = make([]segment, len(s.segs))
-		for i, g := range s.segs {
-			g.pcs, g.seqs = slices.Clone(g.pcs), slices.Clone(g.seqs)
-			c.segs[i] = g
-		}
+		c := saveSegmented(s)
 		tc.tamper(&c)
-		var e state.Enc
-		c.SaveState(&e)
-		err := loadEnc(e, NewSegmented(bounds, 4).LoadState)
+		err := loadEnc(c.encode(s.Ring()), NewSegmented(bounds, 4).LoadState)
 		if tc.name == "none" {
 			if err != nil {
 				t.Fatalf("untampered copy: %v", err)
@@ -221,6 +217,47 @@ func TestSegmentedLoadRejectsTamperedSegments(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
 		}
 	}
+}
+
+// savedSegmented is a Segmented's snapshot fields apart from its ring,
+// in the form SaveState writes them, for tests to edit.
+type savedSegmented struct {
+	seq  uint64
+	segs [][]savedEntry
+}
+
+type savedEntry struct {
+	pc    uint64
+	taken bool
+	seq   uint64
+}
+
+func saveSegmented(s *Segmented) savedSegmented {
+	c := savedSegmented{seq: s.seq, segs: make([][]savedEntry, s.Segments())}
+	for i := range c.segs {
+		for j := 0; j < s.SegmentLen(i); j++ {
+			e, _ := s.SegmentEntry(i, j)
+			c.segs[i] = append(c.segs[i], savedEntry{e.PC, e.Taken, s.seq - e.Dist})
+		}
+	}
+	return c
+}
+
+// encode writes c with ring in SaveState's layout.
+func (c savedSegmented) encode(ring *history.Ring) state.Enc {
+	var e state.Enc
+	e.U64(c.seq)
+	ring.SaveState(&e)
+	e.U32(uint32(len(c.segs)))
+	for _, g := range c.segs {
+		e.U32(uint32(len(g)))
+		for _, x := range g {
+			e.U64(x.pc)
+			e.Bool(x.taken)
+			e.U64(x.seq)
+		}
+	}
+	return e
 }
 
 // loadEnc runs load over an encoder's payload as the one section of a
