@@ -72,14 +72,15 @@ smoke:
 	GO=$(GO) bash scripts/smoke.sh
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
-# hot-path kernels (key-map lookup and segment delta, fold-bank push,
-# segmented recency-stack commit, the two dot-product kernels, the
-# three flagship cores' probe paths and oh-snap's predict/update).
+# hot-path kernels (key-map lookup and sync, fold-bank push, segmented
+# recency-stack commit, the BF-GHR's classify-commit-sync-keys step, the
+# two dot-product kernels, the three flagship cores' probe paths and
+# oh-snap's predict/update).
 BENCHTIME ?= 1s
 
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) . ./internal/sim \
-		./internal/history ./internal/rs ./internal/dotp \
+		./internal/history ./internal/rs ./internal/bfghr ./internal/dotp \
 		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl \
 		./internal/predictor/ohsnap
 

@@ -8,8 +8,9 @@
 // A GHR owns the Branch Status Table (or the classifier that overrides
 // it), the segmented stacks with their unfiltered ring, and a linear key
 // map over the register. The key map holds every table's fold of the
-// BF-GHR, kept current by the stacks' segment deltas, so a lookup reads
-// all folds at once instead of re-deriving them from the register.
+// BF-GHR, synced from the stacks' segment words after every commit, so
+// a lookup reads all folds at once instead of re-deriving them from the
+// register.
 package bfghr
 
 import (
@@ -81,7 +82,6 @@ func New(cfg Config, fields [][]history.Term) *GHR {
 	}
 	g.keys = history.NewKeyMap(cfg.UnfilteredBits, cfg.SegSize, g.seg.Segments(), fields)
 	g.kw = make([]uint64, g.keys.Words())
-	g.seg.SetPackObserver(g.keys.SegmentDelta)
 	return g
 }
 
@@ -109,7 +109,7 @@ func (g *GHR) Field(kw []uint64, f int) uint64 { return g.keys.Field(kw, f) }
 // Commit performs the per-branch history management (§V-B4): classify,
 // then commit into the unfiltered ring and the segmented stacks with the
 // branch's bias status and hashed address. The stacks pick it up at
-// segment boundaries and feed the key map their deltas.
+// segment boundaries, and the key map syncs to their segment words.
 func (g *GHR) Commit(pc uint64, taken bool) {
 	g.class.Update(pc, taken)
 	g.seg.Commit(history.Entry{
@@ -117,6 +117,7 @@ func (g *GHR) Commit(pc uint64, taken bool) {
 		Taken:     taken,
 		NonBiased: g.class.Lookup(pc) == bst.NonBiased,
 	})
+	g.keys.Sync(g.seg.Words())
 }
 
 // BiasState is pc's current BST classification.
@@ -197,9 +198,7 @@ func (g *GHR) Load(s *state.Snapshot) (commit func()) {
 	return func() {
 		class()
 		g.seg = seg
-		// Attaching the key map to the restored stacks feeds it their
-		// packed words, which rebuilds it from empty.
 		g.keys.Reset()
-		seg.SetPackObserver(g.keys.SegmentDelta)
+		g.keys.Sync(seg.Words())
 	}
 }

@@ -13,11 +13,13 @@
 // column: the key words a lone set bit there would produce. Each 4-bit
 // group (nibble) of the prefix and of each segment word gets a 16-row
 // table of the XOR of its columns, derived row by row as
-// row[v] = row[v&(v-1)] ^ col[tz(v)]. A segment mutation's XOR delta
-// then costs one row per nibble per channel XORed into the maintained
-// words, and a lookup XORs the prefix rows on top. Narrow widths (w
-// smaller than a segment, where one segment wraps a fold several times)
-// need no special case: the columns already hold the wrapped positions.
+// row[v] = row[v&(v-1)] ^ col[tz(v)]. Sync takes every segment's
+// current words and, in one pass with no per-segment branch, XORs into
+// the maintained words each nibble's row of its change since the last
+// Sync (row 0, zero, when unchanged). A lookup XORs the prefix rows on
+// top; a rebuild is Reset then Sync. Narrow widths (w smaller than a
+// segment, where one segment wraps a fold several times) need no
+// special case: the columns already hold the wrapped positions.
 package history
 
 // Term is one fold term of a key field: the first N bits of channel
@@ -36,9 +38,9 @@ type fieldLoc struct {
 // KeyMap maintains a set of key fields over up to two parallel
 // composite vectors of identical geometry (prefixBits bits of
 // unfiltered head followed by numSegs segment words of segSize bits
-// each). Fields are declared at construction; mutations arrive as
-// SegmentDelta; Lookup returns the packed key words given the live
-// prefix words, and Field extracts one field from them.
+// each). Fields are declared at construction; Sync brings the map to
+// the current segment words; Lookup returns the packed key words given
+// the live prefix words, and Field extracts one field from them.
 type KeyMap struct {
 	prefixBits, segSize, numSegs int
 	terms                        [][]Term
@@ -46,20 +48,20 @@ type KeyMap struct {
 	nw                           int // key words, padded to a multiple of 4
 	preNibs, segNibs             int // nibbles per prefix / per segment word
 	// ch1 is 1 when some field reads channel 1. Without one, channel
-	// 1's bits are dropped and its rows alias channel 0's all-zero
-	// row 0, so the hot loops need no branch on the channel count.
+	// 1 has no rows and is never read.
 	ch1 int
 	// rows holds, for each four-word chunk of the key words, nRows
 	// rows: 16 per nibble group, the prefix groups (channel, nibble)
-	// first, then each segment's groups (segment, channel, nibble) from
+	// first, then the segment groups (channel, segment, nibble) from
 	// group segBase on. It is tabulated at first use, so a predictor
 	// built only to be inspected (a registry capability probe) never
 	// pays for it.
 	rows           [][4]uint64
 	nRows, segBase int
-	// keys is the segment region's contribution to the key words,
-	// maintained by SegmentDelta.
-	keys []uint64
+	// keys is the segment region's contribution to the key words as of
+	// the segment words in last (channel 0's words, then channel 1's
+	// if some field reads it). delta is Sync's scratch, in last's order.
+	keys, last, delta []uint64
 }
 
 // NewKeyMap lays out the fields over the given vector geometry. Each
@@ -115,6 +117,8 @@ func NewKeyMap(prefixBits, segSize, numSegs int, fields [][]Term) *KeyMap {
 	}
 	m.nw = (len(used) + 3) &^ 3
 	m.keys = make([]uint64, m.nw)
+	m.last = make([]uint64, (1+m.ch1)*numSegs)
+	m.delta = make([]uint64, len(m.last))
 	m.segBase = (1 + m.ch1) * m.preNibs
 	m.nRows = 16 * (m.segBase + (1+m.ch1)*numSegs*m.segNibs)
 	return m
@@ -129,8 +133,7 @@ func (m *KeyMap) tabulate() {
 	// words a lone set bit there produces, i.e. every field's fold of
 	// that unit vector. unit[b] is the offset of vector bit b's column
 	// on channel 0; channel 1's groups follow channel 0's within the
-	// prefix and within each segment.
-	nch := 1 + m.ch1
+	// prefix and within the segment region.
 	nRows := m.nRows
 	m.rows = make([][4]uint64, nw/4*nRows)
 	unit := make([]int, total)
@@ -138,7 +141,7 @@ func (m *KeyMap) tabulate() {
 		g, j := b/4, b%4
 		if b >= prefixBits {
 			s, o := (b-prefixBits)/segSize, (b-prefixBits)%segSize
-			g, j = m.segBase+s*nch*m.segNibs+o/4, o%4
+			g, j = m.segBase+s*m.segNibs+o/4, o%4
 		}
 		unit[b] = 16*g + 1<<j
 	}
@@ -150,7 +153,7 @@ func (m *KeyMap) tabulate() {
 			for b := 0; b < t.N; b++ {
 				groups := m.preNibs // from a bit's channel-0 group to its channel-1 group
 				if b >= prefixBits {
-					groups = m.segNibs
+					groups = numSegs * m.segNibs
 				}
 				rows[unit[b]+16*t.Ch*groups][loc.word%4] ^= 1 << (loc.shift + uint(t.Shift+pos))
 				if pos++; pos == t.Width {
@@ -174,63 +177,68 @@ func (m *KeyMap) tabulate() {
 // Words returns the number of key words Lookup writes.
 func (m *KeyMap) Words() int { return m.nw }
 
-// Reset zeroes the maintained key words (the state when all segments
-// are empty). Callers rebuilding from a snapshot Reset and then feed
-// each segment's packed words through SegmentDelta.
+// Reset returns the map to all-zero segment words, the state of empty
+// segments. A rebuild from a snapshot is Reset, then Sync with the
+// restored words.
 func (m *KeyMap) Reset() {
-	for i := range m.keys {
-		m.keys[i] = 0
+	clear(m.keys)
+	clear(m.last)
+}
+
+// Sync brings the maintained key words to the current segment words:
+// taken on channel 0 and pcs on channel 1, one word per segment (bit j
+// = slot j; bits at and beyond segSize are ignored). pcs is not read
+// when no field reads channel 1. Each nibble of each word XORs in the
+// row its change since the last Sync selects.
+func (m *KeyMap) Sync(taken, pcs []uint64) {
+	if m.rows == nil {
+		m.tabulate()
+	}
+	n, last, delta := m.numSegs, m.last, m.delta
+	for s, w := range taken[:n] {
+		delta[s], last[s] = w^last[s], w
+	}
+	for s, w := range pcs[:len(last)-n] {
+		delta[n+s], last[n+s] = w^last[n+s], w
+	}
+	for c := 0; c < m.nw; c += 4 {
+		xorRows((*[4]uint64)(m.keys[c:]), m.rows[c/4*m.nRows+16*m.segBase:], delta, m.segNibs)
 	}
 }
 
-// xorChunk XORs into one four-word chunk k of the key words, for each
-// of nibs nibbles, the row the nibble of d0 selects from the group at
-// row b0 and the row the nibble of d1 selects from the group at row b1,
-// then steps both to the next group. It accumulates in registers.
-func xorChunk(k *[4]uint64, rows [][4]uint64, b0, b1, nibs int, d0, d1 uint64) {
+// xorRows XORs into one four-word chunk k of the key words, for each of
+// the nibs nibbles of each word of ds, the row the nibble selects from
+// its group of 16; the groups run consecutively from rows[0]. It
+// accumulates in registers.
+func xorRows(k *[4]uint64, rows [][4]uint64, ds []uint64, nibs int) {
 	k0, k1, k2, k3 := k[0], k[1], k[2], k[3]
-	for ; nibs > 0; nibs-- {
-		r, q := &rows[b0+int(d0&15)], &rows[b1+int(d1&15)]
-		k0 ^= r[0] ^ q[0]
-		k1 ^= r[1] ^ q[1]
-		k2 ^= r[2] ^ q[2]
-		k3 ^= r[3] ^ q[3]
-		d0 >>= 4
-		d1 >>= 4
-		b0 += 16
-		b1 += 16
+	g := 0
+	for _, d := range ds {
+		for range nibs {
+			r := &rows[g+int(d&15)]
+			k0 ^= r[0]
+			k1 ^= r[1]
+			k2 ^= r[2]
+			k3 ^= r[3]
+			d >>= 4
+			g += 16
+		}
 	}
 	*k = [4]uint64{k0, k1, k2, k3}
 }
 
-// SegmentDelta applies XOR deltas of segment s's packed words on both
-// channels (bit j = slot j; bits at and beyond segSize are ignored).
-// Feeding the words themselves toggles them in, which is how a rebuild
-// works. d1 is ignored when no field reads channel 1.
-func (m *KeyMap) SegmentDelta(s int, d0, d1 uint64) {
-	if m.rows == nil {
-		m.tabulate()
-	}
-	b0 := 16 * (m.segBase + s*(1+m.ch1)*m.segNibs)
-	b1 := b0 + 16*m.ch1*m.segNibs
-	d1 &= -uint64(m.ch1)
-	for c := 0; c < m.nw; c += 4 {
-		xorChunk((*[4]uint64)(m.keys[c:]), m.rows[c/4*m.nRows:], b0, b1, m.segNibs, d0, d1)
-	}
-}
-
 // Lookup writes the key words into out (len Words()) given the live
 // prefix words of the two channels (bit i = vector bit i; bits at and
-// beyond prefixBits are ignored).
+// beyond prefixBits are ignored). p1 is not read when no field reads
+// channel 1.
 func (m *KeyMap) Lookup(p0, p1 uint64, out []uint64) {
 	if m.rows == nil {
 		m.tabulate()
 	}
 	copy(out, m.keys)
-	b1 := 16 * m.ch1 * m.preNibs
-	p1 &= -uint64(m.ch1)
+	p := [2]uint64{p0, p1}
 	for c := 0; c < m.nw; c += 4 {
-		xorChunk((*[4]uint64)(out[c:]), m.rows[c/4*m.nRows:], 0, b1, m.preNibs, p0, p1)
+		xorRows((*[4]uint64)(out[c:]), m.rows[c/4*m.nRows:], p[:1+m.ch1], m.preNibs)
 	}
 }
 

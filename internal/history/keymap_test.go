@@ -17,40 +17,54 @@ func composeVec(prefix uint64, prefixBits int, segs []uint64, segSize int) *BitV
 	return &v
 }
 
-// FuzzKeyMap builds key maps of random geometry — prefix 0–64 bits,
-// segments of 1–64 bits, random fields of one to three fold terms with
-// widths 1–22 on one or both channels — applies random segment-word mutations
-// and checks every field against FoldWords over the composed vectors
-// after each one. It also checks that Reset plus feeding each segment's
-// absolute words (the snapshot-restore path) reproduces the
-// incrementally maintained key words.
+// keyMapGeometry draws a key map geometry from r: a prefix of 0–64
+// bits, up to 20 segments of 1–64 bits (at most 1024 bits of segments),
+// and one to 24 random fields of one to three fold terms, widths 1–22
+// shifted anywhere in a word, on channel 0 only (nch 1, BF-GEHL's
+// shape) or on both. Fields that wide often pack into more than one
+// four-word chunk.
+func keyMapGeometry(r *rng.SplitMix64) (prefixBits, segSize, numSegs, nch int, fields [][]Term) {
+	prefixBits = r.Intn(65)
+	segSize = 1 + r.Intn(64)
+	numSegs = min(r.Intn(1+1024/segSize), 20)
+	total := prefixBits + numSegs*segSize
+	if total == 0 {
+		return
+	}
+	nch = 1 + r.Intn(2)
+	fields = make([][]Term, 1+r.Intn(24))
+	for i := range fields {
+		for j := 0; j <= r.Intn(3); j++ {
+			w := 1 + r.Intn(22)
+			fields[i] = append(fields[i], Term{
+				Ch: r.Intn(nch), N: 1 + r.Intn(total), Width: w, Shift: r.Intn(64 - w + 1),
+			})
+		}
+	}
+	return
+}
+
+// keyMapSeeds is FuzzKeyMap's seed corpus. TestKeyMapSeedsCoverGeometries
+// pins that it reaches every geometry class Sync must handle.
+var keyMapSeeds = []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 29}
+
+// FuzzKeyMap builds a key map of random geometry (keyMapGeometry) and
+// syncs it to a random stream of segment words, in which each segment
+// keeps its words with probability one half and a changed word may
+// carry junk above segSize, which the map must ignore. After every Sync
+// it checks every field against FoldWords over the composed vectors,
+// under a random live prefix. A one-channel map is sometimes synced
+// with no channel-1 words at all. At the end, Reset then one Sync of the
+// last words (the snapshot-restore path) must reproduce the key words.
 func FuzzKeyMap(f *testing.F) {
-	f.Add(uint64(0), uint8(0))
-	for seed := uint64(1); seed <= 6; seed++ {
+	for _, seed := range keyMapSeeds {
 		f.Add(seed, uint8(100))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, steps uint8) {
 		r := rng.New(seed)
-		prefixBits := r.Intn(65)
-		segSize := 1 + r.Intn(64)
-		numSegs := r.Intn(1 + 1024/segSize)
-		if numSegs > 20 {
-			numSegs = 20
-		}
-		total := prefixBits + numSegs*segSize
-		if total == 0 {
+		prefixBits, segSize, numSegs, nch, fields := keyMapGeometry(r)
+		if fields == nil {
 			return
-		}
-		// Single-channel maps (BF-GEHL's shape) must ignore channel 1.
-		nch := 1 + r.Intn(2)
-		fields := make([][]Term, 1+r.Intn(12))
-		for i := range fields {
-			for j := 0; j <= r.Intn(3); j++ {
-				w := 1 + r.Intn(22)
-				fields[i] = append(fields[i], Term{
-					Ch: r.Intn(nch), N: 1 + r.Intn(total), Width: w, Shift: r.Intn(64 - w + 1),
-				})
-			}
 		}
 		m := NewKeyMap(prefixBits, segSize, numSegs, fields)
 		segs := [2][]uint64{make([]uint64, numSegs), make([]uint64, numSegs)}
@@ -73,27 +87,62 @@ func FuzzKeyMap(f *testing.F) {
 			}
 		}
 		check(-1)
-		for step := 0; step < int(steps) && numSegs > 0; step++ {
-			// Mutate one segment's words; the map sees the XOR deltas,
-			// junk above segSize included, which it must ignore.
-			s := r.Intn(numSegs)
-			n0, n1 := r.Uint64()&lowMask(segSize), r.Uint64()&lowMask(segSize)
-			junk := r.Uint64() &^ lowMask(segSize)
-			m.SegmentDelta(s, segs[0][s]^n0^junk, segs[1][s]^n1)
-			segs[0][s], segs[1][s] = n0, n1
+		for step := 0; step < int(steps); step++ {
+			for ch := range segs {
+				for s := range segs[ch] {
+					if r.Bool(0.5) {
+						segs[ch][s] = r.Uint64()
+						if r.Bool(0.5) {
+							segs[ch][s] &= lowMask(segSize)
+						}
+					}
+				}
+			}
+			pcs := segs[1]
+			if nch == 1 && r.Bool(0.5) {
+				pcs = nil
+			}
+			m.Sync(segs[0], pcs)
 			check(step)
 		}
-		incremental := append([]uint64(nil), m.keys...)
+		synced := append([]uint64(nil), m.keys...)
 		m.Reset()
-		for s := 0; s < numSegs; s++ {
-			m.SegmentDelta(s, segs[0][s], segs[1][s])
-		}
+		m.Sync(segs[0], segs[1])
 		for i, w := range m.keys {
-			if w != incremental[i] {
-				t.Fatalf("key word %d: rebuilt %#x, incremental %#x", i, w, incremental[i])
+			if w != synced[i] {
+				t.Fatalf("key word %d: rebuilt %#x, synced %#x", i, w, synced[i])
 			}
 		}
 	})
+}
+
+// TestKeyMapSeedsCoverGeometries pins that FuzzKeyMap's seed corpus,
+// which plain go test runs, covers the geometries Sync has one path
+// for: segments of 1–32 and 33–64 bits, maps of one and of several
+// four-word chunks, on one channel and on two.
+func TestKeyMapSeedsCoverGeometries(t *testing.T) {
+	type class struct {
+		longSegs, wide bool
+		nch            int
+	}
+	seen := map[class]bool{}
+	for _, seed := range keyMapSeeds {
+		prefixBits, segSize, numSegs, nch, fields := keyMapGeometry(rng.New(seed))
+		if fields == nil || numSegs == 0 {
+			continue
+		}
+		m := NewKeyMap(prefixBits, segSize, numSegs, fields)
+		seen[class{segSize > 32, m.Words() > 4, nch}] = true
+	}
+	for _, long := range []bool{false, true} {
+		for _, wide := range []bool{false, true} {
+			for nch := 1; nch <= 2; nch++ {
+				if !seen[class{long, wide, nch}] {
+					t.Errorf("no seed has segments longer than 32 bits = %v, more than four key words = %v, %d channel(s)", long, wide, nch)
+				}
+			}
+		}
+	}
 }
 
 // foldFields declares one single-term channel-0 field per (n, w) pair:
@@ -139,20 +188,17 @@ func TestFoldPipelineEquivalence(t *testing.T) {
 		m := NewKeyMap(prefixBits, segSize, numSegs, foldFields(regs))
 		segs := make([]uint64, numSegs)
 		for step := 0; step < 60; step++ {
-			// Mutate one segment word (the map sees the XOR delta) and
-			// churn the prefix (the map never sees it — Lookup takes it
-			// live).
-			s := r.Intn(numSegs)
-			next := r.Uint64() & lowMask(segSize)
-			m.SegmentDelta(s, segs[s]^next, 0)
-			segs[s] = next
+			// Mutate one segment word (the map syncs to it) and churn
+			// the prefix (the map never sees it — Lookup takes it live).
+			segs[r.Intn(numSegs)] = r.Uint64() & lowMask(segSize)
+			m.Sync(segs, nil)
 			checkFolds(t, m, regs, r.Uint64(), segs, prefixBits, segSize)
 		}
 	}
 }
 
-// TestFoldPipelineRebuild checks that Reset + feeding each segment's
-// absolute word reproduces the incrementally maintained key words — the
+// TestFoldPipelineRebuild checks that Reset + one Sync of the segment
+// words reproduces the key words 500 incremental Syncs reached — the
 // snapshot-restore path.
 func TestFoldPipelineRebuild(t *testing.T) {
 	r := rng.New(0xF02D)
@@ -165,16 +211,12 @@ func TestFoldPipelineRebuild(t *testing.T) {
 	m := NewKeyMap(prefixBits, segSize, numSegs, foldFields(regs))
 	segs := make([]uint64, numSegs)
 	for step := 0; step < 500; step++ {
-		s := r.Intn(numSegs)
-		next := r.Uint64() & lowMask(segSize)
-		m.SegmentDelta(s, segs[s]^next, 0)
-		segs[s] = next
+		segs[r.Intn(numSegs)] = r.Uint64() & lowMask(segSize)
+		m.Sync(segs, nil)
 	}
 	incremental := append([]uint64(nil), m.keys...)
 	m.Reset()
-	for s, w := range segs {
-		m.SegmentDelta(s, w, 0)
-	}
+	m.Sync(segs, nil)
 	for i, word := range m.keys {
 		if word != incremental[i] {
 			t.Fatalf("key word %d: rebuilt %#x, incremental %#x", i, word, incremental[i])
@@ -194,9 +236,9 @@ func TestFoldPipelineShortRegisters(t *testing.T) {
 	}
 	const short, exact, long = 0, 1, 2
 	m := NewKeyMap(16, 8, 4, foldFields(regs))
-	m.SegmentDelta(0, 0xFF, 0)
-	m.SegmentDelta(3, 0xFF, 0)
-	checkFolds(t, m, regs, 0xBEEF, []uint64{0xFF, 0, 0, 0xFF}, 16, 8)
+	segs := []uint64{0xFF, 0, 0, 0xFF}
+	m.Sync(segs, nil)
+	checkFolds(t, m, regs, 0xBEEF, segs, 16, 8)
 	// Prefix-only fields must be a pure function of the prefix: with a
 	// zero prefix they fold to zero no matter what the segments hold.
 	out := make([]uint64, m.Words())
@@ -220,10 +262,8 @@ func TestFoldPipelineNarrowWidths(t *testing.T) {
 	m := NewKeyMap(16, 8, 16, foldFields(regs))
 	segs := make([]uint64, 16)
 	for step := 0; step < 200; step++ {
-		s := r.Intn(16)
-		next := r.Uint64() & 0xFF
-		m.SegmentDelta(s, segs[s]^next, 0)
-		segs[s] = next
+		segs[r.Intn(16)] = r.Uint64() & 0xFF
+		m.Sync(segs, nil)
 		checkFolds(t, m, regs, r.Uint64(), segs, 16, 8)
 	}
 }
@@ -272,9 +312,11 @@ func TestKeyMapPacking(t *testing.T) {
 func BenchmarkKeyMapLookup(b *testing.B) {
 	fields := tageFields()
 	m := NewKeyMap(16, 8, 16, fields)
-	for s := 0; s < 16; s++ {
-		m.SegmentDelta(s, uint64(s)*0x5D, uint64(s)*0xA3&0xFF)
+	var taken, pcs [16]uint64
+	for s := range taken {
+		taken[s], pcs[s] = uint64(s)*0x5D&0xFF, uint64(s)*0xA3&0xFF
 	}
+	m.Sync(taken[:], pcs[:])
 	out := make([]uint64, m.Words())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -287,12 +329,18 @@ func BenchmarkKeyMapLookup(b *testing.B) {
 
 var keySink uint64
 
-// BenchmarkKeyMapSegmentDelta measures the per-mutation maintenance
-// cost: one row per nibble per channel XORed into the key words.
-func BenchmarkKeyMapSegmentDelta(b *testing.B) {
+// BenchmarkKeyMapSync measures the per-commit maintenance of the
+// bf-tage-10 key words: one Sync of the 16 segments' words on both
+// channels, two of which changed. Sync's cost does not depend on how
+// many did: every nibble XORs in a row, row 0 when it is unchanged.
+func BenchmarkKeyMapSync(b *testing.B) {
 	m := NewKeyMap(16, 8, 16, tageFields())
+	var taken, pcs [16]uint64
+	m.Sync(taken[:], pcs[:]) // tabulates the rows
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SegmentDelta(i&15, uint64(i)|1, uint64(i>>4)&0xFF)
+		taken[i&15] = uint64(i) & 0xFF
+		pcs[i>>4&15] = uint64(i>>4) & 0xFF
+		m.Sync(taken[:], pcs[:])
 	}
 }

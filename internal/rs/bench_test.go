@@ -52,24 +52,28 @@ func bfTage10Fields() [][]history.Term {
 
 // BenchmarkSegmentedCommit commits a recorded stream of BST-classified
 // branches into the paper's 16-segment, 8-slot stacks: bare, and with
-// bf-tage-10's key map subscribed as the pack observer, as the BF-GHR
-// runs it. One op is one Commit.
+// bf-tage-10's key map synced from the segment words after each commit,
+// as the BF-GHR runs it. One op is one Commit (and Sync).
 func BenchmarkSegmentedCommit(b *testing.B) {
 	es := recordedCommits(b)
 	for _, bc := range []struct {
-		name     string
-		observed bool
+		name   string
+		keymap bool
 	}{{"bare", false}, {"keymap", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := NewSegmented(paperSegBounds, 8)
-			if bc.observed {
-				m := history.NewKeyMap(16, 8, s.Segments(), bfTage10Fields())
-				s.SetPackObserver(m.SegmentDelta)
+			var m *history.KeyMap
+			if bc.keymap {
+				m = history.NewKeyMap(16, 8, s.Segments(), bfTage10Fields())
+				m.Sync(s.Words()) // tabulates the rows
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Commit(es[i%len(es)])
+				if m != nil {
+					m.Sync(s.Words())
+				}
 			}
 		})
 	}

@@ -14,8 +14,7 @@ import (
 // bounds (the first may be 1) for up to 20 segments no deeper than
 // 4096, a segment size in [1, 64], and a PC alphabet of 2 to 2^32
 // addresses. After every commit it compares every segment's length,
-// packed words (through AppendPacked and as accumulated from the pack
-// observer's deltas) and the entries at slots 0, the last, one past it
+// packed words (through Words and AppendPacked) and the entries at slots 0, the last, one past it
 // and one at random; checking every slot walks the ring once per slot,
 // which is too slow here. At random points, and at the end, the
 // snapshot bytes must equal the reference's, which covers every entry,
@@ -46,15 +45,6 @@ func FuzzSegmented(f *testing.F) {
 
 		ref := newRefSegmented(bounds, segSize)
 		s := NewSegmented(bounds, segSize)
-		acc := make([][2]uint64, s.Segments())
-		observe := func(s *Segmented) {
-			clear(acc)
-			s.SetPackObserver(func(i int, dT, dP uint64) {
-				acc[i][0] ^= dT
-				acc[i][1] ^= dP
-			})
-		}
-		observe(s)
 		var ghr, pcs history.BitVec
 		for step := 1; step <= n; step++ {
 			e := history.Entry{
@@ -67,14 +57,15 @@ func FuzzSegmented(f *testing.F) {
 			ghr.Reset()
 			pcs.Reset()
 			s.AppendPacked(&ghr, &pcs)
+			taken, addrs := s.Words()
 			for i := 0; i < s.Segments(); i++ {
 				ln := ref.segs[i].n
 				if got := s.SegmentLen(i); got != ln {
 					t.Fatalf("%v×%d step %d: segment %d len %d, want %d", bounds, segSize, step, i, got, ln)
 				}
 				wt, wp := ref.words(i)
-				if acc[i] != [2]uint64{wt, wp} {
-					t.Fatalf("%v×%d step %d: segment %d observed words %#x, want %#x/%#x", bounds, segSize, step, i, acc[i], wt, wp)
+				if taken[i] != wt || addrs[i] != wp {
+					t.Fatalf("%v×%d step %d: segment %d words %#x/%#x, want %#x/%#x", bounds, segSize, step, i, taken[i], addrs[i], wt, wp)
 				}
 				off := i * segSize
 				if gt, gp := vecBits(&ghr, off, segSize), vecBits(&pcs, off, segSize); gt != wt || gp != wp {
@@ -106,7 +97,6 @@ func FuzzSegmented(f *testing.F) {
 				t.Fatalf("%v×%d step %d: save → load → save changed the bytes", bounds, segSize, step)
 			}
 			s = loaded
-			observe(s)
 		}
 	})
 }

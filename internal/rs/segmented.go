@@ -26,9 +26,9 @@ import (
 // commit number: the stack's packed outcome and address bits and, for
 // each distinct segment width, how many leading slots are younger than
 // it. Each segment's BF-GHR words are then one record read, cut to its
-// width's count, and Commit hands observers the XOR delta of those
-// words. Entries with their distances are found by walking the
-// unfiltered ring (SegmentEntry, SaveState), off the hot path.
+// width's count, which Commit writes to the slices Words returns.
+// Entries with their distances are found by walking the unfiltered ring
+// (SegmentEntry, SaveState), off the hot path.
 type Segmented struct {
 	bounds  []int // ascending depths; segment i covers [bounds[i], bounds[i+1])
 	segSize int
@@ -56,21 +56,16 @@ type Segmented struct {
 	cntBits uint
 	cntOff  []uint
 	segs    []view
-	// onPack, when set, receives the XOR delta of a segment's packed
-	// words the moment a Commit changes them. Key maps subscribe here to
-	// keep their key words current without re-deriving folds from the
-	// full BF-GHR.
-	onPack func(seg int, takenDelta, pcDelta uint64)
+	// segTaken and segPCs are each segment's current BF-GHR words (bit
+	// j = slot j, empty slots zero), as Words returns them.
+	segTaken, segPCs []uint64
 }
 
-// view is one segment's current BF-GHR words (bit j = slot j, empty
-// slots zero) and live count, and where its record field lies: start is
-// the segment's starting depth, cntOff its width's count offset.
+// view is where a segment's record field lies: start is the segment's
+// starting depth, cntOff its width's count offset.
 type view struct {
-	taken, pcs uint64
-	n          int
-	start      uint64
-	cntOff     uint
+	start  uint64
+	cntOff uint
 }
 
 // NewSegmented builds a segmented recency stack. bounds must be a strictly
@@ -93,12 +88,14 @@ func NewSegmented(bounds []int, segSize int) *Segmented {
 		panic("rs: segment size out of range [1,64]")
 	}
 	s := &Segmented{
-		bounds:  append([]int(nil), bounds...),
-		segSize: segSize,
-		ring:    history.NewRing(1 << bits.Len(uint(bounds[len(bounds)-1]))),
-		pcs:     make([]uint32, segSize),
-		seqs:    make([]uint64, segSize),
-		segs:    make([]view, len(bounds)-1),
+		bounds:   append([]int(nil), bounds...),
+		segSize:  segSize,
+		ring:     history.NewRing(1 << bits.Len(uint(bounds[len(bounds)-1]))),
+		pcs:      make([]uint32, segSize),
+		seqs:     make([]uint64, segSize),
+		segs:     make([]view, len(bounds)-1),
+		segTaken: make([]uint64, len(bounds)-1),
+		segPCs:   make([]uint64, len(bounds)-1),
 	}
 	for i := range s.segs {
 		s.widths = append(s.widths, uint64(bounds[i+1]-bounds[i]))
@@ -134,26 +131,10 @@ func NewSegmented(bounds []int, segSize int) *Segmented {
 	return s
 }
 
-// SetPackObserver registers fn to receive the XOR delta of a segment's
-// packed words whenever a Commit changes them. It first feeds fn every
-// non-empty segment's current words, the delta from empty, so an
-// observer that starts from empty segments is in sync from the outset
-// (after a LoadState too). Pass nil to detach.
-func (s *Segmented) SetPackObserver(fn func(seg int, takenDelta, pcDelta uint64)) {
-	s.onPack = fn
-	if fn == nil {
-		return
-	}
-	for i := range s.segs {
-		if t, p := s.segs[i].taken, s.segs[i].pcs; t|p != 0 {
-			fn(i, t, p)
-		}
-	}
-}
-
 // Commit records a committed branch: it ages the stack, pushes the
 // branch if it is non-biased, writes the commit's record, and moves
-// every segment to the record of the commit now at its starting depth.
+// every segment's words to the record of the commit now at its starting
+// depth.
 func (s *Segmented) Commit(e history.Entry) {
 	s.seq++
 	s.ring.Push(e)
@@ -174,27 +155,31 @@ func (s *Segmented) Commit(e history.Entry) {
 			}
 		}
 	}
-	r := int(s.seq&s.recMask) * s.stride
-	clear(s.recs[r : r+s.stride])
-	s.put(r, 0, s.taken)
-	s.put(r, s.addrOff, s.addr)
+	recs, mask, stride := s.recs, s.recMask, s.stride
+	r := int(s.seq&mask) * stride
+	clear(recs[r : r+stride])
+	put(recs, r, 0, s.taken)
+	put(recs, r, s.addrOff, s.addr)
 	for k, c := range s.young {
-		s.put(r, s.cntOff[k], uint64(c))
+		put(recs, r, s.cntOff[k], uint64(c))
 	}
-	for i := range s.segs {
-		v := &s.segs[i]
+	// Locals, since each store to the words makes s's fields reload.
+	seq, addrOff, cntBits := s.seq+1, s.addrOff, s.cntBits
+	segTaken, segPCs := s.segTaken[:len(s.segs)], s.segPCs[:len(s.segs)]
+	for i, v := range s.segs {
 		// Before the segment's start is reached this reads a record
 		// not yet written, which is zero: the segment is empty.
-		r := int((s.seq-v.start+1)&s.recMask) * s.stride
-		n := uint(s.get(r, v.cntOff, s.cntBits))
-		t, p := s.get(r, 0, n), s.get(r, s.addrOff, n)
-		dT, dP := t^v.taken, p^v.pcs
-		v.taken, v.pcs, v.n = t, p, int(n)
-		if s.onPack != nil && dT|dP != 0 {
-			s.onPack(i, dT, dP)
-		}
+		r := int((seq-v.start)&mask) * stride
+		n := uint(get(recs, r, v.cntOff, cntBits))
+		segTaken[i], segPCs[i] = get(recs, r, 0, n), get(recs, r, addrOff, n)
 	}
 }
+
+// Words returns every segment's current outcome and address words, in
+// increasing depth order (bit j = slot j, empty slots zero). The slices
+// belong to s: the next Commit overwrites them and LoadState replaces
+// them, and the caller must not modify them.
+func (s *Segmented) Words() (taken, pcs []uint64) { return s.segTaken, s.segPCs }
 
 // enter makes pc the stack's most recent entry and returns the slot
 // whose old occupant left: the stale occurrence on a hit, else the first
@@ -219,14 +204,14 @@ func (s *Segmented) enter(pc uint32, taken bool) int {
 }
 
 // put ORs v into the zeroed field at bit off of the record at word r.
-func (s *Segmented) put(r int, off uint, v uint64) {
-	s.recs[r+int(off>>6)] |= v << (off & 63)
+func put(recs []uint64, r int, off uint, v uint64) {
+	recs[r+int(off>>6)] |= v << (off & 63)
 }
 
 // get returns the low w bits, w in [0, 64], of the field at bit off of
 // the record at word r.
-func (s *Segmented) get(r int, off, w uint) uint64 {
-	return s.recs[r+int(off>>6)] >> (off & 63) & (1<<w - 1)
+func get(recs []uint64, r int, off, w uint) uint64 {
+	return recs[r+int(off>>6)] >> (off & 63) & (1<<w - 1)
 }
 
 // walk appends segment i's live entries to dst, most recent first: the
@@ -235,7 +220,8 @@ func (s *Segmented) get(r int, off, w uint) uint64 {
 // occurrence's depth.
 func (s *Segmented) walk(i int, dst []Entry) []Entry {
 	base := len(dst)
-	for d := s.bounds[i]; d < s.bounds[i+1] && len(dst)-base < s.segs[i].n; d++ {
+	n := s.SegmentLen(i)
+	for d := s.bounds[i]; d < s.bounds[i+1] && len(dst)-base < n; d++ {
 		e, _ := s.ring.At(d)
 		pc := uint64(e.HashedPC)
 		if e.NonBiased && !slices.ContainsFunc(dst[base:], func(x Entry) bool { return x.PC == pc }) {
@@ -251,15 +237,19 @@ func (s *Segmented) Segments() int { return len(s.segs) }
 // SegSize returns the per-segment capacity.
 func (s *Segmented) SegSize() int { return s.segSize }
 
-// SegmentLen returns the live entry count of segment i.
-func (s *Segmented) SegmentLen(i int) int { return s.segs[i].n }
+// SegmentLen returns the live entry count of segment i, from the record
+// the last Commit read its words from.
+func (s *Segmented) SegmentLen(i int) int {
+	r := int((s.seq-s.segs[i].start+1)&s.recMask) * s.stride
+	return int(get(s.recs, r, s.segs[i].cntOff, s.cntBits))
+}
 
 // SegmentEntry returns slot j of segment i (j = 0 most recent). Empty
 // slots return a zero Entry with ok=false; keeping the geometry fixed lets
 // BF-TAGE build a stable-width BF-GHR bit vector. It walks the unfiltered
 // ring, so it is for tests and diagnostics, not hot paths.
 func (s *Segmented) SegmentEntry(i, j int) (Entry, bool) {
-	if j < 0 || j >= s.segs[i].n {
+	if j < 0 || j >= s.SegmentLen(i) {
 		return Entry{}, false
 	}
 	var buf [64]Entry
@@ -275,8 +265,8 @@ func (s *Segmented) SegmentEntry(i, j int) (Entry, bool) {
 // different contexts.
 func (s *Segmented) AppendPacked(ghr, pcs *history.BitVec) {
 	for i := range s.segs {
-		ghr.Append(s.segs[i].taken, s.segSize)
-		pcs.Append(s.segs[i].pcs, s.segSize)
+		ghr.Append(s.segTaken[i], s.segSize)
+		pcs.Append(s.segPCs[i], s.segSize)
 	}
 }
 
