@@ -60,13 +60,14 @@ bench-test:
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
 # the commands once, then runs five checks: trace (identical-seed
 # journals diff clean, no per-branch predict/update slices in the
-# timeline), flags (a negative count, an unknown trace or figure, too
-# few variance seeds or an undefined flag exits 2 without a panic), snapshot
-# (split runs equal straight runs, and a snapshot cut by one byte exits
-# 1 without a panic), drift (`journal summary` finds
-# alarms in a journaled endurance run, whose timeline carries the mpki
-# counter track) and xray (tablestats journal events, TAGE banks
-# carrying provider hits).
+# timeline), flags (a negative count, a no-op -probe-state-every 0 or
+# -warmup, an unknown trace or figure, too few variance seeds or an
+# undefined flag exits 2 without a panic), snapshot (split runs equal
+# straight runs, and a snapshot cut by one byte exits 1 without a
+# panic), window (`journal summary` counts the window events of a
+# journaled -window run, whose timeline carries the mpki counter track)
+# and xray (tablestats journal events, TAGE banks carrying provider
+# hits).
 # Leaves its artifacts in smoke_ci/ for CI upload.
 smoke:
 	GO=$(GO) bash scripts/smoke.sh

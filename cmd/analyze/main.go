@@ -10,8 +10,6 @@
 //	analyze -t SPEC06 -population                         # branch classes only
 //	analyze -t SERV1 -p tage-8,bf-tage-8 -explain         # provenance + paper-shape
 //	analyze -t SERV1 -p tage-8,bf-tage-8 -utilization     # occupancy by history length
-//	analyze -t SPEC03 -p bf-neural -warmstart             # cold vs warm MPKI curve
-//	analyze -t SERV3 -p bf-tage-10 -phases                # MPKI phase segments + movers
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 
 	"bfbp"
 	"bfbp/internal/analysis"
-	"bfbp/internal/experiments"
 	"bfbp/internal/sim"
 	"bfbp/internal/workload"
 )
@@ -36,11 +33,6 @@ func main() {
 		population  = flag.Bool("population", false, "print the branch population summary and exit")
 		explain     = flag.Bool("explain", false, "decision provenance: cause taxonomy, component/bank attribution, paper-shape check")
 		utilization = flag.Bool("utilization", false, "capacity-vs-reach report: per-bank occupancy/conflicts by history length, with a bias-free vs conventional shape check on pairs")
-		phases      = flag.Bool("phases", false, "segment the run at MPKI change points and rank phase-sensitive branch sites")
-		phaseWindow = flag.Uint64("phase-window", 0, "MPKI window in branches for -phases (0 = branches/50)")
-
-		warmstart = flag.Bool("warmstart", false, "cold vs warm MPKI windows via a bfbp.state.v1 snapshot")
-		windows   = flag.Int("windows", 10, "window count for -warmstart")
 	)
 	flag.Parse()
 	// A count below its floor is a usage error, not a silent default.
@@ -48,7 +40,7 @@ func main() {
 		name     string
 		val, min int
 	}{
-		{"n", *branches, 1}, {"offenders", *offenders, 0}, {"windows", *windows, 1},
+		{"n", *branches, 1}, {"offenders", *offenders, 0},
 	} {
 		if f.val < f.min {
 			fmt.Fprintf(os.Stderr, "analyze: -%s %d is below %d\n", f.name, f.val, f.min)
@@ -91,41 +83,6 @@ func main() {
 	ps := make([]sim.Predictor, len(infos))
 	for i, info := range infos {
 		ps[i] = info.New()
-	}
-
-	if *phases {
-		win := *phaseWindow
-		if win == 0 {
-			win = uint64(*branches / 50)
-			if win == 0 {
-				win = 1
-			}
-		}
-		for _, p := range ps {
-			rep, err := analysis.AnalyzePhases(p, spec.Stream(*branches), spec.Name, p.Name(), win, *offenders)
-			if err != nil {
-				fatal(err)
-			}
-			if err := rep.Render(os.Stdout); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-		}
-		return
-	}
-
-	if *warmstart {
-		cfg := experiments.DefaultConfig()
-		cfg.LongBranches, cfg.ShortBranches = *branches, *branches
-		for _, info := range infos {
-			t, err := experiments.WarmStart(cfg, info.Spec(), spec.Name, *windows)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(t.Render())
-			fmt.Println()
-		}
-		return
 	}
 
 	if *explain {

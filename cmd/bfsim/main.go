@@ -10,7 +10,7 @@
 //	bfsim -p bf-neural -t SPEC03,SERV1,MM2       # several traces
 //	bfsim -p tage-10 -f trace.bft                # trace from a file
 //	bfsim -p bf-neural -t SPEC03 -n 1000000      # trace length
-//	bfsim -p bf-neural -t SPEC03 -window 50000   # phase-resolved MPKI
+//	bfsim -p bf-neural -t SPEC03 -window 50000   # MPKI per 50000-branch window
 //	bfsim -p oh-snap,bf-neural -t all -csv       # engine CSV output
 //	bfsim -p bf-neural -t all -json -workers 4   # engine JSON output
 //	bfsim -p bf-tage-10 -t SERV3 -offenders 10   # top mispredicted PCs
@@ -35,15 +35,11 @@
 //	bfsim ... -trace-out run.trace.json          # bfbp.trace.v1 span timeline (Perfetto)
 //	bfsim ... -runtime-trace run.rtrace          # Go runtime/trace with bridged spans
 //
-// Phase and drift observability (see DESIGN.md §6): -endurance
-// splices reseeded synthetic segments into one long phase-shifting
-// run. Every closed window is journaled and drawn on the -trace-out
-// timeline's mpki counter track; `journal summary` replays the
-// journaled window series through change-point detectors to list the
-// drift alarms:
+// With -window, every closed window is journaled and drawn on the
+// -trace-out timeline's mpki counter track (see DESIGN.md §6):
 //
-//	bfsim -p bf-tage-10 -t SERV1,FP1,MM1 -n 1000000 -endurance 20 \
-//	      -journal run.jsonl -trace-out run.trace.json   # 60M-branch mixed-phase run
+//	bfsim -p bf-tage-10 -t SERV1,FP1 -n 1000000 -window 100000 \
+//	      -journal run.jsonl -trace-out run.trace.json
 //	journal summary run.jsonl
 //
 // Run-to-completion profiles land in files for `go tool pprof`:
@@ -103,8 +99,6 @@ func main() {
 
 		probeState      = flag.Bool("probe-state", false, "sample predictor table/state internals periodically (occupancy metrics, tablestats journal events, Perfetto counter tracks)")
 		probeStateEvery = flag.Uint64("probe-state-every", 65536, "with -probe-state, sample every N branches (quantised to batch boundaries)")
-
-		endurance = flag.Int("endurance", 0, "splice the -t traces into one continuous run of N laps, -n branches per segment, reseeded per lap (phase-shifting long-run mode)")
 	)
 	prof.Flags(flag.CommandLine)
 	flag.Parse()
@@ -114,13 +108,14 @@ func main() {
 		val, min int
 	}{
 		{"n", *branches, 1}, {"warmup", *warmup, -1}, {"delay", *delay, 0},
-		{"skip", *skip, 0}, {"offenders", *offenders, 0}, {"endurance", *endurance, 0},
-		{"workers", *workers, 0},
+		{"skip", *skip, 0}, {"offenders", *offenders, 0}, {"workers", *workers, 0},
 	} {
 		if f.val < f.min {
-			fmt.Fprintf(os.Stderr, "bfsim: -%s %d is below %d\n", f.name, f.val, f.min)
-			os.Exit(2)
+			usageError("-%s %d is below %d", f.name, f.val, f.min)
 		}
+	}
+	if *probeState && *probeStateEvery == 0 {
+		usageError("-probe-state-every 0 never samples; give a period of at least 1")
 	}
 
 	if *list {
@@ -152,26 +147,12 @@ func main() {
 		return
 	}
 
-	sources, defaultWarm, err := traceSources(*traceFile, *traceName, *branches)
+	sources, length, err := traceSources(*traceFile, *traceName, *branches)
 	if err != nil {
 		fatal(err)
 	}
-	if *endurance > 0 {
-		if *traceFile != "" {
-			fatal(fmt.Errorf("-endurance needs synthetic -t traces, not -f"))
-		}
-		sources, err = enduranceSources(*traceName, *endurance, *branches)
-		if err != nil {
-			fatal(err)
-		}
-		// Phase detection needs a windowed series; default to ten
-		// windows per segment so every splice point is visible.
-		if *window == 0 {
-			*window = uint64(*branches / 10)
-			if *window == 0 {
-				*window = 1
-			}
-		}
+	if *warmup >= length {
+		usageError("-warmup %d leaves no branch of the %d-branch trace to measure", *warmup, length)
 	}
 
 	if *checkpointPath != "" || *resumePath != "" || *skip > 0 {
@@ -207,7 +188,7 @@ func main() {
 		}}
 	}
 
-	warm := uint64(defaultWarm)
+	warm := uint64(length / 10)
 	if *warmup >= 0 {
 		warm = uint64(*warmup)
 	}
@@ -300,7 +281,7 @@ func main() {
 }
 
 // traceSources resolves the -f/-t flags into engine trace sources and
-// the default warmup (10% of the trace length).
+// the trace length: the record count of -f, or -n for -t.
 func traceSources(file, names string, branches int) ([]bfbp.TraceSource, int, error) {
 	if file != "" {
 		f, err := os.Open(file)
@@ -312,7 +293,7 @@ func traceSources(file, names string, branches int) ([]bfbp.TraceSource, int, er
 		if err != nil {
 			return nil, 0, err
 		}
-		return []bfbp.TraceSource{tr.Source(file)}, len(tr) / 10, nil
+		return []bfbp.TraceSource{tr.Source(file)}, len(tr), nil
 	}
 	if names == "" {
 		return nil, 0, fmt.Errorf("need -t <trace> or -f <file>")
@@ -329,47 +310,7 @@ func traceSources(file, names string, branches int) ([]bfbp.TraceSource, int, er
 		}
 		out = append(out, spec.Source(branches))
 	}
-	return out, branches / 10, nil
-}
-
-// enduranceSources splices the named synthetic traces into one
-// continuous source: laps round-robin passes over the trace list, one
-// segment of branches records each, every lap reseeded so no segment
-// repeats byte-for-byte. Segments are materialised lazily as the read
-// cursor reaches them, so a 50M-branch endurance run holds one open
-// segment at a time. The trace-family changes at every splice point
-// are exactly the MPKI phase shifts `journal summary` reports as drift
-// alarms.
-func enduranceSources(names string, laps, branches int) ([]bfbp.TraceSource, error) {
-	if names == "" {
-		return nil, fmt.Errorf("-endurance needs -t <traces>")
-	}
-	want := strings.Split(names, ",")
-	if names == "all" {
-		want = bfbp.TraceNames()
-	}
-	specs := make([]bfbp.TraceSpec, 0, len(want))
-	for _, name := range want {
-		spec, ok := bfbp.TraceByName(strings.TrimSpace(name))
-		if !ok {
-			return nil, fmt.Errorf("unknown trace %q", name)
-		}
-		specs = append(specs, spec)
-	}
-	label := fmt.Sprintf("endurance(%s x%d)", names, laps)
-	total := laps * len(specs)
-	src := bfbp.FuncSource{Label: label, OpenFn: func() bfbp.TraceReader {
-		i := 0
-		return trace.ConcatFunc(func() trace.Reader {
-			if i >= total {
-				return nil
-			}
-			spec := specs[i%len(specs)].Reseed(uint64(i / len(specs)))
-			i++
-			return spec.Stream(branches)
-		})
-	}}
-	return []bfbp.TraceSource{src}, nil
+	return out, branches, nil
 }
 
 func printText(results []bfbp.RunResult, showTrace bool, offenders int, tableHits bool) {
@@ -460,6 +401,13 @@ func loadSnapshot(p bfbp.Predictor, path string) error {
 	}
 	defer f.Close()
 	return snap.LoadState(f)
+}
+
+// usageError reports a flag value that would run without effect and
+// exits 2, as the flag package does for a malformed flag.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "bfsim: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	journal summary run.jsonl                  # event counts + run table + drift alarms
+//	journal summary run.jsonl                  # event counts + run table
 //	journal summary -json run.jsonl            # the same as a JSON document
 //	journal filter -kind run_finish run.jsonl  # print matching raw lines
 //	journal filter -trace SERV1 -predictor bf-tage-10 run.jsonl
@@ -14,9 +14,6 @@
 // diff exits 1 when the runs drifted, so it slots into CI gates; the
 // -span filter takes the span IDs found in a bfbp.trace.v1 timeline
 // (bfsim -trace-out), joining journal records to their trace slices.
-// summary finds drift alarms by replaying each run's window series
-// through a change-point detector, so any windowed run (bfsim -window
-// or -endurance) has them.
 package main
 
 import (

@@ -2,9 +2,8 @@
 // bfbp.journal.v1 files — the query layer behind cmd/journal. It
 // parses the JSONL event stream back into typed records, keeping the
 // raw line alongside the decoded common fields so filters can print
-// events verbatim; it replays each run's window series through a
-// change-point detector to find its phase shifts; and it joins two
-// journals by (trace, predictor) to flag result drift between runs.
+// events verbatim; and it joins two journals by (trace, predictor) to
+// flag result drift between runs.
 package journalq
 
 import (
@@ -15,8 +14,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"bfbp/internal/obs"
 )
 
 // Schema is the journal line format this package understands.
@@ -125,19 +122,6 @@ type RunLine struct {
 	Span        uint64  `json:"span,omitempty"`
 }
 
-// DriftLine is one drift-alarm row of a summary: the change-point
-// detector watching the named metric of (trace, predictor) fired on
-// window Window.
-type DriftLine struct {
-	Trace     string  `json:"trace,omitempty"`
-	Predictor string  `json:"predictor,omitempty"`
-	Metric    string  `json:"metric"`
-	Window    int     `json:"window"`
-	Value     float64 `json:"value"`
-	Baseline  float64 `json:"baseline"`
-	Direction string  `json:"direction"`
-}
-
 // TableStatsLine is one tablestats row of a summary: a StateProbe
 // sample of (trace, predictor) at a branch count, reduced to its bank
 // count and mean occupancy.
@@ -150,19 +134,17 @@ type TableStatsLine struct {
 }
 
 // Summary aggregates one journal: per-kind event counts plus the
-// run_finish results, drift alarms, and table-state samples in journal
-// order.
+// run_finish results and table-state samples in journal order.
 type Summary struct {
 	Events     int              `json:"events"`
 	ByKind     map[string]int   `json:"by_kind"`
 	Runs       []RunLine        `json:"runs,omitempty"`
-	Drifts     []DriftLine      `json:"drifts,omitempty"`
 	TableStats []TableStatsLine `json:"tablestats,omitempty"`
 }
 
 // Summarize builds a Summary over events.
 func Summarize(events []Event) Summary {
-	s := Summary{Events: len(events), ByKind: map[string]int{}, Drifts: driftRows(events)}
+	s := Summary{Events: len(events), ByKind: map[string]int{}}
 	for _, ev := range events {
 		s.ByKind[ev.Kind]++
 		switch ev.Kind {
@@ -227,54 +209,7 @@ func (s Summary) Render() string {
 				t.Trace, t.Predictor, t.Branch, t.Banks, 100*t.MeanOcc)
 		}
 	}
-	if len(s.Drifts) > 0 {
-		fmt.Fprintf(&b, "drift alarms:\n")
-		for _, d := range s.Drifts {
-			who := d.Trace + "/" + d.Predictor + " " + d.Metric
-			fmt.Fprintf(&b, "  %-40s window %4d  %s  %.3f -> %.3f\n", who, d.Window, d.Direction, d.Baseline, d.Value)
-		}
-	}
 	return b.String()
-}
-
-// driftRows runs one obs.DriftDetector over the MPKI series of window
-// events of each (trace, predictor), in journal order, and returns the
-// alarms as summary rows in the order they fire. The trailing partial
-// window of a run (journaled with "final":true) is skipped: it is
-// usually a fraction of the window size, too noisy to feed a detector.
-func driftRows(events []Event) []DriftLine {
-	detectors := map[runKey]*obs.DriftDetector{}
-	var rows []DriftLine
-	for _, ev := range events {
-		if ev.Kind != "window" {
-			continue
-		}
-		if final, _ := ev.Fields["final"].(bool); final {
-			continue
-		}
-		k := runKey{ev.Trace, ev.Predictor}
-		d := detectors[k]
-		if d == nil {
-			d = obs.NewDriftDetector()
-			detectors[k] = d
-		}
-		mpki, _ := ev.Num("mpki")
-		alarm, fired := d.Observe(mpki)
-		if !fired {
-			continue
-		}
-		index, _ := ev.Num("index")
-		rows = append(rows, DriftLine{
-			Trace:     ev.Trace,
-			Predictor: ev.Predictor,
-			Metric:    "mpki",
-			Window:    int(index),
-			Value:     alarm.Value,
-			Baseline:  alarm.Baseline,
-			Direction: alarm.Direction,
-		})
-	}
-	return rows
 }
 
 // Drift is one diverging (trace, predictor) cell between two journals.

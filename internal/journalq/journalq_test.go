@@ -2,11 +2,14 @@ package journalq
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"bfbp/internal/obs"
+	"bfbp/internal/sim"
+	"bfbp/internal/trace"
 )
 
 // payload mirrors the sim journal's run_finish shape closely enough to
@@ -148,5 +151,70 @@ func TestDiffDisjointCells(t *testing.T) {
 	rep := Diff(a, nil, 1e-9)
 	if rep.Clean() || len(rep.OnlyA) != 2 {
 		t.Fatalf("want 2 only-in-A cells, got %+v", rep)
+	}
+}
+
+// A windowed engine run journals each window exactly once, marks only
+// the trailing partial window "final", and journals as many window
+// indices as Stats.Windows holds, even with two workers interleaving
+// the runs' events.
+func TestWindowEventsJournaledOnce(t *testing.T) {
+	const (
+		full   = 30 // full windows per run, then one partial window
+		window = 1000
+	)
+	recs := make(trace.Slice, full*window+window/2)
+	for i := range recs {
+		recs[i] = trace.Record{PC: 0x400, Target: 0x800, Instret: 4, Taken: i%3 == 0}
+	}
+	var preds []sim.PredictorSpec
+	for _, taken := range []bool{true, false} {
+		newP := func() sim.Predictor { return &sim.StaticPredictor{Direction: taken} }
+		preds = append(preds, sim.PredictorSpec{Name: newP().Name(), New: newP})
+	}
+	var buf bytes.Buffer
+	j := obs.NewJournal(&buf)
+	j.Clock = func() time.Time { return time.Unix(0, 0).UTC() }
+	eng := sim.Engine{Workers: 2, Journal: j, Options: sim.Options{Window: window}}
+	results, err := eng.Run(context.Background(), sim.Matrix([]sim.TraceSource{recs.Source("W")}, preds, eng.Options))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[string]map[int]int{}
+	for _, ev := range events {
+		if ev.Kind != "window" {
+			continue
+		}
+		index, _ := ev.Num("index")
+		if seen[ev.Predictor] == nil {
+			seen[ev.Predictor] = map[int]int{}
+		}
+		seen[ev.Predictor][int(index)]++
+		final, _ := ev.Fields["final"].(bool)
+		if partial := int(index) == full; final != partial {
+			t.Errorf("%s window %d: final = %v, want %v", ev.Predictor, int(index), final, partial)
+		}
+	}
+	for _, res := range results {
+		if len(res.Stats.Windows) != full+1 {
+			t.Fatalf("%s: %d windows, want %d full and 1 partial", res.Predictor, len(res.Stats.Windows), full)
+		}
+		idx := seen[res.Predictor]
+		if len(idx) != len(res.Stats.Windows) {
+			t.Errorf("%s: journal holds %d window indices, want %d", res.Predictor, len(idx), len(res.Stats.Windows))
+		}
+		for i, n := range idx {
+			if n != 1 {
+				t.Errorf("%s: window %d journaled %d times, want once", res.Predictor, i, n)
+			}
+		}
 	}
 }

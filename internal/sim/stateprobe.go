@@ -1,5 +1,5 @@
 // StateProbe and the predictor-internals introspection surface. The
-// runtime observability layers (metrics, journal, traces, drift) watch
+// runtime observability layers (metrics, journal, traces) watch
 // *how fast* a run goes and *how accurate* it is; StateProbe watches
 // the predictor state those numbers come from — which banks are full,
 // which tags collide, which weights saturate. The paper's claim is a

@@ -9,20 +9,20 @@
 #             per-branch "predict" or "update" slice (sampled harness
 #             latencies go to the bfbp_harness_* quantiles only).
 #   flags     a count flag below its floor (a negative -n, -delay,
-#             -skip, -workers, ..., or -windows 0), an unknown trace or
-#             figure, a -seeds too small for a variance, or a flag the
-#             command does not define (analyze has no -journal) must
-#             exit 2 with a message and no panic.
+#             -skip, -workers, ...), a flag value that would run without
+#             effect (-probe-state-every 0, a -warmup as long as the
+#             trace), an unknown trace or figure, a -seeds too small for
+#             a variance, or a flag the command does not define (analyze
+#             has no -journal) must exit 2 with a message and no panic.
 #   snapshot  for each headline predictor, every engine and history
 #             included, a straight run must equal a split run (half with
 #             -checkpoint, then -resume -skip): branches and mispredicts
 #             summed over the legs, exactly. Resuming from the snapshot
 #             with its last byte cut must exit 1 with a "state:" message
 #             and no panic.
-#   drift     a short journaled endurance run must show at least one
-#             drift alarm in `journal summary -json`, found from its
-#             window events, and its timeline must carry the mpki
-#             Perfetto counter track ("ph":"C").
+#   window    a journaled -window run must carry window events, all of
+#             them counted by `journal summary -json`, and its timeline
+#             must carry the mpki Perfetto counter track ("ph":"C").
 #   xray      a -probe-state run must journal tablestats events that
 #             `journal summary` reduces to table-state rows, and a
 #             TAGE-class predictor's banks must carry provider "hits".
@@ -78,12 +78,12 @@ tracegen -t SERV1 -n -10 -o $OUT/tracegen
 bfsim -t SERV1 -p bimodal -n 1000 -delay -3
 bfsim -t SERV1 -p bimodal -n 1000 -skip -1
 bfsim -t SERV1 -p bimodal -n 1000 -offenders -1
-bfsim -t SERV1 -p bimodal -n 1000 -endurance -1
 bfsim -t SERV1 -p bimodal -n 1000 -warmup -7
 bfsim -t SERV1 -p bimodal -n 1000 -workers -1
+bfsim -t SERV1 -p bimodal -n 1000 -probe-state -probe-state-every 0
+bfsim -t SERV1 -p bimodal -n 1000 -warmup 5000
 analyze -t SERV1 -p bimodal -n 1000 -offenders -1
 analyze -t SERV1 -p bimodal -n 1000 -journal $OUT/none.jsonl
-analyze -t SPEC03 -p gshare -n 1000 -warmstart -windows 0
 experiments -variance NOPE
 experiments -fig 99
 experiments -fig 2 -traces NOPE
@@ -120,13 +120,15 @@ for p in bimodal gshare isl-tage-15 bf-neural bf-neural-ghist perceptron-fhist s
 done
 rm -f "$snap" "$snap.cut" "$OUT/cut.err"
 
-# drift
-"$bfsim" -p bf-tage-10 -t SERV1,FP1,MM1 -n 200000 -endurance 2 \
-	-journal "$OUT/drift.jsonl" -trace-out "$OUT/drift.trace.json" > /dev/null
-grep -q '"name":"mpki","ph":"C"' "$OUT/drift.trace.json" || fail "drift: no mpki counter track in timeline"
-drifts=$("$journal" summary -json "$OUT/drift.jsonl" | grep -c '"metric": "mpki"' || true)
-[ "$drifts" -ge 1 ] || fail "drift: no drift alarms in journal summary"
-echo "smoke: drift ok ($drifts drift alarms)"
+# window
+"$bfsim" -p bf-tage-10 -t SERV1,FP1 -n 200000 -window 20000 \
+	-journal "$OUT/window.jsonl" -trace-out "$OUT/window.trace.json" > /dev/null
+grep -q '"name":"mpki","ph":"C"' "$OUT/window.trace.json" || fail "window: no mpki counter track in timeline"
+windows=$("$journal" summary -json "$OUT/window.jsonl" | sed -n 's/^ *"window": \([0-9]*\),\{0,1\}$/\1/p')
+lines=$(grep -c '"event":"window"' "$OUT/window.jsonl" || true)
+[ "${windows:-0}" -ge 1 ] || fail "window: journal summary counts no window events"
+[ "$windows" -eq "$lines" ] || fail "window: journal summary counts $windows window events, the journal has $lines"
+echo "smoke: window ok ($windows window events)"
 
 # xray
 "$bfsim" -p bf-tage-8,bimodal -t SERV1 -n 150000 \
