@@ -23,19 +23,20 @@ check: build vet race
 
 # Fuzz each fuzz target for a fixed 10 s: the snapshot container
 # decoder, the BFT1 trace decoder, the key map against FoldWords over
-# random geometries, the segmented recency stack against its
-# per-segment reference model over random geometries (snapshot round
-# trips included), and the snapshot loaders of the TAGE and GEHL
-# engines (each over both histories), the neural engine (over the
-# folded dense, sampled, recency-stack and bias-free-register
+# random geometries, the monolithic recency stack against its
+# shift-register reference model and the segmented recency stack
+# against its per-segment reference model, both over random geometries
+# (snapshot round trips included), and the snapshot loaders of the
+# TAGE and GEHL engines (each over both histories), the neural engine
+# (over the folded dense, sampled, recency-stack and bias-free-register
 # histories), oh-snap and the six table predictors, fed one corrupted
-# section at a time. go
-# test fuzzes one target per invocation. A failing input is written
-# under the package's testdata/fuzz/.
+# section at a time. go test fuzzes one target per invocation. A
+# failing input is written under the package's testdata/fuzz/.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/state
 	$(GO) test -run='^$$' -fuzz='^FuzzFileReader$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyMap$$' -fuzztime=10s ./internal/history
+	$(GO) test -run='^$$' -fuzz='^FuzzStack$$' -fuzztime=10s ./internal/rs
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmented$$' -fuzztime=10s ./internal/rs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadState$$' -fuzztime=10s .
 

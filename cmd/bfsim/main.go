@@ -117,6 +117,15 @@ func main() {
 	if *probeState && *probeStateEvery == 0 {
 		usageError("-probe-state-every 0 never samples; give a period of at least 1")
 	}
+	// A period flag without the flag it times would run without effect.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "probe-state-every" && !*probeState:
+			usageError("-probe-state-every needs -probe-state")
+		case f.Name == "checkpoint-every" && *checkpointPath == "":
+			usageError("-checkpoint-every needs -checkpoint <path>")
+		}
+	})
 
 	if *list {
 		for _, info := range bfbp.Predictors() {
@@ -151,8 +160,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *warmup >= length {
-		usageError("-warmup %d leaves no branch of the %d-branch trace to measure", *warmup, length)
+	if *skip >= length {
+		usageError("-skip %d leaves no branch of the %d-branch trace", *skip, length)
+	}
+	warm := uint64(length / 10)
+	if *warmup >= 0 {
+		warm = uint64(*warmup)
+	}
+	if warm >= uint64(length-*skip) {
+		usageError("a warm-up of %d leaves no branch of the %d after -skip %d to measure", warm, length-*skip, *skip)
 	}
 
 	if *checkpointPath != "" || *resumePath != "" || *skip > 0 {
@@ -162,9 +178,6 @@ func main() {
 		if *delay != 0 && *checkpointPath != "" {
 			fatal(fmt.Errorf("-checkpoint requires -delay 0: snapshots must be quiescent"))
 		}
-	}
-	if *checkpointEvery > 0 && *checkpointPath == "" {
-		fatal(fmt.Errorf("-checkpoint-every needs -checkpoint <path>"))
 	}
 	if *resumePath != "" {
 		// Validate the file and predictor support up front, then rebuild
@@ -188,10 +201,6 @@ func main() {
 		}}
 	}
 
-	warm := uint64(length / 10)
-	if *warmup >= 0 {
-		warm = uint64(*warmup)
-	}
 	tel, err := telemetry.Start(telemetry.Config{
 		MetricsAddr:      *metricsAddr,
 		JournalPath:      *journalPath,

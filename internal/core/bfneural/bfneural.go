@@ -146,6 +146,9 @@ func AheadPipelined() Config {
 // 2^distBits-1.
 const distBits = 12
 
+// hpcBits is the width of the hashed address kept per filtered entry.
+const hpcBits = 14
+
 // New returns a BF-Neural predictor for cfg.
 func New(cfg Config) *perceptron.Predictor {
 	p, _ := build(cfg)
@@ -227,7 +230,7 @@ func build(cfg Config) (*perceptron.Predictor, *source) {
 		// RS entries carry a 14-bit hashed address, outcome bit and
 		// pos_hist field each.
 		HistoryStorage: []sim.Component{
-			{Name: "recency stack", Bits: cfg.RSDepth * (14 + 1 + distBits)},
+			{Name: "recency stack", Bits: cfg.RSDepth * (hpcBits + 1 + distBits)},
 			{Name: "unfiltered history+folds", Bits: u.Ring().Cap() + len(foldLengths())*perceptron.FoldWidth},
 		},
 	})
@@ -294,8 +297,8 @@ type source struct {
 	wrsMask uint64
 	seq     uint64 // committed-branch counter
 	// Filtered history: ModeFull keeps a recency stack (unique PCs,
-	// O(1) hit/push via rs.Stack); ModeBiasFreeGHR a shift register with
-	// duplicates, newest-first in filt.
+	// move-to-front on a hit, in rs.Stack); ModeBiasFreeGHR a shift
+	// register with duplicates, newest-first in filt.
 	rstack *rs.Stack
 	filt   []fentry
 	// qdist tabulates quantDist over [0, 2^distBits-1] (distances
@@ -322,19 +325,20 @@ func (s *source) Fill(pc uint64, idx []int32, dirs []bool) (n, recent int) {
 		// §IV-B2: hash(pc, A, pos_hist, folded history up to the
 		// entry) — no relative depth, so previously detected
 		// non-biased branches never relearn when depths shift. The
-		// recency walk is fused into the hash loop over the stack's
-		// dense view; distances saturate exactly as Iter reports them.
+		// recency walk is fused into the hash loop as a linear read of
+		// the stack's view; distances saturate exactly as At reports
+		// them.
 		v := s.rstack.View()
-		idx, dirs := idx[n:n+v.N], dirs[n:n+v.N]
+		k := len(v.PC)
+		idx, dirs, taken, seqs := idx[n:n+k], dirs[n:n+k], v.Taken[:k], v.Seq[:k]
 		qd := s.qdist
-		for j := range idx {
-			sl := v.Order[j]
-			d := min(v.Cur-v.Seq[sl], v.MaxDist)
-			dirs[j] = v.Taken[sl]
-			key := pch ^ v.PC[sl]*0x9e3779b97f4a7c15 ^ uint64(qd[d])<<28 ^ fs.Fold(int(d))<<9
+		for j, hpc := range v.PC {
+			d := min(v.Cur-seqs[j], v.MaxDist)
+			dirs[j] = taken[j]
+			key := pch ^ uint64(hpc)*0x9e3779b97f4a7c15 ^ uint64(qd[d])<<28 ^ fs.Fold(int(d))<<9
 			idx[j] = base + int32(rng.Hash64(key)&mask)
 		}
-		return n + v.N, recent
+		return n + k, recent
 	}
 	for j := range s.filt {
 		e := &s.filt[j]
@@ -366,10 +370,10 @@ func (s *source) pushFiltered(pc uint64, taken bool) {
 	if s.cfg.RSDepth == 0 {
 		return
 	}
-	hpc := uint32(rng.Hash64(pc>>2) & 0x3FFF) // 14-bit hashed address
+	hpc := uint32(rng.Hash64(pc>>2) & (1<<hpcBits - 1))
 	if s.rstack != nil {
-		// Recency stack: move-to-front on hit (Fig. 3), O(1).
-		s.rstack.Push(uint64(hpc), taken)
+		// Recency stack: move-to-front on hit (Fig. 3).
+		s.rstack.Push(hpc, taken)
 		return
 	}
 	// Shift in; drop the deepest when full.
@@ -418,8 +422,18 @@ func (s *source) Load(snap *state.Snapshot) func() {
 	var rstack *rs.Stack
 	var filt []fentry
 	if s.rstack != nil {
+		rd := snap.Dec("rstack")
 		rstack = rs.NewStack(s.cfg.RSDepth, distBits)
-		rstack.LoadState(snap.Dec("rstack"))
+		rstack.LoadState(rd)
+		if rstack.Pos() != seq {
+			rd.Corruptf("recency stack counter %d, history counter %d", rstack.Pos(), seq)
+		}
+		for _, hpc := range rstack.View().PC {
+			if hpc >= 1<<hpcBits {
+				rd.Corruptf("recency stack pc %#x is wider than %d bits", hpc, hpcBits)
+				break
+			}
+		}
 	} else {
 		fd := snap.Dec("filt")
 		if n := int(fd.U32()); n > s.cfg.RSDepth {
@@ -429,6 +443,13 @@ func (s *source) Load(snap *state.Snapshot) func() {
 		}
 		for i := range filt {
 			filt[i] = fentry{hpc: fd.U32(), taken: fd.Bool(), seq: fd.U64()}
+		}
+		for i, e := range filt {
+			if e.hpc >= 1<<hpcBits || e.seq > seq || i > 0 && e.seq > filt[i-1].seq {
+				fd.Corruptf("filtered register entry %d (pc %#x, pushed at %d) is wider than %d bits, after the counter %d, or newer than the one above it",
+					i, e.hpc, e.seq, hpcBits, seq)
+				break
+			}
 		}
 	}
 	return func() {

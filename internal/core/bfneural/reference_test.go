@@ -19,7 +19,7 @@ func quantDistRef(d uint64) uint64 {
 }
 
 // computeRef is the reference model for Fill: the same indices through
-// the per-entry accessors (Ring.At, Stack.Iter, the loop-based
+// the per-entry accessors (Ring.At, Stack.At, the loop-based
 // quantizer) instead of the gathered fast paths. It returns the indices,
 // their directions, and how many of them are Wm positions.
 func (s *source) computeRef(pc uint64) (idx []int32, dirs []bool, recent int) {
@@ -42,11 +42,8 @@ func (s *source) computeRef(pc uint64) (idx []int32, dirs []bool, recent int) {
 	recent = len(idx)
 
 	if s.rstack != nil {
-		for it := s.rstack.Iter(); ; {
-			e, ok := it.Next()
-			if !ok {
-				break
-			}
+		for j := 0; j < s.rstack.Len(); j++ {
+			e := s.rstack.At(j)
 			key := pch ^ e.PC*0x9e3779b97f4a7c15 ^ quantDistRef(e.Dist)<<28 ^ fs.Fold(int(e.Dist))<<9
 			idx = append(idx, s.wrsBase+int32(rng.Hash64(key)&s.wrsMask))
 			dirs = append(dirs, e.Taken)

@@ -49,7 +49,10 @@ func saveBytes(t *testing.T, p *perceptron.Predictor) []byte {
 // TestFailedLoadLeavesPredictorUntouched feeds a BF-Neural a donor's
 // snapshot with one bad section at a time, the sections decoded after
 // the BST and weight banks included, and requires each load to fail
-// with a typed error. The predictor must then save the same bytes and
+// with a typed error. Some bad sections are well formed but hold a
+// filtered history no run produces: a recency-stack counter that is not
+// the history's, a hashed pc of 2^14, an entry pushed after the counter
+// or newer than the one above it. The predictor must then save the same bytes and
 // predict the same stream as a twin that never saw the failed loads.
 func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 	tr := diffTrace(t, 9000)
@@ -62,8 +65,23 @@ func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 			}
 			return p
 		}
-		p, twin, donor := run(3000), run(3000), run(6000)
+		const seq = 6000 // the donor's history counter
+		p, twin, donor := run(3000), run(3000), run(seq)
 		img := saveBytes(t, donor)
+		// entries writes a filtered history of (pc, seq) pairs, most
+		// recent first, in the rstack (wide) or filt layout.
+		entries := func(e *state.Enc, wide bool, es ...uint64) {
+			e.U32(uint32(len(es) / 2))
+			for i := 0; i < len(es); i += 2 {
+				if wide {
+					e.U64(es[i])
+				} else {
+					e.U32(uint32(es[i]))
+				}
+				e.Bool(true)
+				e.U64(es[i+1])
+			}
+		}
 		tested := 0
 		for _, tc := range []struct {
 			section string
@@ -72,7 +90,12 @@ func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 			{"wb", func(e *state.Enc) { e.I8s(make([]int8, 3)) }},
 			{"history", func(e *state.Enc) { e.U64(1) }},
 			{"rstack", func(e *state.Enc) { e.U64(1); e.U32(1 << 20) }},
+			{"rstack", func(e *state.Enc) { e.U64(seq + 1); entries(e, true) }},
+			{"rstack", func(e *state.Enc) { e.U64(seq); entries(e, true, 1<<hpcBits, seq) }},
 			{"filt", func(e *state.Enc) { e.U32(uint32(cfg.RSDepth + 1)) }},
+			{"filt", func(e *state.Enc) { entries(e, false, 1<<hpcBits, seq) }},
+			{"filt", func(e *state.Enc) { entries(e, false, 5, seq+1) }},
+			{"filt", func(e *state.Enc) { entries(e, false, 5, seq-9, 6, seq) }},
 			{"misc", func(e *state.Enc) { e.I32(1) }},
 			{"loop", func(e *state.Enc) { e.U8(1) }},
 			{"bst", func(e *state.Enc) { e.String("fsm2"); e.Bytes([]byte{0xFF}) }},
@@ -93,7 +116,7 @@ func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 				t.Fatalf("mode %d, bad %s section: untyped error %v", cfg.Mode, tc.section, err)
 			}
 		}
-		if tested < 6 {
+		if tested < 8 {
 			t.Fatalf("mode %d: only %d sections corrupted", cfg.Mode, tested)
 		}
 		if !bytes.Equal(saveBytes(t, p), saveBytes(t, twin)) {

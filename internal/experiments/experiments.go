@@ -44,11 +44,6 @@ type Config struct {
 	Telemetry *telemetry.T
 }
 
-// DefaultConfig is the laptop-scale configuration used by the benchmarks.
-func DefaultConfig() Config {
-	return Config{LongBranches: 400_000, ShortBranches: 200_000}
-}
-
 func (c Config) logf(format string, args ...interface{}) {
 	if c.Log != nil {
 		fmt.Fprintf(c.Log, format, args...)

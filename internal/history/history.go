@@ -154,16 +154,6 @@ func (r *Ring) TakenAt(depth int) bool {
 	return slotBit(r.takenW, (r.head-(depth-1))&r.mask)
 }
 
-// NonBiasedAt returns the bias-status bit at the given depth, or false
-// when the depth is not populated. Segment boundary checks read just
-// this bit before touching the rest of the slot.
-func (r *Ring) NonBiasedAt(depth int) bool {
-	if depth < 1 || depth > r.size {
-		return false
-	}
-	return slotBit(r.nbW, (r.head-(depth-1))&r.mask)
-}
-
 // PCAt returns the hashed PC at the given depth, or 0 when the depth is
 // not populated.
 func (r *Ring) PCAt(depth int) uint32 {

@@ -9,6 +9,61 @@ import (
 	"bfbp/internal/state"
 )
 
+// FuzzStack drives Stack and the shift-register reference model in
+// lockstep over a geometry and Tick/Push stream drawn from seed: a depth
+// in [1, 160], a pos_hist width in [1, 16] bits, a PC alphabet of 2 to
+// 2^14 addresses, and a share of pushes among the ticks. After every
+// step it compares Len, every At and the View. At random points, and at
+// the end, the snapshot bytes must equal the reference's and a SaveState
+// → LoadState → SaveState round trip must keep them; the run then
+// continues on the loaded copy.
+func FuzzStack(f *testing.F) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		f.Add(seed, uint16(4000))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, steps uint16) {
+		r := rng.New(seed)
+		depth, distBits := 1+r.Intn(160), 1+r.Intn(16)
+		alphabet := 2 + r.Intn(1<<(1+r.Intn(14))-1)
+		pushes := r.Float64()
+		ref := newRefStack(depth, distBits)
+		s := NewStack(depth, distBits)
+		for step := 1; step <= int(steps); step++ {
+			// A push follows its branch's tick, so a push without one
+			// models a second push at one position.
+			if r.Bool(0.9) {
+				ref.Tick()
+				s.Tick()
+			}
+			if r.Bool(pushes) {
+				pc, taken := uint32(r.Intn(alphabet)), r.Bool(0.5)
+				ref.Push(pc, taken)
+				s.Push(pc, taken)
+			}
+			checkStackEqual(t, step, ref, s)
+			if step != int(steps) && r.Intn(512) != 0 {
+				continue
+			}
+			var we, ge state.Enc
+			ref.SaveState(&we)
+			s.SaveState(&ge)
+			if !bytes.Equal(ge.Data(), we.Data()) {
+				t.Fatalf("depth %d step %d: snapshot differs from the reference's", depth, step)
+			}
+			loaded := NewStack(depth, distBits)
+			if err := loadEnc(ge, loaded.LoadState); err != nil {
+				t.Fatalf("depth %d step %d: %v", depth, step, err)
+			}
+			var le state.Enc
+			loaded.SaveState(&le)
+			if !bytes.Equal(le.Data(), ge.Data()) {
+				t.Fatalf("depth %d step %d: save → load → save changed the bytes", depth, step)
+			}
+			s = loaded
+		}
+	})
+}
+
 // FuzzSegmented drives Segmented and the per-segment reference model in
 // lockstep over a geometry and commit stream drawn from seed: ascending
 // bounds (the first may be 1) for up to 20 segments no deeper than

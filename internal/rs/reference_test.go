@@ -7,8 +7,8 @@ import (
 
 // This file preserves the original O(depth) shift-register
 // implementations verbatim as reference models: one scan-and-shift
-// stack, and one such stack per segment. The differential tests and
-// FuzzSegmented drive them in lockstep with the cam-based Stack and the
+// stack, and one such stack per segment. The differential tests,
+// FuzzStack and FuzzSegmented drive them in lockstep with Stack and the
 // one-stack Segmented under randomized workloads and assert
 // bit-identical observable state — which is what licenses the hot-path
 // swap without re-validating any predictor behaviour.
@@ -16,7 +16,7 @@ import (
 // refStack is the pre-overhaul Stack: parallel slices shifted on every
 // push, with a linear associative scan.
 type refStack struct {
-	pcs     []uint64
+	pcs     []uint32
 	taken   []bool
 	seqs    []uint64
 	n       int
@@ -26,7 +26,7 @@ type refStack struct {
 
 func newRefStack(depth, distBits int) *refStack {
 	return &refStack{
-		pcs:     make([]uint64, depth),
+		pcs:     make([]uint32, depth),
 		taken:   make([]bool, depth),
 		seqs:    make([]uint64, depth),
 		maxDist: 1<<distBits - 1,
@@ -35,7 +35,7 @@ func newRefStack(depth, distBits int) *refStack {
 
 func (s *refStack) Tick() { s.seq++ }
 
-func (s *refStack) Push(pc uint64, taken bool) {
+func (s *refStack) Push(pc uint32, taken bool) {
 	hit := -1
 	for i := 0; i < s.n; i++ {
 		if s.pcs[i] == pc {
@@ -69,7 +69,20 @@ func (s *refStack) At(i int) Entry {
 	if i < 0 || i >= s.n {
 		panic("rs: At index out of range")
 	}
-	return Entry{PC: s.pcs[i], Taken: s.taken[i], Dist: s.dist(s.seqs[i])}
+	return Entry{PC: uint64(s.pcs[i]), Taken: s.taken[i], Dist: s.dist(s.seqs[i])}
+}
+
+// SaveState writes the reference in the snapshot layout Stack uses:
+// position counter, then the entries, most recent first, each with the
+// position counter at its push.
+func (s *refStack) SaveState(e *state.Enc) {
+	e.U64(s.seq)
+	e.U32(uint32(s.n))
+	for i := 0; i < s.n; i++ {
+		e.U64(uint64(s.pcs[i]))
+		e.Bool(s.taken[i])
+		e.U64(s.seqs[i])
+	}
 }
 
 func (s *refStack) dist(entrySeq uint64) uint64 {

@@ -6,13 +6,18 @@
 // geometric, non-overlapping segments each served by a small associative
 // stack.
 //
-// Hardware performs the associative match with a CAM in one cycle; the
-// monolithic model does the same with a hash index over a fixed slot
-// buffer threaded onto a recency list (see cam.go), so hit lookup and
-// push are O(1). The segmented model keeps one small stack and a ring of
-// per-commit records of it, each segment reading the record from when
-// its start depth was reached (see segmented.go).
+// Hardware performs the associative match with a CAM in one cycle. Both
+// models keep a dense stack in recency order, slot 0 the most recent,
+// and push through one move-to-front step: a linear find, a shift of the
+// slots above the hit, and a write to slot 0 (moveToFront). At hardware
+// depths the find and the shift are one short scan and one memmove, and
+// a walk of the stack is a linear read. The segmented model keeps one
+// such stack and a ring of per-commit records of it, each segment
+// reading the record from when its start depth was reached (see
+// segmented.go).
 package rs
+
+import "slices"
 
 // Entry is a recency-stack slot as exposed to predictors.
 type Entry struct {
@@ -34,8 +39,13 @@ type Entry struct {
 // positions in the unfiltered history even though they are filtered from
 // the stack).
 type Stack struct {
-	c   cam
-	seq uint64
+	// The live entries are pcs[:n], taken[:n] and seqs[:n], slot 0 the
+	// most recent; seqs holds the position counter at each push.
+	pcs   []uint32
+	taken []bool
+	seqs  []uint64
+	n     int
+	seq   uint64
 	// maxDist caps reported distances, modelling the finite pos_hist
 	// field width of a hardware implementation.
 	maxDist uint64
@@ -51,7 +61,9 @@ func NewStack(depth, distBits int) *Stack {
 		panic("rs: distBits out of range")
 	}
 	return &Stack{
-		c:       newCam(depth),
+		pcs:     make([]uint32, depth),
+		taken:   make([]bool, depth),
+		seqs:    make([]uint64, depth),
 		maxDist: 1<<distBits - 1,
 	}
 }
@@ -64,44 +76,56 @@ func (s *Stack) Tick() { s.seq++ }
 // already present it is moved to the top (the Fig. 3 shift with clock-gated
 // downstream flip-flops); otherwise it is inserted at the top and the
 // deepest entry falls off when the stack is full.
-func (s *Stack) Push(pc uint64, taken bool) { s.c.push(pc, taken, s.seq) }
-
-// Len returns the number of live entries.
-func (s *Stack) Len() int { return s.c.n }
-
-// Depth returns the stack capacity.
-func (s *Stack) Depth() int { return len(s.c.pc) }
-
-// At returns the i-th entry from the top (i = 0 is the most recent),
-// with its current pos_hist distance. It walks the recency list; hot
-// paths iterate with Iter instead.
-func (s *Stack) At(i int) Entry {
-	if i < 0 || i >= s.c.n {
-		panic("rs: At index out of range")
+func (s *Stack) Push(pc uint32, taken bool) {
+	j := moveToFront(s.pcs, s.seqs, s.n, pc, s.seq)
+	copy(s.taken[1:j+1], s.taken[:j])
+	s.taken[0] = taken
+	if j == s.n {
+		s.n++
 	}
-	slot := s.c.at(i)
-	return Entry{PC: s.c.pc[slot], Taken: s.c.taken[slot], Dist: s.dist(s.c.seq[slot])}
 }
 
-// Contains reports whether pc currently has an entry.
-func (s *Stack) Contains(pc uint64) bool { return s.c.lookup(pc) != camNil }
+// moveToFront makes pc, pushed at position seq, the most recent of the n
+// live entries of a recency stack with len(pcs) slots, and returns the
+// slot whose old occupant left: the stale occurrence on a hit, else the
+// first free slot, else the least recent slot, which falls off. Slots
+// 0..j-1 shift one deeper and everything beyond j is untouched, so the
+// caller shifts its outcome form the same way.
+func moveToFront(pcs []uint32, seqs []uint64, n int, pc uint32, seq uint64) int {
+	j := slices.Index(pcs[:n], pc)
+	if j < 0 {
+		j = min(n, len(pcs)-1)
+	}
+	copy(pcs[1:j+1], pcs[:j])
+	copy(seqs[1:j+1], seqs[:j])
+	pcs[0], seqs[0] = pc, seq
+	return j
+}
 
-// Iter returns a cursor over the stack in recency order (most recent
-// first). Iteration is O(1) per entry.
-func (s *Stack) Iter() Iter { return Iter{s: s} }
+// Len returns the number of live entries.
+func (s *Stack) Len() int { return s.n }
 
-// View is a read-only window into a Stack's dense storage, for fused
-// hot loops that fold the recency walk into their own iteration instead
-// of staging entries through Iter. Order[k] (k < N) is the slot of
-// the k-th most recent entry in the PC/Taken/Seq slot arrays; a live
-// distance is min(Cur - Seq[slot], MaxDist). The window is invalidated
-// by the next Push/Tick — consume it immediately, never retain it.
+// Pos returns the position counter: the number of Ticks so far.
+func (s *Stack) Pos() uint64 { return s.seq }
+
+// At returns the i-th entry from the top (i = 0 is the most recent),
+// with its current pos_hist distance. Hot paths read a View instead.
+func (s *Stack) At(i int) Entry {
+	if i < 0 || i >= s.n {
+		panic("rs: At index out of range")
+	}
+	return Entry{PC: uint64(s.pcs[i]), Taken: s.taken[i], Dist: min(s.seq-s.seqs[i], s.maxDist)}
+}
+
+// View is a read-only window into a Stack's live entries, most recent
+// first, for hot loops that fold the recency walk into their own
+// iteration. PC, Taken and Seq have one element per live entry; a live
+// distance is min(Cur - Seq[j], MaxDist). The window is invalidated by
+// the next Push/Tick — consume it immediately, never retain it.
 type View struct {
-	Order   []int32
-	PC      []uint64
+	PC      []uint32
 	Taken   []bool
 	Seq     []uint64
-	N       int
 	Cur     uint64
 	MaxDist uint64
 }
@@ -109,48 +133,10 @@ type View struct {
 // View returns the stack's current dense view.
 func (s *Stack) View() View {
 	return View{
-		Order:   s.c.order,
-		PC:      s.c.pc,
-		Taken:   s.c.taken,
-		Seq:     s.c.seq,
-		N:       s.c.n,
+		PC:      s.pcs[:s.n],
+		Taken:   s.taken[:s.n],
+		Seq:     s.seqs[:s.n],
 		Cur:     s.seq,
 		MaxDist: s.maxDist,
 	}
-}
-
-// Iter walks a Stack from the most recent entry downward.
-type Iter struct {
-	s *Stack
-	k int
-}
-
-// Next returns the next entry, or ok=false at the end.
-func (it *Iter) Next() (Entry, bool) {
-	c := &it.s.c
-	if it.k >= c.n {
-		return Entry{}, false
-	}
-	sl := c.order[it.k]
-	it.k++
-	return Entry{PC: c.pc[sl], Taken: c.taken[sl], Dist: it.s.dist(c.seq[sl])}, true
-}
-
-func (s *Stack) dist(entrySeq uint64) uint64 {
-	d := s.seq - entrySeq
-	if d > s.maxDist {
-		return s.maxDist
-	}
-	return d
-}
-
-// StorageBits models each entry as a hashed address + outcome + pos_hist
-// field (the paper's Table I budgets 16 bits per RS entry).
-func (s *Stack) StorageBits() int {
-	distBits := 0
-	for m := s.maxDist; m > 0; m >>= 1 {
-		distBits++
-	}
-	// 14-bit hashed PC + 1 outcome bit + pos_hist field.
-	return len(s.c.pc) * (14 + 1 + distBits)
 }

@@ -181,19 +181,11 @@ func (s *Segmented) Commit(e history.Entry) {
 // them, and the caller must not modify them.
 func (s *Segmented) Words() (taken, pcs []uint64) { return s.segTaken, s.segPCs }
 
-// enter makes pc the stack's most recent entry and returns the slot
-// whose old occupant left: the stale occurrence on a hit, else the first
-// free slot, else the least recent slot, which falls off. Slots 0..j-1
-// shift one deeper and everything beyond j is untouched.
+// enter makes pc the stack's most recent entry through moveToFront,
+// shifts the packed outcome and address bits the same way, and returns
+// the slot whose old occupant left.
 func (s *Segmented) enter(pc uint32, taken bool) int {
-	n := s.young[len(s.young)-1]
-	j := slices.Index(s.pcs[:n], pc)
-	if j < 0 {
-		j = min(n, s.segSize-1)
-	}
-	copy(s.pcs[1:j+1], s.pcs[:j])
-	copy(s.seqs[1:j+1], s.seqs[:j])
-	s.pcs[0], s.seqs[0] = pc, s.seq
+	j := moveToFront(s.pcs, s.seqs, s.young[len(s.young)-1], pc, s.seq)
 	lo := uint64(1)<<uint(j+1) - 1
 	s.taken = s.taken&^lo | (s.taken<<1)&lo
 	if taken {

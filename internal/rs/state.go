@@ -1,11 +1,9 @@
-// Snapshot support (bfbp.state.v1). A cam serialises its live entries
-// in recency order and rebuilds by replaying them oldest-first, so the
-// restored order array iterates identically to the saved one; slot
-// numbering and hash-index layout are unobservable implementation
-// detail and are free to differ. A segmented stack is a function of its
-// ring: it saves the entries a walk of the ring finds, and its load
-// rebuilds the stack from the ring and checks the saved segments
-// against it.
+// Snapshot support (bfbp.state.v1). A Stack serialises its live
+// entries in recency order and rebuilds by replaying them oldest-first,
+// so the restored stack walks identically to the saved one. A segmented
+// stack is a function of its ring: it saves the entries a walk of the
+// ring finds, and its load rebuilds the stack from the ring and checks
+// the saved segments against it.
 //
 // Every loader here decodes into a fresh receiver that nothing reads
 // yet and records failures on the decoder; the caller installs the
@@ -13,53 +11,67 @@
 
 package rs
 
-import "bfbp/internal/state"
+import (
+	"math"
+	"slices"
 
-// save appends the cam's live entries, most recent first.
-func (c *cam) save(e *state.Enc) {
-	e.U32(uint32(c.n))
-	for k := 0; k < c.n; k++ {
-		s := c.order[k]
-		e.U64(c.pc[s])
-		e.Bool(c.taken[s])
-		e.U64(c.seq[s])
+	"bfbp/internal/state"
+)
+
+// SaveState appends the stack's position counter and live entries, most
+// recent first, each as its address, outcome and position counter at
+// its push. Depth and distance width are configuration.
+func (s *Stack) SaveState(e *state.Enc) {
+	e.U64(s.seq)
+	e.U32(uint32(s.n))
+	for i := 0; i < s.n; i++ {
+		e.U64(uint64(s.pcs[i]))
+		e.Bool(s.taken[i])
+		e.U64(s.seqs[i])
 	}
 }
 
-// load rebuilds the fresh cam c from a saved entry list.
-func (c *cam) load(d *state.Dec) {
+// LoadState decodes a stack saved by SaveState into s, a fresh stack of
+// the same depth. More entries than the depth, an address wider than 32
+// bits, a duplicate address, an entry pushed after the saved counter, or
+// an entry newer than the one above it is corrupt.
+func (s *Stack) LoadState(d *state.Dec) {
+	seq := d.U64()
 	n := int(d.U32())
-	if n > len(c.pc) {
-		d.Corruptf("cam holds %d slots, snapshot has %d entries", len(c.pc), n)
+	if n > len(s.pcs) {
+		d.Corruptf("recency stack holds %d entries, snapshot has %d", len(s.pcs), n)
 		return
 	}
 	pcs := make([]uint64, n)
 	taken := make([]bool, n)
 	seqs := make([]uint64, n)
-	for i := 0; i < n; i++ {
+	for i := range pcs {
 		pcs[i], taken[i], seqs[i] = d.U64(), d.Bool(), d.U64()
 	}
-	for i := n - 1; i >= 0; i-- {
-		if c.lookup(pcs[i]) != camNil {
-			d.Corruptf("duplicate cam pc %#x", pcs[i])
+	for i := range pcs {
+		switch {
+		case pcs[i] > math.MaxUint32:
+			d.Corruptf("recency stack pc %#x is wider than 32 bits", pcs[i])
+			return
+		case seqs[i] > seq:
+			d.Corruptf("recency stack entry pushed at %d, after the counter %d", seqs[i], seq)
+			return
+		case i > 0 && seqs[i] > seqs[i-1]:
+			d.Corruptf("recency stack entry %d is newer than the one above it", i)
 			return
 		}
-		c.push(pcs[i], taken[i], seqs[i])
 	}
-}
-
-// SaveState appends the stack's position counter and live entries to a
-// snapshot section. Depth and distance width are configuration.
-func (s *Stack) SaveState(e *state.Enc) {
-	e.U64(s.seq)
-	s.c.save(e)
-}
-
-// LoadState decodes a stack saved by SaveState into s, a fresh stack of
-// the same depth.
-func (s *Stack) LoadState(d *state.Dec) {
-	s.seq = d.U64()
-	s.c.load(d)
+	// Replay oldest-first, each push at its own position.
+	for i := n - 1; i >= 0; i-- {
+		pc := uint32(pcs[i])
+		if slices.Contains(s.pcs[:s.n], pc) {
+			d.Corruptf("duplicate recency stack pc %#x", pc)
+			return
+		}
+		s.seq = seqs[i]
+		s.Push(pc, taken[i])
+	}
+	s.seq = seq
 }
 
 // SaveState appends the segmented stack's position counter, unfiltered

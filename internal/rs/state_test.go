@@ -11,13 +11,13 @@ import (
 
 // TestStackStateRoundTrip drives a stack through hits, misses, and
 // evictions, snapshots it, restores into a fresh stack, and checks the
-// recency-list iteration is identical — the contract that makes
+// recency order is identical — the contract that makes
 // restored BF predictors bit-exact.
 func TestStackStateRoundTrip(t *testing.T) {
 	s := NewStack(8, 12)
 	// More unique PCs than depth forces evictions; revisits force hits
 	// and relinks.
-	pcs := []uint64{1, 2, 3, 4, 5, 2, 6, 7, 8, 9, 3, 10, 11, 2, 12}
+	pcs := []uint32{1, 2, 3, 4, 5, 2, 6, 7, 8, 9, 3, 10, 11, 2, 12}
 	for i, pc := range pcs {
 		s.Tick()
 		s.Push(pc, i%3 == 0)
@@ -32,18 +32,9 @@ func TestStackStateRoundTrip(t *testing.T) {
 	if r.Len() != s.Len() {
 		t.Fatalf("len %d vs %d", r.Len(), s.Len())
 	}
-	it1, it2 := s.Iter(), r.Iter()
-	for {
-		a, ok1 := it1.Next()
-		b, ok2 := it2.Next()
-		if ok1 != ok2 {
-			t.Fatal("iteration lengths differ")
-		}
-		if !ok1 {
-			break
-		}
-		if a != b {
-			t.Fatalf("iteration order differs: %+v vs %+v", a, b)
+	for i := 0; i < s.Len(); i++ {
+		if a, b := s.At(i), r.At(i); a != b {
+			t.Fatalf("entry %d differs: %+v vs %+v", i, a, b)
 		}
 	}
 
@@ -55,7 +46,7 @@ func TestStackStateRoundTrip(t *testing.T) {
 	}
 
 	// The restored stack must evolve identically.
-	for i, pc := range []uint64{2, 13, 1, 14} {
+	for i, pc := range []uint32{2, 13, 1, 14} {
 		s.Tick()
 		r.Tick()
 		s.Push(pc, i%2 == 0)
@@ -141,6 +132,33 @@ func TestStackLoadRejectsCorrupt(t *testing.T) {
 	over.U32(99) // more entries than depth
 	if err := loadEnc(over, NewStack(8, 12).LoadState); !errors.Is(err, state.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt on overflow, got %v", err)
+	}
+
+	// Well-formed entry lists whose values no run of a stack can
+	// produce: each is listed most recent first under counter 5.
+	type ent struct {
+		pc  uint64
+		seq uint64
+	}
+	for _, tc := range []struct {
+		name string
+		ents []ent
+	}{
+		{"pc wider than 32 bits", []ent{{7, 4}, {1 << 32, 2}}},
+		{"seq above the counter", []ent{{7, 6}, {8, 2}}},
+		{"seqs increasing with depth", []ent{{7, 2}, {8, 4}}},
+	} {
+		var e state.Enc
+		e.U64(5)
+		e.U32(uint32(len(tc.ents)))
+		for _, x := range tc.ents {
+			e.U64(x.pc)
+			e.Bool(true)
+			e.U64(x.seq)
+		}
+		if err := loadEnc(e, NewStack(8, 12).LoadState); !errors.Is(err, state.ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", tc.name, err)
+		}
 	}
 }
 

@@ -10,10 +10,13 @@
 #             latencies go to the bfbp_harness_* quantiles only).
 #   flags     a count flag below its floor (a negative -n, -delay,
 #             -skip, -workers, ...), a flag value that would run without
-#             effect (-probe-state-every 0, a -warmup as long as the
-#             trace), an unknown trace or figure, a -seeds too small for
-#             a variance, or a flag the command does not define (analyze
-#             has no -journal) must exit 2 with a message and no panic.
+#             effect (-probe-state-every 0, -probe-state-every without
+#             -probe-state, -checkpoint-every without -checkpoint, a
+#             -skip as long as the trace, a warm-up as long as what
+#             -skip leaves), an unknown trace or figure, a -seeds too
+#             small for a variance, or a flag the command does not
+#             define (analyze has no -journal) must exit 2 with a
+#             message and no panic.
 #   snapshot  for each headline predictor, every engine and history
 #             included, a straight run must equal a split run (half with
 #             -checkpoint, then -resume -skip): branches and mispredicts
@@ -82,6 +85,10 @@ bfsim -t SERV1 -p bimodal -n 1000 -warmup -7
 bfsim -t SERV1 -p bimodal -n 1000 -workers -1
 bfsim -t SERV1 -p bimodal -n 1000 -probe-state -probe-state-every 0
 bfsim -t SERV1 -p bimodal -n 1000 -warmup 5000
+bfsim -t SERV1 -p bimodal -n 1000 -skip 900 -warmup 500
+bfsim -t SERV1 -p bimodal -n 1000 -skip 5000
+bfsim -t SERV1 -p bimodal -n 1000 -probe-state-every 100
+bfsim -t SERV1 -p bimodal -n 1000 -checkpoint-every 100
 analyze -t SERV1 -p bimodal -n 1000 -offenders -1
 analyze -t SERV1 -p bimodal -n 1000 -journal $OUT/none.jsonl
 experiments -variance NOPE
