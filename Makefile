@@ -22,7 +22,8 @@ race:
 check: build vet race
 
 # Fuzz each fuzz target for a fixed 10 s: the snapshot container
-# decoder, the BFT1 trace decoder, the key map against FoldWords over
+# decoder, the BFT1 trace decoder against its byte-at-a-time reference
+# model, the BFT1 encode-decode round trip, the key map against FoldWords over
 # random geometries, the monolithic recency stack against its
 # shift-register reference model and the segmented recency stack
 # against its per-segment reference model, both over random geometries
@@ -35,6 +36,7 @@ check: build vet race
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/state
 	$(GO) test -run='^$$' -fuzz='^FuzzFileReader$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzTraceRoundTrip$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyMap$$' -fuzztime=10s ./internal/history
 	$(GO) test -run='^$$' -fuzz='^FuzzStack$$' -fuzztime=10s ./internal/rs
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmented$$' -fuzztime=10s ./internal/rs
@@ -59,16 +61,18 @@ bench-test:
 	cd bench && $(GO) vet . && $(GO) test -race .
 
 # End-to-end smoke of the command-line tools (scripts/smoke.sh): builds
-# the commands once, then runs five checks: trace (identical-seed
+# the commands once, then runs six checks: trace (identical-seed
 # journals diff clean, no per-branch predict/update slices in the
 # timeline), flags (a negative count, a no-op -probe-state-every 0 or
 # -warmup, an unknown trace or figure, too few variance seeds or an
 # undefined flag exits 2 without a panic), snapshot (split runs equal
 # straight runs, and a snapshot cut by one byte exits 1 without a
 # panic), window (`journal summary` counts the window events of a
-# journaled -window run, whose timeline carries the mpki counter track)
-# and xray (tablestats journal events, TAGE banks carrying provider
-# hits).
+# journaled -window run, whose timeline carries the mpki counter track),
+# xray (tablestats journal events, TAGE banks carrying provider hits)
+# and codec (a tracegen file replayed with bfsim -f and read by
+# traceinfo equals the synthetic trace, and the file cut by one byte
+# exits 1 without a panic).
 # Leaves its artifacts in smoke_ci/ for CI upload.
 smoke:
 	GO=$(GO) bash scripts/smoke.sh

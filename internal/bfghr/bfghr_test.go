@@ -63,7 +63,11 @@ func checkKeys(t *testing.T, step int, g *GHR, fields [][]history.Term) {
 	ring := g.Segmented().Ring()
 	vecs[0].Append(ring.RecentTaken(g.cfg.UnfilteredBits), g.cfg.UnfilteredBits)
 	vecs[1].Append(ring.RecentPC(g.cfg.UnfilteredBits), g.cfg.UnfilteredBits)
-	g.Segmented().AppendPacked(&vecs[0], &vecs[1])
+	taken, pcs := g.Segmented().Words()
+	for i := range taken {
+		vecs[0].Append(taken[i], g.Segmented().SegSize())
+		vecs[1].Append(pcs[i], g.Segmented().SegSize())
+	}
 	kw := g.Keys()
 	for f, terms := range fields {
 		var want uint64

@@ -15,7 +15,11 @@ func (h *ghrHistory) buildGHR(ghr, pcs *history.BitVec, unfiltered int) {
 	pcs.Reset()
 	seg := h.Segmented()
 	ghr.Append(seg.Ring().RecentTaken(unfiltered), unfiltered)
-	seg.AppendPacked(ghr, pcs)
+	taken, addrs := seg.Words()
+	for i := range taken {
+		ghr.Append(taken[i], seg.SegSize())
+		pcs.Append(addrs[i], seg.SegSize())
+	}
 }
 
 // computeRef writes each of tables 1..Tables-1's fold into folds by

@@ -16,7 +16,11 @@ func (h *ghrHistory) buildGHR(ghr, pcs *history.BitVec, unfiltered int) {
 	ring := seg.Ring()
 	ghr.Append(ring.RecentTaken(unfiltered), unfiltered)
 	pcs.Append(ring.RecentPC(unfiltered), unfiltered)
-	seg.AppendPacked(ghr, pcs)
+	taken, addrs := seg.Words()
+	for i := range taken {
+		ghr.Append(taken[i], seg.SegSize())
+		pcs.Append(addrs[i], seg.SegSize())
+	}
 }
 
 // fillKeysRef computes every table's index fold (path included) and tag

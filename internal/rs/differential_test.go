@@ -82,9 +82,9 @@ func checkSegmentedEqual(t *testing.T, step int, ref *refSegmented, s *Segmented
 	}
 	wantGHR := ref.AppendBFGHR(nil)
 	wantPCs := ref.AppendBFPCs(nil)
-	// AppendPacked must agree with the reference's []bool forms.
+	// The packed words must agree with the reference's []bool forms.
 	var ghrVec, pcsVec history.BitVec
-	s.AppendPacked(&ghrVec, &pcsVec)
+	appendWords(s, &ghrVec, &pcsVec)
 	if ghrVec.Len() != len(wantGHR) {
 		t.Fatalf("step %d: packed GHR len=%d want %d", step, ghrVec.Len(), len(wantGHR))
 	}

@@ -69,9 +69,9 @@ func FuzzStack(f *testing.F) {
 // bounds (the first may be 1) for up to 20 segments no deeper than
 // 4096, a segment size in [1, 64], and a PC alphabet of 2 to 2^32
 // addresses. After every commit it compares every segment's length,
-// packed words (through Words and AppendPacked) and the entries at slots 0, the last, one past it
-// and one at random; checking every slot walks the ring once per slot,
-// which is too slow here. At random points, and at the end, the
+// packed words (through Words) and the entries at slots 0, the last,
+// one past it and one at random; checking every slot walks the ring
+// once per slot, which is too slow here. At random points, and at the end, the
 // snapshot bytes must equal the reference's, which covers every entry,
 // and a SaveState → LoadState → SaveState round trip must keep them;
 // the run then continues on the loaded copy. steps is cut to twice the
@@ -100,7 +100,6 @@ func FuzzSegmented(f *testing.F) {
 
 		ref := newRefSegmented(bounds, segSize)
 		s := NewSegmented(bounds, segSize)
-		var ghr, pcs history.BitVec
 		for step := 1; step <= n; step++ {
 			e := history.Entry{
 				HashedPC:  uint32(r.Uint64()) & pcMask,
@@ -109,9 +108,6 @@ func FuzzSegmented(f *testing.F) {
 			}
 			ref.Commit(e)
 			s.Commit(e)
-			ghr.Reset()
-			pcs.Reset()
-			s.AppendPacked(&ghr, &pcs)
 			taken, addrs := s.Words()
 			for i := 0; i < s.Segments(); i++ {
 				ln := ref.segs[i].n
@@ -121,10 +117,6 @@ func FuzzSegmented(f *testing.F) {
 				wt, wp := ref.words(i)
 				if taken[i] != wt || addrs[i] != wp {
 					t.Fatalf("%v×%d step %d: segment %d words %#x/%#x, want %#x/%#x", bounds, segSize, step, i, taken[i], addrs[i], wt, wp)
-				}
-				off := i * segSize
-				if gt, gp := vecBits(&ghr, off, segSize), vecBits(&pcs, off, segSize); gt != wt || gp != wp {
-					t.Fatalf("%v×%d step %d: segment %d packed %#x/%#x, want %#x/%#x", bounds, segSize, step, i, gt, gp, wt, wp)
 				}
 				for _, j := range []int{0, ln - 1, ln, r.Intn(segSize)} {
 					want, wok := ref.SegmentEntry(i, j)
@@ -154,15 +146,4 @@ func FuzzSegmented(f *testing.F) {
 			s = loaded
 		}
 	})
-}
-
-// vecBits returns bits [off, off+n) of v, bit off lowest.
-func vecBits(v *history.BitVec, off, n int) uint64 {
-	var w uint64
-	for j := 0; j < n; j++ {
-		if v.Bit(off + j) {
-			w |= 1 << uint(j)
-		}
-	}
-	return w
 }

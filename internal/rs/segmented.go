@@ -248,20 +248,6 @@ func (s *Segmented) SegmentEntry(i, j int) (Entry, bool) {
 	return s.walk(i, buf[:0])[j], true
 }
 
-// AppendPacked appends the segmented stacks' BF-GHR contribution to two
-// packed vectors — outcome bits to ghr, hashed-address low bits to pcs,
-// segSize bits per segment in increasing depth order, empty slots zero.
-// Together with the caller's recent unfiltered bits this forms the
-// paper's BF-GHR; BF-TAGE mixes the address bits into its index hash so
-// that entries with identical outcomes but different addresses produce
-// different contexts.
-func (s *Segmented) AppendPacked(ghr, pcs *history.BitVec) {
-	for i := range s.segs {
-		ghr.Append(s.segTaken[i], s.segSize)
-		pcs.Append(s.segPCs[i], s.segSize)
-	}
-}
-
 // Bits returns the total BF-GHR contribution in bits (segments × segSize).
 func (s *Segmented) Bits() int { return len(s.segs) * s.segSize }
 

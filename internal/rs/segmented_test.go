@@ -96,13 +96,24 @@ func TestSegmentedOverflowDropsDeepest(t *testing.T) {
 	}
 }
 
+// appendWords appends s's BF-GHR contribution, read from Words, to two
+// packed vectors: the outcome words to ghr and the address words to
+// pcs, segSize bits per segment in increasing depth order.
+func appendWords(s *Segmented, ghr, pcs *history.BitVec) {
+	taken, addrs := s.Words()
+	for i := range taken {
+		ghr.Append(taken[i], s.SegSize())
+		pcs.Append(addrs[i], s.SegSize())
+	}
+}
+
 func TestSegmentedBFGHRGeometry(t *testing.T) {
 	s := NewSegmented([]int{2, 4, 8}, 3)
 	if s.Bits() != 6 {
 		t.Fatalf("Bits = %d, want 6 (2 segments × 3)", s.Bits())
 	}
 	var ghr, pcs history.BitVec
-	s.AppendPacked(&ghr, &pcs)
+	appendWords(s, &ghr, &pcs)
 	if ghr.Len() != 6 || pcs.Len() != 6 {
 		t.Fatalf("packed lens = %d/%d, want 6 even when empty", ghr.Len(), pcs.Len())
 	}
@@ -110,7 +121,7 @@ func TestSegmentedBFGHRGeometry(t *testing.T) {
 	commitN(s, 2, 1, false, false)
 	ghr.Reset()
 	pcs.Reset()
-	s.AppendPacked(&ghr, &pcs)
+	appendWords(s, &ghr, &pcs)
 	if !ghr.Bit(0) {
 		t.Fatal("first slot of segment 0 should carry the taken outcome")
 	}
@@ -125,7 +136,7 @@ func TestSegmentedBFPCsBit(t *testing.T) {
 	s := NewSegmented([]int{1, 4}, 2)
 	s.Commit(history.Entry{HashedPC: 0b11, Taken: false, NonBiased: true})
 	var ghr, pcs history.BitVec
-	s.AppendPacked(&ghr, &pcs)
+	appendWords(s, &ghr, &pcs)
 	if pcs.Len() != 2 || !pcs.Bit(0) || pcs.Bit(1) {
 		t.Fatalf("address bits = %v %v (len %d), want [true false]", pcs.Bit(0), pcs.Bit(1), pcs.Len())
 	}

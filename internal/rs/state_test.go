@@ -83,8 +83,8 @@ func TestSegmentedStateRoundTrip(t *testing.T) {
 	// Packed BF-GHR output and subsequent evolution must match.
 	check := func(step int) {
 		var g1, p1, g2, p2 history.BitVec
-		s.AppendPacked(&g1, &p1)
-		r.AppendPacked(&g2, &p2)
+		appendWords(s, &g1, &p1)
+		appendWords(r, &g2, &p2)
 		if g1.Len() != g2.Len() {
 			t.Fatalf("step %d: packed lengths differ", step)
 		}

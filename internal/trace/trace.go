@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Record is one committed conditional branch.
@@ -145,19 +146,24 @@ func (s Slice) Instructions() uint64 {
 	return n
 }
 
-// Collect drains a Reader into a Slice. It is intended for tests and small
-// traces; experiment binaries stream instead.
+// Collect drains a Reader into a Slice, filling it through ReadBatch.
+// It is intended for tests and small traces; experiment binaries stream
+// instead.
 func Collect(r Reader) (Slice, error) {
+	br := Batched(r)
 	var out Slice
 	for {
-		rec, err := r.Read()
+		if len(out) == cap(out) {
+			out = slices.Grow(out, 4096) // RunContext's batch size
+		}
+		n, err := br.ReadBatch(out[len(out):cap(out)])
+		out = out[:len(out)+n]
 		if errors.Is(err, io.EOF) {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rec)
 	}
 }
 
@@ -175,7 +181,19 @@ var magic = [4]byte{'B', 'F', 'T', '1'}
 // ErrBadMagic reports that a stream does not start with the trace magic.
 var ErrBadMagic = errors.New("trace: bad magic (not a BFT1 trace)")
 
-const maxInstret = 128
+// errOverflow carries binary.ReadUvarint's message for a varint longer
+// than 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+const (
+	maxInstret = 128
+	// maxRecord is the longest encoded record: two 10-byte varints and
+	// the flags byte. Both directions keep at least this much room in
+	// their buffers so that a record never straddles a refill or flush.
+	maxRecord = 2*binary.MaxVarintLen64 + 1
+	// bufSize is the size of both directions' bufio buffers.
+	bufSize = 1 << 16
+)
 
 // Writer encodes records to an io.Writer in the BFT1 format.
 type Writer struct {
@@ -189,10 +207,11 @@ type Writer struct {
 // NewWriter returns a Writer that emits the trace header immediately on
 // first Write.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
+	return &Writer{w: bufio.NewWriterSize(w, bufSize)}
 }
 
-// Write appends one record.
+// Write appends one record, encoding it straight into the free space of
+// the output buffer.
 func (w *Writer) Write(rec Record) error {
 	if !w.wrote {
 		if _, err := w.w.Write(magic[:]); err != nil {
@@ -203,17 +222,18 @@ func (w *Writer) Write(rec Record) error {
 	if rec.Instret == 0 || rec.Instret > maxInstret {
 		return fmt.Errorf("trace: instret %d out of range [1,%d]", rec.Instret, maxInstret)
 	}
-	var buf [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], zigzag(int64(rec.PC-w.prevPC)))
-	n += binary.PutUvarint(buf[n:], zigzag(int64(rec.Target-w.prevTg)))
-	if _, err := w.w.Write(buf[:n]); err != nil {
-		return err
+	if w.w.Available() < maxRecord {
+		if err := w.w.Flush(); err != nil {
+			return err
+		}
 	}
 	flags := byte(rec.Instret-1) << 1
 	if rec.Taken {
 		flags |= 1
 	}
-	if err := w.w.WriteByte(flags); err != nil {
+	b := binary.AppendUvarint(w.w.AvailableBuffer(), zigzag(int64(rec.PC-w.prevPC)))
+	b = binary.AppendUvarint(b, zigzag(int64(rec.Target-w.prevTg)))
+	if _, err := w.w.Write(append(b, flags)); err != nil {
 		return err
 	}
 	w.prevPC, w.prevTg = rec.PC, rec.Target
@@ -238,58 +258,30 @@ func (w *Writer) Flush() error {
 }
 
 // FileReader decodes the BFT1 format. It implements Reader and
-// BatchReader.
+// BatchReader. Records are decoded in place from the bytes buffered by
+// its bufio.Reader. The first error it returns is sticky: every later
+// call returns it again.
 type FileReader struct {
 	r      *bufio.Reader
 	prevPC uint64
 	prevTg uint64
 	began  bool
-	err    error // deferred error from a partially filled batch
+	rerr   error // the read error that ended the input; nothing is read past it
+	err    error // the first error, returned by every later call
 }
 
 // NewFileReader wraps r. The header is validated lazily on first Read.
 func NewFileReader(r io.Reader) *FileReader {
-	return &FileReader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &FileReader{r: bufio.NewReaderSize(r, bufSize)}
 }
 
-// Read returns the next record or io.EOF.
+// Read returns the next record or io.EOF. It is a one-record ReadBatch.
 func (fr *FileReader) Read() (Record, error) {
-	if !fr.began {
-		var m [4]byte
-		if _, err := io.ReadFull(fr.r, m[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return Record{}, ErrBadMagic
-			}
-			return Record{}, err
-		}
-		if m != magic {
-			return Record{}, ErrBadMagic
-		}
-		fr.began = true
+	var one [1]Record
+	if _, err := fr.ReadBatch(one[:]); err != nil {
+		return Record{}, err
 	}
-	dpc, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("trace: corrupt pc delta: %w", err)
-	}
-	dtg, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: corrupt target delta: %w", eofIsCorrupt(err))
-	}
-	flags, err := fr.r.ReadByte()
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: corrupt flags: %w", eofIsCorrupt(err))
-	}
-	fr.prevPC += uint64(unzigzag(dpc))
-	fr.prevTg += uint64(unzigzag(dtg))
-	return Record{
-		PC:      fr.prevPC,
-		Target:  fr.prevTg,
-		Taken:   flags&1 != 0,
-		Instret: (flags >> 1) + 1,
-	}, nil
+	return one[0], nil
 }
 
 // ReadBatch implements BatchReader: it decodes until dst is full or the
@@ -297,31 +289,132 @@ func (fr *FileReader) Read() (Record, error) {
 // deferred to the next call, honouring the records-xor-error contract.
 func (fr *FileReader) ReadBatch(dst []Record) (int, error) {
 	if fr.err != nil {
-		err := fr.err
-		fr.err = nil
-		return 0, err
+		return 0, fr.err
+	}
+	if !fr.began {
+		if err := fr.header(); err != nil {
+			fr.err = err
+			return 0, err
+		}
 	}
 	n := 0
 	for n < len(dst) {
-		rec, err := fr.Read()
+		// Refill when a whole record may not be buffered. After a read
+		// error the buffered bytes are all that is left of the stream.
+		if fr.rerr == nil && fr.r.Buffered() < maxRecord {
+			_, fr.rerr = fr.r.Peek(maxRecord)
+		}
+		buf, _ := fr.r.Peek(fr.r.Buffered())
+		k, used, err := fr.decode(dst[n:], buf, fr.rerr)
+		fr.r.Discard(used) // cannot fail: the bytes are buffered
+		n += k
 		if err != nil {
+			fr.err = err
 			if n > 0 {
-				fr.err = err
 				return n, nil
 			}
 			return 0, err
 		}
-		dst[n] = rec
-		n++
 	}
 	return n, nil
 }
 
-func eofIsCorrupt(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
+// header consumes and checks the magic.
+func (fr *FileReader) header() error {
+	m, err := fr.r.Peek(len(magic))
+	if err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return ErrBadMagic
+		}
+		return err
 	}
-	return err
+	if [4]byte(m) != magic {
+		return ErrBadMagic
+	}
+	fr.r.Discard(len(magic))
+	fr.began = true
+	return nil
+}
+
+// decode is the codec's decode kernel: it decodes records from buf into
+// dst and returns how many it decoded and the bytes they used. While
+// rerr is nil more bytes may follow buf, so it stops at a record that
+// may not be whole (fewer than maxRecord bytes left) for the caller to
+// refill. Otherwise buf is the stream's tail: a clean end after the last
+// record returns io.EOF, and a record cut short returns an error naming
+// the field it was cut in.
+func (fr *FileReader) decode(dst []Record, buf []byte, rerr error) (n, used int, err error) {
+	pc, tg := fr.prevPC, fr.prevTg
+	i := 0
+	for n < len(dst) {
+		if len(buf)-i < maxRecord {
+			if rerr == nil {
+				break
+			}
+			if i == len(buf) && errors.Is(rerr, io.EOF) {
+				err = io.EOF
+				break
+			}
+		}
+		dpc, j := uvarint(buf, i)
+		if j <= 0 {
+			err = corrupt("pc delta", j, rerr)
+			break
+		}
+		dtg, k := uvarint(buf, j)
+		if k <= 0 {
+			err = corrupt("target delta", k, rerr)
+			break
+		}
+		if k == len(buf) {
+			err = corrupt("flags", 0, rerr)
+			break
+		}
+		flags := buf[k]
+		i = k + 1
+		pc += uint64(unzigzag(dpc))
+		tg += uint64(unzigzag(dtg))
+		dst[n] = Record{PC: pc, Target: tg, Taken: flags&1 != 0, Instret: flags>>1 + 1}
+		n++
+	}
+	fr.prevPC, fr.prevTg = pc, tg
+	return n, i, err
+}
+
+// uvarint decodes the varint at buf[i:] the way binary.ReadUvarint reads
+// one from a stream. It returns the value and the index past it; the
+// index is 0 when buf ends inside the varint and -1 on overflow.
+func uvarint(buf []byte, i int) (uint64, int) {
+	var x uint64
+	for s := uint(0); s < 7*binary.MaxVarintLen64; s += 7 {
+		if i >= len(buf) {
+			return 0, 0
+		}
+		b := buf[i]
+		i++
+		if b < 0x80 {
+			if s == 63 && b > 1 {
+				return 0, -1
+			}
+			return x | uint64(b)<<s, i
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return 0, -1
+}
+
+// corrupt describes a record cut short in field: at the end of the
+// stream's bytes (at == 0), with rerr the read error that ended them, or
+// by a varint overflow (at < 0).
+func corrupt(field string, at int, rerr error) error {
+	cause := errOverflow
+	if at == 0 {
+		cause = rerr
+		if errors.Is(rerr, io.EOF) {
+			cause = io.ErrUnexpectedEOF
+		}
+	}
+	return fmt.Errorf("trace: corrupt %s: %w", field, cause)
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }

@@ -233,3 +233,120 @@ func TestWriterCount(t *testing.T) {
 		t.Fatalf("Count = %d, want 42", w.Count())
 	}
 }
+
+// TestWriteAllocs pins Writer.Write at zero allocations per record: it
+// encodes straight into the output buffer's free space.
+func TestWriteAllocs(t *testing.T) {
+	recs := sample(1000, 11)
+	w := NewWriter(io.Discard)
+	i := 0
+	allocs := testing.AllocsPerRun(5000, func() {
+		if err := w.Write(recs[i%len(recs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Writer.Write allocates %.1f times per record, want 0", allocs)
+	}
+}
+
+// TestReadBatchAllocs pins FileReader.ReadBatch at zero allocations per
+// batch once its buffer exists.
+func TestReadBatchAllocs(t *testing.T) {
+	in := sample(60000, 12)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, rec := range in {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewFileReader(bytes.NewReader(buf.Bytes()))
+	dst := make([]Record, 256)
+	allocs := testing.AllocsPerRun(200, func() {
+		if n, err := r.ReadBatch(dst); err != nil || n != len(dst) {
+			t.Fatalf("ReadBatch: n=%d err=%v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FileReader.ReadBatch allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
+// errOnce fails its first Read with err and then reports io.EOF, so an
+// io.MultiReader reads on past it.
+type errOnce struct{ err error }
+
+func (e *errOnce) Read([]byte) (int, error) {
+	if err := e.err; err != nil {
+		e.err = nil
+		return 0, err
+	}
+	return 0, io.EOF
+}
+
+// TestFileReaderErrorSticky checks that a read error between two records
+// ends the trace: Read and ReadBatch return it, wrapped, on every later
+// call, even though the underlying stream would go on. So does a read
+// error inside the header, unwrapped.
+func TestFileReaderErrorSticky(t *testing.T) {
+	in := sample(10, 13)
+	var head, all bytes.Buffer
+	w := NewWriter(&all)
+	for i, rec := range in {
+		if i == 3 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			head.Write(all.Bytes())
+		}
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	open := func() *FileReader {
+		return NewFileReader(io.MultiReader(bytes.NewReader(head.Bytes()), &errOnce{boom},
+			bytes.NewReader(all.Bytes()[head.Len():])))
+	}
+	const want = "trace: corrupt pc delta: boom"
+
+	r := open()
+	for i := 0; i < 3; i++ {
+		if got, err := r.Read(); err != nil || got != in[i] {
+			t.Fatalf("Read %d: %+v, %v; want %+v", i, got, err, in[i])
+		}
+	}
+	for k := 0; k < 3; k++ {
+		if _, err := r.Read(); !errors.Is(err, boom) || err.Error() != want {
+			t.Fatalf("Read call %d after the error: %v, want %q", k, err, want)
+		}
+	}
+
+	// A read error inside the header is sticky too.
+	r = NewFileReader(io.MultiReader(bytes.NewReader(all.Bytes()[:2]), &errOnce{boom},
+		bytes.NewReader(all.Bytes()[2:])))
+	for k := 0; k < 3; k++ {
+		if _, err := r.Read(); err != boom {
+			t.Fatalf("Read call %d after a header error: %v, want %v", k, err, boom)
+		}
+	}
+
+	r = open()
+	dst := make([]Record, 64)
+	if n, err := r.ReadBatch(dst); n != 3 || err != nil {
+		t.Fatalf("ReadBatch: n=%d err=%v, want the 3 records before the error", n, err)
+	}
+	for k := 0; k < 3; k++ {
+		if n, err := r.ReadBatch(dst); n != 0 || !errors.Is(err, boom) || err.Error() != want {
+			t.Fatalf("ReadBatch call %d after the error: n=%d err=%v, want %q", k, n, err, want)
+		}
+	}
+}

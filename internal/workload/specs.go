@@ -2,6 +2,8 @@ package workload
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 
 	"bfbp/internal/rng"
 )
@@ -480,34 +482,48 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
+// families lists the suite's trace families in reporting order: each
+// family's traces are numbered from first, and spec builds the i-th
+// (from 0) of its count traces.
+var families = []struct {
+	family       Family
+	first, count int
+	spec         func(i int) Spec
+}{
+	{SPEC, 0, 20, specSPEC},
+	{FP, 1, 5, specFP},
+	{INT, 1, 5, specINT},
+	{MM, 1, 5, specMM},
+	{SERV, 1, 5, specSERV},
+}
+
 // Traces returns the full 40-trace suite in the paper's reporting order:
 // SPEC00..SPEC19, FP1..FP5, INT1..INT5, MM1..MM5, SERV1..SERV5.
 func Traces() []Spec {
 	out := make([]Spec, 0, 40)
-	for i := 0; i < 20; i++ {
-		out = append(out, specSPEC(i))
-	}
-	for i := 0; i < 5; i++ {
-		out = append(out, specFP(i))
-	}
-	for i := 0; i < 5; i++ {
-		out = append(out, specINT(i))
-	}
-	for i := 0; i < 5; i++ {
-		out = append(out, specMM(i))
-	}
-	for i := 0; i < 5; i++ {
-		out = append(out, specSERV(i))
+	for _, f := range families {
+		for i := 0; i < f.count; i++ {
+			out = append(out, f.spec(i))
+		}
 	}
 	return out
 }
 
-// ByName returns the spec with the given name.
+// ByName returns the spec with the given name. It builds only that
+// spec: the family prefix and the number pick it, and the built spec's
+// name must then equal name exactly (so "SPEC3" or "INT+1" miss).
 func ByName(name string) (Spec, bool) {
-	for _, s := range Traces() {
-		if s.Name == name {
-			return s, true
+	for _, f := range families {
+		digits, ok := strings.CutPrefix(name, string(f.family))
+		if !ok {
+			continue
 		}
+		if i, err := strconv.Atoi(digits); err == nil && i >= f.first && i < f.first+f.count {
+			if s := f.spec(i - f.first); s.Name == name {
+				return s, true
+			}
+		}
+		return Spec{}, false
 	}
 	return Spec{}, false
 }

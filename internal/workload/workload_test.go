@@ -31,13 +31,39 @@ func TestSuiteShape(t *testing.T) {
 	}
 }
 
+// TestByName checks that ByName, which builds only the named spec,
+// returns the spec Traces lists under that name for each of the 40
+// names (the same fields and the same first 10,000 streamed records),
+// and misses every near miss.
 func TestByName(t *testing.T) {
-	s, ok := ByName("SPEC07")
-	if !ok || s.Name != "SPEC07" || s.Family != SPEC {
-		t.Fatalf("ByName(SPEC07) = %+v, %v", s, ok)
+	for _, want := range Traces() {
+		got, ok := ByName(want.Name)
+		if !ok || got.Name != want.Name || got.Family != want.Family ||
+			got.Seed != want.Seed || got.Branches != want.Branches {
+			t.Fatalf("ByName(%s) = %v %v seed %#x %d branches, %v; Traces has %v %v seed %#x %d branches",
+				want.Name, got.Name, got.Family, got.Seed, got.Branches, ok, want.Name, want.Family, want.Seed, want.Branches)
+		}
+		g, err := trace.Collect(got.Stream(10000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := trace.Collect(want.Stream(10000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g) != len(w) {
+			t.Fatalf("%s: ByName's spec streams %d records, Traces' %d", want.Name, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: record %d = %+v, Traces' spec streams %+v", want.Name, i, g[i], w[i])
+			}
+		}
 	}
-	if _, ok := ByName("NOPE"); ok {
-		t.Fatal("ByName(NOPE) should miss")
+	for _, name := range []string{"SPEC3", "SPEC20", "FP0", "INT+1", "", "NOPE", "SERV", "MM05", "spec03"} {
+		if s, ok := ByName(name); ok {
+			t.Fatalf("ByName(%q) = %s, want a miss", name, s.Name)
+		}
 	}
 }
 

@@ -29,6 +29,13 @@
 #   xray      a -probe-state run must journal tablestats events that
 #             `journal summary` reduces to table-state rows, and a
 #             TAGE-class predictor's banks must carry provider "hits".
+#   codec     a tracegen BFT1 file replayed with bfsim -f must equal the
+#             synthetic run it was written from in every CSV column but
+#             the trace name (an explicit -warmup: -t takes its 10% from
+#             -n, -f from the file's record count), and traceinfo of the
+#             file must equal traceinfo -t below the name line. The file
+#             cut by one byte must exit 1 with a "trace:" message and no
+#             panic.
 #
 # The live metrics surface (/metrics and pprof) is covered by the Go
 # tests in internal/telemetry, so no check here binds a port.
@@ -148,3 +155,25 @@ grep '"event":"tablestats"' "$OUT/xray.jsonl" | grep '"predictor":"bf-tage-8"' |
 	fail "xray: summary missing table-state rows"
 echo "smoke: xray ok ($n tablestats events)"
 
+# codec
+bft=$OUT/INT2.bft
+"$OUT/bin/tracegen" -t INT2 -n 100000 -o "$OUT" > /dev/null
+f=$("$bfsim" -p bf-tage-10,gshare -f "$bft" -warmup 10000 -csv | cut -d, -f2-)
+t=$("$bfsim" -p bf-tage-10,gshare -t INT2 -n 100000 -warmup 10000 -csv | cut -d, -f2-)
+[ "$f" = "$t" ] || fail "codec: bfsim -f $bft printed
+$f
+but bfsim -t INT2 printed
+$t"
+f=$("$OUT/bin/traceinfo" "$bft" | tail -n +2)
+t=$("$OUT/bin/traceinfo" -t INT2 -n 100000 | tail -n +2)
+[ "$f" = "$t" ] || fail "codec: traceinfo $bft differs from traceinfo -t INT2"
+head -c -1 "$bft" > "$bft.cut"
+code=0
+"$bfsim" -p gshare -f "$bft.cut" > /dev/null 2> "$OUT/codec.err" || code=$?
+[ "$code" -eq 1 ] || fail "codec: bfsim -f on a cut file exited $code, want 1"
+grep -q 'trace:' "$OUT/codec.err" || fail "codec: a cut file printed no trace: message"
+if grep -q 'panic:' "$OUT/codec.err"; then
+	fail "codec: a cut file panicked"
+fi
+rm -f "$bft" "$bft.cut" "$OUT/codec.err"
+echo "smoke: codec ok (bfsim -f and traceinfo match -t INT2; cut file refused)"
