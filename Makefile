@@ -23,7 +23,9 @@ check: build vet race
 
 # Fuzz each fuzz target for a fixed 10 s: the snapshot container
 # decoder, the BFT1 trace decoder against its byte-at-a-time reference
-# model, the BFT1 encode-decode round trip, the key map against FoldWords over
+# model, the BFT1 encode-decode round trip, the records-xor-error
+# contract of every trace reader (ReadBatch over random batch sizes
+# against repeated Read), the key map against FoldWords over
 # random geometries, the monolithic recency stack against its
 # shift-register reference model and the segmented recency stack
 # against its per-segment reference model, both over random geometries
@@ -37,6 +39,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/state
 	$(GO) test -run='^$$' -fuzz='^FuzzFileReader$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceRoundTrip$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchReaders$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyMap$$' -fuzztime=10s ./internal/history
 	$(GO) test -run='^$$' -fuzz='^FuzzStack$$' -fuzztime=10s ./internal/rs
 	$(GO) test -run='^$$' -fuzz='^FuzzSegmented$$' -fuzztime=10s ./internal/rs

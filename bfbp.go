@@ -100,9 +100,6 @@ type (
 	EngineMetrics = sim.EngineMetrics
 	// EngineSnapshot is a point-in-time read of the engine metrics.
 	EngineSnapshot = sim.EngineSnapshot
-	// HarnessProbe samples predict/update latencies in the harness hot
-	// loop; assign to Options.Probe.
-	HarnessProbe = sim.HarnessProbe
 )
 
 // CapabilitySet holds a predictor's optional interfaces (storage
@@ -117,8 +114,8 @@ func Capabilities(p Predictor) CapabilitySet { return sim.Capabilities(p) }
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewEngineMetrics registers the bfbp_engine_* / bfbp_harness_* metric
-// set on reg; assign the result to Engine.Metrics.
+// NewEngineMetrics registers the bfbp_* engine metric set on reg;
+// assign the result to Engine.Metrics.
 func NewEngineMetrics(reg *MetricsRegistry) *EngineMetrics { return sim.NewEngineMetrics(reg) }
 
 // NewJournal returns a run journal writing bfbp.journal.v1 JSONL

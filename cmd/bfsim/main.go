@@ -33,7 +33,6 @@
 //	bfsim ... -probe-state                       # table/state X-ray: occupancy metrics,
 //	                                             # tablestats journal events, counter tracks
 //	bfsim ... -trace-out run.trace.json          # bfbp.trace.v1 span timeline (Perfetto)
-//	bfsim ... -runtime-trace run.rtrace          # Go runtime/trace with bridged spans
 //
 // With -window, every closed window is journaled and drawn on the
 // -trace-out timeline's mpki counter track (see DESIGN.md §6):
@@ -95,7 +94,6 @@ func main() {
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
 		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
-		rtraceOut   = flag.String("runtime-trace", "", "capture a Go runtime/trace (with bridged spans) to this file")
 
 		probeState      = flag.Bool("probe-state", false, "sample predictor table/state internals periodically (occupancy metrics, tablestats journal events, Perfetto counter tracks)")
 		probeStateEvery = flag.Uint64("probe-state-every", 65536, "with -probe-state, sample every N branches (quantised to batch boundaries)")
@@ -202,11 +200,10 @@ func main() {
 	}
 
 	tel, err := telemetry.Start(telemetry.Config{
-		MetricsAddr:      *metricsAddr,
-		JournalPath:      *journalPath,
-		Heartbeat:        *heartbeat,
-		TracePath:        *traceOut,
-		RuntimeTracePath: *rtraceOut,
+		MetricsAddr: *metricsAddr,
+		JournalPath: *journalPath,
+		Heartbeat:   *heartbeat,
+		TracePath:   *traceOut,
 	})
 	if err != nil {
 		fatal(err)

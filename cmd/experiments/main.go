@@ -22,9 +22,8 @@
 // The -long/-short flags set the per-trace dynamic branch counts (the
 // paper used 15-30M and 3-5M; defaults here are laptop-scale). Suite
 // rows are deterministic: byte-identical output for any -workers value.
-// Telemetry (-metrics-addr, -journal, -heartbeat, -trace-out,
-// -runtime-trace) observes any run — figures or suite — without
-// perturbing its output.
+// Telemetry (-metrics-addr, -journal, -heartbeat, -trace-out) observes
+// any run — figures or suite — without perturbing its output.
 package main
 
 import (
@@ -65,7 +64,6 @@ func main() {
 		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
 		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
 		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
-		rtraceOut   = flag.String("runtime-trace", "", "capture a Go runtime/trace (with bridged spans) to this file")
 	)
 	prof.Flags(flag.CommandLine)
 	flag.Parse()
@@ -121,11 +119,10 @@ func main() {
 	}
 
 	tel, err := telemetry.Start(telemetry.Config{
-		MetricsAddr:      *metricsAddr,
-		JournalPath:      *journalPath,
-		Heartbeat:        *heartbeat,
-		TracePath:        *traceOut,
-		RuntimeTracePath: *rtraceOut,
+		MetricsAddr: *metricsAddr,
+		JournalPath: *journalPath,
+		Heartbeat:   *heartbeat,
+		TracePath:   *traceOut,
 	})
 	if err != nil {
 		fatal(err)

@@ -145,24 +145,6 @@ func (r *Ring) At(depth int) (Entry, bool) {
 	}, true
 }
 
-// TakenAt returns the outcome bit at the given depth, or false when the
-// depth is not populated. It is the hot-path accessor for fold updates.
-func (r *Ring) TakenAt(depth int) bool {
-	if depth < 1 || depth > r.size {
-		return false
-	}
-	return slotBit(r.takenW, (r.head-(depth-1))&r.mask)
-}
-
-// PCAt returns the hashed PC at the given depth, or 0 when the depth is
-// not populated.
-func (r *Ring) PCAt(depth int) uint32 {
-	if depth < 1 || depth > r.size {
-		return 0
-	}
-	return r.pcs[(r.head-(depth-1))&r.mask]
-}
-
 // Window is a read-only view of a ring's most recent branches for hot
 // loops that walk many depths: position i is depth i+1, valid for i in
 // [0, N). It reads the ring's storage in place, with no population test
@@ -470,10 +452,11 @@ func (s *FoldSet) refillWindows() {
 func (s *FoldSet) refold(r *Ring, vals []uint64) {
 	for i, l := range s.lengths {
 		w := uint(bits.Len64(s.regs[i].mask))
+		win := r.Window(l)
 		var v uint64
-		for d := 1; d <= l; d++ {
-			if r.TakenAt(d) {
-				v ^= 1 << (uint(d-1) % w)
+		for d := 0; d < win.N; d++ {
+			if win.Taken(d) {
+				v ^= 1 << (uint(d) % w)
 			}
 		}
 		vals[i] = v

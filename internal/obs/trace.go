@@ -2,10 +2,8 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"io"
-	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,19 +32,13 @@ const tracePID = 1
 // instrumented hot paths stay zero-alloc when tracing is off.
 //
 // Emission is safe for concurrent use; individual Spans are not (each
-// span belongs to the goroutine that started it, which is also what the
-// optional runtime/trace region bridging requires).
+// span belongs to the goroutine that started it).
 type Tracer struct {
 	// Clock returns the elapsed time since the tracer's epoch; it
 	// exists so tests can pin timestamps. Set it before the tracer is
 	// shared between goroutines. Nil defaults to monotonic
 	// time.Since(construction).
 	Clock func() time.Duration
-	// BridgeRuntime mirrors spans onto runtime/trace tasks (root
-	// spans) and regions (all spans) when a runtime trace is being
-	// captured, so `go tool trace` shows the same hierarchy next to
-	// scheduler and GC events. Set it before starting spans.
-	BridgeRuntime bool
 
 	start    time.Time
 	nextID   atomic.Uint64
@@ -197,10 +189,10 @@ func (t *Tracer) StartSpan(kind, name string, tid int64) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.open(kind, name, tid, 0, nil)
+	return t.open(kind, name, tid, 0)
 }
 
-func (t *Tracer) open(kind, name string, tid int64, parent uint64, pctx context.Context) *Span {
+func (t *Tracer) open(kind, name string, tid int64, parent uint64) *Span {
 	s := &Span{
 		t:      t,
 		id:     t.nextID.Add(1),
@@ -211,18 +203,6 @@ func (t *Tracer) open(kind, name string, tid int64, parent uint64, pctx context.
 		start:  t.now(),
 	}
 	t.inFlight.Add(1)
-	if t.BridgeRuntime && rtrace.IsEnabled() {
-		label := kind + ":" + name
-		ctx := pctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		if parent == 0 {
-			ctx, s.task = rtrace.NewTask(ctx, label)
-		}
-		s.ctx = ctx
-		s.region = rtrace.StartRegion(ctx, label)
-	}
 	return s
 }
 
@@ -239,10 +219,6 @@ type Span struct {
 	tid    int64
 	start  time.Duration
 	attrs  map[string]any
-
-	ctx    context.Context
-	task   *rtrace.Task
-	region *rtrace.Region
 }
 
 // ID returns the span's deterministic identifier — the value journal
@@ -260,7 +236,7 @@ func (s *Span) Child(kind, name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.t.open(kind, name, s.tid, s.id, s.ctx)
+	return s.t.open(kind, name, s.tid, s.id)
 }
 
 // ChildTID opens a sub-span on another timeline lane, for work handed
@@ -269,7 +245,7 @@ func (s *Span) ChildTID(kind, name string, tid int64) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.t.open(kind, name, tid, s.id, s.ctx)
+	return s.t.open(kind, name, tid, s.id)
 }
 
 // Attr attaches a key/value pair emitted in the span's args object.
@@ -287,9 +263,7 @@ func (s *Span) Attr(key string, v any) *Span {
 }
 
 // End closes the span, emits its complete ("ph":"X") event, and
-// returns the measured duration.
-// Nil-safe (returns 0). End must be called on the goroutine that
-// started the span when runtime bridging is on.
+// returns the measured duration. Nil-safe (returns 0).
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
@@ -297,12 +271,6 @@ func (s *Span) End() time.Duration {
 	d := s.t.now() - s.start
 	if d < 0 {
 		d = 0
-	}
-	if s.region != nil {
-		s.region.End()
-	}
-	if s.task != nil {
-		s.task.End()
 	}
 	s.t.inFlight.Add(-1)
 	args := s.attrs

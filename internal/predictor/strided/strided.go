@@ -145,16 +145,16 @@ type source struct {
 // Fill writes the index of every populated sampled offset; the
 // unpopulated ones, until the history is that deep, are the deepest.
 func (s *source) Fill(pc uint64, idx []int32, dirs []bool) (n, recent int) {
-	ring := s.Ring()
+	win := s.Ring().Window(s.offsets[len(s.offsets)-1])
 	pch := rng.Hash64(pc >> 2)
 	mask := uint64(s.rows - 1)
 	for i, off := range s.offsets {
-		if off > ring.Len() {
+		if off > win.N {
 			break
 		}
-		row := rng.Hash64(pch^uint64(ring.PCAt(off))*0x9e3779b97f4a7c15^uint64(i)<<40) & mask
+		row := rng.Hash64(pch^uint64(win.PC(off-1))*0x9e3779b97f4a7c15^uint64(i)<<40) & mask
 		idx[i] = int32(i)*s.rows + int32(row)
-		dirs[i] = ring.TakenAt(off)
+		dirs[i] = win.Taken(off - 1)
 		n++
 	}
 	return n, n

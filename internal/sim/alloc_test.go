@@ -46,10 +46,6 @@ func TestRunContextSteadyStateAllocs(t *testing.T) {
 		{"plain", Options{}},
 		{"warmup", Options{Warmup: 10_000}},
 		{"delay", Options{UpdateDelay: 64}},
-		// Instrumented sample path with nil histograms and tracing off:
-		// the probe's timing branch runs every 64th branch but the nil
-		// TraceSpan must keep Child on the zero-alloc no-op path.
-		{"probed", Options{Probe: &HarnessProbe{}}},
 	} {
 		p := &lruPredictor{}
 		avg := testing.AllocsPerRun(5, func() {

@@ -108,9 +108,7 @@ type Engine struct {
 	Progress func(ProgressEvent)
 	// Metrics, when non-nil, receives live engine telemetry (queue
 	// depth, busy workers, run counters/latencies, state-probe gauges)
-	// from the event stream, and samples harness predict/update
-	// latencies through its Probe. Nil disables collection entirely and
-	// runs the uninstrumented path.
+	// from the event stream. Nil disables collection entirely.
 	Metrics *EngineMetrics
 	// Journal, when non-nil, records every event as a bfbp.journal.v1
 	// line (suite/run lifecycle, per-window MPKI as each window closes,
@@ -162,9 +160,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 		opt := e.Options
 		if job.Options != nil {
 			opt = *job.Options
-		}
-		if e.Metrics != nil && opt.Probe == nil {
-			opt.Probe = e.Metrics.Probe()
 		}
 		var rsp *obs.Span
 		if tr != nil {

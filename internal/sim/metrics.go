@@ -7,17 +7,14 @@ import (
 	"bfbp/internal/obs"
 )
 
-// Engine telemetry: metric names and the sampled harness probe. All of
-// it is opt-in — an Engine with nil Metrics runs the uninstrumented hot
-// loop (the overhead guard in metrics_test.go pins this) — and
-// nil-safe, so instrumented code never branches on "telemetry
-// enabled?" at observation sites.
+// Engine telemetry is opt-in and nil-safe, so instrumented code never
+// branches on "telemetry enabled?" at observation sites. Every family
+// is a function of the event stream, so a journal replay rebuilds it.
 
 // EngineMetrics is the engine's metric set, registered under the
-// bfbp_engine_* / bfbp_harness_* names documented in DESIGN.md. Attach
-// one to Engine.Metrics: it then subscribes to every Run's event
-// stream, and its Probe samples the harness hot loop. A nil
-// *EngineMetrics disables collection.
+// bfbp_* names documented in DESIGN.md. Attach one to Engine.Metrics:
+// it then subscribes to every Run's event stream. A nil *EngineMetrics
+// disables collection.
 type EngineMetrics struct {
 	workers      *obs.Gauge
 	queueDepth   *obs.Gauge
@@ -29,8 +26,6 @@ type EngineMetrics struct {
 	mispredicts  *obs.CounterFamily
 	instructions *obs.CounterFamily
 	runSeconds   *obs.QuantileFamily
-	predictLat   *obs.QuantileHistogram
-	updateLat    *obs.QuantileHistogram
 	// Provenance families, populated only by explained runs
 	// (Options.Explain + an Explainer predictor).
 	mispredictCauses *obs.CounterFamily
@@ -70,10 +65,6 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 			"instructions covered by completed runs, by predictor", "predictor"),
 		runSeconds: reg.QuantileFamily("bfbp_engine_run_seconds",
 			"per-cell wall time by predictor (summary quantiles)", "predictor"),
-		predictLat: reg.Quantile("bfbp_harness_predict_seconds",
-			"sampled Predict latency (summary quantiles)"),
-		updateLat: reg.Quantile("bfbp_harness_update_seconds",
-			"sampled Update latency (summary quantiles)"),
 		mispredictCauses: reg.CounterFamily("bfbp_mispredict_total",
 			"explained mispredictions by taxonomy cause", "predictor", "cause"),
 		tableOccupancy: reg.GaugeFamily("bfbp_table_occupancy",
@@ -89,20 +80,9 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 	return m
 }
 
-// Probe returns the sampled predict/update latency probe backed by
-// these metrics, for wiring into
-// Options.Probe. Nil-safe.
-func (m *EngineMetrics) Probe() *HarnessProbe {
-	if m == nil {
-		return nil
-	}
-	return &HarnessProbe{Predict: m.predictLat, Update: m.updateLat}
-}
-
-// observe folds one engine event into the metric set. Every family but
-// the sampled harness latencies derives from events alone, so feeding
-// a journal's events back through observe rebuilds the live scrape.
-// Nil-safe.
+// observe folds one engine event into the metric set. Every family
+// derives from events alone, so feeding a journal's events back
+// through observe rebuilds the live scrape. Nil-safe.
 func (m *EngineMetrics) observe(ev Event) {
 	if m == nil {
 		return
@@ -184,8 +164,6 @@ type EngineSnapshot struct {
 	Workers, Queued, Busy int64
 	RunsOK, RunsFailed    uint64
 	Branches              uint64
-	PredictSamples        uint64
-	UpdateSamples         uint64
 }
 
 // Snapshot reads the current metric values. Nil-safe.
@@ -194,27 +172,11 @@ func (m *EngineMetrics) Snapshot() EngineSnapshot {
 		return EngineSnapshot{}
 	}
 	return EngineSnapshot{
-		Workers:        int64(m.workers.Value()),
-		Queued:         int64(m.queueDepth.Value()),
-		Busy:           int64(m.busyWorkers.Value()),
-		RunsOK:         m.runsOK.Value(),
-		RunsFailed:     m.runsFailed.Value(),
-		Branches:       m.branches.Value(),
-		PredictSamples: m.predictLat.Count(),
-		UpdateSamples:  m.updateLat.Count(),
+		Workers:    int64(m.workers.Value()),
+		Queued:     int64(m.queueDepth.Value()),
+		Busy:       int64(m.busyWorkers.Value()),
+		RunsOK:     m.runsOK.Value(),
+		RunsFailed: m.runsFailed.Value(),
+		Branches:   m.branches.Value(),
 	}
-}
-
-// probePeriod is HarnessProbe's sampling period in branches: a power
-// of two, so the hot loop's "sample this branch?" test compiles to one
-// AND.
-const probePeriod = 64
-
-// HarnessProbe samples predict/update latencies inside RunContext's hot
-// loop. Only every probePeriod'th branch is timed, so the cost is two
-// time.Now calls per period rather than per branch.
-type HarnessProbe struct {
-	// Predict and Update receive the sampled latencies in seconds.
-	Predict *obs.QuantileHistogram
-	Update  *obs.QuantileHistogram
 }

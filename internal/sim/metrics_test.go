@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -38,10 +38,6 @@ func TestEngineMetricsCollection(t *testing.T) {
 	if s.Queued != 0 || s.Busy != 0 || s.Workers != 0 {
 		t.Fatalf("live gauges not reset: %+v", s)
 	}
-	// The injected probe sampled predict and update latencies.
-	if s.PredictSamples == 0 || s.UpdateSamples == 0 {
-		t.Fatalf("probe collected no samples: %+v", s)
-	}
 	// The run-seconds family carries one series per predictor.
 	var prom strings.Builder
 	if err := reg.WritePrometheus(&prom); err != nil {
@@ -51,7 +47,6 @@ func TestEngineMetricsCollection(t *testing.T) {
 		`bfbp_engine_runs_total{status="ok"} 8`,
 		`bfbp_engine_run_seconds_count{predictor="toy"} 4`,
 		`bfbp_engine_run_seconds_count{predictor="static-taken"} 4`,
-		"bfbp_harness_predict_seconds_count",
 	} {
 		if !strings.Contains(prom.String(), frag) {
 			t.Fatalf("prometheus export missing %q:\n%s", frag, prom.String())
@@ -210,131 +205,36 @@ func (a *accountingToy) Storage() Breakdown {
 	return Breakdown{Name: "acct", Components: []Component{{Name: "table", Bits: 128}}}
 }
 
-func TestHarnessProbeSampling(t *testing.T) {
-	reg := obs.NewRegistry()
-	pr := &HarnessProbe{
-		Predict: reg.Quantile("p", ""),
-		Update:  reg.Quantile("u", ""),
-	}
-	recs := mkTrace(make([]bool, 1024))
-	if _, err := Run(&StaticPredictor{}, recs.Stream(), Options{Probe: pr}); err != nil {
-		t.Fatal(err)
-	}
-	// 1024 branches at one sample per 64: exactly 16 predict samples.
-	if pr.Predict.Count() != 16 || pr.Update.Count() != 16 {
-		t.Fatalf("samples = %d/%d, want 16/16", pr.Predict.Count(), pr.Update.Count())
-	}
-	// Probe with delayed update still samples the update path.
-	pr2 := &HarnessProbe{Predict: pr.Predict, Update: reg.Quantile("u2", "")}
-	if _, err := Run(&StaticPredictor{}, recs.Stream(), Options{Probe: pr2, UpdateDelay: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if pr2.Update.Count() == 0 {
-		t.Fatal("delayed-update path not sampled")
-	}
-}
-
-// Instrumented runs must produce identical statistics to bare runs: the
-// probe only times calls, it never changes the simulation.
+// A fully observed engine must produce the same statistics as a bare
+// one: metrics, journal, tracer, windows and state probes observe the
+// run, they never change it.
 func TestProbeDoesNotPerturbStats(t *testing.T) {
 	s, ok := workload.ByName("MM1")
 	if !ok {
 		t.Fatal("MM1 missing")
 	}
-	opt := Options{Warmup: 2_000, Window: 3_000, PerPC: true}
-	bare, err := Run(&toyShare{}, s.Source(20_000).Open(), opt)
+	jobs := Matrix(
+		[]TraceSource{s.Source(20_000)},
+		[]PredictorSpec{{Name: "toy", New: func() Predictor { return &probeToy{} }}},
+		Options{Warmup: 2_000, Window: 3_000, PerPC: true, ProbeStateEvery: 4096},
+	)
+	bare, err := (&Engine{Workers: 1}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	opt.Probe = NewEngineMetrics(reg).Probe()
-	probed, err := Run(&toyShare{}, s.Source(20_000).Open(), opt)
+	tr := obs.NewTracer(discard{})
+	observed := Engine{Workers: 1, Metrics: NewEngineMetrics(obs.NewRegistry()),
+		Journal: obs.NewJournal(discard{}), Tracer: tr}
+	got, err := observed.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.Branches != probed.Branches || bare.Mispredicts != probed.Mispredicts ||
-		bare.Instructions != probed.Instructions || len(bare.Windows) != len(probed.Windows) {
-		t.Fatalf("probe perturbed stats: %+v vs %+v", bare, probed)
-	}
-}
-
-// Probed runs must stay close to the uninstrumented path. The
-// acceptance bound is <5% suite wall time; this guard allows 50% on a
-// min-of-5 measurement purely to absorb CI noise — the real comparison
-// lives in BenchmarkHarnessTelemetry, where the off path is a single
-// nil test per branch. Each leg is timed in process CPU time, so time
-// the host gives to other processes is left out, and off and probed
-// legs alternate, so a burst of machine load slows both sides instead
-// of one. Under the race detector the probed leg pays for the
-// instrumentation of the probe's atomics, not for telemetry, so the
-// guard runs only in builds without -race.
-func TestTelemetryOffOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	if raceEnabled {
-		t.Skip("timing test: the race detector's instrumentation dominates the probed leg")
-	}
-	s, ok := workload.ByName("SPEC01")
-	if !ok {
-		t.Fatal("SPEC01 missing")
-	}
-	timed := func(opt Options) time.Duration {
-		start := cpuTime(t)
-		if _, err := Run(&toyShare{}, s.Source(150_000).Open(), opt); err != nil {
-			t.Fatal(err)
-		}
-		return cpuTime(t) - start
-	}
-	probe := Options{Probe: NewEngineMetrics(obs.NewRegistry()).Probe()}
-	off, probed := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < 5; i++ {
-		off = min(off, timed(Options{}))
-		probed = min(probed, timed(probe))
-	}
-	if probed > off*3/2 {
-		t.Fatalf("sampled telemetry cost too high: off %v vs probed %v of CPU time", off, probed)
-	}
-}
-
-// cpuTime returns the CPU time the test process has used, user and
-// system, summed over its threads.
-func cpuTime(t *testing.T) time.Duration {
-	t.Helper()
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-}
-
-// BenchmarkHarnessTelemetry pins the acceptance criterion: the "off"
-// path (no probe — exactly what runs when no telemetry flag is set)
-// versus the sampled probe path. Compare with benchstat; "off" must be
-// within 5% of PR 1 and "probe" within a few percent of "off".
-func BenchmarkHarnessTelemetry(b *testing.B) {
-	s, ok := workload.ByName("SPEC00")
-	if !ok {
-		b.Fatal("SPEC00 missing")
+	if !reflect.DeepEqual(bare[0].Stats, got[0].Stats) {
+		t.Fatalf("observation perturbed stats: %+v vs %+v", bare[0].Stats, got[0].Stats)
 	}
-	const n = 200_000
-	bench := func(opt Options) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st, err := Run(&toyShare{}, s.Source(n).Open(), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Branches == 0 {
-					b.Fatal("empty run")
-				}
-			}
-			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds()/1e6, "Mbranches/s")
-		}
-	}
-	b.Run("off", bench(Options{}))
-	reg := obs.NewRegistry()
-	b.Run("probe", bench(Options{Probe: NewEngineMetrics(reg).Probe()}))
 }
 
 // BenchmarkEngineTelemetry measures a whole 2-job suite with every

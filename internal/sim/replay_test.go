@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -50,9 +49,8 @@ func decodeEvent(t *testing.T, ev journalq.Event) Event {
 }
 
 // The journal is the canonical record: feeding a journal's events back
-// through a fresh EngineMetrics rebuilds the live Prometheus scrape.
-// Only the harness latency summaries differ — they are sampled in the
-// hot loop and never journaled.
+// through a fresh EngineMetrics rebuilds the live Prometheus scrape,
+// every line of it.
 func TestJournalReplayMatchesLiveScrape(t *testing.T) {
 	var buf strings.Builder
 	j := obs.NewJournal(&buf)
@@ -102,19 +100,12 @@ func TestJournalReplayMatchesLiveScrape(t *testing.T) {
 		}
 	}
 
-	sampled := regexp.MustCompile(`bfbp_harness_(predict|update)_seconds`)
 	scrape := func(reg *obs.Registry) string {
 		var b strings.Builder
 		if err := reg.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
-		var keep []string
-		for _, line := range strings.Split(b.String(), "\n") {
-			if !sampled.MatchString(line) {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
+		return b.String()
 	}
 	want, got := scrape(live), scrape(replayed)
 	for _, frag := range []string{

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"bfbp/internal/obs"
 	"bfbp/internal/trace"
@@ -249,11 +248,6 @@ type Options struct {
 	// installs its own, forwarding to its receivers, when telemetry is
 	// attached; a per-job OnEvent still sees the run-local events first.
 	OnEvent func(Event)
-	// Probe, when non-nil, samples Predict/Update latencies into its
-	// histograms once every 64 branches. The engine injects one
-	// automatically when Engine.Metrics is set; a nil Probe runs the
-	// uninstrumented hot path.
-	Probe *HarnessProbe
 	// Explain enables the decision-trace recorder: when the predictor
 	// implements Explainer, every post-warmup prediction is attributed to
 	// its supplying component (and provider bank, for TAGE-class
@@ -344,7 +338,6 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 	if opt.PerPC {
 		stats.perPC = make(map[uint64]*pcStat)
 	}
-	probe := opt.Probe
 	var dt *decisionTrace
 	if opt.Explain {
 		if ex, ok := p.(Explainer); ok {
@@ -386,18 +379,7 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 			return stats, fmt.Errorf("sim: trace read: %w", err)
 		}
 		for _, rec := range batch[:n] {
-			// Sampled latency probe: time every probePeriod'th branch so
-			// instrumentation costs two clock reads per period, not per
-			// branch. The nil-probe path is a single predictable test.
-			sample := probe != nil && stats.Branches%probePeriod == 0
-			var pred bool
-			if sample {
-				t0 := time.Now()
-				pred = p.Predict(rec.PC)
-				probe.Predict.Observe(time.Since(t0).Seconds())
-			} else {
-				pred = p.Predict(rec.PC)
-			}
+			pred := p.Predict(rec.PC)
 			inWarmup := stats.Branches < opt.Warmup
 			stats.Branches++
 			if !inWarmup {
@@ -454,13 +436,7 @@ func RunContext(ctx context.Context, p Predictor, r trace.Reader, opt Options) (
 				dqHead = (dqHead + 1) % len(dq)
 				dqLen--
 			}
-			if sample {
-				t0 := time.Now()
-				p.Update(u.pc, u.taken, u.target)
-				probe.Update.Observe(time.Since(t0).Seconds())
-			} else {
-				p.Update(u.pc, u.taken, u.target)
-			}
+			p.Update(u.pc, u.taken, u.target)
 		}
 		bsp.Attr("records", n).End()
 		// Checkpoints land on batch boundaries: every prediction issued so

@@ -1,9 +1,8 @@
 // Package telemetry wires the obs substrate into the command-line
 // tools: one call turns the -metrics-addr / -journal / -heartbeat /
-// -trace-out / -runtime-trace flags into a live metrics endpoint
-// (Prometheus text + net/http/pprof), a bfbp.journal.v1
-// JSONL file, a bfbp.trace.v1 execution-span timeline (loadable in
-// Perfetto or chrome://tracing), an optional runtime/trace capture,
+// -trace-out flags into a live metrics endpoint (Prometheus text +
+// net/http/pprof), a bfbp.journal.v1 JSONL file, a bfbp.trace.v1
+// execution-span timeline (loadable in Perfetto or chrome://tracing),
 // and a periodic stderr heartbeat summarising engine progress.
 //
 // Everything degrades to zero cost when disabled: Start returns a nil
@@ -16,7 +15,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	rtrace "runtime/trace"
 	"sync"
 	"time"
 
@@ -40,11 +38,6 @@ type Config struct {
 	// timeline (Chrome trace-event JSON, loadable in Perfetto) to this
 	// file (created or truncated).
 	TracePath string
-	// RuntimeTracePath, when non-empty, captures a Go runtime/trace to
-	// this file and bridges bfbp spans into it as tasks and regions, so
-	// `go tool trace` shows suite/run/batch slices alongside scheduler
-	// and GC events.
-	RuntimeTracePath string
 }
 
 // T is a running telemetry stack. A nil *T is valid and inert.
@@ -66,7 +59,6 @@ type T struct {
 	server      *http.Server
 	journalFile *os.File
 	traceFile   *os.File
-	rtFile      *os.File
 	stop        chan struct{}
 	stopped     chan struct{}
 	closeOnce   sync.Once
@@ -76,7 +68,7 @@ type T struct {
 // Enabled reports whether cfg requests any telemetry.
 func (cfg Config) Enabled() bool {
 	return cfg.MetricsAddr != "" || cfg.JournalPath != "" || cfg.Heartbeat > 0 ||
-		cfg.TracePath != "" || cfg.RuntimeTracePath != ""
+		cfg.TracePath != ""
 }
 
 // Start brings up the requested sinks. It returns (nil, nil) when cfg
@@ -107,23 +99,6 @@ func Start(cfg Config) (*T, error) {
 		}
 		t.journalFile = f
 		t.Journal = obs.NewJournal(f)
-	}
-
-	if cfg.RuntimeTracePath != "" {
-		f, err := os.Create(cfg.RuntimeTracePath)
-		if err != nil {
-			t.closeSinks()
-			return nil, fmt.Errorf("telemetry: runtime trace: %w", err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			f.Close()
-			t.closeSinks()
-			return nil, fmt.Errorf("telemetry: runtime trace: %w", err)
-		}
-		t.rtFile = f
-		if t.Tracer != nil {
-			t.Tracer.BridgeRuntime = true
-		}
 	}
 
 	if cfg.MetricsAddr != "" {
@@ -226,10 +201,6 @@ func human(v float64) string {
 // closeSinks tears down the file-backed sinks opened so far — used on
 // Start error paths before T escapes to the caller.
 func (t *T) closeSinks() {
-	if t.rtFile != nil {
-		rtrace.Stop()
-		_ = t.rtFile.Close()
-	}
 	if t.traceFile != nil {
 		_ = t.Tracer.Close()
 		_ = t.traceFile.Close()
@@ -240,10 +211,10 @@ func (t *T) closeSinks() {
 	}
 }
 
-// Close stops the heartbeat, seals the trace and runtime-trace
-// captures, flushes and closes the journal, and shuts the metrics
-// server down. Nil-safe and idempotent; returns the first error (on
-// every call, so a deferred second Close is harmless).
+// Close stops the heartbeat, seals the trace, flushes and closes the
+// journal, and shuts the metrics server down. Nil-safe and idempotent;
+// returns the first error (on every call, so a deferred second Close
+// is harmless).
 func (t *T) Close() error {
 	if t == nil {
 		return nil
@@ -260,12 +231,6 @@ func (t *T) Close() error {
 		}
 		if t.traceFile != nil {
 			if err := t.traceFile.Close(); err != nil && t.closeErr == nil {
-				t.closeErr = err
-			}
-		}
-		if t.rtFile != nil {
-			rtrace.Stop()
-			if err := t.rtFile.Close(); err != nil && t.closeErr == nil {
 				t.closeErr = err
 			}
 		}

@@ -64,7 +64,7 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 	jobs := sim.Matrix(
 		[]sim.TraceSource{spec.Source(20_000)},
 		[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1<<12, 2) }}},
-		sim.Options{Window: 5_000, Probe: tel.Engine.Probe(), ProbeStateEvery: 4_096},
+		sim.Options{Window: 5_000, ProbeStateEvery: 4_096},
 	)
 	if _, err := eng.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
@@ -91,14 +91,8 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", frag, metrics)
 		}
 	}
-	for _, name := range []string{
-		"bfbp_engine_run_seconds",
-		"bfbp_harness_predict_seconds",
-		"bfbp_harness_update_seconds",
-	} {
-		if summaryCount(metrics, name) == 0 {
-			t.Errorf("/metrics %s has no quantile samples:\n%s", name, metrics)
-		}
+	if summaryCount(metrics, "bfbp_engine_run_seconds") == 0 {
+		t.Errorf("/metrics bfbp_engine_run_seconds has no quantile samples:\n%s", metrics)
 	}
 
 	// The heartbeat line reports the finished run.
@@ -264,16 +258,15 @@ func TestStartTraceExport(t *testing.T) {
 	}
 }
 
-// A sampled harness latency lands only in the bfbp_harness_* quantiles:
-// a traced, metered run writes no slice per sampled branch and
-// registers no span-duration family, so its timeline grows with record
-// batches, not with branches/64.
-func TestTracedRunKeepsHarnessLatencyInProbe(t *testing.T) {
+// A traced, metered run writes no slice per branch and registers no
+// span-duration family: its timeline grows with record batches, not
+// with branches.
+func TestTracedRunSlicesPerBatch(t *testing.T) {
 	spec, ok := workload.ByName("INT1")
 	if !ok {
 		t.Fatal("INT1 missing")
 	}
-	run := func(n int) (slices int, samples uint64) {
+	run := func(n int) (slices int) {
 		dir := t.TempDir()
 		tracePath := filepath.Join(dir, "run.trace.json")
 		tel, err := Start(Config{TracePath: tracePath})
@@ -295,15 +288,7 @@ func TestTracedRunKeepsHarnessLatencyInProbe(t *testing.T) {
 		if err := tel.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// One predict and one update sample per 64 branches, the first
-		// at branch 0.
 		branches := res[0].Stats.Branches
-		want := (branches + 63) / 64
-		snap := tel.Engine.Snapshot()
-		if snap.PredictSamples != want || snap.UpdateSamples != want {
-			t.Errorf("%d branches: %d/%d harness samples, want %d/%d",
-				branches, snap.PredictSamples, snap.UpdateSamples, want, want)
-		}
 		var prom strings.Builder
 		if err := tel.Registry.WritePrometheus(&prom); err != nil {
 			t.Fatal(err)
@@ -337,13 +322,15 @@ func TestTracedRunKeepsHarnessLatencyInProbe(t *testing.T) {
 		if phases > 0 {
 			t.Errorf("%d branches: timeline has %d predict/update slices", n, phases)
 		}
-		return slices, want
+		// The suite and run spans, one batch span per 4096-record read
+		// and one for the read that meets the end of the trace.
+		if want := 3 + int(branches+4095)/4096; slices != want {
+			t.Errorf("%d branches: %d slices, want %d", branches, slices, want)
+		}
+		return slices
 	}
-	shortX, shortS := run(20_000)
-	longX, longS := run(200_000)
-	if longX-shortX >= int(longS-shortS)/8 {
-		t.Fatalf("slices grew from %d to %d while samples grew from %d to %d",
-			shortX, longX, shortS, longS)
+	if short, long := run(20_000), run(200_000); long <= short {
+		t.Fatalf("slices did not grow with batches: %d for 20k branches, %d for 200k", short, long)
 	}
 }
 

@@ -20,6 +20,10 @@ type skipReader struct {
 	buf  []Record
 	pos  int // read cursor into buf
 	fill int // valid records in buf
+	// one is Read's scratch record. A local array would escape to the
+	// heap on every call, since ReadBatch hands dst to the inner
+	// reader's interface method.
+	one [1]Record
 }
 
 // ReadBatch implements BatchReader: the skip itself runs through batch
@@ -51,13 +55,12 @@ func (s *skipReader) ReadBatch(dst []Record) (int, error) {
 
 // Read implements Reader.
 func (s *skipReader) Read() (Record, error) {
-	var one [1]Record
-	n, err := s.ReadBatch(one[:])
+	n, err := s.ReadBatch(s.one[:])
 	if n == 0 {
 		if err == nil {
 			err = io.EOF
 		}
 		return Record{}, err
 	}
-	return one[0], nil
+	return s.one[0], nil
 }

@@ -84,3 +84,17 @@ func TestSkipZeroReturnsSameReader(t *testing.T) {
 		t.Fatal("Skip(r, 0) should return r unchanged")
 	}
 }
+
+// Read on a skipped trace must not allocate: its one-record scratch
+// lives in the reader, not on the heap per call.
+func TestSkipReadAllocs(t *testing.T) {
+	r := Skip(skipFixture(10000).Stream(), 100)
+	avg := testing.AllocsPerRun(1000, func() {
+		if _, err := r.Read(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("skipReader.Read allocated %.2f times per call, want 0", avg)
+	}
+}

@@ -22,21 +22,13 @@ type specReader struct {
 	pos int
 }
 
+// Read implements trace.Reader as a one-record ReadBatch.
 func (r *specReader) Read() (trace.Record, error) {
-	e := r.g.e
-	for r.pos >= len(e.out) {
-		if e.full() {
-			return trace.Record{}, io.EOF
-		}
-		// Recycle the burst buffer and synthesise the next burst.
-		e.drained += len(e.out)
-		e.out = e.out[:0]
-		r.pos = 0
-		r.g.stepOnce()
+	var one [1]trace.Record
+	if _, err := r.ReadBatch(one[:]); err != nil {
+		return trace.Record{}, err
 	}
-	rec := e.out[r.pos]
-	r.pos++
-	return rec, nil
+	return one[0], nil
 }
 
 // ReadBatch implements trace.BatchReader: it copies whole kernel bursts
@@ -54,6 +46,7 @@ func (r *specReader) ReadBatch(dst []trace.Record) (int, error) {
 				}
 				return 0, io.EOF
 			}
+			// Recycle the burst buffer and synthesise the next burst.
 			e.drained += len(e.out)
 			e.out = e.out[:0]
 			r.pos = 0

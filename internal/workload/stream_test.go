@@ -75,6 +75,29 @@ func TestStreamBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// Read must not allocate once the burst buffer has grown to the
+// deepest kernel round: it is a one-record ReadBatch on the stack.
+func TestStreamReadAllocs(t *testing.T) {
+	s, ok := ByName("SPEC03")
+	if !ok {
+		t.Fatal("SPEC03 missing")
+	}
+	r := s.Stream(100_000)
+	for i := 0; i < 20_000; i++ {
+		if _, err := r.Read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(10_000, func() {
+		if _, err := r.Read(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("specReader.Read allocated %.2f times per call, want 0", avg)
+	}
+}
+
 // A second Open on the same SpecSource must restart from scratch.
 func TestSpecSourceFreshReaders(t *testing.T) {
 	s, ok := ByName("FP3")

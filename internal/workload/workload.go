@@ -151,10 +151,6 @@ func (g *generator) stepOnce() {
 	g.kernels[idx].step(g.e)
 }
 
-// Reader returns a streaming reader over a freshly generated trace of n
-// branches. It is equivalent to s.Stream(n).
-func (s Spec) Reader(n int) trace.Reader { return s.Stream(n) }
-
 // Reseed returns a copy of the spec whose random streams are re-derived
 // from the given variant number, keeping the same behavioural structure
 // (kernels, shares, distances) but fresh outcomes and interleavings.

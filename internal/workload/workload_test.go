@@ -131,7 +131,7 @@ func TestBiasProfileVariesAcrossSuite(t *testing.T) {
 	var lo, hi = 2.0, -1.0
 	for _, name := range []string{"SPEC02", "SPEC06", "SPEC18", "SPEC03", "FP1", "SERV2"} {
 		s, _ := ByName(name)
-		st, err := ProfileBias(s.Reader(60000))
+		st, err := ProfileBias(s.Stream(60000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestBiasProfileVariesAcrossSuite(t *testing.T) {
 func TestHighBiasTraces(t *testing.T) {
 	for _, name := range []string{"SPEC02", "SPEC06", "SPEC09"} {
 		s, _ := ByName(name)
-		st, err := ProfileBias(s.Reader(60000))
+		st, err := ProfileBias(s.Stream(60000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,11 +296,11 @@ func TestReseedVariants(t *testing.T) {
 		t.Fatal("variants must have distinct seeds")
 	}
 	// Same structure: bias profiles should be close across variants.
-	p0, err := ProfileBias(s.Reader(40000))
+	p0, err := ProfileBias(s.Stream(40000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := ProfileBias(v1.Reader(40000))
+	p1, err := ProfileBias(v1.Stream(40000))
 	if err != nil {
 		t.Fatal(err)
 	}

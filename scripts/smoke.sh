@@ -6,8 +6,8 @@
 #
 #   trace     two identical-seed suites, one traced; their journals must
 #             `journal diff` clean, and the timeline must hold no
-#             per-branch "predict" or "update" slice (sampled harness
-#             latencies go to the bfbp_harness_* quantiles only).
+#             per-branch "predict" or "update" slice: the harness
+#             records one slice per record batch, never one per branch.
 #   flags     a count flag below its floor (a negative -n, -delay,
 #             -skip, -workers, ...), a flag value that would run without
 #             effect (-probe-state-every 0, -probe-state-every without
@@ -15,7 +15,8 @@
 #             -skip as long as the trace, a warm-up as long as what
 #             -skip leaves), an unknown trace or figure, a -seeds too
 #             small for a variance, or a flag the command does not
-#             define (analyze has no -journal) must exit 2 with a
+#             define (analyze has no -journal, and neither bfsim nor
+#             experiments has -runtime-trace) must exit 2 with a
 #             message and no panic.
 #   snapshot  for each headline predictor, every engine and history
 #             included, a straight run must equal a split run (half with
@@ -98,6 +99,8 @@ bfsim -t SERV1 -p bimodal -n 1000 -probe-state-every 100
 bfsim -t SERV1 -p bimodal -n 1000 -checkpoint-every 100
 analyze -t SERV1 -p bimodal -n 1000 -offenders -1
 analyze -t SERV1 -p bimodal -n 1000 -journal $OUT/none.jsonl
+bfsim -t SERV1 -p bimodal -n 1000 -runtime-trace $OUT/none.rtrace
+experiments -fig 2 -runtime-trace $OUT/none.rtrace
 experiments -variance NOPE
 experiments -fig 99
 experiments -fig 2 -traces NOPE
