@@ -82,14 +82,15 @@ smoke:
 
 # Go microbenchmarks: root package, engine/telemetry overhead, and the
 # hot-path kernels (key-map lookup and sync, fold-bank push, segmented
-# recency-stack commit, the BF-GHR's classify-commit-sync-keys step, the
-# two dot-product kernels, the three flagship cores' probe paths and
-# oh-snap's predict/update).
+# recency-stack commit, the two dot-product kernels, the three flagship
+# cores' probe paths and oh-snap's predict/update). The BF-GHR's whole
+# per-branch step is timed only in context, by bench/'s bf-cores
+# workload: run alone in a loop it did not move when the cores did.
 BENCHTIME ?= 1s
 
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) . ./internal/sim \
-		./internal/history ./internal/rs ./internal/bfghr ./internal/dotp \
+		./internal/history ./internal/rs ./internal/dotp \
 		./internal/core/bftage ./internal/core/bfneural ./internal/core/bfgehl \
 		./internal/predictor/ohsnap
 

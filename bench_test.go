@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"bfbp"
-	"bfbp/internal/bst"
 	"bfbp/internal/experiments"
 )
 
@@ -163,18 +162,6 @@ func ablate(b *testing.B, traceName string, base, variant func() bfbp.Predictor)
 		b.ReportMetric(st0.MPKI(), "base-mpki")
 		b.ReportMetric(st1.MPKI(), "variant-mpki")
 	}
-}
-
-// BenchmarkAblationBSTCounters compares the 2-bit FSM BST with the
-// probabilistic 3-bit variant on the phase-heavy SERV3.
-func BenchmarkAblationBSTCounters(b *testing.B) {
-	ablate(b, "SERV3",
-		func() bfbp.Predictor { return bfbp.NewBFNeural(bfbp.BFNeural64KB()) },
-		func() bfbp.Predictor {
-			cfg := bfbp.BFNeural64KB()
-			cfg.Classifier = bst.NewProbTable(16384, 7)
-			return bfbp.NewBFNeural(cfg)
-		})
 }
 
 // BenchmarkAblationPositionalHistory compares full BF-Neural against the

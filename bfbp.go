@@ -68,12 +68,6 @@ type (
 	TraceSource = sim.TraceSource
 	// FuncSource adapts a label and open function to TraceSource.
 	FuncSource = sim.FuncSource
-	// SpecSource is the streaming TraceSource of a synthetic trace spec;
-	// build one with TraceSpec.Source(n).
-	SpecSource = workload.SpecSource
-	// TraceSliceSource is the in-memory TraceSource of a materialised
-	// trace; build one with Trace.Source(name).
-	TraceSliceSource = trace.NamedSlice
 	// RunResult is one completed engine cell.
 	RunResult = sim.RunResult
 	// ProgressEvent reports one completed engine cell.
@@ -93,13 +87,9 @@ type (
 	// timeline (Chrome trace-event JSON, loadable in Perfetto); assign
 	// to Engine.Tracer.
 	Tracer = obs.Tracer
-	// Span is one timed slice of a Tracer's timeline.
-	Span = obs.Span
 	// EngineMetrics is the engine metric set; assign to Engine.Metrics
 	// and it subscribes to every Run's event stream.
 	EngineMetrics = sim.EngineMetrics
-	// EngineSnapshot is a point-in-time read of the engine metrics.
-	EngineSnapshot = sim.EngineSnapshot
 )
 
 // CapabilitySet holds a predictor's optional interfaces (storage
@@ -142,8 +132,6 @@ type (
 type (
 	// TraceSpec describes one synthetic benchmark trace.
 	TraceSpec = workload.Spec
-	// Family is a workload category (SPEC, FP, INT, MM, SERV).
-	Family = workload.Family
 	// BiasStats summarises a trace's biased-branch population (Fig. 2).
 	BiasStats = workload.BiasStats
 )

@@ -110,14 +110,6 @@ type KernelReport struct {
 	Mispredicts uint64
 }
 
-// Rate returns the per-kind misprediction rate.
-func (k KernelReport) Rate() float64 {
-	if k.Branches == 0 {
-		return 0
-	}
-	return float64(k.Mispredicts) / float64(k.Branches)
-}
-
 // AttributeKernels runs the predictor over the spec's trace and groups
 // mispredictions by the kernel kind that owns each branch PC. Only
 // synthetic traces (with a known layout) can be attributed.

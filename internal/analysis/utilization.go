@@ -100,16 +100,6 @@ type CapacityShape struct {
 	Checks                           []CapacityCheck
 }
 
-// Passed reports whether every check held.
-func (s CapacityShape) Passed() bool {
-	for _, c := range s.Checks {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 // Render prints the side-by-side deep-bank numbers and the checks.
 func (s CapacityShape) Render() string {
 	var b strings.Builder

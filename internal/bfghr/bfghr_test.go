@@ -16,14 +16,29 @@ func paperConfig() Config {
 	return Config{UnfilteredBits: 16, SegBounds: PaperSegBounds(), SegSize: 8, BSTEntries: 8192}
 }
 
-// bfTage10Fields is bf-tage-10's key-map field family, on both
-// channels: per table, the index field fold_L(T) ^ fold_{L-1}(P)<<1 and
-// the tag field fold_T(T) ^ fold_{T-1}(T)<<1 over the BF-GHR's first L
-// bits.
+// bfTage10Fields is bf-tage-10's key-map field family.
 func bfTage10Fields() [][]history.Term {
-	hist := []int{3, 8, 14, 26, 40, 54, 70, 94, 118, 142}
-	logE := []int{11, 11, 11, 12, 12, 12, 11, 11, 10, 10}
-	tagB := []int{7, 7, 8, 9, 10, 11, 11, 13, 14, 15}
+	return bfTageFields(
+		[]int{3, 8, 14, 26, 40, 54, 70, 94, 118, 142},
+		[]int{11, 11, 11, 12, 12, 12, 11, 11, 10, 10},
+		[]int{7, 7, 8, 9, 10, 11, 11, 13, 14, 15})
+}
+
+// bfISLTage7Fields is bf-isl-tage-7's key-map field family: geometric
+// history lengths from 3 to 142 rather than bf-tage-10's hand-picked
+// ones.
+func bfISLTage7Fields() [][]history.Term {
+	return bfTageFields(
+		[]int{3, 6, 11, 21, 39, 75, 142},
+		[]int{12, 11, 13, 12, 11, 11, 10},
+		[]int{7, 8, 10, 11, 13, 14, 15})
+}
+
+// bfTageFields is a BF-TAGE key-map field family on both channels, given
+// each tagged table's history length, log2 entries and tag width: per
+// table, the index field fold_L(T) ^ fold_{L-1}(P)<<1 and the tag field
+// fold_T(T) ^ fold_{T-1}(T)<<1 over the BF-GHR's first L bits.
+func bfTageFields(hist, logE, tagB []int) [][]history.Term {
 	var fields [][]history.Term
 	for i, l := range hist {
 		fields = append(fields,
@@ -81,8 +96,9 @@ func checkKeys(t *testing.T, step int, g *GHR, fields [][]history.Term) {
 }
 
 // TestKeysMatchFoldWords commits SPEC03 into BF-GHRs keyed by
-// bf-tage-10's and bf-gehl's field families and checks every field
-// against FoldWords over the composed register after every commit.
+// bf-tage-10's, bf-isl-tage-7's and bf-gehl's field families and checks
+// every field against FoldWords over the composed register after every
+// commit.
 // Halfway it saves the register. At the end it loads that snapshot back
 // into the same register, whose key map Load rebuilds with Reset and
 // one Sync, and replays the second half, checking again.
@@ -92,7 +108,11 @@ func TestKeysMatchFoldWords(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		fields [][]history.Term
-	}{{"bf-tage-10", bfTage10Fields()}, {"bf-gehl", bfGEHLFields()}} {
+	}{
+		{"bf-tage-10", bfTage10Fields()},
+		{"bf-isl-tage-7", bfISLTage7Fields()},
+		{"bf-gehl", bfGEHLFields()},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := New(paperConfig(), tc.fields)
 			checkKeys(t, 0, g, tc.fields)
@@ -119,28 +139,3 @@ func TestKeysMatchFoldWords(t *testing.T) {
 		})
 	}
 }
-
-// BenchmarkCommitKeys times the BF-GHR's per-branch work for
-// bf-tage-10: classify, commit into the segmented stacks, sync the key
-// map, then read every field from Keys, over SPEC03's first 100,000
-// branches.
-func BenchmarkCommitKeys(b *testing.B) {
-	tr := spec03(b, 100_000)
-	fields := bfTage10Fields()
-	g := New(paperConfig(), fields)
-	g.Keys() // tabulates the key map's rows
-	var sink uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := tr[i%len(tr)]
-		g.Commit(r.PC, r.Taken)
-		kw := g.Keys()
-		for f := range fields {
-			sink ^= g.Field(kw, f)
-		}
-	}
-	benchSink = sink
-}
-
-var benchSink uint64

@@ -3,12 +3,9 @@
 // state machines that classify each static branch, on the fly, as
 // not-yet-seen, biased taken, biased not-taken, or non-biased.
 //
-// Three classifier variants are provided:
+// Two classifier variants are provided:
 //
-//   - the 2-bit FSM of the paper's feasibility study (the default),
-//   - a probabilistic 3-bit counter variant the paper advocates for a
-//     production design (it can revert non-biased branches back to biased
-//     when an application changes phase), and
+//   - the 2-bit FSM of the paper's feasibility study (the default), and
 //   - a static profile-assisted Oracle built from a prior pass over the
 //     trace, used in §VI-D to recover SERV3/FP1/MM5 accuracy.
 package bst
@@ -17,8 +14,6 @@ import (
 	"errors"
 	"io"
 
-	"bfbp/internal/counters"
-	"bfbp/internal/rng"
 	"bfbp/internal/sim"
 	"bfbp/internal/trace"
 )
@@ -128,90 +123,6 @@ func (t *Table) StateCounts() [4]int {
 	return counts
 }
 
-// ProbTable is the probabilistic-counter Branch Status Table (§IV-B1).
-// Each entry holds the currently assumed bias direction plus a 3-bit
-// probabilistic confidence counter. Outcomes matching the assumed direction
-// attempt a probabilistic increment; a contrary outcome decrements the
-// counter, and only when confidence has drained to zero does the entry
-// flip classification. High confidence (saturated counter) marks the
-// branch biased; anything below the bias threshold is treated as
-// non-biased. Unlike the 2-bit FSM, a long biased phase can therefore
-// reclassify a branch from non-biased back to biased.
-type ProbTable struct {
-	dir       []bool
-	seen      []bool
-	conf      []counters.Probabilistic
-	mask      uint64
-	biasAbove uint32
-}
-
-// NewProbTable returns a probabilistic BST with the given power-of-two
-// entry count. Confidence counters are 3-bit with growth exponent 2, so
-// saturation represents on the order of a thousand consistent outcomes.
-func NewProbTable(entries int, seed uint64) *ProbTable {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("bst: entries must be a positive power of two")
-	}
-	r := rng.New(seed)
-	t := &ProbTable{
-		dir:       make([]bool, entries),
-		seen:      make([]bool, entries),
-		conf:      make([]counters.Probabilistic, entries),
-		mask:      uint64(entries - 1),
-		biasAbove: 2,
-	}
-	for i := range t.conf {
-		t.conf[i] = counters.NewProbabilistic(3, 2, r)
-	}
-	return t
-}
-
-// Lookup classifies pc: unknown entries are NotFound, high-confidence
-// entries report their bias direction, low-confidence entries are
-// NonBiased.
-func (t *ProbTable) Lookup(pc uint64) State {
-	i := pc & t.mask
-	if !t.seen[i] {
-		return NotFound
-	}
-	if t.conf[i].Value() > t.biasAbove {
-		if t.dir[i] {
-			return Taken
-		}
-		return NotTaken
-	}
-	return NonBiased
-}
-
-// Update trains the entry with a committed outcome.
-func (t *ProbTable) Update(pc uint64, taken bool) {
-	i := pc & t.mask
-	if !t.seen[i] {
-		t.seen[i] = true
-		t.dir[i] = taken
-		// Jump-start confidence so a branch starts out biased, matching
-		// the FSM's behaviour of predicting the first observed direction.
-		t.conf[i].Inc()
-		t.conf[i].Inc()
-		t.conf[i].Inc()
-		return
-	}
-	if taken == t.dir[i] {
-		t.conf[i].Inc()
-		return
-	}
-	if t.conf[i].Value() == 0 {
-		// Confidence exhausted: flip the assumed direction.
-		t.dir[i] = taken
-		return
-	}
-	t.conf[i].Dec()
-}
-
-// StorageBits returns 3 confidence bits + 1 direction bit + 1 valid bit
-// per entry.
-func (t *ProbTable) StorageBits() int { return 5 * len(t.dir) }
-
 // Oracle is the static profile-assisted classifier of §VI-D: branch bias
 // is decided by a profiling pre-pass over the whole trace, so dynamic
 // detection transients disappear. Branches never observed in the profile
@@ -274,7 +185,6 @@ func (o *Oracle) StorageBits() int { return 0 }
 
 var (
 	_ Classifier = (*Table)(nil)
-	_ Classifier = (*ProbTable)(nil)
 	_ Classifier = (*Oracle)(nil)
 )
 

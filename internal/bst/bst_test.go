@@ -125,64 +125,6 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestProbTableBasicBias(t *testing.T) {
-	b := NewProbTable(16, 1)
-	for i := 0; i < 50; i++ {
-		b.Update(5, true)
-	}
-	if b.Lookup(5) != Taken {
-		t.Fatalf("consistently-taken branch = %v, want Taken", b.Lookup(5))
-	}
-}
-
-func TestProbTableBecomesNonBiased(t *testing.T) {
-	b := NewProbTable(16, 2)
-	for i := 0; i < 50; i++ {
-		b.Update(5, i%2 == 0)
-	}
-	if b.Lookup(5) != NonBiased {
-		t.Fatalf("alternating branch = %v, want NonBiased", b.Lookup(5))
-	}
-}
-
-func TestProbTableRevertsAfterPhaseChange(t *testing.T) {
-	// The whole point of the probabilistic BST: after a long new phase in
-	// one direction, a formerly non-biased branch becomes biased again.
-	b := NewProbTable(16, 3)
-	for i := 0; i < 40; i++ {
-		b.Update(5, i%2 == 0) // phase 1: alternating -> non-biased
-	}
-	if b.Lookup(5) != NonBiased {
-		t.Fatalf("after phase 1: %v, want NonBiased", b.Lookup(5))
-	}
-	for i := 0; i < 100000; i++ {
-		b.Update(5, true) // phase 2: long biased run
-	}
-	if got := b.Lookup(5); got != Taken {
-		t.Fatalf("after long taken phase: %v, want Taken", got)
-	}
-}
-
-func TestProbTableNotFound(t *testing.T) {
-	b := NewProbTable(16, 4)
-	if b.Lookup(1) != NotFound {
-		t.Fatal("fresh probabilistic entry should be NotFound")
-	}
-}
-
-func TestProbTableDeterministic(t *testing.T) {
-	a, b := NewProbTable(64, 9), NewProbTable(64, 9)
-	for i := 0; i < 5000; i++ {
-		pc := uint64(i % 40)
-		taken := i%3 == 0
-		a.Update(pc, taken)
-		b.Update(pc, taken)
-		if a.Lookup(pc) != b.Lookup(pc) {
-			t.Fatalf("same-seed prob tables diverged at step %d", i)
-		}
-	}
-}
-
 func TestOracleClassification(t *testing.T) {
 	o := NewOracle()
 	o.Observe(1, true)

@@ -9,20 +9,17 @@ import (
 	"fmt"
 	"sort"
 
-	"bfbp/internal/counters"
 	"bfbp/internal/state"
 )
 
 // KindOf returns a short stable tag naming c's concrete classifier
-// variant — "none" for nil, "fsm2", "prob3", or "oracle".
+// variant — "none" for nil, "fsm2", or "oracle".
 func KindOf(c Classifier) string {
 	switch c.(type) {
 	case nil:
 		return "none"
 	case *Table:
 		return "fsm2"
-	case *ProbTable:
-		return "prob3"
 	case *Oracle:
 		return "oracle"
 	default:
@@ -41,13 +38,6 @@ func SaveClassifier(e *state.Enc, c Classifier) error {
 			raw[i] = byte(s)
 		}
 		e.Bytes(raw)
-	case *ProbTable:
-		e.Bools(t.seen)
-		e.Bools(t.dir)
-		counters.SaveProbabilistic(e, t.conf)
-		// Every counter in the bank shares one generator: save its stream
-		// position once.
-		e.U64(t.conf[0].RNG().State())
 	case *Oracle:
 		pcs := make([]uint64, 0, len(t.class))
 		for pc := range t.class {
@@ -86,16 +76,6 @@ func LoadClassifier(d *state.Dec, c Classifier) (install func()) {
 			for i, b := range raw {
 				t.states[i] = State(b)
 			}
-		}
-	case *ProbTable:
-		seen, dir := d.Bools(len(t.seen)), d.Bools(len(t.dir))
-		conf := counters.LoadProbabilistic(d, t.conf)
-		rngState := d.U64()
-		return func() {
-			copy(t.seen, seen)
-			copy(t.dir, dir)
-			conf()
-			t.conf[0].RNG().SetState(rngState)
 		}
 	case *Oracle:
 		// Each entry is a u64 PC and a u8 state: bound the count by the

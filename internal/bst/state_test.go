@@ -76,21 +76,15 @@ func TestLoadOracleRejectsForgedCount(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOutOfRangeState checks that a probabilistic counter
-// above its maximum and a BST state byte beyond NonBiased fail as
-// corrupt and leave the classifier untouched, and that an honest
-// snapshot of each still round-trips.
+// TestLoadRejectsOutOfRangeState checks that a BST state byte beyond
+// NonBiased fails as corrupt and leaves the classifier untouched, and
+// that an honest snapshot still round-trips.
 func TestLoadRejectsOutOfRangeState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() Classifier
 		bad  func(raw []byte) // edits the payload after the kind tag
 	}{
-		{"prob3 counter", func() Classifier { return NewProbTable(64, 1) }, func(raw []byte) {
-			// Two packed-bool runs of 64 (4-byte count, 8 bytes each),
-			// then the counter count: counter 0 follows it.
-			raw[2*12+4] = 8
-		}},
 		{"fsm2 state", func() Classifier { return NewTable(64) }, func(raw []byte) { raw[4] = byte(NonBiased) + 1 }},
 	} {
 		src, dst := tc.mk(), tc.mk()

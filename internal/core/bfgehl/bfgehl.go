@@ -19,14 +19,11 @@ import (
 
 // Config parameterises BF-GEHL.
 type Config struct {
-	Name string
 	// Tables is the number of weight tables; table 0 is PC-indexed.
 	Tables int
-	// LogEntries is log2 of each table's entry count.
+	// LogEntries is log2 of each table's entry count. Tables 1..Tables-1
+	// fold BF-GHR lengths geometric from 2 to the BF-GHR width.
 	LogEntries int
-	// Hists are the per-table BF-GHR lengths for tables 1..Tables-1
-	// (nil = geometric from 2 to the BF-GHR width).
-	Hists []int
 	// UnfilteredBits, SegBounds, SegSize configure the BF-GHR exactly as
 	// in BF-TAGE.
 	UnfilteredBits int
@@ -62,7 +59,6 @@ func New(cfg Config) *gehl.Predictor {
 func build(cfg Config) (*gehl.Predictor, *ghrHistory) {
 	var h *ghrHistory
 	p := gehl.NewWithHistory(gehl.Config{
-		Name:        cfg.Name,
 		Tables:      cfg.Tables,
 		LogEntries:  cfg.LogEntries,
 		CounterBits: cfg.CounterBits,
@@ -87,11 +83,8 @@ func newGHRHistory(cfg Config) *ghrHistory {
 		SegSize:        cfg.SegSize,
 		BSTEntries:     cfg.BSTEntries,
 	}
-	hists := cfg.Hists
-	if hists == nil {
-		width := cfg.UnfilteredBits + (len(cfg.SegBounds)-1)*cfg.SegSize
-		hists = history.GeometricRange(2, width, cfg.Tables-1)
-	}
+	width := cfg.UnfilteredBits + (len(cfg.SegBounds)-1)*cfg.SegSize
+	hists := history.GeometricRange(2, width, cfg.Tables-1)
 	fields := make([][]history.Term, len(hists))
 	for i, l := range hists {
 		fields[i] = []history.Term{{Ch: 0, N: l, Width: cfg.LogEntries}}

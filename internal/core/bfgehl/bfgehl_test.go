@@ -109,11 +109,6 @@ func TestValidation(t *testing.T) {
 			c.BSTEntries = 100
 			New(c)
 		},
-		func() {
-			c := smallCfg()
-			c.Hists = []int{3, 8, 14, 26, 40, 9999}
-			New(c)
-		},
 	} {
 		func() {
 			defer func() {

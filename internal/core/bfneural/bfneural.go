@@ -54,14 +54,10 @@ const (
 
 // Config parameterises BF-Neural.
 type Config struct {
-	Name string
 	// Mode selects the filtering level (default ModeFull).
 	Mode Mode
 	// BSTEntries is the Branch Status Table size (16384 in §VI-B).
 	BSTEntries int
-	// Classifier overrides the default 2-bit-FSM BST (e.g. a
-	// probabilistic table or a static oracle, §VI-D).
-	Classifier bst.Classifier
 	// BiasEntries is the bias weight table Wb size.
 	BiasEntries int
 	// WmRows is the row count of the 2-D recent-history table Wm
@@ -151,12 +147,13 @@ const hpcBits = 14
 
 // New returns a BF-Neural predictor for cfg.
 func New(cfg Config) *perceptron.Predictor {
-	p, _ := build(cfg)
+	p, _ := build(cfg, nil)
 	return p
 }
 
-// build returns the predictor and its history.
-func build(cfg Config) (*perceptron.Predictor, *source) {
+// build returns the predictor and its history, classifying branches with
+// class, or with a BSTEntries-entry 2-bit FSM BST when class is nil.
+func build(cfg Config, class bst.Classifier) (*perceptron.Predictor, *source) {
 	if cfg.BSTEntries <= 0 || cfg.BSTEntries&(cfg.BSTEntries-1) != 0 {
 		panic("bfneural: BSTEntries must be a positive power of two")
 	}
@@ -172,7 +169,6 @@ func build(cfg Config) (*perceptron.Predictor, *source) {
 	if cfg.RecentUnfiltered < 0 || cfg.RSDepth < 0 || cfg.RecentUnfiltered+cfg.RSDepth == 0 {
 		panic("bfneural: history geometry invalid")
 	}
-	class := cfg.Classifier
 	if class == nil {
 		class = bst.NewTable(cfg.BSTEntries)
 	}
@@ -194,15 +190,12 @@ func build(cfg Config) (*perceptron.Predictor, *source) {
 	if cfg.Mode == ModeFull && cfg.RSDepth > 0 {
 		s.rstack = rs.NewStack(cfg.RSDepth, distBits)
 	}
-	name := cfg.Name
-	switch {
-	case name != "":
-	case cfg.Mode == ModeFilterWeights:
+	name := "bf-neural"
+	switch cfg.Mode {
+	case ModeFilterWeights:
 		name = "bf-neural(fhist)"
-	case cfg.Mode == ModeBiasFreeGHR:
+	case ModeBiasFreeGHR:
 		name = "bf-neural(ghist)"
-	default:
-		name = "bf-neural"
 	}
 	p := perceptron.NewEngine(perceptron.Spec{
 		Name:       name,
@@ -238,10 +231,11 @@ func build(cfg Config) (*perceptron.Predictor, *source) {
 }
 
 // configHash hashes cfg and, in their places in the snapshot format's
-// hash, the fixed distance width, fold width and not-found direction.
+// hash, the empty name override that configs once carried, the fixed
+// distance width, fold width and not-found direction.
 func configHash(cfg Config, class bst.Classifier) uint64 {
 	h := state.NewHash("bfneural")
-	h.String(cfg.Name)
+	h.String("")
 	h.Int(int(cfg.Mode))
 	h.Int(cfg.BSTEntries)
 	h.String(bst.KindOf(class))

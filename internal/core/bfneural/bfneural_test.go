@@ -170,7 +170,7 @@ func TestPositionalHistoryFig4(t *testing.T) {
 func TestBSTTransitionTrainsWeights(t *testing.T) {
 	// A branch biased for a long stretch then revealing non-bias: the
 	// predictor must transition it and keep predicting sensibly.
-	p, s := build(smallCfg())
+	p, s := build(smallCfg(), nil)
 	var recs trace.Slice
 	for i := 0; i < 5000; i++ {
 		recs = append(recs, trace.Record{PC: 0x300, Taken: true, Instret: 5})
@@ -213,9 +213,8 @@ func TestOracleClassifierPluggable(t *testing.T) {
 	for _, rec := range mk() {
 		oracle.Observe(rec.PC, rec.Taken)
 	}
-	cfg := smallCfg()
-	cfg.Classifier = oracle
-	st, err := sim.Run(New(cfg), mk().Stream(), sim.Options{Warmup: 30000})
+	withOracle, _ := build(smallCfg(), oracle)
+	st, err := sim.Run(withOracle, mk().Stream(), sim.Options{Warmup: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestDefaultBudget(t *testing.T) {
 }
 
 func TestRecencyStackUniqueInFullMode(t *testing.T) {
-	p, s := build(smallCfg())
+	p, s := build(smallCfg(), nil)
 	r := rng.New(5)
 	for i := 0; i < 20000; i++ {
 		pc := uint64(0x100 + (i%6)*4) // 6 alternating branches

@@ -32,7 +32,7 @@ func diffTrace(t *testing.T, n int) trace.Slice {
 func TestComputeDifferential(t *testing.T) {
 	tr := diffTrace(t, 20000)
 	for _, cfg := range []Config{Default64KB(), Ablation(ModeBiasFreeGHR), Ablation(ModeFilterWeights), AheadPipelined()} {
-		p, s := build(cfg)
+		p, s := build(cfg, nil)
 		n := cfg.RecentUnfiltered + cfg.RSDepth
 		idx, dirs := make([]int32, n), make([]bool, n)
 		for i, rec := range tr {

@@ -59,8 +59,6 @@ type Config struct {
 	LoopPredictor        bool
 	StatisticalCorrector bool
 	IUM                  bool
-	// UResetPeriod is the useful-bit reset period (default 2^18).
-	UResetPeriod int
 	// Seed drives allocation randomisation.
 	Seed uint64
 }
@@ -129,7 +127,6 @@ func build(cfg Config) (*tage.Predictor, *ghrHistory) {
 		LoopPredictor:        cfg.LoopPredictor,
 		StatisticalCorrector: cfg.StatisticalCorrector,
 		IUM:                  cfg.IUM,
-		UResetPeriod:         cfg.UResetPeriod,
 		Seed:                 cfg.Seed,
 	}, tage.Org{Kind: "bftage", Name: "bf-tage", Unit: "bf-hist"}, func(tc tage.Config) tage.History {
 		h = newGHRHistory(cfg, tc)

@@ -57,12 +57,6 @@ func (c *Signed) Update(taken bool) {
 // Taken reports the predicted direction (>= 0 means taken).
 func (c *Signed) Taken() bool { return c.v >= 0 }
 
-// IsWeak reports whether the counter is in one of its two central states,
-// i.e. the prediction carries minimal confidence. TAGE uses this to decide
-// when the alternate prediction should be preferred for newly allocated
-// entries.
-func (c *Signed) IsWeak() bool { return c.v == 0 || c.v == -1 }
-
 // Min and Max expose the saturation bounds.
 func (c *Signed) Min() int32 { return c.min }
 func (c *Signed) Max() int32 { return c.max }
@@ -113,13 +107,6 @@ func (c *Unsigned) Inc() {
 	}
 }
 
-// Dec decrements with saturation.
-func (c *Unsigned) Dec() {
-	if c.v > 0 {
-		c.v--
-	}
-}
-
 // Reset zeroes the counter.
 func (c *Unsigned) Reset() { c.v = 0 }
 
@@ -143,25 +130,6 @@ func Scan(cs []Signed) (live, saturated int) {
 		}
 	}
 	return
-}
-
-// Weight is an 8-bit perceptron weight helper: a signed saturating counter
-// in [-128, 127] stored compactly. The neural predictors keep millions of
-// these, so unlike Signed it carries no bounds fields.
-type Weight int8
-
-// Update trains the weight toward agree (+1) or against (-1) with
-// saturation, the standard perceptron learning step.
-func (w *Weight) Update(agree bool) {
-	if agree {
-		if *w < 127 {
-			*w++
-		}
-	} else {
-		if *w > -128 {
-			*w--
-		}
-	}
 }
 
 func clamp(v, lo, hi int32) int32 {

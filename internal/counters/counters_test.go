@@ -3,8 +3,6 @@ package counters
 import (
 	"testing"
 	"testing/quick"
-
-	"bfbp/internal/rng"
 )
 
 func TestSignedSaturation(t *testing.T) {
@@ -128,22 +126,6 @@ func TestUnsignedFullWidth(t *testing.T) {
 	}
 }
 
-func TestWeightSaturation(t *testing.T) {
-	var w Weight
-	for i := 0; i < 300; i++ {
-		w.Update(true)
-	}
-	if w != 127 {
-		t.Fatalf("weight saturates high at %d, want 127", w)
-	}
-	for i := 0; i < 600; i++ {
-		w.Update(false)
-	}
-	if w != -128 {
-		t.Fatalf("weight saturates low at %d, want -128", w)
-	}
-}
-
 // Property: a signed counter never leaves its saturation range under any
 // sequence of updates, and its value always moves by at most 1 per step.
 func TestSignedBoundsProperty(t *testing.T) {
@@ -188,66 +170,5 @@ func TestUnsignedBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestProbabilisticGrowthSlows(t *testing.T) {
-	r := rng.New(42)
-	c := NewProbabilistic(3, 1, r)
-	// First increment from 0 is always accepted.
-	if !c.Inc() || c.Value() != 1 {
-		t.Fatalf("first Inc from 0 must succeed, value=%d", c.Value())
-	}
-	// Count the events needed to reach saturation; with growth 1 the
-	// expected total is sum(2^v) ≈ 2+4+...+64 ≈ 126, so 10_000 attempts
-	// saturate with overwhelming probability.
-	attempts := 0
-	for !c.IsMax() && attempts < 10000 {
-		c.Inc()
-		attempts++
-	}
-	if !c.IsMax() {
-		t.Fatalf("counter failed to saturate within %d attempts", attempts)
-	}
-	if attempts < 10 {
-		t.Fatalf("saturated suspiciously fast (%d attempts); acceptance gating broken", attempts)
-	}
-}
-
-func TestProbabilisticDecDeterministic(t *testing.T) {
-	r := rng.New(7)
-	c := NewProbabilistic(3, 1, r)
-	c.Inc()
-	v := c.Value()
-	c.Dec()
-	if c.Value() != v-1 {
-		t.Fatalf("Dec moved %d -> %d, want %d", v, c.Value(), v-1)
-	}
-	c.Reset()
-	c.Dec()
-	if c.Value() != 0 {
-		t.Fatal("Dec below zero")
-	}
-}
-
-func TestProbabilisticExpectedScale(t *testing.T) {
-	// Statistical check: reaching value 3 with growth 2 should take on
-	// the order of 1 + 4 + 16 = 21 events on average. Run many trials and
-	// check the mean is within a loose factor.
-	r := rng.New(99)
-	total := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		c := NewProbabilistic(2, 2, r)
-		n := 0
-		for !c.IsMax() {
-			c.Inc()
-			n++
-		}
-		total += n
-	}
-	mean := float64(total) / trials
-	if mean < 5 || mean > 120 {
-		t.Fatalf("mean events to saturate 2-bit growth-2 counter = %.1f, want within [5,120]", mean)
 	}
 }

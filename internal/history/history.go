@@ -175,28 +175,11 @@ func (r *Ring) Len() int { return r.size }
 // Cap returns the ring capacity.
 func (r *Ring) Cap() int { return len(r.pcs) }
 
-// FoldBits folds an explicit bit vector (index 0 = newest) down to width
-// bits using the same group-XOR definition as FoldSet's registers. It is
-// the reference implementation; hot paths use FoldWords over a packed
-// BitVec instead.
-func FoldBits(bits []bool, width int) uint64 {
-	if width < 1 || width > 63 {
-		panic("history: fold width out of range")
-	}
-	var v uint64
-	for i, b := range bits {
-		if b {
-			v ^= 1 << (i % width)
-		}
-	}
-	return v
-}
-
 // BitVec is a packed append-only bit vector: bit i lives at
 // words[i/64] bit i%64, so index 0 (the newest history bit) is the low
-// bit of the first word — the same geometry FoldBits assumes. BF-TAGE
-// assembles its BF-GHR into one of these and folds it with FoldWords,
-// replacing the old []bool build + per-bit fold.
+// bit of the first word. The BF-GHR reference models of the history,
+// bfghr, bftage, bfgehl and rs tests assemble the register into one of
+// these and fold it with FoldWords; the cores read a KeyMap instead.
 type BitVec struct {
 	words []uint64
 	n     int
@@ -242,12 +225,10 @@ func (v *BitVec) Bit(i int) bool {
 	return v.words[i>>6]>>(uint(i)&63)&1 != 0
 }
 
-// FoldWords folds the first n bits of a packed vector down to width bits,
-// producing exactly FoldBits(bits[:n], width): the XOR of consecutive
-// width-bit chunks. Bits at positions >= n must be zero (BitVec
-// guarantees this). Each chunk costs a couple of shifts instead of a
-// per-bit loop, which is what removes the old fold from the BF-TAGE
-// profile.
+// FoldWords folds the first n bits of a packed vector down to width bits:
+// the XOR of consecutive width-bit chunks, the group-XOR fold of
+// FoldSet's registers. Bits at positions >= n must be zero (BitVec
+// guarantees this).
 func FoldWords(words []uint64, n, width int) uint64 {
 	if width < 1 || width > 63 {
 		panic("history: fold width out of range")

@@ -196,6 +196,3 @@ func (p *Predictor) StorageBits() int {
 	perEntry := tagBits + 2*iterBits + 3 + 8 + 1 + 1
 	return p.ways * p.sets * perEntry
 }
-
-// Entries returns the total entry count.
-func (p *Predictor) Entries() int { return p.ways * p.sets }

@@ -255,13 +255,6 @@ func (gf *GaugeFamily) With(labelValues ...string) *Gauge {
 	return gf.f.get(labelValues).gauge
 }
 
-// Quantile registers (or returns) an unlabeled quantile histogram —
-// the log-linear HDR-style instrument exported as a Prometheus summary
-// with p50/p90/p99/p999 series.
-func (r *Registry) Quantile(name, help string) *QuantileHistogram {
-	return r.family(name, help, quantileKind, nil).get(nil).quant
-}
-
 // QuantileFamily is a labeled quantile-histogram family; With resolves
 // one series.
 type QuantileFamily struct{ f *family }

@@ -18,8 +18,8 @@ import (
 //
 // Accuracy: a quantile estimate is the midpoint of the bucket holding
 // the rank-selected sample, clamped into [Min, Max], so for values
-// inside the covered range the estimate is within QuantileRelError
-// (1/(2·quantSub) = 1.5625%) of the exact order statistic. Values
+// inside the covered range the estimate is within 1/(2·quantSub) =
+// 1.5625% of the exact order statistic. Values
 // below the range land in an underflow bucket estimated as the exact
 // tracked Min; values at or above the top land in an overflow bucket
 // estimated as the exact tracked Max. The property test in
@@ -47,10 +47,6 @@ const (
 	quantMaxExp  = 14
 	quantBuckets = (quantMaxExp - quantMinExp) * quantSub
 )
-
-// QuantileRelError is the documented worst-case relative error of a
-// quantile estimate for values inside the histogram's covered range.
-const QuantileRelError = 1.0 / (2 * quantSub)
 
 // quantLo is the smallest in-range value, 2^quantMinExp.
 var quantLo = math.Ldexp(1, quantMinExp)
@@ -136,18 +132,6 @@ func (h *QuantileHistogram) Max() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.max.Load())
-}
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) as the value of
-// the sample at rank ceil(q*n), within QuantileRelError of the exact
-// order statistic for in-range values. Returns 0 when empty.
-func (h *QuantileHistogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	qs := [1]float64{q}
-	out := h.quantiles(qs[:])
-	return out[0]
 }
 
 // quantiles resolves several quantiles from one pass over the bucket

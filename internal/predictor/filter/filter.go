@@ -14,7 +14,6 @@ import (
 
 // Config parameterises the Filter predictor.
 type Config struct {
-	Name string
 	// FilterEntries is the power-of-two size of the per-branch filter
 	// (modelling the BTB-resident counters of the original design).
 	FilterEntries int
@@ -86,12 +85,7 @@ func New(cfg Config) *Predictor {
 }
 
 // Name implements sim.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	return "filter"
-}
+func (p *Predictor) Name() string { return "filter" }
 
 func (p *Predictor) fIndex(pc uint64) uint64 { return (pc >> 2) & p.fMask }
 
@@ -101,12 +95,6 @@ func (p *Predictor) pIndex(pc uint64) uint64 {
 		h &= 1<<uint(p.cfg.HistBits) - 1
 	}
 	return ((pc >> 2) ^ h) & p.pMask
-}
-
-// Filtered reports whether pc is currently predicted by its bias.
-func (p *Predictor) Filtered(pc uint64) bool {
-	e := &p.entries[p.fIndex(pc)]
-	return e.valid && e.run.IsMax()
 }
 
 // Predict implements sim.Predictor.

@@ -14,7 +14,7 @@ import (
 
 func (p *Predictor) configHash() uint64 {
 	h := state.NewHash("filter")
-	h.String(p.cfg.Name)
+	h.String("") // the retired name override: the hash keeps its place
 	h.Int(p.cfg.FilterEntries)
 	h.Int(p.cfg.FilterBits)
 	h.Int(p.cfg.PHTEntries)

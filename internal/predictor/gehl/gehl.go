@@ -24,8 +24,6 @@ import (
 
 // Config parameterises an O-GEHL predictor.
 type Config struct {
-	// Name overrides the reported name.
-	Name string
 	// Tables is the number of weight tables (first is bias/PC-only).
 	Tables int
 	// LogEntries is log2 of each table's entry count.
@@ -79,7 +77,7 @@ type History interface {
 type Org struct {
 	// Kind seeds the snapshot config hash ("gehl", "bfgehl").
 	Kind string
-	// Name is reported when Config.Name is empty.
+	// Name is the reported predictor name.
 	Name string
 }
 
@@ -152,15 +150,7 @@ func NewWithHistory(cfg Config, org Org, newHist func(Config) History) *Predicto
 }
 
 // Name implements sim.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	return p.org.Name
-}
-
-// Histories exposes the per-table history lengths.
-func (p *Predictor) Histories() []int { return append([]int(nil), p.hists...) }
+func (p *Predictor) Name() string { return p.org.Name }
 
 // lookup fills the ring's free slot, keeping its array, with pc's
 // per-table indices and adder-tree sum. The slot is not put in flight.
@@ -244,9 +234,6 @@ func (p *Predictor) adaptTheta(mispred bool, mag int32) {
 		}
 	}
 }
-
-// Theta exposes the adaptive threshold (for tests).
-func (p *Predictor) Theta() int32 { return p.theta }
 
 // explainTopWeights is the number of contributions Explain reports.
 const explainTopWeights = 8

@@ -14,7 +14,7 @@ import (
 
 func (p *Predictor) configHash() uint64 {
 	h := state.NewHash(p.org.Kind)
-	h.String(p.cfg.Name)
+	h.String("") // the retired name override: the hash keeps its place
 	h.Int(p.cfg.Tables)
 	h.Int(p.cfg.LogEntries)
 	p.hist.HashConfig(h)

@@ -37,7 +37,6 @@ type Segment struct {
 
 // Config parameterises the predictor.
 type Config struct {
-	Name string
 	// Segments define the ragged geometry from most-recent history
 	// outward; total history length is the sum of Positions.
 	Segments []Segment
@@ -63,6 +62,11 @@ const (
 	coeffInit  = 1 << coeffShift
 	coeffMin   = 24
 	coeffMax   = 480
+	// The adaptive threshold's counter counts mispredictions up and
+	// low-confidence correct predictions down; at ±thetaPeriod it moves
+	// the threshold by one, never below thetaFloor, and restarts at 0.
+	thetaPeriod = 64
+	thetaFloor  = 1
 )
 
 // checkpoint is one prediction awaiting its update. Its idxs and dirs
@@ -151,12 +155,7 @@ func New(cfg Config) *Predictor {
 }
 
 // Name implements sim.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	return "oh-snap"
-}
+func (p *Predictor) Name() string { return "oh-snap" }
 
 // lookup fills the ring's free slot, keeping its arrays, with pc's
 // weight indices, history directions and scaled sum. The slot is not put
@@ -241,14 +240,14 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 	// Adaptive threshold.
 	if mispred {
 		p.tc++
-		if p.tc >= 64 {
+		if p.tc >= thetaPeriod {
 			p.theta++
 			p.tc = 0
 		}
 	} else if mag <= p.theta {
 		p.tc--
-		if p.tc <= -64 {
-			if p.theta > 1 {
+		if p.tc <= -thetaPeriod {
+			if p.theta > thetaFloor {
 				p.theta--
 			}
 			p.tc = 0
@@ -275,9 +274,6 @@ func satUpdate(w int8, up bool) int8 {
 	}
 	return w
 }
-
-// HistoryLength returns the total history positions tracked.
-func (p *Predictor) HistoryLength() int { return p.hlen }
 
 // explainTopWeights is the number of contributions Explain reports.
 const explainTopWeights = 8
@@ -318,9 +314,6 @@ func (p *Predictor) contribs(cp *checkpoint) []sim.WeightContrib {
 	}
 	return ws
 }
-
-// Coefficient exposes a position's scaling coefficient (for tests).
-func (p *Predictor) Coefficient(i int) int32 { return p.coeff[i] }
 
 // Storage implements sim.StorageAccounter.
 func (p *Predictor) Storage() sim.Breakdown {

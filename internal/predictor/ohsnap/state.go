@@ -16,7 +16,7 @@ import (
 
 func (p *Predictor) configHash() uint64 {
 	h := state.NewHash("ohsnap")
-	h.String(p.cfg.Name)
+	h.String("") // the retired name override: the hash keeps its place
 	h.Int(len(p.cfg.Segments))
 	for _, s := range p.cfg.Segments {
 		h.Int(s.Positions)
@@ -65,6 +65,9 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	ring.LoadState(s.Dec("history"))
 	m := s.Dec("misc")
 	theta, tc := m.I32(), m.I32()
+	if theta < thetaFloor || tc <= -thetaPeriod || tc >= thetaPeriod {
+		m.Corruptf("threshold %d below %d or its counter %d outside (-%d, %d)", theta, thetaFloor, tc, thetaPeriod, thetaPeriod)
+	}
 	if err := s.Err(); err != nil {
 		return err
 	}

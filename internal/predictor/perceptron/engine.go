@@ -485,6 +485,9 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		}
 	}
 	theta, tc := m.I32(), m.I32()
+	if tun := p.spec.Tuning; theta < tun.ThetaFloor || tc <= -tun.ThetaPeriod || tc >= tun.ThetaPeriod {
+		m.Corruptf("threshold %d below %d or its counter %d outside (-%d, %d)", theta, tun.ThetaFloor, tc, tun.ThetaPeriod, tun.ThetaPeriod)
+	}
 	commitSrc := p.spec.Source.Load(s)
 	var loop *looppred.Predictor
 	if p.loop != nil {

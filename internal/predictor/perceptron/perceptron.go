@@ -22,8 +22,6 @@ import (
 
 // Config parameterises the predictor.
 type Config struct {
-	// Name overrides the reported predictor name.
-	Name string
 	// HistoryLength is the number of recent branches correlated with
 	// (the paper's baseline uses 72).
 	HistoryLength int
@@ -73,12 +71,9 @@ func New(cfg Config) *Predictor {
 	if lengths != nil {
 		storage = append(storage, sim.Component{Name: "folded history registers", Bits: len(lengths) * FoldWidth})
 	}
-	name := cfg.Name
-	if name == "" {
-		name = "perceptron"
-		if cfg.FoldedHistory {
-			name = "perceptron+fhist"
-		}
+	name := "perceptron"
+	if cfg.FoldedHistory {
+		name = "perceptron+fhist"
 	}
 	return NewEngine(Spec{
 		Name:       name,
@@ -101,10 +96,11 @@ func New(cfg Config) *Predictor {
 }
 
 // configHash hashes cfg and, in their places in the snapshot format's
-// hash, the fixed fold width and the always-on adaptive threshold.
+// hash, the empty name override that configs once carried, the fixed
+// fold width and the always-on adaptive threshold.
 func configHash(cfg Config) uint64 {
 	h := state.NewHash("perceptron")
-	h.String(cfg.Name)
+	h.String("")
 	h.Int(cfg.HistoryLength)
 	h.Int(cfg.TableRows)
 	h.Int(cfg.BiasEntries)

@@ -23,7 +23,6 @@ import (
 
 // Config parameterises the strided perceptron.
 type Config struct {
-	Name string
 	// Offsets are the sampled history depths, strictly increasing from
 	// at least 1; if nil, DefaultOffsets() is used.
 	Offsets []int
@@ -94,12 +93,8 @@ func New(cfg Config) *Predictor {
 	}
 	n, reach := len(cfg.Offsets), cfg.Offsets[len(cfg.Offsets)-1]
 	u := perceptron.NewUnfiltered(reach, nil)
-	name := cfg.Name
-	if name == "" {
-		name = "strided-perceptron"
-	}
 	e := perceptron.NewEngine(perceptron.Spec{
-		Name:       name,
+		Name:       "strided-perceptron",
 		ConfigHash: configHash(cfg),
 		Tables: []perceptron.Table{
 			{Name: "weights", Label: "sampled weights (8-bit)", Entries: n * cfg.TableRows, HistLen: reach},
@@ -119,11 +114,12 @@ func New(cfg Config) *Predictor {
 	return &Predictor{e, e, e, e, reach}
 }
 
-// configHash hashes cfg and, in its place in the snapshot format's
-// hash, the always-on adaptive threshold.
+// configHash hashes cfg and, in their places in the snapshot format's
+// hash, the empty name override that configs once carried and the
+// always-on adaptive threshold.
 func configHash(cfg Config) uint64 {
 	h := state.NewHash("strided")
-	h.String(cfg.Name)
+	h.String("")
 	h.Ints(cfg.Offsets)
 	h.Int(cfg.TableRows)
 	h.Int(cfg.BiasEntries)

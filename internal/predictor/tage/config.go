@@ -52,9 +52,6 @@ type Config struct {
 	// IUM enables the immediate update mimicker (only observable when
 	// the harness delays updates).
 	IUM bool
-	// UResetPeriod is the number of updates between useful-bit resets
-	// (0 selects the default of 2^18).
-	UResetPeriod int
 	// Seed drives the allocation-skip randomisation.
 	Seed uint64
 }

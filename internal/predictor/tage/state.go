@@ -32,7 +32,7 @@ func (p *Predictor) configHash() uint64 {
 	h.Bool(p.cfg.LoopPredictor)
 	h.Bool(p.cfg.StatisticalCorrector)
 	h.Bool(p.cfg.IUM)
-	h.Int(p.cfg.UResetPeriod)
+	h.Int(uResetPeriod)
 	h.U64(p.cfg.Seed)
 	return h.Sum()
 }
@@ -114,6 +114,9 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	hits := m.U64s(len(p.providerHits))
 	if useAltOnNA < 0 || useAltOnNA > 15 || withLoop < -64 || withLoop > 63 {
 		m.Corruptf("use-alt %d or loop chooser %d out of range", useAltOnNA, withLoop)
+	}
+	if tick < 0 || tick >= uResetPeriod {
+		m.Corruptf("useful-reset tick %d outside [0, %d)", tick, uResetPeriod)
 	}
 	var loop *looppred.Predictor
 	if p.loop != nil {

@@ -16,6 +16,8 @@ const (
 	ctrMin = -4
 	scMax  = 31 // 6-bit signed statistical-corrector counter [-32, 31]
 	scMin  = -32
+	// uResetPeriod is the number of updates between useful-bit resets.
+	uResetPeriod = 1 << 18
 )
 
 // History is the global history a TAGE engine indexes its tagged tables
@@ -170,9 +172,6 @@ func NewWithHistory(cfg Config, org Org, newHist func(Config) History) *Predicto
 	}
 	if cfg.PathBits <= 0 {
 		cfg.PathBits = 16
-	}
-	if cfg.UResetPeriod == 0 {
-		cfg.UResetPeriod = 1 << 18
 	}
 	n := len(cfg.Tables)
 	p := &Predictor{
@@ -413,7 +412,7 @@ func (p *Predictor) train(cp *checkpoint, taken bool) {
 
 	// Periodic graceful reset of useful bits: a word-wise clear.
 	p.tick++
-	if p.tick >= p.cfg.UResetPeriod {
+	if p.tick >= uResetPeriod {
 		p.tick = 0
 		for _, t := range p.tables {
 			clear(t.useful)

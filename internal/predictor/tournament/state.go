@@ -13,7 +13,7 @@ import (
 
 func (p *Predictor) configHash() uint64 {
 	h := state.NewHash("tournament")
-	h.String(p.cfg.Name)
+	h.String("") // the retired name override: the hash keeps its place
 	h.Int(p.cfg.LocalHistEntries)
 	h.Int(p.cfg.LocalHistBits)
 	h.Int(p.cfg.LocalPHTEntries)

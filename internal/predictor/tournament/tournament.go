@@ -13,7 +13,6 @@ import (
 
 // Config parameterises the tournament predictor.
 type Config struct {
-	Name string
 	// LocalHistEntries / LocalHistBits / LocalPHTEntries size the local
 	// two-level component.
 	LocalHistEntries int
@@ -94,12 +93,7 @@ func New(cfg Config) *Predictor {
 }
 
 // Name implements sim.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	return "tournament"
-}
+func (p *Predictor) Name() string { return "tournament" }
 
 func (p *Predictor) localIndex(pc uint64) uint64 {
 	h := uint64(p.localHist[(pc>>2)&p.lhMask])

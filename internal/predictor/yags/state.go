@@ -14,7 +14,7 @@ import (
 
 func (p *Predictor) configHash() uint64 {
 	h := state.NewHash("yags")
-	h.String(p.cfg.Name)
+	h.String("") // the retired name override: the hash keeps its place
 	h.Int(p.cfg.ChoiceEntries)
 	h.Int(p.cfg.CacheEntries)
 	h.Int(p.cfg.TagBits)

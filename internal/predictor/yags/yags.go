@@ -14,7 +14,6 @@ import (
 
 // Config parameterises YAGS.
 type Config struct {
-	Name string
 	// ChoiceEntries is the power-of-two bias (choice) PHT size.
 	ChoiceEntries int
 	// CacheEntries is the power-of-two size of each direction cache.
@@ -86,12 +85,7 @@ func New(cfg Config) *Predictor {
 }
 
 // Name implements sim.Predictor.
-func (p *Predictor) Name() string {
-	if p.cfg.Name != "" {
-		return p.cfg.Name
-	}
-	return "yags"
-}
+func (p *Predictor) Name() string { return "yags" }
 
 func (p *Predictor) choiceIndex(pc uint64) uint64 { return (pc >> 2) & p.cMask }
 

@@ -236,18 +236,6 @@ func (s *Segmented) SegmentLen(i int) int {
 	return int(get(s.recs, r, s.segs[i].cntOff, s.cntBits))
 }
 
-// SegmentEntry returns slot j of segment i (j = 0 most recent). Empty
-// slots return a zero Entry with ok=false; keeping the geometry fixed lets
-// BF-TAGE build a stable-width BF-GHR bit vector. It walks the unfiltered
-// ring, so it is for tests and diagnostics, not hot paths.
-func (s *Segmented) SegmentEntry(i, j int) (Entry, bool) {
-	if j < 0 || j >= s.SegmentLen(i) {
-		return Entry{}, false
-	}
-	var buf [64]Entry
-	return s.walk(i, buf[:0])[j], true
-}
-
 // Bits returns the total BF-GHR contribution in bits (segments × segSize).
 func (s *Segmented) Bits() int { return len(s.segs) * s.segSize }
 

@@ -22,17 +22,6 @@ type Event interface {
 	Kind() string
 }
 
-// Events returns a zero value of every event type, in DESIGN.md table
-// order: the journal schema. The doc-drift guards check each kind
-// against the table, the span tag, and a producing call site.
-func Events() []Event {
-	return []Event{
-		SuiteStart{}, RunStart{}, RunFinish{}, RunError{}, WindowEvent{},
-		ProvenanceEvent{}, ComponentAttribution{}, Storage{}, WorkerState{},
-		Checkpoint{}, TableStats{}, SuiteFinish{},
-	}
-}
-
 // SuiteStart opens an Engine.Run.
 type SuiteStart struct {
 	Jobs       int      `json:"jobs"`
@@ -149,14 +138,15 @@ type WorkerState struct {
 
 // Checkpoint reports a bfbp.state.v1 snapshot of the predictor, Bytes
 // long, written to Path after Branch committed branches — mid-run
-// (Options.CheckpointEvery) or at run end.
+// (Options.CheckpointEvery) or at run end. bfsim journals it directly,
+// outside any engine span, so unlike the engine's events it carries no
+// span.
 type Checkpoint struct {
 	Trace     string `json:"trace"`
 	Predictor string `json:"predictor"`
 	Path      string `json:"path"`
 	Branch    uint64 `json:"branch"`
 	Bytes     int    `json:"bytes"`
-	Span      uint64 `json:"span,omitempty"`
 }
 
 func (SuiteStart) Kind() string           { return "suite_start" }

@@ -233,39 +233,6 @@ func (pv *ProvenanceStats) Mispredicts() uint64 {
 	return n
 }
 
-// merge folds another shard's aggregate into pv (Stats.Merge support).
-func (pv *ProvenanceStats) merge(other *ProvenanceStats) {
-	pv.Explained += other.Explained
-	for cause, n := range other.Causes {
-		pv.Causes[cause] += n
-	}
-	for name, cs := range other.Components {
-		dst := pv.Components[name]
-		if dst == nil {
-			dst = &ComponentStat{}
-			pv.Components[name] = dst
-		}
-		dst.Predictions += cs.Predictions
-		dst.Mispredicts += cs.Mispredicts
-	}
-	for len(pv.BankHits) < len(other.BankHits) {
-		pv.BankHits = append(pv.BankHits, 0)
-		pv.BankMisses = append(pv.BankMisses, 0)
-	}
-	for i, h := range other.BankHits {
-		pv.BankHits[i] += h
-	}
-	for i, m := range other.BankMisses {
-		pv.BankMisses[i] += m
-	}
-	pv.MarginSamples += other.MarginSamples
-	for i, n := range other.MarginCounts {
-		if i < len(pv.MarginCounts) {
-			pv.MarginCounts[i] += n
-		}
-	}
-}
-
 // decisionTrace is the harness-side recorder: one Explain call per
 // post-warmup branch, whose margin it also buckets, and a per-site
 // occurrence map for cold-site classification.

@@ -162,70 +162,6 @@ func (s Stats) TopOffenders(n int) []Offender {
 	return all
 }
 
-// Merge folds other into s as a subsequent shard of the same logical
-// run: counters add, per-PC attributions add site-wise, and windowed
-// series concatenate in run order (s's trailing partial window, if any,
-// stays a short window rather than being re-bucketed). No code in the
-// engine calls it: it serves library users who run one logical trace
-// in shards, and the resume ≡ straight-run tests, which merge the two
-// halves of a split run without losing TopOffenders or phase data.
-// Window adopts the first non-zero size.
-//
-// When exactly one side collected windowed metrics (the other ran with
-// Window = 0), the unwindowed shard's aggregate is folded in as a
-// single synthetic window at its position in run order, so the merged
-// series still covers the whole run and the invariant
-// sum(Windows) == post-warmup totals is preserved. A synthetic
-// window's Branches field includes that shard's warmup branches (the
-// shard did not record the split); its Mispredicts, Instructions, and
-// therefore MPKI are exact.
-func (s *Stats) Merge(other Stats) {
-	sWindowed := s.Window > 0 || len(s.Windows) > 0
-	oWindowed := other.Window > 0 || len(other.Windows) > 0
-	if !sWindowed && oWindowed && s.Branches > 0 {
-		s.Windows = append(s.Windows, WindowStat{
-			Branches:     s.Branches,
-			Mispredicts:  s.Mispredicts,
-			Instructions: s.Instructions,
-		})
-	}
-	s.Branches += other.Branches
-	s.Mispredicts += other.Mispredicts
-	s.Instructions += other.Instructions
-	if other.perPC != nil {
-		if s.perPC == nil {
-			s.perPC = make(map[uint64]*pcStat, len(other.perPC))
-		}
-		for pc, o := range other.perPC {
-			st := s.perPC[pc]
-			if st == nil {
-				st = &pcStat{pc: pc}
-				s.perPC[pc] = st
-			}
-			st.count += o.count
-			st.mispreds += o.mispreds
-		}
-	}
-	if s.Window == 0 {
-		s.Window = other.Window
-	}
-	if other.Provenance != nil {
-		if s.Provenance == nil {
-			s.Provenance = NewProvenanceStats()
-		}
-		s.Provenance.merge(other.Provenance)
-	}
-	if sWindowed && !oWindowed && other.Branches > 0 {
-		s.Windows = append(s.Windows, WindowStat{
-			Branches:     other.Branches,
-			Mispredicts:  other.Mispredicts,
-			Instructions: other.Instructions,
-		})
-		return
-	}
-	s.Windows = append(s.Windows, other.Windows...)
-}
-
 // Options configures a run.
 type Options struct {
 	// Warmup is the number of initial branches excluded from the

@@ -210,12 +210,6 @@ func newBraid(r *rng.SplitMix64, reg *region, pairs, distance, spread, padSites 
 	return k
 }
 
-// roundLen reports the branches emitted per step (for share accounting).
-func (k *braid) roundLen() int {
-	b := len(k.srcPCs)
-	return k.preRoll + b*(k.spread+1) + k.dist + b*(k.spread+1)
-}
-
 func (k *braid) step(e *emitter) {
 	k.pad.pos = 0
 	k.pad.emitInline(e, k.preRoll)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -49,12 +48,6 @@ func (p profile) build(r *rng.SplitMix64, reg *region) ([]kernel, []float64) {
 func (p *profile) biasedPad(share float64, sites, burst int) {
 	p.addK(share, float64(burst), 1.0, func(r *rng.SplitMix64, reg *region) kernel {
 		return newPadBiased(r, reg, sites, burst)
-	})
-}
-
-func (p *profile) noisyPad(share float64, sites int) {
-	p.addK(share, 8, 0, func(r *rng.SplitMix64, reg *region) kernel {
-		return newPadNoisy(r, reg, sites)
 	})
 }
 
@@ -536,16 +529,4 @@ func Names() []string {
 		names[i] = s.Name
 	}
 	return names
-}
-
-// Sorted returns a copy of specs sorted by family then name.
-func Sorted(specs []Spec) []Spec {
-	out := append([]Spec(nil), specs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Family != out[j].Family {
-			return out[i].Family < out[j].Family
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 
 	"bfbp/internal/trace"
@@ -200,6 +201,18 @@ func TestProfileBiasEmpty(t *testing.T) {
 	if st.StaticFraction() != 0 || st.DynamicFraction() != 0 {
 		t.Fatal("empty trace must not divide by zero")
 	}
+}
+
+// Sorted returns a copy of specs sorted by family then name.
+func Sorted(specs []Spec) []Spec {
+	out := append([]Spec(nil), specs...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Family != out[j].Family {
+			return out[i].Family < out[j].Family
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
 }
 
 func TestSortedStable(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -96,7 +97,9 @@ func TestBitExactResume(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got.Merge(second)
+				got.Branches += second.Branches
+				got.Mispredicts += second.Mispredicts
+				got.Instructions += second.Instructions
 
 				if got.Branches != straight.Branches ||
 					got.Mispredicts != straight.Mispredicts ||
@@ -108,14 +111,22 @@ func TestBitExactResume(t *testing.T) {
 				if got.MPKI() != straight.MPKI() {
 					t.Fatalf("split MPKI %v != straight %v", got.MPKI(), straight.MPKI())
 				}
-				wantOff := straight.TopOffenders(10)
-				gotOff := got.TopOffenders(10)
-				if len(wantOff) != len(gotOff) {
-					t.Fatalf("offender count %d != %d", len(gotOff), len(wantOff))
+				// Each PC's counts over the two halves add up to the
+				// straight run's.
+				perPC := map[uint64][2]uint64{}
+				for _, half := range []bfbp.Stats{got, second} {
+					for _, o := range half.TopOffenders(math.MaxInt) {
+						c := perPC[o.PC]
+						perPC[o.PC] = [2]uint64{c[0] + o.Count, c[1] + o.Mispredicts}
+					}
 				}
-				for i := range wantOff {
-					if wantOff[i] != gotOff[i] {
-						t.Fatalf("offender %d: %+v != %+v", i, gotOff[i], wantOff[i])
+				wantOff := straight.TopOffenders(math.MaxInt)
+				if len(wantOff) != len(perPC) {
+					t.Fatalf("split run saw %d PCs, straight %d", len(perPC), len(wantOff))
+				}
+				for _, o := range wantOff {
+					if c := perPC[o.PC]; c != [2]uint64{o.Count, o.Mispredicts} {
+						t.Fatalf("PC %#x: split %d branches, %d mispredicts != straight %+v", o.PC, c[0], c[1], o)
 					}
 				}
 				a := bfbp.Capabilities(sp).StateProbe.ProbeState().Banks
@@ -346,14 +357,16 @@ func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 
 // TestLoadRejectsOutOfRangeState edits one value of a trained
 // snapshot on every registry predictor that has a value narrower than
-// its field: a counter or weight beyond its range and, on the BF-GHR
-// predictors, the outcome of a recency-stack entry. Each load must fail
-// with ErrCorrupt and leave the predictor saving the same bytes. The
-// static predictors, and the neural ones whose weights are all 8-bit,
-// have no such value and are skipped.
+// its field: a counter or weight beyond its range, the adaptive
+// threshold of a neural predictor below its floor or its counter at a
+// full period, TAGE's useful-reset tick outside [0, 2^18) and, on the
+// BF-GHR predictors, the outcome of a recency-stack entry. Each load
+// must fail with ErrCorrupt and leave the predictor saving the same
+// bytes. The static predictors have no such value and are skipped.
 func TestLoadRejectsOutOfRangeState(t *testing.T) {
 	tr := genTrace(t, "SERV1", 4000)
 	i32 := func(v int32) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(v)) }
+	i64 := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
 	for _, info := range bfbp.Predictors() {
 		type edit struct {
 			section string
@@ -369,11 +382,16 @@ func TestLoadRejectsOutOfRangeState(t *testing.T) {
 		case name == "yags":
 			edits = []edit{{"choice", set(4, i32(100))}}
 		case name == "oh-snap":
-			edits = []edit{{"coeff", set(4, i32(1000))}}
+			// misc: the threshold, then its counter.
+			edits = []edit{{"coeff", set(4, i32(1000))}, {"misc", set(0, i32(0))}, {"misc", set(4, i32(64))}}
+		case name == "perceptron" || name == "perceptron-fhist" || name == "strided":
+			edits = []edit{{"misc", set(0, i32(0))}, {"misc", set(4, i32(-1<<20))}}
 		case strings.HasPrefix(name, "bf-neural"):
-			edits = []edit{{"wm", set(4, []byte{100})}}
+			// misc: the loop chooser, the threshold, then its counter.
+			edits = []edit{{"wm", set(4, []byte{100})}, {"misc", set(4, i32(3))}, {"misc", set(8, i32(1<<20))}}
 		case strings.Contains(name, "tage"):
-			edits = []edit{{"table_0", set(2, []byte{100})}} // entry 0's counter
+			// table_0: entry 0's counter; misc: use-alt, then the tick.
+			edits = []edit{{"table_0", set(2, []byte{100})}, {"misc", set(4, i64(-1))}, {"misc", set(4, i64(1<<18))}}
 		case strings.HasSuffix(name, "gehl"):
 			edits = []edit{{"tables", set(8, []byte{100})}} // table 0's weight 0
 		}
