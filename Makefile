@@ -72,7 +72,8 @@ bench-test:
 # straight runs, and a snapshot cut by one byte exits 1 without a
 # panic), window (`journal summary` counts the window events of a
 # journaled -window run, whose timeline carries the mpki counter track),
-# xray (tablestats journal events, TAGE banks carrying provider hits)
+# xray (tablestats journal events, and the bank hits of an explained
+# TAGE run)
 # and codec (a tracegen file replayed with bfsim -f and read by
 # traceinfo equals the synthetic trace, and the file cut by one byte
 # exits 1 without a panic).

@@ -124,12 +124,13 @@ func TestShapeFig12ProviderShift(t *testing.T) {
 		t.Skip("multi-trace integration test")
 	}
 	tr := genTrace(t, "SPEC00", longN)
-	t15 := bfbp.NewTAGE(bfbp.TAGEBare(15))
-	bf10 := bfbp.NewBFTAGE(bfbp.BFTAGEBare(10))
-	if _, err := bfbp.Run(t15, tr.Stream(), bfbp.Options{}); err != nil {
+	opt := bfbp.Options{Explain: true}
+	st15, err := bfbp.Run(bfbp.NewTAGE(bfbp.TAGEBare(15)), tr.Stream(), opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bfbp.Run(bf10, tr.Stream(), bfbp.Options{}); err != nil {
+	st10, err := bfbp.Run(bfbp.NewBFTAGE(bfbp.BFTAGEBare(10)), tr.Stream(), opt)
+	if err != nil {
 		t.Fatal(err)
 	}
 	center := func(hits []uint64) float64 {
@@ -143,8 +144,8 @@ func TestShapeFig12ProviderShift(t *testing.T) {
 		}
 		return num / den
 	}
-	cT := center(t15.ProbeState().ProviderHits())
-	cB := center(bf10.ProbeState().ProviderHits())
+	cT := center(st15.Provenance.BankHits)
+	cB := center(st10.Provenance.BankHits)
 	t.Logf("hit-weighted provider table: tage-15 %.2f, bf-tage-10 %.2f", cT, cB)
 	if cB >= cT {
 		t.Errorf("bf-tage-10 provider center (%.2f) should sit at lower tables than tage-15 (%.2f)", cB, cT)

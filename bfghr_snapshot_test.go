@@ -21,8 +21,8 @@ func TestBFGHRSnapshotBytesPinned(t *testing.T) {
 	}
 	tr := genTrace(t, "INT1", 60_000)
 	for _, tc := range []struct{ name, sha string }{
-		{"bf-tage-10", "1953d91ee1007148433961e27c9a6e8fb64f5b402c91c3da74e72fac7e532a37"},
-		{"bf-isl-tage-10", "66175f13097c002ad22dbc9f4eb28476a757b301afd04dfbf0286fe36b1d334a"},
+		{"bf-tage-10", "74e6640dd6e8d5278f9b2b45b3ffde4c9b22a51a94ce5b74b1c3cb8bd550a543"},
+		{"bf-isl-tage-10", "64d6ffe13b6e0103f9fab3c9b762c3881a567da2a1a4417a1a2c9dc9dbf7ddd2"},
 		{"bf-gehl", "f1d1a44134e49f112e528547779e6d7f60da9294b808b87bce93f4f5298a15f9"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,8 +14,8 @@
 //	bfsim -p oh-snap,bf-neural -t all -csv       # engine CSV output
 //	bfsim -p bf-neural -t all -json -workers 4   # engine JSON output
 //	bfsim -p bf-tage-10 -t SERV3 -offenders 10   # top mispredicted PCs
-//	bfsim -p bf-tage-10 -t SPEC00 -tablehits     # provider histogram
 //	bfsim -p bf-tage-10 -t SERV1 -explain        # cause taxonomy + attribution
+//	bfsim -p bf-tage-10 -t SPEC00 -explain -warmup 0  # provider histogram (Fig. 12)
 //	bfsim -p bf-neural -storage                  # storage budget only
 //	bfsim -list                                  # available predictors
 //
@@ -80,7 +80,6 @@ func main() {
 		csvOut    = flag.Bool("csv", false, "emit engine results as CSV")
 		jsonOut   = flag.Bool("json", false, "emit engine results (and window series) as JSON")
 		offenders = flag.Int("offenders", 0, "print the top-N mispredicted PCs")
-		tableHits = flag.Bool("tablehits", false, "print the provider-table histogram")
 		explain   = flag.Bool("explain", false, "collect decision provenance (cause taxonomy, component/bank attribution)")
 		storage   = flag.Bool("storage", false, "print the storage budget and exit")
 		list      = flag.Bool("list", false, "list available predictor names")
@@ -90,14 +89,10 @@ func main() {
 		resumePath      = flag.String("resume", "", "load a bfbp.state.v1 predictor snapshot before the run")
 		skip            = flag.Int("skip", 0, "discard the first N trace records (fast-forward a resumed trace)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
-		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
-		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
-		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
-
 		probeState      = flag.Bool("probe-state", false, "sample predictor table/state internals periodically (occupancy metrics, tablestats journal events, Perfetto counter tracks)")
 		probeStateEvery = flag.Uint64("probe-state-every", 65536, "with -probe-state, sample every N branches (quantised to batch boundaries)")
 	)
+	telCfg := telemetry.Flags(flag.CommandLine)
 	prof.Flags(flag.CommandLine)
 	flag.Parse()
 	// A count below its floor is a usage error, not a silent default.
@@ -199,12 +194,7 @@ func main() {
 		}}
 	}
 
-	tel, err := telemetry.Start(telemetry.Config{
-		MetricsAddr: *metricsAddr,
-		JournalPath: *journalPath,
-		Heartbeat:   *heartbeat,
-		TracePath:   *traceOut,
-	})
+	tel, err := telemetry.Start(*telCfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -282,7 +272,7 @@ func main() {
 			fatal(err)
 		}
 	default:
-		printText(results, len(sources) > 1, *offenders, *tableHits)
+		printText(results, len(sources) > 1, *offenders)
 	}
 }
 
@@ -319,7 +309,7 @@ func traceSources(file, names string, branches int) ([]bfbp.TraceSource, int, er
 	return out, branches, nil
 }
 
-func printText(results []bfbp.RunResult, showTrace bool, offenders int, tableHits bool) {
+func printText(results []bfbp.RunResult, showTrace bool, offenders int) {
 	if showTrace {
 		fmt.Printf("%-10s ", "trace")
 	}
@@ -344,22 +334,6 @@ func printText(results []bfbp.RunResult, showTrace bool, offenders int, tableHit
 			fmt.Print(indent(analysis.ComponentReport(pv)))
 			if banks := analysis.BankUtilizationReport(pv); banks != "" {
 				fmt.Print(indent(banks))
-			}
-		}
-		var hits []uint64
-		if sp := bfbp.Capabilities(r.Instance).StateProbe; tableHits && sp != nil {
-			hits = sp.ProbeState().ProviderHits()
-		}
-		if hits != nil {
-			var total uint64
-			for _, h := range hits {
-				total += h
-			}
-			fmt.Printf("    provider histogram (T0 = base):\n")
-			for i, h := range hits {
-				if total > 0 {
-					fmt.Printf("      T%-2d %8d (%.1f%%)\n", i, h, 100*float64(h)/float64(total))
-				}
 			}
 		}
 	}

@@ -59,12 +59,8 @@ func main() {
 		quiet         = flag.Bool("q", false, "suppress progress logging")
 		varianceTrace = flag.String("variance", "", "run a seed-variance study on the named trace")
 		seeds         = flag.Int("seeds", 5, "seed variants for -variance (>= 2)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
-		journalPath = flag.String("journal", "", "write bfbp.journal.v1 JSONL events to this file")
-		heartbeat   = flag.Duration("heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
-		traceOut    = flag.String("trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
 	)
+	telCfg := telemetry.Flags(flag.CommandLine)
 	prof.Flags(flag.CommandLine)
 	flag.Parse()
 	// Bad input is a usage error, not a panic, an empty table or a
@@ -118,12 +114,7 @@ func main() {
 		cfg.Log = os.Stderr
 	}
 
-	tel, err := telemetry.Start(telemetry.Config{
-		MetricsAddr: *metricsAddr,
-		JournalPath: *journalPath,
-		Heartbeat:   *heartbeat,
-		TracePath:   *traceOut,
-	})
+	tel, err := telemetry.Start(*telCfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -135,16 +135,17 @@ func TestShortCorrelation(t *testing.T) {
 	}
 }
 
-func TestProviderHitsShiftToShorterTables(t *testing.T) {
+func TestBankHitsShiftToShorterTables(t *testing.T) {
 	// Fig. 12's claim: for the same deep-correlation workload, BF-TAGE
 	// satisfies branches from lower-numbered tables than a conventional
 	// TAGE, because the BF-GHR compresses the distance.
 	tr := corrTrace(9, 250000, 400, 37)
 	bf := New(smallCfg(10))
-	if _, err := sim.Run(bf, tr.Stream(), sim.Options{}); err != nil {
+	st, err := sim.Run(bf, tr.Stream(), sim.Options{Explain: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	bfHits := bf.ProbeState().ProviderHits()
+	bfHits := st.Provenance.BankHits
 	// The target branch needs the source at BF-GHR depth ~= number of
 	// distinct non-biased branches + unfiltered 16; that is << 144, so
 	// some mid-table (not the base) should provide and the tagged tables

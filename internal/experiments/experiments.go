@@ -301,17 +301,18 @@ func Fig12(cfg Config, traceName string) (Table, error) {
 	cfg.logf("fig12: %s\n", traceName)
 
 	// Two engine cells over the same streaming source; the provider
-	// histograms come from the retained instances' state samples.
+	// histograms are the decision traces' bank attributions, which with
+	// no warm-up credit every prediction.
 	results := runEngine(cfg, "fig12", sim.Matrix(
 		[]sim.TraceSource{s.Source(n)},
 		[]sim.PredictorSpec{
 			{Name: "tage-15", New: func() sim.Predictor { return tage.New(tage.Conventional(15)) }},
 			{Name: "bf-tage-10", New: func() sim.Predictor { return bftage.New(bftage.Conventional(10)) }},
 		},
-		sim.Options{},
+		sim.Options{Explain: true},
 	))
 	shares := func(res sim.RunResult) []float64 {
-		h := res.Instance.(sim.StateProbe).ProbeState().ProviderHits()
+		h := res.Stats.Provenance.BankHits
 		var total uint64
 		for _, v := range h {
 			total += v

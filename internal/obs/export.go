@@ -70,7 +70,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, labelPairs(f.labelNames, s.labels, ""), s.counter.Value())
 			case gaugeKind:
 				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, labelPairs(f.labelNames, s.labels, ""), formatFloat(s.gauge.Value()))
-			case quantileKind:
+			case summaryKind:
 				err = writePrometheusSummary(w, f, s)
 			}
 			if err != nil {
@@ -81,22 +81,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// writePrometheusSummary renders a quantile histogram in the summary
-// exposition shape: one {quantile="..."} series per exported quantile
-// point plus _sum and _count. Quantile values come from one bucket
-// snapshot, so a scrape is internally consistent.
+// writePrometheusSummary renders a summary in the exposition shape: one
+// {quantile="..."} series per exported quantile point plus _sum and
+// _count, all read under one lock, so a scrape is internally
+// consistent.
 func writePrometheusSummary(w io.Writer, f *family, s *series) error {
-	snap := s.quant.Snapshot()
-	for i, v := range []float64{snap.P50, snap.P90, snap.P99, snap.P999} {
+	count, sum, qs := s.summary.quantiles(exportQuantiles)
+	for i, v := range qs {
 		q := fmt.Sprintf(`quantile="%s"`, exportQuantileLabels[i])
 		if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labelPairs(f.labelNames, s.labels, q), formatFloat(v)); err != nil {
 			return err
 		}
 	}
 	lp := labelPairs(f.labelNames, s.labels, "")
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, lp, formatFloat(snap.Sum)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, lp, formatFloat(sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, lp, snap.Count)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, lp, count)
 	return err
 }

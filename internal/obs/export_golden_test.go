@@ -14,9 +14,7 @@ var updateExportGolden = flag.Bool("update-export", false, "rewrite the export g
 // deterministic values, so the Prometheus export can be pinned to
 // bytes: series and family ordering, float formatting (whole-number
 // gauges print as integers) and summary quantile lines are all under
-// guard. Quantile samples are exact bucket midpoints, so their
-// estimates (and therefore the golden bytes) are stable by
-// construction.
+// guard.
 func goldenRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Counter("g_branches_total", "branches simulated").Add(123456)
@@ -29,12 +27,11 @@ func goldenRegistry() *Registry {
 	gf.With("0.99").Set(0.001953125)
 	q := reg.Quantile("g_latency_seconds", "a quantile summary")
 	for i := 0; i < 100; i++ {
-		// Exact midpoint of a 2^-10 octave sub-bucket: estimate == sample.
-		q.Observe(quantMid(quantIndex(0.001)))
+		q.Observe(0.0009918212890625)
 	}
 	qf := reg.QuantileFamily("g_run_seconds", "per-thing durations", "thing")
-	qf.With("a").Observe(quantMid(quantIndex(0.25)))
-	qf.With("b").Observe(quantMid(quantIndex(2)))
+	qf.With("a").Observe(0.25390625)
+	qf.With("b").Observe(2.03125)
 	return reg
 }
 

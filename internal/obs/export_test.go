@@ -1,24 +1,35 @@
 package obs
 
-// QuantileRelError is the documented worst-case relative error of a
-// quantile estimate for values inside the histogram's covered range.
-const QuantileRelError = 1.0 / (2 * quantSub)
-
-// Quantile registers (or returns) an unlabeled quantile histogram —
-// the log-linear HDR-style instrument exported as a Prometheus summary
-// with p50/p90/p99/p999 series.
-func (r *Registry) Quantile(name, help string) *QuantileHistogram {
-	return r.family(name, help, quantileKind, nil).get(nil).quant
+// Quantile registers (or returns) an unlabeled summary, exported as a
+// Prometheus summary with p50/p90/p99/p999 series.
+func (r *Registry) Quantile(name, help string) *Summary {
+	return r.family(name, help, summaryKind, nil).get(nil).summary
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) as the value of
-// the sample at rank ceil(q*n), within QuantileRelError of the exact
-// order statistic for in-range values. Returns 0 when empty.
-func (h *QuantileHistogram) Quantile(q float64) float64 {
-	if h == nil {
+// Quantile returns the sample at rank ceil(q*n), 0 <= q <= 1, the
+// order statistic the exported quantiles report. Returns 0 when empty.
+func (s *Summary) Quantile(q float64) float64 {
+	if s == nil {
 		return 0
 	}
-	qs := [1]float64{q}
-	out := h.quantiles(qs[:])
+	_, _, out := s.quantiles([]float64{q})
 	return out[0]
+}
+
+// Count returns the number of observations.
+func (s *Summary) Count() uint64 {
+	if s == nil {
+		return 0
+	}
+	n, _, _ := s.quantiles(nil)
+	return n
+}
+
+// Sum returns the sum of the observations, in observation order.
+func (s *Summary) Sum() float64 {
+	if s == nil {
+		return 0
+	}
+	_, sum, _ := s.quantiles(nil)
+	return sum
 }

@@ -1,17 +1,15 @@
-// Package obs is the observability substrate of the repository: an
-// allocation-light, stdlib-only metrics layer (atomic counters, gauges,
-// log-linear quantile histograms, labeled families, a registry with
-// Prometheus-text export) plus a structured
-// run-journal writer (JSONL, schema "bfbp.journal.v1").
+// Package obs is the observability substrate of the repository: a
+// stdlib-only metrics layer (atomic counters, gauges, exact-sample
+// summaries, labeled families, a registry with Prometheus-text export)
+// plus a structured run-journal writer (JSONL, schema
+// "bfbp.journal.v1").
 //
-// The design targets the suite engine's hot paths: observing a metric
-// never allocates and never takes a lock — counters are single atomic
-// adds, gauges a compare-and-swap on float bits, quantile histograms a
-// bucket index plus a few atomics — so instrumentation can stay enabled
-// on million-branch simulation loops. Every metric type is nil-safe:
-// methods on a nil *Counter, *Gauge, or *QuantileHistogram are no-ops,
-// which lets instrumented code hold optional metric handles without
-// branching at every observation site.
+// Counters are single atomic adds and gauges a compare-and-swap on
+// float bits; a summary appends its sample under a mutex, which suits
+// the per-run rates it is fed. Every metric type is nil-safe: methods
+// on a nil *Counter, *Gauge, or *Summary are no-ops, which lets
+// instrumented code hold optional metric handles without branching at
+// every observation site.
 package obs
 
 import (
@@ -70,6 +68,17 @@ func (g *Gauge) Add(v float64) {
 	casAddFloat(&g.v, v)
 }
 
+// casAddFloat adds v to the float64 bits stored in a.
+func casAddFloat(a *atomic.Uint64, v float64) {
+	for {
+		old := a.Load()
+		next := math.Float64bits(math.Float64frombits(old) + v)
+		if a.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
 
@@ -84,14 +93,13 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.v.Load())
 }
 
-// kind is what a family holds, spelled as its Prometheus TYPE keyword:
-// quantile histograms are exported as summaries.
+// kind is what a family holds, spelled as its Prometheus TYPE keyword.
 type kind string
 
 const (
-	counterKind  kind = "counter"
-	gaugeKind    kind = "gauge"
-	quantileKind kind = "summary"
+	counterKind kind = "counter"
+	gaugeKind   kind = "gauge"
+	summaryKind kind = "summary"
 )
 
 // series is one labeled instance within a family.
@@ -99,7 +107,7 @@ type series struct {
 	labels  []string // label values, parallel to family.labelNames
 	counter *Counter
 	gauge   *Gauge
-	quant   *QuantileHistogram
+	summary *Summary
 }
 
 // family groups all series of one metric name.
@@ -132,8 +140,8 @@ func (f *family) get(values []string) *series {
 			s.counter = &Counter{}
 		case gaugeKind:
 			s.gauge = &Gauge{}
-		case quantileKind:
-			s.quant = NewQuantileHistogram()
+		case summaryKind:
+			s.summary = &Summary{}
 		}
 		f.series[key] = s
 	}
@@ -255,20 +263,20 @@ func (gf *GaugeFamily) With(labelValues ...string) *Gauge {
 	return gf.f.get(labelValues).gauge
 }
 
-// QuantileFamily is a labeled quantile-histogram family; With resolves
-// one series.
+// QuantileFamily is a labeled summary family, exported with quantile
+// series; With resolves one series.
 type QuantileFamily struct{ f *family }
 
-// QuantileFamily registers (or returns) a quantile-histogram family
-// keyed by the given label names.
+// QuantileFamily registers (or returns) a summary family keyed by the
+// given label names.
 func (r *Registry) QuantileFamily(name, help string, labelNames ...string) *QuantileFamily {
-	return &QuantileFamily{r.family(name, help, quantileKind, labelNames)}
+	return &QuantileFamily{r.family(name, help, summaryKind, labelNames)}
 }
 
-// With returns the quantile histogram for the given label values.
-func (qf *QuantileFamily) With(labelValues ...string) *QuantileHistogram {
+// With returns the summary for the given label values.
+func (qf *QuantileFamily) With(labelValues ...string) *Summary {
 	if qf == nil {
 		return nil
 	}
-	return qf.f.get(labelValues).quant
+	return qf.f.get(labelValues).summary
 }

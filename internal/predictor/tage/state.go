@@ -1,9 +1,8 @@
 // Snapshot support (bfbp.state.v1). Mutable state: the tagged entries,
 // the base bimodal, the history's sections, the allocator RNG and
-// u-reset clock, the loop predictor and statistical corrector, and the
-// provider histogram. The in-flight checkpoint ring is deliberately not
-// serialised: snapshots are taken at quiescent points (no prediction
-// awaiting its update).
+// u-reset clock, and the loop predictor and statistical corrector. The
+// in-flight checkpoint ring is deliberately not serialised: snapshots
+// are taken at quiescent points (no prediction awaiting its update).
 
 package tage
 
@@ -34,6 +33,9 @@ func (p *Predictor) configHash() uint64 {
 	h.Bool(p.cfg.IUM)
 	h.Int(uResetPeriod)
 	h.U64(p.cfg.Seed)
+	// Marks the misc-section layout without a provider histogram, so a
+	// snapshot saved with one fails as a config mismatch.
+	h.String("misc-v2")
 	return h.Sum()
 }
 
@@ -63,7 +65,6 @@ func (p *Predictor) SaveState(w io.Writer) error {
 	m.Int(p.tick)
 	m.U64(p.r.State())
 	m.I32(p.withLoop)
-	m.U64s(p.providerHits)
 	if p.loop != nil {
 		p.loop.SaveState(s.Section("loop"))
 	}
@@ -111,7 +112,6 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	basePred, baseHyst := b.Bools(len(p.basePred)), b.Bools(len(p.baseHyst))
 	m := s.Dec("misc")
 	useAltOnNA, tick, rngState, withLoop := m.I32(), m.Int(), m.U64(), m.I32()
-	hits := m.U64s(len(p.providerHits))
 	if useAltOnNA < 0 || useAltOnNA > 15 || withLoop < -64 || withLoop > 63 {
 		m.Corruptf("use-alt %d or loop chooser %d out of range", useAltOnNA, withLoop)
 	}
@@ -146,7 +146,6 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	commitHist()
 	p.useAltOnNA, p.tick, p.withLoop = useAltOnNA, tick, withLoop
 	p.r.SetState(rngState)
-	copy(p.providerHits, hits)
 	p.loop = loop
 	copy(p.sc, sc)
 	p.inflight.Reset()

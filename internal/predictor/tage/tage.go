@@ -151,8 +151,7 @@ type Predictor struct {
 	// inflight holds the predictions awaiting their update, oldest
 	// first; its free slot doubles as scratch for lookups that never go
 	// in flight.
-	inflight     inflight.Ring[checkpoint]
-	providerHits []uint64
+	inflight inflight.Ring[checkpoint]
 }
 
 // New returns a TAGE/ISL-TAGE predictor over the conventional global
@@ -175,16 +174,15 @@ func NewWithHistory(cfg Config, org Org, newHist func(Config) History) *Predicto
 	}
 	n := len(cfg.Tables)
 	p := &Predictor{
-		cfg:          cfg,
-		org:          org,
-		fIdx:         make([]uint64, n),
-		fTag:         make([]uint64, n),
-		basePred:     make([]bool, 1<<cfg.BaseLogEntries),
-		baseHyst:     make([]bool, 1<<(cfg.BaseLogEntries-2)),
-		baseMask:     uint64(1<<cfg.BaseLogEntries - 1),
-		useAltOnNA:   8,
-		r:            rng.New(cfg.Seed | 1),
-		providerHits: make([]uint64, n+1),
+		cfg:        cfg,
+		org:        org,
+		fIdx:       make([]uint64, n),
+		fTag:       make([]uint64, n),
+		basePred:   make([]bool, 1<<cfg.BaseLogEntries),
+		baseHyst:   make([]bool, 1<<(cfg.BaseLogEntries-2)),
+		baseMask:   uint64(1<<cfg.BaseLogEntries - 1),
+		useAltOnNA: 8,
+		r:          rng.New(cfg.Seed | 1),
 	}
 	prev := 0
 	for _, tc := range cfg.Tables {
@@ -340,7 +338,6 @@ func (p *Predictor) Predict(pc uint64) bool {
 		}
 	}
 
-	p.providerHits[cp.provider+1]++
 	p.inflight.Push()
 	return cp.finalPred
 }
@@ -575,10 +572,10 @@ func (p *Predictor) Storage() sim.Breakdown {
 // ProbeState implements sim.StateProbe: base-table warmth, per-bank
 // occupancy/conflict/useful/saturation profiles with each bank's
 // history length and raw-branch reach (so capacity-vs-reach reports can
-// compare bias-free banks against conventional ones), provider hits,
-// the history's own state, and the statistical corrector's weight
-// saturation. Live counts come from the allocate-path bitmap;
-// everything else is scanned here, off the hot path.
+// compare bias-free banks against conventional ones), the history's
+// own state, and the statistical corrector's weight saturation. Live
+// counts come from the allocate-path bitmap; everything else is scanned
+// here, off the hot path.
 func (p *Predictor) ProbeState() sim.TableStats {
 	ts := sim.TableStats{Predictor: p.Name()}
 	baseLive := 0
@@ -589,7 +586,6 @@ func (p *Predictor) ProbeState() sim.TableStats {
 	}
 	ts.Banks = append(ts.Banks, sim.BankStats{
 		Bank: 0, Kind: "base", Entries: len(p.basePred), Live: baseLive,
-		Hits: p.providerHits[0],
 	})
 	for i, t := range p.tables {
 		useful := 0
@@ -613,7 +609,6 @@ func (p *Predictor) ProbeState() sim.TableStats {
 			Saturated: sat,
 			Allocs:    t.allocs,
 			Evictions: t.evictions,
-			Hits:      p.providerHits[i+1],
 		})
 	}
 	p.hist.Probe(&ts)

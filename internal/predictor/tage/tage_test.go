@@ -161,10 +161,11 @@ func TestProviderHistogramShiftsWithDistance(t *testing.T) {
 	// tables; long-distance ones by long-history tables.
 	p := New(smallCfg(15))
 	tr := corrTrace(9, 150000, 150, 23)
-	if _, err := sim.Run(p, tr.Stream(), sim.Options{}); err != nil {
+	st, err := sim.Run(p, tr.Stream(), sim.Options{Explain: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	hits := p.ProbeState().ProviderHits()
+	hits := st.Provenance.BankHits
 	if len(hits) != 16 {
 		t.Fatalf("provider hits len = %d, want 16", len(hits))
 	}

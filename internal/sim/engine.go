@@ -192,7 +192,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 		// Per-cell events are built only for an observed engine, so a
 		// bare one allocates nothing for them.
 		if observed {
-			e.emit(WorkerState{Worker: worker, State: "busy", Span: sid})
 			e.emit(RunStart{Trace: tn, Predictor: pn, Worker: worker, Span: sid})
 		}
 		p := job.Predictor.New()
@@ -206,14 +205,12 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]RunResult, error) {
 			mu.Unlock()
 			if observed {
 				e.emit(RunError{Trace: tn, Predictor: pn, Worker: worker, Error: err.Error(), Span: sid, cell: i + 1})
-				e.emit(WorkerState{Worker: worker, State: "idle", Span: sid})
 			}
 			return fmt.Errorf("sim: %s on %s: %w", pn, tn, err)
 		}
 		results[i] = RunResult{Trace: tn, Predictor: pn, Stats: st, Elapsed: elapsed, Instance: p}
 		if observed {
 			e.emitRun(results[i], worker, i+1, sid, &storageSeen)
-			e.emit(WorkerState{Worker: worker, State: "idle", Span: sid})
 		}
 		mu.Lock()
 		done++

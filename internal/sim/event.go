@@ -129,13 +129,6 @@ type Storage struct {
 	Span       uint64      `json:"span,omitempty"`
 }
 
-// WorkerState is one busy/idle transition of an engine worker.
-type WorkerState struct {
-	Worker int    `json:"worker"`
-	State  string `json:"state"`
-	Span   uint64 `json:"span,omitempty"`
-}
-
 // Checkpoint reports a bfbp.state.v1 snapshot of the predictor, Bytes
 // long, written to Path after Branch committed branches — mid-run
 // (Options.CheckpointEvery) or at run end. bfsim journals it directly,
@@ -158,7 +151,6 @@ func (WindowEvent) Kind() string          { return "window" }
 func (ProvenanceEvent) Kind() string      { return "provenance" }
 func (ComponentAttribution) Kind() string { return "component_attribution" }
 func (Storage) Kind() string              { return "storage" }
-func (WorkerState) Kind() string          { return "worker_state" }
 func (Checkpoint) Kind() string           { return "checkpoint" }
 func (TableStats) Kind() string           { return "tablestats" }
 

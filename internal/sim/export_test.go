@@ -6,8 +6,8 @@ package sim
 func Events() []Event {
 	return []Event{
 		SuiteStart{}, RunStart{}, RunFinish{}, RunError{}, WindowEvent{},
-		ProvenanceEvent{}, ComponentAttribution{}, Storage{}, WorkerState{},
-		Checkpoint{}, TableStats{}, SuiteFinish{},
+		ProvenanceEvent{}, ComponentAttribution{}, Storage{}, Checkpoint{},
+		TableStats{}, SuiteFinish{},
 	}
 }
 

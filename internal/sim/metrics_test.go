@@ -124,10 +124,6 @@ func TestEngineJournalEventSet(t *testing.T) {
 	if count["window"] < 4 {
 		t.Fatalf("window events = %d, want >= 4", count["window"])
 	}
-	// One busy + one idle transition for the single worker and run.
-	if count["worker_state"] != 2 {
-		t.Fatalf("worker_state events = %d, want 2", count["worker_state"])
-	}
 	// Ordering: suite_start first, suite_finish last.
 	if events[0]["event"] != "suite_start" || events[len(events)-1]["event"] != "suite_finish" {
 		t.Fatalf("suite events misplaced: first %v last %v", events[0]["event"], events[len(events)-1]["event"])

@@ -80,10 +80,6 @@ type BankStats struct {
 	// allocated entry — the tag-conflict signal.
 	Allocs    uint64 `json:"allocs,omitempty"`
 	Evictions uint64 `json:"evictions,omitempty"`
-	// Hits counts the predictions this bank provided since
-	// construction (TAGE-class base and tagged banks; Fig. 12's
-	// provider histogram). Every Predict credits exactly one bank.
-	Hits uint64 `json:"hits,omitempty"`
 }
 
 // Label renders the bank as a stable metric/track label ("T1:tagged").
@@ -109,19 +105,6 @@ func (b BankStats) ConflictRate() float64 {
 		return 0
 	}
 	return float64(b.Evictions) / float64(b.Allocs)
-}
-
-// ProviderHits returns the Hits of the base and tagged banks in
-// storage order — index 0 the base, i the i-th tagged bank — or nil
-// when the predictor has no provider banks (non-TAGE families).
-func (ts TableStats) ProviderHits() []uint64 {
-	var hits []uint64
-	for _, b := range ts.Banks {
-		if b.Kind == "base" || b.Kind == "tagged" {
-			hits = append(hits, b.Hits)
-		}
-	}
-	return hits
 }
 
 // WeightStats describes one weight array of an adder-tree core.

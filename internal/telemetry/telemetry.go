@@ -11,6 +11,7 @@
 package telemetry
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -38,6 +39,18 @@ type Config struct {
 	// timeline (Chrome trace-event JSON, loadable in Perfetto) to this
 	// file (created or truncated).
 	TracePath string
+}
+
+// Flags registers -metrics-addr, -journal, -heartbeat and -trace-out on
+// fs (typically flag.CommandLine) and returns the Config they set; read
+// it after fs.Parse.
+func Flags(fs *flag.FlagSet) *Config {
+	cfg := new(Config)
+	fs.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address")
+	fs.StringVar(&cfg.JournalPath, "journal", "", "write bfbp.journal.v1 JSONL events to this file")
+	fs.DurationVar(&cfg.Heartbeat, "heartbeat", 0, "print an engine-progress line to stderr at this period (0 = off)")
+	fs.StringVar(&cfg.TracePath, "trace-out", "", "write a bfbp.trace.v1 span timeline (Perfetto/chrome://tracing JSON) to this file")
+	return cfg
 }
 
 // T is a running telemetry stack. A nil *T is valid and inert.

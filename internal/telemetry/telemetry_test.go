@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -35,6 +36,24 @@ func TestDisabledConfigIsInert(t *testing.T) {
 	}
 	if tel.RunJournal() != nil || tel.Close() != nil {
 		t.Fatal("nil T methods must be inert")
+	}
+}
+
+// Flags declares the four telemetry flags, disabled by default, and
+// parsing them fills the Config that Start takes.
+func TestFlagsFillConfig(t *testing.T) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	cfg := Flags(fs)
+	if cfg.Enabled() {
+		t.Fatalf("defaults enable telemetry: %+v", *cfg)
+	}
+	args := []string{"-metrics-addr", "localhost:0", "-journal", "j.jsonl", "-heartbeat", "2s", "-trace-out", "t.json"}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want := Config{MetricsAddr: "localhost:0", JournalPath: "j.jsonl", Heartbeat: 2 * time.Second, TracePath: "t.json"}
+	if *cfg != want {
+		t.Fatalf("parsed config %+v, want %+v", *cfg, want)
 	}
 }
 

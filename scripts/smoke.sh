@@ -27,9 +27,10 @@
 #   window    a journaled -window run must carry window events, all of
 #             them counted by `journal summary -json`, and its timeline
 #             must carry the mpki Perfetto counter track ("ph":"C").
-#   xray      a -probe-state run must journal tablestats events that
-#             `journal summary` reduces to table-state rows, and a
-#             TAGE-class predictor's banks must carry provider "hits".
+#   xray      a -probe-state -explain run must journal tablestats events
+#             that `journal summary` reduces to table-state rows, and a
+#             TAGE-class predictor's component_attribution event must
+#             carry a non-empty "bank_hits" array.
 #   codec     a tracegen BFT1 file replayed with bfsim -f must equal the
 #             synthetic run it was written from in every CSV column but
 #             the trace name (an explicit -warmup: -t takes its 10% from
@@ -149,11 +150,11 @@ echo "smoke: window ok ($windows window events)"
 
 # xray
 "$bfsim" -p bf-tage-8,bimodal -t SERV1 -n 150000 \
-	-probe-state -probe-state-every 32768 -journal "$OUT/xray.jsonl" > /dev/null
+	-probe-state -probe-state-every 32768 -explain -journal "$OUT/xray.jsonl" > /dev/null
 n=$(grep -c '"event":"tablestats"' "$OUT/xray.jsonl" || true)
 [ "$n" -ge 1 ] || fail "xray: no tablestats events in journal"
-grep '"event":"tablestats"' "$OUT/xray.jsonl" | grep '"predictor":"bf-tage-8"' | grep -q '"hits":' ||
-	fail "xray: bf-tage-8 tablestats banks carry no provider hits"
+grep '"event":"component_attribution"' "$OUT/xray.jsonl" | grep '"predictor":"bf-tage-8"' |
+	grep -q '"bank_hits":\[[0-9]' || fail "xray: bf-tage-8 component_attribution carries no bank hits"
 "$journal" summary "$OUT/xray.jsonl" | grep -q 'table-state samples:' ||
 	fail "xray: summary missing table-state rows"
 echo "smoke: xray ok ($n tablestats events)"

@@ -65,7 +65,7 @@ func TestEveryPredictorSnapshots(t *testing.T) {
 // predictor over two workload suites: running N branches, snapshotting,
 // restoring into a fresh instance, and running M more must equal a
 // straight N+M run — same counters, same per-PC attribution, same
-// per-bank provider hits.
+// per-bank useful bits and saturated counters.
 func TestBitExactResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry integration test")
@@ -135,8 +135,9 @@ func TestBitExactResume(t *testing.T) {
 					t.Fatalf("bank count %d != %d", len(b), len(a))
 				}
 				for i := range a {
-					if a[i].Hits != b[i].Hits {
-						t.Fatalf("bank %s hits: split %d != straight %d", a[i].Label(), b[i].Hits, a[i].Hits)
+					if a[i].UsefulSet != b[i].UsefulSet || a[i].Saturated != b[i].Saturated {
+						t.Fatalf("bank %s useful/saturated: split %d/%d != straight %d/%d", a[i].Label(),
+							b[i].UsefulSet, b[i].Saturated, a[i].UsefulSet, a[i].Saturated)
 					}
 				}
 			})

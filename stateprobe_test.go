@@ -11,13 +11,12 @@ import (
 // TestEveryPredictorProbesState is the tentpole's coverage guard: every
 // registry predictor must implement the optional StateProbe interface,
 // advertise it as a capability tag, and — after a short training run —
-// report real table or weight state (static predictors excepted).
-// StateProbe is also the only source of Fig. 12's provider histogram
-// and of bank reach, so it checks their invariants too: a TAGE-class
-// predictor credits exactly one base or tagged bank per Predict, every
-// other family reports no hits, and a tagged bank reaches at least as
-// many raw branches as its history bits (exactly as many without the
-// bias-free compression).
+// report real table or weight state (static predictors excepted). The
+// run is explained, so it also checks Fig. 12's provider histogram: a
+// TAGE-class predictor's decision trace credits exactly one base or
+// tagged bank per branch, every other family attributes no bank, and a
+// tagged bank reaches at least as many raw branches as its history bits
+// (exactly as many without the bias-free compression).
 func TestEveryPredictorProbesState(t *testing.T) {
 	tr := genTrace(t, "INT1", 20_000)
 	for _, info := range bfbp.Predictors() {
@@ -36,7 +35,7 @@ func TestEveryPredictorProbesState(t *testing.T) {
 			t.Errorf("%s: Capabilities().Names() omits \"state-probe\"", info.Name)
 		}
 		p := info.New()
-		st, err := bfbp.Run(p, tr.Stream(), bfbp.Options{})
+		st, err := bfbp.Run(p, tr.Stream(), bfbp.Options{Explain: true})
 		if err != nil {
 			t.Errorf("%s: run: %v", info.Name, err)
 			continue
@@ -45,7 +44,7 @@ func TestEveryPredictorProbesState(t *testing.T) {
 		if ts.Predictor != p.Name() {
 			t.Errorf("%s: sample names predictor %q", info.Name, ts.Predictor)
 		}
-		checkProviderBanks(t, info.Name, ts, st.Branches)
+		checkProviderBanks(t, info.Name, ts, st)
 		if strings.HasPrefix(info.Name, "static-") {
 			continue
 		}
@@ -80,37 +79,42 @@ func TestEveryPredictorProbesState(t *testing.T) {
 	}
 }
 
-// checkProviderBanks asserts the provider-hit and reach invariants of
-// one trained predictor's state sample after branches Predict calls.
-func checkProviderBanks(t *testing.T, name string, ts sim.TableStats, branches uint64) {
+// checkProviderBanks asserts the provider-hit invariant of one
+// explained run and the reach invariant of its trained state sample.
+func checkProviderBanks(t *testing.T, name string, ts sim.TableStats, st bfbp.Stats) {
 	t.Helper()
+	var bankHits []uint64
+	if st.Provenance != nil {
+		bankHits = st.Provenance.BankHits
+	}
 	if !strings.Contains(name, "tage") {
-		for _, b := range ts.Banks {
-			if b.Hits != 0 {
-				t.Errorf("%s: non-TAGE bank %s reports %d hits", name, b.Label(), b.Hits)
-			}
+		if bankHits != nil {
+			t.Errorf("%s: non-TAGE predictor attributes bank hits %v", name, bankHits)
 		}
 		return
 	}
 	var hits uint64
+	for _, h := range bankHits {
+		hits += h
+	}
+	if hits != st.Branches {
+		t.Errorf("%s: base+tagged hits %d, want one per branch (%d)", name, hits, st.Branches)
+	}
+	bf := strings.HasPrefix(name, "bf-")
+	providers := 0
 	for _, b := range ts.Banks {
 		switch b.Kind {
 		case "base":
-			hits += b.Hits
+			providers++
 		case "tagged":
-			hits += b.Hits
-			bf := strings.HasPrefix(name, "bf-")
+			providers++
 			if b.HistLen <= 0 || b.Reach < b.HistLen || (!bf && b.Reach != b.HistLen) {
 				t.Errorf("%s: bank %s reach %d from %d history bits", name, b.Label(), b.Reach, b.HistLen)
 			}
-		default:
-			if b.Hits != 0 {
-				t.Errorf("%s: %s bank %s reports %d hits", name, b.Kind, b.Label(), b.Hits)
-			}
 		}
 	}
-	if hits != branches {
-		t.Errorf("%s: base+tagged hits %d, want one per branch (%d)", name, hits, branches)
+	if len(bankHits) != providers {
+		t.Errorf("%s: %d bank-hit counts for %d base and tagged banks", name, len(bankHits), providers)
 	}
 }
 
