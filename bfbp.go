@@ -208,7 +208,7 @@ const (
 )
 
 // NewBimodal returns a PC-indexed 2-bit bimodal predictor.
-func NewBimodal(entries int) Predictor { return bimodal.New(entries, 2) }
+func NewBimodal(entries int) Predictor { return bimodal.New(entries) }
 
 // NewGShare returns a gshare predictor.
 func NewGShare(entries, histBits int) Predictor { return gshare.New(entries, histBits) }

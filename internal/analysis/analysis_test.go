@@ -61,7 +61,7 @@ func TestPopulation(t *testing.T) {
 
 func TestAttributeKernels(t *testing.T) {
 	spec, _ := workload.ByName("FP4")
-	reports, st, err := AttributeKernels(spec, 30_000, bimodal.New(1<<12, 2))
+	reports, st, err := AttributeKernels(spec, 30_000, bimodal.New(1<<12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestAttributeKernels(t *testing.T) {
 func TestCompareRender(t *testing.T) {
 	spec, _ := workload.ByName("MM1")
 	cmp, err := Compare(spec, 20_000, []sim.Predictor{
-		bimodal.New(1<<12, 2),
-		bimodal.New(1<<6, 2),
+		bimodal.New(1 << 12),
+		bimodal.New(1 << 6),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,143 +1,106 @@
-// Package counters implements the small saturating counters used by every
-// predictor in this repository: signed prediction counters (bimodal, TAGE
-// tagged entries, perceptron weights), unsigned confidence/useful counters,
-// and the probabilistic counters that the paper advocates for the Branch
-// Status Table in a production design (§IV-B1, citing Riley & Zilles).
+// Package counters implements the banks of small saturating counters
+// that the table predictors index: signed prediction counters (PHTs,
+// choosers, exception caches) and unsigned run-length counters. A bank
+// keeps one byte or one half-word per counter and its width once, so a
+// table's heap is close to the storage budget it reports.
 package counters
 
-// Signed is a signed saturating counter with a configurable bit width.
-// A width-w counter saturates at [-2^(w-1), 2^(w-1)-1]. The sign provides
+// Signed is a bank of signed saturating counters of one bit width. A
+// width-w counter saturates at [-2^(w-1), 2^(w-1)-1]. The sign provides
 // the prediction: >= 0 means taken by convention (matching TAGE's 3-bit
-// prediction counters where the midpoint leans taken).
+// prediction counters where the midpoint leans taken). Every counter
+// starts at 0.
 type Signed struct {
-	v        int32
-	min, max int32
+	v        []int8
+	min, max int8
 }
 
-// NewSigned returns a signed saturating counter of the given bit width,
-// initialised to init. Width must be in [1, 31].
-func NewSigned(width int, init int32) Signed {
-	if width < 1 || width > 31 {
+// NewSigned returns a bank of n signed counters of the given bit width,
+// which must be in [1, 8].
+func NewSigned(n, width int) Signed {
+	if width < 1 || width > 8 {
 		panic("counters: signed width out of range")
 	}
-	c := Signed{min: -(1 << (width - 1)), max: 1<<(width-1) - 1}
-	c.v = clamp(init, c.min, c.max)
-	return c
+	return Signed{v: make([]int8, n), min: -1 << (width - 1), max: 1<<(width-1) - 1}
 }
 
-// Value returns the current counter value.
-func (c *Signed) Value() int32 { return c.v }
+// Len returns the number of counters.
+func (b *Signed) Len() int { return len(b.v) }
 
-// Set assigns v, saturating to the counter's range.
-func (c *Signed) Set(v int32) { c.v = clamp(v, c.min, c.max) }
+// Value returns counter i.
+func (b *Signed) Value(i int) int32 { return int32(b.v[i]) }
 
-// Inc increments with saturation.
-func (c *Signed) Inc() {
-	if c.v < c.max {
-		c.v++
-	}
+// Set assigns v to counter i, saturating to the bank's range.
+func (b *Signed) Set(i int, v int32) {
+	b.v[i] = int8(min(max(v, int32(b.min)), int32(b.max)))
 }
 
-// Dec decrements with saturation.
-func (c *Signed) Dec() {
-	if c.v > c.min {
-		c.v--
-	}
-}
+// Taken reports counter i's predicted direction (>= 0 means taken).
+func (b *Signed) Taken(i int) bool { return b.v[i] >= 0 }
 
-// Update increments when taken is true and decrements otherwise.
-func (c *Signed) Update(taken bool) {
+// Update moves counter i one step towards taken's direction, saturating
+// at the bank's bounds.
+func (b *Signed) Update(i int, taken bool) {
+	v := b.v[i]
 	if taken {
-		c.Inc()
-	} else {
-		c.Dec()
+		if v < b.max {
+			b.v[i] = v + 1
+		}
+	} else if v > b.min {
+		b.v[i] = v - 1
 	}
 }
-
-// Taken reports the predicted direction (>= 0 means taken).
-func (c *Signed) Taken() bool { return c.v >= 0 }
 
 // Min and Max expose the saturation bounds.
-func (c *Signed) Min() int32 { return c.min }
-func (c *Signed) Max() int32 { return c.max }
+func (b *Signed) Min() int32 { return int32(b.min) }
+func (b *Signed) Max() int32 { return int32(b.max) }
 
-// Unsigned is an unsigned saturating counter with a configurable bit width,
-// saturating at [0, 2^w - 1]. Used for useful bits, confidence counters and
-// ages.
-type Unsigned struct {
-	v   uint32
-	max uint32
-}
-
-// NewUnsigned returns an unsigned saturating counter of the given bit width,
-// initialised to init. Width must be in [1, 32].
-func NewUnsigned(width int, init uint32) Unsigned {
-	if width < 1 || width > 32 {
-		panic("counters: unsigned width out of range")
-	}
-	var max uint32
-	if width == 32 {
-		max = ^uint32(0)
-	} else {
-		max = 1<<width - 1
-	}
-	c := Unsigned{max: max}
-	if init > max {
-		init = max
-	}
-	c.v = init
-	return c
-}
-
-// Value returns the current counter value.
-func (c *Unsigned) Value() uint32 { return c.v }
-
-// Set assigns v, saturating to the counter's range.
-func (c *Unsigned) Set(v uint32) {
-	if v > c.max {
-		v = c.max
-	}
-	c.v = v
-}
-
-// Inc increments with saturation.
-func (c *Unsigned) Inc() {
-	if c.v < c.max {
-		c.v++
-	}
-}
-
-// Reset zeroes the counter.
-func (c *Unsigned) Reset() { c.v = 0 }
-
-// IsMax reports whether the counter is saturated high.
-func (c *Unsigned) IsMax() bool { return c.v == c.max }
-
-// Max exposes the saturation bound.
-func (c *Unsigned) Max() uint32 { return c.max }
-
-// Scan summarises a signed-counter table for state-probe reporting:
-// live counts counters away from zero (the reset value of every
-// counter table in this repository) and saturated counts counters
-// pinned at either bound.
-func Scan(cs []Signed) (live, saturated int) {
-	for i := range cs {
-		if cs[i].v != 0 {
+// Census summarises the bank for state-probe reporting: live counts
+// counters away from zero, their reset value, and saturated counts
+// counters pinned at either bound.
+func (b *Signed) Census() (live, saturated int) {
+	for _, v := range b.v {
+		if v != 0 {
 			live++
 		}
-		if cs[i].v == cs[i].min || cs[i].v == cs[i].max {
+		if v == b.min || v == b.max {
 			saturated++
 		}
 	}
 	return
 }
 
-func clamp(v, lo, hi int32) int32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+// Unsigned is a bank of unsigned saturating counters of one bit width,
+// saturating at [0, 2^w - 1]. Every counter starts at 0.
+type Unsigned struct {
+	v   []uint16
+	max uint16
 }
+
+// NewUnsigned returns a bank of n unsigned counters of the given bit
+// width, which must be in [1, 16].
+func NewUnsigned(n, width int) Unsigned {
+	if width < 1 || width > 16 {
+		panic("counters: unsigned width out of range")
+	}
+	return Unsigned{v: make([]uint16, n), max: 1<<width - 1}
+}
+
+// Value returns counter i.
+func (b *Unsigned) Value(i int) uint32 { return uint32(b.v[i]) }
+
+// Set assigns v to counter i, saturating to the bank's range.
+func (b *Unsigned) Set(i int, v uint32) { b.v[i] = uint16(min(v, uint32(b.max))) }
+
+// Inc increments counter i with saturation.
+func (b *Unsigned) Inc(i int) {
+	if b.v[i] < b.max {
+		b.v[i]++
+	}
+}
+
+// IsMax reports whether counter i is saturated high.
+func (b *Unsigned) IsMax(i int) bool { return b.v[i] == b.max }
+
+// Max exposes the saturation bound.
+func (b *Unsigned) Max() uint32 { return uint32(b.max) }

@@ -2,29 +2,29 @@ package counters
 
 import "bfbp/internal/state"
 
-// SaveSigned appends a signed counter bank's values to a snapshot
-// section. Widths are configuration rebuilt by the constructor.
-func SaveSigned(e *state.Enc, bank []Signed) {
-	vals := make([]int32, len(bank))
-	for i := range bank {
-		vals[i] = bank[i].Value()
+// Save appends the bank to a snapshot section as a u32 count and one
+// little-endian i32 per counter, the layout the state.Enc.I32s writer
+// gives. The width is configuration rebuilt by the constructor.
+func (b *Signed) Save(e *state.Enc) {
+	e.U32(uint32(len(b.v)))
+	for _, v := range b.v {
+		e.I32(int32(v))
 	}
-	e.I32s(vals)
 }
 
-// LoadSigned decodes a bank saved by SaveSigned, checking every value
-// against its counter's range, and returns the install.
-func LoadSigned(d *state.Dec, bank []Signed) (install func()) {
-	vals := d.I32s(len(bank))
+// Load decodes a bank saved by Save, checking every value against the
+// bank's range, and returns the install.
+func (b *Signed) Load(d *state.Dec) (install func()) {
+	vals := d.I32s(len(b.v))
 	for i, v := range vals {
-		if v < bank[i].min || v > bank[i].max {
-			d.Corruptf("counter %d is %d, outside [%d, %d]", i, v, bank[i].min, bank[i].max)
+		if v < int32(b.min) || v > int32(b.max) {
+			d.Corruptf("counter %d is %d, outside [%d, %d]", i, v, b.min, b.max)
 			break
 		}
 	}
 	return func() {
-		for i := range bank {
-			bank[i].v = vals[i]
+		for i, v := range vals {
+			b.v[i] = int8(v)
 		}
 	}
 }

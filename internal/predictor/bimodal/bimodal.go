@@ -1,7 +1,7 @@
 // Package bimodal implements the classic PC-indexed table of 2-bit
-// saturating counters (Smith, 1981). It serves as the tagless base
-// predictor T0 of the TAGE family (§V-A) and as the floor baseline in the
-// accuracy comparisons.
+// saturating counters (Smith, 1981), the floor baseline in the accuracy
+// comparisons. TAGE's tagless base predictor T0 (§V-A) is the same
+// design, kept inside the TAGE engine as prediction and hysteresis bits.
 package bimodal
 
 import (
@@ -9,48 +9,40 @@ import (
 	"bfbp/internal/sim"
 )
 
-// Predictor is a direct-mapped bimodal predictor.
+// Predictor is a direct-mapped bimodal predictor of 2-bit counters.
 type Predictor struct {
-	table []counters.Signed
+	table counters.Signed
 	mask  uint64
-	width int
 }
 
-// New returns a bimodal predictor with the given power-of-two entry count
-// and counter width in bits (2 is classic).
-func New(entries, width int) *Predictor {
+// New returns a bimodal predictor with the given power-of-two entry
+// count.
+func New(entries int) *Predictor {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bimodal: entries must be a positive power of two")
 	}
-	p := &Predictor{table: make([]counters.Signed, entries), mask: uint64(entries - 1), width: width}
-	for i := range p.table {
-		p.table[i] = counters.NewSigned(width, 0)
-	}
-	return p
+	return &Predictor{table: counters.NewSigned(entries, 2), mask: uint64(entries - 1)}
 }
 
-func (p *Predictor) index(pc uint64) uint64 { return (pc >> 2) & p.mask }
+func (p *Predictor) index(pc uint64) int { return int((pc >> 2) & p.mask) }
 
 // Name implements sim.Predictor.
 func (p *Predictor) Name() string { return "bimodal" }
 
 // Predict implements sim.Predictor.
-func (p *Predictor) Predict(pc uint64) bool { return p.table[p.index(pc)].Taken() }
+func (p *Predictor) Predict(pc uint64) bool { return p.table.Taken(p.index(pc)) }
 
 // Update implements sim.Predictor.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	p.table[p.index(pc)].Update(taken)
+	p.table.Update(p.index(pc), taken)
 }
-
-// Value exposes the raw counter for TAGE's alternate-prediction logic.
-func (p *Predictor) Value(pc uint64) int32 { return p.table[p.index(pc)].Value() }
 
 // Storage implements sim.StorageAccounter.
 func (p *Predictor) Storage() sim.Breakdown {
 	return sim.Breakdown{
 		Name: p.Name(),
 		Components: []sim.Component{
-			{Name: "2-bit counters", Bits: p.width * len(p.table)},
+			{Name: "2-bit counters", Bits: 2 * p.table.Len()},
 		},
 	}
 }
@@ -58,11 +50,11 @@ func (p *Predictor) Storage() sim.Breakdown {
 // ProbeState implements sim.StateProbe: a probe-time scan of the
 // counter table for warmth (non-zero counters) and saturation.
 func (p *Predictor) ProbeState() sim.TableStats {
-	live, sat := counters.Scan(p.table)
+	live, sat := p.table.Census()
 	return sim.TableStats{
 		Predictor: p.Name(),
 		Banks: []sim.BankStats{
-			{Bank: 0, Kind: "pht", Entries: len(p.table), Live: live, Saturated: sat},
+			{Bank: 0, Kind: "pht", Entries: p.table.Len(), Live: live, Saturated: sat},
 		},
 	}
 }

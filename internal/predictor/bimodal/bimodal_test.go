@@ -8,7 +8,7 @@ import (
 )
 
 func TestLearnsBiasedBranch(t *testing.T) {
-	p := New(1024, 2)
+	p := New(1024)
 	pc := uint64(0x400100)
 	for i := 0; i < 10; i++ {
 		p.Update(pc, true, 0)
@@ -25,7 +25,7 @@ func TestLearnsBiasedBranch(t *testing.T) {
 }
 
 func TestHysteresis(t *testing.T) {
-	p := New(1024, 2)
+	p := New(1024)
 	pc := uint64(0x40)
 	for i := 0; i < 10; i++ {
 		p.Update(pc, true, 0)
@@ -37,7 +37,7 @@ func TestHysteresis(t *testing.T) {
 }
 
 func TestNearPerfectOnBiasedStream(t *testing.T) {
-	p := New(4096, 2)
+	p := New(4096)
 	recs := make(trace.Slice, 20000)
 	for i := range recs {
 		pc := uint64(0x1000 + (i%64)*4)
@@ -53,7 +53,7 @@ func TestNearPerfectOnBiasedStream(t *testing.T) {
 }
 
 func TestAliasingDistinctEntries(t *testing.T) {
-	p := New(16, 2)
+	p := New(16)
 	// PCs 0x0 and 0x40 (>>2 = 0 and 16) alias in a 16-entry table.
 	for i := 0; i < 4; i++ {
 		p.Update(0x0, true, 0)
@@ -64,7 +64,7 @@ func TestAliasingDistinctEntries(t *testing.T) {
 }
 
 func TestStorage(t *testing.T) {
-	p := New(16384, 2)
+	p := New(16384)
 	if got := p.Storage().TotalBits(); got != 32768 {
 		t.Fatalf("storage = %d bits, want 32768", got)
 	}
@@ -73,8 +73,8 @@ func TestStorage(t *testing.T) {
 func TestValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(100,2) did not panic")
+			t.Fatal("New(100) did not panic")
 		}
 	}()
-	New(100, 2)
+	New(100)
 }

@@ -6,22 +6,21 @@ package bimodal
 import (
 	"io"
 
-	"bfbp/internal/counters"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
 
 func (p *Predictor) configHash() uint64 {
 	h := state.NewHash("bimodal")
-	h.Int(len(p.table))
-	h.Int(p.width)
+	h.Int(p.table.Len())
+	h.Int(2) // the retired counter-width knob: the hash keeps its place
 	return h.Sum()
 }
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
 	s := state.New(p.Name(), p.configHash())
-	counters.SaveSigned(s.Section("pht"), p.table)
+	p.table.Save(s.Section("pht"))
 	_, err := s.WriteTo(w)
 	return err
 }
@@ -32,7 +31,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	pht := counters.LoadSigned(s.Dec("pht"), p.table)
+	pht := p.table.Load(s.Dec("pht"))
 	if err := s.Err(); err != nil {
 		return err
 	}

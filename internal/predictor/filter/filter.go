@@ -38,9 +38,10 @@ func Default64KB() Config {
 	}
 }
 
+// filterEntry is a filter entry's direction and valid bit; its run
+// length is the entry's counter in Predictor.run.
 type filterEntry struct {
 	dir   bool
-	run   counters.Unsigned
 	valid bool
 }
 
@@ -48,8 +49,9 @@ type filterEntry struct {
 type Predictor struct {
 	cfg     Config
 	entries []filterEntry
+	run     counters.Unsigned
 	fMask   uint64
-	pht     []counters.Signed
+	pht     counters.Signed
 	pMask   uint64
 	ghr     uint64
 }
@@ -68,63 +70,56 @@ func New(cfg Config) *Predictor {
 	if cfg.HistBits < 1 || cfg.HistBits > 64 {
 		panic("filter: HistBits out of range")
 	}
-	p := &Predictor{
+	return &Predictor{
 		cfg:     cfg,
 		entries: make([]filterEntry, cfg.FilterEntries),
+		run:     counters.NewUnsigned(cfg.FilterEntries, cfg.FilterBits),
 		fMask:   uint64(cfg.FilterEntries - 1),
-		pht:     make([]counters.Signed, cfg.PHTEntries),
+		pht:     counters.NewSigned(cfg.PHTEntries, 2),
 		pMask:   uint64(cfg.PHTEntries - 1),
 	}
-	for i := range p.entries {
-		p.entries[i].run = counters.NewUnsigned(cfg.FilterBits, 0)
-	}
-	for i := range p.pht {
-		p.pht[i] = counters.NewSigned(2, 0)
-	}
-	return p
 }
 
 // Name implements sim.Predictor.
 func (p *Predictor) Name() string { return "filter" }
 
-func (p *Predictor) fIndex(pc uint64) uint64 { return (pc >> 2) & p.fMask }
+func (p *Predictor) fIndex(pc uint64) int { return int((pc >> 2) & p.fMask) }
 
-func (p *Predictor) pIndex(pc uint64) uint64 {
+func (p *Predictor) pIndex(pc uint64) int {
 	h := p.ghr
 	if p.cfg.HistBits < 64 {
 		h &= 1<<uint(p.cfg.HistBits) - 1
 	}
-	return ((pc >> 2) ^ h) & p.pMask
+	return int(((pc >> 2) ^ h) & p.pMask)
 }
+
+// filtered reports whether filter entry i predicts its branch by bias:
+// the entry is valid and its run length is at the counter maximum.
+func (p *Predictor) filtered(i int) bool { return p.entries[i].valid && p.run.IsMax(i) }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	e := &p.entries[p.fIndex(pc)]
-	if e.valid && e.run.IsMax() {
-		return e.dir
+	if i := p.fIndex(pc); p.filtered(i) {
+		return p.entries[i].dir
 	}
-	return p.pht[p.pIndex(pc)].Taken()
+	return p.pht.Taken(p.pIndex(pc))
 }
 
 // Update implements sim.Predictor.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	e := &p.entries[p.fIndex(pc)]
-	filtered := e.valid && e.run.IsMax()
+	i := p.fIndex(pc)
 	// Only unfiltered branches touch (and pollute) the PHT — the
 	// design's entire purpose.
-	if !filtered {
-		p.pht[p.pIndex(pc)].Update(taken)
+	if !p.filtered(i) {
+		p.pht.Update(p.pIndex(pc), taken)
 	}
-	// Run-length bookkeeping.
-	if !e.valid {
-		e.valid = true
-		e.dir = taken
-		e.run.Reset()
-	} else if taken == e.dir {
-		e.run.Inc()
+	// Run-length bookkeeping: a new entry or a change of direction
+	// starts a new run.
+	if e := &p.entries[i]; e.valid && taken == e.dir {
+		p.run.Inc(i)
 	} else {
-		e.dir = taken
-		e.run.Reset()
+		*e = filterEntry{dir: taken, valid: true}
+		p.run.Set(i, 0)
 	}
 	p.ghr = p.ghr<<1 | b2u(taken)
 }
@@ -143,7 +138,7 @@ func (p *Predictor) Storage() sim.Breakdown {
 		Name: p.Name(),
 		Components: []sim.Component{
 			{Name: "filter entries", Bits: perFilter * len(p.entries)},
-			{Name: "PHT 2-bit counters", Bits: 2 * len(p.pht)},
+			{Name: "PHT 2-bit counters", Bits: 2 * p.pht.Len()},
 			{Name: "history register", Bits: p.cfg.HistBits},
 		},
 	}
@@ -154,22 +149,21 @@ func (p *Predictor) Storage() sim.Breakdown {
 // their branch away from the PHT) plus PHT warmth.
 func (p *Predictor) ProbeState() sim.TableStats {
 	live, filtering := 0, 0
-	for i := range p.entries {
-		e := &p.entries[i]
+	for i, e := range p.entries {
 		if !e.valid {
 			continue
 		}
 		live++
-		if e.run.IsMax() {
+		if p.run.IsMax(i) {
 			filtering++
 		}
 	}
-	phtLive, phtSat := counters.Scan(p.pht)
+	phtLive, phtSat := p.pht.Census()
 	return sim.TableStats{
 		Predictor: p.Name(),
 		Banks: []sim.BankStats{
 			{Bank: 0, Kind: "filter", Entries: len(p.entries), Live: live, UsefulSet: filtering},
-			{Bank: 1, Kind: "pht", Entries: len(p.pht), Live: phtLive, Saturated: phtSat, HistLen: p.cfg.HistBits, Reach: p.cfg.HistBits},
+			{Bank: 1, Kind: "pht", Entries: p.pht.Len(), Live: phtLive, Saturated: phtSat, HistLen: p.cfg.HistBits, Reach: p.cfg.HistBits},
 		},
 	}
 }

@@ -5,7 +5,6 @@ package filter
 
 import (
 	"io"
-	"slices"
 
 	"bfbp/internal/counters"
 	"bfbp/internal/sim"
@@ -26,12 +25,12 @@ func (p *Predictor) configHash() uint64 {
 func (p *Predictor) SaveState(w io.Writer) error {
 	s := state.New(p.Name(), p.configHash())
 	fe := s.Section("filter")
-	for i := range p.entries {
-		fe.Bool(p.entries[i].dir)
-		fe.U32(p.entries[i].run.Value())
-		fe.Bool(p.entries[i].valid)
+	for i, e := range p.entries {
+		fe.Bool(e.dir)
+		fe.U32(p.run.Value(i))
+		fe.Bool(e.valid)
 	}
-	counters.SaveSigned(s.Section("pht"), p.pht)
+	p.pht.Save(s.Section("pht"))
 	s.Section("ghr").U64(p.ghr)
 	_, err := s.WriteTo(w)
 	return err
@@ -46,23 +45,24 @@ func (p *Predictor) LoadState(r io.Reader) error {
 		return err
 	}
 	fd := s.Dec("filter")
-	entries := slices.Clone(p.entries)
+	entries := make([]filterEntry, len(p.entries))
+	runs := counters.NewUnsigned(len(p.entries), p.cfg.FilterBits)
 	for i := range entries {
 		e := &entries[i]
 		e.dir = fd.Bool()
-		if run := fd.U32(); run > e.run.Max() {
-			fd.Corruptf("entry %d run %d above %d", i, run, e.run.Max())
+		if run := fd.U32(); run > runs.Max() {
+			fd.Corruptf("entry %d run %d above %d", i, run, runs.Max())
 		} else {
-			e.run.Set(run)
+			runs.Set(i, run)
 		}
 		e.valid = fd.Bool()
 	}
-	pht := counters.LoadSigned(s.Dec("pht"), p.pht)
+	pht := p.pht.Load(s.Dec("pht"))
 	ghr := s.Dec("ghr").U64()
 	if err := s.Err(); err != nil {
 		return err
 	}
-	copy(p.entries, entries)
+	p.entries, p.run = entries, runs
 	pht()
 	p.ghr = ghr
 	return nil

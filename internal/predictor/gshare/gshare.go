@@ -11,7 +11,7 @@ import (
 
 // Predictor is a gshare predictor.
 type Predictor struct {
-	table    []counters.Signed
+	table    counters.Signed
 	mask     uint64
 	ghr      uint64
 	histBits int
@@ -26,30 +26,26 @@ func New(entries, histBits int) *Predictor {
 	if histBits < 1 || histBits > 64 {
 		panic("gshare: histBits out of range")
 	}
-	p := &Predictor{table: make([]counters.Signed, entries), mask: uint64(entries - 1), histBits: histBits}
-	for i := range p.table {
-		p.table[i] = counters.NewSigned(2, 0)
-	}
-	return p
+	return &Predictor{table: counters.NewSigned(entries, 2), mask: uint64(entries - 1), histBits: histBits}
 }
 
-func (p *Predictor) index(pc uint64) uint64 {
+func (p *Predictor) index(pc uint64) int {
 	h := p.ghr
 	if p.histBits < 64 {
 		h &= (1 << p.histBits) - 1
 	}
-	return ((pc >> 2) ^ h) & p.mask
+	return int(((pc >> 2) ^ h) & p.mask)
 }
 
 // Name implements sim.Predictor.
 func (p *Predictor) Name() string { return "gshare" }
 
 // Predict implements sim.Predictor.
-func (p *Predictor) Predict(pc uint64) bool { return p.table[p.index(pc)].Taken() }
+func (p *Predictor) Predict(pc uint64) bool { return p.table.Taken(p.index(pc)) }
 
 // Update implements sim.Predictor.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	p.table[p.index(pc)].Update(taken)
+	p.table.Update(p.index(pc), taken)
 	p.ghr <<= 1
 	if taken {
 		p.ghr |= 1
@@ -61,7 +57,7 @@ func (p *Predictor) Storage() sim.Breakdown {
 	return sim.Breakdown{
 		Name: p.Name(),
 		Components: []sim.Component{
-			{Name: "PHT 2-bit counters", Bits: 2 * len(p.table)},
+			{Name: "PHT 2-bit counters", Bits: 2 * p.table.Len()},
 			{Name: "global history register", Bits: p.histBits},
 		},
 	}
@@ -70,11 +66,11 @@ func (p *Predictor) Storage() sim.Breakdown {
 // ProbeState implements sim.StateProbe: a probe-time scan of the PHT
 // for warmth (non-zero counters) and saturation.
 func (p *Predictor) ProbeState() sim.TableStats {
-	live, sat := counters.Scan(p.table)
+	live, sat := p.table.Census()
 	return sim.TableStats{
 		Predictor: p.Name(),
 		Banks: []sim.BankStats{
-			{Bank: 0, Kind: "pht", Entries: len(p.table), Live: live, Saturated: sat, HistLen: p.histBits, Reach: p.histBits},
+			{Bank: 0, Kind: "pht", Entries: p.table.Len(), Live: live, Saturated: sat, HistLen: p.histBits, Reach: p.histBits},
 		},
 	}
 }

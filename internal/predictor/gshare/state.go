@@ -6,14 +6,13 @@ package gshare
 import (
 	"io"
 
-	"bfbp/internal/counters"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
 
 func (p *Predictor) configHash() uint64 {
 	h := state.NewHash("gshare")
-	h.Int(len(p.table))
+	h.Int(p.table.Len())
 	h.Int(p.histBits)
 	return h.Sum()
 }
@@ -21,8 +20,7 @@ func (p *Predictor) configHash() uint64 {
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
 	s := state.New(p.Name(), p.configHash())
-	e := s.Section("pht")
-	counters.SaveSigned(e, p.table)
+	p.table.Save(s.Section("pht"))
 	s.Section("ghr").U64(p.ghr)
 	_, err := s.WriteTo(w)
 	return err
@@ -35,7 +33,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	pht := counters.LoadSigned(s.Dec("pht"), p.table)
+	pht := p.table.Load(s.Dec("pht"))
 	ghr := s.Dec("ghr").U64()
 	if err := s.Err(); err != nil {
 		return err

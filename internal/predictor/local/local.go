@@ -16,7 +16,7 @@ type Predictor struct {
 	histories []uint32
 	histMask  uint64
 	histBits  int
-	pht       []counters.Signed
+	pht       counters.Signed
 	phtMask   uint64
 }
 
@@ -36,29 +36,26 @@ func New(histEntries, histBits, phtEntries int) *Predictor {
 		histories: make([]uint32, histEntries),
 		histMask:  uint64(histEntries - 1),
 		histBits:  histBits,
-		pht:       make([]counters.Signed, phtEntries),
+		pht:       counters.NewSigned(phtEntries, 3),
 		phtMask:   uint64(phtEntries - 1),
-	}
-	for i := range p.pht {
-		p.pht[i] = counters.NewSigned(3, 0)
 	}
 	return p
 }
 
-func (p *Predictor) phtIndex(pc uint64) uint64 {
+func (p *Predictor) phtIndex(pc uint64) int {
 	h := uint64(p.histories[(pc>>2)&p.histMask])
-	return (h ^ (pc >> 2 << uint(p.histBits))) & p.phtMask
+	return int((h ^ (pc >> 2 << uint(p.histBits))) & p.phtMask)
 }
 
 // Name implements sim.Predictor.
 func (p *Predictor) Name() string { return "local" }
 
 // Predict implements sim.Predictor.
-func (p *Predictor) Predict(pc uint64) bool { return p.pht[p.phtIndex(pc)].Taken() }
+func (p *Predictor) Predict(pc uint64) bool { return p.pht.Taken(p.phtIndex(pc)) }
 
 // Update implements sim.Predictor.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
-	p.pht[p.phtIndex(pc)].Update(taken)
+	p.pht.Update(p.phtIndex(pc), taken)
 	hi := (pc >> 2) & p.histMask
 	h := p.histories[hi] << 1
 	if taken {
@@ -73,7 +70,7 @@ func (p *Predictor) Storage() sim.Breakdown {
 		Name: p.Name(),
 		Components: []sim.Component{
 			{Name: "local history table", Bits: p.histBits * len(p.histories)},
-			{Name: "PHT 3-bit counters", Bits: 3 * len(p.pht)},
+			{Name: "PHT 3-bit counters", Bits: 3 * p.pht.Len()},
 		},
 	}
 }
@@ -87,12 +84,12 @@ func (p *Predictor) ProbeState() sim.TableStats {
 			histLive++
 		}
 	}
-	phtLive, phtSat := counters.Scan(p.pht)
+	phtLive, phtSat := p.pht.Census()
 	return sim.TableStats{
 		Predictor: p.Name(),
 		Banks: []sim.BankStats{
 			{Bank: 0, Kind: "lhist", Entries: len(p.histories), Live: histLive, HistLen: p.histBits, Reach: p.histBits},
-			{Bank: 1, Kind: "pht", Entries: len(p.pht), Live: phtLive, Saturated: phtSat},
+			{Bank: 1, Kind: "pht", Entries: p.pht.Len(), Live: phtLive, Saturated: phtSat},
 		},
 	}
 }

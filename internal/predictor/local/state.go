@@ -6,7 +6,6 @@ package local
 import (
 	"io"
 
-	"bfbp/internal/counters"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -15,7 +14,7 @@ func (p *Predictor) configHash() uint64 {
 	h := state.NewHash("local")
 	h.Int(len(p.histories))
 	h.Int(p.histBits)
-	h.Int(len(p.pht))
+	h.Int(p.pht.Len())
 	return h.Sum()
 }
 
@@ -23,7 +22,7 @@ func (p *Predictor) configHash() uint64 {
 func (p *Predictor) SaveState(w io.Writer) error {
 	s := state.New(p.Name(), p.configHash())
 	s.Section("histories").U32s(p.histories)
-	counters.SaveSigned(s.Section("pht"), p.pht)
+	p.pht.Save(s.Section("pht"))
 	_, err := s.WriteTo(w)
 	return err
 }
@@ -43,7 +42,7 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			d.Corruptf("history %d is %#x, wider than %d bits", i, h, p.histBits)
 		}
 	}
-	pht := counters.LoadSigned(s.Dec("pht"), p.pht)
+	pht := p.pht.Load(s.Dec("pht"))
 	if err := s.Err(); err != nil {
 		return err
 	}

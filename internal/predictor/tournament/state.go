@@ -6,7 +6,6 @@ package tournament
 import (
 	"io"
 
-	"bfbp/internal/counters"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -27,9 +26,9 @@ func (p *Predictor) configHash() uint64 {
 func (p *Predictor) SaveState(w io.Writer) error {
 	s := state.New(p.Name(), p.configHash())
 	s.Section("local_hist").U32s(p.localHist)
-	counters.SaveSigned(s.Section("local_pht"), p.localPHT)
-	counters.SaveSigned(s.Section("global_pht"), p.global)
-	counters.SaveSigned(s.Section("chooser"), p.chooser)
+	p.localPHT.Save(s.Section("local_pht"))
+	p.global.Save(s.Section("global_pht"))
+	p.chooser.Save(s.Section("chooser"))
 	s.Section("ghr").U64(p.ghr)
 	_, err := s.WriteTo(w)
 	return err
@@ -50,9 +49,9 @@ func (p *Predictor) LoadState(r io.Reader) error {
 			d.Corruptf("local history %d is %#x, wider than %d bits", i, h, p.cfg.LocalHistBits)
 		}
 	}
-	localPHT := counters.LoadSigned(s.Dec("local_pht"), p.localPHT)
-	global := counters.LoadSigned(s.Dec("global_pht"), p.global)
-	chooser := counters.LoadSigned(s.Dec("chooser"), p.chooser)
+	localPHT := p.localPHT.Load(s.Dec("local_pht"))
+	global := p.global.Load(s.Dec("global_pht"))
+	chooser := p.chooser.Load(s.Dec("chooser"))
 	ghr := s.Dec("ghr").U64()
 	if err := s.Err(); err != nil {
 		return err

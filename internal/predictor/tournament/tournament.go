@@ -44,13 +44,13 @@ type Predictor struct {
 
 	localHist []uint32
 	lhMask    uint64
-	localPHT  []counters.Signed
+	localPHT  counters.Signed
 	lpMask    uint64
 
-	global []counters.Signed
+	global counters.Signed
 	gMask  uint64
 
-	chooser []counters.Signed // >= 0 prefers global
+	chooser counters.Signed // >= 0 prefers global
 	chMask  uint64
 
 	ghr uint64
@@ -69,56 +69,46 @@ func New(cfg Config) *Predictor {
 	if cfg.GlobalHistBits < 1 || cfg.GlobalHistBits > 64 {
 		panic("tournament: GlobalHistBits out of range")
 	}
-	p := &Predictor{
+	return &Predictor{
 		cfg:       cfg,
 		localHist: make([]uint32, cfg.LocalHistEntries),
 		lhMask:    uint64(cfg.LocalHistEntries - 1),
-		localPHT:  make([]counters.Signed, cfg.LocalPHTEntries),
+		localPHT:  counters.NewSigned(cfg.LocalPHTEntries, 3),
 		lpMask:    uint64(cfg.LocalPHTEntries - 1),
-		global:    make([]counters.Signed, cfg.GlobalEntries),
+		global:    counters.NewSigned(cfg.GlobalEntries, 2),
 		gMask:     uint64(cfg.GlobalEntries - 1),
-		chooser:   make([]counters.Signed, cfg.ChooserEntries),
+		chooser:   counters.NewSigned(cfg.ChooserEntries, 2),
 		chMask:    uint64(cfg.ChooserEntries - 1),
 	}
-	for i := range p.localPHT {
-		p.localPHT[i] = counters.NewSigned(3, 0)
-	}
-	for i := range p.global {
-		p.global[i] = counters.NewSigned(2, 0)
-	}
-	for i := range p.chooser {
-		p.chooser[i] = counters.NewSigned(2, 0)
-	}
-	return p
 }
 
 // Name implements sim.Predictor.
 func (p *Predictor) Name() string { return "tournament" }
 
-func (p *Predictor) localIndex(pc uint64) uint64 {
+func (p *Predictor) localIndex(pc uint64) int {
 	h := uint64(p.localHist[(pc>>2)&p.lhMask])
-	return (h ^ (pc >> 2 << uint(p.cfg.LocalHistBits))) & p.lpMask
+	return int((h ^ (pc >> 2 << uint(p.cfg.LocalHistBits))) & p.lpMask)
 }
 
-func (p *Predictor) globalIndex(pc uint64) uint64 {
+func (p *Predictor) globalIndex(pc uint64) int {
 	h := p.ghr
 	if p.cfg.GlobalHistBits < 64 {
 		h &= 1<<uint(p.cfg.GlobalHistBits) - 1
 	}
-	return ((pc >> 2) ^ h) & p.gMask
+	return int(((pc >> 2) ^ h) & p.gMask)
 }
 
-func (p *Predictor) chooserIndex() uint64 { return p.ghr & p.chMask }
+func (p *Predictor) chooserIndex() int { return int(p.ghr & p.chMask) }
 
 // Components returns the two component predictions (for analysis).
 func (p *Predictor) Components(pc uint64) (local, global bool) {
-	return p.localPHT[p.localIndex(pc)].Taken(), p.global[p.globalIndex(pc)].Taken()
+	return p.localPHT.Taken(p.localIndex(pc)), p.global.Taken(p.globalIndex(pc))
 }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
 	local, global := p.Components(pc)
-	if p.chooser[p.chooserIndex()].Taken() {
+	if p.chooser.Taken(p.chooserIndex()) {
 		return global
 	}
 	return local
@@ -128,15 +118,15 @@ func (p *Predictor) Predict(pc uint64) bool {
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 	li := p.localIndex(pc)
 	gi := p.globalIndex(pc)
-	local := p.localPHT[li].Taken()
-	global := p.global[gi].Taken()
+	local := p.localPHT.Taken(li)
+	global := p.global.Taken(gi)
 
 	// Chooser trains only when the components disagree.
 	if local != global {
-		p.chooser[p.chooserIndex()].Update(global == taken)
+		p.chooser.Update(p.chooserIndex(), global == taken)
 	}
-	p.localPHT[li].Update(taken)
-	p.global[gi].Update(taken)
+	p.localPHT.Update(li, taken)
+	p.global.Update(gi, taken)
 
 	lh := (pc >> 2) & p.lhMask
 	p.localHist[lh] = (p.localHist[lh]<<1 | b2u32(taken)) & (1<<uint(p.cfg.LocalHistBits) - 1)
@@ -156,9 +146,9 @@ func (p *Predictor) Storage() sim.Breakdown {
 		Name: p.Name(),
 		Components: []sim.Component{
 			{Name: "local histories", Bits: p.cfg.LocalHistBits * len(p.localHist)},
-			{Name: "local PHT (3-bit)", Bits: 3 * len(p.localPHT)},
-			{Name: "global PHT (2-bit)", Bits: 2 * len(p.global)},
-			{Name: "chooser (2-bit)", Bits: 2 * len(p.chooser)},
+			{Name: "local PHT (3-bit)", Bits: 3 * p.localPHT.Len()},
+			{Name: "global PHT (2-bit)", Bits: 2 * p.global.Len()},
+			{Name: "chooser (2-bit)", Bits: 2 * p.chooser.Len()},
 			{Name: "history register", Bits: p.cfg.GlobalHistBits},
 		},
 	}
@@ -173,16 +163,16 @@ func (p *Predictor) ProbeState() sim.TableStats {
 			histLive++
 		}
 	}
-	lpLive, lpSat := counters.Scan(p.localPHT)
-	gLive, gSat := counters.Scan(p.global)
-	chLive, chSat := counters.Scan(p.chooser)
+	lpLive, lpSat := p.localPHT.Census()
+	gLive, gSat := p.global.Census()
+	chLive, chSat := p.chooser.Census()
 	return sim.TableStats{
 		Predictor: p.Name(),
 		Banks: []sim.BankStats{
 			{Bank: 0, Kind: "lhist", Entries: len(p.localHist), Live: histLive, HistLen: p.cfg.LocalHistBits, Reach: p.cfg.LocalHistBits},
-			{Bank: 1, Kind: "pht", Entries: len(p.localPHT), Live: lpLive, Saturated: lpSat},
-			{Bank: 2, Kind: "pht", Entries: len(p.global), Live: gLive, Saturated: gSat, HistLen: p.cfg.GlobalHistBits, Reach: p.cfg.GlobalHistBits},
-			{Bank: 3, Kind: "choice", Entries: len(p.chooser), Live: chLive, Saturated: chSat},
+			{Bank: 1, Kind: "pht", Entries: p.localPHT.Len(), Live: lpLive, Saturated: lpSat},
+			{Bank: 2, Kind: "pht", Entries: p.global.Len(), Live: gLive, Saturated: gSat, HistLen: p.cfg.GlobalHistBits, Reach: p.cfg.GlobalHistBits},
+			{Bank: 3, Kind: "choice", Entries: p.chooser.Len(), Live: chLive, Saturated: chSat},
 		},
 	}
 }

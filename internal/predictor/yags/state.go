@@ -5,9 +5,7 @@ package yags
 
 import (
 	"io"
-	"slices"
 
-	"bfbp/internal/counters"
 	"bfbp/internal/sim"
 	"bfbp/internal/state"
 )
@@ -22,38 +20,39 @@ func (p *Predictor) configHash() uint64 {
 	return h.Sum()
 }
 
-func saveCache(e *state.Enc, cache []cacheEntry) {
-	for i := range cache {
-		e.U16(cache[i].tag)
-		e.I32(cache[i].ctr.Value())
-		e.Bool(cache[i].valid)
+// saveCache appends each entry as its u16 tag, its counter as an i32
+// and its valid bit.
+func saveCache(e *state.Enc, c *cache) {
+	for i := range c.tag {
+		e.U16(c.tag[i])
+		e.I32(c.ctr.Value(i))
+		e.Bool(c.valid[i])
 	}
 }
 
-// loadCache decodes a cache saved by saveCache into a copy of cache,
-// whose counters carry the configured widths, checking each tag against
-// tagMask and each counter against its range.
-func loadCache(d *state.Dec, cache []cacheEntry, tagMask uint32) []cacheEntry {
-	out := slices.Clone(cache)
-	for i := range out {
-		e := &out[i]
-		e.tag = d.U16()
-		if v := d.I32(); uint32(e.tag) > tagMask || v < e.ctr.Min() || v > e.ctr.Max() {
-			d.Corruptf("entry %d: tag %#x or counter %d out of range", i, e.tag, v)
+// loadCache decodes a cache of n entries saved by saveCache into a new
+// cache, checking each tag against tagMask and each counter against the
+// range of the cache's 2-bit counters.
+func loadCache(d *state.Dec, n int, tagMask uint32) cache {
+	c := newCache(n)
+	for i := range n {
+		c.tag[i] = d.U16()
+		if v := d.I32(); uint32(c.tag[i]) > tagMask || v < c.ctr.Min() || v > c.ctr.Max() {
+			d.Corruptf("entry %d: tag %#x or counter %d out of range", i, c.tag[i], v)
 		} else {
-			e.ctr.Set(v)
+			c.ctr.Set(i, v)
 		}
-		e.valid = d.Bool()
+		c.valid[i] = d.Bool()
 	}
-	return out
+	return c
 }
 
 // SaveState implements sim.Snapshotter.
 func (p *Predictor) SaveState(w io.Writer) error {
 	s := state.New(p.Name(), p.configHash())
-	counters.SaveSigned(s.Section("choice"), p.choice)
-	saveCache(s.Section("t_cache"), p.tCache)
-	saveCache(s.Section("nt_cache"), p.ntCache)
+	p.choice.Save(s.Section("choice"))
+	saveCache(s.Section("t_cache"), &p.tCache)
+	saveCache(s.Section("nt_cache"), &p.ntCache)
 	s.Section("ghr").U64(p.ghr)
 	_, err := s.WriteTo(w)
 	return err
@@ -66,16 +65,15 @@ func (p *Predictor) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	choice := counters.LoadSigned(s.Dec("choice"), p.choice)
-	tCache := loadCache(s.Dec("t_cache"), p.tCache, p.tagMask)
-	ntCache := loadCache(s.Dec("nt_cache"), p.ntCache, p.tagMask)
+	choice := p.choice.Load(s.Dec("choice"))
+	tCache := loadCache(s.Dec("t_cache"), p.cfg.CacheEntries, p.tagMask)
+	ntCache := loadCache(s.Dec("nt_cache"), p.cfg.CacheEntries, p.tagMask)
 	ghr := s.Dec("ghr").U64()
 	if err := s.Err(); err != nil {
 		return err
 	}
 	choice()
-	copy(p.tCache, tCache)
-	copy(p.ntCache, ntCache)
+	p.tCache, p.ntCache = tCache, ntCache
 	p.ghr = ghr
 	return nil
 }

@@ -34,19 +34,27 @@ func Default64KB() Config {
 	}
 }
 
-type cacheEntry struct {
-	tag   uint16
+// cache is one direction's tagged exception cache: a partial tag, a
+// valid bit and a 2-bit counter per entry.
+type cache struct {
+	tag   []uint16
+	valid []bool
 	ctr   counters.Signed
-	valid bool
 }
+
+func newCache(n int) cache {
+	return cache{tag: make([]uint16, n), valid: make([]bool, n), ctr: counters.NewSigned(n, 2)}
+}
+
+func (c *cache) hit(i int, tag uint32) bool { return c.valid[i] && uint32(c.tag[i]) == tag }
 
 // Predictor is a YAGS predictor.
 type Predictor struct {
 	cfg     Config
-	choice  []counters.Signed
+	choice  counters.Signed
 	cMask   uint64
-	tCache  []cacheEntry // consulted when choice says not-taken
-	ntCache []cacheEntry // consulted when choice says taken
+	tCache  cache // consulted when choice says not-taken
+	ntCache cache // consulted when choice says taken
 	dMask   uint64
 	tagMask uint32
 	ghr     uint64
@@ -65,51 +73,43 @@ func New(cfg Config) *Predictor {
 	if cfg.HistBits < 1 || cfg.HistBits > 64 {
 		panic("yags: HistBits out of range")
 	}
-	p := &Predictor{
+	return &Predictor{
 		cfg:     cfg,
-		choice:  make([]counters.Signed, cfg.ChoiceEntries),
+		choice:  counters.NewSigned(cfg.ChoiceEntries, 2),
 		cMask:   uint64(cfg.ChoiceEntries - 1),
-		tCache:  make([]cacheEntry, cfg.CacheEntries),
-		ntCache: make([]cacheEntry, cfg.CacheEntries),
+		tCache:  newCache(cfg.CacheEntries),
+		ntCache: newCache(cfg.CacheEntries),
 		dMask:   uint64(cfg.CacheEntries - 1),
 		tagMask: uint32(1<<cfg.TagBits - 1),
 	}
-	for i := range p.choice {
-		p.choice[i] = counters.NewSigned(2, 0)
-	}
-	for i := range p.tCache {
-		p.tCache[i].ctr = counters.NewSigned(2, 0)
-		p.ntCache[i].ctr = counters.NewSigned(2, 0)
-	}
-	return p
 }
 
 // Name implements sim.Predictor.
 func (p *Predictor) Name() string { return "yags" }
 
-func (p *Predictor) choiceIndex(pc uint64) uint64 { return (pc >> 2) & p.cMask }
+func (p *Predictor) choiceIndex(pc uint64) int { return int((pc >> 2) & p.cMask) }
 
-func (p *Predictor) cacheIndex(pc uint64) (uint64, uint32) {
+func (p *Predictor) cacheIndex(pc uint64) (int, uint32) {
 	h := p.ghr
 	if p.cfg.HistBits < 64 {
 		h &= 1<<uint(p.cfg.HistBits) - 1
 	}
-	idx := ((pc >> 2) ^ h) & p.dMask
+	idx := int(((pc >> 2) ^ h) & p.dMask)
 	tag := uint32(rng.Hash64(pc>>2)>>13) & p.tagMask
 	return idx, tag
 }
 
 // Predict implements sim.Predictor.
 func (p *Predictor) Predict(pc uint64) bool {
-	bias := p.choice[p.choiceIndex(pc)].Taken()
+	bias := p.choice.Taken(p.choiceIndex(pc))
 	idx, tag := p.cacheIndex(pc)
 	// The cache opposite the bias holds the exceptions.
-	cache := p.ntCache
+	c := &p.ntCache
 	if !bias {
-		cache = p.tCache
+		c = &p.tCache
 	}
-	if e := &cache[idx]; e.valid && uint32(e.tag) == tag {
-		return e.ctr.Taken()
+	if c.hit(idx, tag) {
+		return c.ctr.Taken(idx)
 	}
 	return bias
 }
@@ -117,26 +117,25 @@ func (p *Predictor) Predict(pc uint64) bool {
 // Update implements sim.Predictor.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 	ci := p.choiceIndex(pc)
-	bias := p.choice[ci].Taken()
+	bias := p.choice.Taken(ci)
 	idx, tag := p.cacheIndex(pc)
-	cache := p.ntCache
+	c := &p.ntCache
 	if !bias {
-		cache = p.tCache
+		c = &p.tCache
 	}
-	e := &cache[idx]
-	hit := e.valid && uint32(e.tag) == tag
+	hit := c.hit(idx, tag)
 	if hit {
-		e.ctr.Update(taken)
+		c.ctr.Update(idx, taken)
 	} else if taken != bias {
 		// Allocate an exception entry only when the bias got it wrong.
-		e.valid = true
-		e.tag = uint16(tag)
-		e.ctr = counters.NewSigned(2, b2i(taken)*2-1)
+		c.valid[idx] = true
+		c.tag[idx] = uint16(tag)
+		c.ctr.Set(idx, b2i(taken)*2-1)
 	}
 	// Choice PHT trains except when the exception cache was both right
 	// and the bias wrong (standard YAGS partial-update rule).
-	if !(hit && e.ctr.Taken() == taken && bias != taken) {
-		p.choice[ci].Update(taken)
+	if !(hit && c.ctr.Taken(idx) == taken && bias != taken) {
+		p.choice.Update(ci, taken)
 	}
 	p.ghr = p.ghr<<1 | uint64(b2i(taken))
 }
@@ -150,11 +149,11 @@ func b2i(b bool) int32 {
 
 // Storage implements sim.StorageAccounter.
 func (p *Predictor) Storage() sim.Breakdown {
-	perCache := (2 + p.cfg.TagBits + 1) * len(p.tCache)
+	perCache := (2 + p.cfg.TagBits + 1) * p.tCache.ctr.Len()
 	return sim.Breakdown{
 		Name: p.Name(),
 		Components: []sim.Component{
-			{Name: "choice PHT", Bits: 2 * len(p.choice)},
+			{Name: "choice PHT", Bits: 2 * p.choice.Len()},
 			{Name: "taken cache", Bits: perCache},
 			{Name: "not-taken cache", Bits: perCache},
 			{Name: "history register", Bits: p.cfg.HistBits},
@@ -164,20 +163,19 @@ func (p *Predictor) Storage() sim.Breakdown {
 
 // cacheStats scans one direction cache at probe time: valid entries are
 // live, and a live entry pinned at a counter bound is saturated.
-func cacheStats(bank int, cache []cacheEntry, histBits int) sim.BankStats {
+func cacheStats(bank int, c *cache, histBits int) sim.BankStats {
 	live, sat := 0, 0
-	for i := range cache {
-		e := &cache[i]
-		if !e.valid {
+	for i, valid := range c.valid {
+		if !valid {
 			continue
 		}
 		live++
-		if v := e.ctr.Value(); v == e.ctr.Min() || v == e.ctr.Max() {
+		if v := c.ctr.Value(i); v == c.ctr.Min() || v == c.ctr.Max() {
 			sat++
 		}
 	}
 	return sim.BankStats{
-		Bank: bank, Kind: "cache", Entries: len(cache), Live: live, Saturated: sat,
+		Bank: bank, Kind: "cache", Entries: len(c.valid), Live: live, Saturated: sat,
 		HistLen: histBits, Reach: histBits,
 	}
 }
@@ -185,13 +183,13 @@ func cacheStats(bank int, cache []cacheEntry, histBits int) sim.BankStats {
 // ProbeState implements sim.StateProbe: choice-PHT warmth plus the fill
 // and saturation of the two exception caches.
 func (p *Predictor) ProbeState() sim.TableStats {
-	chLive, chSat := counters.Scan(p.choice)
+	chLive, chSat := p.choice.Census()
 	return sim.TableStats{
 		Predictor: p.Name(),
 		Banks: []sim.BankStats{
-			{Bank: 0, Kind: "choice", Entries: len(p.choice), Live: chLive, Saturated: chSat},
-			cacheStats(1, p.tCache, p.cfg.HistBits),
-			cacheStats(2, p.ntCache, p.cfg.HistBits),
+			{Bank: 0, Kind: "choice", Entries: p.choice.Len(), Live: chLive, Saturated: chSat},
+			cacheStats(1, &p.tCache, p.cfg.HistBits),
+			cacheStats(2, &p.ntCache, p.cfg.HistBits),
 		},
 	}
 }

@@ -162,7 +162,9 @@ func TestEngineJournalDeterministic(t *testing.T) {
 	}
 }
 
-func TestEngineJournalStorageAndTableHits(t *testing.T) {
+// TestEngineJournalStorage checks that a predictor's storage budget is
+// journaled once per predictor, not once per cell, with its total.
+func TestEngineJournalStorage(t *testing.T) {
 	var buf strings.Builder
 	j := obs.NewJournal(&buf)
 	eng := Engine{Workers: 2, Journal: j}

@@ -82,7 +82,7 @@ func TestStartServesMetricsAndJournal(t *testing.T) {
 	}
 	jobs := sim.Matrix(
 		[]sim.TraceSource{spec.Source(20_000)},
-		[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1<<12, 2) }}},
+		[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1 << 12) }}},
 		sim.Options{Window: 5_000, ProbeStateEvery: 4_096},
 	)
 	if _, err := eng.Run(context.Background(), jobs); err != nil {
@@ -297,7 +297,7 @@ func TestTracedRunSlicesPerBatch(t *testing.T) {
 		tel.Attach(&eng)
 		jobs := sim.Matrix(
 			[]sim.TraceSource{spec.Source(n)},
-			[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1<<12, 2) }}},
+			[]sim.PredictorSpec{{Name: "bimodal", New: func() sim.Predictor { return bimodal.New(1 << 12) }}},
 			sim.Options{},
 		)
 		res, err := eng.Run(context.Background(), jobs)

@@ -358,7 +358,8 @@ func TestFailedLoadLeavesPredictorUntouched(t *testing.T) {
 
 // TestLoadRejectsOutOfRangeState edits one value of a trained
 // snapshot on every registry predictor that has a value narrower than
-// its field: a counter or weight beyond its range, the adaptive
+// its field: a counter or weight beyond its range (each table
+// predictor's counter sections at one past either bound), the adaptive
 // threshold of a neural predictor below its floor or its counter at a
 // full period, TAGE's useful-reset tick outside [0, 2^18) and, on the
 // BF-GHR predictors, the outcome of a recency-stack entry. Each load
@@ -374,14 +375,24 @@ func TestLoadRejectsOutOfRangeState(t *testing.T) {
 			apply   func(payload []byte)
 		}
 		set := func(off int, val []byte) func([]byte) { return func(p []byte) { copy(p[off:], val) } }
+		// outside edits the i32 counter at off to one past each bound.
+		outside := func(section string, off int, lo, hi int32) []edit {
+			return []edit{{section, set(off, i32(hi+1))}, {section, set(off, i32(lo-1))}}
+		}
 		var edits []edit
 		switch name := info.Name; {
-		case name == "bimodal" || name == "gshare" || name == "local" || name == "filter":
-			edits = []edit{{"pht", set(4, i32(100))}}
+		case name == "bimodal" || name == "gshare":
+			edits = outside("pht", 4, -2, 1)
+		case name == "local":
+			edits = outside("pht", 4, -4, 3)
 		case name == "tournament":
-			edits = []edit{{"chooser", set(4, i32(-100))}}
+			edits = slices.Concat(outside("local_pht", 4, -4, 3), outside("global_pht", 4, -2, 1), outside("chooser", 4, -2, 1))
 		case name == "yags":
-			edits = []edit{{"choice", set(4, i32(100))}}
+			// A cache entry is a u16 tag, the i32 counter and a bool.
+			edits = slices.Concat(outside("choice", 4, -2, 1), outside("t_cache", 2, -2, 1), outside("nt_cache", 2, -2, 1))
+		case name == "filter":
+			// A filter entry is a bool, the u32 run count and a bool.
+			edits = slices.Concat(outside("pht", 4, -2, 1), outside("filter", 1, 0, 127))
 		case name == "oh-snap":
 			// misc: the threshold, then its counter.
 			edits = []edit{{"coeff", set(4, i32(1000))}, {"misc", set(0, i32(0))}, {"misc", set(4, i32(64))}}
